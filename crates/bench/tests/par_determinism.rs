@@ -4,10 +4,12 @@
 //! report tables) no matter how many workers the pool runs.
 //!
 //! This is the contract that makes parallel verification trustworthy:
-//! scheduling may vary, results may not. The quick E3/S1/S2 grid covers
-//! the three parallelised paths — per-vertex verdicts
+//! scheduling may vary, results may not. The quick E3/S1/S2/A1 grid
+//! covers the parallelised paths — per-vertex verdicts
 //! (`run_verification`), exhaustive certificate enumeration
-//! (`exhaustive_soundness`), and fault-campaign rounds (`run_campaign`).
+//! (`exhaustive_soundness`), fault-campaign rounds (`run_campaign`), and
+//! the universal scheme's run-scoped map memo, which every pool worker
+//! of a run shares.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -26,7 +28,7 @@ fn run_experiments(threads: usize, dir: &Path) -> RunArtifacts {
     let metrics = dir.join(format!("metrics_{threads}.json"));
     let report = dir.join(format!("report_{threads}.md"));
     let status = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["e3", "s1", "s2", "--quick", "--metrics"])
+        .args(["e3", "s1", "s2", "a1", "--quick", "--metrics"])
         .arg(&metrics)
         .arg("--journal")
         .arg(&journal)
@@ -171,7 +173,7 @@ fn threads_flag_matches_environment_variable() {
     assert!(status.success(), "experiments --threads 3 failed");
     let flag_journal = std::fs::read_to_string(&journal).expect("flag journal");
 
-    // The env run covered e3+s1+s2; restrict both journals to e3 events
+    // The env run covered e3+s1+s2+a1; restrict both journals to e3 events
     // (everything from the e3 marker up to the next experiment marker).
     let e3_slice = |jsonl: &str| -> String {
         let mut out = String::new();

@@ -417,6 +417,9 @@ pub struct Verdict {
     pub bits_read: usize,
 }
 
+/// One run's per-vertex decision procedure (see [`Verifier::run_decider`]).
+pub type Decider<'a> = Box<dyn Fn(&LocalView<'_>) -> Result<(), RejectReason> + Sync + 'a>;
+
 /// The local verification algorithm of a scheme.
 ///
 /// `Sync` is a supertrait because [`run_verification`] runs vertices in
@@ -432,6 +435,19 @@ pub trait Verifier: Sync {
     ///
     /// The reason the vertex rejects; `Ok(())` means accept.
     fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason>;
+
+    /// The decision procedure for one [`run_verification`] call, which
+    /// applies it to every vertex from any pool worker (provided; the
+    /// default just calls [`Verifier::decide`]).
+    ///
+    /// Contract for overrides: on every view the returned procedure
+    /// answers exactly what `decide` answers. It may keep a memo of work
+    /// many vertices share, such as a parsed broadcast map; the memo must
+    /// be keyed by certificate bits only, and it lives in the returned
+    /// closure, so nothing carries over from one run to the next.
+    fn run_decider(&self) -> Decider<'_> {
+        Box::new(move |view| self.decide(view))
+    }
 
     /// The bare boolean decision (provided; equivalent to
     /// `self.decide(view).is_ok()`).
@@ -610,6 +626,17 @@ pub fn run_verification(
     instance: &Instance<'_>,
     assignment: &Assignment,
 ) -> VerificationOutcome {
+    run_verification_in(locert_par::global(), verifier, instance, assignment)
+}
+
+/// [`run_verification`] on an explicit pool (the outcome is identical at
+/// any worker count).
+pub fn run_verification_in(
+    pool: &locert_par::Pool,
+    verifier: &dyn Verifier,
+    instance: &Instance<'_>,
+    assignment: &Assignment,
+) -> VerificationOutcome {
     let _span = locert_trace::span!("core.run_verification");
     let handles = locert_trace::enabled().then(|| {
         (
@@ -624,7 +651,8 @@ pub fn run_verification(
     // land in per-vertex slots, so the outcome is identical to the
     // sequential loop at any worker count.
     let n = instance.graph().num_nodes();
-    let decided = locert_par::global().par_map_collect(n, |i| {
+    let decide = verifier.run_decider();
+    let decided = pool.par_map_collect(n, |i| {
         let v = NodeId(i);
         let view = view_of(instance, assignment, v);
         let bits_read = view.cert.len_bits()
@@ -634,7 +662,7 @@ pub fn run_verification(
                 .map(|&(_, _, c)| c.len_bits())
                 .sum::<usize>();
         let start = std::time::Instant::now();
-        let reason = verifier.decide(&view).err();
+        let reason = decide(&view).err();
         if let Some((invocations, rejections, cert_bits, per_vertex_ns)) = &handles {
             per_vertex_ns.record(start.elapsed().as_nanos() as u64);
             cert_bits.record(assignment.cert(v).len_bits() as u64);

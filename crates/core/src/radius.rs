@@ -13,7 +13,6 @@
 
 use crate::framework::{Assignment, Instance};
 use locert_graph::{Graph, Ident, NodeId};
-use std::collections::HashMap;
 
 /// What a vertex sees at radius `r`: the induced ball around it, with
 /// identifiers, inputs and certificates of every ball member.
@@ -40,51 +39,80 @@ pub fn ball_view(
     v: NodeId,
     r: usize,
 ) -> BallView {
-    let g = instance.graph();
-    // BFS to depth r.
-    let mut dist_of: HashMap<usize, usize> = HashMap::new();
-    dist_of.insert(v.0, 0);
-    let mut frontier = vec![v];
-    for d in 1..=r {
-        let mut next = Vec::new();
-        for &u in &frontier {
+    BallScratch::new(instance.graph().num_nodes()).view(instance, assignment, v, r)
+}
+
+/// Dense scratch for building ball views on one host graph: a BFS
+/// distance and a ball-local index per host vertex, `usize::MAX` when
+/// unset, plus the member list. Each view resets only the entries it
+/// set, so a run over every vertex allocates the scratch once and pays
+/// time proportional to each ball, not to `n`.
+struct BallScratch {
+    dist: Vec<usize>,
+    local: Vec<usize>,
+    members: Vec<NodeId>,
+}
+
+impl BallScratch {
+    fn new(n: usize) -> Self {
+        BallScratch {
+            dist: vec![usize::MAX; n],
+            local: vec![usize::MAX; n],
+            members: Vec::new(),
+        }
+    }
+
+    fn view(
+        &mut self,
+        instance: &Instance<'_>,
+        assignment: &Assignment,
+        v: NodeId,
+        r: usize,
+    ) -> BallView {
+        let g = instance.graph();
+        // BFS to depth r; `members` doubles as the queue.
+        self.members.clear();
+        self.members.push(v);
+        self.dist[v.0] = 0;
+        let mut head = 0;
+        while let Some(&u) = self.members.get(head) {
+            head += 1;
+            let d = self.dist[u.0];
+            if d == r {
+                continue;
+            }
             for &w in g.neighbors(u) {
-                if let std::collections::hash_map::Entry::Vacant(e) = dist_of.entry(w.0) {
-                    e.insert(d);
-                    next.push(w);
+                if self.dist[w.0] == usize::MAX {
+                    self.dist[w.0] = d + 1;
+                    self.members.push(w);
                 }
             }
         }
-        frontier = next;
-    }
-    let mut members: Vec<usize> = dist_of.keys().copied().collect();
-    members.sort_unstable();
-    let index_of: HashMap<usize, usize> =
-        members.iter().enumerate().map(|(i, &m)| (m, i)).collect();
-    let mut edges = Vec::new();
-    for &m in &members {
-        for &w in g.neighbors(NodeId(m)) {
-            if m < w.0 {
-                if let Some(&j) = index_of.get(&w.0) {
-                    edges.push((index_of[&m], j));
-                }
-            }
+        self.members.sort_unstable();
+        for (i, &m) in self.members.iter().enumerate() {
+            self.local[m.0] = i;
         }
-    }
-    let ball = Graph::from_edges(members.len(), edges).expect("induced ball is simple");
-    BallView {
-        center: index_of[&v.0],
-        ids: members
-            .iter()
-            .map(|&m| instance.ids().ident(NodeId(m)))
-            .collect(),
-        inputs: members.iter().map(|&m| instance.input(NodeId(m))).collect(),
-        certs: members
-            .iter()
-            .map(|&m| assignment.cert(NodeId(m)).clone())
-            .collect(),
-        dist: members.iter().map(|&m| dist_of[&m]).collect(),
-        ball,
+        let view = BallView {
+            center: self.local[v.0],
+            ball: g.induced_on_sorted(&self.members, &self.local),
+            ids: self
+                .members
+                .iter()
+                .map(|&m| instance.ids().ident(m))
+                .collect(),
+            inputs: self.members.iter().map(|&m| instance.input(m)).collect(),
+            certs: self
+                .members
+                .iter()
+                .map(|&m| assignment.cert(m).clone())
+                .collect(),
+            dist: self.members.iter().map(|&m| self.dist[m.0]).collect(),
+        };
+        for &m in &self.members {
+            self.dist[m.0] = usize::MAX;
+            self.local[m.0] = usize::MAX;
+        }
+        view
     }
 }
 
@@ -102,10 +130,11 @@ pub fn run_radius_verification(
     instance: &Instance<'_>,
     assignment: &Assignment,
 ) -> Vec<Ident> {
+    let mut scratch = BallScratch::new(instance.graph().num_nodes());
     instance
         .graph()
         .nodes()
-        .filter(|&v| !verifier.verify(&ball_view(instance, assignment, v, verifier.radius())))
+        .filter(|&v| !verifier.verify(&scratch.view(instance, assignment, v, verifier.radius())))
         .map(|v| instance.ids().ident(v))
         .collect()
 }
@@ -113,12 +142,13 @@ pub fn run_radius_verification(
 /// Appendix A.1's example: "diameter ≤ 2" with **empty certificates** at
 /// radius 3.
 ///
-/// A graph has diameter ≤ 2 iff for every vertex `v` and every vertex `u`
-/// at distance exactly 3 from… there is none: equivalently, no vertex
-/// sees another vertex at distance 3 in its ball. Radius 3 suffices:
-/// if some pair is at distance ≥ 3, the BFS ball of one endpoint contains
-/// a vertex at recorded distance exactly 3 (or the pair's distance is ∞,
-/// i.e. the graph is disconnected — excluded by the model's promise).
+/// A connected graph has diameter ≤ 2 iff no vertex has another vertex
+/// at distance exactly 3, so each vertex accepts iff its radius-3 ball
+/// records no distance above 2. Radius 3 suffices: if some pair is at
+/// distance ≥ 3, the shortest path from one endpoint passes a vertex at
+/// distance exactly 3, which that endpoint's ball contains (a pair at
+/// distance ∞ would need a disconnected graph, excluded by the model's
+/// promise).
 #[derive(Debug, Clone, Copy)]
 pub struct DiameterTwoAtRadiusThree;
 

@@ -20,13 +20,31 @@
 
 use crate::bits::{BitReader, BitWriter, Certificate};
 use crate::framework::{
-    Assignment, DeclaredBound, Instance, LocalView, Prover, ProverError, RejectReason, Scheme,
-    Verifier,
+    Assignment, Decider, DeclaredBound, Instance, LocalView, Prover, ProverError, RejectReason,
+    Scheme, Verifier,
 };
 use crate::schemes::common::{read_ident, write_ident};
-use locert_graph::{automorphism, Graph, Ident};
-use std::collections::BTreeSet;
-use std::sync::Arc;
+use locert_graph::{automorphism, Graph, Ident, NodeId};
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex, OnceLock};
+
+/// Largest vertex count a map may declare. The verifier rejects larger
+/// maps, so the prover refuses larger graphs instead of writing
+/// certificates that every vertex would reject.
+pub const MAX_N: usize = 4096;
+
+/// Width of the leading size field and of the trailing self-index.
+const INDEX_BITS: u32 = 16;
+
+/// Width of the edge-list encoding's edge-count field.
+const EDGE_COUNT_BITS: u32 = 20;
+
+/// Parsed words (identifiers, CSR offsets and neighbor entries) a run's
+/// memo keeps beyond its first map. Honest runs broadcast one map; the
+/// cap bounds memory when an adversarial assignment carries many
+/// distinct large maps, which are then parsed per use as before.
+const MEMO_WORDS: usize = 1 << 22;
 
 /// How the broadcast map is encoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,8 +61,6 @@ pub enum MapEncoding {
 /// graphs by broadcasting the full graph description.
 pub struct UniversalScheme {
     id_bits: u32,
-    /// Maximum representable vertex count (field width guard).
-    n_bits: u32,
     encoding: MapEncoding,
     property: Arc<dyn Fn(&Graph) -> bool + Send + Sync>,
     name: String,
@@ -56,6 +72,116 @@ impl std::fmt::Debug for UniversalScheme {
             .field("id_bits", &self.id_bits)
             .field("name", &self.name)
             .finish()
+    }
+}
+
+/// A parsed broadcast map: the identifier list and the map graph.
+#[derive(Debug, PartialEq, Eq)]
+struct Map {
+    ids: Vec<Ident>,
+    graph: Graph,
+}
+
+impl Map {
+    fn words(&self) -> usize {
+        self.ids.len() + self.graph.num_nodes() + 2 * self.graph.num_edges()
+    }
+}
+
+/// What a map prefix decodes to, shared by every certificate with that
+/// prefix.
+struct Parsed {
+    /// `None` when the prefix is not a well-formed map.
+    map: Option<Map>,
+    /// Whether the map is connected and has the property, computed by the
+    /// first vertex that needs it.
+    verdict: OnceLock<bool>,
+}
+
+/// The map prefix of `cert` (every bit but the trailing self-index; empty
+/// on certificates shorter than the index field), as the bit length, the
+/// prefix's whole bytes, and its partial last byte with the bits past the
+/// prefix cleared. Two certificates carry the same map bits iff their
+/// parts are equal.
+fn prefix_parts(cert: &Certificate) -> (usize, &[u8], u8) {
+    let len = cert.len_bits();
+    let prefix = len.saturating_sub(INDEX_BITS as usize);
+    let bytes = cert.as_bytes();
+    let (whole, rest) = (prefix / 8, prefix % 8);
+    let partial = if rest == 0 {
+        0
+    } else {
+        bytes[whole] & !(0xff >> rest)
+    };
+    (len, &bytes[..whole], partial)
+}
+
+/// A certificate compared and hashed by [`prefix_parts`].
+struct PrefixKey(Certificate);
+
+impl PartialEq for PrefixKey {
+    fn eq(&self, other: &Self) -> bool {
+        prefix_parts(&self.0) == prefix_parts(&other.0)
+    }
+}
+
+impl Eq for PrefixKey {}
+
+impl Hash for PrefixKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        prefix_parts(&self.0).hash(state);
+    }
+}
+
+/// The trailing self-index of `cert`, if it is long enough to carry one.
+fn self_index(cert: &Certificate) -> Option<usize> {
+    let start = cert.len_bits().checked_sub(INDEX_BITS as usize)?;
+    (start..cert.len_bits()).try_fold(0, |acc, i| Some(acc << 1 | usize::from(cert.try_bit(i)?)))
+}
+
+/// The maps parsed during one verification run, keyed by prefix bits.
+#[derive(Default)]
+struct Memo(Mutex<MemoState>);
+
+#[derive(Default)]
+struct MemoState {
+    entries: HashMap<PrefixKey, Arc<Parsed>>,
+    /// Words held by entries past the first (see [`MEMO_WORDS`]).
+    words: usize,
+}
+
+impl Memo {
+    /// The parse of `cert`'s map prefix, from the memo or freshly made.
+    /// Parsing runs outside the lock; when two workers race on one
+    /// prefix, the first insert wins and both use it, so each distinct
+    /// map is evaluated at most once per memo.
+    fn parsed(&self, scheme: &UniversalScheme, cert: &Certificate) -> Arc<Parsed> {
+        let key = PrefixKey(cert.clone());
+        let lock = || {
+            self.0
+                .lock()
+                .expect("nothing panics while holding the memo lock")
+        };
+        if let Some(hit) = lock().entries.get(&key) {
+            return Arc::clone(hit);
+        }
+        let fresh = Arc::new(Parsed {
+            map: scheme.parse_map(cert),
+            verdict: OnceLock::new(),
+        });
+        let mut state = lock();
+        if let Some(hit) = state.entries.get(&key) {
+            return Arc::clone(hit);
+        }
+        if !state.entries.is_empty() {
+            let words = state.words + fresh.map.as_ref().map_or(0, Map::words);
+            if words > MEMO_WORDS {
+                return fresh;
+            }
+            state.words = words;
+        }
+        state.entries.insert(key, Arc::clone(&fresh));
+        fresh
     }
 }
 
@@ -71,7 +197,6 @@ impl UniversalScheme {
     ) -> Self {
         UniversalScheme {
             id_bits,
-            n_bits: 16,
             encoding: MapEncoding::Matrix,
             property: Arc::new(property),
             name: name.into(),
@@ -84,10 +209,12 @@ impl UniversalScheme {
         self
     }
 
-    fn parse(&self, cert: &Certificate) -> Option<(Vec<Ident>, Graph, usize)> {
+    /// Parses the map prefix of `cert`: size, identifiers and adjacency,
+    /// which must end exactly where the trailing self-index begins.
+    fn parse_map(&self, cert: &Certificate) -> Option<Map> {
         let mut r = BitReader::new(cert);
-        let n = r.read(self.n_bits)? as usize;
-        if n == 0 || n > 4096 {
+        let n = r.read(INDEX_BITS)? as usize;
+        if n == 0 || n > MAX_N {
             return None;
         }
         let mut ids = Vec::with_capacity(n);
@@ -111,7 +238,7 @@ impl UniversalScheme {
             }
             MapEncoding::EdgeList => {
                 let vb = crate::bits::width_for(n as u64 - 1);
-                let m = r.read(20)? as usize;
+                let m = r.read(EDGE_COUNT_BITS)? as usize;
                 for _ in 0..m {
                     let i = r.read(vb)? as usize;
                     let j = r.read(vb)? as usize;
@@ -122,12 +249,65 @@ impl UniversalScheme {
                 }
             }
         }
-        let self_idx = r.read(self.n_bits)? as usize;
-        if self_idx >= n || !r.exhausted() {
+        if r.remaining() != INDEX_BITS as usize {
             return None;
         }
-        let g = Graph::from_edges(n, edges).ok()?;
-        Some((ids, g, self_idx))
+        let graph = Graph::from_edges(n, edges).ok()?;
+        Some(Map { ids, graph })
+    }
+
+    /// One vertex's decision, parsing maps through `memo`. This is the
+    /// only decision path: [`Verifier::decide`] runs it with a fresh
+    /// memo, [`Verifier::run_decider`] with one memo per run.
+    fn decide_in(&self, memo: &Memo, view: &LocalView<'_>) -> Result<(), RejectReason> {
+        let own = memo.parsed(self, view.cert);
+        let map = own.map.as_ref().ok_or(RejectReason::MalformedCertificate)?;
+        let n = map.ids.len();
+        let self_idx = self_index(view.cert)
+            .filter(|&i| i < n)
+            .ok_or(RejectReason::MalformedCertificate)?;
+        // My identifier sits at my claimed index.
+        if map.ids[self_idx] != view.id {
+            return Err(RejectReason::AdjacencyMismatch);
+        }
+        // Neighbors carry the identical map (ids + adjacency). A neighbor
+        // whose prefix bits equal mine and whose self-index is in range
+        // parses to my map; any other is parsed and compared.
+        let own_prefix = prefix_parts(view.cert);
+        for &(_, _, cert) in &view.neighbors {
+            let valid_index = |m: &Map| self_index(cert).is_some_and(|i| i < m.ids.len());
+            if valid_index(map) && prefix_parts(cert) == own_prefix {
+                continue;
+            }
+            let theirs = memo.parsed(self, cert);
+            let nmap = theirs
+                .map
+                .as_ref()
+                .filter(|m| valid_index(m))
+                .ok_or(RejectReason::MalformedNeighborCertificate)?;
+            if nmap != map {
+                return Err(RejectReason::CopyMismatch);
+            }
+        }
+        // My map row matches my actual neighborhood exactly.
+        let claimed: BTreeSet<Ident> = map
+            .graph
+            .neighbors(NodeId(self_idx))
+            .iter()
+            .map(|&j| map.ids[j.0])
+            .collect();
+        let actual: BTreeSet<Ident> = view.neighbors.iter().map(|&(nid, _, _)| nid).collect();
+        if claimed != actual {
+            return Err(RejectReason::AdjacencyMismatch);
+        }
+        // The map is connected and satisfies the property.
+        let holds = own
+            .verdict
+            .get_or_init(|| map.graph.is_connected() && (self.property)(&map.graph));
+        if !holds {
+            return Err(RejectReason::PropertyViolation);
+        }
+        Ok(())
     }
 }
 
@@ -139,10 +319,15 @@ impl Prover for UniversalScheme {
             return Err(ProverError::NotAYesInstance);
         }
         let n = g.num_nodes();
-        if n >= (1usize << self.n_bits) {
-            return Err(ProverError::WitnessUnavailable(
-                "graph exceeds the universal scheme's size field".into(),
-            ));
+        if n > MAX_N {
+            return Err(ProverError::WitnessUnavailable(format!(
+                "the universal scheme's maps hold at most {MAX_N} vertices"
+            )));
+        }
+        if self.encoding == MapEncoding::EdgeList && g.num_edges() >> EDGE_COUNT_BITS != 0 {
+            return Err(ProverError::WitnessUnavailable(format!(
+                "the universal scheme's edge lists hold fewer than 2^{EDGE_COUNT_BITS} edges"
+            )));
         }
         let ids = instance.ids();
         let certs = g
@@ -150,7 +335,7 @@ impl Prover for UniversalScheme {
             .map(|v| {
                 let mut w = BitWriter::new();
                 w.component("size-field");
-                w.write(n as u64, self.n_bits);
+                w.write(n as u64, INDEX_BITS);
                 w.component("id-list");
                 for u in g.nodes() {
                     write_ident(&mut w, ids.ident(u), self.id_bits);
@@ -166,7 +351,7 @@ impl Prover for UniversalScheme {
                     }
                     MapEncoding::EdgeList => {
                         let vb = crate::bits::width_for(n as u64 - 1);
-                        w.write(g.num_edges() as u64, 20);
+                        w.write(g.num_edges() as u64, EDGE_COUNT_BITS);
                         for (a, b) in g.edges() {
                             w.write(a.0 as u64, vb);
                             w.write(b.0 as u64, vb);
@@ -174,7 +359,7 @@ impl Prover for UniversalScheme {
                     }
                 }
                 w.component("self-index");
-                w.write(v.0 as u64, self.n_bits);
+                w.write(v.0 as u64, INDEX_BITS);
                 w.finish_for(v.0)
             })
             .collect();
@@ -184,38 +369,15 @@ impl Prover for UniversalScheme {
 
 impl Verifier for UniversalScheme {
     fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
-        let (ids, map, self_idx) = self
-            .parse(view.cert)
-            .ok_or(RejectReason::MalformedCertificate)?;
-        // My identifier sits at my claimed index.
-        if ids[self_idx] != view.id {
-            return Err(RejectReason::AdjacencyMismatch);
-        }
-        // Neighbors carry the identical map (ids + adjacency); their
-        // self-indices differ, so compare the parsed pieces.
-        for &(_, _, cert) in &view.neighbors {
-            let (nids, nmap, _) = self
-                .parse(cert)
-                .ok_or(RejectReason::MalformedNeighborCertificate)?;
-            if nids != ids || nmap != map {
-                return Err(RejectReason::CopyMismatch);
-            }
-        }
-        // My map row matches my actual neighborhood exactly.
-        let claimed: BTreeSet<Ident> = map
-            .neighbors(locert_graph::NodeId(self_idx))
-            .iter()
-            .map(|&j| ids[j.0])
-            .collect();
-        let actual: BTreeSet<Ident> = view.neighbors.iter().map(|&(nid, _, _)| nid).collect();
-        if claimed != actual {
-            return Err(RejectReason::AdjacencyMismatch);
-        }
-        // The map is connected and satisfies the property.
-        if !map.is_connected() || !(self.property)(&map) {
-            return Err(RejectReason::PropertyViolation);
-        }
-        Ok(())
+        self.decide_in(&Memo::default(), view)
+    }
+
+    /// Shares one memo across the run's vertices: each distinct map is
+    /// parsed, and its property evaluated, once per run rather than once
+    /// per vertex and neighbor.
+    fn run_decider(&self) -> Decider<'_> {
+        let memo = Memo::default();
+        Box::new(move |view| self.decide_in(&memo, view))
     }
 }
 
@@ -248,11 +410,156 @@ pub fn fpf_automorphism_scheme(id_bits: u32) -> UniversalScheme {
 mod tests {
     use super::*;
     use crate::attacks;
-    use crate::framework::{run_scheme, run_verification};
+    use crate::framework::{run_scheme, run_verification, run_verification_in, view_of, Verdict};
     use crate::schemes::common::id_bits_for;
-    use locert_graph::{generators, IdAssignment, NodeId};
+    use locert_graph::{generators, traversal, IdAssignment};
+    use locert_par::Pool;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngExt, SeedableRng};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The parse as it stood before the run-scoped memo.
+    fn parse_reference(
+        scheme: &UniversalScheme,
+        cert: &Certificate,
+    ) -> Option<(Vec<Ident>, Graph, usize)> {
+        let mut r = BitReader::new(cert);
+        let n = r.read(16)? as usize;
+        if n == 0 || n > 4096 {
+            return None;
+        }
+        let mut ids = Vec::with_capacity(n);
+        for _ in 0..n {
+            ids.push(read_ident(&mut r, scheme.id_bits)?);
+        }
+        if ids.iter().collect::<BTreeSet<_>>().len() != n {
+            return None;
+        }
+        let mut edges = Vec::new();
+        match scheme.encoding {
+            MapEncoding::Matrix => {
+                for i in 0..n {
+                    for j in (i + 1)..n {
+                        if r.read_bit()? {
+                            edges.push((i, j));
+                        }
+                    }
+                }
+            }
+            MapEncoding::EdgeList => {
+                let vb = crate::bits::width_for(n as u64 - 1);
+                let m = r.read(20)? as usize;
+                for _ in 0..m {
+                    let i = r.read(vb)? as usize;
+                    let j = r.read(vb)? as usize;
+                    if i >= n || j >= n || i >= j {
+                        return None;
+                    }
+                    edges.push((i, j));
+                }
+            }
+        }
+        let self_idx = r.read(16)? as usize;
+        if self_idx >= n || !r.exhausted() {
+            return None;
+        }
+        let g = Graph::from_edges(n, edges).ok()?;
+        Some((ids, g, self_idx))
+    }
+
+    /// The per-vertex decision as it stood before the run-scoped memo:
+    /// every certificate in the view parsed in full, neighbor maps
+    /// compared parsed. The production path must agree with it exactly.
+    fn decide_reference(
+        scheme: &UniversalScheme,
+        view: &LocalView<'_>,
+    ) -> Result<(), RejectReason> {
+        let (ids, map, self_idx) =
+            parse_reference(scheme, view.cert).ok_or(RejectReason::MalformedCertificate)?;
+        if ids[self_idx] != view.id {
+            return Err(RejectReason::AdjacencyMismatch);
+        }
+        for &(_, _, cert) in &view.neighbors {
+            let (nids, nmap, _) =
+                parse_reference(scheme, cert).ok_or(RejectReason::MalformedNeighborCertificate)?;
+            if nids != ids || nmap != map {
+                return Err(RejectReason::CopyMismatch);
+            }
+        }
+        let claimed: BTreeSet<Ident> = map
+            .neighbors(NodeId(self_idx))
+            .iter()
+            .map(|&j| ids[j.0])
+            .collect();
+        let actual: BTreeSet<Ident> = view.neighbors.iter().map(|&(nid, _, _)| nid).collect();
+        if claimed != actual {
+            return Err(RejectReason::AdjacencyMismatch);
+        }
+        if !map.is_connected() || !(scheme.property)(&map) {
+            return Err(RejectReason::PropertyViolation);
+        }
+        Ok(())
+    }
+
+    /// Checks `run_verification` on every pool and the per-vertex
+    /// `decide` against the reference, verdict by verdict; returns the
+    /// verdicts.
+    fn agrees_with_reference(
+        pools: &[Pool],
+        scheme: &UniversalScheme,
+        inst: &Instance<'_>,
+        asg: &Assignment,
+    ) -> Vec<Verdict> {
+        let expected: Vec<Verdict> = inst
+            .graph()
+            .nodes()
+            .map(|v| {
+                let view = view_of(inst, asg, v);
+                assert_eq!(
+                    scheme.decide(&view),
+                    decide_reference(scheme, &view),
+                    "decide at vertex {v:?}"
+                );
+                let reason = decide_reference(scheme, &view).err();
+                Verdict {
+                    accepted: reason.is_none(),
+                    reason,
+                    bits_read: view.cert.len_bits()
+                        + view
+                            .neighbors
+                            .iter()
+                            .map(|&(_, _, c)| c.len_bits())
+                            .sum::<usize>(),
+                }
+            })
+            .collect();
+        for pool in pools {
+            let out = run_verification_in(pool, scheme, inst, asg);
+            assert_eq!(out.verdicts(), &expected[..], "{} workers", pool.threads());
+        }
+        expected
+    }
+
+    fn pools() -> [Pool; 2] {
+        [Pool::new(1), Pool::new(4)]
+    }
+
+    /// `cert` cut to its first `len` bits.
+    fn truncated(cert: &Certificate, len: usize) -> Certificate {
+        let mut w = BitWriter::new();
+        for i in 0..len.min(cert.len_bits()) {
+            w.write_bit(cert.bit(i));
+        }
+        w.finish()
+    }
+
+    /// `cert` with its trailing 16-bit self-index replaced by `index`.
+    fn reindexed(cert: &Certificate, index: u64) -> Certificate {
+        let mut w = BitWriter::new();
+        w.write_cert(&truncated(cert, cert.len_bits() - 16));
+        w.write(index, 16);
+        w.finish()
+    }
 
     #[test]
     fn certifies_arbitrary_properties() {
@@ -425,5 +732,215 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(92);
         let bits = 16 + 5 * 3 + 10 + 16;
         assert!(attacks::random_assignments(&scheme, &inst, bits, &mut rng, 200).is_none());
+    }
+
+    #[test]
+    fn run_decider_matches_reference_under_mutations() {
+        let pools = pools();
+        let mut rng = StdRng::seed_from_u64(0x13);
+        let graphs = [
+            generators::path(5),
+            generators::star(6),
+            generators::cycle(6),
+            generators::clique(4),
+            generators::random_tree(7, &mut rng),
+            generators::random_connected(7, 4, &mut rng),
+        ];
+        let mut reasons = BTreeSet::new();
+        for g in &graphs {
+            let n = g.num_nodes();
+            let ids = IdAssignment::shuffled(n, &mut rng);
+            let inst = Instance::new(g, &ids);
+            let b = id_bits_for(&inst);
+            for sparse in [false, true] {
+                let with = |scheme: UniversalScheme| if sparse { scheme.sparse() } else { scheme };
+                let any = with(UniversalScheme::new(b, "any", |_| true));
+                let diameter_two = with(UniversalScheme::new(b, "diameter<=2", |g| {
+                    traversal::diameter(g).is_some_and(|d| d <= 2)
+                }));
+                let honest = any.assign(&inst).unwrap();
+                let len = honest.cert(NodeId(0)).len_bits();
+                for scheme in [&any, &diameter_two] {
+                    agrees_with_reference(&pools, scheme, &inst, &honest);
+                }
+                for trial in 0..60 {
+                    let mut asg = honest.clone();
+                    let v = NodeId(rng.random_range(0..n));
+                    let bit = rng.random_range(0..len);
+                    match trial % 6 {
+                        // A random bit flip at one vertex.
+                        0 => *asg.cert_mut(v) = asg.cert(v).with_bit_flipped(bit),
+                        // The same flip in every copy: a consistent forgery
+                        // of the size field, an identifier or a map row.
+                        1 => {
+                            for u in g.nodes() {
+                                *asg.cert_mut(u) = asg.cert(u).with_bit_flipped(bit);
+                            }
+                        }
+                        2 => *asg.cert_mut(v) = truncated(asg.cert(v), bit),
+                        // A matching prefix with a self-index at or past n.
+                        3 => {
+                            let index = rng.random_range(n..n + 3) as u64;
+                            *asg.cert_mut(v) = reindexed(asg.cert(v), index);
+                        }
+                        // Another vertex's certificate (a wrong self-index).
+                        4 => {
+                            let u = NodeId(rng.random_range(0..n));
+                            *asg.cert_mut(v) = asg.cert(u).clone();
+                        }
+                        _ => *asg.cert_mut(v) = Certificate::empty(),
+                    }
+                    for scheme in [&any, &diameter_two] {
+                        let verdicts = agrees_with_reference(&pools, scheme, &inst, &asg);
+                        reasons.extend(verdicts.iter().map(|v| v.reason.map(|r| r.code())));
+                    }
+                }
+            }
+        }
+        // Every outcome the verifier can give shows up.
+        for reason in [
+            RejectReason::MalformedCertificate,
+            RejectReason::MalformedNeighborCertificate,
+            RejectReason::CopyMismatch,
+            RejectReason::AdjacencyMismatch,
+            RejectReason::PropertyViolation,
+        ] {
+            assert!(
+                reasons.contains(&Some(reason.code())),
+                "{reason} never seen"
+            );
+        }
+        assert!(reasons.contains(&None));
+    }
+
+    #[test]
+    fn permuted_edge_list_is_a_copy() {
+        // The star 0-1, 0-2, 0-3: vertex 2 writes its edge list in
+        // reverse. Its bits differ from everyone else's, its parsed map
+        // does not, so every vertex still accepts.
+        let g = generators::star(4);
+        let ids = IdAssignment::contiguous(4);
+        let inst = Instance::new(&g, &ids);
+        let b = id_bits_for(&inst);
+        let scheme = UniversalScheme::new(b, "any", |_| true).sparse();
+        let make = |edges: &[(u64, u64)], self_idx: u64| {
+            let mut w = BitWriter::new();
+            w.write(4, 16);
+            for id in 1..=4 {
+                write_ident(&mut w, Ident(id), b);
+            }
+            w.write(edges.len() as u64, 20);
+            for &(i, j) in edges {
+                w.write(i, 2);
+                w.write(j, 2);
+            }
+            w.write(self_idx, 16);
+            w.finish()
+        };
+        let sorted = [(0, 1), (0, 2), (0, 3)];
+        let reversed = [(0, 3), (0, 2), (0, 1)];
+        let asg = Assignment::new(vec![
+            make(&sorted, 0),
+            make(&sorted, 1),
+            make(&reversed, 2),
+            make(&sorted, 3),
+        ]);
+        let honest = scheme.assign(&inst).unwrap();
+        for v in 0..4 {
+            assert_eq!(asg.cert(NodeId(v)) == honest.cert(NodeId(v)), v != 2);
+        }
+        let verdicts = agrees_with_reference(&pools(), &scheme, &inst, &asg);
+        assert!(verdicts.iter().all(|v| v.accepted));
+    }
+
+    #[test]
+    fn matching_prefix_with_out_of_range_self_index_is_malformed() {
+        let g = generators::path(3);
+        let ids = IdAssignment::contiguous(3);
+        let inst = Instance::new(&g, &ids);
+        let scheme = UniversalScheme::new(id_bits_for(&inst), "any", |_| true).sparse();
+        let mut asg = scheme.assign(&inst).unwrap();
+        *asg.cert_mut(NodeId(2)) = reindexed(asg.cert(NodeId(2)), 3);
+        let verdicts = agrees_with_reference(&pools(), &scheme, &inst, &asg);
+        let reasons: Vec<_> = verdicts.iter().map(|v| v.reason).collect();
+        assert_eq!(
+            reasons,
+            [
+                None,
+                Some(RejectReason::MalformedNeighborCertificate),
+                Some(RejectReason::MalformedCertificate),
+            ]
+        );
+    }
+
+    #[test]
+    fn property_runs_once_per_map_per_run() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&calls);
+        let g = generators::star(9);
+        let ids = IdAssignment::contiguous(9);
+        let inst = Instance::new(&g, &ids);
+        let scheme = UniversalScheme::new(id_bits_for(&inst), "counted", move |_| {
+            counter.fetch_add(1, Ordering::SeqCst);
+            true
+        })
+        .sparse();
+        let asg = scheme.assign(&inst).unwrap();
+        for pool in pools() {
+            calls.store(0, Ordering::SeqCst);
+            assert!(run_verification_in(&pool, &scheme, &inst, &asg).accepted());
+            assert_eq!(
+                calls.load(Ordering::SeqCst),
+                1,
+                "{} workers",
+                pool.threads()
+            );
+            // Nothing survives the run: a second run evaluates again.
+            assert!(run_verification_in(&pool, &scheme, &inst, &asg).accepted());
+            assert_eq!(
+                calls.load(Ordering::SeqCst),
+                2,
+                "{} workers",
+                pool.threads()
+            );
+        }
+    }
+
+    #[test]
+    fn prover_refuses_maps_the_verifier_rejects() {
+        // n one past the cap the verifier enforces.
+        let n = MAX_N + 1;
+        let g = generators::star(n);
+        let ids = IdAssignment::contiguous(n);
+        let inst = Instance::new(&g, &ids);
+        for scheme in [
+            UniversalScheme::new(id_bits_for(&inst), "any", |_| true),
+            UniversalScheme::new(id_bits_for(&inst), "any", |_| true).sparse(),
+        ] {
+            assert!(matches!(
+                scheme.assign(&inst),
+                Err(ProverError::WitnessUnavailable(_))
+            ));
+        }
+        // At the cap the sparse map is still certified and accepted.
+        let g = generators::star(MAX_N);
+        let ids = IdAssignment::contiguous(MAX_N);
+        let inst = Instance::new(&g, &ids);
+        let scheme = UniversalScheme::new(id_bits_for(&inst), "any", |_| true).sparse();
+        assert!(run_scheme(&scheme, &inst).unwrap().accepted());
+    }
+
+    #[test]
+    fn prover_refuses_edge_lists_past_the_count_field() {
+        // clique(1449) has 1_049_076 edges, past the 20-bit count field.
+        let g = generators::clique(1449);
+        assert!(g.num_edges() >= 1 << 20);
+        let ids = IdAssignment::contiguous(1449);
+        let inst = Instance::new(&g, &ids);
+        let scheme = UniversalScheme::new(id_bits_for(&inst), "any", |_| true).sparse();
+        assert!(matches!(
+            scheme.assign(&inst),
+            Err(ProverError::WitnessUnavailable(_))
+        ));
     }
 }

@@ -167,26 +167,58 @@ impl Graph {
     /// The subgraph induced by `keep`, together with the mapping from new
     /// indices to old indices.
     ///
-    /// Vertices of the result are renumbered `0..keep.len()` following the
-    /// sorted order of `keep`; the returned vector maps each new [`NodeId`]
-    /// to its original one.
+    /// Vertices of the result are renumbered `0..k` following the sorted
+    /// order of the distinct entries of `keep`; the returned vector maps
+    /// each new [`NodeId`] to its original one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an entry of `keep` is out of range.
     pub fn induced_subgraph(&self, keep: &[NodeId]) -> (Graph, Vec<NodeId>) {
-        let sorted: BTreeSet<NodeId> = keep.iter().copied().collect();
-        let old_of_new: Vec<NodeId> = sorted.iter().copied().collect();
+        let mut old_of_new = keep.to_vec();
+        old_of_new.sort_unstable();
+        old_of_new.dedup();
         let mut new_of_old = vec![usize::MAX; self.num_nodes()];
         for (new, &old) in old_of_new.iter().enumerate() {
             new_of_old[old.0] = new;
         }
-        let mut b = GraphBuilder::new(old_of_new.len());
-        for &old_u in &old_of_new {
-            for &old_v in self.neighbors(old_u) {
-                if old_u < old_v && sorted.contains(&old_v) {
-                    b.add_edge(new_of_old[old_u.0], new_of_old[old_v.0])
-                        .expect("induced edges are valid by construction");
-                }
-            }
+        (self.induced_on_sorted(&old_of_new, &new_of_old), old_of_new)
+    }
+
+    /// The subgraph induced by `members`, renumbered `0..members.len()` in
+    /// the order of `members`.
+    ///
+    /// `members` must be sorted and distinct, and `local` must map every
+    /// member's old index to its position in `members` and every other
+    /// vertex to `usize::MAX`. The renumbering is then monotone, so each
+    /// row of the result is the parent's sorted row filtered and mapped:
+    /// the CSR arrays are written directly, with no builder and no sort.
+    /// Callers that extract many subgraphs (the radius-`r` ball views)
+    /// reuse one dense `local` and reset only the entries they set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member is out of range or `local` is shorter than
+    /// [`Graph::num_nodes`].
+    pub fn induced_on_sorted(&self, members: &[NodeId], local: &[usize]) -> Graph {
+        debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
+        let mut offsets = Vec::with_capacity(members.len() + 1);
+        offsets.push(0);
+        let mut neighbors = Vec::new();
+        for &old in members {
+            debug_assert_eq!(members.get(local[old.0]), Some(&old));
+            neighbors.extend(self.neighbors(old).iter().filter_map(|&w| {
+                let new = local[w.0];
+                (new != usize::MAX).then_some(NodeId(new))
+            }));
+            offsets.push(neighbors.len());
         }
-        (b.build(), old_of_new)
+        let num_edges = neighbors.len() / 2;
+        Graph {
+            offsets,
+            neighbors,
+            num_edges,
+        }
     }
 
     /// Disjoint union of two graphs; vertices of `other` are shifted by

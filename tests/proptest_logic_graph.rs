@@ -1,8 +1,12 @@
 //! Property-based tests for the logic stack (parser/printer round-trips,
-//! evaluator laws) and graph algorithms (biconnectivity, minors).
+//! evaluator laws) and graph algorithms (biconnectivity, minors, induced
+//! subgraphs and radius-`r` ball views against an adjacency-set model).
 
+use locert::cert::bits::BitWriter;
+use locert::cert::framework::{Assignment, Instance};
+use locert::cert::radius::ball_view;
 use locert::graph::bcc::biconnected_components;
-use locert::graph::{generators, traversal, Graph, NodeId};
+use locert::graph::{generators, traversal, Graph, IdAssignment, NodeId};
 use locert::logic::ast::{self, Formula, SetVar, Var};
 use locert::logic::parser::parse;
 use locert::logic::{eval, Formula as F};
@@ -203,5 +207,129 @@ proptest! {
         ], 0..16)) {
         let s = parts.join(" ");
         let _ = parse(&s);
+    }
+}
+
+/// A graph on `n` vertices from raw endpoint pairs taken mod `n`: loops
+/// dropped, duplicates kept (the constructor merges them), possibly
+/// disconnected.
+fn graph_from_pairs(n: usize, pairs: &[(usize, usize)]) -> Graph {
+    let edges = pairs
+        .iter()
+        .map(|&(u, v)| (u % n, v % n))
+        .filter(|&(u, v)| u != v);
+    Graph::from_edges(n, edges).expect("endpoints reduced mod n")
+}
+
+/// The reference model: one adjacency set per vertex.
+fn adjacency_sets(g: &Graph) -> Vec<std::collections::BTreeSet<usize>> {
+    let mut sets = vec![std::collections::BTreeSet::new(); g.num_nodes()];
+    for (u, v) in g.edges() {
+        sets[u.0].insert(v.0);
+        sets[v.0].insert(u.0);
+    }
+    sets
+}
+
+/// The subgraph the model induces on sorted distinct `members`, as one
+/// sorted row of new indices per member.
+fn model_induced(sets: &[std::collections::BTreeSet<usize>], members: &[usize]) -> Vec<Vec<usize>> {
+    members
+        .iter()
+        .map(|&m| {
+            (0..members.len())
+                .filter(|&j| sets[m].contains(&members[j]))
+                .collect()
+        })
+        .collect()
+}
+
+fn rows(g: &Graph) -> Vec<Vec<usize>> {
+    g.nodes()
+        .map(|u| g.neighbors(u).iter().map(|w| w.0).collect())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `induced_subgraph` on unsorted keep lists with repeats matches the
+    /// adjacency-set model: members sorted and distinct, rows and edge
+    /// count as the model induces them.
+    #[test]
+    fn induced_subgraph_matches_set_model(
+        n in 1usize..14,
+        pairs in prop::collection::vec((0usize..14, 0usize..14), 0..40),
+        keep in prop::collection::vec(0usize..14, 0..24),
+    ) {
+        let g = graph_from_pairs(n, &pairs);
+        let sets = adjacency_sets(&g);
+        let keep: Vec<NodeId> = keep.iter().map(|&k| NodeId(k % n)).collect();
+        let (h, old_of_new) = g.induced_subgraph(&keep);
+        let mut members: Vec<usize> = keep.iter().map(|k| k.0).collect();
+        members.sort_unstable();
+        members.dedup();
+        prop_assert_eq!(old_of_new.iter().map(|m| m.0).collect::<Vec<_>>(), members.clone());
+        let expected = model_induced(&sets, &members);
+        prop_assert_eq!(h.num_edges(), expected.iter().map(Vec::len).sum::<usize>() / 2);
+        prop_assert_eq!(rows(&h), expected);
+    }
+
+    /// Radius-`r` ball views for r = 1..3 match a plain BFS over the
+    /// model: members in host order with their identifiers, certificates
+    /// and distances, the center's position, and the induced ball edges.
+    #[test]
+    fn ball_view_matches_plain_bfs(
+        n in 1usize..14,
+        pairs in prop::collection::vec((0usize..14, 0usize..14), 0..40),
+        center in 0usize..14,
+        seed in 0u64..1000,
+    ) {
+        use rand::SeedableRng;
+        let g = graph_from_pairs(n, &pairs);
+        let sets = adjacency_sets(&g);
+        let ids = IdAssignment::shuffled(n, &mut rand::rngs::StdRng::seed_from_u64(seed));
+        let inst = Instance::new(&g, &ids);
+        // Every vertex's certificate is its own index, so a mix-up shows.
+        let asg = Assignment::new(
+            (0..n)
+                .map(|v| {
+                    let mut w = BitWriter::new();
+                    w.write(v as u64, 4);
+                    w.finish()
+                })
+                .collect(),
+        );
+        let center = center % n;
+        for r in 1..=3 {
+            let mut dist = vec![usize::MAX; n];
+            dist[center] = 0;
+            let mut queue = std::collections::VecDeque::from([center]);
+            while let Some(u) = queue.pop_front() {
+                for &w in &sets[u] {
+                    if dist[w] == usize::MAX {
+                        dist[w] = dist[u] + 1;
+                        queue.push_back(w);
+                    }
+                }
+            }
+            let members: Vec<usize> = (0..n).filter(|&m| dist[m] <= r).collect();
+            let view = ball_view(&inst, &asg, NodeId(center), r);
+            prop_assert_eq!(members.get(view.center), Some(&center));
+            prop_assert_eq!(
+                view.ids.clone(),
+                members.iter().map(|&m| ids.ident(NodeId(m))).collect::<Vec<_>>()
+            );
+            prop_assert_eq!(
+                view.dist.clone(),
+                members.iter().map(|&m| dist[m]).collect::<Vec<_>>()
+            );
+            prop_assert_eq!(
+                view.certs.clone(),
+                members.iter().map(|&m| asg.cert(NodeId(m)).clone()).collect::<Vec<_>>()
+            );
+            prop_assert_eq!(view.inputs.clone(), vec![0; members.len()]);
+            prop_assert_eq!(rows(&view.ball), model_induced(&sets, &members));
+        }
     }
 }
