@@ -275,8 +275,8 @@ impl fmt::Display for Certificate {
 /// Writers double as the prover-side attribution point of the bit
 /// ledger (`locert_trace::ledger`): [`BitWriter::component`] marks the
 /// start of a named witness component, and [`BitWriter::finish_for`]
-/// hands the marks to an active ledger capture. While no capture is
-/// active anywhere, both cost one relaxed atomic load.
+/// hands the marks to a ledger capture running on this thread. While no
+/// capture is active anywhere, both cost one relaxed atomic load.
 #[derive(Debug, Clone, Default)]
 pub struct BitWriter {
     bytes: Vec<u8>,
@@ -355,9 +355,9 @@ impl BitWriter {
     /// Marks the bits written from here on as belonging to the witness
     /// component `name` (until the next mark or the end). A no-op —
     /// one relaxed atomic load — unless a `locert_trace::ledger`
-    /// capture is active.
+    /// capture is running on this thread.
     pub fn component(&mut self, name: &'static str) -> &mut Self {
-        if locert_trace::ledger::active() {
+        if locert_trace::ledger::capturing() {
             self.marks.push((name, self.len_bits));
         }
         self
@@ -382,7 +382,7 @@ impl BitWriter {
     /// mark at bit 0 so the attributed spans tile the whole
     /// certificate.
     pub fn finish_for(self, vertex: usize) -> Certificate {
-        if locert_trace::ledger::active() {
+        if locert_trace::ledger::capturing() {
             debug_assert!(
                 self.len_bits == 0 || self.marks.first().is_some_and(|&(_, start)| start == 0),
                 "certificate for vertex {vertex} has bits before the first component mark"
@@ -441,6 +441,38 @@ impl<'a> BitReader<'a> {
         }
         self.pos = pos;
         Some(v)
+    }
+
+    /// Reads the next `len` bits as a certificate of their own; `None`
+    /// if fewer than `len` bits remain. Every scheme that embeds a
+    /// sub-certificate reads it through this.
+    ///
+    /// Works a byte at a time: an aligned read is one copy, an unaligned
+    /// one joins each output byte from two shifted input bytes. The tail
+    /// padding is cleared, so the result is canonical.
+    pub fn read_cert(&mut self, len: usize) -> Option<Certificate> {
+        if len > self.remaining() {
+            return None;
+        }
+        let first = self.pos / 8;
+        let shift = self.pos % 8;
+        let src = &self.bytes[first..];
+        let n = len.div_ceil(8);
+        let mut out: Vec<u8> = if shift == 0 {
+            src[..n].to_vec()
+        } else {
+            (0..n)
+                .map(|i| src[i] << shift | src.get(i + 1).map_or(0, |b| b >> (8 - shift)))
+                .collect()
+        };
+        if !len.is_multiple_of(8) {
+            *out.last_mut().expect("len > 0") &= 0xFF << (8 - len % 8);
+        }
+        self.pos += len;
+        Some(Certificate {
+            repr: Repr::Owned(out),
+            len_bits: len,
+        })
     }
 
     /// Reads one bit.
@@ -579,6 +611,51 @@ mod tests {
         // Non-zero padding bits.
         assert_eq!(Certificate::from_hex("4:0f"), None);
         assert!(Certificate::from_hex("4:f0").is_some());
+    }
+
+    /// The bit-at-a-time copy that `read_cert` replaces.
+    fn read_cert_bitwise(r: &mut BitReader<'_>, len: usize) -> Option<Certificate> {
+        if len > r.remaining() {
+            return None;
+        }
+        let mut w = BitWriter::new();
+        for _ in 0..len {
+            w.write_bit(r.read_bit()?);
+        }
+        Some(w.finish())
+    }
+
+    #[test]
+    fn read_cert_matches_bit_loop() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(21);
+        for total in [0usize, 1, 7, 8, 9, 55, 56, 57, 63, 64, 65, 130, 300] {
+            let mut w = BitWriter::new();
+            for _ in 0..total {
+                w.write_bit(rng.random_bool(0.5));
+            }
+            let cert = w.finish();
+            for start in 0..8.min(total + 1) {
+                for len in [0, 1, 5, 56, 57, 120, total - start, total - start + 1] {
+                    let mut fast = BitReader::new(&cert);
+                    let mut slow = BitReader::new(&cert);
+                    fast.read(start as u32).unwrap();
+                    slow.read(start as u32).unwrap();
+                    let got = fast.read_cert(len);
+                    assert_eq!(
+                        got,
+                        read_cert_bitwise(&mut slow, len),
+                        "{total}/{start}/{len}"
+                    );
+                    assert_eq!(fast.remaining(), slow.remaining());
+                    if let Some(c) = got {
+                        assert_eq!(c.len_bits(), len);
+                        // Canonical padding: equal to a fresh byte copy.
+                        assert_eq!(Certificate::from_bytes(c.as_bytes().to_vec(), len), Some(c));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -968,37 +968,4 @@ mod tests {
         }
         assert_eq!(ledger.max_bits(), 16);
     }
-
-    #[test]
-    fn read_amplification_histogram_records_under_tracing() {
-        // Serialized against other trace-global tests via the registry
-        // lock inside locert-trace; use a throwaway metric window.
-        let g = generators::cycle(6);
-        let ids = IdAssignment::contiguous(6);
-        let inst = Instance::new(&g, &ids);
-        let asg = DegreeScheme.assign(&inst).unwrap();
-        locert_trace::enable();
-        locert_trace::reset();
-        let out = run_verification(&DegreeScheme, &inst, &asg);
-        locert_trace::disable();
-        let snap = locert_trace::snapshot();
-        locert_trace::reset();
-        assert!(out.accepted());
-        let hist = &snap.histograms["core.framework.verify.read_amplification"];
-        assert_eq!(hist.count, 1);
-        // On a cycle every vertex reads its own cert plus two
-        // neighbors': amplification is exactly 3x = 300.
-        assert_eq!(hist.min, Some(300));
-        assert_eq!(hist.max, Some(300));
-        // All-empty assignments record nothing (the ratio is undefined).
-        locert_trace::enable();
-        locert_trace::reset();
-        let _ = run_verification(&DegreeScheme, &inst, &Assignment::empty(6));
-        locert_trace::disable();
-        let snap = locert_trace::snapshot();
-        locert_trace::reset();
-        assert!(!snap
-            .histograms
-            .contains_key("core.framework.verify.read_amplification"));
-    }
 }

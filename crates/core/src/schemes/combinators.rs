@@ -37,18 +37,9 @@ impl<A: Scheme, B: Scheme> AndScheme<A, B> {
     fn split(&self, cert: &Certificate) -> Option<(Certificate, Certificate)> {
         let mut r = BitReader::new(cert);
         let len_a = r.read(self.len_bits)? as usize;
-        if len_a > r.remaining() {
-            return None;
-        }
-        let mut wa = BitWriter::new();
-        for _ in 0..len_a {
-            wa.write_bit(r.read_bit()?);
-        }
-        let mut wb = BitWriter::new();
-        while let Some(b) = r.read_bit() {
-            wb.write_bit(b);
-        }
-        Some((wa.finish(), wb.finish()))
+        let a = r.read_cert(len_a)?;
+        let b = r.read_cert(r.remaining())?;
+        Some((a, b))
     }
 }
 
@@ -136,11 +127,8 @@ impl<A: Scheme, B: Scheme> OrScheme<A, B> {
     fn split(cert: &Certificate) -> Option<(bool, Certificate)> {
         let mut r = BitReader::new(cert);
         let selector = r.read_bit()?;
-        let mut w = BitWriter::new();
-        while let Some(b) = r.read_bit() {
-            w.write_bit(b);
-        }
-        Some((selector, w.finish()))
+        let rest = r.read_cert(r.remaining())?;
+        Some((selector, rest))
     }
 }
 
@@ -277,6 +265,55 @@ mod tests {
         *asg.cert_mut(locert_graph::NodeId(1)) = c.with_bit_flipped(0);
         let out = run_verification(&scheme, &inst, &asg);
         assert!(!out.accepted());
+    }
+
+    /// The bit-at-a-time `AndScheme::split` that `read_cert` replaces.
+    fn and_split_bitwise(len_bits: u32, cert: &Certificate) -> Option<(Certificate, Certificate)> {
+        let mut r = BitReader::new(cert);
+        let len_a = r.read(len_bits)? as usize;
+        if len_a > r.remaining() {
+            return None;
+        }
+        let mut wa = BitWriter::new();
+        for _ in 0..len_a {
+            wa.write_bit(r.read_bit()?);
+        }
+        let mut wb = BitWriter::new();
+        while let Some(b) = r.read_bit() {
+            wb.write_bit(b);
+        }
+        Some((wa.finish(), wb.finish()))
+    }
+
+    /// The bit-at-a-time `OrScheme::split` that `read_cert` replaces.
+    fn or_split_bitwise(cert: &Certificate) -> Option<(bool, Certificate)> {
+        let mut r = BitReader::new(cert);
+        let selector = r.read_bit()?;
+        let mut w = BitWriter::new();
+        while let Some(b) = r.read_bit() {
+            w.write_bit(b);
+        }
+        Some((selector, w.finish()))
+    }
+
+    #[test]
+    fn splits_match_bit_loops_on_random_certificates() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        type Either = OrScheme<AcyclicityScheme, AcyclicityScheme>;
+        let mut rng = StdRng::seed_from_u64(31);
+        for len_bits in 1..=8u32 {
+            let and = AndScheme::new(AcyclicityScheme::new(3), AcyclicityScheme::new(3), len_bits);
+            for total in 0..140usize {
+                let mut w = BitWriter::new();
+                for _ in 0..total {
+                    w.write_bit(rng.random_bool(0.5));
+                }
+                let cert = w.finish();
+                // Truncations included: every prefix is a shorter input.
+                assert_eq!(and.split(&cert), and_split_bitwise(len_bits, &cert));
+                assert_eq!(Either::split(&cert), or_split_bitwise(&cert));
+            }
+        }
     }
 
     #[test]

@@ -601,25 +601,6 @@ impl KernelMsoGlobalScheme {
         Some(w.len_bits())
     }
 
-    fn slice(cert: &Certificate, from: usize, to: usize) -> Certificate {
-        let mut r = BitReader::new(cert);
-        let mut skip = from;
-        while skip > 0 {
-            let take = skip.min(56) as u32;
-            r.read(take).expect("slice range inside certificate");
-            skip -= take as usize;
-        }
-        let mut w = BitWriter::new();
-        let mut left = to - from;
-        while left > 0 {
-            let take = left.min(56) as u32;
-            let chunk = r.read(take).expect("slice range inside certificate");
-            w.write(chunk, take);
-            left -= take as usize;
-        }
-        w.finish()
-    }
-
     /// Prover: the shared global certificate (the table) and the
     /// per-vertex locals.
     ///
@@ -636,12 +617,17 @@ impl KernelMsoGlobalScheme {
         let tbits = self.table_bits(first).ok_or_else(|| {
             ProverError::WitnessUnavailable("honest certificate failed to re-parse".into())
         })?;
-        let global = Self::slice(first, first.len_bits() - tbits, first.len_bits());
+        let local_bits = |c: &Certificate| c.len_bits() - tbits;
+        let mut r = BitReader::new(first);
+        let _skipped_local = r.read_cert(local_bits(first));
+        let global = r.read_cert(tbits).expect("table is the suffix");
         let locals = Assignment::new(
             (0..n)
                 .map(|v| {
                     let c = full.cert(locert_graph::NodeId(v));
-                    Self::slice(c, 0, c.len_bits() - tbits)
+                    BitReader::new(c)
+                        .read_cert(local_bits(c))
+                        .expect("every local certificate ends in the table")
                 })
                 .collect(),
         );
@@ -976,6 +962,26 @@ mod tests {
             // Local + global = local-only total per vertex.
             assert_eq!(out.max_local_bits + out.global_bits, full.max_bits());
             assert!(out.max_local_bits < full.max_bits());
+        }
+    }
+
+    #[test]
+    fn split_certificates_concatenate_to_the_local_only_ones() {
+        let phi = props::has_dominating_vertex();
+        for n in [2usize, 5, 9] {
+            let g = generators::star(n);
+            let ids = IdAssignment::contiguous(n);
+            let inst = Instance::new(&g, &ids);
+            let local_only = KernelMsoScheme::new(id_bits_for(&inst), 2, phi.clone()).unwrap();
+            let split = KernelMsoGlobalScheme::new(id_bits_for(&inst), 2, phi.clone()).unwrap();
+            let full = local_only.assign(&inst).unwrap();
+            let (global, locals) = split.assign_split(&inst).unwrap();
+            for v in g.nodes() {
+                let mut w = BitWriter::new();
+                w.write_cert(locals.cert(v));
+                w.write_cert(&global);
+                assert_eq!(&w.finish(), full.cert(v), "n {n}, vertex {v}");
+            }
         }
     }
 

@@ -141,14 +141,7 @@ impl CtMinorFreeScheme {
         for _ in 0..count {
             let block = (Ident(r.read(self.id_bits)?), Ident(r.read(self.id_bits)?));
             let len = r.read(20)? as usize;
-            if len > r.remaining() {
-                return None;
-            }
-            let mut w = BitWriter::new();
-            for _ in 0..len {
-                w.write_bit(r.read_bit()?);
-            }
-            out.push((block, w.finish()));
+            out.push((block, r.read_cert(len)?));
         }
         r.exhausted().then_some(out)
     }
@@ -363,6 +356,66 @@ mod tests {
                         "C_{t}-free graph has a block with a P_{} minor: {g:?}",
                         t * t
                     );
+                }
+            }
+        }
+    }
+
+    /// The bit-at-a-time `CtMinorFreeScheme::parse` that `read_cert`
+    /// replaces.
+    fn ct_parse_bitwise(
+        id_bits: u32,
+        cert: &Certificate,
+    ) -> Option<Vec<((Ident, Ident), Certificate)>> {
+        let mut r = BitReader::new(cert);
+        let count = r.read(16)? as usize;
+        let mut out = Vec::with_capacity(count);
+        for _ in 0..count {
+            let block = (Ident(r.read(id_bits)?), Ident(r.read(id_bits)?));
+            let len = r.read(20)? as usize;
+            if len > r.remaining() {
+                return None;
+            }
+            let mut w = BitWriter::new();
+            for _ in 0..len {
+                w.write_bit(r.read_bit()?);
+            }
+            out.push((block, w.finish()));
+        }
+        r.exhausted().then_some(out)
+    }
+
+    #[test]
+    fn ct_parse_matches_bit_loop() {
+        use rand::RngExt;
+        let mut rng = StdRng::seed_from_u64(41);
+        // id_bits 1..=8 puts the first sub-certificate at every offset
+        // mod 8.
+        for id_bits in 1..=8u32 {
+            let scheme = CtMinorFreeScheme::new(id_bits, 3);
+            for _ in 0..12 {
+                // Well-formed layouts with random payloads, then every
+                // truncation and one over-long variant.
+                let mut w = BitWriter::new();
+                let count = rng.random_range(0..4u64);
+                w.write(count, 16);
+                for _ in 0..count {
+                    w.write(rng.random_range(0..1u64 << id_bits), id_bits);
+                    w.write(rng.random_range(0..1u64 << id_bits), id_bits);
+                    let len = rng.random_range(0..90u64);
+                    w.write(len, 20);
+                    for _ in 0..len {
+                        w.write_bit(rng.random_bool(0.5));
+                    }
+                }
+                let full = w.clone().finish();
+                w.write_bit(true);
+                let over = w.finish();
+                assert_eq!(scheme.parse(&over), ct_parse_bitwise(id_bits, &over));
+                assert!(scheme.parse(&full).is_some());
+                for cut in 0..=full.len_bits() {
+                    let prefix = BitReader::new(&full).read_cert(cut).unwrap();
+                    assert_eq!(scheme.parse(&prefix), ct_parse_bitwise(id_bits, &prefix));
                 }
             }
         }

@@ -53,19 +53,24 @@ impl Prover for TreeDiameterScheme {
             return Err(ProverError::NotAYesInstance);
         }
         let rooted = RootedTree::from_tree(g, NodeId(0)).expect("checked tree");
-        // Heights bottom-up.
+        // Heights bottom-up; the diameter is the longest path bending at
+        // any vertex, the same quantity every verifier checks locally.
         let mut height = vec![0u64; g.num_nodes()];
+        let mut diam = 0u64;
         for v in rooted.postorder() {
-            height[v.0] = rooted
-                .children(v)
-                .iter()
-                .map(|c| height[c.0] + 1)
-                .max()
-                .unwrap_or(0);
+            let (mut top1, mut top2) = (0u64, 0u64);
+            for c in rooted.children(v) {
+                let h = height[c.0] + 1;
+                if h > top1 {
+                    (top1, top2) = (h, top1);
+                } else if h > top2 {
+                    top2 = h;
+                }
+            }
+            height[v.0] = top1;
+            diam = diam.max(top1 + top2);
         }
-        // Prover-side diameter check (completeness only for yes-instances).
-        let diam = locert_graph::traversal::diameter(g).expect("connected");
-        if diam as u64 > self.diameter {
+        if diam > self.diameter {
             return Err(ProverError::NotAYesInstance);
         }
         let fields = honest_tree_fields(instance, NodeId(0));
@@ -161,6 +166,27 @@ mod tests {
                     run_scheme(&tight, &inst).unwrap_err(),
                     ProverError::NotAYesInstance
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn prover_refuses_exactly_above_true_diameter() {
+        let mut rng = StdRng::seed_from_u64(95);
+        for n in [1usize, 2, 3, 4, 9, 30, 120] {
+            for _ in 0..8 {
+                let g = generators::random_tree(n, &mut rng);
+                let ids = IdAssignment::shuffled(n, &mut rng);
+                let inst = Instance::new(&g, &ids);
+                let diam = traversal::diameter(&g).unwrap() as u64;
+                for bound in [diam.saturating_sub(1), diam, diam + 1] {
+                    let scheme = TreeDiameterScheme::new(id_bits_for(&inst), bound);
+                    assert_eq!(
+                        scheme.assign(&inst).is_ok(),
+                        diam <= bound,
+                        "n {n}, diameter {diam}, bound {bound}"
+                    );
+                }
             }
         }
     }

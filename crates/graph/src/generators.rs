@@ -9,6 +9,7 @@
 
 use crate::graph::{Graph, GraphBuilder};
 use rand::prelude::IndexedRandom;
+use rand::seq;
 use rand::{Rng, RngExt};
 
 /// The path `P_n` on `n` vertices (`0 - 1 - … - n-1`).
@@ -164,24 +165,50 @@ pub fn random_tree<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Graph {
 /// Random connected graph: a random tree plus `extra_edges` additional
 /// uniformly random non-edges (as many as available).
 ///
+/// The non-edges are never listed: each row `u` holds
+/// `(n − 1 − u) − |{tree neighbours > u}|` of them in lexicographic
+/// order, a prefix sum over the rows turns a sampled index into its row,
+/// and a walk along the tree's sorted neighbour row finds the column.
+/// Cost: `O(n + extra_edges · (log n + Δ))` time and
+/// `O(n + extra_edges)` space, with `Δ` the tree's maximum degree. The
+/// draws are those of a partial Fisher–Yates over the lexicographic
+/// non-edge list.
+///
 /// # Panics
 ///
 /// Panics if `n == 0`.
 pub fn random_connected<R: Rng + ?Sized>(n: usize, extra_edges: usize, rng: &mut R) -> Graph {
     let tree = random_tree(n, rng);
     let mut edges: Vec<(usize, usize)> = tree.edges().map(|(u, v)| (u.0, v.0)).collect();
-    let mut non_edges: Vec<(usize, usize)> = Vec::new();
+    // `row_start[u]`: lexicographic index of row u's first non-edge.
+    let mut row_start = Vec::with_capacity(n + 1);
+    let mut total = 0usize;
     for u in 0..n {
-        for v in (u + 1)..n {
-            if !tree.has_edge(u.into(), v.into()) {
-                non_edges.push((u, v));
-            }
-        }
+        row_start.push(total);
+        total += (n - 1 - u) - tree_neighbours_above(&tree, u).len();
     }
-    let take = extra_edges.min(non_edges.len());
-    let sample: Vec<(usize, usize)> = non_edges.sample(rng, take).copied().collect();
-    edges.extend(sample);
+    row_start.push(total);
+    let take = extra_edges.min(total);
+    for k in seq::index::sample(rng, total, take) {
+        let u = row_start.partition_point(|&s| s <= k) - 1;
+        // The (k − row_start[u])-th v > u that is not a tree neighbour.
+        let mut v = u + 1 + (k - row_start[u]);
+        for &w in tree_neighbours_above(&tree, u) {
+            if w.0 > v {
+                break;
+            }
+            v += 1;
+        }
+        edges.push((u, v));
+    }
     Graph::from_edges(n, edges).expect("sampled edges are valid")
+}
+
+/// The tree neighbours of `u` greater than `u`, ascending (a suffix of
+/// the sorted CSR row).
+fn tree_neighbours_above(tree: &Graph, u: usize) -> &[crate::NodeId] {
+    let row = tree.neighbors(u.into());
+    &row[row.partition_point(|w| w.0 < u)..]
 }
 
 /// A random rooted tree with exactly `n` vertices and depth at most
@@ -369,6 +396,63 @@ mod tests {
             let g = random_connected(n, extra, &mut rng);
             assert!(g.is_connected(), "n = {n}");
             assert!(g.num_edges() <= n * (n - 1) / 2 + 1);
+        }
+    }
+
+    /// The O(n²) `random_connected` that the prefix-sum decoder
+    /// replaces: list every non-edge, then sample the list.
+    fn random_connected_reference<R: Rng + ?Sized>(n: usize, extra: usize, rng: &mut R) -> Graph {
+        let tree = random_tree(n, rng);
+        let mut edges: Vec<(usize, usize)> = tree.edges().map(|(u, v)| (u.0, v.0)).collect();
+        let mut non_edges: Vec<(usize, usize)> = Vec::new();
+        for u in 0..n {
+            for v in (u + 1)..n {
+                if !tree.has_edge(u.into(), v.into()) {
+                    non_edges.push((u, v));
+                }
+            }
+        }
+        let take = extra.min(non_edges.len());
+        edges.extend(non_edges.sample(rng, take).copied());
+        Graph::from_edges(n, edges).expect("valid")
+    }
+
+    #[test]
+    fn random_connected_matches_non_edge_list_reference() {
+        // Non-edge counts: n(n−1)/2 − (n−1) = (n−1)(n−2)/2.
+        let shapes = [
+            (1usize, 0usize),
+            (1, 5),
+            (2, 0),
+            (2, 3),
+            (3, 0),
+            (3, 1),
+            (3, 2),
+            (7, 14),
+            (7, 15),
+            (7, 16),
+            (12, 20),
+            (30, 406),
+            (30, 500),
+            (1000, 500),
+        ];
+        for seed in 0..40u64 {
+            for &(n, extra) in &shapes {
+                let mut fast_rng = StdRng::seed_from_u64(seed);
+                let mut ref_rng = StdRng::seed_from_u64(seed);
+                let fast = random_connected(n, extra, &mut fast_rng);
+                let reference = random_connected_reference(n, extra, &mut ref_rng);
+                assert_eq!(
+                    fast.edges().collect::<Vec<_>>(),
+                    reference.edges().collect::<Vec<_>>(),
+                    "seed {seed}, n {n}, extra {extra}"
+                );
+                assert_eq!(
+                    fast_rng.next_u64(),
+                    ref_rng.next_u64(),
+                    "seed {seed}, n {n}"
+                );
+            }
         }
     }
 

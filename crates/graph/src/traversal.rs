@@ -108,11 +108,17 @@ pub fn eccentricity(g: &Graph, v: NodeId) -> Option<usize> {
 
 /// Diameter of a connected graph, or `None` if disconnected or empty.
 ///
-/// Runs a BFS from every vertex (`O(n·m)`), which is fine at experiment
-/// scales.
+/// On a tree this is a double sweep: a BFS from vertex 0, then the
+/// eccentricity of a vertex farthest from it (`O(n)` in all). Any other
+/// graph runs a BFS from every vertex (`O(n·m)`).
 pub fn diameter(g: &Graph) -> Option<usize> {
     if g.num_nodes() == 0 {
         return None;
+    }
+    if g.is_tree() {
+        let from_root = bfs_distances(g, NodeId(0));
+        let far = (0..from_root.len()).max_by_key(|&v| from_root[v])?;
+        return eccentricity(g, NodeId(far));
     }
     let mut best = 0;
     for v in g.nodes() {
@@ -236,6 +242,47 @@ mod tests {
         assert_eq!(diameter(&Graph::empty(1)), Some(0));
         assert_eq!(diameter(&Graph::empty(0)), None);
         assert_eq!(diameter(&Graph::empty(2)), None);
+    }
+
+    /// The all-pairs diameter the tree double sweep must agree with.
+    fn diameter_all_pairs(g: &Graph) -> Option<usize> {
+        if g.num_nodes() == 0 {
+            return None;
+        }
+        g.nodes().map(|v| eccentricity(g, v)).max()?
+    }
+
+    #[test]
+    fn diameter_matches_all_pairs() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut graphs = vec![
+            generators::path(1),
+            generators::path(2),
+            generators::path(9),
+            generators::star(2),
+            generators::star(11),
+            generators::spider(4, 3),
+            generators::cycle(7),
+            generators::clique(4),
+            // n − 1 edges but disconnected: a triangle plus a vertex.
+            Graph::from_edges(4, [(0, 1), (1, 2), (0, 2)]).unwrap(),
+            Graph::from_edges(6, [(0, 1), (2, 3), (4, 5)]).unwrap(),
+            Graph::empty(3),
+        ];
+        for n in [1usize, 2, 3, 5, 13, 40, 90] {
+            for _ in 0..6 {
+                graphs.push(generators::random_tree(n, &mut rng));
+                graphs.push(generators::random_connected(n, n / 3 + 1, &mut rng));
+                let forest = generators::random_tree(n, &mut rng);
+                let cut: Vec<_> = forest.edges().skip(1).map(|(u, v)| (u.0, v.0)).collect();
+                graphs.push(Graph::from_edges(n, cut).unwrap());
+            }
+        }
+        for g in &graphs {
+            assert_eq!(diameter(g), diameter_all_pairs(g), "{g:?}");
+        }
     }
 
     #[test]

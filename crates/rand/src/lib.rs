@@ -4,9 +4,10 @@
 //! vendors the small slice of the `rand` 0.10 API it actually uses:
 //! [`Rng`]/[`RngExt`] with `random_range`/`random_bool`, [`SeedableRng`]
 //! with `seed_from_u64`, [`rngs::StdRng`] (xoshiro256++ seeded through
-//! SplitMix64), and the slice helpers [`seq::SliceRandom`] and
-//! [`seq::IndexedRandom`]. Everything is deterministic given a seed, which
-//! is all the test- and experiment-suites rely on.
+//! SplitMix64), the slice helpers [`seq::SliceRandom`] and
+//! [`seq::IndexedRandom`], and index sampling [`seq::index::sample`].
+//! Everything is deterministic given a seed, which is all the test- and
+//! experiment-suites rely on.
 
 use std::ops::{Range, RangeInclusive};
 
@@ -197,18 +198,44 @@ pub mod seq {
         }
 
         fn sample<R: Rng + ?Sized>(&self, rng: &mut R, amount: usize) -> std::vec::IntoIter<&T> {
-            let amount = amount.min(self.len());
-            // Partial Fisher–Yates over an index table.
-            let mut idx: Vec<usize> = (0..self.len()).collect();
-            for i in 0..amount {
-                let j = rng.random_range(i..idx.len());
-                idx.swap(i, j);
-            }
-            idx.truncate(amount);
-            idx.into_iter()
+            index::sample(rng, self.len(), amount.min(self.len()))
+                .into_iter()
                 .map(|i| &self[i])
                 .collect::<Vec<_>>()
                 .into_iter()
+        }
+    }
+
+    /// Sampling of distinct indices.
+    pub mod index {
+        use super::super::{Rng, RngExt};
+        use std::collections::HashMap;
+
+        /// `amount` distinct indices from `0..length`, in random order.
+        ///
+        /// A partial Fisher–Yates shuffle of the virtual table
+        /// `0..length`: draw `i` is `random_range(i..length)`, and only
+        /// the positions a swap has displaced are stored (in a map that
+        /// is never iterated), so the cost is `O(amount)` time and space
+        /// whatever `length` is. (The real crate returns an `IndexVec`;
+        /// this stand-in returns the plain vector.)
+        ///
+        /// # Panics
+        ///
+        /// Panics if `amount > length`.
+        pub fn sample<R: Rng + ?Sized>(rng: &mut R, length: usize, amount: usize) -> Vec<usize> {
+            assert!(amount <= length, "cannot sample {amount} of {length}");
+            let mut displaced: HashMap<usize, usize> = HashMap::with_capacity(amount);
+            let mut out = Vec::with_capacity(amount);
+            for i in 0..amount {
+                let j = rng.random_range(i..length);
+                // Swap positions i and j; position i is never read again.
+                let at_j = displaced.get(&j).copied().unwrap_or(j);
+                let at_i = displaced.get(&i).copied().unwrap_or(i);
+                displaced.insert(j, at_i);
+                out.push(at_j);
+            }
+            out
         }
     }
 }
@@ -300,5 +327,46 @@ mod tests {
         assert_eq!(uniq.len(), 4, "sample must be distinct");
         // Oversampling returns everything.
         assert_eq!(v.sample(&mut rng, 99).count(), 10);
+    }
+
+    /// The dense partial Fisher–Yates that `index::sample` replaces: an
+    /// explicit `0..length` table swapped in place.
+    fn dense_sample<R: Rng + ?Sized>(rng: &mut R, length: usize, amount: usize) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..length).collect();
+        for i in 0..amount {
+            let j = rng.random_range(i..idx.len());
+            idx.swap(i, j);
+        }
+        idx.truncate(amount);
+        idx
+    }
+
+    #[test]
+    fn index_sample_matches_dense_fisher_yates() {
+        for seed in 0..200u64 {
+            for (length, amount) in [
+                (0usize, 0usize),
+                (1, 1),
+                (5, 0),
+                (5, 5),
+                (7, 3),
+                (64, 63),
+                (1000, 17),
+            ] {
+                let mut sparse_rng = StdRng::seed_from_u64(seed);
+                let mut dense_rng = StdRng::seed_from_u64(seed);
+                let sparse = super::seq::index::sample(&mut sparse_rng, length, amount);
+                let dense = dense_sample(&mut dense_rng, length, amount);
+                assert_eq!(sparse, dense, "seed {seed}, {amount} of {length}");
+                assert_eq!(sparse_rng.next_u64(), dense_rng.next_u64());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot sample")]
+    fn index_sample_rejects_oversampling() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let _ = super::seq::index::sample(&mut rng, 3, 4);
     }
 }

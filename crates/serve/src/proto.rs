@@ -594,15 +594,23 @@ pub fn decode(payload: &[u8]) -> Result<Message, (ErrorCode, String)> {
 // Framing
 // ---------------------------------------------------------------------
 
-/// Writes one frame (length prefix + payload) and flushes.
+/// Writes one frame (length prefix + payload) as a single write and
+/// flushes.
+///
+/// Through a `BufWriter`, a payload larger than its buffer would
+/// otherwise leave as a second write behind the 4-byte prefix, and on a
+/// TCP stream Nagle's algorithm then holds it until the peer's delayed
+/// ACK, about 40 ms.
 ///
 /// # Errors
 ///
 /// Propagates the underlying write error.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     debug_assert!(payload.len() <= MAX_FRAME);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -863,6 +871,33 @@ mod tests {
         let err = read_frame(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert_eq!(err.to_string(), ErrorCode::FrameTooLarge.code());
+    }
+
+    #[test]
+    fn large_frame_leaves_a_buffered_writer_in_one_write() {
+        /// Counts the writes that reach the underlying stream.
+        struct Counting {
+            writes: usize,
+            bytes: usize,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes += buf.len();
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = io::BufWriter::new(Counting {
+            writes: 0,
+            bytes: 0,
+        });
+        write_frame(&mut w, &vec![7u8; 64 * 1024]).unwrap();
+        let inner = w.get_ref();
+        assert_eq!(inner.writes, 1);
+        assert_eq!(inner.bytes, 4 + 64 * 1024);
     }
 
     #[test]

@@ -212,6 +212,9 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, conn: u64) -> io::
     // The read timeout is the drain poll interval: an idle connection
     // notices the stop flag within one period.
     stream.set_read_timeout(Some(Duration::from_millis(200)))?;
+    // Each response is one flushed frame; send it without waiting for
+    // the peer's ACK of the previous segment.
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     let mut req_seq = 0u64;

@@ -210,11 +210,21 @@ thread_local! {
     static SINK: RefCell<Option<Vec<CertLedger>>> = const { RefCell::new(None) };
 }
 
-/// Whether any capture is active anywhere (one relaxed atomic load —
-/// the whole cost of a disabled attribution point).
+/// Whether any capture is active anywhere (one relaxed atomic load).
 #[inline]
 pub fn active() -> bool {
     ACTIVE.load(Ordering::Relaxed) != 0
+}
+
+/// Whether a capture is running *on this thread*. While no capture runs
+/// anywhere this is one relaxed atomic load — the whole cost of a
+/// disabled attribution point. `BitWriter` gates its component marks
+/// and its tiling assertion on this, not on [`active`]: another
+/// thread's capture may start or end between a writer's first mark and
+/// its `finish_for`, but this thread's cannot.
+#[inline]
+pub fn capturing() -> bool {
+    active() && SINK.with(|s| s.borrow().is_some())
 }
 
 /// Records the attribution of a finalized certificate — if a capture is
@@ -320,6 +330,18 @@ mod tests {
         let ((), empty) = capture(|| {});
         assert!(empty.certs.is_empty());
         assert!(!empty.fully_attributed(), "empty ledger attests nothing");
+    }
+
+    #[test]
+    fn capturing_is_per_thread() {
+        assert!(!capturing());
+        let ((), _) = capture(|| {
+            assert!(capturing());
+            // Another thread sees the global flag but no capture of its
+            // own.
+            std::thread::spawn(|| assert!(!capturing())).join().unwrap();
+        });
+        assert!(!capturing());
     }
 
     #[test]

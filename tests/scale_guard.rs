@@ -1,0 +1,37 @@
+//! Scale guard for the compact path: the random-graph generator and the
+//! tree-diameter scheme must stay linear-work at n = 2^16.
+//!
+//! There is no timing assertion. A quadratic regression shows as a run
+//! that does not finish: listing every non-edge of a 2^16-vertex graph
+//! takes about 50 GB, and all-pairs BFS on a 2^16-vertex star takes
+//! 2^32 steps. In a release build both tests take well under a second.
+
+use locert::cert::catalogue;
+use locert::cert::schemes::common::id_bits_for;
+use locert::cert::{run_scheme, Instance};
+use locert::graph::{generators, IdAssignment};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+const N: usize = 1 << 16;
+
+#[test]
+fn random_connected_at_two_to_the_sixteen() {
+    let mut rng = StdRng::seed_from_u64(16);
+    let extra = 1 << 15;
+    let g = generators::random_connected(N, extra, &mut rng);
+    assert!(g.is_connected());
+    assert_eq!(g.num_edges(), N - 1 + extra);
+}
+
+#[test]
+fn tree_diameter_proves_and_verifies_a_two_to_the_sixteen_star() {
+    let entry = catalogue::by_id("tree-diameter-3").expect("catalogued");
+    let (g, inputs) = (entry.family)(N);
+    assert!(inputs.is_none());
+    let ids = IdAssignment::contiguous(N);
+    let inst = Instance::new(&g, &ids);
+    let scheme = (entry.build)(id_bits_for(&inst), N);
+    let out = run_scheme(scheme.as_ref(), &inst).expect("a star has diameter 2");
+    assert!(out.accepted());
+}
