@@ -4,12 +4,12 @@
 //! report tables) no matter how many workers the pool runs.
 //!
 //! This is the contract that makes parallel verification trustworthy:
-//! scheduling may vary, results may not. The quick E3/S1/S2/A1 grid
-//! covers the parallelised paths — per-vertex verdicts
+//! scheduling may vary, results may not. The quick E3/S1/S2/A1/E5/E6
+//! grid covers the parallelised paths — per-vertex verdicts
 //! (`run_verification`), exhaustive certificate enumeration
 //! (`exhaustive_soundness`), fault-campaign rounds (`run_campaign`), and
-//! the universal scheme's run-scoped map memo, which every pool worker
-//! of a run shares.
+//! the run-scoped memos every pool worker of a run shares: the universal
+//! scheme's maps (A1) and the kernel schemes' type tables (E5, E6).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -28,7 +28,7 @@ fn run_experiments(threads: usize, dir: &Path) -> RunArtifacts {
     let metrics = dir.join(format!("metrics_{threads}.json"));
     let report = dir.join(format!("report_{threads}.md"));
     let status = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["e3", "s1", "s2", "a1", "--quick", "--metrics"])
+        .args(["e3", "s1", "s2", "a1", "e5", "e6", "--quick", "--metrics"])
         .arg(&metrics)
         .arg("--journal")
         .arg(&journal)

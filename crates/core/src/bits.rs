@@ -423,6 +423,21 @@ impl<'a> BitReader<'a> {
         if self.pos + width as usize > self.len_bits {
             return None;
         }
+        if width == 0 {
+            return Some(0);
+        }
+        // One big-endian load of the eight bytes from the field's first
+        // byte, when they exist and hold the whole field (a field of up
+        // to 57 bits always fits).
+        let first = self.pos / 8;
+        let shift = self.pos % 8;
+        if let Some(chunk) = self.bytes.get(first..first + 8) {
+            if shift + width as usize <= 64 {
+                let word = u64::from_be_bytes(chunk.try_into().expect("eight bytes"));
+                self.pos += width as usize;
+                return Some((word << shift) >> (64 - width));
+            }
+        }
         // Byte-at-a-time: each iteration pulls the overlap of the field
         // with one byte, so a 64-bit read costs at most 9 iterations
         // instead of 64.
@@ -475,6 +490,21 @@ impl<'a> BitReader<'a> {
         })
     }
 
+    /// Splits off the next `len` bits as a reader of their own, without
+    /// copying them; `None` if fewer than `len` bits remain.
+    pub fn take(&mut self, len: usize) -> Option<BitReader<'a>> {
+        if len > self.remaining() {
+            return None;
+        }
+        let window = BitReader {
+            bytes: self.bytes,
+            len_bits: self.pos + len,
+            pos: self.pos,
+        };
+        self.pos += len;
+        Some(window)
+    }
+
     /// Reads one bit.
     pub fn read_bit(&mut self) -> Option<bool> {
         self.read(1).map(|v| v == 1)
@@ -499,6 +529,42 @@ pub fn width_for(max: u64) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reads_in_place_match_bit_by_bit() {
+        // Windows at every start and length: their reads stop at the
+        // window's end although the bytes go on.
+        let bytes: Vec<u8> = (0..20u32).map(|i| (i * 151 + 7) as u8).collect();
+        let cert = Certificate::from_bytes(bytes, 160).unwrap();
+        let bits = |from: usize, width: u32| {
+            (from..from + width as usize).fold(0u64, |v, i| v << 1 | u64::from(cert.bit(i)))
+        };
+        for start in 0..=160 {
+            let mut r = BitReader::new(&cert);
+            r.read_cert(start).unwrap();
+            assert!(r.clone().take(160 - start + 1).is_none());
+            for len in 0..=160 - start {
+                let mut rest = r.clone();
+                let window = rest.take(len).unwrap();
+                assert_eq!(rest.remaining(), 160 - start - len);
+                for width in 0..=64u32 {
+                    let mut w = window.clone();
+                    let expected = (width as usize <= len).then(|| bits(start, width));
+                    assert_eq!(
+                        w.read(width),
+                        expected,
+                        "start {start}, len {len}, width {width}"
+                    );
+                }
+                let mut w = window.clone();
+                assert_eq!(
+                    w.read_cert(len),
+                    r.clone().read_cert(len),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn roundtrip_fields() {

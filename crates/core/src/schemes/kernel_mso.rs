@@ -25,21 +25,22 @@
 
 use crate::bits::{width_for, BitReader, BitWriter, Certificate};
 use crate::framework::{
-    Assignment, DeclaredBound, Instance, LocalView, Prover, ProverError, RejectReason, Scheme,
-    Verifier,
+    Assignment, Decider, DeclaredBound, Instance, LocalView, Prover, ProverError, RejectReason,
+    Scheme, Verifier,
 };
 use crate::schemes::treedepth::{
     check_own_td, check_td_edges, honest_td_certs, model_for, ModelStrategy, TdCert,
 };
 #[cfg(test)]
 use locert_graph::NodeId;
-use locert_graph::{Graph, GraphBuilder};
+use locert_graph::{Graph, GraphBuilder, Ident};
 use locert_kernel::{k_reduce, TypeId};
 use locert_logic::depth::{is_fo, quantifier_depth};
 use locert_logic::eval::models;
 use locert_logic::Formula;
+use locert_treedepth::EliminationTree;
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A fast decision procedure for `φ` on expanded kernels (see
 /// [`KernelMsoScheme::with_evaluator`]). `Send + Sync` because verifiers
@@ -51,6 +52,12 @@ pub type KernelEvaluator = Box<dyn Fn(&Graph) -> bool + Send + Sync>;
 /// fixed parameters, so honest certificates at experiment scale stay far
 /// below).
 pub const KERNEL_EXPANSION_CAP: usize = 4000;
+
+/// Table bits a run's memo keeps beyond its first table. Honest runs
+/// carry one table per distinct block shape; the cap bounds memory when
+/// an adversarial assignment carries many distinct large tables, which
+/// are then parsed per use.
+const MEMO_TABLE_BITS: usize = 1 << 24;
 
 /// One serialized type-table entry.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -194,13 +201,117 @@ impl SerTable {
 }
 
 /// Parsed kernel-MSO certificate.
-#[derive(Debug, Clone, PartialEq, Eq)]
 struct KernelCert {
     td: TdCert,
-    /// Pruned flag per ancestor, aligned with `td.ancestors`.
-    flags: Vec<bool>,
-    /// End type per ancestor, aligned with `td.ancestors`.
-    types: Vec<u32>,
+    /// End type and pruned flag per ancestor, aligned with
+    /// `td.ancestors`.
+    marks: Vec<(u32, bool)>,
+    table: Arc<TableEntry>,
+}
+
+/// A type table as the verifier uses it: its bits, its parse, and what
+/// follows from the table alone.
+struct TableEntry {
+    /// The table's bits (the certificate suffix after the end types).
+    /// Two parsed tables are equal iff their bits are: every field's
+    /// width is fixed by `(t, k)` and the fields before it, and the parse
+    /// must consume the bits exactly.
+    bits: Certificate,
+    table: SerTable,
+    well_formed: bool,
+    /// Whether the expansion of each root type satisfies φ, indexed by
+    /// type and computed by the first vertex that needs it.
+    phi: Vec<OnceLock<bool>>,
+}
+
+/// The type tables parsed during one verification run, keyed by their
+/// exact bits. A table is a function of `(t, φ)` and the certified
+/// graph's structure (a block's, for `C_t`) only, never of identifiers,
+/// so in an honest run the vertices of a graph share one parse and one
+/// φ verdict.
+#[derive(Default)]
+pub(crate) struct TableMemo {
+    /// The first table the memo stored, compared before any copying,
+    /// hashing or locking: in an honest run of one graph, every vertex's
+    /// table.
+    first: OnceLock<Arc<TableEntry>>,
+    state: Mutex<TableMemoState>,
+}
+
+#[derive(Default)]
+struct TableMemoState {
+    /// Parsed tables by their bits. Bits that do not parse are parsed
+    /// again at each use.
+    entries: HashMap<Certificate, Arc<TableEntry>>,
+    /// Table bits held by entries past the first (see
+    /// [`MEMO_TABLE_BITS`]).
+    bits: usize,
+}
+
+impl TableMemo {
+    /// The table in the bits left in `r`, from the memo or freshly
+    /// parsed; `None` if they do not parse. Parsing runs outside the
+    /// lock; when two workers race on one table, the first insert wins
+    /// and both use it, so φ is evaluated at most once per (table, root)
+    /// per memo.
+    fn table(&self, scheme: &KernelMsoScheme, mut r: BitReader<'_>) -> Option<Arc<TableEntry>> {
+        if let Some(first) = self.first.get() {
+            if bits_equal(r.clone(), &first.bits) {
+                return Some(Arc::clone(first));
+            }
+        }
+        let bits = r.read_cert(r.remaining())?;
+        let lock = || {
+            self.state
+                .lock()
+                .expect("nothing panics while holding the memo lock")
+        };
+        if let Some(hit) = lock().entries.get(&bits) {
+            return Some(Arc::clone(hit));
+        }
+        let fresh = Arc::new(scheme.parse_table(bits)?);
+        let mut state = lock();
+        if let Some(hit) = state.entries.get(&fresh.bits) {
+            return Some(Arc::clone(hit));
+        }
+        if !state.entries.is_empty() {
+            let total = state.bits + fresh.bits.len_bits();
+            if total > MEMO_TABLE_BITS {
+                return Some(fresh);
+            }
+            state.bits = total;
+        }
+        // Already set unless this is the first table stored.
+        let _ = self.first.set(Arc::clone(&fresh));
+        state.entries.insert(fresh.bits.clone(), Arc::clone(&fresh));
+        Some(fresh)
+    }
+}
+
+/// Whether the bits left in `r` are exactly `bits`, compared a word at a
+/// time without copying.
+fn bits_equal(mut r: BitReader<'_>, bits: &Certificate) -> bool {
+    if r.remaining() != bits.len_bits() {
+        return false;
+    }
+    let mut b = BitReader::new(bits);
+    while !r.exhausted() {
+        let width = r.remaining().min(64) as u32;
+        if r.read(width) != b.read(width) {
+            return false;
+        }
+    }
+    true
+}
+
+/// The identifier-free part of an honest kernel assignment: the coherent
+/// model, its `k`-reduction and the serialized table, which passed the φ
+/// gate. It is a function of the graph (and the scheme's parameters)
+/// alone, so graphs with equal CSR arrays share one shape.
+pub(crate) struct KernelShape {
+    model: EliminationTree,
+    pruned: Vec<bool>,
+    end_type: Vec<TypeId>,
     table: SerTable,
 }
 
@@ -217,9 +328,6 @@ pub struct KernelMsoScheme {
     /// sentence `¬∃x₁…x_t path` has quantifier depth `t` and brute-force
     /// evaluation is `|H|^t`, while a bounded path search is cheap.
     evaluator: Option<KernelEvaluator>,
-    /// Memo for [`KernelMsoScheme::kernel_satisfies_phi`]; a `Mutex`
-    /// (not `RefCell`) because verification runs vertices in parallel.
-    phi_cache: Mutex<HashMap<(u64, u32), bool>>,
 }
 
 impl std::fmt::Debug for KernelMsoScheme {
@@ -255,7 +363,6 @@ impl KernelMsoScheme {
             formula: phi,
             strategy: ModelStrategy::Auto,
             evaluator: None,
-            phi_cache: Mutex::new(HashMap::new()),
         })
     }
 
@@ -280,74 +387,70 @@ impl KernelMsoScheme {
         self.k
     }
 
+    /// Parses `cert` with a memo of its own.
+    #[cfg(test)]
     fn parse(&self, cert: &Certificate) -> Option<KernelCert> {
-        let mut r = BitReader::new(cert);
+        self.parse_in(&TableMemo::default(), BitReader::new(cert))
+    }
+
+    /// Parses the certificate in the bits left in `r`, taking its table
+    /// through `memo`.
+    fn parse_in(&self, memo: &TableMemo, mut r: BitReader<'_>) -> Option<KernelCert> {
         let td = TdCert::read(&mut r, self.id_bits, self.t)?;
-        let len = td.ancestors.len();
-        let mut flags = Vec::with_capacity(len);
-        for _ in 0..len {
-            flags.push(r.read_bit()?);
+        let mut marks = Vec::with_capacity(td.ancestors.len());
+        for _ in 0..td.ancestors.len() {
+            marks.push((0, r.read_bit()?));
         }
         // The type-id field width is set by the count, which sits in the
         // table at the end; write the count redundantly before the types.
         let count = r.read(12)? as usize;
         let tb = width_for(count.max(1) as u64 - 1);
-        let mut types = Vec::with_capacity(len);
-        for _ in 0..len {
-            let ty = r.read(tb)? as u32;
-            if ty as usize >= count {
+        for (ty, _) in &mut marks {
+            *ty = r.read(tb)? as u32;
+            if *ty as usize >= count {
                 return None;
             }
-            types.push(ty);
         }
+        let table = memo.table(self, r)?;
+        (table.table.types.len() == count).then_some(KernelCert { td, marks, table })
+    }
+
+    /// Parses the table `bits`, which it must consume exactly, and
+    /// derives what depends on the table alone.
+    fn parse_table(&self, bits: Certificate) -> Option<TableEntry> {
+        let mut r = BitReader::new(&bits);
         let table = SerTable::read(&mut r, self.t, self.k)?;
-        if table.types.len() != count || !r.exhausted() {
-            return None;
-        }
-        Some(KernelCert {
-            td,
-            flags,
-            types,
+        r.exhausted().then(|| TableEntry {
+            bits,
+            well_formed: table.well_formed(self.k),
+            phi: table.types.iter().map(|_| OnceLock::new()).collect(),
             table,
         })
     }
 
+    /// Whether the expansion of `root` is a non-empty kernel within
+    /// [`KERNEL_EXPANSION_CAP`] that satisfies φ.
     fn kernel_satisfies_phi(&self, table: &SerTable, root: u32) -> bool {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        use std::hash::{Hash, Hasher};
-        table.hash(&mut hasher);
-        let key = (hasher.finish(), root);
-        // A panicked sibling thread poisons the mutex; the cache itself
-        // is always in a consistent state, so keep going instead of
-        // cascading the panic through every later verification.
-        if let Some(&hit) = self
-            .phi_cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&key)
-        {
-            return hit;
-        }
-        let result = table.expand(root, KERNEL_EXPANSION_CAP).is_some_and(|h| {
+        table.expand(root, KERNEL_EXPANSION_CAP).is_some_and(|h| {
             h.num_nodes() > 0
                 && match &self.evaluator {
                     Some(f) => f(&h),
                     None => models(&h, &self.formula),
                 }
-        });
-        self.phi_cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, result);
-        result
+        })
     }
-}
 
-impl Prover for KernelMsoScheme {
-    fn assign(&self, instance: &Instance<'_>) -> Result<Assignment, ProverError> {
-        let _span = locert_trace::span!("core.schemes.kernel_mso.prover");
-        let g = instance.graph();
-        let model = model_for(instance, self.t, &self.strategy)?;
+    /// The shape of `g`'s honest assignment: model, `k`-reduction,
+    /// serialized table, and the completeness gate, which checks φ on the
+    /// expanded kernel — the same object the verifier will inspect.
+    ///
+    /// # Errors
+    ///
+    /// [`ProverError::NotAYesInstance`] when φ fails on the kernel (or the
+    /// DFS model is too deep); [`ProverError::WitnessUnavailable`] when no
+    /// model or table can be built.
+    pub(crate) fn shape(&self, g: &Graph) -> Result<KernelShape, ProverError> {
+        let model = model_for(g, self.t, &self.strategy)?;
         let red = k_reduce(g, &model, self.k);
         // Serialize the type table.
         let table = SerTable {
@@ -371,15 +474,33 @@ impl Prover for KernelMsoScheme {
                 "type table exceeds the 12-bit index space".into(),
             ));
         }
-        // Completeness gate: check φ on the expanded kernel — the same
-        // object the verifier will inspect.
         let root_type = red.end_type[model.root().0];
         if !self.kernel_satisfies_phi(&table, root_type.0) {
             return Err(ProverError::NotAYesInstance);
         }
-        let td = honest_td_certs(instance, &model);
+        Ok(KernelShape {
+            model,
+            pruned: red.pruned,
+            end_type: red.end_type,
+            table,
+        })
+    }
+
+    /// The certificates of `shape` under `instance`'s identifiers.
+    /// `shape` must be the shape of `instance`'s graph, or of a graph
+    /// with equal CSR arrays.
+    pub(crate) fn stamp(&self, instance: &Instance<'_>, shape: &KernelShape) -> Assignment {
+        let KernelShape {
+            model,
+            pruned,
+            end_type,
+            table,
+        } = shape;
+        debug_assert_eq!(pruned.len(), instance.graph().num_nodes());
+        let td = honest_td_certs(instance, model);
         let tb = table.type_bits();
-        let certs = g
+        let certs = instance
+            .graph()
             .nodes()
             .map(|v| {
                 let ancs = model.ancestors(v);
@@ -387,75 +508,103 @@ impl Prover for KernelMsoScheme {
                 td[v.0].write(&mut w, self.id_bits, self.t);
                 w.component("pruned-flags");
                 for &a in &ancs {
-                    w.write_bit(red.pruned[a.0]);
+                    w.write_bit(pruned[a.0]);
                 }
                 w.component("end-types");
                 w.write(table.types.len() as u64, 12);
                 for &a in &ancs {
-                    w.write(red.end_type[a.0].0 as u64, tb);
+                    w.write(end_type[a.0].0 as u64, tb);
                 }
                 w.component("kernel-table");
                 table.write(&mut w, self.t, self.k);
                 w.finish_for(v.0)
             })
             .collect();
-        Ok(Assignment::new(certs))
+        Assignment::new(certs)
     }
 }
 
-impl Verifier for KernelMsoScheme {
-    fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
+impl Prover for KernelMsoScheme {
+    fn assign(&self, instance: &Instance<'_>) -> Result<Assignment, ProverError> {
+        let _span = locert_trace::span!("core.schemes.kernel_mso.prover");
+        let shape = self.shape(instance.graph())?;
+        Ok(self.stamp(instance, &shape))
+    }
+}
+
+impl KernelMsoScheme {
+    /// One vertex's decision on `view`, parsing tables through `memo`.
+    fn decide_view(&self, memo: &TableMemo, view: &LocalView<'_>) -> Result<(), RejectReason> {
+        let neighbors = view
+            .neighbors
+            .iter()
+            .map(|&(nid, _, cert)| (nid, BitReader::new(cert)));
+        self.decide_in(memo, view.id, BitReader::new(view.cert), neighbors)
+    }
+
+    /// One vertex's decision, given its identifier, the bits of its own
+    /// certificate, and each neighbor's identifier and certificate bits;
+    /// tables are parsed through `memo`. This is the only decision path:
+    /// [`Verifier::decide`] runs it with a fresh memo,
+    /// [`Verifier::run_decider`] with one memo per run, and the
+    /// minor-freeness schemes run it on each block's sub-certificates in
+    /// place, with their run's memo.
+    pub(crate) fn decide_in<'n>(
+        &self,
+        memo: &TableMemo,
+        id: Ident,
+        own: BitReader<'_>,
+        neighbors: impl Iterator<Item = (Ident, BitReader<'n>)> + Clone,
+    ) -> Result<(), RejectReason> {
         // 1. Treedepth layer, on certificates parsed exactly once: the
         //    embedded TdCert checks run against the same parses the
         //    kernel-layer checks below reuse.
         let mine = self
-            .parse(view.cert)
+            .parse_in(memo, own)
             .ok_or(RejectReason::MalformedCertificate)?;
-        check_own_td(view.id, &mine.td, self.t)?;
-        let mut nbrs = Vec::with_capacity(view.neighbors.len());
-        for &(_, _, cert) in &view.neighbors {
+        check_own_td(id, &mine.td, self.t)?;
+        let mut nbrs = Vec::with_capacity(neighbors.size_hint().0);
+        for (_, r) in neighbors.clone() {
             nbrs.push(
-                self.parse(cert)
+                self.parse_in(memo, r)
                     .ok_or(RejectReason::MalformedNeighborCertificate)?,
             );
         }
-        let td_refs: Vec<&TdCert> = nbrs.iter().map(|nc| &nc.td).collect();
-        check_td_edges(view.id, &mine.td, &td_refs)?;
+        check_td_edges(id, &mine.td, nbrs.iter().map(|nc| &nc.td))?;
         let td = &mine.td;
         let m = td.depth();
-        if mine.flags.len() != m + 1 || mine.types.len() != m + 1 {
+        if mine.marks.len() != m + 1 {
             return Err(RejectReason::MalformedCertificate);
         }
         // 2. Table integrity.
-        if !mine.table.well_formed(self.k) {
+        if !mine.table.well_formed {
             return Err(RejectReason::MalformedCertificate);
         }
+        let table = &mine.table.table;
         // 3. Identical tables; shared-ancestor types and flags agree.
         for nc in &nbrs {
-            if nc.table != mine.table {
+            if nc.table.bits != mine.table.bits {
                 return Err(RejectReason::CopyMismatch);
             }
-            let shared = mine.types.len().min(nc.types.len());
-            let my_off = mine.types.len() - shared;
-            let n_off = nc.types.len() - shared;
-            if mine.types[my_off..] != nc.types[n_off..]
-                || mine.flags[my_off..] != nc.flags[n_off..]
-            {
+            let shared = mine.marks.len().min(nc.marks.len());
+            let my_off = mine.marks.len() - shared;
+            let n_off = nc.marks.len() - shared;
+            if mine.marks[my_off..] != nc.marks[n_off..] {
                 return Err(RejectReason::CopyMismatch);
             }
         }
         // 4. Each carried type sits at the right depth.
-        for (i, &ty) in mine.types.iter().enumerate() {
+        for (i, &(ty, _)) in mine.marks.iter().enumerate() {
             let depth = m - i;
-            if mine.table.types[ty as usize].depth != depth {
+            if table.types[ty as usize].depth != depth {
                 return Err(RejectReason::AutomatonStateClash);
             }
         }
         // 5. My own type's ancestor vector against my real adjacency.
-        let my_type = &mine.table.types[mine.types[0] as usize];
+        let my_type = &table.types[mine.marks[0].0 as usize];
         for j in 0..m {
             let anc_id = mine.td.ancestors[m - j];
-            if my_type.anc[j] != view.has_neighbor(anc_id) {
+            if my_type.anc[j] != neighbors.clone().any(|(nid, _)| nid == anc_id) {
                 return Err(RejectReason::AdjacencyMismatch);
             }
         }
@@ -479,7 +628,7 @@ impl Verifier for KernelMsoScheme {
             }
             let child_idx = off - 1; // their ancestor at depth m + 1.
             let child_id = nc.td.ancestors[child_idx].value();
-            children.push((child_id, (nc.types[child_idx], nc.flags[child_idx])));
+            children.push((child_id, nc.marks[child_idx]));
         }
         children.sort_unstable();
         for w in children.windows(2) {
@@ -488,29 +637,18 @@ impl Verifier for KernelMsoScheme {
             }
         }
         children.dedup();
-        // Multiset of kept-children types, as sorted (type, count) runs.
-        let mut kept: Vec<u32> = Vec::with_capacity(children.len());
-        let mut pruned_types: Vec<u32> = Vec::new();
-        for &(_, (ty, pruned)) in &children {
-            if pruned {
-                pruned_types.push(ty);
-            } else {
-                kept.push(ty);
-            }
-        }
-        kept.sort_unstable();
-        let mut kept_counts: Vec<(u32, usize)> = Vec::new();
-        for &ty in &kept {
-            match kept_counts.last_mut() {
-                Some((last, count)) if *last == ty => *count += 1,
-                _ => kept_counts.push((ty, 1)),
-            }
-        }
-        if kept_counts != my_type.children {
+        // Multiset of kept-children types, as sorted (type, count) runs:
+        // kept children first, each group sorted by type.
+        children.sort_unstable_by_key(|&(_, (ty, pruned))| (pruned, ty));
+        let kept = children.partition_point(|&(_, (_, pruned))| !pruned);
+        let kept_counts = children[..kept]
+            .chunk_by(|a, b| a.1 .0 == b.1 .0)
+            .map(|run| (run[0].1 .0, run.len()));
+        if !kept_counts.eq(my_type.children.iter().copied()) {
             return Err(RejectReason::CounterMismatch);
         }
         // Lemma 6.1: every pruned child type has exactly k kept siblings.
-        for ty in pruned_types {
+        for &(_, (ty, _)) in &children[kept..] {
             let declared = my_type
                 .children
                 .binary_search_by_key(&ty, |&(c, _)| c)
@@ -523,14 +661,30 @@ impl Verifier for KernelMsoScheme {
         // 7. The kernel satisfies φ. The list is non-empty by parse
         // (TdCert enforces 1 ≤ len), but an adversarial certificate
         // should never be able to panic the verifier, so reject instead.
-        let Some(&root_type) = mine.types.last() else {
+        let Some(&(root_type, _)) = mine.marks.last() else {
             return Err(RejectReason::MalformedCertificate);
         };
-        if self.kernel_satisfies_phi(&mine.table, root_type) {
+        let holds = mine.table.phi[root_type as usize]
+            .get_or_init(|| self.kernel_satisfies_phi(table, root_type));
+        if *holds {
             Ok(())
         } else {
             Err(RejectReason::NotAccepting)
         }
+    }
+}
+
+impl Verifier for KernelMsoScheme {
+    fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
+        self.decide_view(&TableMemo::default(), view)
+    }
+
+    /// Shares one table memo across the run's vertices: each distinct
+    /// table is parsed and checked once per run, and φ evaluated once per
+    /// (table, root type), rather than once per vertex and neighbor.
+    fn run_decider(&self) -> Decider<'_> {
+        let memo = TableMemo::default();
+        Box::new(move |view| self.decide_view(&memo, view))
     }
 }
 
@@ -595,10 +749,10 @@ impl KernelMsoGlobalScheme {
     /// The bit length of the serialized table inside `cert` (the table is
     /// the suffix of every local-only certificate).
     fn table_bits(&self, cert: &Certificate) -> Option<usize> {
-        let parsed = self.inner.parse(cert)?;
-        let mut w = BitWriter::new();
-        parsed.table.write(&mut w, self.inner.t, self.inner.k);
-        Some(w.len_bits())
+        let parsed = self
+            .inner
+            .parse_in(&TableMemo::default(), BitReader::new(cert))?;
+        Some(parsed.table.bits.len_bits())
     }
 
     /// Prover: the shared global certificate (the table) and the
@@ -678,15 +832,509 @@ impl KernelMsoGlobalScheme {
     }
 }
 
+/// The kernel scheme's prover and verifier as they stood before shapes
+/// and run memos, plus the harness that holds the production paths to
+/// them (also used by the minor-freeness tests).
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use crate::framework::{run_verification_in, view_of, Verdict};
+    use locert_par::Pool;
+
+    /// The parsed certificate as it stood: flags and types apart, the
+    /// table parsed in full at every use.
+    struct RefCert {
+        td: TdCert,
+        flags: Vec<bool>,
+        types: Vec<u32>,
+        table: SerTable,
+    }
+
+    fn parse(s: &KernelMsoScheme, cert: &Certificate) -> Option<RefCert> {
+        let mut r = BitReader::new(cert);
+        let td = TdCert::read(&mut r, s.id_bits, s.t)?;
+        let len = td.ancestors.len();
+        let mut flags = Vec::with_capacity(len);
+        for _ in 0..len {
+            flags.push(r.read_bit()?);
+        }
+        let count = r.read(12)? as usize;
+        let tb = width_for(count.max(1) as u64 - 1);
+        let mut types = Vec::with_capacity(len);
+        for _ in 0..len {
+            let ty = r.read(tb)? as u32;
+            if ty as usize >= count {
+                return None;
+            }
+            types.push(ty);
+        }
+        let table = SerTable::read(&mut r, s.t, s.k)?;
+        if table.types.len() != count || !r.exhausted() {
+            return None;
+        }
+        Some(RefCert {
+            td,
+            flags,
+            types,
+            table,
+        })
+    }
+
+    /// The bit length of the table at the end of `cert`, if it parses.
+    pub(crate) fn table_bits(s: &KernelMsoScheme, cert: &Certificate) -> Option<usize> {
+        let parsed = parse(s, cert)?;
+        let mut w = BitWriter::new();
+        parsed.table.write(&mut w, s.t, s.k);
+        Some(w.len_bits())
+    }
+
+    /// The root type and table bits of `cert`, if it parses.
+    pub(crate) fn root_and_table(
+        s: &KernelMsoScheme,
+        cert: &Certificate,
+    ) -> Option<(u32, Certificate)> {
+        let parsed = parse(s, cert)?;
+        let mut w = BitWriter::new();
+        parsed.table.write(&mut w, s.t, s.k);
+        Some((*parsed.types.last()?, w.finish()))
+    }
+
+    /// The prover as it stood: one pass, no shape.
+    pub(crate) fn assign(
+        s: &KernelMsoScheme,
+        instance: &Instance<'_>,
+    ) -> Result<Assignment, ProverError> {
+        let g = instance.graph();
+        let model = model_for(g, s.t, &s.strategy)?;
+        let red = k_reduce(g, &model, s.k);
+        let table = SerTable {
+            types: (0..red.types.len())
+                .map(|i| {
+                    let data = red.types.get(TypeId(i as u32));
+                    SerType {
+                        depth: data.ancestors.len(),
+                        anc: data.ancestors.clone(),
+                        children: data
+                            .children
+                            .iter()
+                            .map(|(&TypeId(c), &m)| (c, m))
+                            .collect(),
+                    }
+                })
+                .collect(),
+        };
+        if table.types.len() >= (1 << 12) {
+            return Err(ProverError::WitnessUnavailable(
+                "type table exceeds the 12-bit index space".into(),
+            ));
+        }
+        let root_type = red.end_type[model.root().0];
+        if !s.kernel_satisfies_phi(&table, root_type.0) {
+            return Err(ProverError::NotAYesInstance);
+        }
+        let td = honest_td_certs(instance, &model);
+        let tb = table.type_bits();
+        let certs = g
+            .nodes()
+            .map(|v| {
+                let ancs = model.ancestors(v);
+                let mut w = BitWriter::new();
+                td[v.0].write(&mut w, s.id_bits, s.t);
+                for &a in &ancs {
+                    w.write_bit(red.pruned[a.0]);
+                }
+                w.write(table.types.len() as u64, 12);
+                for &a in &ancs {
+                    w.write(red.end_type[a.0].0 as u64, tb);
+                }
+                table.write(&mut w, s.t, s.k);
+                w.finish()
+            })
+            .collect();
+        Ok(Assignment::new(certs))
+    }
+
+    /// The per-vertex decision as it stood: every certificate in the view
+    /// parsed in full, tables compared parsed, φ evaluated afresh.
+    pub(crate) fn decide(s: &KernelMsoScheme, view: &LocalView<'_>) -> Result<(), RejectReason> {
+        let mine = parse(s, view.cert).ok_or(RejectReason::MalformedCertificate)?;
+        check_own_td(view.id, &mine.td, s.t)?;
+        let mut nbrs = Vec::with_capacity(view.neighbors.len());
+        for &(_, _, cert) in &view.neighbors {
+            nbrs.push(parse(s, cert).ok_or(RejectReason::MalformedNeighborCertificate)?);
+        }
+        check_td_edges(view.id, &mine.td, nbrs.iter().map(|nc| &nc.td))?;
+        let m = mine.td.depth();
+        if mine.flags.len() != m + 1 || mine.types.len() != m + 1 {
+            return Err(RejectReason::MalformedCertificate);
+        }
+        if !mine.table.well_formed(s.k) {
+            return Err(RejectReason::MalformedCertificate);
+        }
+        for nc in &nbrs {
+            if nc.table != mine.table {
+                return Err(RejectReason::CopyMismatch);
+            }
+            let shared = mine.types.len().min(nc.types.len());
+            let my_off = mine.types.len() - shared;
+            let n_off = nc.types.len() - shared;
+            if mine.types[my_off..] != nc.types[n_off..]
+                || mine.flags[my_off..] != nc.flags[n_off..]
+            {
+                return Err(RejectReason::CopyMismatch);
+            }
+        }
+        for (i, &ty) in mine.types.iter().enumerate() {
+            if mine.table.types[ty as usize].depth != m - i {
+                return Err(RejectReason::AutomatonStateClash);
+            }
+        }
+        let my_type = &mine.table.types[mine.types[0] as usize];
+        for j in 0..m {
+            let anc_id = mine.td.ancestors[m - j];
+            if my_type.anc[j] != view.has_neighbor(anc_id) {
+                return Err(RejectReason::AdjacencyMismatch);
+            }
+        }
+        let mut children: Vec<(u64, (u32, bool))> = Vec::new();
+        for nc in &nbrs {
+            let nm = nc.td.depth();
+            if nm < m + 1 {
+                continue;
+            }
+            let off = nm - m;
+            if nc.td.ancestors[off..] != mine.td.ancestors[..] {
+                continue;
+            }
+            let child_idx = off - 1;
+            let child_id = nc.td.ancestors[child_idx].value();
+            children.push((child_id, (nc.types[child_idx], nc.flags[child_idx])));
+        }
+        children.sort_unstable();
+        for w in children.windows(2) {
+            if w[0].0 == w[1].0 && w[0].1 != w[1].1 {
+                return Err(RejectReason::CopyMismatch);
+            }
+        }
+        children.dedup();
+        let mut kept: Vec<u32> = Vec::new();
+        let mut pruned_types: Vec<u32> = Vec::new();
+        for &(_, (ty, pruned)) in &children {
+            if pruned {
+                pruned_types.push(ty);
+            } else {
+                kept.push(ty);
+            }
+        }
+        kept.sort_unstable();
+        let mut kept_counts: Vec<(u32, usize)> = Vec::new();
+        for &ty in &kept {
+            match kept_counts.last_mut() {
+                Some((last, count)) if *last == ty => *count += 1,
+                _ => kept_counts.push((ty, 1)),
+            }
+        }
+        if kept_counts != my_type.children {
+            return Err(RejectReason::CounterMismatch);
+        }
+        for ty in pruned_types {
+            let declared = my_type
+                .children
+                .binary_search_by_key(&ty, |&(c, _)| c)
+                .ok()
+                .map(|i| my_type.children[i].1);
+            if declared != Some(s.k) {
+                return Err(RejectReason::CounterMismatch);
+            }
+        }
+        let Some(&root_type) = mine.types.last() else {
+            return Err(RejectReason::MalformedCertificate);
+        };
+        if s.kernel_satisfies_phi(&mine.table, root_type) {
+            Ok(())
+        } else {
+            Err(RejectReason::NotAccepting)
+        }
+    }
+
+    /// Checks `run_verification` on every pool and the per-vertex
+    /// `decide` against `reference`, verdict by verdict; returns the
+    /// verdicts.
+    pub(crate) fn agrees(
+        pools: &[Pool],
+        scheme: &dyn Verifier,
+        reference: impl Fn(&LocalView<'_>) -> Result<(), RejectReason>,
+        inst: &Instance<'_>,
+        asg: &Assignment,
+    ) -> Vec<Verdict> {
+        let expected: Vec<Verdict> = inst
+            .graph()
+            .nodes()
+            .map(|v| {
+                let view = view_of(inst, asg, v);
+                let reason = reference(&view).err();
+                assert_eq!(scheme.decide(&view).err(), reason, "decide at vertex {v:?}");
+                Verdict {
+                    accepted: reason.is_none(),
+                    reason,
+                    bits_read: view.cert.len_bits()
+                        + view
+                            .neighbors
+                            .iter()
+                            .map(|&(_, _, c)| c.len_bits())
+                            .sum::<usize>(),
+                }
+            })
+            .collect();
+        for pool in pools {
+            let out = run_verification_in(pool, scheme, inst, asg);
+            assert_eq!(out.verdicts(), &expected[..], "{} workers", pool.threads());
+        }
+        expected
+    }
+
+    /// `cert` cut to its first `len` bits.
+    pub(crate) fn truncated(cert: &Certificate, len: usize) -> Certificate {
+        BitReader::new(cert)
+            .read_cert(len.min(cert.len_bits()))
+            .expect("within the certificate")
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::{self, agrees, truncated};
     use super::*;
-    use crate::framework::{run_scheme, run_verification};
+    use crate::framework::{run_scheme, run_verification, run_verification_in};
     use crate::schemes::common::id_bits_for;
     use locert_graph::{generators, IdAssignment};
     use locert_logic::props;
+    use locert_par::Pool;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngExt, SeedableRng};
+    use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    fn pools() -> [Pool; 2] {
+        [Pool::new(1), Pool::new(4)]
+    }
+
+    #[test]
+    fn prover_matches_reference() {
+        let mut rng = StdRng::seed_from_u64(0x15);
+        for _ in 0..12 {
+            let (g, parents) = generators::random_bounded_treedepth(14, 3, 0.4, &mut rng);
+            let ids = IdAssignment::shuffled(14, &mut rng);
+            let inst = Instance::new(&g, &ids);
+            for strategy in [
+                ModelStrategy::Auto,
+                ModelStrategy::Explicit(parents.clone()),
+            ] {
+                for phi in [props::triangle_free(), props::has_dominating_vertex()] {
+                    let scheme = KernelMsoScheme::new(id_bits_for(&inst), 3, phi)
+                        .unwrap()
+                        .with_strategy(strategy.clone());
+                    assert_eq!(scheme.assign(&inst), reference::assign(&scheme, &inst));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_decider_matches_reference_under_mutations() {
+        let pools = pools();
+        let mut rng = StdRng::seed_from_u64(0x15);
+        let mut graphs = vec![
+            generators::star(7),
+            generators::path(6),
+            generators::spider(3, 2),
+        ];
+        for _ in 0..4 {
+            graphs.push(generators::random_bounded_treedepth(10, 3, 0.3, &mut rng).0);
+        }
+        let mut reasons = BTreeSet::new();
+        for g in &graphs {
+            let n = g.num_nodes();
+            let ids = IdAssignment::shuffled(n, &mut rng);
+            let inst = Instance::new(g, &ids);
+            let b = id_bits_for(&inst);
+            for phi in [props::triangle_free(), props::has_dominating_vertex()] {
+                let scheme = KernelMsoScheme::new(b, 3, phi.clone()).unwrap();
+                // Same t and k, the opposite sentence: honest tables whose
+                // kernels fail φ.
+                let negated = KernelMsoScheme::new(b, 3, locert_logic::ast::not(phi)).unwrap();
+                let Ok(honest) = scheme.assign(&inst) else {
+                    continue;
+                };
+                for s in [&scheme, &negated] {
+                    let verdicts = agrees(&pools, s, |v| reference::decide(s, v), &inst, &honest);
+                    reasons.extend(verdicts.iter().map(|v| v.reason.map(|r| r.code())));
+                }
+                for trial in 0..48 {
+                    let asg = mutated(&scheme, &honest, trial, &mut rng);
+                    let verdicts = agrees(
+                        &pools,
+                        &scheme,
+                        |v| reference::decide(&scheme, v),
+                        &inst,
+                        &asg,
+                    );
+                    reasons.extend(verdicts.iter().map(|v| v.reason.map(|r| r.code())));
+                }
+            }
+        }
+        for reason in [
+            RejectReason::MalformedCertificate,
+            RejectReason::MalformedNeighborCertificate,
+            RejectReason::CopyMismatch,
+            RejectReason::NotAccepting,
+        ] {
+            assert!(
+                reasons.contains(&Some(reason.code())),
+                "{reason} never seen in {reasons:?}"
+            );
+        }
+        assert!(reasons.contains(&None));
+    }
+
+    /// `honest` under the mutation `trial` selects, at seeded positions.
+    fn mutated(
+        scheme: &KernelMsoScheme,
+        honest: &Assignment,
+        trial: usize,
+        rng: &mut StdRng,
+    ) -> Assignment {
+        let n = honest.len();
+        let mut asg = honest.clone();
+        let v = NodeId(rng.random_range(0..n));
+        let u = NodeId(rng.random_range(0..n));
+        let cert = honest.cert(v);
+        let len = cert.len_bits();
+        let table_start = len - reference::table_bits(scheme, cert).expect("honest");
+        match trial % 6 {
+            // A random bit flip at one vertex.
+            0 => *asg.cert_mut(v) = cert.with_bit_flipped(rng.random_range(0..len)),
+            1 => *asg.cert_mut(v) = truncated(cert, rng.random_range(0..len)),
+            // Two vertices swap certificates.
+            2 => {
+                *asg.cert_mut(v) = honest.cert(u).clone();
+                *asg.cert_mut(u) = cert.clone();
+            }
+            // A table altered in one copy only.
+            3 => *asg.cert_mut(v) = cert.with_bit_flipped(rng.random_range(table_start..len)),
+            // The same table bit flipped in every copy.
+            4 => {
+                let offset = rng.random_range(0..len - table_start);
+                for w in 0..n {
+                    let c = honest.cert(NodeId(w));
+                    *asg.cert_mut(NodeId(w)) = c.with_bit_flipped(c.len_bits() - offset - 1);
+                }
+            }
+            _ => *asg.cert_mut(v) = Certificate::empty(),
+        }
+        asg
+    }
+
+    #[test]
+    fn one_run_keeps_a_phi_verdict_per_root_type() {
+        // A table with two root types (kernels K2 and P3) and a leaf type;
+        // "no path on 3 vertices" holds on K2 only. One run decides a
+        // leaf under each root in turn.
+        let scheme = KernelMsoScheme::new(2, 2, props::path_minor_free(3)).unwrap();
+        let leaf = SerType {
+            depth: 1,
+            anc: vec![true],
+            children: vec![],
+        };
+        let root = |mult| SerType {
+            depth: 0,
+            anc: vec![],
+            children: vec![(2, mult)],
+        };
+        let table = SerTable {
+            types: vec![root(1), root(2), leaf],
+        };
+        assert!(table.well_formed(scheme.k()));
+        let cert = |td: TdCert, marks: &[(u64, bool)]| {
+            let mut w = BitWriter::new();
+            td.write(&mut w, scheme.id_bits, scheme.t);
+            for &(_, pruned) in marks {
+                w.write_bit(pruned);
+            }
+            w.write(3, 12);
+            for &(ty, _) in marks {
+                w.write(ty, table.type_bits());
+            }
+            table.write(&mut w, scheme.t, scheme.k);
+            w.finish()
+        };
+        let decide = scheme.run_decider();
+        for (root_type, accepted) in [(0, true), (1, false), (0, true)] {
+            let root_cert = cert(
+                TdCert {
+                    ancestors: vec![Ident(1)],
+                    trees: vec![],
+                },
+                &[(root_type, false)],
+            );
+            let leaf_cert = cert(
+                TdCert {
+                    ancestors: vec![Ident(2), Ident(1)],
+                    trees: vec![(Ident(2), 0)],
+                },
+                &[(2, false), (root_type, false)],
+            );
+            let view = LocalView {
+                id: Ident(2),
+                input: 0,
+                cert: &leaf_cert,
+                neighbors: vec![(Ident(1), 0, &root_cert)],
+            };
+            assert_eq!(decide(&view), reference::decide(&scheme, &view));
+            assert_eq!(decide(&view).is_ok(), accepted, "root type {root_type}");
+        }
+    }
+
+    #[test]
+    fn phi_runs_once_per_table_and_root_per_run() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&calls);
+        let phi = props::has_dominating_vertex();
+        let g = generators::star(9);
+        let ids = IdAssignment::contiguous(9);
+        let inst = Instance::new(&g, &ids);
+        let scheme = KernelMsoScheme::new(id_bits_for(&inst), 2, phi.clone())
+            .unwrap()
+            .with_evaluator(move |h| {
+                counter.fetch_add(1, Ordering::SeqCst);
+                models(h, &phi)
+            });
+        let asg = scheme.assign(&inst).unwrap();
+        for pool in pools() {
+            calls.store(0, Ordering::SeqCst);
+            assert!(run_verification_in(&pool, &scheme, &inst, &asg).accepted());
+            assert_eq!(
+                calls.load(Ordering::SeqCst),
+                1,
+                "{} workers",
+                pool.threads()
+            );
+            // Nothing survives the run: a second run evaluates again.
+            assert!(run_verification_in(&pool, &scheme, &inst, &asg).accepted());
+            assert_eq!(
+                calls.load(Ordering::SeqCst),
+                2,
+                "{} workers",
+                pool.threads()
+            );
+        }
+        // A per-vertex decide has a memo of its own.
+        calls.store(0, Ordering::SeqCst);
+        for v in g.nodes() {
+            assert!(scheme.verify(&crate::framework::view_of(&inst, &asg, v)));
+        }
+        assert_eq!(calls.load(Ordering::SeqCst), 9);
+    }
 
     #[test]
     fn disconnected_instance_is_a_typed_error_not_a_panic() {
@@ -849,7 +1497,7 @@ mod tests {
             let scheme = KernelMsoScheme::new(id_bits_for(&inst), 2, phi.clone()).unwrap();
             let asg = scheme.assign(&inst).unwrap();
             let parsed = scheme.parse(asg.cert(NodeId(0))).unwrap();
-            table_sizes.push(parsed.table.types.len());
+            table_sizes.push(parsed.table.table.types.len());
         }
         assert_eq!(table_sizes[0], table_sizes[1]);
         assert_eq!(table_sizes[1], table_sizes[2]);
@@ -866,8 +1514,8 @@ mod tests {
         let scheme = KernelMsoScheme::new(id_bits_for(&inst), 2, phi).unwrap();
         let asg = scheme.assign(&inst).unwrap();
         let parsed = scheme.parse(asg.cert(NodeId(0))).unwrap();
-        let root_ty = *parsed.types.last().unwrap();
-        let h = parsed.table.expand(root_ty, 100).unwrap();
+        let root_ty = parsed.marks.last().unwrap().0;
+        let h = parsed.table.table.expand(root_ty, 100).unwrap();
         assert_eq!(h.num_nodes(), 3);
         assert_eq!(h.num_edges(), 2);
     }

@@ -22,14 +22,15 @@
 
 use crate::bits::{BitReader, BitWriter, Certificate};
 use crate::framework::{
-    Assignment, DeclaredBound, Instance, LocalView, Prover, ProverError, RejectReason, Scheme,
-    Verifier,
+    Assignment, Decider, DeclaredBound, Instance, LocalView, Prover, ProverError, RejectReason,
+    Scheme, Verifier,
 };
-use crate::schemes::kernel_mso::KernelMsoScheme;
+use crate::schemes::kernel_mso::{KernelMsoScheme, KernelShape, TableMemo};
 use crate::schemes::treedepth::ModelStrategy;
 use locert_graph::bcc::biconnected_components;
-use locert_graph::{IdAssignment, Ident, NodeId};
+use locert_graph::{Graph, IdAssignment, Ident, NodeId};
 use locert_logic::props;
+use std::collections::HashMap;
 
 /// Certifies "the graph is `P_t`-minor-free" with `O(log n)` bits (fixed
 /// `t`).
@@ -76,6 +77,10 @@ impl Prover for PathMinorFreeScheme {
 impl Verifier for PathMinorFreeScheme {
     fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
         self.inner.decide(view)
+    }
+
+    fn run_decider(&self) -> Decider<'_> {
+        self.inner.run_decider()
     }
 }
 
@@ -134,16 +139,48 @@ impl CtMinorFreeScheme {
         CtMinorFreeScheme { id_bits, t, inner }
     }
 
-    fn parse(&self, cert: &Certificate) -> Option<Vec<((Ident, Ident), Certificate)>> {
+    /// The blocks `cert` lists, each id with a reader over its
+    /// sub-certificate's bits (nothing is copied); `None` if `cert` does
+    /// not parse.
+    fn parse<'c>(&self, cert: &'c Certificate) -> Option<Vec<((Ident, Ident), BitReader<'c>)>> {
         let mut r = BitReader::new(cert);
         let count = r.read(16)? as usize;
         let mut out = Vec::with_capacity(count);
         for _ in 0..count {
             let block = (Ident(r.read(self.id_bits)?), Ident(r.read(self.id_bits)?));
             let len = r.read(20)? as usize;
-            out.push((block, r.read_cert(len)?));
+            out.push((block, r.take(len)?));
         }
         r.exhausted().then_some(out)
+    }
+
+    /// Parses a neighbor's certificate against my blocks `mine`. `None`
+    /// if it does not parse; otherwise `Some` of the index in `mine` of
+    /// the one block it shares with me and its sub-certificate there (the
+    /// first it lists with that id), or `Some(None)` when it lists not
+    /// exactly one of my blocks.
+    #[allow(clippy::type_complexity)]
+    fn shared_block<'c>(
+        &self,
+        cert: &'c Certificate,
+        mine: &[((Ident, Ident), BitReader<'_>)],
+    ) -> Option<Option<(usize, BitReader<'c>)>> {
+        let mut r = BitReader::new(cert);
+        let count = r.read(16)? as usize;
+        let mut shared: Option<(usize, BitReader<'c>)> = None;
+        let mut several = false;
+        for _ in 0..count {
+            let block = (Ident(r.read(self.id_bits)?), Ident(r.read(self.id_bits)?));
+            let len = r.read(20)? as usize;
+            let sub = r.take(len)?;
+            if let Some(i) = mine.iter().position(|(b, _)| *b == block) {
+                match &shared {
+                    None => shared = Some((i, sub)),
+                    Some((first, _)) => several |= *first != i,
+                }
+            }
+        }
+        r.exhausted().then_some(if several { None } else { shared })
     }
 }
 
@@ -156,8 +193,22 @@ impl Prover for CtMinorFreeScheme {
         // Per-vertex block certificate lists.
         let mut per_vertex: Vec<Vec<((Ident, Ident), Certificate)>> =
             vec![Vec::new(); g.num_nodes()];
-        for (bi, _) in decomposition.components.iter().enumerate() {
+        // One dense block-local index per vertex, `usize::MAX` off the
+        // current block; each block resets only the entries it set, so
+        // building every block costs O(n + m) in total.
+        let mut local = vec![usize::MAX; g.num_nodes()];
+        // The P_{t²} prover's shape reads the block graph alone, so blocks
+        // with equal CSR arrays (every edge of a path, say) share one.
+        let mut shapes: HashMap<Graph, KernelShape> = HashMap::new();
+        for bi in 0..decomposition.components.len() {
             let members = decomposition.component_vertices(bi);
+            for (i, &v) in members.iter().enumerate() {
+                local[v.0] = i;
+            }
+            let sub = g.induced_on_sorted(&members, &local);
+            for &v in &members {
+                local[v.0] = usize::MAX;
+            }
             // Block id: the two smallest member identifiers (unique,
             // since distinct blocks share at most one vertex).
             let mut member_ids: Vec<Ident> = members.iter().map(|&v| ids.ident(v)).collect();
@@ -165,13 +216,17 @@ impl Prover for CtMinorFreeScheme {
             let block_id = (member_ids[0], member_ids[1]);
             // Run the P_{t²} scheme on the block-induced subgraph with the
             // members' own identifiers.
-            let (sub, map) = g.induced_subgraph(&members);
-            let sub_ids = IdAssignment::new(map.iter().map(|&v| ids.ident(v)).collect())
+            if !shapes.contains_key(&sub) {
+                let shape = self.inner.shape(&sub)?;
+                shapes.insert(sub.clone(), shape);
+            }
+            let sub_ids = IdAssignment::new(members.iter().map(|&v| ids.ident(v)).collect())
                 .expect("identifiers stay distinct");
-            let sub_inst = Instance::new(&sub, &sub_ids);
-            let sub_asg = self.inner.assign(&sub_inst)?;
-            for (local, &global) in map.iter().enumerate() {
-                per_vertex[global.0].push((block_id, sub_asg.cert(NodeId(local)).clone()));
+            let sub_asg = self
+                .inner
+                .stamp(&Instance::new(&sub, &sub_ids), &shapes[&sub]);
+            for (i, &v) in members.iter().enumerate() {
+                per_vertex[v.0].push((block_id, sub_asg.cert(NodeId(i)).clone()));
             }
         }
         let certs = per_vertex
@@ -197,8 +252,10 @@ impl Prover for CtMinorFreeScheme {
     }
 }
 
-impl Verifier for CtMinorFreeScheme {
-    fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
+impl CtMinorFreeScheme {
+    /// One vertex's decision, with every block's `P_{t²}` check taking
+    /// its tables through `memo`.
+    fn decide_in(&self, memo: &TableMemo, view: &LocalView<'_>) -> Result<(), RejectReason> {
         let mine = self
             .parse(view.cert)
             .ok_or(RejectReason::MalformedCertificate)?;
@@ -210,44 +267,42 @@ impl Verifier for CtMinorFreeScheme {
             return Err(RejectReason::MalformedCertificate);
         }
         // Parse neighbors.
-        let mut nbr_blocks = Vec::with_capacity(view.neighbors.len());
-        for &(nid, ninput, cert) in &view.neighbors {
-            let nb = self
-                .parse(cert)
+        let mut shared = Vec::with_capacity(view.neighbors.len());
+        for &(nid, _, cert) in &view.neighbors {
+            let block = self
+                .shared_block(cert, &mine)
                 .ok_or(RejectReason::MalformedNeighborCertificate)?;
-            nbr_blocks.push((nid, ninput, nb));
+            shared.push((nid, block));
         }
         // Every edge lies in exactly one common block (the promise layer:
         // a pair of adjacent vertices shares exactly one block).
-        for (_, _, nb) in &nbr_blocks {
-            let common = mine
-                .iter()
-                .filter(|(b, _)| nb.iter().any(|(nb_id, _)| nb_id == b))
-                .count();
-            if common != 1 {
-                return Err(RejectReason::NonTreeEdge);
-            }
+        if shared.iter().any(|(_, block)| block.is_none()) {
+            return Err(RejectReason::NonTreeEdge);
         }
-        // Run the P_{t²} verifier inside each of my blocks, restricting
-        // the view to same-block neighbors. Inner reasons propagate.
-        for (block, sub_cert) in &mine {
-            let neighbors: Vec<(Ident, usize, &Certificate)> = nbr_blocks
-                .iter()
-                .filter_map(|(nid, ninput, nb)| {
-                    nb.iter()
-                        .find(|(b, _)| b == block)
-                        .map(|(_, c)| (*nid, *ninput, c))
-                })
-                .collect();
-            let sub_view = LocalView {
-                id: view.id,
-                input: view.input,
-                cert: sub_cert,
-                neighbors,
-            };
-            self.inner.decide(&sub_view)?;
+        // Run the P_{t²} verifier inside each of my blocks on the
+        // sub-certificates in place, restricting the view to same-block
+        // neighbors. Inner reasons propagate.
+        for (i, (_, sub)) in mine.iter().enumerate() {
+            let neighbors = shared.iter().filter_map(move |(nid, block)| match block {
+                Some((j, r)) if *j == i => Some((*nid, r.clone())),
+                _ => None,
+            });
+            self.inner
+                .decide_in(memo, view.id, sub.clone(), neighbors)?;
         }
         Ok(())
+    }
+}
+
+impl Verifier for CtMinorFreeScheme {
+    fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
+        self.decide_in(&TableMemo::default(), view)
+    }
+
+    /// One table memo for the run, shared by every block of every vertex.
+    fn run_decider(&self) -> Decider<'_> {
+        let memo = TableMemo::default();
+        Box::new(move |view| self.decide_in(&memo, view))
     }
 }
 
@@ -268,11 +323,416 @@ impl Scheme for CtMinorFreeScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::{run_scheme, run_verification};
+    use crate::framework::{run_scheme, run_verification, run_verification_in};
     use crate::schemes::common::id_bits_for;
-    use locert_graph::{generators, minors, Graph};
+    use crate::schemes::kernel_mso::reference::{self, agrees, truncated};
+    use locert_graph::{generators, minors, GraphBuilder};
+    use locert_par::Pool;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngExt, SeedableRng};
+    use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    fn pools() -> [Pool; 2] {
+        [Pool::new(1), Pool::new(4)]
+    }
+
+    /// The prover as it stood: a fresh induced subgraph (and a dense
+    /// index of all `n` vertices) and a full kernel prover run per block.
+    fn assign_reference(
+        scheme: &CtMinorFreeScheme,
+        instance: &Instance<'_>,
+    ) -> Result<Assignment, ProverError> {
+        let g = instance.graph();
+        let ids = instance.ids();
+        let decomposition = biconnected_components(g);
+        let mut per_vertex: Vec<Vec<((Ident, Ident), Certificate)>> =
+            vec![Vec::new(); g.num_nodes()];
+        for bi in 0..decomposition.components.len() {
+            let members = decomposition.component_vertices(bi);
+            let mut member_ids: Vec<Ident> = members.iter().map(|&v| ids.ident(v)).collect();
+            member_ids.sort();
+            let block_id = (member_ids[0], member_ids[1]);
+            let (sub, map) = g.induced_subgraph(&members);
+            let sub_ids = IdAssignment::new(map.iter().map(|&v| ids.ident(v)).collect()).unwrap();
+            let sub_asg = reference::assign(&scheme.inner, &Instance::new(&sub, &sub_ids))?;
+            for (local, &global) in map.iter().enumerate() {
+                per_vertex[global.0].push((block_id, sub_asg.cert(NodeId(local)).clone()));
+            }
+        }
+        Ok(Assignment::new(
+            per_vertex
+                .iter()
+                .map(|blocks| encode(scheme.id_bits, blocks))
+                .collect(),
+        ))
+    }
+
+    /// The certificate listing `blocks`.
+    fn encode(id_bits: u32, blocks: &[((Ident, Ident), Certificate)]) -> Certificate {
+        let mut w = BitWriter::new();
+        w.write(blocks.len() as u64, 16);
+        for (block_id, cert) in blocks {
+            w.write(block_id.0.value(), id_bits);
+            w.write(block_id.1.value(), id_bits);
+            w.write(cert.len_bits() as u64, 20);
+            w.write_cert(cert);
+        }
+        w.finish()
+    }
+
+    /// The per-vertex decision as it stood: every certificate in the view
+    /// parsed with every sub-certificate copied out, each block checked
+    /// by the reference kernel verifier.
+    fn decide_reference(
+        scheme: &CtMinorFreeScheme,
+        view: &LocalView<'_>,
+    ) -> Result<(), RejectReason> {
+        let mine = ct_parse_bitwise(scheme.id_bits, view.cert)
+            .ok_or(RejectReason::MalformedCertificate)?;
+        let mut block_ids: Vec<(Ident, Ident)> = mine.iter().map(|&(b, _)| b).collect();
+        block_ids.sort();
+        block_ids.dedup();
+        if block_ids.len() != mine.len() {
+            return Err(RejectReason::MalformedCertificate);
+        }
+        let mut nbr_blocks = Vec::with_capacity(view.neighbors.len());
+        for &(nid, ninput, cert) in &view.neighbors {
+            let nb = ct_parse_bitwise(scheme.id_bits, cert)
+                .ok_or(RejectReason::MalformedNeighborCertificate)?;
+            nbr_blocks.push((nid, ninput, nb));
+        }
+        for (_, _, nb) in &nbr_blocks {
+            let common = mine
+                .iter()
+                .filter(|(b, _)| nb.iter().any(|(nb_id, _)| nb_id == b))
+                .count();
+            if common != 1 {
+                return Err(RejectReason::NonTreeEdge);
+            }
+        }
+        for (block, sub_cert) in &mine {
+            let neighbors: Vec<(Ident, usize, &Certificate)> = nbr_blocks
+                .iter()
+                .filter_map(|(nid, ninput, nb)| {
+                    nb.iter()
+                        .find(|(b, _)| b == block)
+                        .map(|(_, c)| (*nid, *ninput, c))
+                })
+                .collect();
+            let sub_view = LocalView {
+                id: view.id,
+                input: view.input,
+                cert: sub_cert,
+                neighbors,
+            };
+            reference::decide(&scheme.inner, &sub_view)?;
+        }
+        Ok(())
+    }
+
+    /// A seeded cactus on about `n` vertices: each step hangs a bridge or
+    /// a cycle of length `3..=max_cycle` off a random vertex.
+    fn cactus(n: usize, max_cycle: usize, rng: &mut StdRng) -> Graph {
+        let mut edges = Vec::new();
+        let mut size = 1;
+        while size < n {
+            let at = rng.random_range(0..size);
+            let len = rng.random_range(2..=max_cycle);
+            let mut prev = at;
+            for _ in 1..len {
+                edges.push((prev, size));
+                prev = size;
+                size += 1;
+            }
+            if len > 2 {
+                edges.push((prev, at));
+            }
+        }
+        Graph::from_edges(size, edges).unwrap()
+    }
+
+    /// `count` cycles of length `len` in a chain, consecutive cycles
+    /// sharing one vertex.
+    fn cycle_chain(count: usize, len: usize) -> Graph {
+        let n = 1 + count * (len - 1);
+        let mut b = GraphBuilder::new(n);
+        for c in 0..count {
+            let start = c * (len - 1);
+            for i in 0..len - 1 {
+                b.add_edge(start + i, start + i + 1).unwrap();
+            }
+            b.add_edge(start + len - 1, start).unwrap();
+        }
+        b.build()
+    }
+
+    /// Connected test graphs for the minor-freeness schemes.
+    fn ct_graphs(rng: &mut StdRng) -> Vec<Graph> {
+        let mut graphs = vec![
+            generators::path(2),
+            generators::path(9),
+            generators::cycle(3),
+            generators::cycle(5),
+            generators::cycle(10),
+            cycle_chain(4, 3),
+            cycle_chain(3, 4),
+            generators::star(6),
+        ];
+        for _ in 0..4 {
+            graphs.push(cactus(12, 5, rng));
+        }
+        // Renumbered cacti: equal-length cycles whose blocks differ in
+        // their CSR arrays.
+        for _ in 0..3 {
+            let g = cactus(14, 4, rng);
+            let mut perm: Vec<usize> = (0..g.num_nodes()).collect();
+            for i in (1..perm.len()).rev() {
+                perm.swap(i, rng.random_range(0..=i));
+            }
+            let edges = g.edges().map(|(u, v)| (perm[u.0], perm[v.0]));
+            graphs.push(Graph::from_edges(g.num_nodes(), edges).unwrap());
+        }
+        for n in [6, 9] {
+            graphs.push(generators::random_connected(n, 2, rng));
+        }
+        graphs
+    }
+
+    #[test]
+    fn ct_prover_matches_reference() {
+        let mut rng = StdRng::seed_from_u64(0x15c);
+        for g in ct_graphs(&mut rng) {
+            let n = g.num_nodes();
+            for ids in [
+                IdAssignment::contiguous(n),
+                IdAssignment::shuffled(n, &mut rng),
+            ] {
+                let inst = Instance::new(&g, &ids);
+                for t in [3, 4, 5] {
+                    let scheme = CtMinorFreeScheme::new(id_bits_for(&inst), t);
+                    assert_eq!(
+                        scheme.assign(&inst),
+                        assign_reference(&scheme, &inst),
+                        "t = {t} on {g:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `honest` under the mutation `trial` selects, at seeded positions.
+    fn ct_mutated(
+        scheme: &CtMinorFreeScheme,
+        g: &Graph,
+        honest: &Assignment,
+        trial: usize,
+        rng: &mut StdRng,
+    ) -> Assignment {
+        let n = honest.len();
+        let mut asg = honest.clone();
+        let v = NodeId(rng.random_range(0..n));
+        let u = NodeId(rng.random_range(0..n));
+        let cert = honest.cert(v);
+        let len = cert.len_bits();
+        let mut blocks = ct_parse_bitwise(scheme.id_bits, cert).expect("honest");
+        match trial % 7 {
+            0 => *asg.cert_mut(v) = cert.with_bit_flipped(rng.random_range(0..len)),
+            1 => *asg.cert_mut(v) = truncated(cert, rng.random_range(0..len)),
+            // v's certificate copied onto a neighbor, which then lists
+            // every block of v.
+            5 if g.degree(v) > 0 => {
+                let w = g.neighbors(v)[rng.random_range(0..g.degree(v))];
+                *asg.cert_mut(w) = cert.clone();
+            }
+            2 => {
+                *asg.cert_mut(v) = honest.cert(u).clone();
+                *asg.cert_mut(u) = cert.clone();
+            }
+            // One block's sub-certificate moved to another of v's blocks.
+            3 if blocks.len() >= 2 => {
+                let from = rng.random_range(0..blocks.len());
+                let to = (from + 1 + rng.random_range(0..blocks.len() - 1)) % blocks.len();
+                blocks[to].1 = blocks[from].1.clone();
+                *asg.cert_mut(v) = encode(scheme.id_bits, &blocks);
+            }
+            // A block's table altered in v's copy only.
+            3 | 4 => {
+                let i = rng.random_range(0..blocks.len());
+                let sub = &blocks[i].1;
+                let table = reference::table_bits(&scheme.inner, sub).expect("honest");
+                let bit = sub.len_bits() - 1 - rng.random_range(0..table);
+                blocks[i].1 = sub.with_bit_flipped(bit);
+                *asg.cert_mut(v) = encode(scheme.id_bits, &blocks);
+            }
+            _ => *asg.cert_mut(v) = Certificate::empty(),
+        }
+        asg
+    }
+
+    #[test]
+    fn ct_run_decider_matches_reference_under_mutations() {
+        let pools = pools();
+        let mut rng = StdRng::seed_from_u64(0x15d);
+        let mut reasons = BTreeSet::new();
+        for g in ct_graphs(&mut rng) {
+            let n = g.num_nodes();
+            let ids = IdAssignment::shuffled(n, &mut rng);
+            let inst = Instance::new(&g, &ids);
+            let scheme = CtMinorFreeScheme::new(id_bits_for(&inst), 4);
+            let Ok(honest) = scheme.assign(&inst) else {
+                continue;
+            };
+            let reference = |view: &LocalView<'_>| decide_reference(&scheme, view);
+            let verdicts = agrees(&pools, &scheme, reference, &inst, &honest);
+            assert!(verdicts.iter().all(|v| v.accepted));
+            for trial in 0..42 {
+                let asg = ct_mutated(&scheme, &g, &honest, trial, &mut rng);
+                let verdicts = agrees(&pools, &scheme, reference, &inst, &asg);
+                reasons.extend(verdicts.iter().map(|v| v.reason.map(|r| r.code())));
+            }
+        }
+        for reason in [
+            RejectReason::MalformedCertificate,
+            RejectReason::MalformedNeighborCertificate,
+            RejectReason::NonTreeEdge,
+            RejectReason::CopyMismatch,
+        ] {
+            assert!(
+                reasons.contains(&Some(reason.code())),
+                "{reason} never seen in {reasons:?}"
+            );
+        }
+        assert!(reasons.contains(&None));
+    }
+
+    #[test]
+    fn path_free_run_decider_matches_reference_under_mutations() {
+        let pools = pools();
+        let mut rng = StdRng::seed_from_u64(0x15e);
+        for g in [
+            generators::star(8),
+            generators::spider(3, 1),
+            generators::random_tree(9, &mut rng),
+        ] {
+            let n = g.num_nodes();
+            let ids = IdAssignment::shuffled(n, &mut rng);
+            let inst = Instance::new(&g, &ids);
+            let scheme = PathMinorFreeScheme::new(id_bits_for(&inst), 5);
+            let Ok(honest) = scheme.assign(&inst) else {
+                continue;
+            };
+            let reference = |view: &LocalView<'_>| reference::decide(&scheme.inner, view);
+            assert!(agrees(&pools, &scheme, reference, &inst, &honest)
+                .iter()
+                .all(|v| v.accepted));
+            for _ in 0..30 {
+                let mut asg = honest.clone();
+                let v = NodeId(rng.random_range(0..n));
+                let bit = rng.random_range(0..honest.cert(v).len_bits());
+                *asg.cert_mut(v) = honest.cert(v).with_bit_flipped(bit);
+                agrees(&pools, &scheme, reference, &inst, &asg);
+            }
+        }
+    }
+
+    #[test]
+    fn ct_phi_runs_once_per_table_and_root_per_run() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&calls);
+        let mut rng = StdRng::seed_from_u64(0x15f);
+        // Bridges, triangles and 4-cycles: several block shapes.
+        let g = cactus(30, 4, &mut rng);
+        let n = g.num_nodes();
+        let ids = IdAssignment::shuffled(n, &mut rng);
+        let inst = Instance::new(&g, &ids);
+        let max_len = 25;
+        let scheme = CtMinorFreeScheme {
+            id_bits: id_bits_for(&inst),
+            t: 5,
+            inner: KernelMsoScheme::new(
+                id_bits_for(&inst),
+                max_len,
+                props::ct_minor_free_bounded(5, max_len),
+            )
+            .unwrap()
+            .with_strategy(ModelStrategy::Dfs)
+            .with_evaluator(move |h| {
+                counter.fetch_add(1, Ordering::SeqCst);
+                !minors::has_path_of_order(h, max_len + 1)
+                    && !minors::has_cycle_at_least(h, 5, max_len)
+            }),
+        };
+        let asg = scheme.assign(&inst).unwrap();
+        // The distinct (table, root) pairs among all sub-certificates.
+        let distinct: BTreeSet<(u32, String)> = g
+            .nodes()
+            .flat_map(|v| ct_parse_bitwise(scheme.id_bits, asg.cert(v)).unwrap())
+            .map(|(_, sub)| {
+                let (root, table) = reference::root_and_table(&scheme.inner, &sub).unwrap();
+                (root, table.to_hex())
+            })
+            .collect();
+        assert!(distinct.len() >= 2, "{distinct:?}");
+        for pool in pools() {
+            calls.store(0, Ordering::SeqCst);
+            assert!(run_verification_in(&pool, &scheme, &inst, &asg).accepted());
+            assert_eq!(
+                calls.load(Ordering::SeqCst),
+                distinct.len(),
+                "{} workers",
+                pool.threads()
+            );
+            assert!(run_verification_in(&pool, &scheme, &inst, &asg).accepted());
+            assert_eq!(
+                calls.load(Ordering::SeqCst),
+                2 * distinct.len(),
+                "{} workers",
+                pool.threads()
+            );
+        }
+    }
+
+    /// Ground truth: on connected graphs the prover succeeds iff the
+    /// graph is `C_t`-minor-free, and its certificates are accepted.
+    #[test]
+    fn ct_free_matches_ground_truth() {
+        let mut rng = StdRng::seed_from_u64(0x15a);
+        let mut graphs = Vec::new();
+        for _ in 0..40 {
+            let n = rng.random_range(1..=10usize);
+            let extra = rng.random_range(0..=n.min(5));
+            let extra = extra.min(n * (n - 1) / 2 - (n - 1));
+            graphs.push(generators::random_connected(n, extra, &mut rng));
+        }
+        for _ in 0..12 {
+            graphs.push(cactus(rng.random_range(4..=14), 6, &mut rng));
+        }
+        let mut outcomes = BTreeSet::new();
+        for g in &graphs {
+            let n = g.num_nodes();
+            let ids = IdAssignment::shuffled(n, &mut rng);
+            let inst = Instance::new(g, &ids);
+            for t in [3, 4] {
+                let free = !minors::has_cycle_minor(g, t);
+                let scheme = CtMinorFreeScheme::new(id_bits_for(&inst), t);
+                match run_scheme(&scheme, &inst) {
+                    Ok(out) => {
+                        assert!(free, "certified a C_{t} minor in {g:?}");
+                        assert!(out.accepted(), "rejected honest certificates on {g:?}");
+                    }
+                    Err(ProverError::NotAYesInstance) => {
+                        assert!(!free, "refused a C_{t}-minor-free graph {g:?}")
+                    }
+                    Err(e) => panic!("prover error for t = {t} on {g:?}: {e}"),
+                }
+                outcomes.insert((t, free));
+            }
+        }
+        // Both answers occur for both t.
+        assert_eq!(outcomes.len(), 4, "{outcomes:?}");
+    }
 
     #[test]
     fn path_free_stars_and_spiders() {
@@ -385,6 +845,20 @@ mod tests {
         r.exhausted().then_some(out)
     }
 
+    /// `CtMinorFreeScheme::parse` with each sub-certificate copied out.
+    fn parse_copied(
+        scheme: &CtMinorFreeScheme,
+        cert: &Certificate,
+    ) -> Option<Vec<((Ident, Ident), Certificate)>> {
+        let blocks = scheme.parse(cert)?;
+        Some(
+            blocks
+                .into_iter()
+                .map(|(b, mut r)| (b, r.read_cert(r.remaining()).unwrap()))
+                .collect(),
+        )
+    }
+
     #[test]
     fn ct_parse_matches_bit_loop() {
         use rand::RngExt;
@@ -411,11 +885,17 @@ mod tests {
                 let full = w.clone().finish();
                 w.write_bit(true);
                 let over = w.finish();
-                assert_eq!(scheme.parse(&over), ct_parse_bitwise(id_bits, &over));
+                assert_eq!(
+                    parse_copied(&scheme, &over),
+                    ct_parse_bitwise(id_bits, &over)
+                );
                 assert!(scheme.parse(&full).is_some());
                 for cut in 0..=full.len_bits() {
                     let prefix = BitReader::new(&full).read_cert(cut).unwrap();
-                    assert_eq!(scheme.parse(&prefix), ct_parse_bitwise(id_bits, &prefix));
+                    assert_eq!(
+                        parse_copied(&scheme, &prefix),
+                        ct_parse_bitwise(id_bits, &prefix)
+                    );
                 }
             }
         }

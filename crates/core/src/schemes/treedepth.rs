@@ -34,7 +34,7 @@ use crate::framework::{
     Verifier,
 };
 use crate::schemes::common::{read_ident, write_ident};
-use locert_graph::{Ident, NodeId};
+use locert_graph::{Graph, Ident, NodeId};
 use locert_treedepth::{exact, heuristic, EliminationTree};
 
 /// How the prover obtains an elimination tree of height ≤ `t`.
@@ -221,8 +221,7 @@ pub fn verify_td_cert(
     for &(_, _, cert) in &view.neighbors {
         nbrs.push(extract(cert).ok_or(RejectReason::MalformedNeighborCertificate)?);
     }
-    let refs: Vec<&TdCert> = nbrs.iter().collect();
-    check_td_edges(view.id, &mine, &refs)?;
+    check_td_edges(view.id, &mine, nbrs.iter())?;
     Ok(mine)
 }
 
@@ -250,11 +249,15 @@ pub fn check_own_td(id: Ident, mine: &TdCert, t: usize) -> Result<(), RejectReas
 /// # Errors
 ///
 /// As the corresponding checks of [`verify_td_cert`].
-pub fn check_td_edges(id: Ident, mine: &TdCert, nbrs: &[&TdCert]) -> Result<(), RejectReason> {
+pub fn check_td_edges<'a>(
+    id: Ident,
+    mine: &TdCert,
+    nbrs: impl Iterator<Item = &'a TdCert> + Clone,
+) -> Result<(), RejectReason> {
     let m = mine.depth();
     // Every edge joins comparable vertices: one list is a suffix of the
     // other.
-    for nc in nbrs {
+    for nc in nbrs.clone() {
         let (short, long) = if nc.ancestors.len() <= mine.ancestors.len() {
             (&nc.ancestors, &mine.ancestors)
         } else {
@@ -275,13 +278,16 @@ pub fn check_td_edges(id: Ident, mine: &TdCert, nbrs: &[&TdCert]) -> Result<(), 
                 return Err(RejectReason::AncestryViolation);
             }
             let parent_list = &mine.ancestors[mine.ancestors.len() - j..];
-            if !nbrs.iter().any(|nc| nc.ancestors.as_slice() == parent_list) {
+            if !nbrs
+                .clone()
+                .any(|nc| nc.ancestors.as_slice() == parent_list)
+            {
                 return Err(RejectReason::MissingNeighbor);
             }
         } else {
             // Some neighbor in the same subtree carries the same exit at
             // distance one less.
-            let found = nbrs.iter().any(|nc| {
+            let found = nbrs.clone().any(|nc| {
                 nc.depth() >= j
                     && nc.suffix_from_depth(j) == my_suffix
                     && nc.trees[j - 1] == (exit, dist - 1)
@@ -339,13 +345,13 @@ impl TreedepthScheme {
 const EXACT_BRANCH_BUDGET: u64 = 1 << 28;
 
 /// Finds a coherent model of height ≤ `t` per `strategy` (shared with
-/// [`crate::schemes::kernel_mso`]).
+/// [`crate::schemes::kernel_mso`]). The model depends on the graph alone,
+/// never on identifiers.
 pub fn model_for(
-    instance: &Instance<'_>,
+    g: &Graph,
     t: usize,
     strategy: &ModelStrategy,
 ) -> Result<EliminationTree, ProverError> {
-    let g = instance.graph();
     // Treedepth and elimination trees are defined on non-empty connected
     // graphs (the paper's standing convention); the solvers assert this,
     // so refuse with a typed error before dispatching to them.
@@ -392,7 +398,7 @@ pub fn model_for(
 impl Prover for TreedepthScheme {
     fn assign(&self, instance: &Instance<'_>) -> Result<Assignment, ProverError> {
         let _span = locert_trace::span!("core.schemes.treedepth.prover");
-        let model = model_for(instance, self.t, &self.strategy)?;
+        let model = model_for(instance.graph(), self.t, &self.strategy)?;
         let certs = honest_td_certs(instance, &model)
             .iter()
             .enumerate()
@@ -430,7 +436,7 @@ mod tests {
     use crate::attacks;
     use crate::framework::{run_scheme, run_verification};
     use crate::schemes::common::id_bits_for;
-    use locert_graph::{generators, Graph, IdAssignment};
+    use locert_graph::{generators, IdAssignment};
     use locert_treedepth::bounds;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -732,11 +738,8 @@ mod tests {
                 ProverError::WitnessUnavailable(_)
             ));
         }
-        let empty = Graph::empty(0);
-        let ids0 = IdAssignment::contiguous(0);
-        let inst0 = Instance::new(&empty, &ids0);
         assert!(matches!(
-            model_for(&inst0, 1, &ModelStrategy::Auto).unwrap_err(),
+            model_for(&Graph::empty(0), 1, &ModelStrategy::Auto).unwrap_err(),
             ProverError::WitnessUnavailable(_)
         ));
     }

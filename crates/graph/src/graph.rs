@@ -63,7 +63,7 @@ impl Error for GraphError {}
 /// assert!(g.has_edge(1.into(), 2.into()));
 /// assert!(!g.has_edge(0.into(), 3.into()));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Graph {
     /// `offsets[v]..offsets[v + 1]` indexes `neighbors`; length `n + 1`.
     offsets: Vec<usize>,

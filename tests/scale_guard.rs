@@ -1,10 +1,13 @@
-//! Scale guard for the compact path: the random-graph generator and the
-//! tree-diameter scheme must stay linear-work at n = 2^16.
+//! Scale guard for the compact path: the random-graph generator, the
+//! tree-diameter scheme and the per-block `C_t`-minor-freeness scheme
+//! must stay linear-work at n = 2^16.
 //!
 //! There is no timing assertion. A quadratic regression shows as a run
 //! that does not finish: listing every non-edge of a 2^16-vertex graph
-//! takes about 50 GB, and all-pairs BFS on a 2^16-vertex star takes
-//! 2^32 steps. In a release build both tests take well under a second.
+//! takes about 50 GB, all-pairs BFS on a 2^16-vertex star takes 2^32
+//! steps, and a dense n-entry index per block of a 2^16-vertex path
+//! clears some 34 GB. In a release build each test takes well under a
+//! second.
 
 use locert::cert::catalogue;
 use locert::cert::schemes::common::id_bits_for;
@@ -33,5 +36,17 @@ fn tree_diameter_proves_and_verifies_a_two_to_the_sixteen_star() {
     let inst = Instance::new(&g, &ids);
     let scheme = (entry.build)(id_bits_for(&inst), N);
     let out = run_scheme(scheme.as_ref(), &inst).expect("a star has diameter 2");
+    assert!(out.accepted());
+}
+
+#[test]
+fn ct_minor_freeness_proves_and_verifies_a_two_to_the_sixteen_path() {
+    let entry = catalogue::by_id("ct-minor-free-3").expect("catalogued");
+    let (g, inputs) = (entry.family)(N);
+    assert!(inputs.is_none());
+    let ids = IdAssignment::contiguous(N);
+    let inst = Instance::new(&g, &ids);
+    let scheme = (entry.build)(id_bits_for(&inst), N);
+    let out = run_scheme(scheme.as_ref(), &inst).expect("a path is C_3-minor-free");
     assert!(out.accepted());
 }
