@@ -153,6 +153,39 @@ fn bench_prover_vs_verifier(c: &mut Criterion) {
     group.finish();
 }
 
+/// The verifier layer alone: `run_verification` on each compact catalogue
+/// scheme's canonical family at n = 16384, with the honest assignment
+/// made once outside the timed loop.
+fn bench_verify_catalogue(c: &mut Criterion) {
+    use locert_core::catalogue;
+    use locert_core::framework::{run_verification, DeclaredBound, Instance};
+    use locert_core::schemes::common::id_bits_for;
+    use locert_graph::IdAssignment;
+
+    let n = 16384;
+    let mut g = c.benchmark_group("verify_catalogue");
+    for entry in catalogue::entries() {
+        let (graph, inputs) = (entry.family)(n);
+        let ids = IdAssignment::contiguous(graph.num_nodes());
+        let inst = match &inputs {
+            Some(word) => Instance::with_inputs(&graph, &ids, word),
+            None => Instance::new(&graph, &ids),
+        };
+        let scheme = (entry.build)(id_bits_for(&inst), graph.num_nodes());
+        // The broadcast scheme's O(n²) maps are out of reach at this n.
+        if scheme.declared_bound() == DeclaredBound::QuadraticN {
+            continue;
+        }
+        let asg = scheme
+            .assign(&inst)
+            .expect("family instances are yes-instances");
+        g.bench_with_input(BenchmarkId::new(entry.id, n), &n, |b, _| {
+            b.iter(|| black_box(run_verification(scheme.as_ref(), &inst, &asg).accepted()));
+        });
+    }
+    g.finish();
+}
+
 fn config() -> Criterion {
     // Keep the full-suite wall time bounded: 10 samples × short windows.
     Criterion::default()
@@ -177,5 +210,6 @@ criterion_group!(
     bench_f1_paths,
     bench_p34_spanning_tree,
     bench_s1_exhaustive,
+    bench_verify_catalogue,
 );
 criterion_main!(benches);

@@ -35,6 +35,7 @@ use locert_logic::props;
 use std::collections::BTreeSet;
 
 /// One catalogued scheme family.
+#[derive(Clone, Copy)]
 pub struct SchemeEntry {
     /// Stable scheme id (wire format, journals, and tables key on it).
     pub id: &'static str,
@@ -78,140 +79,145 @@ fn plain(g: Graph) -> (Graph, Option<Vec<usize>>) {
     (g, None)
 }
 
+const fn e(
+    id: &'static str,
+    build: fn(u32, usize) -> Box<dyn Scheme>,
+    family: fn(usize) -> (Graph, Option<Vec<usize>>),
+) -> SchemeEntry {
+    SchemeEntry { id, build, family }
+}
+
+/// The sixteen catalogue entries, in stable order: one static table that
+/// every lookup reads in place.
+static ENTRIES: [SchemeEntry; 16] = [
+    e(
+        "acyclicity",
+        |b, _| Box::new(AcyclicityScheme::new(b)),
+        |n| plain(generators::path(n)),
+    ),
+    e(
+        "spanning-tree",
+        |b, _| Box::new(SpanningTreeScheme::new(b)),
+        |n| plain(generators::cycle(n)),
+    ),
+    e(
+        "vertex-count",
+        |b, n| Box::new(VertexCountScheme::new(b, n as u64)),
+        |n| plain(generators::path(n)),
+    ),
+    e(
+        "universal-connected",
+        |b, _| {
+            Box::new(UniversalScheme::new(b, "universal-connected", |g| {
+                g.is_connected()
+            }))
+        },
+        |n| plain(generators::clique(n)),
+    ),
+    e(
+        "tree-diameter-3",
+        |b, _| Box::new(TreeDiameterScheme::new(b, 3)),
+        |n| plain(generators::star(n)),
+    ),
+    e(
+        "treedepth-3",
+        |b, _| Box::new(TreedepthScheme::new(b, 3)),
+        |n| plain(generators::star(n)),
+    ),
+    e(
+        "tree-depth-bound-2",
+        |_, _| Box::new(TreeDepthBoundScheme::new(2)),
+        |n| plain(generators::star(n)),
+    ),
+    e(
+        "mso-perfect-matching",
+        |_, _| Box::new(MsoTreeScheme::new(library::has_perfect_matching())),
+        |n| {
+            plain(generators::path(if n.is_multiple_of(2) {
+                n
+            } else {
+                n + 1
+            }))
+        },
+    ),
+    e(
+        "mso-height-5",
+        |_, _| Box::new(MsoTreeScheme::new(library::height_at_most(5))),
+        // Spiders with legs of length 2: height 2 from the hub, any
+        // number of legs.
+        |n| plain(generators::spider(((n.max(7) - 1) / 2).max(3), 2)),
+    ),
+    e(
+        "word-no-11",
+        |_, _| Box::new(WordPathScheme::new(no_11_nfa())),
+        |n| {
+            let alternating: Vec<usize> = (0..n)
+                .map(|i| usize::from(i % 2 == 1 && i + 1 < n))
+                .collect();
+            (generators::path(n), Some(alternating))
+        },
+    ),
+    e(
+        "existential-triangle",
+        |b, _| {
+            Box::new(
+                ExistentialFoScheme::new(b, &props::has_clique(3))
+                    .expect("has_clique(3) is existential"),
+            )
+        },
+        |n| plain(lollipop(n)),
+    ),
+    e(
+        "depth2-dominating",
+        |b, _| {
+            Box::new(
+                Depth2FoScheme::from_formula(b, &props::has_dominating_vertex())
+                    .expect("has_dominating_vertex is depth-2"),
+            )
+        },
+        |n| plain(generators::star(n)),
+    ),
+    e(
+        "path-minor-free-4",
+        |b, _| Box::new(PathMinorFreeScheme::new(b, 4)),
+        |n| plain(generators::star(n)),
+    ),
+    e(
+        "ct-minor-free-3",
+        |b, _| Box::new(CtMinorFreeScheme::new(b, 3)),
+        |n| plain(generators::path(n)),
+    ),
+    e(
+        "kernel-triangle-free",
+        |b, _| {
+            Box::new(
+                KernelMsoScheme::new(b, 3, props::triangle_free())
+                    .expect("triangle-free kernelizes"),
+            )
+        },
+        |n| plain(generators::star(n)),
+    ),
+    e(
+        "and-acyclic-count",
+        |b, n| {
+            Box::new(AndScheme::new(
+                AcyclicityScheme::new(b),
+                VertexCountScheme::new(b, n as u64),
+                16,
+            ))
+        },
+        |n| plain(generators::path(n)),
+    ),
+];
+
 /// The sixteen catalogue entries, in stable order.
 pub fn entries() -> Vec<SchemeEntry> {
-    fn e(
-        id: &'static str,
-        build: fn(u32, usize) -> Box<dyn Scheme>,
-        family: fn(usize) -> (Graph, Option<Vec<usize>>),
-    ) -> SchemeEntry {
-        SchemeEntry { id, build, family }
-    }
-    vec![
-        e(
-            "acyclicity",
-            |b, _| Box::new(AcyclicityScheme::new(b)),
-            |n| plain(generators::path(n)),
-        ),
-        e(
-            "spanning-tree",
-            |b, _| Box::new(SpanningTreeScheme::new(b)),
-            |n| plain(generators::cycle(n)),
-        ),
-        e(
-            "vertex-count",
-            |b, n| Box::new(VertexCountScheme::new(b, n as u64)),
-            |n| plain(generators::path(n)),
-        ),
-        e(
-            "universal-connected",
-            |b, _| {
-                Box::new(UniversalScheme::new(b, "universal-connected", |g| {
-                    g.is_connected()
-                }))
-            },
-            |n| plain(generators::clique(n)),
-        ),
-        e(
-            "tree-diameter-3",
-            |b, _| Box::new(TreeDiameterScheme::new(b, 3)),
-            |n| plain(generators::star(n)),
-        ),
-        e(
-            "treedepth-3",
-            |b, _| Box::new(TreedepthScheme::new(b, 3)),
-            |n| plain(generators::star(n)),
-        ),
-        e(
-            "tree-depth-bound-2",
-            |_, _| Box::new(TreeDepthBoundScheme::new(2)),
-            |n| plain(generators::star(n)),
-        ),
-        e(
-            "mso-perfect-matching",
-            |_, _| Box::new(MsoTreeScheme::new(library::has_perfect_matching())),
-            |n| {
-                plain(generators::path(if n.is_multiple_of(2) {
-                    n
-                } else {
-                    n + 1
-                }))
-            },
-        ),
-        e(
-            "mso-height-5",
-            |_, _| Box::new(MsoTreeScheme::new(library::height_at_most(5))),
-            // Spiders with legs of length 2: height 2 from the hub, any
-            // number of legs.
-            |n| plain(generators::spider(((n.max(7) - 1) / 2).max(3), 2)),
-        ),
-        e(
-            "word-no-11",
-            |_, _| Box::new(WordPathScheme::new(no_11_nfa())),
-            |n| {
-                let alternating: Vec<usize> = (0..n)
-                    .map(|i| usize::from(i % 2 == 1 && i + 1 < n))
-                    .collect();
-                (generators::path(n), Some(alternating))
-            },
-        ),
-        e(
-            "existential-triangle",
-            |b, _| {
-                Box::new(
-                    ExistentialFoScheme::new(b, &props::has_clique(3))
-                        .expect("has_clique(3) is existential"),
-                )
-            },
-            |n| plain(lollipop(n)),
-        ),
-        e(
-            "depth2-dominating",
-            |b, _| {
-                Box::new(
-                    Depth2FoScheme::from_formula(b, &props::has_dominating_vertex())
-                        .expect("has_dominating_vertex is depth-2"),
-                )
-            },
-            |n| plain(generators::star(n)),
-        ),
-        e(
-            "path-minor-free-4",
-            |b, _| Box::new(PathMinorFreeScheme::new(b, 4)),
-            |n| plain(generators::star(n)),
-        ),
-        e(
-            "ct-minor-free-3",
-            |b, _| Box::new(CtMinorFreeScheme::new(b, 3)),
-            |n| plain(generators::path(n)),
-        ),
-        e(
-            "kernel-triangle-free",
-            |b, _| {
-                Box::new(
-                    KernelMsoScheme::new(b, 3, props::triangle_free())
-                        .expect("triangle-free kernelizes"),
-                )
-            },
-            |n| plain(generators::star(n)),
-        ),
-        e(
-            "and-acyclic-count",
-            |b, n| {
-                Box::new(AndScheme::new(
-                    AcyclicityScheme::new(b),
-                    VertexCountScheme::new(b, n as u64),
-                    16,
-                ))
-            },
-            |n| plain(generators::path(n)),
-        ),
-    ]
+    ENTRIES.to_vec()
 }
 
 /// Looks up one entry by its stable id.
-pub fn by_id(id: &str) -> Option<SchemeEntry> {
-    entries().into_iter().find(|e| e.id == id)
+pub fn by_id(id: &str) -> Option<&'static SchemeEntry> {
+    ENTRIES.iter().find(|e| e.id == id)
 }
 
 /// Builds a catalogued scheme by id, or `None` for an unknown id.
@@ -221,7 +227,7 @@ pub fn build(id: &str, id_bits: u32, n: usize) -> Option<Box<dyn Scheme>> {
 
 /// The stable id strings, in catalogue order.
 pub fn ids() -> Vec<&'static str> {
-    entries().iter().map(|e| e.id).collect()
+    ENTRIES.iter().map(|e| e.id).collect()
 }
 
 #[cfg(test)]

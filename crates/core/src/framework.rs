@@ -14,6 +14,7 @@
 
 use crate::bits::Certificate;
 use locert_graph::{Graph, IdAssignment, Ident, NodeId};
+use locert_trace::LocalHistogram;
 use std::error::Error;
 use std::fmt;
 
@@ -417,9 +418,6 @@ pub struct Verdict {
     pub bits_read: usize,
 }
 
-/// One run's per-vertex decision procedure (see [`Verifier::run_decider`]).
-pub type Decider<'a> = Box<dyn Fn(&LocalView<'_>) -> Result<(), RejectReason> + Sync + 'a>;
-
 /// The local verification algorithm of a scheme.
 ///
 /// `Sync` is a supertrait because [`run_verification`] runs vertices in
@@ -427,6 +425,10 @@ pub type Decider<'a> = Box<dyn Fn(&LocalView<'_>) -> Result<(), RejectReason> + 
 /// every vertex runs the *same* stateless decision procedure on its own
 /// radius-1 view. Interior mutability (memo caches) must be thread-safe
 /// (`Mutex`, atomics), not `RefCell`.
+///
+/// Every catalogued scheme implements [`Decode`] instead and gets this
+/// trait from the blanket implementation below; a direct implementation
+/// (test doubles, mutants) only needs [`Verifier::decide`].
 pub trait Verifier: Sync {
     /// The decision of one vertex given its radius-1 view, with a
     /// [`RejectReason`] on rejection.
@@ -436,17 +438,24 @@ pub trait Verifier: Sync {
     /// The reason the vertex rejects; `Ok(())` means accept.
     fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason>;
 
-    /// The decision procedure for one [`run_verification`] call, which
-    /// applies it to every vertex from any pool worker (provided; the
-    /// default just calls [`Verifier::decide`]).
+    /// Every vertex's reject reason (`None` = accept) under
+    /// `assignment`, indexed by [`NodeId`]: the per-run hook
+    /// [`run_verification_in`] calls (provided; the default builds each
+    /// vertex's [`LocalView`] with [`view_of`] and calls
+    /// [`Verifier::decide`]).
     ///
-    /// Contract for overrides: on every view the returned procedure
-    /// answers exactly what `decide` answers. It may keep a memo of work
-    /// many vertices share, such as a parsed broadcast map; the memo must
-    /// be keyed by certificate bits only, and it lives in the returned
-    /// closure, so nothing carries over from one run to the next.
-    fn run_decider(&self) -> Decider<'_> {
-        Box::new(move |view| self.decide(view))
+    /// Contract for overrides: entry `v` equals what `decide` answers on
+    /// `view_of(instance, assignment, v)`, and the result has exactly
+    /// one entry per vertex.
+    fn decide_all(
+        &self,
+        instance: &Instance<'_>,
+        assignment: &Assignment,
+        pool: &locert_par::Pool,
+    ) -> Vec<Option<RejectReason>> {
+        decide_timed(pool, instance.graph().num_nodes(), &|i| {
+            self.decide(&view_of(instance, assignment, NodeId(i))).err()
+        })
     }
 
     /// The bare boolean decision (provided; equivalent to
@@ -454,6 +463,288 @@ pub trait Verifier: Sync {
     fn verify(&self, view: &LocalView<'_>) -> bool {
         self.decide(view).is_ok()
     }
+}
+
+/// A verifier split into a *decode stage* and a decision on decoded
+/// certificates (DESIGN.md §7.1).
+///
+/// [`Decode::decode`] is a pure function of one certificate's bits: it
+/// sees no identifier, input, graph or neighbor, so a decoded
+/// certificate carries exactly what any vertex could have parsed from
+/// those bits itself, and deciding on decoded certificates stays inside
+/// the radius-1 model. That purity is what lets [`run_verification_in`]
+/// decode each of the `n` certificates once per run into an arena,
+/// where the per-vertex path would parse every certificate once per
+/// vertex that reads it.
+///
+/// The blanket [`Verifier`] implementation routes both entry points
+/// through [`Decode::decide_decoded`], so there is one decision path:
+/// `decide` decodes the view's certificates and `decide_all` reads the
+/// run's arena.
+pub trait Decode: Sync {
+    /// One certificate's decoding, including its parse failures (a
+    /// scheme decides *where* in its checks a malformed certificate
+    /// rejects, so the decode stage never rejects by itself).
+    type Decoded: Send + Sync;
+
+    /// A memo shared by the decodes of one run (or of one `decide`
+    /// call): work that equal certificate bits share, such as a parsed
+    /// broadcast map or type table. It must be keyed by certificate bits
+    /// alone, so it changes what decoding costs, never what it returns.
+    type Cache: Default + Sync;
+
+    /// Decodes one certificate.
+    fn decode(&self, cert: &Certificate, cache: &Self::Cache) -> Self::Decoded;
+
+    /// The decision of one vertex given its decoded radius-1 view.
+    ///
+    /// # Errors
+    ///
+    /// The reason the vertex rejects; `Ok(())` means accept.
+    fn decide_decoded(&self, view: &DecodedView<'_, Self::Decoded>) -> Result<(), RejectReason>;
+}
+
+impl<S: Decode> Verifier for S {
+    fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
+        let cache = S::Cache::default();
+        let own = self.decode(view.cert, &cache);
+        let decoded: Vec<S::Decoded> = view
+            .neighbors
+            .iter()
+            .map(|&(_, _, cert)| self.decode(cert, &cache))
+            .collect();
+        let neighbors: Vec<(Ident, usize, &S::Decoded)> = view
+            .neighbors
+            .iter()
+            .zip(&decoded)
+            .map(|(&(id, input, _), d)| (id, input, d))
+            .collect();
+        self.decide_decoded(&DecodedView::listed(view.id, view.input, &own, &neighbors))
+    }
+
+    fn decide_all(
+        &self,
+        instance: &Instance<'_>,
+        assignment: &Assignment,
+        pool: &locert_par::Pool,
+    ) -> Vec<Option<RejectReason>> {
+        let n = instance.graph().num_nodes();
+        let cache = S::Cache::default();
+        // The decode stage: each certificate once, into the run's arena.
+        let decoded: Vec<S::Decoded> =
+            pool.par_map_collect(n, |i| self.decode(assignment.cert(NodeId(i)), &cache));
+        let ids = instance.ids();
+        let reasons = decide_timed(pool, n, &|i| {
+            let v = NodeId(i);
+            let view = DecodedView {
+                id: ids.ident(v),
+                input: instance.input(v),
+                own: &decoded[i],
+                neighbors: Neighbors::Arena {
+                    adj: instance.graph().neighbors(v),
+                    decoded: &decoded,
+                    ids,
+                    inputs: instance.inputs,
+                },
+            };
+            self.decide_decoded(&view).err()
+        });
+        record_views(instance.graph());
+        reasons
+    }
+}
+
+/// What one vertex sees with every certificate decoded: its own
+/// identifier, input and decoded certificate, and per incident edge the
+/// neighbor's identifier, input and decoded certificate. Like
+/// [`LocalView`], it has no information about edges among neighbors.
+pub struct DecodedView<'a, D> {
+    /// The vertex's own identifier.
+    pub id: Ident,
+    /// The vertex's own input (0 if the instance has none).
+    pub input: usize,
+    /// The vertex's own decoded certificate.
+    pub own: &'a D,
+    neighbors: Neighbors<'a, D>,
+}
+
+/// Where a [`DecodedView`] reads its neighbors from.
+enum Neighbors<'a, D> {
+    /// The run's arena, indexed by [`NodeId`], and the vertex's
+    /// adjacency.
+    Arena {
+        adj: &'a [NodeId],
+        decoded: &'a [D],
+        ids: &'a IdAssignment,
+        inputs: Option<&'a [usize]>,
+    },
+    /// Explicit entries (see [`DecodedView::listed`]).
+    Listed(&'a [(Ident, usize, &'a D)]),
+}
+
+impl<D> Clone for Neighbors<'_, D> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<D> Copy for Neighbors<'_, D> {}
+
+impl<D> Clone for DecodedView<'_, D> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<D> Copy for DecodedView<'_, D> {}
+
+impl<'a, D> DecodedView<'a, D> {
+    /// A view over explicitly listed neighbors: per-vertex `decide` lists
+    /// its view's decodes, and composite schemes hand a part's decodes to
+    /// the part's decision.
+    pub fn listed(
+        id: Ident,
+        input: usize,
+        own: &'a D,
+        neighbors: &'a [(Ident, usize, &'a D)],
+    ) -> Self {
+        DecodedView {
+            id,
+            input,
+            own,
+            neighbors: Neighbors::Listed(neighbors),
+        }
+    }
+
+    /// The degree of the vertex.
+    pub fn degree(&self) -> usize {
+        match self.neighbors {
+            Neighbors::Arena { adj, .. } => adj.len(),
+            Neighbors::Listed(listed) => listed.len(),
+        }
+    }
+
+    /// The `i`-th neighbor's identifier, input and decoded certificate.
+    fn neighbor(&self, i: usize) -> (Ident, usize, &'a D) {
+        match self.neighbors {
+            Neighbors::Arena {
+                adj,
+                decoded,
+                ids,
+                inputs,
+            } => {
+                let u = adj[i];
+                (
+                    ids.ident(u),
+                    inputs.map_or(0, |ins| ins[u.0]),
+                    &decoded[u.0],
+                )
+            }
+            Neighbors::Listed(listed) => listed[i],
+        }
+    }
+
+    /// The neighbors' identifiers, inputs and decoded certificates, in
+    /// adjacency order.
+    pub fn neighbors(&self) -> NeighborIter<'a, D> {
+        NeighborIter {
+            view: *self,
+            next: 0,
+            end: self.degree(),
+        }
+    }
+
+    /// The neighbors' identifiers, in adjacency order (decodes nothing).
+    pub fn neighbor_ids(&self) -> impl Iterator<Item = Ident> + Clone + '_ {
+        (0..self.degree()).map(move |i| match self.neighbors {
+            Neighbors::Arena { adj, ids, .. } => ids.ident(adj[i]),
+            Neighbors::Listed(listed) => listed[i].0,
+        })
+    }
+
+    /// Whether some neighbor carries identifier `id`.
+    pub fn has_neighbor(&self, id: Ident) -> bool {
+        self.neighbor_ids().any(|nid| nid == id)
+    }
+
+    /// The decoded certificate of the first neighbor with identifier
+    /// `id`, if present.
+    pub fn neighbor_decoded(&self, id: Ident) -> Option<&'a D> {
+        let i = self.neighbor_ids().position(|nid| nid == id)?;
+        Some(self.neighbor(i).2)
+    }
+}
+
+/// Iterator over a [`DecodedView`]'s neighbors.
+pub struct NeighborIter<'a, D> {
+    view: DecodedView<'a, D>,
+    next: usize,
+    end: usize,
+}
+
+impl<D> Clone for NeighborIter<'_, D> {
+    fn clone(&self) -> Self {
+        NeighborIter { ..*self }
+    }
+}
+
+impl<'a, D> Iterator for NeighborIter<'a, D> {
+    type Item = (Ident, usize, &'a D);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        (self.next < self.end).then(|| {
+            self.next += 1;
+            self.view.neighbor(self.next - 1)
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.end - self.next;
+        (left, Some(left))
+    }
+}
+
+impl<D> ExactSizeIterator for NeighborIter<'_, D> {}
+
+/// The `view_of` telemetry of a run that builds no `LocalView`: one call
+/// and one degree per vertex, as `view_of` would have recorded them (and,
+/// like `view_of`, nothing without a vertex).
+fn record_views(g: &Graph) {
+    if !locert_trace::enabled() || g.num_nodes() == 0 {
+        return;
+    }
+    locert_trace::Counter::named("core.framework.view_of.calls").add(g.num_nodes() as u64);
+    let mut neighbors = LocalHistogram::default();
+    for v in g.nodes() {
+        neighbors.record(g.degree(v) as u64);
+    }
+    locert_trace::Histogram::named("core.framework.view.neighbors").merge(&neighbors);
+}
+
+/// Every vertex's `decide(v)` on `pool`. While tracing is on, each
+/// decision is timed and the run's times go into
+/// `core.framework.verifier.ns` in one merge; otherwise nothing reads the
+/// clock. (`decide` is a trait object so the pool loops are compiled
+/// once, not once per scheme.)
+fn decide_timed(
+    pool: &locert_par::Pool,
+    n: usize,
+    decide: &(dyn Fn(usize) -> Option<RejectReason> + Sync),
+) -> Vec<Option<RejectReason>> {
+    if !locert_trace::enabled() {
+        return pool.par_map_collect(n, decide);
+    }
+    let timed = pool.par_map_collect(n, |i| {
+        let start = std::time::Instant::now();
+        let reason = decide(i);
+        (reason, start.elapsed().as_nanos() as u64)
+    });
+    let mut ns = LocalHistogram::default();
+    for &(_, t) in &timed {
+        ns.record(t);
+    }
+    locert_trace::Histogram::named("core.framework.verifier.ns").merge(&ns);
+    timed.into_iter().map(|(reason, _)| reason).collect()
 }
 
 /// The asymptotic certificate-size family a scheme claims, as a
@@ -638,38 +929,21 @@ pub fn run_verification_in(
     assignment: &Assignment,
 ) -> VerificationOutcome {
     let _span = locert_trace::span!("core.run_verification");
-    let handles = locert_trace::enabled().then(|| {
-        (
-            locert_trace::Counter::named("core.framework.verifier.invocations"),
-            locert_trace::Counter::named("core.framework.verifier.rejections"),
-            locert_trace::Histogram::named("core.framework.certificate.bits"),
-            locert_trace::Histogram::named("core.framework.verifier.ns"),
-        )
-    });
     // Decide every vertex in parallel: vertices are independent by
     // construction (each sees only its radius-1 view), and the results
     // land in per-vertex slots, so the outcome is identical to the
     // sequential loop at any worker count.
-    let n = instance.graph().num_nodes();
-    let decide = verifier.run_decider();
-    let decided = pool.par_map_collect(n, |i| {
+    let g = instance.graph();
+    let n = g.num_nodes();
+    let reasons = verifier.decide_all(instance, assignment, pool);
+    assert_eq!(reasons.len(), n, "decide_all must answer every vertex");
+    let mut cert_bits = locert_trace::enabled().then(LocalHistogram::default);
+    let decided = reasons.into_iter().enumerate().map(|(i, reason)| {
         let v = NodeId(i);
-        let view = view_of(instance, assignment, v);
-        let bits_read = view.cert.len_bits()
-            + view
-                .neighbors
-                .iter()
-                .map(|&(_, _, c)| c.len_bits())
-                .sum::<usize>();
-        let start = std::time::Instant::now();
-        let reason = decide(&view).err();
-        if let Some((invocations, rejections, cert_bits, per_vertex_ns)) = &handles {
-            per_vertex_ns.record(start.elapsed().as_nanos() as u64);
-            cert_bits.record(assignment.cert(v).len_bits() as u64);
-            invocations.add(1);
-            if reason.is_some() {
-                rejections.add(1);
-            }
+        let bits = |u: NodeId| assignment.cert(u).len_bits();
+        let bits_read = bits(v) + g.neighbors(v).iter().map(|&u| bits(u)).sum::<usize>();
+        if let Some(cert_bits) = &mut cert_bits {
+            cert_bits.record(bits(v) as u64);
         }
         (reason, bits_read)
     });
@@ -685,7 +959,7 @@ pub fn run_verification_in(
     });
     let mut rejecting = Vec::new();
     let mut verdicts = Vec::with_capacity(n);
-    for (i, (reason, bits_read)) in decided.into_iter().enumerate() {
+    for (i, (reason, bits_read)) in decided.enumerate() {
         let v = NodeId(i);
         locert_trace::journal::record_with(|| locert_trace::journal::Event::Verdict {
             vertex: v.0 as u64,
@@ -702,7 +976,13 @@ pub fn run_verification_in(
             bits_read,
         });
     }
+    if let Some(cert_bits) = &cert_bits {
+        locert_trace::Histogram::named("core.framework.certificate.bits").merge(cert_bits);
+    }
     if locert_trace::enabled() {
+        locert_trace::Counter::named("core.framework.verifier.invocations").add(n as u64);
+        locert_trace::Counter::named("core.framework.verifier.rejections")
+            .add(rejecting.len() as u64);
         // Read amplification: certificate bits examined across all
         // radius-1 views over bits stored, in fixed-point percent (100
         // = every stored bit read exactly once). Each vertex's

@@ -9,10 +9,10 @@
 //! schemes here (MSO-on-trees first certifies tree-ness; the paper notes
 //! acyclicity requires `Ω(log n)` bits [31, 37], so this is tight).
 
-use crate::bits::{BitReader, BitWriter};
+use crate::bits::{BitReader, BitWriter, Certificate};
 use crate::framework::{
-    Assignment, DeclaredBound, Instance, LocalView, Prover, ProverError, RejectReason, Scheme,
-    Verifier,
+    Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
+    Scheme,
 };
 use crate::schemes::spanning_tree::{honest_tree_fields, verify_tree_position, TreeFields};
 use locert_graph::NodeId;
@@ -27,12 +27,6 @@ impl AcyclicityScheme {
     /// A scheme with identifier fields of `id_bits` bits.
     pub fn new(id_bits: u32) -> Self {
         AcyclicityScheme { id_bits }
-    }
-
-    fn parse(&self, cert: &crate::bits::Certificate) -> Option<TreeFields> {
-        let mut r = BitReader::new(cert);
-        let f = TreeFields::read(&mut r, self.id_bits)?;
-        r.exhausted().then_some(f)
     }
 }
 
@@ -57,18 +51,26 @@ impl Prover for AcyclicityScheme {
     }
 }
 
-impl Verifier for AcyclicityScheme {
-    fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
-        let mine = self
-            .parse(view.cert)
-            .ok_or(RejectReason::MalformedCertificate)?;
-        verify_tree_position(view, self.id_bits, &mine, |c| self.parse(c))?;
+impl Decode for AcyclicityScheme {
+    type Decoded = Option<TreeFields>;
+    type Cache = ();
+
+    fn decode(&self, cert: &Certificate, _: &()) -> Option<TreeFields> {
+        let mut r = BitReader::new(cert);
+        let f = TreeFields::read(&mut r, self.id_bits)?;
+        r.exhausted().then_some(f)
+    }
+
+    fn decide_decoded(
+        &self,
+        view: &DecodedView<'_, Option<TreeFields>>,
+    ) -> Result<(), RejectReason> {
+        let mine = view.own.ok_or(RejectReason::MalformedCertificate)?;
+        verify_tree_position(view, &mine, |f| *f)?;
         // Every incident edge must be a tree edge: each neighbor is my
         // parent, or claims me as its parent one level further.
-        for &(nid, _, cert) in &view.neighbors {
-            let nf = self
-                .parse(cert)
-                .ok_or(RejectReason::MalformedNeighborCertificate)?;
+        for (nid, _, nf) in view.neighbors() {
+            let nf = nf.ok_or(RejectReason::MalformedNeighborCertificate)?;
             if nf.root != mine.root {
                 return Err(RejectReason::RootMismatch);
             }

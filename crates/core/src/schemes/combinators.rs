@@ -9,8 +9,8 @@
 
 use crate::bits::{BitReader, BitWriter, Certificate};
 use crate::framework::{
-    Assignment, DeclaredBound, Instance, LocalView, Prover, ProverError, RejectReason, Scheme,
-    Verifier,
+    Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
+    Scheme,
 };
 use locert_graph::NodeId;
 
@@ -66,39 +66,42 @@ impl<A: Scheme, B: Scheme> Prover for AndScheme<A, B> {
     }
 }
 
-impl<A: Scheme, B: Scheme> Verifier for AndScheme<A, B> {
-    fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
-        let (ca, cb) = self
-            .split(view.cert)
+impl<A: Scheme + Decode, B: Scheme + Decode> Decode for AndScheme<A, B> {
+    /// Both parts' decodes; `None` when the length header does not fit.
+    type Decoded = Option<(A::Decoded, B::Decoded)>;
+    type Cache = (A::Cache, B::Cache);
+
+    fn decode(&self, cert: &Certificate, cache: &Self::Cache) -> Self::Decoded {
+        let (ca, cb) = self.split(cert)?;
+        Some((
+            self.first.decode(&ca, &cache.0),
+            self.second.decode(&cb, &cache.1),
+        ))
+    }
+
+    fn decide_decoded(&self, view: &DecodedView<'_, Self::Decoded>) -> Result<(), RejectReason> {
+        let (own_a, own_b) = view
+            .own
+            .as_ref()
             .ok_or(RejectReason::MalformedCertificate)?;
-        let mut nbrs_a = Vec::with_capacity(view.neighbors.len());
-        let mut nbrs_b = Vec::with_capacity(view.neighbors.len());
-        for &(nid, ninput, cert) in &view.neighbors {
-            let (na, nb) = self
-                .split(cert)
+        let mut nbrs_a = Vec::with_capacity(view.degree());
+        let mut nbrs_b = Vec::with_capacity(view.degree());
+        for (nid, ninput, decoded) in view.neighbors() {
+            let (na, nb) = decoded
+                .as_ref()
                 .ok_or(RejectReason::MalformedNeighborCertificate)?;
             nbrs_a.push((nid, ninput, na));
             nbrs_b.push((nid, ninput, nb));
         }
         // Inner rejection reasons propagate unchanged.
-        let view_a = LocalView {
-            id: view.id,
-            input: view.input,
-            cert: &ca,
-            neighbors: nbrs_a.iter().map(|(i, n, c)| (*i, *n, c)).collect(),
-        };
-        self.first.decide(&view_a)?;
-        let view_b = LocalView {
-            id: view.id,
-            input: view.input,
-            cert: &cb,
-            neighbors: nbrs_b.iter().map(|(i, n, c)| (*i, *n, c)).collect(),
-        };
-        self.second.decide(&view_b)
+        self.first
+            .decide_decoded(&DecodedView::listed(view.id, view.input, own_a, &nbrs_a))?;
+        self.second
+            .decide_decoded(&DecodedView::listed(view.id, view.input, own_b, &nbrs_b))
     }
 }
 
-impl<A: Scheme, B: Scheme> Scheme for AndScheme<A, B> {
+impl<A: Scheme + Decode, B: Scheme + Decode> Scheme for AndScheme<A, B> {
     fn name(&self) -> String {
         format!("({} AND {})", self.first.name(), self.second.name())
     }
@@ -160,34 +163,58 @@ impl<A: Scheme, B: Scheme> Prover for OrScheme<A, B> {
     }
 }
 
-impl<A: Scheme, B: Scheme> Verifier for OrScheme<A, B> {
-    fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
-        let (selector, mine) = Self::split(view.cert).ok_or(RejectReason::MalformedCertificate)?;
-        let mut nbrs = Vec::with_capacity(view.neighbors.len());
-        for &(nid, ninput, cert) in &view.neighbors {
-            let (s, c) = Self::split(cert).ok_or(RejectReason::MalformedNeighborCertificate)?;
-            if s != selector {
-                // Disagreeing selectors.
-                return Err(RejectReason::CopyMismatch);
-            }
-            nbrs.push((nid, ninput, c));
-        }
-        let inner = LocalView {
-            id: view.id,
-            input: view.input,
-            cert: &mine,
-            neighbors: nbrs.iter().map(|(i, n, c)| (*i, *n, c)).collect(),
-        };
-        // The selected disjunct's rejection reason propagates unchanged.
-        if selector {
-            self.second.decide(&inner)
+/// One side of a disjunction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Either<A, B> {
+    /// The first disjunct (selector bit 0).
+    First(A),
+    /// The second disjunct (selector bit 1).
+    Second(B),
+}
+
+impl<A: Scheme + Decode, B: Scheme + Decode> Decode for OrScheme<A, B> {
+    /// The selected disjunct's decode; `None` on an empty certificate.
+    type Decoded = Option<Either<A::Decoded, B::Decoded>>;
+    type Cache = (A::Cache, B::Cache);
+
+    fn decode(&self, cert: &Certificate, cache: &Self::Cache) -> Self::Decoded {
+        let (selector, rest) = Self::split(cert)?;
+        Some(if selector {
+            Either::Second(self.second.decode(&rest, &cache.1))
         } else {
-            self.first.decide(&inner)
+            Either::First(self.first.decode(&rest, &cache.0))
+        })
+    }
+
+    fn decide_decoded(&self, view: &DecodedView<'_, Self::Decoded>) -> Result<(), RejectReason> {
+        let own = view
+            .own
+            .as_ref()
+            .ok_or(RejectReason::MalformedCertificate)?;
+        let mut firsts = Vec::new();
+        let mut seconds = Vec::new();
+        for (nid, ninput, decoded) in view.neighbors() {
+            match (own, decoded.as_ref()) {
+                (_, None) => return Err(RejectReason::MalformedNeighborCertificate),
+                (Either::First(_), Some(Either::First(d))) => firsts.push((nid, ninput, d)),
+                (Either::Second(_), Some(Either::Second(d))) => seconds.push((nid, ninput, d)),
+                // Disagreeing selectors.
+                _ => return Err(RejectReason::CopyMismatch),
+            }
+        }
+        // The selected disjunct's rejection reason propagates unchanged.
+        match own {
+            Either::First(d) => self
+                .first
+                .decide_decoded(&DecodedView::listed(view.id, view.input, d, &firsts)),
+            Either::Second(d) => self
+                .second
+                .decide_decoded(&DecodedView::listed(view.id, view.input, d, &seconds)),
         }
     }
 }
 
-impl<A: Scheme, B: Scheme> Scheme for OrScheme<A, B> {
+impl<A: Scheme + Decode, B: Scheme + Decode> Scheme for OrScheme<A, B> {
     fn name(&self) -> String {
         format!("({} OR {})", self.first.name(), self.second.name())
     }
@@ -299,7 +326,7 @@ mod tests {
     #[test]
     fn splits_match_bit_loops_on_random_certificates() {
         use rand::{rngs::StdRng, RngExt, SeedableRng};
-        type Either = OrScheme<AcyclicityScheme, AcyclicityScheme>;
+        type Or = OrScheme<AcyclicityScheme, AcyclicityScheme>;
         let mut rng = StdRng::seed_from_u64(31);
         for len_bits in 1..=8u32 {
             let and = AndScheme::new(AcyclicityScheme::new(3), AcyclicityScheme::new(3), len_bits);
@@ -311,7 +338,7 @@ mod tests {
                 let cert = w.finish();
                 // Truncations included: every prefix is a shorter input.
                 assert_eq!(and.split(&cert), and_split_bitwise(len_bits, &cert));
-                assert_eq!(Either::split(&cert), or_split_bitwise(&cert));
+                assert_eq!(Or::split(&cert), or_split_bitwise(&cert));
             }
         }
     }

@@ -24,8 +24,8 @@
 
 use crate::bits::{BitReader, BitWriter, Certificate};
 use crate::framework::{
-    Assignment, DeclaredBound, Instance, LocalView, Prover, ProverError, RejectReason, Scheme,
-    Verifier,
+    Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
+    Scheme,
 };
 use crate::schemes::spanning_tree::{
     try_honest_count_fields, try_honest_tree_fields, verify_count_fields, verify_tree_position,
@@ -126,26 +126,6 @@ impl Depth2FoScheme {
     pub fn truth_table(&self) -> [bool; 4] {
         self.truth
     }
-
-    fn parse(
-        &self,
-        cert: &Certificate,
-    ) -> Option<(Region, Option<CountFields>, Option<TreeFields>)> {
-        let mut r = BitReader::new(cert);
-        let region = Region::from_tag(r.read(2)?)?;
-        match region {
-            Region::Single => r.exhausted().then_some((region, None, None)),
-            Region::Clique | Region::Neither => {
-                let cf = CountFields::read(&mut r, self.id_bits)?;
-                r.exhausted().then_some((region, Some(cf), None))
-            }
-            Region::DomOnly => {
-                let cf = CountFields::read(&mut r, self.id_bits)?;
-                let tf = TreeFields::read(&mut r, self.id_bits)?;
-                r.exhausted().then_some((region, Some(cf), Some(tf)))
-            }
-        }
-    }
 }
 
 impl Prover for Depth2FoScheme {
@@ -216,19 +196,42 @@ impl Prover for Depth2FoScheme {
     }
 }
 
-impl Verifier for Depth2FoScheme {
-    fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
-        let (region, _, _) = self
-            .parse(view.cert)
-            .ok_or(RejectReason::MalformedCertificate)?;
+/// A parsed depth-2 certificate: the region tag, then the count fields
+/// and witness-tree fields the region carries.
+type RegionFields = (Region, Option<CountFields>, Option<TreeFields>);
+
+impl Decode for Depth2FoScheme {
+    type Decoded = Option<RegionFields>;
+    type Cache = ();
+
+    fn decode(&self, cert: &Certificate, _: &()) -> Option<RegionFields> {
+        let mut r = BitReader::new(cert);
+        let region = Region::from_tag(r.read(2)?)?;
+        match region {
+            Region::Single => r.exhausted().then_some((region, None, None)),
+            Region::Clique | Region::Neither => {
+                let cf = CountFields::read(&mut r, self.id_bits)?;
+                r.exhausted().then_some((region, Some(cf), None))
+            }
+            Region::DomOnly => {
+                let cf = CountFields::read(&mut r, self.id_bits)?;
+                let tf = TreeFields::read(&mut r, self.id_bits)?;
+                r.exhausted().then_some((region, Some(cf), Some(tf)))
+            }
+        }
+    }
+
+    fn decide_decoded(
+        &self,
+        view: &DecodedView<'_, Option<RegionFields>>,
+    ) -> Result<(), RejectReason> {
+        let (region, _, _) = view.own.ok_or(RejectReason::MalformedCertificate)?;
         if !self.truth[region.tag() as usize] {
             return Err(RejectReason::PropertyViolation);
         }
         // Region tags agree across neighbors.
-        for &(_, _, cert) in &view.neighbors {
-            let (r, _, _) = self
-                .parse(cert)
-                .ok_or(RejectReason::MalformedNeighborCertificate)?;
+        for (_, _, decoded) in view.neighbors() {
+            let (r, _, _) = decoded.ok_or(RejectReason::MalformedNeighborCertificate)?;
             if r != region {
                 return Err(RejectReason::CopyMismatch);
             }
@@ -242,9 +245,7 @@ impl Verifier for Depth2FoScheme {
                 }
             }
             Region::Clique => {
-                let cf = verify_count_fields(view, self.id_bits, &|c| {
-                    self.parse(c).and_then(|(_, cf, _)| cf)
-                })?;
+                let cf = verify_count_fields(view, |d| d.and_then(|(_, cf, _)| cf))?;
                 if view.degree() as u64 == cf.total - 1 {
                     Ok(())
                 } else {
@@ -252,9 +253,7 @@ impl Verifier for Depth2FoScheme {
                 }
             }
             Region::Neither => {
-                let cf = verify_count_fields(view, self.id_bits, &|c| {
-                    self.parse(c).and_then(|(_, cf, _)| cf)
-                })?;
+                let cf = verify_count_fields(view, |d| d.and_then(|(_, cf, _)| cf))?;
                 // No vertex dominates (also implies non-clique for n ≥ 2).
                 if cf.total >= 2 && (view.degree() as u64) < cf.total - 1 {
                     Ok(())
@@ -263,23 +262,16 @@ impl Verifier for Depth2FoScheme {
                 }
             }
             Region::DomOnly => {
-                let cf = verify_count_fields(view, self.id_bits, &|c| {
-                    self.parse(c).and_then(|(_, cf, _)| cf)
-                })?;
+                let cf = verify_count_fields(view, |d| d.and_then(|(_, cf, _)| cf))?;
                 // Dominator = the count tree's root.
                 if view.id == cf.tree.root && view.degree() as u64 != cf.total - 1 {
                     return Err(RejectReason::DegreeViolation);
                 }
                 // Witness tree: points at a non-dominating vertex.
-                let (_, _, Some(wt)) = self
-                    .parse(view.cert)
-                    .ok_or(RejectReason::MalformedCertificate)?
-                else {
+                let (_, _, Some(wt)) = view.own.ok_or(RejectReason::MalformedCertificate)? else {
                     return Err(RejectReason::MalformedCertificate);
                 };
-                verify_tree_position(view, self.id_bits, &wt, |c| {
-                    self.parse(c).and_then(|(_, _, t)| t)
-                })?;
+                verify_tree_position(view, &wt, |d| d.and_then(|(_, _, t)| t))?;
                 if view.id == wt.root && view.degree() as u64 >= cf.total - 1 {
                     return Err(RejectReason::DegreeViolation);
                 }

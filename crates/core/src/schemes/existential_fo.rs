@@ -16,22 +16,90 @@
 
 use crate::bits::{BitReader, BitWriter, Certificate};
 use crate::framework::{
-    Assignment, DeclaredBound, Instance, LocalView, Prover, ProverError, RejectReason, Scheme,
-    Verifier,
+    Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
+    Scheme,
 };
 use crate::schemes::common::{read_ident, write_ident};
 use crate::schemes::spanning_tree::{try_honest_tree_fields, verify_tree_position, TreeFields};
 use locert_graph::{Ident, NodeId};
 use locert_logic::ast::{Formula, Var};
 use locert_logic::depth::existential_prefix;
+use std::sync::{Arc, OnceLock};
+
+/// The witness identifiers and their row-major adjacency matrix: the
+/// part of the certificate every vertex carries identically.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WitnessClaim {
+    witnesses: Vec<Ident>,
+    matrix: Vec<bool>,
+}
 
 /// Parsed existential-FO certificate.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct ExistentialCert {
-    witnesses: Vec<Ident>,
-    /// Row-major adjacency matrix among witnesses.
-    matrix: Vec<bool>,
-    trees: Vec<TreeFields>,
+pub struct ExistentialCert {
+    /// Shared by every certificate of the run that makes the same claim
+    /// as the first one decoded (see the decode cache).
+    claim: Arc<WitnessClaim>,
+    trees: Box<[TreeFields]>,
+}
+
+/// The quantifier-free matrix with every variable resolved, once at
+/// construction, to its witness index: the first prefix position that
+/// binds it.
+#[derive(Debug, Clone)]
+enum Matrix {
+    True,
+    False,
+    Eq(usize, usize),
+    Adj(usize, usize),
+    Not(Box<Matrix>),
+    And(Box<Matrix>, Box<Matrix>),
+    Or(Box<Matrix>, Box<Matrix>),
+    Implies(Box<Matrix>, Box<Matrix>),
+}
+
+impl Matrix {
+    fn resolve(f: &Formula, prefix: &[Var]) -> Matrix {
+        let idx = |v: &Var| {
+            prefix
+                .iter()
+                .position(|p| p == v)
+                .expect("matrix variables come from the prefix")
+        };
+        let sub = |g: &Formula| Box::new(Matrix::resolve(g, prefix));
+        match f {
+            Formula::True => Matrix::True,
+            Formula::Eq(x, y) => Matrix::Eq(idx(x), idx(y)),
+            Formula::Adj(x, y) => Matrix::Adj(idx(x), idx(y)),
+            Formula::Not(g) => Matrix::Not(sub(g)),
+            Formula::And(a, b) => Matrix::And(sub(a), sub(b)),
+            Formula::Or(a, b) => Matrix::Or(sub(a), sub(b)),
+            Formula::Implies(a, b) => Matrix::Implies(sub(a), sub(b)),
+            // Quantifiers/membership cannot appear (checked at build).
+            _ => Matrix::False,
+        }
+    }
+
+    /// Evaluates against witness identifiers and the row-major `k × k`
+    /// adjacency matrix.
+    fn holds(&self, witnesses: &[Ident], adjacency: &[bool], k: usize) -> bool {
+        match self {
+            Matrix::True => true,
+            Matrix::False => false,
+            Matrix::Eq(x, y) => witnesses[*x] == witnesses[*y],
+            Matrix::Adj(x, y) => adjacency[x * k + y],
+            Matrix::Not(g) => !g.holds(witnesses, adjacency, k),
+            Matrix::And(a, b) => {
+                a.holds(witnesses, adjacency, k) && b.holds(witnesses, adjacency, k)
+            }
+            Matrix::Or(a, b) => {
+                a.holds(witnesses, adjacency, k) || b.holds(witnesses, adjacency, k)
+            }
+            Matrix::Implies(a, b) => {
+                !a.holds(witnesses, adjacency, k) || b.holds(witnesses, adjacency, k)
+            }
+        }
+    }
 }
 
 /// Certifies an existential-prenex FO sentence.
@@ -39,7 +107,7 @@ struct ExistentialCert {
 pub struct ExistentialFoScheme {
     id_bits: u32,
     prefix: Vec<Var>,
-    matrix_formula: Formula,
+    matrix: Matrix,
 }
 
 impl ExistentialFoScheme {
@@ -53,8 +121,8 @@ impl ExistentialFoScheme {
         }
         Some(ExistentialFoScheme {
             id_bits,
+            matrix: Matrix::resolve(matrix, &prefix),
             prefix,
-            matrix_formula: matrix.clone(),
         })
     }
 
@@ -74,65 +142,10 @@ impl ExistentialFoScheme {
         self.prefix.len()
     }
 
-    fn parse(&self, cert: &Certificate) -> Option<ExistentialCert> {
-        let k = self.arity();
-        let mut r = BitReader::new(cert);
-        let mut witnesses = Vec::with_capacity(k);
-        for _ in 0..k {
-            witnesses.push(read_ident(&mut r, self.id_bits)?);
-        }
-        let mut matrix = Vec::with_capacity(k * k);
-        for _ in 0..k * k {
-            matrix.push(r.read_bit()?);
-        }
-        let mut trees = Vec::with_capacity(k);
-        for _ in 0..k {
-            trees.push(TreeFields::read(&mut r, self.id_bits)?);
-        }
-        r.exhausted().then_some(ExistentialCert {
-            witnesses,
-            matrix,
-            trees,
-        })
-    }
-
     /// Evaluates the quantifier-free matrix formula against the claimed
     /// witness identifiers and adjacency matrix.
     fn matrix_holds(&self, witnesses: &[Ident], matrix: &[bool]) -> bool {
-        fn eval(
-            f: &Formula,
-            idx: &impl Fn(Var) -> usize,
-            witnesses: &[Ident],
-            matrix: &[bool],
-            k: usize,
-        ) -> bool {
-            match f {
-                Formula::True => true,
-                Formula::False => false,
-                Formula::Eq(x, y) => witnesses[idx(*x)] == witnesses[idx(*y)],
-                Formula::Adj(x, y) => matrix[idx(*x) * k + idx(*y)],
-                Formula::Not(g) => !eval(g, idx, witnesses, matrix, k),
-                Formula::And(a, b) => {
-                    eval(a, idx, witnesses, matrix, k) && eval(b, idx, witnesses, matrix, k)
-                }
-                Formula::Or(a, b) => {
-                    eval(a, idx, witnesses, matrix, k) || eval(b, idx, witnesses, matrix, k)
-                }
-                Formula::Implies(a, b) => {
-                    !eval(a, idx, witnesses, matrix, k) || eval(b, idx, witnesses, matrix, k)
-                }
-                _ => false, // quantifiers/membership cannot appear (checked at build).
-            }
-        }
-        let k = self.arity();
-        let prefix = self.prefix.clone();
-        let idx = move |v: Var| {
-            prefix
-                .iter()
-                .position(|&p| p == v)
-                .expect("matrix variables come from the prefix")
-        };
-        eval(&self.matrix_formula, &idx, witnesses, matrix, k)
+        self.matrix.holds(witnesses, matrix, self.arity())
     }
 }
 
@@ -218,64 +231,105 @@ impl Prover for ExistentialFoScheme {
     }
 }
 
-impl Verifier for ExistentialFoScheme {
-    fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
+impl Decode for ExistentialFoScheme {
+    type Decoded = Option<ExistentialCert>;
+    /// The first claim decoded in the run. In an honest run every
+    /// certificate makes it, so the arena holds one copy of it.
+    type Cache = OnceLock<Arc<WitnessClaim>>;
+
+    fn decode(
+        &self,
+        cert: &Certificate,
+        first: &OnceLock<Arc<WitnessClaim>>,
+    ) -> Option<ExistentialCert> {
         let k = self.arity();
-        let mine = self
-            .parse(view.cert)
+        let mut r = BitReader::new(cert);
+        let mut witnesses = Vec::with_capacity(k);
+        for _ in 0..k {
+            witnesses.push(read_ident(&mut r, self.id_bits)?);
+        }
+        let mut matrix = Vec::with_capacity(k * k);
+        for _ in 0..k * k {
+            matrix.push(r.read_bit()?);
+        }
+        let trees = (0..k)
+            .map(|_| TreeFields::read(&mut r, self.id_bits))
+            .collect::<Option<Box<[_]>>>()?;
+        if !r.exhausted() {
+            return None;
+        }
+        let claim = WitnessClaim { witnesses, matrix };
+        let claim = match first.get() {
+            Some(first) if **first == claim => Arc::clone(first),
+            _ => {
+                let fresh = Arc::new(claim);
+                // Kept only if it is the run's first claim.
+                let _ = first.set(Arc::clone(&fresh));
+                fresh
+            }
+        };
+        Some(ExistentialCert { claim, trees })
+    }
+
+    fn decide_decoded(
+        &self,
+        view: &DecodedView<'_, Option<ExistentialCert>>,
+    ) -> Result<(), RejectReason> {
+        let k = self.arity();
+        let mine = view
+            .own
+            .as_ref()
             .ok_or(RejectReason::MalformedCertificate)?;
+        let WitnessClaim { witnesses, matrix } = &*mine.claim;
         // Neighbors carry identical lists and matrices.
-        for &(_, _, cert) in &view.neighbors {
-            let nc = self
-                .parse(cert)
+        for (_, _, decoded) in view.neighbors() {
+            let nc = decoded
+                .as_ref()
                 .ok_or(RejectReason::MalformedNeighborCertificate)?;
-            if nc.witnesses != mine.witnesses || nc.matrix != mine.matrix {
+            if nc.claim != mine.claim {
                 return Err(RejectReason::CopyMismatch);
             }
         }
         // Matrix shape: symmetric, loop-free.
         for i in 0..k {
-            if mine.matrix[i * k + i] {
+            if matrix[i * k + i] {
                 return Err(RejectReason::MalformedCertificate);
             }
             for j in 0..k {
-                if mine.matrix[i * k + j] != mine.matrix[j * k + i] {
+                if matrix[i * k + j] != matrix[j * k + i] {
                     return Err(RejectReason::MalformedCertificate);
                 }
             }
         }
         // Spanning trees: tree i points at witness i.
-        for i in 0..k {
-            let f = mine.trees[i];
-            if f.root != mine.witnesses[i] {
+        for (i, (f, &witness)) in mine.trees.iter().zip(witnesses).enumerate() {
+            if f.root != witness {
                 return Err(RejectReason::RootMismatch);
             }
-            verify_tree_position(view, self.id_bits, &f, |c| {
-                self.parse(c).map(|nc| nc.trees[i])
-            })?;
+            verify_tree_position(view, f, |d| d.as_ref().map(|nc| nc.trees[i]))?;
         }
         // If I am a witness, audit my matrix row against my real
         // neighborhood.
         for i in 0..k {
-            if mine.witnesses[i] != view.id {
+            if witnesses[i] != view.id {
                 continue;
             }
             for j in 0..k {
                 if j == i {
                     continue;
                 }
-                let expected = if mine.witnesses[j] == view.id {
+                let expected = if witnesses[j] == view.id {
                     false
                 } else {
-                    view.has_neighbor(mine.witnesses[j])
+                    view.has_neighbor(witnesses[j])
                 };
-                if mine.matrix[i * k + j] != expected {
+                if matrix[i * k + j] != expected {
                     return Err(RejectReason::AdjacencyMismatch);
                 }
             }
         }
         // The matrix must satisfy φ.
-        if self.matrix_holds(&mine.witnesses, &mine.matrix) {
+        if self.matrix_holds(witnesses, matrix) {
             Ok(())
         } else {
             Err(RejectReason::PropertyViolation)

@@ -25,15 +25,15 @@
 
 use crate::bits::{width_for, BitReader, BitWriter, Certificate};
 use crate::framework::{
-    Assignment, Decider, DeclaredBound, Instance, LocalView, Prover, ProverError, RejectReason,
-    Scheme, Verifier,
+    Assignment, DeclaredBound, Decode, DecodedView, Instance, LocalView, Prover, ProverError,
+    RejectReason, Scheme, Verifier,
 };
 use crate::schemes::treedepth::{
     check_own_td, check_td_edges, honest_td_certs, model_for, ModelStrategy, TdCert,
 };
+use locert_graph::{Graph, GraphBuilder};
 #[cfg(test)]
-use locert_graph::NodeId;
-use locert_graph::{Graph, GraphBuilder, Ident};
+use locert_graph::{Ident, NodeId};
 use locert_kernel::{k_reduce, TypeId};
 use locert_logic::depth::{is_fo, quantifier_depth};
 use locert_logic::eval::models;
@@ -55,8 +55,9 @@ pub const KERNEL_EXPANSION_CAP: usize = 4000;
 
 /// Table bits a run's memo keeps beyond its first table. Honest runs
 /// carry one table per distinct block shape; the cap bounds memory when
-/// an adversarial assignment carries many distinct large tables, which
-/// are then parsed per use.
+/// an adversarial assignment carries many distinct large tables: their
+/// decodes keep only the table's bits, which are parsed again when their
+/// vertex decides and dropped after it.
 const MEMO_TABLE_BITS: usize = 1 << 24;
 
 /// One serialized type-table entry.
@@ -201,22 +202,30 @@ impl SerTable {
 }
 
 /// Parsed kernel-MSO certificate.
-struct KernelCert {
+pub struct KernelCert {
     td: TdCert,
     /// End type and pruned flag per ancestor, aligned with
     /// `td.ancestors`.
-    marks: Vec<(u32, bool)>,
+    marks: Box<[(u32, bool)]>,
     table: Arc<TableEntry>,
 }
 
-/// A type table as the verifier uses it: its bits, its parse, and what
-/// follows from the table alone.
-struct TableEntry {
+/// A type table as the verifier uses it: its bits and, unless the memo
+/// refused to keep it, its parse.
+pub(crate) struct TableEntry {
     /// The table's bits (the certificate suffix after the end types).
     /// Two parsed tables are equal iff their bits are: every field's
     /// width is fixed by `(t, k)` and the fields before it, and the parse
     /// must consume the bits exactly.
     bits: Certificate,
+    /// `None` for a table past the memo's cap: the owner's decision
+    /// parses `bits` again and drops the parse, so a run holds at most
+    /// the cap in parsed tables.
+    parsed: Option<ParsedTable>,
+}
+
+/// A parsed type table and what follows from the table alone.
+struct ParsedTable {
     table: SerTable,
     well_formed: bool,
     /// Whether the expansion of each root type satisfies φ, indexed by
@@ -224,18 +233,43 @@ struct TableEntry {
     phi: Vec<OnceLock<bool>>,
 }
 
+impl TableEntry {
+    /// The parse, kept in the entry or made again into `slot`.
+    fn parsed<'a>(
+        &'a self,
+        scheme: &KernelMsoScheme,
+        slot: &'a mut Option<ParsedTable>,
+    ) -> Option<&'a ParsedTable> {
+        match &self.parsed {
+            Some(parsed) => Some(parsed),
+            None => Some(slot.insert(scheme.parse_table(&self.bits)?)),
+        }
+    }
+}
+
 /// The type tables parsed during one verification run, keyed by their
 /// exact bits. A table is a function of `(t, φ)` and the certified
 /// graph's structure (a block's, for `C_t`) only, never of identifiers,
 /// so in an honest run the vertices of a graph share one parse and one
 /// φ verdict.
-#[derive(Default)]
-pub(crate) struct TableMemo {
+pub struct TableMemo {
     /// The first table the memo stored, compared before any copying,
     /// hashing or locking: in an honest run of one graph, every vertex's
     /// table.
     first: OnceLock<Arc<TableEntry>>,
     state: Mutex<TableMemoState>,
+    /// Table bits the memo keeps beyond its first table.
+    cap: usize,
+}
+
+impl Default for TableMemo {
+    fn default() -> Self {
+        TableMemo {
+            first: OnceLock::new(),
+            state: Mutex::default(),
+            cap: MEMO_TABLE_BITS,
+        }
+    }
 }
 
 #[derive(Default)]
@@ -243,21 +277,38 @@ struct TableMemoState {
     /// Parsed tables by their bits. Bits that do not parse are parsed
     /// again at each use.
     entries: HashMap<Certificate, Arc<TableEntry>>,
-    /// Table bits held by entries past the first (see
-    /// [`MEMO_TABLE_BITS`]).
+    /// Table bits held by entries past the first (see `cap`).
     bits: usize,
 }
 
 impl TableMemo {
-    /// The table in the bits left in `r`, from the memo or freshly
-    /// parsed; `None` if they do not parse. Parsing runs outside the
-    /// lock; when two workers race on one table, the first insert wins
-    /// and both use it, so φ is evaluated at most once per (table, root)
-    /// per memo.
-    fn table(&self, scheme: &KernelMsoScheme, mut r: BitReader<'_>) -> Option<Arc<TableEntry>> {
+    /// A memo keeping at most `cap` table bits beyond its first table.
+    #[cfg(test)]
+    fn with_cap(cap: usize) -> Self {
+        TableMemo {
+            cap,
+            ..TableMemo::default()
+        }
+    }
+
+    /// The table in the bits left in `r` and its type count, from the
+    /// memo or freshly parsed and stored; without its parse when storing
+    /// that would pass the cap; `None` if the bits do not parse. Parsing
+    /// runs outside the lock; when two workers race on one table, the
+    /// first insert wins and both use it, so φ is evaluated at most once
+    /// per (stored table, root) per memo.
+    fn table(
+        &self,
+        scheme: &KernelMsoScheme,
+        mut r: BitReader<'_>,
+    ) -> Option<(Arc<TableEntry>, usize)> {
+        let stored = |entry: &Arc<TableEntry>| {
+            let types = entry.parsed.as_ref()?.table.types.len();
+            Some((Arc::clone(entry), types))
+        };
         if let Some(first) = self.first.get() {
             if bits_equal(r.clone(), &first.bits) {
-                return Some(Arc::clone(first));
+                return stored(first);
             }
         }
         let bits = r.read_cert(r.remaining())?;
@@ -267,24 +318,29 @@ impl TableMemo {
                 .expect("nothing panics while holding the memo lock")
         };
         if let Some(hit) = lock().entries.get(&bits) {
-            return Some(Arc::clone(hit));
+            return stored(hit);
         }
-        let fresh = Arc::new(scheme.parse_table(bits)?);
+        let parsed = scheme.parse_table(&bits)?;
         let mut state = lock();
-        if let Some(hit) = state.entries.get(&fresh.bits) {
-            return Some(Arc::clone(hit));
+        if let Some(hit) = state.entries.get(&bits) {
+            return stored(hit);
         }
         if !state.entries.is_empty() {
-            let total = state.bits + fresh.bits.len_bits();
-            if total > MEMO_TABLE_BITS {
-                return Some(fresh);
+            let total = state.bits + bits.len_bits();
+            if total > self.cap {
+                let types = parsed.table.types.len();
+                return Some((Arc::new(TableEntry { bits, parsed: None }), types));
             }
             state.bits = total;
         }
+        let fresh = Arc::new(TableEntry {
+            bits,
+            parsed: Some(parsed),
+        });
         // Already set unless this is the first table stored.
         let _ = self.first.set(Arc::clone(&fresh));
         state.entries.insert(fresh.bits.clone(), Arc::clone(&fresh));
-        Some(fresh)
+        stored(&fresh)
     }
 }
 
@@ -395,7 +451,7 @@ impl KernelMsoScheme {
 
     /// Parses the certificate in the bits left in `r`, taking its table
     /// through `memo`.
-    fn parse_in(&self, memo: &TableMemo, mut r: BitReader<'_>) -> Option<KernelCert> {
+    pub(crate) fn parse_in(&self, memo: &TableMemo, mut r: BitReader<'_>) -> Option<KernelCert> {
         let td = TdCert::read(&mut r, self.id_bits, self.t)?;
         let mut marks = Vec::with_capacity(td.ancestors.len());
         for _ in 0..td.ancestors.len() {
@@ -411,17 +467,20 @@ impl KernelMsoScheme {
                 return None;
             }
         }
-        let table = memo.table(self, r)?;
-        (table.table.types.len() == count).then_some(KernelCert { td, marks, table })
+        let (table, types) = memo.table(self, r)?;
+        (types == count).then(|| KernelCert {
+            td,
+            marks: marks.into_boxed_slice(),
+            table,
+        })
     }
 
     /// Parses the table `bits`, which it must consume exactly, and
     /// derives what depends on the table alone.
-    fn parse_table(&self, bits: Certificate) -> Option<TableEntry> {
-        let mut r = BitReader::new(&bits);
+    fn parse_table(&self, bits: &Certificate) -> Option<ParsedTable> {
+        let mut r = BitReader::new(bits);
         let table = SerTable::read(&mut r, self.t, self.k)?;
-        r.exhausted().then(|| TableEntry {
-            bits,
+        r.exhausted().then(|| ParsedTable {
             well_formed: table.well_formed(self.k),
             phi: table.types.iter().map(|_| OnceLock::new()).collect(),
             table,
@@ -532,58 +591,53 @@ impl Prover for KernelMsoScheme {
     }
 }
 
-impl KernelMsoScheme {
-    /// One vertex's decision on `view`, parsing tables through `memo`.
-    fn decide_view(&self, memo: &TableMemo, view: &LocalView<'_>) -> Result<(), RejectReason> {
-        let neighbors = view
-            .neighbors
-            .iter()
-            .map(|&(nid, _, cert)| (nid, BitReader::new(cert)));
-        self.decide_in(memo, view.id, BitReader::new(view.cert), neighbors)
+impl Decode for KernelMsoScheme {
+    type Decoded = Option<KernelCert>;
+    /// Each distinct table is parsed and checked once per run, and φ
+    /// evaluated once per (table, root type), rather than once per
+    /// vertex and neighbor.
+    type Cache = TableMemo;
+
+    fn decode(&self, cert: &Certificate, memo: &TableMemo) -> Option<KernelCert> {
+        self.parse_in(memo, BitReader::new(cert))
     }
 
-    /// One vertex's decision, given its identifier, the bits of its own
-    /// certificate, and each neighbor's identifier and certificate bits;
-    /// tables are parsed through `memo`. This is the only decision path:
-    /// [`Verifier::decide`] runs it with a fresh memo,
-    /// [`Verifier::run_decider`] with one memo per run, and the
-    /// minor-freeness schemes run it on each block's sub-certificates in
-    /// place, with their run's memo.
-    pub(crate) fn decide_in<'n>(
+    fn decide_decoded(
         &self,
-        memo: &TableMemo,
-        id: Ident,
-        own: BitReader<'_>,
-        neighbors: impl Iterator<Item = (Ident, BitReader<'n>)> + Clone,
+        view: &DecodedView<'_, Option<KernelCert>>,
     ) -> Result<(), RejectReason> {
-        // 1. Treedepth layer, on certificates parsed exactly once: the
-        //    embedded TdCert checks run against the same parses the
-        //    kernel-layer checks below reuse.
-        let mine = self
-            .parse_in(memo, own)
+        // 1. Treedepth layer, on the decodes the kernel-layer checks
+        //    below reuse.
+        let mine = view
+            .own
+            .as_ref()
             .ok_or(RejectReason::MalformedCertificate)?;
-        check_own_td(id, &mine.td, self.t)?;
-        let mut nbrs = Vec::with_capacity(neighbors.size_hint().0);
-        for (_, r) in neighbors.clone() {
-            nbrs.push(
-                self.parse_in(memo, r)
-                    .ok_or(RejectReason::MalformedNeighborCertificate)?,
-            );
+        check_own_td(view.id, &mine.td, self.t)?;
+        if view.neighbors().any(|(_, _, decoded)| decoded.is_none()) {
+            return Err(RejectReason::MalformedNeighborCertificate);
         }
-        check_td_edges(id, &mine.td, nbrs.iter().map(|nc| &nc.td))?;
+        let nbrs = view
+            .neighbors()
+            .filter_map(|(_, _, decoded)| decoded.as_ref());
+        check_td_edges(view.id, &mine.td, nbrs.clone().map(|nc| &nc.td))?;
         let td = &mine.td;
         let m = td.depth();
         if mine.marks.len() != m + 1 {
             return Err(RejectReason::MalformedCertificate);
         }
         // 2. Table integrity.
-        if !mine.table.well_formed {
+        let mut slot = None;
+        let parsed = mine
+            .table
+            .parsed(self, &mut slot)
+            .ok_or(RejectReason::MalformedCertificate)?;
+        if !parsed.well_formed {
             return Err(RejectReason::MalformedCertificate);
         }
-        let table = &mine.table.table;
+        let table = &parsed.table;
         // 3. Identical tables; shared-ancestor types and flags agree.
-        for nc in &nbrs {
-            if nc.table.bits != mine.table.bits {
+        for nc in nbrs.clone() {
+            if !Arc::ptr_eq(&nc.table, &mine.table) && nc.table.bits != mine.table.bits {
                 return Err(RejectReason::CopyMismatch);
             }
             let shared = mine.marks.len().min(nc.marks.len());
@@ -604,7 +658,7 @@ impl KernelMsoScheme {
         let my_type = &table.types[mine.marks[0].0 as usize];
         for j in 0..m {
             let anc_id = mine.td.ancestors[m - j];
-            if my_type.anc[j] != neighbors.clone().any(|(nid, _)| nid == anc_id) {
+            if my_type.anc[j] != view.has_neighbor(anc_id) {
                 return Err(RejectReason::AdjacencyMismatch);
             }
         }
@@ -615,7 +669,7 @@ impl KernelMsoScheme {
         //    in canonical sorted order (`well_formed`), so the multiset
         //    comparison is a linear slice walk.
         let mut children: Vec<(u64, (u32, bool))> = Vec::new();
-        for nc in &nbrs {
+        for nc in nbrs.clone() {
             let nm = nc.td.depth();
             if nm < m + 1 {
                 continue;
@@ -664,27 +718,13 @@ impl KernelMsoScheme {
         let Some(&(root_type, _)) = mine.marks.last() else {
             return Err(RejectReason::MalformedCertificate);
         };
-        let holds = mine.table.phi[root_type as usize]
+        let holds = parsed.phi[root_type as usize]
             .get_or_init(|| self.kernel_satisfies_phi(table, root_type));
         if *holds {
             Ok(())
         } else {
             Err(RejectReason::NotAccepting)
         }
-    }
-}
-
-impl Verifier for KernelMsoScheme {
-    fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
-        self.decide_view(&TableMemo::default(), view)
-    }
-
-    /// Shares one table memo across the run's vertices: each distinct
-    /// table is parsed and checked once per run, and φ evaluated once per
-    /// (table, root type), rather than once per vertex and neighbor.
-    fn run_decider(&self) -> Decider<'_> {
-        let memo = TableMemo::default();
-        Box::new(move |view| self.decide_view(&memo, view))
     }
 }
 
@@ -1105,7 +1145,7 @@ pub(crate) mod reference {
 mod tests {
     use super::reference::{self, agrees, truncated};
     use super::*;
-    use crate::framework::{run_scheme, run_verification, run_verification_in};
+    use crate::framework::{run_scheme, run_verification, run_verification_in, view_of};
     use crate::schemes::common::id_bits_for;
     use locert_graph::{generators, IdAssignment};
     use locert_logic::props;
@@ -1141,7 +1181,7 @@ mod tests {
     }
 
     #[test]
-    fn run_decider_matches_reference_under_mutations() {
+    fn run_path_matches_reference_under_mutations() {
         let pools = pools();
         let mut rng = StdRng::seed_from_u64(0x15);
         let mut graphs = vec![
@@ -1236,6 +1276,75 @@ mod tests {
     }
 
     #[test]
+    fn tables_past_the_memo_cap_keep_only_their_bits() {
+        // Every vertex but 0 flips a different bit of its table, so the
+        // run carries up to n distinct tables. A memo with no room beyond
+        // its first table stores one parse; every other table's decode
+        // keeps only its bits.
+        let mut rng = StdRng::seed_from_u64(0x16);
+        let graphs = [
+            generators::star(9),
+            generators::spider(3, 2),
+            generators::random_bounded_treedepth(12, 3, 0.3, &mut rng).0,
+        ];
+        let mut refused = 0;
+        for g in &graphs {
+            let n = g.num_nodes();
+            let ids = IdAssignment::shuffled(n, &mut rng);
+            let inst = Instance::new(g, &ids);
+            let scheme =
+                KernelMsoScheme::new(id_bits_for(&inst), 3, props::triangle_free()).unwrap();
+            let Ok(mut asg) = scheme.assign(&inst) else {
+                continue;
+            };
+            for v in 1..n {
+                let cert = asg.cert(NodeId(v));
+                let table = reference::table_bits(&scheme, cert).expect("honest");
+                let bit = cert.len_bits() - 1 - (v * 7) % table;
+                *asg.cert_mut(NodeId(v)) = cert.with_bit_flipped(bit);
+            }
+            let decided = |memo: &TableMemo| {
+                let decoded: Vec<Option<KernelCert>> = g
+                    .nodes()
+                    .map(|v| scheme.decode(asg.cert(v), memo))
+                    .collect();
+                let reasons: Vec<_> = g
+                    .nodes()
+                    .map(|v| {
+                        let nbrs: Vec<_> = g
+                            .neighbors(v)
+                            .iter()
+                            .map(|&u| (ids.ident(u), 0, &decoded[u.0]))
+                            .collect();
+                        let view = DecodedView::listed(ids.ident(v), 0, &decoded[v.0], &nbrs);
+                        scheme.decide_decoded(&view).err()
+                    })
+                    .collect();
+                (decoded, reasons)
+            };
+            let (capped, reasons) = decided(&TableMemo::with_cap(0));
+            let mut held: Vec<&Arc<TableEntry>> = Vec::new();
+            for kc in capped.iter().flatten() {
+                match kc.table.parsed {
+                    Some(_) => held.push(&kc.table),
+                    None => refused += 1,
+                }
+            }
+            held.sort_by_key(|e| Arc::as_ptr(e));
+            held.dedup_by(|a, b| Arc::ptr_eq(a, b));
+            assert_eq!(held.len(), 1, "the memo holds its first table only");
+            // Verdicts do not depend on what the memo keeps.
+            let expected: Vec<_> = g
+                .nodes()
+                .map(|v| reference::decide(&scheme, &view_of(&inst, &asg, v)).err())
+                .collect();
+            assert_eq!(reasons, expected);
+            assert_eq!(decided(&TableMemo::default()).1, expected);
+        }
+        assert!(refused > 0, "no table was refused");
+    }
+
+    #[test]
     fn one_run_keeps_a_phi_verdict_per_root_type() {
         // A table with two root types (kernels K2 and P3) and a leaf type;
         // "no path on 3 vertices" holds on K2 only. One run decides a
@@ -1268,19 +1377,19 @@ mod tests {
             table.write(&mut w, scheme.t, scheme.k);
             w.finish()
         };
-        let decide = scheme.run_decider();
+        let memo = TableMemo::default();
         for (root_type, accepted) in [(0, true), (1, false), (0, true)] {
             let root_cert = cert(
                 TdCert {
-                    ancestors: vec![Ident(1)],
-                    trees: vec![],
+                    ancestors: vec![Ident(1)].into(),
+                    trees: vec![].into(),
                 },
                 &[(root_type, false)],
             );
             let leaf_cert = cert(
                 TdCert {
-                    ancestors: vec![Ident(2), Ident(1)],
-                    trees: vec![(Ident(2), 0)],
+                    ancestors: vec![Ident(2), Ident(1)].into(),
+                    trees: vec![(Ident(2), 0)].into(),
                 },
                 &[(2, false), (root_type, false)],
             );
@@ -1290,8 +1399,15 @@ mod tests {
                 cert: &leaf_cert,
                 neighbors: vec![(Ident(1), 0, &root_cert)],
             };
-            assert_eq!(decide(&view), reference::decide(&scheme, &view));
-            assert_eq!(decide(&view).is_ok(), accepted, "root type {root_type}");
+            let (own, parent) = (
+                scheme.decode(&leaf_cert, &memo),
+                scheme.decode(&root_cert, &memo),
+            );
+            let neighbors = [(Ident(1), 0, &parent)];
+            let decided =
+                scheme.decide_decoded(&DecodedView::listed(Ident(2), 0, &own, &neighbors));
+            assert_eq!(decided, reference::decide(&scheme, &view));
+            assert_eq!(decided.is_ok(), accepted, "root type {root_type}");
         }
     }
 
@@ -1497,7 +1613,9 @@ mod tests {
             let scheme = KernelMsoScheme::new(id_bits_for(&inst), 2, phi.clone()).unwrap();
             let asg = scheme.assign(&inst).unwrap();
             let parsed = scheme.parse(asg.cert(NodeId(0))).unwrap();
-            table_sizes.push(parsed.table.table.types.len());
+            let mut slot = None;
+            let table = &parsed.table.parsed(&scheme, &mut slot).unwrap().table;
+            table_sizes.push(table.types.len());
         }
         assert_eq!(table_sizes[0], table_sizes[1]);
         assert_eq!(table_sizes[1], table_sizes[2]);
@@ -1515,7 +1633,9 @@ mod tests {
         let asg = scheme.assign(&inst).unwrap();
         let parsed = scheme.parse(asg.cert(NodeId(0))).unwrap();
         let root_ty = parsed.marks.last().unwrap().0;
-        let h = parsed.table.table.expand(root_ty, 100).unwrap();
+        let mut slot = None;
+        let table = &parsed.table.parsed(&scheme, &mut slot).unwrap().table;
+        let h = table.expand(root_ty, 100).unwrap();
         assert_eq!(h.num_nodes(), 3);
         assert_eq!(h.num_edges(), 2);
     }

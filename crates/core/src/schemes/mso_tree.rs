@@ -25,10 +25,10 @@
 //! (the paper's locally-checkable-labeling extension); unlabeled trees
 //! use input 0 everywhere.
 
-use crate::bits::{width_for, BitReader, BitWriter};
+use crate::bits::{width_for, BitReader, BitWriter, Certificate};
 use crate::framework::{
-    Assignment, DeclaredBound, Instance, LocalView, Prover, ProverError, RejectReason, Scheme,
-    Verifier,
+    Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
+    Scheme,
 };
 use locert_automata::trees::{LabeledTree, TreeAutomaton};
 use locert_graph::{NodeId, RootedTree};
@@ -76,15 +76,6 @@ impl MsoTreeScheme {
     pub fn certificate_bits(&self) -> usize {
         2 + self.state_bits as usize + 16
     }
-
-    fn parse(&self, cert: &crate::bits::Certificate) -> Option<(u64, usize)> {
-        let mut r = BitReader::new(cert);
-        let d = r.read(2)?;
-        let q = r.read(self.state_bits)? as usize;
-        let fp = r.read(16)?;
-        (d < 3 && q < self.automaton.num_states() && fp == self.fp && r.exhausted())
-            .then_some((d, q))
-    }
 }
 
 impl Prover for MsoTreeScheme {
@@ -116,21 +107,33 @@ impl Prover for MsoTreeScheme {
     }
 }
 
-impl Verifier for MsoTreeScheme {
-    fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
+impl Decode for MsoTreeScheme {
+    /// Depth mod 3 and automaton state.
+    type Decoded = Option<(u64, usize)>;
+    type Cache = ();
+
+    fn decode(&self, cert: &Certificate, _: &()) -> Option<(u64, usize)> {
+        let mut r = BitReader::new(cert);
+        let d = r.read(2)?;
+        let q = r.read(self.state_bits)? as usize;
+        let fp = r.read(16)?;
+        (d < 3 && q < self.automaton.num_states() && fp == self.fp && r.exhausted())
+            .then_some((d, q))
+    }
+
+    fn decide_decoded(
+        &self,
+        view: &DecodedView<'_, Option<(u64, usize)>>,
+    ) -> Result<(), RejectReason> {
         if view.input >= self.automaton.num_labels() {
             return Err(RejectReason::BadInput);
         }
-        let (d, q) = self
-            .parse(view.cert)
-            .ok_or(RejectReason::MalformedCertificate)?;
+        let (d, q) = view.own.ok_or(RejectReason::MalformedCertificate)?;
         // Orient edges by mod-3 counters.
         let mut parents = 0usize;
         let mut child_counts = vec![0usize; self.automaton.num_states()];
-        for &(_, _, cert) in &view.neighbors {
-            let (nd, nq) = self
-                .parse(cert)
-                .ok_or(RejectReason::MalformedNeighborCertificate)?;
+        for (_, _, decoded) in view.neighbors() {
+            let (nd, nq) = decoded.ok_or(RejectReason::MalformedNeighborCertificate)?;
             if nd == (d + 1) % 3 {
                 child_counts[nq] += 1;
             } else if nd == (d + 2) % 3 {

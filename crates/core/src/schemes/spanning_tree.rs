@@ -12,10 +12,10 @@
 //! - [`VertexCountScheme`] additionally certifies `n`, by labeling every
 //!   vertex with the claimed total and its subtree size.
 
-use crate::bits::{BitReader, BitWriter};
+use crate::bits::{BitReader, BitWriter, Certificate};
 use crate::framework::{
-    Assignment, DeclaredBound, Instance, LocalView, Prover, ProverError, RejectReason, Scheme,
-    Verifier,
+    Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
+    Scheme,
 };
 use crate::schemes::common::{read_ident, write_ident};
 use locert_graph::{traversal, Ident, NodeId};
@@ -87,48 +87,33 @@ pub fn honest_tree_fields(instance: &Instance<'_>, root: NodeId) -> Vec<TreeFiel
     try_honest_tree_fields(instance, root).expect("connected instance")
 }
 
-/// Verifies the spanning-tree fields of one vertex against its view.
-/// Returns the parsed fields on success so callers can pile on extra
-/// checks.
+/// Verifies the spanning-tree fields `mine` of one vertex against its
+/// decoded view: every neighbor's fields parse and share the root, then
+/// the vertex's position ([`verify_tree_position`]). `extract` reads a
+/// neighbor's tree fields out of its decoded certificate, so composite
+/// certificates can embed them anywhere.
 ///
 /// # Errors
 ///
 /// The [`RejectReason`] for the first failed check.
-pub fn verify_tree_fields(view: &LocalView<'_>, id_bits: u32) -> Result<TreeFields, RejectReason> {
-    let mut r = BitReader::new(view.cert);
-    let mine = TreeFields::read(&mut r, id_bits).ok_or(RejectReason::MalformedCertificate)?;
-    verify_tree_fields_parsed(view, id_bits, &mine)?;
-    Ok(mine)
-}
-
-/// The field checks, split out so composite certificates can embed tree
-/// fields at an offset.
-///
-/// # Errors
-///
-/// The [`RejectReason`] for the first failed check.
-pub fn verify_tree_fields_parsed(
-    view: &LocalView<'_>,
-    id_bits: u32,
+pub fn verify_tree_fields<D>(
+    view: &DecodedView<'_, D>,
     mine: &TreeFields,
+    extract: impl Fn(&D) -> Option<TreeFields>,
 ) -> Result<(), RejectReason> {
     // Root consistency across all neighbors.
-    for &(_, _, cert) in &view.neighbors {
-        let mut r = BitReader::new(cert);
-        let f =
-            TreeFields::read(&mut r, id_bits).ok_or(RejectReason::MalformedNeighborCertificate)?;
+    for (_, _, decoded) in view.neighbors() {
+        let f = extract(decoded).ok_or(RejectReason::MalformedNeighborCertificate)?;
         if f.root != mine.root {
             return Err(RejectReason::RootMismatch);
         }
     }
-    verify_tree_position(view, id_bits, mine, |cert| {
-        let mut r = BitReader::new(cert);
-        TreeFields::read(&mut r, id_bits)
-    })
+    verify_tree_position(view, mine, extract)
 }
 
-/// Core positional checks with a caller-supplied field extractor for
-/// neighbor certificates (composite schemes store the fields elsewhere).
+/// Core positional checks, with a caller-supplied reader of the tree
+/// fields in a neighbor's decoded certificate (composite schemes store
+/// the fields elsewhere).
 ///
 /// # Errors
 ///
@@ -138,11 +123,10 @@ pub fn verify_tree_fields_parsed(
 /// parent's fields do not parse, and
 /// [`RejectReason::ParentDistanceClash`] when the parent is not exactly
 /// one step closer to the root.
-pub fn verify_tree_position(
-    view: &LocalView<'_>,
-    _id_bits: u32,
+pub fn verify_tree_position<D>(
+    view: &DecodedView<'_, D>,
     mine: &TreeFields,
-    extract: impl Fn(&crate::bits::Certificate) -> Option<TreeFields>,
+    extract: impl Fn(&D) -> Option<TreeFields>,
 ) -> Result<(), RejectReason> {
     if view.id == mine.root {
         // The unique root: distance 0, self-parent.
@@ -156,14 +140,10 @@ pub fn verify_tree_position(
         return Err(RejectReason::RootMismatch);
     }
     // The claimed parent must be a visible neighbor one step closer.
-    let Some(&(_, _, cert)) = view
-        .neighbors
-        .iter()
-        .find(|&&(nid, _, _)| nid == mine.parent)
-    else {
+    let Some(decoded) = view.neighbor_decoded(mine.parent) else {
         return Err(RejectReason::MissingNeighbor);
     };
-    let f = extract(cert).ok_or(RejectReason::MalformedNeighborCertificate)?;
+    let f = extract(decoded).ok_or(RejectReason::MalformedNeighborCertificate)?;
     if f.root != mine.root {
         return Err(RejectReason::RootMismatch);
     }
@@ -176,8 +156,8 @@ pub fn verify_tree_position(
 /// Prover-side root chooser (see
 /// [`SpanningTreeScheme::with_root_predicate`]).
 pub type RootSelector = Box<dyn Fn(&Instance<'_>) -> Option<NodeId> + Send + Sync>;
-/// Verifier-side root predicate.
-pub type RootCheck = Box<dyn Fn(&LocalView<'_>) -> bool + Send + Sync>;
+/// Verifier-side root predicate, on the root's identifier and degree.
+pub type RootCheck = Box<dyn Fn(Ident, usize) -> bool + Send + Sync>;
 
 /// Certifies a rooted spanning tree (Proposition 3.4), with an optional
 /// locally-checked predicate on the root.
@@ -216,7 +196,7 @@ impl SpanningTreeScheme {
     pub fn with_root_predicate(
         id_bits: u32,
         selector: impl Fn(&Instance<'_>) -> Option<NodeId> + Send + Sync + 'static,
-        check: impl Fn(&LocalView<'_>) -> bool + Send + Sync + 'static,
+        check: impl Fn(Ident, usize) -> bool + Send + Sync + 'static,
     ) -> Self {
         SpanningTreeScheme {
             id_bits,
@@ -249,10 +229,26 @@ impl Prover for SpanningTreeScheme {
     }
 }
 
-impl Verifier for SpanningTreeScheme {
-    fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
-        let fields = verify_tree_fields(view, self.id_bits)?;
-        if view.id == fields.root && !self.root_check.as_ref().is_none_or(|check| check(view)) {
+impl Decode for SpanningTreeScheme {
+    type Decoded = Option<TreeFields>;
+    type Cache = ();
+
+    fn decode(&self, cert: &Certificate, _: &()) -> Option<TreeFields> {
+        TreeFields::read(&mut BitReader::new(cert), self.id_bits)
+    }
+
+    fn decide_decoded(
+        &self,
+        view: &DecodedView<'_, Option<TreeFields>>,
+    ) -> Result<(), RejectReason> {
+        let mine = view.own.ok_or(RejectReason::MalformedCertificate)?;
+        verify_tree_fields(view, &mine, |f| *f)?;
+        if view.id == mine.root
+            && !self
+                .root_check
+                .as_ref()
+                .is_none_or(|check| check(view.id, view.degree()))
+        {
             return Err(RejectReason::PropertyViolation);
         }
         Ok(())
@@ -341,25 +337,24 @@ pub fn honest_count_fields(instance: &Instance<'_>, root: NodeId) -> Vec<CountFi
     try_honest_count_fields(instance, root).expect("connected instance")
 }
 
-/// Verifies count fields at one vertex with a caller-supplied extractor
-/// (so composite certificates can embed them at an offset). Returns the
-/// parsed own fields on success.
+/// Verifies count fields at one vertex, with a caller-supplied reader of
+/// the count fields in a decoded certificate (so composite certificates
+/// can embed them anywhere). Returns the own fields on success.
 ///
 /// # Errors
 ///
 /// The [`RejectReason`] for the first failed check: malformed own or
 /// neighbor fields, a broken tree position, a root/total copy
 /// disagreement, or subtree arithmetic that does not add up.
-pub fn verify_count_fields(
-    view: &LocalView<'_>,
-    id_bits: u32,
-    extract: &impl Fn(&crate::bits::Certificate) -> Option<CountFields>,
+pub fn verify_count_fields<D>(
+    view: &DecodedView<'_, D>,
+    extract: impl Fn(&D) -> Option<CountFields>,
 ) -> Result<CountFields, RejectReason> {
-    let mine = extract(view.cert).ok_or(RejectReason::MalformedCertificate)?;
-    verify_tree_position(view, id_bits, &mine.tree, |c| extract(c).map(|f| f.tree))?;
+    let mine = extract(view.own).ok_or(RejectReason::MalformedCertificate)?;
+    verify_tree_position(view, &mine.tree, |d| extract(d).map(|f| f.tree))?;
     let mut children_sum = 0u64;
-    for &(nid, _, cert) in &view.neighbors {
-        let nf = extract(cert).ok_or(RejectReason::MalformedNeighborCertificate)?;
+    for (nid, _, decoded) in view.neighbors() {
+        let nf = extract(decoded).ok_or(RejectReason::MalformedNeighborCertificate)?;
         if nf.tree.root != mine.tree.root {
             return Err(RejectReason::RootMismatch);
         }
@@ -408,11 +403,6 @@ impl VertexCountScheme {
             expected: None,
         }
     }
-
-    fn parse(&self, cert: &crate::bits::Certificate) -> Option<CountFields> {
-        let mut r = BitReader::new(cert);
-        CountFields::read(&mut r, self.id_bits)
-    }
 }
 
 impl Prover for VertexCountScheme {
@@ -438,9 +428,19 @@ impl Prover for VertexCountScheme {
     }
 }
 
-impl Verifier for VertexCountScheme {
-    fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
-        let mine = verify_count_fields(view, self.id_bits, &|c| self.parse(c))?;
+impl Decode for VertexCountScheme {
+    type Decoded = Option<CountFields>;
+    type Cache = ();
+
+    fn decode(&self, cert: &Certificate, _: &()) -> Option<CountFields> {
+        CountFields::read(&mut BitReader::new(cert), self.id_bits)
+    }
+
+    fn decide_decoded(
+        &self,
+        view: &DecodedView<'_, Option<CountFields>>,
+    ) -> Result<(), RejectReason> {
+        let mine = verify_count_fields(view, |f| *f)?;
         if self.expected.is_some_and(|e| mine.total != e) {
             return Err(RejectReason::CounterMismatch);
         }
@@ -534,7 +534,7 @@ mod tests {
                         .nodes()
                         .find(|&v| inst.graph().degree(v) == inst.graph().num_nodes() - 1)
                 },
-                move |view| view.degree() == n - 1,
+                move |_, degree| degree == n - 1,
             )
         };
         let g = generators::star(6);

@@ -12,10 +12,10 @@
 //!
 //! On trees the depths then measure a genuine rooting of height ≤ k.
 
-use crate::bits::{width_for, BitReader, BitWriter};
+use crate::bits::{width_for, BitReader, BitWriter, Certificate};
 use crate::framework::{
-    Assignment, DeclaredBound, Instance, LocalView, Prover, ProverError, RejectReason, Scheme,
-    Verifier,
+    Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
+    Scheme,
 };
 #[cfg(test)]
 use locert_graph::NodeId;
@@ -42,12 +42,6 @@ impl TreeDepthBoundScheme {
     /// Certificate size in bits (`⌈log₂(k+1)⌉`, independent of `n`).
     pub fn certificate_bits(&self) -> usize {
         self.bits as usize
-    }
-
-    fn parse(&self, cert: &crate::bits::Certificate) -> Option<u64> {
-        let mut r = BitReader::new(cert);
-        let d = r.read(self.bits)?;
-        (d <= self.k as u64 && r.exhausted()).then_some(d)
     }
 }
 
@@ -77,16 +71,21 @@ impl Prover for TreeDepthBoundScheme {
     }
 }
 
-impl Verifier for TreeDepthBoundScheme {
-    fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
-        let d = self
-            .parse(view.cert)
-            .ok_or(RejectReason::MalformedCertificate)?;
+impl Decode for TreeDepthBoundScheme {
+    type Decoded = Option<u64>;
+    type Cache = ();
+
+    fn decode(&self, cert: &Certificate, _: &()) -> Option<u64> {
+        let mut r = BitReader::new(cert);
+        let d = r.read(self.bits)?;
+        (d <= self.k as u64 && r.exhausted()).then_some(d)
+    }
+
+    fn decide_decoded(&self, view: &DecodedView<'_, Option<u64>>) -> Result<(), RejectReason> {
+        let d = view.own.ok_or(RejectReason::MalformedCertificate)?;
         let mut parents = 0usize;
-        for &(_, _, cert) in &view.neighbors {
-            let nd = self
-                .parse(cert)
-                .ok_or(RejectReason::MalformedNeighborCertificate)?;
+        for (_, _, decoded) in view.neighbors() {
+            let nd = decoded.ok_or(RejectReason::MalformedNeighborCertificate)?;
             if nd + 1 == d {
                 parents += 1;
             } else if nd != d + 1 {

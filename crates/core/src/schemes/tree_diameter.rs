@@ -15,10 +15,10 @@
 //!
 //! Size: `O(log n)`.
 
-use crate::bits::{BitReader, BitWriter};
+use crate::bits::{BitReader, BitWriter, Certificate};
 use crate::framework::{
-    Assignment, DeclaredBound, Instance, LocalView, Prover, ProverError, RejectReason, Scheme,
-    Verifier,
+    Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
+    Scheme,
 };
 use crate::schemes::spanning_tree::{honest_tree_fields, verify_tree_position, TreeFields};
 use locert_graph::{NodeId, RootedTree};
@@ -35,13 +35,6 @@ impl TreeDiameterScheme {
     /// `id_bits` bits.
     pub fn new(id_bits: u32, diameter: u64) -> Self {
         TreeDiameterScheme { id_bits, diameter }
-    }
-
-    fn parse(&self, cert: &crate::bits::Certificate) -> Option<(TreeFields, u64)> {
-        let mut r = BitReader::new(cert);
-        let f = TreeFields::read(&mut r, self.id_bits)?;
-        let height = r.read(self.id_bits)?;
-        r.exhausted().then_some((f, height))
     }
 }
 
@@ -88,18 +81,30 @@ impl Prover for TreeDiameterScheme {
     }
 }
 
-impl Verifier for TreeDiameterScheme {
-    fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
-        let (mine, my_height) = self
-            .parse(view.cert)
-            .ok_or(RejectReason::MalformedCertificate)?;
-        verify_tree_position(view, self.id_bits, &mine, |c| self.parse(c).map(|(f, _)| f))?;
+/// Tree fields and the claimed subtree height.
+type HeightFields = (TreeFields, u64);
+
+impl Decode for TreeDiameterScheme {
+    type Decoded = Option<HeightFields>;
+    type Cache = ();
+
+    fn decode(&self, cert: &Certificate, _: &()) -> Option<HeightFields> {
+        let mut r = BitReader::new(cert);
+        let f = TreeFields::read(&mut r, self.id_bits)?;
+        let height = r.read(self.id_bits)?;
+        r.exhausted().then_some((f, height))
+    }
+
+    fn decide_decoded(
+        &self,
+        view: &DecodedView<'_, Option<HeightFields>>,
+    ) -> Result<(), RejectReason> {
+        let (mine, my_height) = view.own.ok_or(RejectReason::MalformedCertificate)?;
+        verify_tree_position(view, &mine, |d| d.map(|(f, _)| f))?;
         // Collect children (tree-ness: every edge is parent or child).
         let mut child_heights = Vec::new();
-        for &(nid, _, cert) in &view.neighbors {
-            let (nf, nh) = self
-                .parse(cert)
-                .ok_or(RejectReason::MalformedNeighborCertificate)?;
+        for (nid, _, decoded) in view.neighbors() {
+            let (nf, nh) = decoded.ok_or(RejectReason::MalformedNeighborCertificate)?;
             if nf.root != mine.root {
                 return Err(RejectReason::RootMismatch);
             }

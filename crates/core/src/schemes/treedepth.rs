@@ -30,8 +30,8 @@
 
 use crate::bits::{width_for, BitReader, BitWriter, Certificate};
 use crate::framework::{
-    Assignment, DeclaredBound, Instance, LocalView, Prover, ProverError, RejectReason, Scheme,
-    Verifier,
+    Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
+    Scheme,
 };
 use crate::schemes::common::{read_ident, write_ident};
 use locert_graph::{Graph, Ident, NodeId};
@@ -58,10 +58,10 @@ pub enum ModelStrategy {
 pub struct TdCert {
     /// Ancestor identifiers from the vertex itself (index 0) to the root
     /// (last).
-    pub ancestors: Vec<Ident>,
+    pub ancestors: Box<[Ident]>,
     /// `(exit id, distance)` per strict ancestor, indexed by ancestor
     /// depth − 1 (entry 0 belongs to the depth-1 ancestor).
-    pub trees: Vec<(Ident, u64)>,
+    pub trees: Box<[(Ident, u64)]>,
 }
 
 impl TdCert {
@@ -107,16 +107,12 @@ impl TdCert {
         if len == 0 || len > t {
             return None;
         }
-        let mut ancestors = Vec::with_capacity(len);
-        for _ in 0..len {
-            ancestors.push(read_ident(r, id_bits)?);
-        }
-        let mut trees = Vec::with_capacity(len - 1);
-        for _ in 0..len - 1 {
-            let exit = read_ident(r, id_bits)?;
-            let dist = r.read(id_bits)?;
-            trees.push((exit, dist));
-        }
+        let ancestors = (0..len)
+            .map(|_| read_ident(r, id_bits))
+            .collect::<Option<_>>()?;
+        let trees = (0..len - 1)
+            .map(|_| Some((read_ident(r, id_bits)?, r.read(id_bits)?)))
+            .collect::<Option<_>>()?;
         Some(TdCert { ancestors, trees })
     }
 }
@@ -139,7 +135,7 @@ pub fn honest_td_certs(instance: &Instance<'_>, model: &EliminationTree) -> Vec<
                 .iter()
                 .map(|&a| ids.ident(a))
                 .collect(),
-            trees: Vec::new(),
+            trees: vec![(Ident(0), 0); model.depth(NodeId(v))].into(),
         })
         .collect();
     // For every non-root vertex v: a spanning tree of G_v rooted at the
@@ -181,12 +177,7 @@ pub fn honest_td_certs(instance: &Instance<'_>, model: &EliminationTree) -> Vec<
         let exit_id = ids.ident(exit);
         for &x in &members {
             debug_assert_ne!(dist[x.0], u64::MAX, "coherent subtree is connected");
-            let slot = j - 1;
-            let c = &mut certs[x.0];
-            if c.trees.len() <= slot {
-                c.trees.resize(slot + 1, (Ident(0), 0));
-            }
-            c.trees[slot] = (exit_id, dist[x.0]);
+            certs[x.0].trees[j - 1] = (exit_id, dist[x.0]);
         }
     }
     // Sanity: every vertex has exactly depth(v) tree entries.
@@ -196,43 +187,16 @@ pub fn honest_td_certs(instance: &Instance<'_>, model: &EliminationTree) -> Vec<
     certs
 }
 
-/// Verifies one vertex's treedepth certificate with a caller-supplied
-/// extractor for neighbor certificates. Returns the parsed certificate on
-/// success so composite schemes can pile on checks.
+/// The vertex-local checks of a treedepth certificate: ancestor-list
+/// length and head, tree-entry count. Composite schemes that embed a
+/// [`TdCert`] inside a larger certificate call this (and
+/// [`check_td_edges`]) on their own decodes.
 ///
 /// # Errors
 ///
-/// [`RejectReason::MalformedCertificate`] /
-/// [`RejectReason::MalformedNeighborCertificate`] when a certificate
-/// fails to parse, [`RejectReason::AncestryViolation`] when ancestor
-/// lists are too long, mis-headed, incomparable across an edge, or a
-/// subtree spanning tree is broken, and
-/// [`RejectReason::MissingNeighbor`] when an exit vertex cannot see its
-/// subtree's parent.
-pub fn verify_td_cert(
-    view: &LocalView<'_>,
-    t: usize,
-    extract: &impl Fn(&Certificate) -> Option<TdCert>,
-) -> Result<TdCert, RejectReason> {
-    let mine = extract(view.cert).ok_or(RejectReason::MalformedCertificate)?;
-    check_own_td(view.id, &mine, t)?;
-    // Parse neighbors once.
-    let mut nbrs = Vec::with_capacity(view.neighbors.len());
-    for &(_, _, cert) in &view.neighbors {
-        nbrs.push(extract(cert).ok_or(RejectReason::MalformedNeighborCertificate)?);
-    }
-    check_td_edges(view.id, &mine, nbrs.iter())?;
-    Ok(mine)
-}
-
-/// The vertex-local part of [`verify_td_cert`] on an already-parsed
-/// certificate: ancestor-list length and head, tree-entry count.
-/// Composite schemes that embed a [`TdCert`] inside a larger certificate
-/// call this (and [`check_td_edges`]) directly to avoid re-parsing.
-///
-/// # Errors
-///
-/// As the corresponding checks of [`verify_td_cert`].
+/// [`RejectReason::AncestryViolation`] when the list is too long or
+/// mis-headed, [`RejectReason::MalformedCertificate`] when the tree
+/// entries do not match the depth.
 pub fn check_own_td(id: Ident, mine: &TdCert, t: usize) -> Result<(), RejectReason> {
     if mine.ancestors.len() > t || mine.ancestors[0] != id {
         return Err(RejectReason::AncestryViolation);
@@ -243,12 +207,16 @@ pub fn check_own_td(id: Ident, mine: &TdCert, t: usize) -> Result<(), RejectReas
     Ok(())
 }
 
-/// The edge part of [`verify_td_cert`] on already-parsed certificates:
-/// cross-edge comparability and the per-ancestor spanning-tree chains.
+/// The edge checks of a treedepth certificate against the neighbors'
+/// decodes: cross-edge comparability and the per-ancestor spanning-tree
+/// chains.
 ///
 /// # Errors
 ///
-/// As the corresponding checks of [`verify_td_cert`].
+/// [`RejectReason::AncestryViolation`] when ancestor lists are
+/// incomparable across an edge or a subtree spanning tree is broken, and
+/// [`RejectReason::MissingNeighbor`] when an exit vertex cannot see its
+/// subtree's parent.
 pub fn check_td_edges<'a>(
     id: Ident,
     mine: &TdCert,
@@ -263,7 +231,7 @@ pub fn check_td_edges<'a>(
         } else {
             (&mine.ancestors, &nc.ancestors)
         };
-        if &long[long.len() - short.len()..] != short.as_slice() {
+        if long[long.len() - short.len()..] != short[..] {
             return Err(RejectReason::AncestryViolation);
         }
     }
@@ -278,10 +246,7 @@ pub fn check_td_edges<'a>(
                 return Err(RejectReason::AncestryViolation);
             }
             let parent_list = &mine.ancestors[mine.ancestors.len() - j..];
-            if !nbrs
-                .clone()
-                .any(|nc| nc.ancestors.as_slice() == parent_list)
-            {
+            if !nbrs.clone().any(|nc| nc.ancestors[..] == *parent_list) {
                 return Err(RejectReason::MissingNeighbor);
             }
         } else {
@@ -329,12 +294,6 @@ impl TreedepthScheme {
     /// The treedepth bound `t`.
     pub fn bound(&self) -> usize {
         self.t
-    }
-
-    fn parse(&self, cert: &Certificate) -> Option<TdCert> {
-        let mut r = BitReader::new(cert);
-        let c = TdCert::read(&mut r, self.id_bits, self.t)?;
-        r.exhausted().then_some(c)
     }
 }
 
@@ -412,9 +371,32 @@ impl Prover for TreedepthScheme {
     }
 }
 
-impl Verifier for TreedepthScheme {
-    fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
-        verify_td_cert(view, self.t, &|c| self.parse(c)).map(|_| ())
+impl Decode for TreedepthScheme {
+    type Decoded = Option<TdCert>;
+    type Cache = ();
+
+    fn decode(&self, cert: &Certificate, _: &()) -> Option<TdCert> {
+        let mut r = BitReader::new(cert);
+        let c = TdCert::read(&mut r, self.id_bits, self.t)?;
+        r.exhausted().then_some(c)
+    }
+
+    fn decide_decoded(&self, view: &DecodedView<'_, Option<TdCert>>) -> Result<(), RejectReason> {
+        let mine = view
+            .own
+            .as_ref()
+            .ok_or(RejectReason::MalformedCertificate)?;
+        check_own_td(view.id, mine, self.t)?;
+        // Every neighbor must parse before any edge check runs.
+        for (_, _, decoded) in view.neighbors() {
+            decoded
+                .as_ref()
+                .ok_or(RejectReason::MalformedNeighborCertificate)?;
+        }
+        let nbrs = view
+            .neighbors()
+            .filter_map(|(_, _, decoded)| decoded.as_ref());
+        check_td_edges(view.id, mine, nbrs)
     }
 }
 
@@ -609,8 +591,8 @@ mod tests {
                             _ => {}
                         }
                         let c = TdCert {
-                            ancestors: lists[v].clone(),
-                            trees,
+                            ancestors: lists[v].clone().into(),
+                            trees: trees.into(),
                         };
                         let mut w = BitWriter::new();
                         c.write(&mut w, id_bits_for(&inst), t);
@@ -667,7 +649,7 @@ mod tests {
 
         // (a) A list that does not start with the vertex's own id.
         let mut bad = honest.clone();
-        let parsed = scheme.parse(honest.cert(NodeId(2))).unwrap();
+        let parsed = scheme.decode(honest.cert(NodeId(2)), &()).unwrap();
         let mut forged = parsed.clone();
         forged.ancestors[0] = id(3);
         *bad.cert_mut(NodeId(2)) = write(&forged);
@@ -677,20 +659,20 @@ mod tests {
         // vertex 2 claims a disjoint chain.
         let certs: Vec<Certificate> = vec![
             write(&TdCert {
-                ancestors: vec![id(0), id(1)],
-                trees: vec![(id(0), 0)],
+                ancestors: vec![id(0), id(1)].into(),
+                trees: vec![(id(0), 0)].into(),
             }),
             write(&TdCert {
-                ancestors: vec![id(1)],
-                trees: vec![],
+                ancestors: vec![id(1)].into(),
+                trees: vec![].into(),
             }),
             write(&TdCert {
-                ancestors: vec![id(2), id(3)],
-                trees: vec![(id(2), 0)],
+                ancestors: vec![id(2), id(3)].into(),
+                trees: vec![(id(2), 0)].into(),
             }),
             write(&TdCert {
-                ancestors: vec![id(3)],
-                trees: vec![],
+                ancestors: vec![id(3)].into(),
+                trees: vec![].into(),
             }),
         ];
         assert!(!run_verification(&scheme, &inst, &Assignment::new(certs)).accepted());
@@ -698,7 +680,7 @@ mod tests {
         // (c) A broken distance chain inside a subtree spanning tree:
         // take honest certs and bump one ST distance by 2.
         let mut bad2 = honest.clone();
-        let mut parsed2 = scheme.parse(honest.cert(NodeId(3))).unwrap();
+        let mut parsed2 = scheme.decode(honest.cert(NodeId(3)), &()).unwrap();
         if let Some(slot) = parsed2.trees.first_mut() {
             slot.1 += 2;
             *bad2.cert_mut(NodeId(3)) = write(&parsed2);
@@ -707,7 +689,7 @@ mod tests {
 
         // (d) A forged exit identifier pointing at a non-neighbor.
         let mut bad3 = honest.clone();
-        let mut parsed3 = scheme.parse(honest.cert(NodeId(0))).unwrap();
+        let mut parsed3 = scheme.decode(honest.cert(NodeId(0)), &()).unwrap();
         if let Some(slot) = parsed3.trees.first_mut() {
             slot.0 = id(3);
             *bad3.cert_mut(NodeId(0)) = write(&parsed3);

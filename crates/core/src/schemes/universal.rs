@@ -20,8 +20,8 @@
 
 use crate::bits::{BitReader, BitWriter, Certificate};
 use crate::framework::{
-    Assignment, Decider, DeclaredBound, Instance, LocalView, Prover, ProverError, RejectReason,
-    Scheme, Verifier,
+    Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
+    Scheme,
 };
 use crate::schemes::common::{read_ident, write_ident};
 use locert_graph::{automorphism, Graph, Ident, NodeId};
@@ -43,7 +43,8 @@ const EDGE_COUNT_BITS: u32 = 20;
 /// Parsed words (identifiers, CSR offsets and neighbor entries) a run's
 /// memo keeps beyond its first map. Honest runs broadcast one map; the
 /// cap bounds memory when an adversarial assignment carries many
-/// distinct large maps, which are then parsed per use as before.
+/// distinct large maps: their decodes keep only the certificate, which
+/// is parsed again at each use and dropped after it.
 const MEMO_WORDS: usize = 1 << 22;
 
 /// How the broadcast map is encoded.
@@ -140,8 +141,20 @@ fn self_index(cert: &Certificate) -> Option<usize> {
 }
 
 /// The maps parsed during one verification run, keyed by prefix bits.
-#[derive(Default)]
-struct Memo(Mutex<MemoState>);
+pub struct Memo {
+    state: Mutex<MemoState>,
+    /// Words the memo keeps beyond its first map.
+    cap: usize,
+}
+
+impl Default for Memo {
+    fn default() -> Self {
+        Memo {
+            state: Mutex::default(),
+            cap: MEMO_WORDS,
+        }
+    }
+}
 
 #[derive(Default)]
 struct MemoState {
@@ -151,37 +164,66 @@ struct MemoState {
 }
 
 impl Memo {
-    /// The parse of `cert`'s map prefix, from the memo or freshly made.
-    /// Parsing runs outside the lock; when two workers race on one
-    /// prefix, the first insert wins and both use it, so each distinct
-    /// map is evaluated at most once per memo.
-    fn parsed(&self, scheme: &UniversalScheme, cert: &Certificate) -> Arc<Parsed> {
+    /// A memo keeping at most `cap` words beyond its first map.
+    #[cfg(test)]
+    fn with_cap(cap: usize) -> Self {
+        Memo {
+            cap,
+            ..Memo::default()
+        }
+    }
+
+    /// The parse of `cert`'s map prefix, from the memo or freshly made
+    /// and stored; just the certificate when storing the parse would
+    /// pass the cap. Parsing runs outside the lock; when two workers race
+    /// on one prefix, the first insert wins and both use it, so each
+    /// distinct stored map is evaluated at most once per memo.
+    fn source(&self, scheme: &UniversalScheme, cert: &Certificate) -> MapSource {
         let key = PrefixKey(cert.clone());
         let lock = || {
-            self.0
+            self.state
                 .lock()
                 .expect("nothing panics while holding the memo lock")
         };
         if let Some(hit) = lock().entries.get(&key) {
-            return Arc::clone(hit);
+            return MapSource::Memo(Arc::clone(hit));
         }
-        let fresh = Arc::new(Parsed {
-            map: scheme.parse_map(cert),
-            verdict: OnceLock::new(),
-        });
+        let fresh = scheme.parse(cert);
         let mut state = lock();
         if let Some(hit) = state.entries.get(&key) {
-            return Arc::clone(hit);
+            return MapSource::Memo(Arc::clone(hit));
         }
         if !state.entries.is_empty() {
             let words = state.words + fresh.map.as_ref().map_or(0, Map::words);
-            if words > MEMO_WORDS {
-                return fresh;
+            if words > self.cap {
+                return MapSource::Bits(Box::new(key.0));
             }
             state.words = words;
         }
+        let fresh = Arc::new(fresh);
         state.entries.insert(key, Arc::clone(&fresh));
-        fresh
+        MapSource::Memo(fresh)
+    }
+}
+
+/// Where a decoded certificate's map lives.
+enum MapSource {
+    /// The run memo's parse, shared by every certificate with the same
+    /// prefix bits.
+    Memo(Arc<Parsed>),
+    /// A map the memo refused to keep: the certificate (boxed, so the
+    /// arena's decodes stay small), parsed again at each use, so a run
+    /// holds at most the memo's cap in parsed maps.
+    Bits(Box<Certificate>),
+}
+
+impl MapSource {
+    /// The parse, borrowed from the memo or made into `slot`.
+    fn parsed<'a>(&'a self, scheme: &UniversalScheme, slot: &'a mut Option<Parsed>) -> &'a Parsed {
+        match self {
+            MapSource::Memo(parsed) => parsed,
+            MapSource::Bits(cert) => slot.insert(scheme.parse(cert)),
+        }
     }
 }
 
@@ -207,6 +249,14 @@ impl UniversalScheme {
     pub fn sparse(mut self) -> Self {
         self.encoding = MapEncoding::EdgeList;
         self
+    }
+
+    /// The parse of `cert`'s map prefix, its verdict not yet evaluated.
+    fn parse(&self, cert: &Certificate) -> Parsed {
+        Parsed {
+            map: self.parse_map(cert),
+            verdict: OnceLock::new(),
+        }
     }
 
     /// Parses the map prefix of `cert`: size, identifiers and adjacency,
@@ -254,60 +304,6 @@ impl UniversalScheme {
         }
         let graph = Graph::from_edges(n, edges).ok()?;
         Some(Map { ids, graph })
-    }
-
-    /// One vertex's decision, parsing maps through `memo`. This is the
-    /// only decision path: [`Verifier::decide`] runs it with a fresh
-    /// memo, [`Verifier::run_decider`] with one memo per run.
-    fn decide_in(&self, memo: &Memo, view: &LocalView<'_>) -> Result<(), RejectReason> {
-        let own = memo.parsed(self, view.cert);
-        let map = own.map.as_ref().ok_or(RejectReason::MalformedCertificate)?;
-        let n = map.ids.len();
-        let self_idx = self_index(view.cert)
-            .filter(|&i| i < n)
-            .ok_or(RejectReason::MalformedCertificate)?;
-        // My identifier sits at my claimed index.
-        if map.ids[self_idx] != view.id {
-            return Err(RejectReason::AdjacencyMismatch);
-        }
-        // Neighbors carry the identical map (ids + adjacency). A neighbor
-        // whose prefix bits equal mine and whose self-index is in range
-        // parses to my map; any other is parsed and compared.
-        let own_prefix = prefix_parts(view.cert);
-        for &(_, _, cert) in &view.neighbors {
-            let valid_index = |m: &Map| self_index(cert).is_some_and(|i| i < m.ids.len());
-            if valid_index(map) && prefix_parts(cert) == own_prefix {
-                continue;
-            }
-            let theirs = memo.parsed(self, cert);
-            let nmap = theirs
-                .map
-                .as_ref()
-                .filter(|m| valid_index(m))
-                .ok_or(RejectReason::MalformedNeighborCertificate)?;
-            if nmap != map {
-                return Err(RejectReason::CopyMismatch);
-            }
-        }
-        // My map row matches my actual neighborhood exactly.
-        let claimed: BTreeSet<Ident> = map
-            .graph
-            .neighbors(NodeId(self_idx))
-            .iter()
-            .map(|&j| map.ids[j.0])
-            .collect();
-        let actual: BTreeSet<Ident> = view.neighbors.iter().map(|&(nid, _, _)| nid).collect();
-        if claimed != actual {
-            return Err(RejectReason::AdjacencyMismatch);
-        }
-        // The map is connected and satisfies the property.
-        let holds = own
-            .verdict
-            .get_or_init(|| map.graph.is_connected() && (self.property)(&map.graph));
-        if !holds {
-            return Err(RejectReason::PropertyViolation);
-        }
-        Ok(())
     }
 }
 
@@ -367,17 +363,84 @@ impl Prover for UniversalScheme {
     }
 }
 
-impl Verifier for UniversalScheme {
-    fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
-        self.decide_in(&Memo::default(), view)
+/// A decoded universal certificate: its map prefix (see [`MapSource`])
+/// and its trailing self-index.
+pub struct UniversalCert {
+    map: MapSource,
+    self_index: Option<usize>,
+}
+
+impl Decode for UniversalScheme {
+    type Decoded = UniversalCert;
+    /// Each distinct map is parsed, and its property evaluated, once per
+    /// run rather than once per vertex and neighbor.
+    type Cache = Memo;
+
+    fn decode(&self, cert: &Certificate, memo: &Memo) -> UniversalCert {
+        UniversalCert {
+            map: memo.source(self, cert),
+            self_index: self_index(cert),
+        }
     }
 
-    /// Shares one memo across the run's vertices: each distinct map is
-    /// parsed, and its property evaluated, once per run rather than once
-    /// per vertex and neighbor.
-    fn run_decider(&self) -> Decider<'_> {
-        let memo = Memo::default();
-        Box::new(move |view| self.decide_in(&memo, view))
+    fn decide_decoded(&self, view: &DecodedView<'_, UniversalCert>) -> Result<(), RejectReason> {
+        let own = view.own;
+        let mut own_slot = None;
+        let parsed = own.map.parsed(self, &mut own_slot);
+        let map = parsed
+            .map
+            .as_ref()
+            .ok_or(RejectReason::MalformedCertificate)?;
+        let n = map.ids.len();
+        let self_idx = own
+            .self_index
+            .filter(|&i| i < n)
+            .ok_or(RejectReason::MalformedCertificate)?;
+        // My identifier sits at my claimed index.
+        if map.ids[self_idx] != view.id {
+            return Err(RejectReason::AdjacencyMismatch);
+        }
+        // Neighbors carry the identical map (ids + adjacency). A neighbor
+        // sharing my map's parse (equal prefix bits) with its self-index
+        // in range is a copy; any other is compared parsed.
+        for (_, _, theirs) in view.neighbors() {
+            let valid_index = |m: &Map| theirs.self_index.is_some_and(|i| i < m.ids.len());
+            if let (MapSource::Memo(mine), MapSource::Memo(their)) = (&own.map, &theirs.map) {
+                if valid_index(map) && Arc::ptr_eq(mine, their) {
+                    continue;
+                }
+            }
+            let mut slot = None;
+            let nmap = theirs
+                .map
+                .parsed(self, &mut slot)
+                .map
+                .as_ref()
+                .filter(|m| valid_index(m))
+                .ok_or(RejectReason::MalformedNeighborCertificate)?;
+            if nmap != map {
+                return Err(RejectReason::CopyMismatch);
+            }
+        }
+        // My map row matches my actual neighborhood exactly.
+        let claimed: BTreeSet<Ident> = map
+            .graph
+            .neighbors(NodeId(self_idx))
+            .iter()
+            .map(|&j| map.ids[j.0])
+            .collect();
+        let actual: BTreeSet<Ident> = view.neighbor_ids().collect();
+        if claimed != actual {
+            return Err(RejectReason::AdjacencyMismatch);
+        }
+        // The map is connected and satisfies the property.
+        let holds = parsed
+            .verdict
+            .get_or_init(|| map.graph.is_connected() && (self.property)(&map.graph));
+        if !holds {
+            return Err(RejectReason::PropertyViolation);
+        }
+        Ok(())
     }
 }
 
@@ -410,7 +473,10 @@ pub fn fpf_automorphism_scheme(id_bits: u32) -> UniversalScheme {
 mod tests {
     use super::*;
     use crate::attacks;
-    use crate::framework::{run_scheme, run_verification, run_verification_in, view_of, Verdict};
+    use crate::framework::{
+        run_scheme, run_verification, run_verification_in, view_of, DecodedView, LocalView,
+        Verdict, Verifier,
+    };
     use crate::schemes::common::id_bits_for;
     use locert_graph::{generators, traversal, IdAssignment};
     use locert_par::Pool;
@@ -735,7 +801,7 @@ mod tests {
     }
 
     #[test]
-    fn run_decider_matches_reference_under_mutations() {
+    fn run_path_matches_reference_under_mutations() {
         let pools = pools();
         let mut rng = StdRng::seed_from_u64(0x13);
         let graphs = [
@@ -871,6 +937,75 @@ mod tests {
                 Some(RejectReason::MalformedCertificate),
             ]
         );
+    }
+
+    #[test]
+    fn maps_past_the_memo_cap_keep_only_their_bits() {
+        // On clique(6), odd vertices each drop a different edge from their
+        // map: three distinct forged maps next to the honest one. A memo
+        // with room for one map beyond its first stores the honest map and
+        // one forgery; the other two decodes keep only their certificates.
+        let n = 6;
+        let g = generators::clique(n);
+        let ids = IdAssignment::contiguous(n);
+        let inst = Instance::new(&g, &ids);
+        let b = id_bits_for(&inst);
+        let scheme = UniversalScheme::new(b, "any", |_| true);
+        let mut asg = scheme.assign(&inst).unwrap();
+        let matrix = 16 + n * b as usize;
+        for v in (1..n).step_by(2) {
+            *asg.cert_mut(NodeId(v)) = asg.cert(NodeId(v)).with_bit_flipped(matrix + v);
+        }
+        let forged_words = 2 * n + 2 * (g.num_edges() - 1);
+        let decided = |memo: &Memo| {
+            let decoded: Vec<UniversalCert> = g
+                .nodes()
+                .map(|v| scheme.decode(asg.cert(v), memo))
+                .collect();
+            let reasons: Vec<_> = g
+                .nodes()
+                .map(|v| {
+                    let nbrs: Vec<_> = g
+                        .neighbors(v)
+                        .iter()
+                        .map(|&u| (ids.ident(u), 0, &decoded[u.0]))
+                        .collect();
+                    let view = DecodedView::listed(ids.ident(v), 0, &decoded[v.0], &nbrs);
+                    scheme.decide_decoded(&view).err()
+                })
+                .collect();
+            (decoded, reasons)
+        };
+        let (capped, reasons) = decided(&Memo::with_cap(forged_words));
+        let stored: Vec<bool> = capped
+            .iter()
+            .map(|d| matches!(d.map, MapSource::Memo(_)))
+            .collect();
+        assert_eq!(stored, [true, true, true, false, true, false]);
+        // Live parsed words: the honest map and one forgery.
+        let mut held: Vec<&Arc<Parsed>> = capped
+            .iter()
+            .filter_map(|d| match &d.map {
+                MapSource::Memo(parsed) => Some(parsed),
+                MapSource::Bits(_) => None,
+            })
+            .collect();
+        held.sort_by_key(|p| Arc::as_ptr(p));
+        held.dedup_by(|a, b| Arc::ptr_eq(a, b));
+        let words: usize = held
+            .iter()
+            .map(|p| p.map.as_ref().map_or(0, Map::words))
+            .sum();
+        assert_eq!(held.len(), 2);
+        assert!(words <= g.num_nodes() * 2 + 2 * g.num_edges() + forged_words);
+        // Verdicts do not depend on what the memo keeps.
+        let expected: Vec<_> = g
+            .nodes()
+            .map(|v| decide_reference(&scheme, &view_of(&inst, &asg, v)).err())
+            .collect();
+        assert_eq!(reasons, expected);
+        assert_eq!(decided(&Memo::default()).1, expected);
+        assert!(expected.contains(&Some(RejectReason::CopyMismatch)));
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! promise that the graph is a path (compose with
 //! [`crate::schemes::acyclicity`] + a degree check otherwise).
 
-use crate::bits::{width_for, BitReader, BitWriter};
+use crate::bits::{width_for, BitReader, BitWriter, Certificate};
 use crate::framework::{
-    Assignment, DeclaredBound, Instance, LocalView, Prover, ProverError, RejectReason, Scheme,
-    Verifier,
+    Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
+    Scheme,
 };
 use locert_automata::words::Nfa;
 use locert_graph::NodeId;
@@ -55,14 +55,6 @@ impl WordPathScheme {
     /// Certificate size in bits — constant for a fixed automaton.
     pub fn certificate_bits(&self) -> usize {
         2 + self.state_bits as usize + 16
-    }
-
-    fn parse(&self, cert: &crate::bits::Certificate) -> Option<(u64, usize)> {
-        let mut r = BitReader::new(cert);
-        let d = r.read(2)?;
-        let q = r.read(self.state_bits)? as usize;
-        let fp = r.read(16)?;
-        (d < 3 && q < self.nfa.num_states() && fp == self.fp && r.exhausted()).then_some((d, q))
     }
 
     /// An accepting run over `word` (state after reading each letter), if
@@ -163,23 +155,34 @@ impl Prover for WordPathScheme {
     }
 }
 
-impl Verifier for WordPathScheme {
-    fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
+impl Decode for WordPathScheme {
+    /// Position mod 3 and NFA state.
+    type Decoded = Option<(u64, usize)>;
+    type Cache = ();
+
+    fn decode(&self, cert: &Certificate, _: &()) -> Option<(u64, usize)> {
+        let mut r = BitReader::new(cert);
+        let d = r.read(2)?;
+        let q = r.read(self.state_bits)? as usize;
+        let fp = r.read(16)?;
+        (d < 3 && q < self.nfa.num_states() && fp == self.fp && r.exhausted()).then_some((d, q))
+    }
+
+    fn decide_decoded(
+        &self,
+        view: &DecodedView<'_, Option<(u64, usize)>>,
+    ) -> Result<(), RejectReason> {
         if view.input >= self.nfa.alphabet() {
             return Err(RejectReason::BadInput);
         }
-        let (d, q) = self
-            .parse(view.cert)
-            .ok_or(RejectReason::MalformedCertificate)?;
+        let (d, q) = view.own.ok_or(RejectReason::MalformedCertificate)?;
         if view.degree() > 2 {
             return Err(RejectReason::DegreeViolation);
         }
         let mut pred: Option<usize> = None;
         let mut succ = false;
-        for &(_, _, cert) in &view.neighbors {
-            let (nd, nq) = self
-                .parse(cert)
-                .ok_or(RejectReason::MalformedNeighborCertificate)?;
+        for (_, _, decoded) in view.neighbors() {
+            let (nd, nq) = decoded.ok_or(RejectReason::MalformedNeighborCertificate)?;
             if nd == (d + 2) % 3 {
                 if pred.is_some() {
                     return Err(RejectReason::CounterMismatch); // two predecessors.

@@ -258,6 +258,63 @@ impl Histogram {
     }
 }
 
+/// Observations gathered on one thread without atomics, for
+/// [`Histogram::merge`] to add to a named histogram in one step: a hot
+/// loop that records once per item pays a plain add per item instead of
+/// five atomic updates. The merged state equals recording each value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LocalHistogram {
+    buckets: [u64; NUM_BUCKETS],
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+}
+
+impl Default for LocalHistogram {
+    fn default() -> Self {
+        LocalHistogram {
+            buckets: [0; NUM_BUCKETS],
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+        }
+    }
+}
+
+impl LocalHistogram {
+    /// Records one observation.
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        self.buckets[bucket_index(v)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+}
+
+impl Histogram {
+    /// Adds every observation of `local` (a no-op while the subscriber
+    /// is disabled or `local` is empty).
+    pub fn merge(&self, local: &LocalHistogram) {
+        if !enabled() || local.count == 0 {
+            return;
+        }
+        let cells = &self.cells;
+        for (cell, &c) in cells.buckets.iter().zip(&local.buckets) {
+            if c > 0 {
+                cell.fetch_add(c, Ordering::Relaxed);
+            }
+        }
+        cells.count.fetch_add(local.count, Ordering::Relaxed);
+        cells.sum.fetch_add(local.sum, Ordering::Relaxed);
+        cells.min.fetch_min(local.min, Ordering::Relaxed);
+        cells.max.fetch_max(local.max, Ordering::Relaxed);
+    }
+}
+
 /// Convenience: `Histogram::named(name).record(v)`, gated on [`enabled`]
 /// before touching the registry lock.
 #[inline]
@@ -692,6 +749,35 @@ mod tests {
         assert_eq!(s.min, Some(0));
         assert_eq!(s.max, Some(17));
         assert_eq!(s.mean(), Some(6.25));
+        reset();
+    }
+
+    #[test]
+    fn merging_a_local_histogram_equals_recording_each_value() {
+        let _g = fresh();
+        enable();
+        let values = [5u64, 0, 17, 3, 1 << 45, 17, 2];
+        let recorded = Histogram::named("test.merge.recorded");
+        let merged = Histogram::named("test.merge.merged");
+        let mut local = LocalHistogram::default();
+        merged.merge(&local);
+        for v in values {
+            recorded.record(v);
+            local.record(v);
+        }
+        merged.merge(&LocalHistogram::default());
+        merged.merge(&local);
+        recorded.record(9);
+        let mut more = LocalHistogram::default();
+        more.record(9);
+        merged.merge(&more);
+        disable();
+        let snap = snapshot();
+        assert_eq!(
+            snap.histograms["test.merge.recorded"],
+            snap.histograms["test.merge.merged"]
+        );
+        assert_eq!(snap.histograms["test.merge.merged"].count, 8);
         reset();
     }
 
