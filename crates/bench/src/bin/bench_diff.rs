@@ -29,6 +29,7 @@
 //!
 //! Exit codes: 0 = within threshold, 1 = regression, 2 = usage/IO/parse.
 
+use locert_par::cli::{Cli, FINDING};
 use locert_trace::json::{parse, Value};
 use std::process::ExitCode;
 
@@ -49,12 +50,6 @@ BASELINE times FACTOR (default 1.5).
 
 The scale form multiplies every metric in IN by FACTOR and writes
 OUT; CI uses it to inject a synthetic regression.";
-
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("bench-diff: {msg}");
-    eprintln!("{USAGE}");
-    ExitCode::from(2)
-}
 
 /// One comparable entry extracted from an artifact: a name and a metric.
 struct Entry {
@@ -223,23 +218,18 @@ fn scale_doc(doc: &mut Value, factor: f64) -> Result<(), String> {
     Ok(())
 }
 
-fn run_scale(factor_s: &str, input: &str, output: &str) -> ExitCode {
+fn run_scale(cli: &Cli, factor_s: &str, input: &str, output: &str) -> ExitCode {
     let Ok(factor) = factor_s.parse::<f64>() else {
-        return fail(&format!("bad scale factor {factor_s:?}"));
+        cli.usage_error(format!("bad scale factor {factor_s:?}"));
     };
-    let text = match std::fs::read_to_string(input) {
-        Ok(t) => t,
-        Err(e) => return fail(&format!("cannot read {input}: {e}")),
-    };
-    let mut doc = match parse(&text) {
-        Ok(d) => d,
-        Err(e) => return fail(&format!("{input}: {e}")),
-    };
+    let text = std::fs::read_to_string(input)
+        .unwrap_or_else(|e| cli.io_error(format!("cannot read {input}: {e}")));
+    let mut doc = parse(&text).unwrap_or_else(|e| cli.io_error(format!("{input}: {e}")));
     if let Err(e) = scale_doc(&mut doc, factor) {
-        return fail(&e);
+        cli.io_error(e);
     }
     if let Err(e) = std::fs::write(output, format!("{doc}\n")) {
-        return fail(&format!("cannot write {output}: {e}"));
+        cli.io_error(format!("cannot write {output}: {e}"));
     }
     println!("scaled {input} by {factor} -> {output}");
     ExitCode::SUCCESS
@@ -253,17 +243,11 @@ fn fmt_value(kind: Kind, v: f64) -> String {
     }
 }
 
-fn run_diff(baseline_path: &str, current_path: &str, threshold: f64) -> ExitCode {
-    let (base_kind, base, base_journal) = match load(baseline_path) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
-    let (cur_kind, cur, cur_journal) = match load(current_path) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
+fn run_diff(cli: &Cli, baseline_path: &str, current_path: &str, threshold: f64) -> ExitCode {
+    let (base_kind, base, base_journal) = load(baseline_path).unwrap_or_else(|e| cli.io_error(e));
+    let (cur_kind, cur, cur_journal) = load(current_path).unwrap_or_else(|e| cli.io_error(e));
     if base_kind != cur_kind {
-        return fail(&format!(
+        cli.io_error(format!(
             "schema mismatch: {baseline_path} is {base_kind:?}, {current_path} is {cur_kind:?}"
         ));
     }
@@ -351,45 +335,32 @@ fn run_diff(baseline_path: &str, current_path: &str, threshold: f64) -> ExitCode
             regressions.len(),
             regressions.join(", ")
         );
-        ExitCode::FAILURE
+        ExitCode::from(FINDING)
     }
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("scale") {
-        return match args.as_slice() {
-            [_, factor, input, output] => run_scale(factor, input, output),
-            _ => fail("scale takes exactly FACTOR IN OUT"),
-        };
-    }
-
+    let mut cli = Cli::new("bench-diff", USAGE);
     let mut threshold = DEFAULT_THRESHOLD;
-    let mut paths = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    let mut operands = Vec::new();
+    while let Some(arg) = cli.next() {
         match arg.as_str() {
             "--threshold" => {
-                let Some(v) = it.next() else {
-                    return fail("--threshold needs a value");
-                };
-                match v.parse::<f64>() {
-                    Ok(t) if t >= 1.0 => threshold = t,
-                    _ => return fail(&format!("bad threshold {v:?} (need a number >= 1)")),
+                threshold = cli.parse("--threshold");
+                if threshold.is_nan() || threshold < 1.0 {
+                    cli.usage_error(format!("bad threshold {threshold} (need a number >= 1)"));
                 }
             }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => {
-                return fail(&format!("unknown flag {other:?}"));
-            }
-            path => paths.push(path.to_string()),
+            flag if flag.starts_with('-') => cli.usage_error(format!("unknown flag {flag:?}")),
+            _ => operands.push(arg),
         }
     }
-    match paths.as_slice() {
-        [baseline, current] => run_diff(baseline, current, threshold),
-        _ => fail("expected exactly BASELINE and CURRENT paths"),
+    match operands.as_slice() {
+        [scale, factor, input, output] if scale == "scale" => {
+            run_scale(&cli, factor, input, output)
+        }
+        [scale, ..] if scale == "scale" => cli.usage_error("scale takes exactly FACTOR IN OUT"),
+        [baseline, current] => run_diff(&cli, baseline, current, threshold),
+        _ => cli.usage_error("expected exactly BASELINE and CURRENT paths"),
     }
 }

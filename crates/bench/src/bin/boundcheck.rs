@@ -20,10 +20,11 @@
 //! `--baseline` regenerates the committed baseline instead of gating;
 //! `--mutants` (requires the `mutants` feature) self-tests the gate by
 //! poisoning catalogue targets with known size bugs and demanding every
-//! one is caught. Exit codes: 0 conforming, 1 violations (or IO
-//! failure), 2 usage error.
+//! one is caught. Exit codes: 0 conforming, 1 violations, 2 usage or
+//! I/O error.
 
 use locert_bench::e9_bounds::{self, baseline, fit_sweep, DEFAULT_TOLERANCE};
+use locert_par::cli::{Cli, FINDING};
 use locert_trace::json;
 
 const DEFAULT_BASELINE: &str = "BOUNDS_baseline.json";
@@ -47,80 +48,37 @@ usage: boundcheck [--baseline [PATH]] [--compare PATH] [--tolerance X]
   --list             list sweep targets with grids and declared bounds
   --help             print this message";
 
-fn fail_usage(msg: &str) -> ! {
-    eprintln!("boundcheck: {msg}\n{USAGE}");
-    std::process::exit(2);
-}
-
-fn fail_io(context: &str, err: &dyn std::fmt::Display) -> ! {
-    eprintln!("boundcheck: {context}: {err}");
-    std::process::exit(1);
-}
-
 struct Options {
     write_baseline: Option<String>,
     compare_path: String,
     tolerance: f64,
-    threads: Option<usize>,
     quick: bool,
     mutants: bool,
     list: bool,
 }
 
-fn parse_args() -> Options {
+fn parse_args(cli: &mut Cli) -> Options {
     let mut opts = Options {
         write_baseline: None,
         compare_path: DEFAULT_BASELINE.to_string(),
         tolerance: DEFAULT_TOLERANCE,
-        threads: None,
         quick: false,
         mutants: false,
         list: false,
     };
-    let mut args = std::env::args().skip(1).peekable();
-    let optional_path = |args: &mut std::iter::Peekable<std::iter::Skip<std::env::Args>>,
-                         default: &str| {
-        match args.peek() {
-            Some(a) if !a.starts_with("--") => args.next().unwrap(),
-            _ => default.to_string(),
-        }
-    };
-    while let Some(arg) = args.next() {
+    while let Some(arg) = cli.next() {
         match arg.as_str() {
-            "--baseline" => opts.write_baseline = Some(optional_path(&mut args, DEFAULT_BASELINE)),
-            "--compare" => {
-                opts.compare_path = args
-                    .next()
-                    .unwrap_or_else(|| fail_usage("--compare needs a path"));
+            "--baseline" => {
+                let path = cli.optional(|a| !a.starts_with("--"));
+                opts.write_baseline = Some(path.unwrap_or_else(|| DEFAULT_BASELINE.into()));
             }
-            "--tolerance" => {
-                let raw = args
-                    .next()
-                    .unwrap_or_else(|| fail_usage("--tolerance needs a value"));
-                opts.tolerance = raw
-                    .parse()
-                    .unwrap_or_else(|_| fail_usage(&format!("bad tolerance {raw:?}")));
-            }
-            "--threads" => {
-                let raw = args
-                    .next()
-                    .unwrap_or_else(|| fail_usage("--threads needs a count"));
-                let n: usize = raw
-                    .parse()
-                    .unwrap_or_else(|_| fail_usage(&format!("bad thread count {raw:?}")));
-                if n == 0 {
-                    fail_usage("thread count must be at least 1");
-                }
-                opts.threads = Some(n);
-            }
+            "--compare" => opts.compare_path = cli.value("--compare"),
+            "--tolerance" => opts.tolerance = cli.parse("--tolerance"),
+            "--threads" => cli.threads(),
             "--quick" => opts.quick = true,
             "--mutants" => opts.mutants = true,
             "--list" => opts.list = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => fail_usage(&format!("unknown argument {other:?}")),
+            other => cli.unknown(other),
         }
     }
     opts
@@ -178,7 +136,7 @@ fn gate(
 }
 
 #[cfg(feature = "mutants")]
-fn run_mutants(tolerance: f64, committed: &json::Value) -> ! {
+fn run_mutants(_cli: &Cli, tolerance: f64, committed: &json::Value) -> ! {
     let mut escaped = 0usize;
     for mutant in e9_bounds::mutants::mutants() {
         let targets = e9_bounds::mutants::apply(&mutant);
@@ -211,41 +169,39 @@ fn run_mutants(tolerance: f64, committed: &json::Value) -> ! {
     }
     if escaped > 0 {
         eprintln!("boundcheck: {escaped} mutant(s) escaped the gate");
-        std::process::exit(1);
+        std::process::exit(FINDING.into());
     }
     println!("all mutants caught");
     std::process::exit(0);
 }
 
 #[cfg(not(feature = "mutants"))]
-fn run_mutants(_tolerance: f64, _committed: &json::Value) -> ! {
-    fail_usage("--mutants needs a build with `--features mutants`");
+fn run_mutants(cli: &Cli, _tolerance: f64, _committed: &json::Value) -> ! {
+    cli.usage_error("--mutants needs a build with `--features mutants`");
 }
 
-fn read_committed(path: &str) -> json::Value {
-    let raw =
-        std::fs::read_to_string(path).unwrap_or_else(|e| fail_io(&format!("reading {path}"), &e));
-    json::parse(&raw).unwrap_or_else(|e| fail_io(&format!("parsing {path}"), &e))
+fn read_committed(cli: &Cli, path: &str) -> json::Value {
+    let raw = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| cli.io_error(format!("reading {path}: {e}")));
+    json::parse(&raw).unwrap_or_else(|e| cli.io_error(format!("parsing {path}: {e}")))
 }
 
 fn main() {
-    let opts = parse_args();
+    let mut cli = Cli::with_pool("boundcheck", USAGE);
+    let opts = parse_args(&mut cli);
     if opts.list {
         list_targets();
         return;
     }
-    if let Some(n) = opts.threads {
-        locert_par::configure_threads(n);
-    }
     if opts.mutants {
-        let committed = read_committed(&opts.compare_path);
-        run_mutants(opts.tolerance, &committed);
+        let committed = read_committed(&cli, &opts.compare_path);
+        run_mutants(&cli, opts.tolerance, &committed);
     }
     let results = e9_bounds::sweep_all(opts.quick, true);
     if let Some(path) = opts.write_baseline {
         let doc = baseline::to_json(&results);
         std::fs::write(&path, format!("{doc}\n"))
-            .unwrap_or_else(|e| fail_io(&format!("writing {path}"), &e));
+            .unwrap_or_else(|e| cli.io_error(format!("writing {path}: {e}")));
         println!(
             "wrote {path} ({} schemes, {} points)",
             results.len(),
@@ -257,7 +213,7 @@ fn main() {
         // Quick grids don't match the committed full-size baseline.
         None
     } else {
-        Some(read_committed(&opts.compare_path))
+        Some(read_committed(&cli, &opts.compare_path))
     };
     let violations = gate(&results, opts.tolerance, committed.as_ref());
     for v in &violations {
@@ -276,6 +232,6 @@ fn main() {
         );
     } else {
         eprintln!("boundcheck: {} violation(s)", violations.len());
-        std::process::exit(1);
+        std::process::exit(FINDING.into());
     }
 }

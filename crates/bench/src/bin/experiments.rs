@@ -26,8 +26,8 @@
 //! `target/trace.json`, load via `chrome://tracing` or Perfetto);
 //! trailing arguments select
 //! experiment ids (`e1`, `e4`, `f1`, …). Unknown `--` flags and unknown
-//! ids are usage errors; unwritable output paths are IO errors (exit 1),
-//! not panics.
+//! ids are usage errors; unwritable output paths are IO errors; both
+//! exit 2, never panic.
 //!
 //! The metrics dump (`locert-trace/v2`) keeps seed-deterministic
 //! telemetry (counters, value histograms) in `experiments` and
@@ -36,8 +36,10 @@
 //! byte-comparisons read only the deterministic section.
 
 use locert_bench::*;
+use locert_par::cli::Cli;
 use locert_trace::json::Value;
 use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// Every experiment id the binary knows how to run, in report order.
 const KNOWN_IDS: [&str; 18] = [
@@ -75,45 +77,37 @@ usage: experiments [--out PATH] [--quick] [--threads N] [--metrics [PATH]]
   only-ids…             run only the listed experiments (e1 e2 e3 e4 e5 e6
                         e7 e8 e9 f1 f4 p34 a1 s1 s2 s3 s4 s5)";
 
-fn fail_usage(msg: &str) -> ! {
-    eprintln!("experiments: {msg}\n{USAGE}");
-    std::process::exit(2);
-}
-
-/// A zero worker count (flag or environment) exits 1: constructing a
-/// zero-worker pool would deadlock the first parallel region, and the
-/// silent fall-back the environment variable used to get hid typos in
-/// CI matrices.
-fn fail_zero_threads(source: &str) -> ! {
-    eprintln!("experiments: {source}: thread count must be at least 1\n{USAGE}");
-    std::process::exit(1);
-}
-
-fn fail_io(what: &str, path: &str, err: &std::io::Error) -> ! {
-    eprintln!("experiments: cannot write {what} {path}: {err}");
-    std::process::exit(1);
-}
-
 /// Writes `content` to `path`, creating parent directories; IO failures
-/// are reported as errors (exit 1), never panics.
-fn write_artifact(what: &str, path: &str, content: &str) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                fail_io(what, path, &e);
+/// are reported as errors (exit 2), never panics.
+fn write_artifact(cli: &Cli, what: &str, path: &str, content: &str) {
+    write_streamed(cli, what, path, |out| out.write_all(content.as_bytes()));
+}
+
+/// Creates `path` (and its parent directories) and streams `write` into
+/// it through one buffer.
+fn write_streamed(
+    cli: &Cli,
+    what: &str,
+    path: &str,
+    write: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> std::io::Result<()>,
+) {
+    let run = || -> std::io::Result<()> {
+        if let Some(dir) = std::path::Path::new(path).parent() {
+            if !dir.as_os_str().is_empty() {
+                std::fs::create_dir_all(dir)?;
             }
         }
-    }
-    if let Err(e) = std::fs::write(path, content) {
-        fail_io(what, path, &e);
+        let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
+        write(&mut out)?;
+        out.flush()
+    };
+    if let Err(e) = run() {
+        cli.io_error(format!("cannot write {what} {path}: {e}"));
     }
 }
 
 fn main() {
-    if std::env::var("LOCERT_THREADS").is_ok_and(|v| v.trim().parse::<usize>() == Ok(0)) {
-        fail_zero_threads("LOCERT_THREADS=0");
-    }
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut cli = Cli::with_pool("experiments", USAGE);
     let mut out_path = "EXPERIMENTS.md".to_string();
     let mut quick = false;
     let mut metrics_path: Option<String> = None;
@@ -122,86 +116,44 @@ fn main() {
     let mut only: Vec<String> = Vec::new();
     // The path operand of --metrics/--journal/--chrome-trace is optional:
     // consume the next argument unless it is a flag or an experiment id.
-    let optional_path = |args: &[String], i: usize| -> Option<String> {
-        args.get(i + 1)
-            .filter(|a| {
-                !a.starts_with("--") && !KNOWN_IDS.contains(&a.to_ascii_lowercase().as_str())
-            })
-            .cloned()
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return;
-            }
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => out_path = p.clone(),
-                    None => fail_usage("--out needs a path"),
-                }
-            }
+    let is_path =
+        |a: &str| !a.starts_with("--") && !KNOWN_IDS.contains(&a.to_ascii_lowercase().as_str());
+    while let Some(arg) = cli.next() {
+        match arg.as_str() {
+            "--out" => out_path = cli.value("--out"),
             "--quick" => quick = true,
-            "--threads" => {
-                i += 1;
-                let n = args
-                    .get(i)
-                    .and_then(|a| a.parse::<usize>().ok())
-                    .unwrap_or_else(|| fail_usage("--threads needs an integer"));
-                if n == 0 {
-                    fail_zero_threads("--threads 0");
-                }
-                if !locert_par::configure_threads(n) {
-                    fail_usage("--threads must come before the pool is first used");
-                }
+            "--threads" => cli.threads(),
+            "--metrics" => {
+                metrics_path = Some(
+                    cli.optional(is_path)
+                        .unwrap_or_else(|| "target/metrics.json".into()),
+                )
             }
-            "--metrics" => match optional_path(&args, i) {
-                Some(p) => {
-                    i += 1;
-                    metrics_path = Some(p);
-                }
-                None => metrics_path = Some("target/metrics.json".to_string()),
-            },
             "--baseline" => metrics_path = Some("metrics.json".to_string()),
-            "--journal" => match optional_path(&args, i) {
-                Some(p) => {
-                    i += 1;
-                    journal_path = Some(p);
-                }
-                None => journal_path = Some("target/journal.jsonl".to_string()),
-            },
+            "--journal" => {
+                journal_path = Some(
+                    cli.optional(is_path)
+                        .unwrap_or_else(|| "target/journal.jsonl".into()),
+                )
+            }
             "--journal-capacity" => {
-                i += 1;
-                let n = args
-                    .get(i)
-                    .and_then(|a| a.parse::<usize>().ok())
-                    .unwrap_or_else(|| fail_usage("--journal-capacity needs an integer"));
-                if n == 0 {
-                    fail_usage("--journal-capacity must be at least 1");
-                }
-                locert_trace::journal::set_capacity(n);
+                locert_trace::journal::set_capacity(cli.parse_at_least("--journal-capacity", 1))
             }
-            "--chrome-trace" => match optional_path(&args, i) {
-                Some(p) => {
-                    i += 1;
-                    chrome_path = Some(p);
-                }
-                None => chrome_path = Some("target/trace.json".to_string()),
-            },
-            flag if flag.starts_with("--") => {
-                fail_usage(&format!("unknown flag {flag}"));
+            "--chrome-trace" => {
+                chrome_path = Some(
+                    cli.optional(is_path)
+                        .unwrap_or_else(|| "target/trace.json".into()),
+                )
             }
+            flag if flag.starts_with("--") => cli.usage_error(format!("unknown flag {flag}")),
             id => {
                 let id = id.to_ascii_lowercase();
                 if !KNOWN_IDS.contains(&id.as_str()) {
-                    fail_usage(&format!("unknown experiment id {id:?}"));
+                    cli.usage_error(format!("unknown experiment id {id:?}"));
                 }
                 only.push(id);
             }
         }
-        i += 1;
     }
     let want = |id: &str| only.is_empty() || only.iter().any(|o| o == id);
     let tracing = metrics_path.is_some() || chrome_path.is_some();
@@ -388,7 +340,7 @@ fn main() {
             let _ = writeln!(md);
             let _ = writeln!(md, "{}", locert_trace::export::snapshot_markdown(snap));
         }
-        write_metrics_json(path, quick, &telemetry, journal_snap.as_ref());
+        write_metrics_json(&cli, path, quick, &telemetry, journal_snap.as_ref());
         eprintln!("wrote {path} ({} experiments)", telemetry.len());
     }
     if let Some(path) = &chrome_path {
@@ -397,6 +349,7 @@ fn main() {
             .map(|(id, _, snap)| (id.as_str(), snap))
             .collect();
         write_artifact(
+            &cli,
             "chrome trace",
             path,
             &locert_trace::export::chrome_trace_string(&sections),
@@ -404,38 +357,19 @@ fn main() {
         eprintln!("wrote {path} ({} sections)", sections.len());
     }
     if let (Some(path), Some(snap)) = (&journal_path, &journal_snap) {
-        write_journal_artifact(path, snap);
+        // Streamed one line at a time: a ring-capacity-sized journal
+        // never needs a second in-memory copy of its serialization.
+        write_streamed(&cli, "journal", path, |out| {
+            locert_trace::journal::write_jsonl(snap, out)
+        });
         eprintln!(
             "wrote {path} ({} events, {} dropped)",
             snap.entries.len(),
             snap.dropped
         );
     }
-    write_artifact("report", &out_path, &md);
+    write_artifact(&cli, "report", &out_path, &md);
     eprintln!("wrote {out_path} ({} tables)", tables.len());
-}
-
-/// Streams the journal snapshot to `path` as JSONL via
-/// `journal::write_jsonl` — one buffered line at a time, so a
-/// ring-capacity-sized journal never needs a second in-memory copy of
-/// its serialization. IO failures exit 1 like every other artifact.
-fn write_journal_artifact(path: &str, snap: &locert_trace::journal::JournalSnapshot) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                fail_io("journal", path, &e);
-            }
-        }
-    }
-    let write = || -> std::io::Result<()> {
-        let file = std::fs::File::create(path)?;
-        let mut out = std::io::BufWriter::new(file);
-        locert_trace::journal::write_jsonl(snap, &mut out)?;
-        std::io::Write::flush(&mut out)
-    };
-    if let Err(e) = write() {
-        fail_io("journal", path, &e);
-    }
 }
 
 /// The optional `journal` section of the metrics dump: ring
@@ -466,6 +400,7 @@ fn journal_meta_json(snap: &locert_trace::journal::JournalSnapshot) -> Value {
 /// regression tooling (`trace-check --compare`, `bench_diff`, the CI
 /// `cmp`) reads only the deterministic section.
 fn write_metrics_json(
+    cli: &Cli,
     path: &str,
     quick: bool,
     telemetry: &[(String, f64, locert_trace::Snapshot)],
@@ -500,5 +435,5 @@ fn write_metrics_json(
     if let Some(snap) = journal_snap {
         fields.push(("journal".to_string(), journal_meta_json(snap)));
     }
-    write_artifact("metrics", path, &format!("{}\n", Value::obj(fields)));
+    write_artifact(cli, "metrics", path, &format!("{}\n", Value::obj(fields)));
 }

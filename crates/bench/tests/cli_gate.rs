@@ -267,7 +267,7 @@ fn experiments_rejects_unwritable_metrics_path_without_panicking() {
         .unwrap();
     assert_eq!(
         out.status.code(),
-        Some(1),
+        Some(2),
         "unwritable metrics path must be an IO error, not a panic"
     );
     let stderr = String::from_utf8_lossy(&out.stderr);

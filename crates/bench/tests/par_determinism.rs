@@ -203,30 +203,43 @@ fn threads_flag_matches_environment_variable() {
 }
 
 /// A zero worker count — through the flag or the environment — is a
-/// usage error (exit 1), not a silently ignored value: a zero-worker
-/// pool would deadlock the first parallel region, and the old fallback
-/// hid typos in CI matrices.
+/// usage error (exit 2, naming its source), not a silently ignored
+/// value: a zero-worker pool would deadlock the first parallel region,
+/// and the old fallback hid typos in CI matrices. Every binary that runs
+/// on the pool shares the rule (`locert_par::cli`); the diffhunt,
+/// netstorm, locert-serve and locert twins live in their own crates'
+/// tests.
 #[test]
 fn zero_threads_is_a_usage_error() {
-    let flag = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["e3", "--quick", "--threads", "0"])
-        .env_remove("LOCERT_THREADS")
-        .output()
-        .expect("spawn experiments binary");
-    assert_eq!(flag.status.code(), Some(1), "--threads 0 must exit 1");
-    assert!(
-        String::from_utf8_lossy(&flag.stderr).contains("thread count must be at least 1"),
-        "stderr names the problem"
-    );
+    for (exe, args) in [
+        (env!("CARGO_BIN_EXE_experiments"), &["e3", "--quick"][..]),
+        (env!("CARGO_BIN_EXE_boundcheck"), &["--quick"][..]),
+    ] {
+        let flag = Command::new(exe)
+            .args(args)
+            .args(["--threads", "0"])
+            .env_remove("LOCERT_THREADS")
+            .output()
+            .expect("spawn binary");
+        assert_eq!(flag.status.code(), Some(2), "{exe} --threads 0 must exit 2");
+        assert!(
+            String::from_utf8_lossy(&flag.stderr).contains("thread count must be at least 1"),
+            "stderr names the problem"
+        );
 
-    let env = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["e3", "--quick"])
-        .env("LOCERT_THREADS", "0")
-        .output()
-        .expect("spawn experiments binary");
-    assert_eq!(env.status.code(), Some(1), "LOCERT_THREADS=0 must exit 1");
-    assert!(
-        String::from_utf8_lossy(&env.stderr).contains("LOCERT_THREADS=0"),
-        "stderr names the source"
-    );
+        let env = Command::new(exe)
+            .args(args)
+            .env("LOCERT_THREADS", "0")
+            .output()
+            .expect("spawn binary");
+        assert_eq!(
+            env.status.code(),
+            Some(2),
+            "{exe}: LOCERT_THREADS=0 must exit 2"
+        );
+        assert!(
+            String::from_utf8_lossy(&env.stderr).contains("LOCERT_THREADS=0"),
+            "stderr names the source"
+        );
+    }
 }

@@ -13,7 +13,7 @@
 //! detection, and transport cost. Exits 0 when the acceptance grid
 //! holds (benign points never reject, corrupting points always detect,
 //! reliable points always complete), 1 on any violation, 2 on usage
-//! errors.
+//! or I/O errors (a zero `--threads` or `LOCERT_THREADS` included).
 //!
 //! Output is deterministic for a fixed seed at any thread count — the
 //! simulator has no wall clock and the journal is flushed in task
@@ -24,6 +24,7 @@
 
 use locert_net::campaign::{fault_grid, run_net_campaign, CampaignConfig};
 use locert_net::catalogue::catalogue;
+use locert_par::cli::{Cli, FINDING};
 use locert_trace::journal;
 use locert_trace::json::Value;
 use std::process::ExitCode;
@@ -50,20 +51,6 @@ crash-restart with certificate loss, and healing partitions.
   --out DIR    write net-journal.jsonl and net-metrics.json
   --list       print the target catalogue and fault grid, then exit";
 
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("netstorm: {msg}");
-    eprintln!("{USAGE}");
-    ExitCode::from(2)
-}
-
-/// A zero worker count (flag or environment) exits 1 rather than
-/// constructing a zero-worker pool (matches `experiments`).
-fn fail_zero_threads(source: &str) -> ! {
-    eprintln!("netstorm: {source}: thread count must be at least 1");
-    eprintln!("{USAGE}");
-    std::process::exit(1);
-}
-
 struct Args {
     seed: u64,
     quick: bool,
@@ -74,7 +61,7 @@ struct Args {
     list: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(cli: &mut Cli) -> Args {
     let mut args = Args {
         seed: 1,
         quick: false,
@@ -84,61 +71,22 @@ fn parse_args() -> Result<Args, String> {
         out: None,
         list: false,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
+    while let Some(arg) = cli.next() {
         match arg.as_str() {
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                args.seed = v.parse().map_err(|_| format!("bad seed {v:?}"))?;
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad thread count {v:?}"))?;
-                if n == 0 {
-                    fail_zero_threads("--threads 0");
-                }
-                if !locert_par::configure_threads(n) {
-                    return Err("--threads must come before any parallel work".into());
-                }
-            }
-            "--runs" => {
-                let v = it.next().ok_or("--runs needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad run count {v:?}"))?;
-                if n == 0 {
-                    return Err("--runs must be at least 1".into());
-                }
-                args.runs = Some(n);
-            }
-            "--size" => {
-                let v = it.next().ok_or("--size needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad size {v:?}"))?;
-                if n < 7 {
-                    return Err("--size must be at least 7".into());
-                }
-                args.size = Some(n);
-            }
+            "--seed" => args.seed = cli.parse("--seed"),
+            "--threads" => cli.threads(),
+            "--runs" => args.runs = Some(cli.parse_at_least("--runs", 1)),
+            "--size" => args.size = Some(cli.parse_at_least("--size", 7)),
             "--journal-capacity" => {
-                let v = it.next().ok_or("--journal-capacity needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad capacity {v:?}"))?;
-                if n == 0 {
-                    return Err("--journal-capacity must be at least 1".into());
-                }
-                args.journal_capacity = n;
+                args.journal_capacity = cli.parse_at_least("--journal-capacity", 1)
             }
-            "--out" => {
-                let v = it.next().ok_or("--out needs a directory")?;
-                args.out = Some(v.into());
-            }
+            "--out" => args.out = Some(cli.value("--out").into()),
             "--quick" => args.quick = true,
             "--list" => args.list = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument {other:?}")),
+            other => cli.unknown(other),
         }
     }
-    Ok(args)
+    args
 }
 
 /// Serializes the run's telemetry as a single-section `locert-trace/v2`
@@ -217,13 +165,8 @@ fn write_artifacts(dir: &std::path::Path, quick: bool, wall_s: f64) -> Result<()
 }
 
 fn main() -> ExitCode {
-    if std::env::var("LOCERT_THREADS").is_ok_and(|v| v.trim().parse::<usize>() == Ok(0)) {
-        fail_zero_threads("LOCERT_THREADS=0");
-    }
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => return fail(&e),
-    };
+    let mut cli = Cli::with_pool("netstorm", USAGE);
+    let args = parse_args(&mut cli);
     if args.list {
         for target in catalogue(args.size.unwrap_or(12)) {
             println!(
@@ -315,7 +258,7 @@ fn main() -> ExitCode {
     }
     if let Some(dir) = &args.out {
         if let Err(e) = write_artifacts(dir, args.quick, wall_s) {
-            return fail(&e);
+            cli.io_error(e);
         }
         println!("artifacts written to {}", dir.display());
     }
@@ -324,6 +267,6 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         println!("netstorm: {violations} violation(s)");
-        ExitCode::FAILURE
+        ExitCode::from(FINDING)
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! Runs the full oracle sweep (every catalogue case × the seeded graph
 //! family) and exits 0 when clean, 1 on any disagreement or escaped
-//! mutant, 2 on usage errors. Output is deterministic for a fixed seed
+//! mutant, 2 on usage or I/O errors. Output is deterministic for a fixed seed
 //! at any thread count — no wall-clock, no unordered iteration — so CI
 //! byte-compares runs at `LOCERT_THREADS=1` and `4`.
 //!
@@ -17,6 +17,7 @@
 //! detected with a witness of at most 12 vertices.
 
 use locert_oracle::{cases, harness};
+use locert_par::cli::{Cli, FINDING};
 use locert_trace::journal;
 use std::process::ExitCode;
 
@@ -35,12 +36,6 @@ is shrunk to a minimal repro.
   --mutants    mutation self-test (requires the `mutants` build feature)
   --list       print the case catalogue and exit";
 
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("diffhunt: {msg}");
-    eprintln!("{USAGE}");
-    ExitCode::from(2)
-}
-
 struct Args {
     seed: u64,
     quick: bool,
@@ -49,7 +44,7 @@ struct Args {
     list: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(cli: &mut Cli) -> Args {
     let mut args = Args {
         seed: 1,
         quick: false,
@@ -57,38 +52,18 @@ fn parse_args() -> Result<Args, String> {
         mutants: false,
         list: false,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
+    while let Some(arg) = cli.next() {
         match arg.as_str() {
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                args.seed = v.parse().map_err(|_| format!("bad seed {v:?}"))?;
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad thread count {v:?}"))?;
-                if n == 0 {
-                    return Err("thread count must be at least 1".into());
-                }
-                if !locert_par::configure_threads(n) {
-                    return Err("--threads must come before any parallel work".into());
-                }
-            }
-            "--out" => {
-                let v = it.next().ok_or("--out needs a directory")?;
-                args.out = Some(v.into());
-            }
+            "--seed" => args.seed = cli.parse("--seed"),
+            "--threads" => cli.threads(),
+            "--out" => args.out = Some(cli.value("--out").into()),
             "--quick" => args.quick = true,
             "--mutants" => args.mutants = true,
             "--list" => args.list = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument {other:?}")),
+            other => cli.unknown(other),
         }
     }
-    Ok(args)
+    args
 }
 
 fn write_artifacts(
@@ -113,7 +88,7 @@ fn write_artifacts(
     Ok(())
 }
 
-fn run_sweep(args: &Args) -> ExitCode {
+fn run_sweep(cli: &Cli, args: &Args) -> ExitCode {
     let cases = cases::catalogue();
     let graphs = harness::family(args.quick, args.seed);
     let rounds = if args.quick { 20 } else { 60 };
@@ -142,7 +117,7 @@ fn run_sweep(args: &Args) -> ExitCode {
     }
     if let Some(dir) = &args.out {
         if let Err(e) = write_artifacts(dir, &report.disagreements) {
-            return fail(&e);
+            cli.io_error(e);
         }
         println!("artifacts written to {}", dir.display());
     }
@@ -151,12 +126,12 @@ fn run_sweep(args: &Args) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         println!("diffhunt: {} disagreement(s)", report.disagreements.len());
-        ExitCode::FAILURE
+        ExitCode::from(FINDING)
     }
 }
 
 #[cfg(feature = "mutants")]
-fn run_mutants(args: &Args) -> ExitCode {
+fn run_mutants(cli: &Cli, args: &Args) -> ExitCode {
     use locert_oracle::mutants;
     let graphs = harness::family(true, args.seed);
     let mut escaped = 0usize;
@@ -194,7 +169,7 @@ fn run_mutants(args: &Args) -> ExitCode {
     }
     if let Some(dir) = &args.out {
         if let Err(e) = write_artifacts(dir, &all) {
-            return fail(&e);
+            cli.io_error(e);
         }
         println!("artifacts written to {}", dir.display());
     }
@@ -203,20 +178,18 @@ fn run_mutants(args: &Args) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         println!("diffhunt: {escaped} mutant(s) escaped");
-        ExitCode::FAILURE
+        ExitCode::from(FINDING)
     }
 }
 
 #[cfg(not(feature = "mutants"))]
-fn run_mutants(_args: &Args) -> ExitCode {
-    fail("this binary was built without the `mutants` feature (use --features mutants)")
+fn run_mutants(cli: &Cli, _args: &Args) -> ExitCode {
+    cli.usage_error("this binary was built without the `mutants` feature (use --features mutants)")
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => return fail(&e),
-    };
+    let mut cli = Cli::with_pool("diffhunt", USAGE);
+    let args = parse_args(&mut cli);
     if args.list {
         for case in cases::catalogue() {
             println!("{:<22} [{}]", case.name, case.group);
@@ -226,8 +199,8 @@ fn main() -> ExitCode {
     journal::set_capacity(1 << 20);
     journal::enable();
     if args.mutants {
-        run_mutants(&args)
+        run_mutants(&cli, &args)
     } else {
-        run_sweep(&args)
+        run_sweep(&cli, &args)
     }
 }

@@ -40,6 +40,7 @@
 //! pool task executes sequentially on the calling worker, which keeps
 //! determinism local and makes deadlock impossible by construction.
 
+pub mod cli;
 mod deque;
 mod task;
 

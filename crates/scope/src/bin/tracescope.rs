@@ -17,6 +17,7 @@
 //! I/O error — the same convention as `trace-check` and `bench_diff`,
 //! so CI gates read naturally.
 
+use locert_par::cli::{Cli, FINDING};
 use locert_scope::{causal, diff, flame, http, query, window};
 use locert_trace::journal::{self, JournalSnapshot};
 use locert_trace::json;
@@ -40,114 +41,64 @@ usage: tracescope <command> …
                                        HTTP exporter: /metrics /healthz
                                        /journal/tail?n=";
 
-fn usage_error(msg: &str) -> ExitCode {
-    eprintln!("tracescope: {msg}\n{USAGE}");
-    ExitCode::from(2)
+fn read_file(cli: &Cli, path: &str) -> String {
+    std::fs::read_to_string(path)
+        .unwrap_or_else(|e| cli.io_error(format!("cannot read {path}: {e}")))
 }
 
-fn read_file(path: &str) -> Result<String, ExitCode> {
-    std::fs::read_to_string(path).map_err(|e| {
-        eprintln!("tracescope: cannot read {path}: {e}");
-        ExitCode::from(2)
-    })
+fn load_journal(cli: &Cli, path: &str) -> JournalSnapshot {
+    journal::from_jsonl(&read_file(cli, path))
+        .unwrap_or_else(|e| cli.io_error(format!("{path}: {e}")))
 }
 
-fn load_journal(path: &str) -> Result<JournalSnapshot, ExitCode> {
-    let text = read_file(path)?;
-    journal::from_jsonl(&text).map_err(|e| {
-        eprintln!("tracescope: {path}: {e}");
-        ExitCode::from(2)
-    })
-}
-
-/// Consumes `--flag VALUE` from `args`; `Ok(None)` when absent.
-fn take_opt(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) if i + 1 < args.len() => {
-            let v = args.remove(i + 1);
-            args.remove(i);
-            Ok(Some(v))
-        }
-        Some(_) => Err(format!("{flag} needs a value")),
-    }
-}
-
-fn take_parsed<T: std::str::FromStr>(
-    args: &mut Vec<String>,
-    flag: &str,
-) -> Result<Option<T>, String> {
-    match take_opt(args, flag)? {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("{flag}: bad value {v:?}")),
-    }
-}
-
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    match args.iter().position(|a| a == flag) {
-        Some(i) => {
-            args.remove(i);
-            true
-        }
-        None => false,
-    }
-}
-
-fn positional(args: Vec<String>, want: usize, what: &str) -> Result<Vec<String>, String> {
+/// Exactly `N` operands, none of them an unknown `--` option.
+fn operands<const N: usize>(cli: &Cli, args: Vec<String>, what: &str) -> [String; N] {
     if let Some(stray) = args.iter().find(|a| a.starts_with("--")) {
-        return Err(format!("unknown option {stray}"));
+        cli.usage_error(format!("unknown option {stray}"));
     }
-    if args.len() != want {
-        return Err(format!("expected {what}"));
-    }
-    Ok(args)
+    <[String; N]>::try_from(args).unwrap_or_else(|_| cli.usage_error(format!("expected {what}")))
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        return usage_error("missing command");
-    }
-    let cmd = args.remove(0);
-    let result = match cmd.as_str() {
-        "query" => cmd_query(args),
-        "why" => cmd_why(args),
-        "diff" => cmd_diff(args),
-        "windows" => cmd_windows(args),
-        "flame" => cmd_flame(args),
-        "tail" => cmd_tail(args),
-        "serve" => cmd_serve(args),
-        other => return usage_error(&format!("unknown command {other:?}")),
+    let mut cli = Cli::new("tracescope", USAGE);
+    let Some(cmd) = cli.next() else {
+        cli.usage_error("missing command");
     };
-    match result {
-        Ok(code) => code,
-        Err(msg) => usage_error(&msg),
+    match cmd.as_str() {
+        "query" => cmd_query(cli),
+        "why" => cmd_why(cli),
+        "diff" => cmd_diff(cli),
+        "windows" => cmd_windows(cli),
+        "flame" => cmd_flame(cli),
+        "tail" => cmd_tail(cli),
+        "serve" => cmd_serve(cli),
+        other => cli.usage_error(format!("unknown command {other:?}")),
     }
 }
 
-fn cmd_query(mut args: Vec<String>) -> Result<ExitCode, String> {
+fn cmd_query(mut cli: Cli) -> ExitCode {
     let mut q = query::Query::default();
-    while let Some(kind) = take_opt(&mut args, "--kind")? {
-        q.kinds.push(kind);
+    let mut limit: Option<usize> = None;
+    let mut count_only = false;
+    let mut args = Vec::new();
+    while let Some(arg) = cli.next() {
+        match arg.as_str() {
+            "--kind" => q.kinds.push(cli.value("--kind")),
+            "--vertex" => q.vertex = Some(cli.parse("--vertex")),
+            "--name" => q.name = Some(cli.value("--name")),
+            "--round" => q.round = Some(cli.parse("--round")),
+            "--scope" => q.scope = Some(cli.value("--scope")),
+            "--limit" => limit = Some(cli.parse("--limit")),
+            "--count" => count_only = true,
+            _ => args.push(arg),
+        }
     }
-    q.vertex = take_parsed(&mut args, "--vertex")?;
-    q.name = take_opt(&mut args, "--name")?;
-    q.round = take_parsed(&mut args, "--round")?;
-    q.scope = take_opt(&mut args, "--scope")?;
-    let limit: Option<usize> = take_parsed(&mut args, "--limit")?;
-    let count_only = take_flag(&mut args, "--count");
-    let [path] = <[String; 1]>::try_from(positional(args, 1, "one JOURNAL path")?).unwrap();
-    let snap = match load_journal(&path) {
-        Ok(s) => s,
-        Err(code) => return Ok(code),
-    };
+    let [path] = operands(&cli, args, "one JOURNAL path");
+    let snap = load_journal(&cli, &path);
     let hits = query::run(&snap, &q);
     if count_only {
         println!("{}", hits.len());
-        return Ok(ExitCode::SUCCESS);
+        return ExitCode::SUCCESS;
     }
     for entry in hits.iter().take(limit.unwrap_or(usize::MAX)) {
         println!("{}", journal::entry_to_jsonl_line(entry));
@@ -157,16 +108,20 @@ fn cmd_query(mut args: Vec<String>) -> Result<ExitCode, String> {
             eprintln!("… {} more (raise --limit)", hits.len() - limit);
         }
     }
-    Ok(ExitCode::SUCCESS)
+    ExitCode::SUCCESS
 }
 
-fn cmd_why(mut args: Vec<String>) -> Result<ExitCode, String> {
-    let vertex: Option<u64> = take_parsed(&mut args, "--vertex")?;
-    let [path] = <[String; 1]>::try_from(positional(args, 1, "one JOURNAL path")?).unwrap();
-    let snap = match load_journal(&path) {
-        Ok(s) => s,
-        Err(code) => return Ok(code),
-    };
+fn cmd_why(mut cli: Cli) -> ExitCode {
+    let mut vertex: Option<u64> = None;
+    let mut args = Vec::new();
+    while let Some(arg) = cli.next() {
+        match arg.as_str() {
+            "--vertex" => vertex = Some(cli.parse("--vertex")),
+            _ => args.push(arg),
+        }
+    }
+    let [path] = operands(&cli, args, "one JOURNAL path");
+    let snap = load_journal(&cli, &path);
     let report = causal::resolve(&snap);
     let chains: Vec<&causal::CausalChain> = report
         .chains
@@ -213,42 +168,44 @@ fn cmd_why(mut args: Vec<String>) -> Result<ExitCode, String> {
                 }
             );
         }
-        return Ok(ExitCode::from(1));
+        return ExitCode::from(FINDING);
     }
-    Ok(ExitCode::SUCCESS)
+    ExitCode::SUCCESS
 }
 
-fn cmd_diff(args: Vec<String>) -> Result<ExitCode, String> {
-    let [left_path, right_path] =
-        <[String; 2]>::try_from(positional(args, 2, "LEFT and RIGHT journal paths")?).unwrap();
-    let (left, right) = match (read_file(&left_path), read_file(&right_path)) {
-        (Ok(l), Ok(r)) => (l, r),
-        (Err(code), _) | (_, Err(code)) => return Ok(code),
-    };
+fn cmd_diff(mut cli: Cli) -> ExitCode {
+    let args = cli.by_ref().collect();
+    let [left_path, right_path] = operands(&cli, args, "LEFT and RIGHT journal paths");
+    let (left, right) = (read_file(&cli, &left_path), read_file(&cli, &right_path));
     match diff::first_divergence(&left, &right) {
         None => {
             println!("identical: {left_path} == {right_path}");
-            Ok(ExitCode::SUCCESS)
+            ExitCode::SUCCESS
         }
         Some(d) => {
             print!("{d}");
-            Ok(ExitCode::from(1))
+            ExitCode::from(FINDING)
         }
     }
 }
 
-fn cmd_windows(mut args: Vec<String>) -> Result<ExitCode, String> {
-    let scope = take_opt(&mut args, "--scope")?;
-    let interval: u64 = take_parsed(&mut args, "--interval")?.unwrap_or(1);
-    let [path] = <[String; 1]>::try_from(positional(args, 1, "one JOURNAL path")?).unwrap();
-    let snap = match load_journal(&path) {
-        Ok(s) => s,
-        Err(code) => return Ok(code),
-    };
+fn cmd_windows(mut cli: Cli) -> ExitCode {
+    let mut scope = None;
+    let mut interval: u64 = 1;
+    let mut args = Vec::new();
+    while let Some(arg) = cli.next() {
+        match arg.as_str() {
+            "--scope" => scope = Some(cli.value("--scope")),
+            "--interval" => interval = cli.parse("--interval"),
+            _ => args.push(arg),
+        }
+    }
+    let [path] = operands(&cli, args, "one JOURNAL path");
+    let snap = load_journal(&cli, &path);
     let windows = window::journal_windows(&snap, scope.as_deref(), interval);
     if windows.is_empty() {
         println!("no windowed rounds (journal has no round marks in scope)");
-        return Ok(ExitCode::SUCCESS);
+        return ExitCode::SUCCESS;
     }
     for w in &windows {
         let counts: Vec<String> = w
@@ -264,71 +221,72 @@ fn cmd_windows(mut args: Vec<String>) -> Result<ExitCode, String> {
             counts.join(" ")
         );
     }
-    Ok(ExitCode::SUCCESS)
+    ExitCode::SUCCESS
 }
 
-fn cmd_flame(mut args: Vec<String>) -> Result<ExitCode, String> {
-    let out_path = take_opt(&mut args, "--out")?;
-    let [path] = <[String; 1]>::try_from(positional(args, 1, "one METRICS_JSON path")?).unwrap();
-    let text = match read_file(&path) {
-        Ok(t) => t,
-        Err(code) => return Ok(code),
-    };
-    let doc = match json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("tracescope: {path}: {e}");
-            return Ok(ExitCode::from(2));
+fn cmd_flame(mut cli: Cli) -> ExitCode {
+    let mut out_path = None;
+    let mut args = Vec::new();
+    while let Some(arg) = cli.next() {
+        match arg.as_str() {
+            "--out" => out_path = Some(cli.value("--out")),
+            _ => args.push(arg),
         }
-    };
-    let folded = match flame::from_metrics_json(&doc) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("tracescope: {path}: {e}");
-            return Ok(ExitCode::from(2));
-        }
-    };
+    }
+    let [path] = operands(&cli, args, "one METRICS_JSON path");
+    let folded = json::parse(&read_file(&cli, &path))
+        .map_err(|e| e.to_string())
+        .and_then(|doc| flame::from_metrics_json(&doc))
+        .unwrap_or_else(|e| cli.io_error(format!("{path}: {e}")));
     match out_path {
         Some(out) => {
             if let Err(e) = std::fs::write(&out, &folded) {
-                eprintln!("tracescope: cannot write {out}: {e}");
-                return Ok(ExitCode::from(2));
+                cli.io_error(format!("cannot write {out}: {e}"));
             }
             eprintln!("wrote {out} ({} stacks)", folded.lines().count());
         }
         None => print!("{folded}"),
     }
-    Ok(ExitCode::SUCCESS)
+    ExitCode::SUCCESS
 }
 
-fn cmd_tail(mut args: Vec<String>) -> Result<ExitCode, String> {
-    let n: usize = take_parsed(&mut args, "-n")?.unwrap_or(http::DEFAULT_TAIL);
-    let [path] = <[String; 1]>::try_from(positional(args, 1, "one JOURNAL path")?).unwrap();
-    let snap = match load_journal(&path) {
-        Ok(s) => s,
-        Err(code) => return Ok(code),
-    };
+fn cmd_tail(mut cli: Cli) -> ExitCode {
+    let mut n = http::DEFAULT_TAIL;
+    let mut args = Vec::new();
+    while let Some(arg) = cli.next() {
+        match arg.as_str() {
+            "-n" => n = cli.parse("-n"),
+            _ => args.push(arg),
+        }
+    }
+    let [path] = operands(&cli, args, "one JOURNAL path");
+    let snap = load_journal(&cli, &path);
     let skip = snap.entries.len().saturating_sub(n);
     for entry in &snap.entries[skip..] {
         println!("{}", journal::entry_to_jsonl_line(entry));
     }
-    Ok(ExitCode::SUCCESS)
+    ExitCode::SUCCESS
 }
 
-fn cmd_serve(mut args: Vec<String>) -> Result<ExitCode, String> {
-    let addr = take_opt(&mut args, "--addr")?.unwrap_or_else(|| "127.0.0.1:9184".to_string());
-    let max_requests: Option<usize> = take_parsed(&mut args, "--max-requests")?;
+fn cmd_serve(mut cli: Cli) -> ExitCode {
+    let mut addr = "127.0.0.1:9184".to_string();
+    let mut max_requests: Option<usize> = None;
+    let mut args = Vec::new();
+    while let Some(arg) = cli.next() {
+        match arg.as_str() {
+            "--addr" => addr = cli.value("--addr"),
+            "--max-requests" => max_requests = Some(cli.parse("--max-requests")),
+            _ => args.push(arg),
+        }
+    }
     if args.len() > 1 {
-        return Err("expected at most one JOURNAL path".to_string());
+        cli.usage_error("expected at most one JOURNAL path");
     }
     // Replaying a journal file populates both surfaces: the ring buffer
     // behind /journal/tail, and per-kind counters (plus the recorded
     // drop count) behind /metrics.
     if let Some(path) = args.first() {
-        let snap = match load_journal(path) {
-            Ok(s) => s,
-            Err(code) => return Ok(code),
-        };
+        let snap = load_journal(&cli, path);
         locert_trace::enable();
         locert_trace::journal::set_capacity(snap.entries.len().max(journal::DEFAULT_CAPACITY));
         locert_trace::journal::enable();
@@ -345,13 +303,8 @@ fn cmd_serve(mut args: Vec<String>) -> Result<ExitCode, String> {
         locert_trace::enable();
         locert_trace::journal::enable();
     }
-    let mut server = match http::ScopeServer::serve(&addr, max_requests) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("tracescope: cannot bind {addr}: {e}");
-            return Ok(ExitCode::from(2));
-        }
-    };
+    let mut server = http::ScopeServer::serve(&addr, max_requests)
+        .unwrap_or_else(|e| cli.io_error(format!("cannot bind {addr}: {e}")));
     println!("listening on http://{}", server.addr());
     if max_requests.is_some() {
         server.join();
@@ -361,5 +314,5 @@ fn cmd_serve(mut args: Vec<String>) -> Result<ExitCode, String> {
             std::thread::park();
         }
     }
-    Ok(ExitCode::SUCCESS)
+    ExitCode::SUCCESS
 }

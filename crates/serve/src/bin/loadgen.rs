@@ -15,8 +15,9 @@
 //! document splitting counts from wall-clock timings). Exits 0 when
 //! every gate holds — zero unexpected errors, zero verdict mismatches,
 //! and the phase-2 hit rate at or above `--min-hit-rate` — 1 on a gate
-//! violation, 2 on usage errors.
+//! violation, 2 on usage or I/O errors (a transport failure included).
 
+use locert_par::cli::{Cli, FINDING};
 use locert_serve::loadgen::{run_loadgen, LoadgenConfig, DEFAULT_MIX};
 use locert_serve::Mode;
 use locert_trace::json::Value;
@@ -47,12 +48,6 @@ local verdict cross-checks and cache-hit accounting.
                      loadgen-metrics.json
   --shutdown         send the drain opcode after the workload";
 
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("loadgen: {msg}");
-    eprintln!("{USAGE}");
-    ExitCode::from(2)
-}
-
 struct Args {
     config: LoadgenConfig,
     addr: Option<String>,
@@ -61,7 +56,7 @@ struct Args {
     shutdown: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(cli: &mut Cli) -> Args {
     let mut args = Args {
         config: LoadgenConfig::default(),
         addr: None,
@@ -69,64 +64,38 @@ fn parse_args() -> Result<Args, String> {
         out: None,
         shutdown: false,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let num = |name: &str, it: &mut dyn Iterator<Item = String>| -> Result<usize, String> {
-            let v = it.next().ok_or(format!("{name} needs a value"))?;
-            v.parse().map_err(|_| format!("bad {name} value {v:?}"))
-        };
+    while let Some(arg) = cli.next() {
         match arg.as_str() {
-            "--addr" => args.addr = Some(it.next().ok_or("--addr needs a value")?),
-            "--seed" => args.config.seed = num("--seed", &mut it)? as u64,
-            "--unique" => args.config.unique = num("--unique", &mut it)?,
-            "--distinct" => {
-                args.config.distinct = num("--distinct", &mut it)?;
-                if args.config.distinct == 0 {
-                    return Err("--distinct must be at least 1".into());
-                }
-            }
-            "--repeats" => args.config.repeats = num("--repeats", &mut it)?,
-            "--concurrency" => {
-                args.config.concurrency = num("--concurrency", &mut it)?;
-                if args.config.concurrency == 0 {
-                    return Err("--concurrency must be at least 1".into());
-                }
-            }
-            "--qps" => args.config.qps = num("--qps", &mut it)? as u64,
-            "--inject-errors" => args.config.inject_errors = num("--inject-errors", &mut it)?,
+            "--addr" => args.addr = Some(cli.value("--addr")),
+            "--seed" => args.config.seed = cli.parse("--seed"),
+            "--unique" => args.config.unique = cli.parse("--unique"),
+            "--distinct" => args.config.distinct = cli.parse_at_least("--distinct", 1),
+            "--repeats" => args.config.repeats = cli.parse("--repeats"),
+            "--concurrency" => args.config.concurrency = cli.parse_at_least("--concurrency", 1),
+            "--qps" => args.config.qps = cli.parse("--qps"),
+            "--inject-errors" => args.config.inject_errors = cli.parse("--inject-errors"),
             "--schemes" => {
-                let v = it.next().ok_or("--schemes needs a value")?;
+                let v = cli.value("--schemes");
                 args.config.schemes = v.split(',').map(|s| s.trim().to_string()).collect();
                 if args.config.schemes.iter().any(|s| s.is_empty()) {
-                    return Err(format!("empty scheme id in {v:?}"));
+                    cli.usage_error(format!("empty scheme id in {v:?}"));
                 }
             }
             "--mode" => {
-                let v = it.next().ok_or("--mode needs a value")?;
-                args.config.mode = match v.as_str() {
+                args.config.mode = match cli.value("--mode").as_str() {
                     "prove" => Mode::Prove,
-                    "verify" => Mode::Verify,
                     "roundtrip" => Mode::Roundtrip,
-                    _ => return Err(format!("bad mode {v:?}")),
+                    "verify" => cli.usage_error("verify mode needs certificates; use roundtrip"),
+                    v => cli.usage_error(format!("bad mode {v:?}")),
                 };
-                if args.config.mode == Mode::Verify {
-                    return Err("verify mode needs certificates; use roundtrip".into());
-                }
             }
-            "--min-hit-rate" => {
-                let v = it.next().ok_or("--min-hit-rate needs a value")?;
-                args.min_hit_rate = v.parse().map_err(|_| format!("bad rate {v:?}"))?;
-            }
-            "--out" => args.out = Some(it.next().ok_or("--out needs a directory")?.into()),
+            "--min-hit-rate" => args.min_hit_rate = cli.parse("--min-hit-rate"),
+            "--out" => args.out = Some(cli.value("--out").into()),
             "--shutdown" => args.shutdown = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument {other:?}")),
+            other => cli.unknown(other),
         }
     }
-    Ok(args)
+    args
 }
 
 /// Serializes observed latency quantiles as a `locert-serve/v1`
@@ -193,19 +162,17 @@ fn metrics_json(report: &locert_serve::loadgen::Report) -> String {
 }
 
 fn main() -> ExitCode {
-    let mut args = match parse_args() {
-        Ok(args) => args,
-        Err(msg) => return fail(&msg),
-    };
+    let mut cli = Cli::with_pool("loadgen", USAGE);
+    let mut args = parse_args(&mut cli);
     let Some(addr) = args.addr.take() else {
-        return fail("--addr is required");
+        cli.usage_error("--addr is required");
     };
     let addr = match std::net::ToSocketAddrs::to_socket_addrs(&addr)
         .ok()
         .and_then(|mut addrs| addrs.next())
     {
         Some(addr) => addr,
-        None => return fail(&format!("cannot resolve {addr:?}")),
+        None => cli.usage_error(format!("cannot resolve {addr:?}")),
     };
     args.config.addr = addr;
     if args.config.schemes.is_empty() {
@@ -214,10 +181,7 @@ fn main() -> ExitCode {
     locert_trace::enable();
     let report = match run_loadgen(&args.config) {
         Ok(report) => report,
-        Err(e) => {
-            eprintln!("loadgen: transport failure: {e}");
-            return ExitCode::from(1);
-        }
+        Err(e) => cli.io_error(format!("transport failure: {e}")),
     };
     println!(
         "loadgen: {} requests in {:.3}s ({:.0} req/s), ok={} hit={} miss={} bypass={}",
@@ -267,8 +231,7 @@ fn main() -> ExitCode {
                     .map_err(|e| e.to_string())
             })
         {
-            eprintln!("loadgen: cannot write artifacts to {}: {e}", dir.display());
-            return ExitCode::from(1);
+            cli.io_error(format!("cannot write artifacts to {}: {e}", dir.display()));
         }
     }
     let hit_rate_ok = args.min_hit_rate <= 0.0 || report.phase2_hit_rate() >= args.min_hit_rate;
@@ -276,6 +239,6 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         eprintln!("loadgen: gate violated");
-        ExitCode::from(1)
+        ExitCode::from(FINDING)
     }
 }

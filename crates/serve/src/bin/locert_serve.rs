@@ -12,8 +12,9 @@
 //! opcode — the drain path: in-flight batches finish, late requests get
 //! `shutting-down`, every thread joins, and with `--journal` the event
 //! journal is flushed to JSONL before exit. Exits 0 on a clean drain,
-//! 2 on usage errors.
+//! 2 on usage or I/O errors.
 
+use locert_par::cli::Cli;
 use locert_serve::{ServeConfig, Server};
 use locert_trace::journal;
 use std::process::ExitCode;
@@ -35,73 +36,40 @@ certificate cache and per-scheme admission limits.
   --threads N          locert-par worker threads (also LOCERT_THREADS)
   --journal PATH       write the event journal as JSONL on shutdown";
 
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("locert-serve: {msg}");
-    eprintln!("{USAGE}");
-    ExitCode::from(2)
-}
-
 struct Args {
     config: ServeConfig,
     journal: Option<std::path::PathBuf>,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(cli: &mut Cli) -> Args {
     let mut args = Args {
         config: ServeConfig::default(),
         journal: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
+    while let Some(arg) = cli.next() {
         match arg.as_str() {
-            "--addr" => args.config.addr = it.next().ok_or("--addr needs a value")?,
-            "--metrics-addr" => {
-                args.config.metrics_addr = Some(it.next().ok_or("--metrics-addr needs a value")?)
-            }
-            "--cache-capacity" => {
-                let v = it.next().ok_or("--cache-capacity needs a value")?;
-                args.config.cache_capacity =
-                    v.parse().map_err(|_| format!("bad capacity {v:?}"))?;
-            }
+            "--addr" => args.config.addr = cli.value("--addr"),
+            "--metrics-addr" => args.config.metrics_addr = Some(cli.value("--metrics-addr")),
+            "--cache-capacity" => args.config.cache_capacity = cli.parse("--cache-capacity"),
             "--admission-limit" => {
-                let v = it.next().ok_or("--admission-limit needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad limit {v:?}"))?;
-                if n == 0 {
-                    return Err("--admission-limit must be at least 1".into());
-                }
-                args.config.admission_limit = n;
+                args.config.admission_limit = cli.parse_at_least("--admission-limit", 1)
             }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad thread count {v:?}"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-                if !locert_par::configure_threads(n) {
-                    return Err("--threads must come before any parallel work".into());
-                }
-            }
-            "--journal" => args.journal = Some(it.next().ok_or("--journal needs a path")?.into()),
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument {other:?}")),
+            "--threads" => cli.threads(),
+            "--journal" => args.journal = Some(cli.value("--journal").into()),
+            other => cli.unknown(other),
         }
     }
-    Ok(args)
+    args
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(msg) => return fail(&msg),
-    };
+    let mut cli = Cli::with_pool("locert-serve", USAGE);
+    let args = parse_args(&mut cli);
     locert_trace::enable();
     journal::enable();
     let mut server = match Server::start(&args.config) {
         Ok(server) => server,
-        Err(e) => return fail(&format!("cannot start: {e}")),
+        Err(e) => cli.io_error(format!("cannot start: {e}")),
     };
     println!("ready addr={}", server.addr());
     if let Some(addr) = server.metrics_addr() {
@@ -116,8 +84,7 @@ fn main() -> ExitCode {
             .map_err(|e| e.to_string())
             .and_then(|mut f| journal::write_jsonl(&snap, &mut f).map_err(|e| e.to_string()));
         if let Err(e) = write {
-            eprintln!("locert-serve: cannot write journal {}: {e}", path.display());
-            return ExitCode::from(1);
+            cli.io_error(format!("cannot write journal {}: {e}", path.display()));
         }
     }
     ExitCode::SUCCESS

@@ -8,6 +8,7 @@ use locert_serve::proto::{
 use locert_serve::{Client, ServeConfig, Server};
 use std::io::Write;
 use std::net::TcpStream;
+use std::process::Command;
 use std::time::Duration;
 
 fn start(admission_limit: usize) -> Server {
@@ -272,4 +273,27 @@ fn slow_mid_frame_write_keeps_framing() {
 fn slow_write_inside_length_prefix_keeps_framing() {
     // Stall after two bytes of the 4-byte length prefix itself.
     slow_write_roundtrip(2);
+}
+
+/// `--threads 0` and `LOCERT_THREADS=0` are usage errors: exit 2, with
+/// the source named on stderr (the workspace rule of `locert_par::cli`).
+#[test]
+fn zero_threads_is_a_usage_error() {
+    let exe = env!("CARGO_BIN_EXE_locert-serve");
+    let flag = Command::new(exe)
+        .args(["--threads", "0"])
+        .env_remove("LOCERT_THREADS")
+        .output()
+        .expect("spawn locert-serve");
+    let env = Command::new(exe)
+        .env("LOCERT_THREADS", "0")
+        .output()
+        .expect("spawn locert-serve");
+    for (out, source) in [(flag, "--threads 0"), (env, "LOCERT_THREADS=0")] {
+        assert_eq!(out.status.code(), Some(2), "{source} must exit 2");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains(source),
+            "stderr names {source}"
+        );
+    }
 }

@@ -23,18 +23,31 @@
 //! sections (`quick` + `experiments`, serialized with sorted keys) — the
 //! CI determinism gate between `LOCERT_THREADS=1` and `=4` runs. The
 //! `timings` sections are expected to differ and are ignored.
+//!
+//! Exit codes: 0 the check holds, 1 it fails, 2 usage error or a file
+//! that cannot be read or parsed.
 
 use locert_trace::json::{self, Value};
 use std::process::ExitCode;
 
-fn parse_doc(path: &str) -> Result<(Value, usize), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    Ok((doc, text.len()))
+const USAGE: &str = "usage: trace-check METRICS_JSON | trace-check --compare A_JSON B_JSON";
+
+/// Exits with the workspace's usage-or-I/O status (2); a check that
+/// fails exits 1.
+fn fail_usage(msg: &str) -> ! {
+    eprintln!("trace-check: {msg}");
+    std::process::exit(2)
+}
+
+fn parse_doc(path: &str) -> (Value, usize) {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail_usage(&format!("cannot read {path}: {e}")));
+    let doc = json::parse(&text).unwrap_or_else(|e| fail_usage(&format!("{path}: {e}")));
+    (doc, text.len())
 }
 
 fn check(path: &str) -> Result<String, String> {
-    let (doc, bytes) = parse_doc(path)?;
+    let (doc, bytes) = parse_doc(path);
     let schema = doc.get("schema").and_then(Value::as_str).unwrap_or("");
     let v2 = match schema {
         "locert-trace/v2" => true,
@@ -143,7 +156,7 @@ fn check(path: &str) -> Result<String, String> {
 /// The deterministic section of a dump, re-serialized (sorted keys, so
 /// formatting differences don't matter — only content does).
 fn deterministic_section(path: &str) -> Result<String, String> {
-    let (doc, _) = parse_doc(path)?;
+    let (doc, _) = parse_doc(path);
     let quick = doc
         .get("quick")
         .cloned()
@@ -194,10 +207,7 @@ fn main() -> ExitCode {
     let result = match args.as_slice() {
         [path] => check(path),
         [flag, a, b] if flag == "--compare" => compare(a, b),
-        _ => {
-            eprintln!("usage: trace-check METRICS_JSON | trace-check --compare A_JSON B_JSON");
-            return ExitCode::FAILURE;
-        }
+        _ => fail_usage(USAGE),
     };
     match result {
         Ok(msg) => {

@@ -3,119 +3,99 @@
 //! ```text
 //! locert certify <scheme> <graph-file> [--certs OUT]   prover → certificates
 //! locert verify  <scheme> <graph-file> --certs FILE    run every local verifier
-//! locert schemes                                       list available schemes
+//! locert schemes                                       list the scheme catalogue
 //! ```
 //!
 //! Graph files use the edge-list format of `locert::graph::io` (lines
 //! `u v`, optional `p <n>` header, `#`/`c` comments). Certificates are
 //! stored one per line as `<len_bits>:<hex>`, in vertex order.
 //!
-//! Scheme specifiers:
-//!
-//! ```text
-//! spanning-tree            Proposition 3.4
-//! vertex-count             Proposition 3.4 (pins n from the graph file)
-//! acyclicity               the graph is a tree
-//! tree-diameter:<D>        diameter ≤ D, on trees
-//! treedepth:<t>            Theorem 2.4
-//! mso:perfect-matching     Theorem 2.2 (tree promise)
-//! mso:height:<c>           Theorem 2.2 (tree promise)
-//! mso:uniform-leaves:<c>   Theorem 2.2 (tree promise)
-//! tree-depth:<k>           rooted depth ≤ k on trees, O(log k) bits
-//! dominating               Lemma A.3 (has a dominating vertex)
-//! ptfree:<t>               Corollary 2.7 (P_t-minor-free)
-//! ctfree:<t>               Corollary 2.7 (C_t-minor-free)
-//! fpf-automorphism         universal scheme, Θ̃(n) bits (Theorem 2.3's ceiling)
-//! ```
+//! A scheme is a `locert::cert::catalogue` id. The ids ending in `-<k>`
+//! name one member of a parametric family, and `<stem>-<k>` picks any
+//! other member in the family's range (`treedepth-7`). Exit codes: 0
+//! accepted, 1 rejected (or the prover refuses a no-instance), 2 usage
+//! or I/O error.
 
-use locert::automata::library;
 use locert::cert::bits::Certificate;
-use locert::cert::schemes::acyclicity::AcyclicityScheme;
+use locert::cert::catalogue::{self, Spec};
 use locert::cert::schemes::common::id_bits_for;
-use locert::cert::schemes::depth2_fo::Depth2FoScheme;
-use locert::cert::schemes::minor_free::{CtMinorFreeScheme, PathMinorFreeScheme};
-use locert::cert::schemes::mso_tree::MsoTreeScheme;
-use locert::cert::schemes::spanning_tree::{SpanningTreeScheme, VertexCountScheme};
-use locert::cert::schemes::tree_depth_bound::TreeDepthBoundScheme;
-use locert::cert::schemes::tree_diameter::TreeDiameterScheme;
-use locert::cert::schemes::treedepth::TreedepthScheme;
-use locert::cert::schemes::universal::fpf_automorphism_scheme;
-use locert::cert::{run_verification, Assignment, Instance, Scheme};
+use locert::cert::{run_verification, Assignment, Instance};
 use locert::graph::{io, Graph, IdAssignment};
-use locert::logic::props;
+use locert_par::cli::{Cli, FINDING};
 use std::process::ExitCode;
 
-const SCHEME_HELP: &str = "\
-available schemes:
-  spanning-tree           O(log n)   Proposition 3.4
-  vertex-count            O(log n)   Proposition 3.4
-  acyclicity              O(log n)   the graph is a tree
-  tree-diameter:<D>       O(log n)   diameter <= D on trees
-  treedepth:<t>           O(t log n) Theorem 2.4
-  mso:perfect-matching    O(1)       Theorem 2.2 (tree promise)
-  mso:height:<c>          O(1)       Theorem 2.2 (tree promise)
-  mso:uniform-leaves:<c>  O(1)       Theorem 2.2 (tree promise)
-  tree-depth:<k>          O(log k)   rooted depth <= k on trees (§2.4 remark)
-  dominating              O(log n)   Lemma A.3
-  ptfree:<t>              O(log n)   Corollary 2.7
-  ctfree:<t>              O(log n)   Corollary 2.7 (block promise, see docs)
-  fpf-automorphism        ~n^2       universal scheme (Theorem 2.3 ceiling)";
+const USAGE: &str = "\
+usage: locert certify <scheme> <graph-file> [--certs OUT]
+       locert verify  <scheme> <graph-file> --certs FILE
+       locert schemes
 
-fn build_scheme(spec: &str, id_bits: u32) -> Result<Box<dyn Scheme>, String> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    let param = |i: usize| -> Result<usize, String> {
-        parts
-            .get(i)
-            .ok_or_else(|| format!("scheme `{spec}` needs a parameter\n{SCHEME_HELP}"))?
-            .parse()
-            .map_err(|_| format!("invalid parameter in `{spec}`"))
-    };
-    Ok(match parts[0] {
-        "spanning-tree" => Box::new(SpanningTreeScheme::new(id_bits)),
-        "vertex-count" => Box::new(VertexCountScheme::any_count(id_bits)),
-        "acyclicity" => Box::new(AcyclicityScheme::new(id_bits)),
-        "tree-diameter" => Box::new(TreeDiameterScheme::new(id_bits, param(1)? as u64)),
-        "treedepth" => Box::new(TreedepthScheme::new(id_bits, param(1)?)),
-        "tree-depth" => Box::new(TreeDepthBoundScheme::new(param(1)?)),
-        "mso" => match parts.get(1) {
-            Some(&"perfect-matching") => {
-                Box::new(MsoTreeScheme::new(library::has_perfect_matching()))
-            }
-            Some(&"height") => Box::new(MsoTreeScheme::new(library::height_at_most(param(2)?))),
-            Some(&"uniform-leaves") => {
-                Box::new(MsoTreeScheme::new(library::uniform_leaf_depth(param(2)?)))
-            }
-            _ => return Err(format!("unknown MSO property in `{spec}`\n{SCHEME_HELP}")),
-        },
-        "dominating" => Box::new(
-            Depth2FoScheme::from_formula(id_bits, &props::has_dominating_vertex())
-                .expect("depth-2 sentence"),
-        ),
-        "ptfree" => Box::new(PathMinorFreeScheme::new(id_bits, param(1)?)),
-        "ctfree" => Box::new(CtMinorFreeScheme::new(id_bits, param(1)?)),
-        "fpf-automorphism" => Box::new(fpf_automorphism_scheme(id_bits)),
-        _ => return Err(format!("unknown scheme `{spec}`\n{SCHEME_HELP}")),
-    })
+<scheme> is a catalogue id (listed by `locert schemes`); an id ending
+in -<k> also names its family at any k in range, e.g. treedepth-7.";
+
+/// Lists every catalogue id with its declared bound, name and, for
+/// parametric families, the range of `k`.
+fn list_schemes() {
+    for entry in catalogue::entries() {
+        let scheme = (entry.build)(16, 16);
+        let range = entry.param.map_or_else(String::new, |p| {
+            format!("  [{}-<k>, k in {}..={}]", p.stem, p.min, p.max)
+        });
+        println!(
+            "{:<22} {:<22} {}{range}",
+            entry.id,
+            scheme.declared_bound().label(),
+            scheme.name()
+        );
+    }
 }
 
-fn load_graph(path: &str) -> Result<Graph, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let g = io::parse_edge_list(&text).map_err(|e| format!("{path}: {e}"))?;
+fn load_graph(cli: &Cli, path: &str) -> Graph {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| cli.io_error(format!("cannot read {path}: {e}")));
+    let g = io::parse_edge_list(&text).unwrap_or_else(|e| cli.io_error(format!("{path}: {e}")));
     if g.num_nodes() == 0 {
-        return Err("graph is empty".into());
+        cli.io_error(format!("{path}: graph is empty"));
     }
     if !g.is_connected() {
-        return Err("graph is disconnected (the model assumes connectivity)".into());
+        cli.io_error(format!(
+            "{path}: graph is disconnected (the model assumes connectivity)"
+        ));
     }
-    Ok(g)
+    g
 }
 
-fn cmd_certify(spec: &str, graph_path: &str, certs_out: Option<&str>) -> Result<(), String> {
-    let g = load_graph(graph_path)?;
+fn load_certs(cli: &Cli, path: &str, n: usize) -> Vec<Certificate> {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| cli.io_error(format!("cannot read {path}: {e}")));
+    let certs: Vec<Certificate> = text
+        .lines()
+        .enumerate()
+        .map(|(i, line)| {
+            Certificate::from_hex(line.trim()).unwrap_or_else(|| {
+                cli.io_error(format!("{path}: line {} is not a certificate", i + 1))
+            })
+        })
+        .collect();
+    if certs.len() != n {
+        cli.io_error(format!(
+            "{path}: {} certificates for {n} vertices",
+            certs.len()
+        ));
+    }
+    certs
+}
+
+fn certify(cli: &Cli, spec: Spec, g: &Graph, certs_out: Option<&str>) -> ExitCode {
     let ids = IdAssignment::contiguous(g.num_nodes());
-    let inst = Instance::new(&g, &ids);
-    let scheme = build_scheme(spec, id_bits_for(&inst))?;
-    let assignment = scheme.assign(&inst).map_err(|e| format!("prover: {e}"))?;
+    let inst = Instance::new(g, &ids);
+    let scheme = spec.build(id_bits_for(&inst), g.num_nodes());
+    let assignment = match scheme.assign(&inst) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("locert: prover: {e}");
+            return ExitCode::from(FINDING);
+        }
+    };
     let outcome = run_verification(scheme.as_ref(), &inst, &assignment);
     println!(
         "scheme {}: n = {}, certificate size = {} bits (total {} bits), verification: {}",
@@ -135,83 +115,67 @@ fn cmd_certify(spec: &str, graph_path: &str, certs_out: Option<&str>) -> Result<
             text.push_str(&assignment.cert(v).to_hex());
             text.push('\n');
         }
-        std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+        std::fs::write(path, text)
+            .unwrap_or_else(|e| cli.io_error(format!("cannot write {path}: {e}")));
         println!("certificates written to {path}");
     }
     if !outcome.accepted() {
-        return Err("honest certificates were rejected — please report this".into());
+        eprintln!("locert: honest certificates were rejected — please report this");
+        return ExitCode::from(FINDING);
     }
-    Ok(())
+    ExitCode::SUCCESS
 }
 
-fn cmd_verify(spec: &str, graph_path: &str, certs_path: &str) -> Result<(), String> {
-    let g = load_graph(graph_path)?;
+fn verify(spec: Spec, g: &Graph, certs: Vec<Certificate>) -> ExitCode {
     let ids = IdAssignment::contiguous(g.num_nodes());
-    let inst = Instance::new(&g, &ids);
-    let scheme = build_scheme(spec, id_bits_for(&inst))?;
-    let text = std::fs::read_to_string(certs_path)
-        .map_err(|e| format!("cannot read {certs_path}: {e}"))?;
-    let certs: Vec<Certificate> = text
-        .lines()
-        .enumerate()
-        .map(|(i, line)| {
-            Certificate::from_hex(line.trim())
-                .ok_or_else(|| format!("{certs_path}: line {} is not a certificate", i + 1))
-        })
-        .collect::<Result<_, _>>()?;
-    if certs.len() != g.num_nodes() {
-        return Err(format!(
-            "{} certificates for {} vertices",
-            certs.len(),
-            g.num_nodes()
-        ));
-    }
+    let inst = Instance::new(g, &ids);
+    let scheme = spec.build(id_bits_for(&inst), g.num_nodes());
     let outcome = run_verification(scheme.as_ref(), &inst, &Assignment::new(certs));
     if outcome.accepted() {
         println!("ACCEPTED: every vertex accepts");
-        Ok(())
+        ExitCode::SUCCESS
     } else {
         println!("REJECTED by vertices {:?}", outcome.rejecting());
-        Err("verification failed".into())
+        ExitCode::from(FINDING)
     }
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("schemes") => {
-            println!("{SCHEME_HELP}");
-            Ok(())
+    let mut cli = Cli::with_pool("locert", USAGE);
+    let command = cli
+        .next()
+        .unwrap_or_else(|| cli.usage_error("missing command"));
+    if command == "schemes" {
+        if let Some(arg) = cli.next() {
+            cli.unknown(&arg);
         }
-        Some("certify") if args.len() >= 3 => {
-            let certs_out = args
-                .iter()
-                .position(|a| a == "--certs")
-                .and_then(|i| args.get(i + 1))
-                .map(String::as_str);
-            cmd_certify(&args[1], &args[2], certs_out)
+        list_schemes();
+        return ExitCode::SUCCESS;
+    }
+    if command != "certify" && command != "verify" {
+        cli.usage_error(format!("unknown command {command:?}"));
+    }
+    let mut operands = Vec::new();
+    let mut certs = None;
+    while let Some(arg) = cli.next() {
+        match arg.as_str() {
+            "--certs" => certs = Some(cli.value("--certs")),
+            flag if flag.starts_with("--") => cli.unknown(flag),
+            _ => operands.push(arg),
         }
-        Some("verify") if args.len() >= 3 => {
-            let certs = args
-                .iter()
-                .position(|a| a == "--certs")
-                .and_then(|i| args.get(i + 1))
-                .map(String::as_str);
-            match certs {
-                Some(c) => cmd_verify(&args[1], &args[2], c),
-                None => Err("verify needs --certs FILE".into()),
-            }
-        }
-        _ => Err(format!(
-            "usage:\n  locert certify <scheme> <graph-file> [--certs OUT]\n  \
-             locert verify <scheme> <graph-file> --certs FILE\n  locert schemes\n\n{SCHEME_HELP}"
-        )),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::FAILURE
-        }
+    }
+    let [spec, graph_path] = <[String; 2]>::try_from(operands)
+        .unwrap_or_else(|_| cli.usage_error(format!("{command} needs <scheme> <graph-file>")));
+    let spec = catalogue::resolve(&spec).unwrap_or_else(|e| cli.usage_error(e));
+    if command == "verify" {
+        let Some(certs_path) = certs else {
+            cli.usage_error("verify needs --certs FILE");
+        };
+        let g = load_graph(&cli, &graph_path);
+        let certs = load_certs(&cli, &certs_path, g.num_nodes());
+        verify(spec, &g, certs)
+    } else {
+        let g = load_graph(&cli, &graph_path);
+        certify(&cli, spec, &g, certs.as_deref())
     }
 }
