@@ -197,9 +197,9 @@ fn exhaustive_cases(b: u32) -> Vec<ExhaustiveCase> {
 /// of soundness for that instance and certificate width: every one of
 /// the `(2^{max_bits+1} - 1)^n` assignments was enumerated and rejected
 /// somewhere. The sweep runs on the `locert-par` pool
-/// ([`exhaustive_soundness`] parallelises the enumeration with a
-/// deterministic least-witness early exit), which is what makes widths
-/// beyond a handful of bits affordable.
+/// ([`locert_core::attacks::exhaustive_soundness`] parallelises the
+/// enumeration with a deterministic least-witness early exit), which is
+/// what makes widths beyond a handful of bits affordable.
 pub fn run_exhaustive() -> Table {
     use locert_core::attacks::exhaustive_soundness;
 

@@ -19,6 +19,7 @@
 
 use crate::report::{f2, Table};
 use locert_automata::library;
+use locert_core::catalogue::lollipop;
 use locert_core::faults::{run_campaign, FaultModel};
 use locert_core::framework::{Instance, Scheme};
 use locert_core::schemes::acyclicity::AcyclicityScheme;
@@ -38,17 +39,6 @@ use locert_logic::props;
 struct Target {
     scheme: Box<dyn Scheme>,
     yes_instance: Graph,
-}
-
-/// A connected graph containing a triangle: a 3-clique with a path tail
-/// (yes-instance for ∃-FO "has a 3-clique").
-fn lollipop(n: usize) -> Graph {
-    let n = n.max(4);
-    let mut edges = vec![(0, 1), (1, 2), (2, 0)];
-    for v in 3..n {
-        edges.push((v - 1, v));
-    }
-    Graph::from_edges(n, edges).expect("lollipop is simple and connected")
 }
 
 fn targets(b: u32, n: usize) -> Vec<Target> {
@@ -276,12 +266,5 @@ mod tests {
             // detected.
             assert_eq!(detections > 0, row[6] != "—", "reason cell: {row:?}");
         }
-    }
-
-    #[test]
-    fn lollipop_has_a_triangle_and_a_tail() {
-        let g = lollipop(8);
-        assert_eq!(g.num_nodes(), 8);
-        assert_eq!(g.num_edges(), 8); // 3 triangle edges + 5 tail edges.
     }
 }

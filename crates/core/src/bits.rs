@@ -505,6 +505,26 @@ impl<'a> BitReader<'a> {
         Some(window)
     }
 
+    /// Whether the bits left are exactly `bits`, compared in place: one
+    /// slice comparison on a byte boundary, shifted bytes elsewhere.
+    pub fn remaining_eq(&self, bits: &Certificate) -> bool {
+        let len = self.remaining();
+        if len != bits.len_bits() {
+            return false;
+        }
+        let (other, src, shift) = (bits.as_bytes(), &self.bytes[self.pos / 8..], self.pos % 8);
+        let byte = |i: usize| match shift {
+            0 => src[i],
+            _ => src[i] << shift | src.get(i + 1).map_or(0, |b| b >> (8 - shift)),
+        };
+        let (whole, tail) = (len / 8, len % 8);
+        let body = match shift {
+            0 => src[..whole] == other[..whole],
+            _ => (0..whole).all(|i| byte(i) == other[i]),
+        };
+        body && (tail == 0 || (byte(whole) ^ other[whole]) >> (8 - tail) == 0)
+    }
+
     /// Reads one bit.
     pub fn read_bit(&mut self) -> Option<bool> {
         self.read(1).map(|v| v == 1)
@@ -562,6 +582,15 @@ mod tests {
                     r.clone().read_cert(len),
                     "start {start}, len {len}"
                 );
+                let copy = r.clone().read_cert(len).unwrap();
+                assert!(window.remaining_eq(&copy), "start {start}, len {len}");
+                for i in [0, len / 2, len.saturating_sub(1)]
+                    .into_iter()
+                    .filter(|&i| i < len)
+                {
+                    assert!(!window.remaining_eq(&copy.with_bit_flipped(i)));
+                }
+                assert_eq!(window.remaining_eq(&cert), len == 160);
             }
         }
     }

@@ -42,6 +42,10 @@ use locert_logic::props;
 use std::collections::BTreeSet;
 use std::fmt;
 
+/// Identifier field width used by every catalogued scheme. Wide enough
+/// for shuffled identifier assignments on every family graph.
+pub const ID_BITS: u32 = 16;
+
 /// One catalogued scheme family.
 #[derive(Clone, Copy)]
 pub struct SchemeEntry {
@@ -454,6 +458,13 @@ mod tests {
                 "{spec}"
             );
         }
+    }
+
+    #[test]
+    fn lollipop_has_a_triangle_and_a_tail() {
+        let g = lollipop(8);
+        assert_eq!(g.num_nodes(), 8);
+        assert_eq!(g.num_edges(), 8); // 3 triangle edges + 5 tail edges.
     }
 
     #[test]

@@ -12,11 +12,14 @@
 //!   locally-checkable-labeling extension), used e.g. to put letters on
 //!   path graphs.
 
-use crate::bits::Certificate;
+use crate::bits::{BitReader, Certificate};
 use locert_graph::{Graph, IdAssignment, Ident, NodeId};
 use locert_trace::LocalHistogram;
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A certification instance: a connected graph, an identifier assignment,
 /// and optional constant-size inputs.
@@ -489,8 +492,9 @@ pub trait Decode: Sync {
 
     /// A memo shared by the decodes of one run (or of one `decide`
     /// call): work that equal certificate bits share, such as a parsed
-    /// broadcast map or type table. It must be keyed by certificate bits
-    /// alone, so it changes what decoding costs, never what it returns.
+    /// broadcast map or type table (a [`Memo`]). It must be keyed by
+    /// certificate bits alone, so it changes what decoding costs, never
+    /// what it returns.
     type Cache: Default + Sync;
 
     /// Decodes one certificate.
@@ -551,6 +555,182 @@ impl<S: Decode> Verifier for S {
         });
         record_views(instance.graph());
         reasons
+    }
+}
+
+/// Key bits a [`Memo`] stores beyond its first kept entry, whether they
+/// parse or not. A parse takes at most about two words per key bit (a
+/// broadcast map; one for a type table or a witness claim), so a run
+/// keeps at most about 2²² parsed words however many distinct keys an
+/// assignment carries.
+pub const MEMO_BITS: usize = 1 << 21;
+
+/// Bits that many certificates of a run carry identically (a broadcast
+/// map, a type table, a witness claim) and what the memo knows of their
+/// parse.
+pub struct Shared<T> {
+    bits: Certificate,
+    parse: Parse<T>,
+}
+
+/// What a [`Shared`] entry knows of its bits' parse.
+enum Parse<T> {
+    /// Parsed and kept.
+    Kept(T),
+    /// Past the memo's cap: each decision that needs the parse makes it
+    /// again and drops it.
+    Dropped,
+    /// The bits do not parse.
+    Failed,
+}
+
+impl<T> Shared<T> {
+    /// The key bits.
+    pub fn bits(&self) -> &Certificate {
+        &self.bits
+    }
+
+    /// Whether the parse is kept.
+    pub fn is_kept(&self) -> bool {
+        matches!(self.parse, Parse::Kept(_))
+    }
+
+    /// The parse, kept or made again by `parse` (the same function the
+    /// memo was given); `None` when the bits do not parse.
+    pub fn parsed(&self, parse: impl FnOnce(&Certificate) -> Option<T>) -> Option<Held<'_, T>> {
+        match &self.parse {
+            Parse::Kept(parsed) => Some(Held::Kept(parsed)),
+            Parse::Dropped => parse(&self.bits).map(Held::Parsed),
+            Parse::Failed => None,
+        }
+    }
+}
+
+/// A parse borrowed from where it is kept (a memo entry, a run's arena),
+/// or made again for one decision and dropped after it.
+pub enum Held<'a, T> {
+    /// Borrowed from where it is kept.
+    Kept(&'a T),
+    /// Parsed again.
+    Parsed(T),
+}
+
+impl<T> Deref for Held<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        match self {
+            Held::Kept(parsed) => parsed,
+            Held::Parsed(parsed) => parsed,
+        }
+    }
+}
+
+/// A decode-side memo (DESIGN.md §7.1): the parse of each distinct key,
+/// keyed by the exact bits of a certificate window, shared by the decodes
+/// of one run. A key that does not parse is stored as such, its bits
+/// counted against [`MEMO_BITS`]; a key past the cap gets an entry of its
+/// own, holding only its bits (and the failure, when it does not parse).
+pub struct Memo<T> {
+    /// The first kept entry, compared before any copying, hashing or
+    /// locking: in an honest run, every decode's entry.
+    first: OnceLock<Arc<Shared<T>>>,
+    state: Mutex<MemoState<T>>,
+    /// Key bits the memo stores beyond its first kept entry.
+    cap: usize,
+}
+
+struct MemoState<T> {
+    entries: HashMap<Certificate, Arc<Shared<T>>>,
+    /// Key bits held by every entry but the first kept one.
+    bits: usize,
+}
+
+impl<T> Default for Memo<T> {
+    fn default() -> Self {
+        Memo {
+            first: OnceLock::new(),
+            state: Mutex::new(MemoState {
+                entries: HashMap::new(),
+                bits: 0,
+            }),
+            cap: MEMO_BITS,
+        }
+    }
+}
+
+impl<T> Memo<T> {
+    /// A memo storing at most `cap` key bits beyond its first kept entry.
+    #[cfg(test)]
+    pub(crate) fn with_cap(cap: usize) -> Self {
+        Memo {
+            cap,
+            ..Memo::default()
+        }
+    }
+
+    /// The entry for the bits left in `window`: stored, or parsed by
+    /// `parse` and stored, or unstored when the bits are past the cap.
+    /// Bits that do not parse are stored as such while they fit, so no
+    /// decode or decision parses them again. Parsing runs outside the
+    /// lock; when two workers race on one key, the first insert wins and
+    /// both use it, so a stored entry's lazily evaluated cells are filled
+    /// at most once per memo.
+    pub fn get(
+        &self,
+        mut window: BitReader<'_>,
+        parse: impl FnOnce(&Certificate) -> Option<T>,
+    ) -> Arc<Shared<T>> {
+        if let Some(first) = self.first.get() {
+            if window.remaining_eq(&first.bits) {
+                return Arc::clone(first);
+            }
+        }
+        let bits = window
+            .read_cert(window.remaining())
+            .expect("a window holds its remaining bits");
+        let lock = || {
+            self.state
+                .lock()
+                .expect("nothing panics while holding the memo lock")
+        };
+        // The first kept entry is free; every other entry counts its bits.
+        let fits = |state: &MemoState<T>, kept: bool| {
+            (kept && self.first.get().is_none()) || state.bits + bits.len_bits() <= self.cap
+        };
+        {
+            let state = lock();
+            if let Some(hit) = state.entries.get(&bits) {
+                return Arc::clone(hit);
+            }
+            if !fits(&state, true) {
+                return Arc::new(Shared {
+                    bits,
+                    parse: Parse::Dropped,
+                });
+            }
+        }
+        let (parse, kept) = match parse(&bits) {
+            Some(parsed) => (Parse::Kept(parsed), true),
+            None => (Parse::Failed, false),
+        };
+        let mut state = lock();
+        if let Some(hit) = state.entries.get(&bits) {
+            return Arc::clone(hit);
+        }
+        let fits = fits(&state, kept);
+        let fresh = Arc::new(Shared {
+            bits,
+            parse: if fits || !kept { parse } else { Parse::Dropped },
+        });
+        if !fits {
+            return fresh;
+        }
+        if !(kept && self.first.set(Arc::clone(&fresh)).is_ok()) {
+            state.bits += fresh.bits.len_bits();
+        }
+        state.entries.insert(fresh.bits.clone(), Arc::clone(&fresh));
+        fresh
     }
 }
 
@@ -1230,6 +1410,102 @@ mod tests {
         assert_eq!(LogN.family(), "o-log-n");
         assert_eq!(PolyTdLogN { td: 3 }.to_string(), "poly(td)·log n, td=3");
         assert_eq!(DegreeScheme.declared_bound(), Constant);
+    }
+
+    /// `bits` (`'0'`/`'1'`) as a certificate.
+    fn key(bits: &str) -> Certificate {
+        let mut w = BitWriter::new();
+        for b in bits.chars() {
+            w.write_bit(b == '1');
+        }
+        w.finish()
+    }
+
+    fn stored<T>(memo: &Memo<T>) -> usize {
+        memo.state.lock().unwrap().entries.len()
+    }
+
+    #[test]
+    fn equal_keys_share_one_entry_across_workers() {
+        let bits = key("1011001110001111000011111000001111110");
+        let memo = Memo::default();
+        let shared = locert_par::Pool::new(4).par_map_collect(256, |_| {
+            memo.get(BitReader::new(&bits), |b| Some(b.len_bits()))
+        });
+        assert_eq!(stored(&memo), 1);
+        assert!(shared[0].is_kept());
+        assert!(shared.iter().all(|s| Arc::ptr_eq(s, &shared[0])));
+    }
+
+    #[test]
+    fn equal_bytes_of_other_lengths_are_other_keys() {
+        // One byte 0x80 each, at 1, 2 and 8 bits: three keys.
+        let memo = Memo::default();
+        let entries: Vec<_> = ["1", "10", "10000000", "1"]
+            .iter()
+            .map(|bits| memo.get(BitReader::new(&key(bits)), |b| Some(b.len_bits())))
+            .collect();
+        assert_eq!(stored(&memo), 3);
+        assert!(!Arc::ptr_eq(&entries[0], &entries[1]));
+        assert!(!Arc::ptr_eq(&entries[1], &entries[2]));
+        assert!(Arc::ptr_eq(&entries[0], &entries[3]));
+        let lengths: Vec<usize> = entries
+            .iter()
+            .map(|e| *e.parsed(|_| None).unwrap())
+            .collect();
+        assert_eq!(lengths, [1, 2, 8, 1]);
+        // A window of a longer certificate is keyed by its own bits.
+        let longer = key("1000000011");
+        let mut r = BitReader::new(&longer);
+        let window = r.take(8).unwrap();
+        assert!(Arc::ptr_eq(&memo.get(window, |_| None), &entries[2]));
+    }
+
+    #[test]
+    fn unparseable_keys_are_stored_as_failures_under_the_cap() {
+        let never = |_: &Certificate| -> Option<()> { unreachable!("parsed again") };
+        let memo: Memo<()> = Memo::with_cap(4);
+        let bad = memo.get(BitReader::new(&key("0110")), |_| None);
+        assert!(!bad.is_kept());
+        assert_eq!(bad.bits(), &key("0110"));
+        assert!(bad.parsed(never).is_none());
+        assert!(Arc::ptr_eq(
+            &memo.get(BitReader::new(&key("0110")), never),
+            &bad
+        ));
+        // Its bits fill the cap: the next failure is not stored, but it
+        // keeps its verdict.
+        let worse = memo.get(BitReader::new(&key("0")), |_| None);
+        assert!(worse.parsed(never).is_none());
+        assert_eq!(stored(&memo), 1);
+        // The first key that parses is the first kept entry, stored for
+        // free.
+        let good = memo.get(BitReader::new(&key("0111")), |_| Some(()));
+        assert!(good.is_kept());
+        assert_eq!(stored(&memo), 2);
+        assert!(Arc::ptr_eq(
+            &memo.get(BitReader::new(&key("0111")), never),
+            &good
+        ));
+    }
+
+    #[test]
+    fn a_zero_cap_keeps_only_the_first_entry() {
+        let memo = Memo::with_cap(0);
+        let first = memo.get(BitReader::new(&key("110")), |b| Some(b.len_bits()));
+        let past = memo.get(BitReader::new(&key("111")), |b| Some(b.len_bits()));
+        assert!(first.is_kept());
+        assert!(!past.is_kept());
+        assert_eq!(past.bits(), &key("111"));
+        assert!(matches!(
+            past.parsed(|b| Some(b.len_bits())),
+            Some(Held::Parsed(3))
+        ));
+        assert!(Arc::ptr_eq(
+            &memo.get(BitReader::new(&key("110")), |_| None),
+            &first
+        ));
+        assert_eq!(stored(&memo), 1);
     }
 
     #[test]

@@ -16,30 +16,29 @@
 
 use crate::bits::{BitReader, BitWriter, Certificate};
 use crate::framework::{
-    Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
-    Scheme,
+    Assignment, DeclaredBound, Decode, DecodedView, Instance, Memo, Prover, ProverError,
+    RejectReason, Scheme, Shared,
 };
 use crate::schemes::common::{read_ident, write_ident};
 use crate::schemes::spanning_tree::{try_honest_tree_fields, verify_tree_position, TreeFields};
 use locert_graph::{Ident, NodeId};
 use locert_logic::ast::{Formula, Var};
 use locert_logic::depth::existential_prefix;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The witness identifiers and their row-major adjacency matrix: the
 /// part of the certificate every vertex carries identically.
-#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WitnessClaim {
     witnesses: Vec<Ident>,
     matrix: Vec<bool>,
 }
 
 /// Parsed existential-FO certificate.
-#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExistentialCert {
-    /// Shared by every certificate of the run that makes the same claim
-    /// as the first one decoded (see the decode cache).
-    claim: Arc<WitnessClaim>,
+    /// The claim, keyed by its `k·id_bits + k²` bits: every fixed-width
+    /// field reads back to a distinct value, so two claims are equal iff
+    /// their bits are.
+    pub(crate) claim: Arc<Shared<WitnessClaim>>,
     trees: Box<[TreeFields]>,
 }
 
@@ -142,6 +141,17 @@ impl ExistentialFoScheme {
         self.prefix.len()
     }
 
+    /// Parses the claim bits: `k` identifiers, then the `k × k` matrix.
+    fn parse_claim(&self, bits: &Certificate) -> Option<WitnessClaim> {
+        let k = self.arity();
+        let mut r = BitReader::new(bits);
+        let witnesses = (0..k)
+            .map(|_| read_ident(&mut r, self.id_bits))
+            .collect::<Option<_>>()?;
+        let matrix = (0..k * k).map(|_| r.read_bit()).collect::<Option<_>>()?;
+        Some(WitnessClaim { witnesses, matrix })
+    }
+
     /// Evaluates the quantifier-free matrix formula against the claimed
     /// witness identifiers and adjacency matrix.
     fn matrix_holds(&self, witnesses: &[Ident], matrix: &[bool]) -> bool {
@@ -233,42 +243,24 @@ impl Prover for ExistentialFoScheme {
 
 impl Decode for ExistentialFoScheme {
     type Decoded = Option<ExistentialCert>;
-    /// The first claim decoded in the run. In an honest run every
-    /// certificate makes it, so the arena holds one copy of it.
-    type Cache = OnceLock<Arc<WitnessClaim>>;
+    /// In an honest run every certificate makes the same claim, so the
+    /// arena holds one copy of it.
+    type Cache = Memo<WitnessClaim>;
 
-    fn decode(
-        &self,
-        cert: &Certificate,
-        first: &OnceLock<Arc<WitnessClaim>>,
-    ) -> Option<ExistentialCert> {
+    fn decode(&self, cert: &Certificate, memo: &Memo<WitnessClaim>) -> Option<ExistentialCert> {
         let k = self.arity();
         let mut r = BitReader::new(cert);
-        let mut witnesses = Vec::with_capacity(k);
-        for _ in 0..k {
-            witnesses.push(read_ident(&mut r, self.id_bits)?);
-        }
-        let mut matrix = Vec::with_capacity(k * k);
-        for _ in 0..k * k {
-            matrix.push(r.read_bit()?);
-        }
+        let claim = r.take(k * self.id_bits as usize + k * k)?;
         let trees = (0..k)
             .map(|_| TreeFields::read(&mut r, self.id_bits))
             .collect::<Option<Box<[_]>>>()?;
         if !r.exhausted() {
             return None;
         }
-        let claim = WitnessClaim { witnesses, matrix };
-        let claim = match first.get() {
-            Some(first) if **first == claim => Arc::clone(first),
-            _ => {
-                let fresh = Arc::new(claim);
-                // Kept only if it is the run's first claim.
-                let _ = first.set(Arc::clone(&fresh));
-                fresh
-            }
-        };
-        Some(ExistentialCert { claim, trees })
+        Some(ExistentialCert {
+            claim: memo.get(claim, |bits| self.parse_claim(bits)),
+            trees,
+        })
     }
 
     fn decide_decoded(
@@ -280,13 +272,17 @@ impl Decode for ExistentialFoScheme {
             .own
             .as_ref()
             .ok_or(RejectReason::MalformedCertificate)?;
-        let WitnessClaim { witnesses, matrix } = &*mine.claim;
+        let claim = mine
+            .claim
+            .parsed(|bits| self.parse_claim(bits))
+            .ok_or(RejectReason::MalformedCertificate)?;
+        let WitnessClaim { witnesses, matrix } = &*claim;
         // Neighbors carry identical lists and matrices.
         for (_, _, decoded) in view.neighbors() {
             let nc = decoded
                 .as_ref()
                 .ok_or(RejectReason::MalformedNeighborCertificate)?;
-            if nc.claim != mine.claim {
+            if !Arc::ptr_eq(&nc.claim, &mine.claim) && nc.claim.bits() != mine.claim.bits() {
                 return Err(RejectReason::CopyMismatch);
             }
         }
@@ -510,6 +506,23 @@ mod tests {
             run_scheme(&scheme0, &inst0).unwrap_err(),
             ProverError::NotAYesInstance
         );
+    }
+
+    #[test]
+    fn an_honest_run_holds_one_claim() {
+        let g = crate::catalogue::lollipop(64);
+        let ids = IdAssignment::shuffled(64, &mut StdRng::seed_from_u64(103));
+        let inst = Instance::new(&g, &ids);
+        let scheme = ExistentialFoScheme::new(id_bits_for(&inst), &props::has_clique(3)).unwrap();
+        let asg = scheme.assign(&inst).unwrap();
+        let memo = Memo::default();
+        let decoded: Vec<ExistentialCert> = g
+            .nodes()
+            .map(|v| scheme.decode(asg.cert(v), &memo).unwrap())
+            .collect();
+        let first = &decoded[0].claim;
+        assert!(first.is_kept());
+        assert!(decoded.iter().all(|d| Arc::ptr_eq(&d.claim, first)));
     }
 
     #[test]

@@ -25,8 +25,8 @@
 
 use crate::bits::{width_for, BitReader, BitWriter, Certificate};
 use crate::framework::{
-    Assignment, DeclaredBound, Decode, DecodedView, Instance, LocalView, Prover, ProverError,
-    RejectReason, Scheme, Verifier,
+    Assignment, DeclaredBound, Decode, DecodedView, Held, Instance, LocalView, Memo, Prover,
+    ProverError, RejectReason, Scheme, Shared, Verifier,
 };
 use crate::schemes::treedepth::{
     check_own_td, check_td_edges, honest_td_certs, model_for, ModelStrategy, TdCert,
@@ -39,8 +39,7 @@ use locert_logic::depth::{is_fo, quantifier_depth};
 use locert_logic::eval::models;
 use locert_logic::Formula;
 use locert_treedepth::EliminationTree;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// A fast decision procedure for `φ` on expanded kernels (see
 /// [`KernelMsoScheme::with_evaluator`]). `Send + Sync` because verifiers
@@ -52,13 +51,6 @@ pub type KernelEvaluator = Box<dyn Fn(&Graph) -> bool + Send + Sync>;
 /// fixed parameters, so honest certificates at experiment scale stay far
 /// below).
 pub const KERNEL_EXPANSION_CAP: usize = 4000;
-
-/// Table bits a run's memo keeps beyond its first table. Honest runs
-/// carry one table per distinct block shape; the cap bounds memory when
-/// an adversarial assignment carries many distinct large tables: their
-/// decodes keep only the table's bits, which are parsed again when their
-/// vertex decides and dropped after it.
-const MEMO_TABLE_BITS: usize = 1 << 24;
 
 /// One serialized type-table entry.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -207,157 +199,23 @@ pub struct KernelCert {
     /// End type and pruned flag per ancestor, aligned with
     /// `td.ancestors`.
     marks: Box<[(u32, bool)]>,
-    table: Arc<TableEntry>,
-}
-
-/// A type table as the verifier uses it: its bits and, unless the memo
-/// refused to keep it, its parse.
-pub(crate) struct TableEntry {
-    /// The table's bits (the certificate suffix after the end types).
-    /// Two parsed tables are equal iff their bits are: every field's
-    /// width is fixed by `(t, k)` and the fields before it, and the parse
-    /// must consume the bits exactly.
-    bits: Certificate,
-    /// `None` for a table past the memo's cap: the owner's decision
-    /// parses `bits` again and drops the parse, so a run holds at most
-    /// the cap in parsed tables.
-    parsed: Option<ParsedTable>,
+    /// The type table (the certificate suffix after the end types). A
+    /// table is a function of `(t, φ)` and the certified graph's
+    /// structure (a block's, for `C_t`) only, never of identifiers, so in
+    /// an honest run the vertices of a graph share one entry. Two parsed
+    /// tables are equal iff their bits are: every field's width is fixed
+    /// by `(t, k)` and the fields before it, and the parse must consume
+    /// the bits exactly.
+    pub(crate) table: Arc<Shared<ParsedTable>>,
 }
 
 /// A parsed type table and what follows from the table alone.
-struct ParsedTable {
+pub struct ParsedTable {
     table: SerTable,
     well_formed: bool,
     /// Whether the expansion of each root type satisfies φ, indexed by
     /// type and computed by the first vertex that needs it.
     phi: Vec<OnceLock<bool>>,
-}
-
-impl TableEntry {
-    /// The parse, kept in the entry or made again into `slot`.
-    fn parsed<'a>(
-        &'a self,
-        scheme: &KernelMsoScheme,
-        slot: &'a mut Option<ParsedTable>,
-    ) -> Option<&'a ParsedTable> {
-        match &self.parsed {
-            Some(parsed) => Some(parsed),
-            None => Some(slot.insert(scheme.parse_table(&self.bits)?)),
-        }
-    }
-}
-
-/// The type tables parsed during one verification run, keyed by their
-/// exact bits. A table is a function of `(t, φ)` and the certified
-/// graph's structure (a block's, for `C_t`) only, never of identifiers,
-/// so in an honest run the vertices of a graph share one parse and one
-/// φ verdict.
-pub struct TableMemo {
-    /// The first table the memo stored, compared before any copying,
-    /// hashing or locking: in an honest run of one graph, every vertex's
-    /// table.
-    first: OnceLock<Arc<TableEntry>>,
-    state: Mutex<TableMemoState>,
-    /// Table bits the memo keeps beyond its first table.
-    cap: usize,
-}
-
-impl Default for TableMemo {
-    fn default() -> Self {
-        TableMemo {
-            first: OnceLock::new(),
-            state: Mutex::default(),
-            cap: MEMO_TABLE_BITS,
-        }
-    }
-}
-
-#[derive(Default)]
-struct TableMemoState {
-    /// Parsed tables by their bits. Bits that do not parse are parsed
-    /// again at each use.
-    entries: HashMap<Certificate, Arc<TableEntry>>,
-    /// Table bits held by entries past the first (see `cap`).
-    bits: usize,
-}
-
-impl TableMemo {
-    /// A memo keeping at most `cap` table bits beyond its first table.
-    #[cfg(test)]
-    fn with_cap(cap: usize) -> Self {
-        TableMemo {
-            cap,
-            ..TableMemo::default()
-        }
-    }
-
-    /// The table in the bits left in `r` and its type count, from the
-    /// memo or freshly parsed and stored; without its parse when storing
-    /// that would pass the cap; `None` if the bits do not parse. Parsing
-    /// runs outside the lock; when two workers race on one table, the
-    /// first insert wins and both use it, so φ is evaluated at most once
-    /// per (stored table, root) per memo.
-    fn table(
-        &self,
-        scheme: &KernelMsoScheme,
-        mut r: BitReader<'_>,
-    ) -> Option<(Arc<TableEntry>, usize)> {
-        let stored = |entry: &Arc<TableEntry>| {
-            let types = entry.parsed.as_ref()?.table.types.len();
-            Some((Arc::clone(entry), types))
-        };
-        if let Some(first) = self.first.get() {
-            if bits_equal(r.clone(), &first.bits) {
-                return stored(first);
-            }
-        }
-        let bits = r.read_cert(r.remaining())?;
-        let lock = || {
-            self.state
-                .lock()
-                .expect("nothing panics while holding the memo lock")
-        };
-        if let Some(hit) = lock().entries.get(&bits) {
-            return stored(hit);
-        }
-        let parsed = scheme.parse_table(&bits)?;
-        let mut state = lock();
-        if let Some(hit) = state.entries.get(&bits) {
-            return stored(hit);
-        }
-        if !state.entries.is_empty() {
-            let total = state.bits + bits.len_bits();
-            if total > self.cap {
-                let types = parsed.table.types.len();
-                return Some((Arc::new(TableEntry { bits, parsed: None }), types));
-            }
-            state.bits = total;
-        }
-        let fresh = Arc::new(TableEntry {
-            bits,
-            parsed: Some(parsed),
-        });
-        // Already set unless this is the first table stored.
-        let _ = self.first.set(Arc::clone(&fresh));
-        state.entries.insert(fresh.bits.clone(), Arc::clone(&fresh));
-        stored(&fresh)
-    }
-}
-
-/// Whether the bits left in `r` are exactly `bits`, compared a word at a
-/// time without copying.
-fn bits_equal(mut r: BitReader<'_>, bits: &Certificate) -> bool {
-    if r.remaining() != bits.len_bits() {
-        return false;
-    }
-    let mut b = BitReader::new(bits);
-    while !r.exhausted() {
-        let width = r.remaining().min(64) as u32;
-        if r.read(width) != b.read(width) {
-            return false;
-        }
-    }
-    true
 }
 
 /// The identifier-free part of an honest kernel assignment: the coherent
@@ -446,12 +304,16 @@ impl KernelMsoScheme {
     /// Parses `cert` with a memo of its own.
     #[cfg(test)]
     fn parse(&self, cert: &Certificate) -> Option<KernelCert> {
-        self.parse_in(&TableMemo::default(), BitReader::new(cert))
+        self.parse_in(&Memo::default(), BitReader::new(cert))
     }
 
     /// Parses the certificate in the bits left in `r`, taking its table
     /// through `memo`.
-    pub(crate) fn parse_in(&self, memo: &TableMemo, mut r: BitReader<'_>) -> Option<KernelCert> {
+    pub(crate) fn parse_in(
+        &self,
+        memo: &Memo<ParsedTable>,
+        mut r: BitReader<'_>,
+    ) -> Option<KernelCert> {
         let td = TdCert::read(&mut r, self.id_bits, self.t)?;
         let mut marks = Vec::with_capacity(td.ancestors.len());
         for _ in 0..td.ancestors.len() {
@@ -467,12 +329,18 @@ impl KernelMsoScheme {
                 return None;
             }
         }
-        let (table, types) = memo.table(self, r)?;
+        let table = memo.get(r, |bits| self.parse_table(bits));
+        let types = self.table(&table)?.table.types.len();
         (types == count).then(|| KernelCert {
             td,
             marks: marks.into_boxed_slice(),
             table,
         })
+    }
+
+    /// The parse of a table entry, kept or made again.
+    fn table<'a>(&self, entry: &'a Shared<ParsedTable>) -> Option<Held<'a, ParsedTable>> {
+        entry.parsed(|bits| self.parse_table(bits))
     }
 
     /// Parses the table `bits`, which it must consume exactly, and
@@ -596,9 +464,9 @@ impl Decode for KernelMsoScheme {
     /// Each distinct table is parsed and checked once per run, and φ
     /// evaluated once per (table, root type), rather than once per
     /// vertex and neighbor.
-    type Cache = TableMemo;
+    type Cache = Memo<ParsedTable>;
 
-    fn decode(&self, cert: &Certificate, memo: &TableMemo) -> Option<KernelCert> {
+    fn decode(&self, cert: &Certificate, memo: &Memo<ParsedTable>) -> Option<KernelCert> {
         self.parse_in(memo, BitReader::new(cert))
     }
 
@@ -626,10 +494,8 @@ impl Decode for KernelMsoScheme {
             return Err(RejectReason::MalformedCertificate);
         }
         // 2. Table integrity.
-        let mut slot = None;
-        let parsed = mine
-            .table
-            .parsed(self, &mut slot)
+        let parsed = self
+            .table(&mine.table)
             .ok_or(RejectReason::MalformedCertificate)?;
         if !parsed.well_formed {
             return Err(RejectReason::MalformedCertificate);
@@ -637,7 +503,7 @@ impl Decode for KernelMsoScheme {
         let table = &parsed.table;
         // 3. Identical tables; shared-ancestor types and flags agree.
         for nc in nbrs.clone() {
-            if !Arc::ptr_eq(&nc.table, &mine.table) && nc.table.bits != mine.table.bits {
+            if !Arc::ptr_eq(&nc.table, &mine.table) && nc.table.bits() != mine.table.bits() {
                 return Err(RejectReason::CopyMismatch);
             }
             let shared = mine.marks.len().min(nc.marks.len());
@@ -791,8 +657,8 @@ impl KernelMsoGlobalScheme {
     fn table_bits(&self, cert: &Certificate) -> Option<usize> {
         let parsed = self
             .inner
-            .parse_in(&TableMemo::default(), BitReader::new(cert))?;
-        Some(parsed.table.bits.len_bits())
+            .parse_in(&Memo::default(), BitReader::new(cert))?;
+        Some(parsed.table.bits().len_bits())
     }
 
     /// Prover: the shared global certificate (the table) and the
@@ -1303,7 +1169,7 @@ mod tests {
                 let bit = cert.len_bits() - 1 - (v * 7) % table;
                 *asg.cert_mut(NodeId(v)) = cert.with_bit_flipped(bit);
             }
-            let decided = |memo: &TableMemo| {
+            let decided = |memo: &Memo<ParsedTable>| {
                 let decoded: Vec<Option<KernelCert>> = g
                     .nodes()
                     .map(|v| scheme.decode(asg.cert(v), memo))
@@ -1322,12 +1188,13 @@ mod tests {
                     .collect();
                 (decoded, reasons)
             };
-            let (capped, reasons) = decided(&TableMemo::with_cap(0));
-            let mut held: Vec<&Arc<TableEntry>> = Vec::new();
+            let (capped, reasons) = decided(&Memo::with_cap(0));
+            let mut held: Vec<&Arc<Shared<ParsedTable>>> = Vec::new();
             for kc in capped.iter().flatten() {
-                match kc.table.parsed {
-                    Some(_) => held.push(&kc.table),
-                    None => refused += 1,
+                if kc.table.is_kept() {
+                    held.push(&kc.table);
+                } else {
+                    refused += 1;
                 }
             }
             held.sort_by_key(|e| Arc::as_ptr(e));
@@ -1339,7 +1206,7 @@ mod tests {
                 .map(|v| reference::decide(&scheme, &view_of(&inst, &asg, v)).err())
                 .collect();
             assert_eq!(reasons, expected);
-            assert_eq!(decided(&TableMemo::default()).1, expected);
+            assert_eq!(decided(&Memo::default()).1, expected);
         }
         assert!(refused > 0, "no table was refused");
     }
@@ -1377,7 +1244,7 @@ mod tests {
             table.write(&mut w, scheme.t, scheme.k);
             w.finish()
         };
-        let memo = TableMemo::default();
+        let memo = Memo::default();
         for (root_type, accepted) in [(0, true), (1, false), (0, true)] {
             let root_cert = cert(
                 TdCert {
@@ -1613,8 +1480,7 @@ mod tests {
             let scheme = KernelMsoScheme::new(id_bits_for(&inst), 2, phi.clone()).unwrap();
             let asg = scheme.assign(&inst).unwrap();
             let parsed = scheme.parse(asg.cert(NodeId(0))).unwrap();
-            let mut slot = None;
-            let table = &parsed.table.parsed(&scheme, &mut slot).unwrap().table;
+            let table = &scheme.table(&parsed.table).unwrap().table;
             table_sizes.push(table.types.len());
         }
         assert_eq!(table_sizes[0], table_sizes[1]);
@@ -1633,8 +1499,7 @@ mod tests {
         let asg = scheme.assign(&inst).unwrap();
         let parsed = scheme.parse(asg.cert(NodeId(0))).unwrap();
         let root_ty = parsed.marks.last().unwrap().0;
-        let mut slot = None;
-        let table = &parsed.table.parsed(&scheme, &mut slot).unwrap().table;
+        let table = &scheme.table(&parsed.table).unwrap().table;
         let h = table.expand(root_ty, 100).unwrap();
         assert_eq!(h.num_nodes(), 3);
         assert_eq!(h.num_edges(), 2);

@@ -22,16 +22,15 @@
 
 use crate::bits::{BitReader, BitWriter, Certificate};
 use crate::framework::{
-    Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
-    Scheme,
+    Assignment, DeclaredBound, Decode, DecodedView, Held, Instance, Memo, Prover, ProverError,
+    RejectReason, Scheme,
 };
-use crate::schemes::kernel_mso::{KernelCert, KernelMsoScheme, KernelShape, TableMemo};
+use crate::schemes::kernel_mso::{KernelCert, KernelMsoScheme, KernelShape, ParsedTable};
 use crate::schemes::treedepth::ModelStrategy;
 use locert_graph::bcc::biconnected_components;
 use locert_graph::{Graph, IdAssignment, Ident, NodeId};
 use locert_logic::props;
 use std::collections::HashMap;
-use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Block decodes one `C_t` run keeps in its arena. An honest run lists
@@ -86,9 +85,9 @@ impl Prover for PathMinorFreeScheme {
 
 impl Decode for PathMinorFreeScheme {
     type Decoded = Option<KernelCert>;
-    type Cache = TableMemo;
+    type Cache = Memo<ParsedTable>;
 
-    fn decode(&self, cert: &Certificate, memo: &TableMemo) -> Option<KernelCert> {
+    fn decode(&self, cert: &Certificate, memo: &Memo<ParsedTable>) -> Option<KernelCert> {
         self.inner.decode(cert, memo)
     }
 
@@ -175,25 +174,8 @@ impl CtCert {
     /// certificate does not parse.
     fn blocks(&self, scheme: &CtMinorFreeScheme) -> Option<Held<'_, BlockList>> {
         match self {
-            CtCert::Blocks(blocks) => Some(Held::Arena(blocks)),
-            CtCert::Bits(cert) => scheme.parse(cert, &TableMemo::default()).map(Held::Parsed),
-        }
-    }
-}
-
-/// A decode borrowed from the run's arena, or parsed for one decision.
-enum Held<'a, T> {
-    Arena(&'a T),
-    Parsed(T),
-}
-
-impl<T> Deref for Held<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        match self {
-            Held::Arena(decoded) => decoded,
-            Held::Parsed(decoded) => decoded,
+            CtCert::Blocks(blocks) => Some(Held::Kept(blocks)),
+            CtCert::Bits(cert) => scheme.parse(cert, &Memo::default()).map(Held::Parsed),
         }
     }
 }
@@ -201,14 +183,14 @@ impl<T> Deref for Held<'_, T> {
 /// The decode cache of a `C_t` run: one table memo for every block of
 /// every vertex, and the block decodes the arena may still take.
 pub struct CtCache {
-    tables: TableMemo,
+    tables: Memo<ParsedTable>,
     blocks_left: AtomicUsize,
 }
 
 impl Default for CtCache {
     fn default() -> Self {
         CtCache {
-            tables: TableMemo::default(),
+            tables: Memo::default(),
             blocks_left: AtomicUsize::new(DECODED_BLOCKS),
         }
     }
@@ -328,7 +310,7 @@ impl Prover for CtMinorFreeScheme {
 impl CtMinorFreeScheme {
     /// The blocks `cert` lists, each block's sub-certificate read in place
     /// (nothing is copied); `None` if it does not parse.
-    fn parse(&self, cert: &Certificate, memo: &TableMemo) -> Option<BlockList> {
+    fn parse(&self, cert: &Certificate, memo: &Memo<ParsedTable>) -> Option<BlockList> {
         let mut r = BitReader::new(cert);
         let count = r.read(16)? as usize;
         let mut out = Vec::with_capacity(count);
@@ -381,7 +363,7 @@ impl Decode for CtMinorFreeScheme {
                 .ok_or(RejectReason::MalformedNeighborCertificate)?;
             let block = shared_block(&blocks, mine).map(|(i, k)| {
                 let sub = match blocks {
-                    Held::Arena(list) => Held::Arena(&list[k].1),
+                    Held::Kept(list) => Held::Kept(&list[k].1),
                     Held::Parsed(list) => Held::Parsed(list.into_vec().swap_remove(k).1),
                 };
                 (i, sub)
@@ -1024,7 +1006,7 @@ mod tests {
         scheme: &CtMinorFreeScheme,
         cert: &Certificate,
     ) -> Option<Vec<((Ident, Ident), bool)>> {
-        let blocks = scheme.parse(cert, &TableMemo::default())?;
+        let blocks = scheme.parse(cert, &Memo::default())?;
         Some(blocks.iter().map(|(b, sub)| (*b, sub.is_some())).collect())
     }
 
@@ -1035,7 +1017,7 @@ mod tests {
         cert: &Certificate,
     ) -> Option<Vec<((Ident, Ident), bool)>> {
         let blocks = ct_parse_bitwise(scheme.id_bits, cert)?;
-        let memo = TableMemo::default();
+        let memo = Memo::default();
         Some(
             blocks
                 .iter()

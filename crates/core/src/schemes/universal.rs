@@ -20,14 +20,13 @@
 
 use crate::bits::{BitReader, BitWriter, Certificate};
 use crate::framework::{
-    Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
-    Scheme,
+    Assignment, DeclaredBound, Decode, DecodedView, Instance, Memo, Prover, ProverError,
+    RejectReason, Scheme, Shared,
 };
 use crate::schemes::common::{read_ident, write_ident};
 use locert_graph::{automorphism, Graph, Ident, NodeId};
-use std::collections::{BTreeSet, HashMap};
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::BTreeSet;
+use std::sync::{Arc, OnceLock};
 
 /// Largest vertex count a map may declare. The verifier rejects larger
 /// maps, so the prover refuses larger graphs instead of writing
@@ -39,13 +38,6 @@ const INDEX_BITS: u32 = 16;
 
 /// Width of the edge-list encoding's edge-count field.
 const EDGE_COUNT_BITS: u32 = 20;
-
-/// Parsed words (identifiers, CSR offsets and neighbor entries) a run's
-/// memo keeps beyond its first map. Honest runs broadcast one map; the
-/// cap bounds memory when an adversarial assignment carries many
-/// distinct large maps: their decodes keep only the certificate, which
-/// is parsed again at each use and dropped after it.
-const MEMO_WORDS: usize = 1 << 22;
 
 /// How the broadcast map is encoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,148 +75,19 @@ struct Map {
     graph: Graph,
 }
 
-impl Map {
-    fn words(&self) -> usize {
-        self.ids.len() + self.graph.num_nodes() + 2 * self.graph.num_edges()
-    }
-}
-
 /// What a map prefix decodes to, shared by every certificate with that
 /// prefix.
-struct Parsed {
-    /// `None` when the prefix is not a well-formed map.
-    map: Option<Map>,
+pub struct Parsed {
+    map: Map,
     /// Whether the map is connected and has the property, computed by the
     /// first vertex that needs it.
     verdict: OnceLock<bool>,
-}
-
-/// The map prefix of `cert` (every bit but the trailing self-index; empty
-/// on certificates shorter than the index field), as the bit length, the
-/// prefix's whole bytes, and its partial last byte with the bits past the
-/// prefix cleared. Two certificates carry the same map bits iff their
-/// parts are equal.
-fn prefix_parts(cert: &Certificate) -> (usize, &[u8], u8) {
-    let len = cert.len_bits();
-    let prefix = len.saturating_sub(INDEX_BITS as usize);
-    let bytes = cert.as_bytes();
-    let (whole, rest) = (prefix / 8, prefix % 8);
-    let partial = if rest == 0 {
-        0
-    } else {
-        bytes[whole] & !(0xff >> rest)
-    };
-    (len, &bytes[..whole], partial)
-}
-
-/// A certificate compared and hashed by [`prefix_parts`].
-struct PrefixKey(Certificate);
-
-impl PartialEq for PrefixKey {
-    fn eq(&self, other: &Self) -> bool {
-        prefix_parts(&self.0) == prefix_parts(&other.0)
-    }
-}
-
-impl Eq for PrefixKey {}
-
-impl Hash for PrefixKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        prefix_parts(&self.0).hash(state);
-    }
 }
 
 /// The trailing self-index of `cert`, if it is long enough to carry one.
 fn self_index(cert: &Certificate) -> Option<usize> {
     let start = cert.len_bits().checked_sub(INDEX_BITS as usize)?;
     (start..cert.len_bits()).try_fold(0, |acc, i| Some(acc << 1 | usize::from(cert.try_bit(i)?)))
-}
-
-/// The maps parsed during one verification run, keyed by prefix bits.
-pub struct Memo {
-    state: Mutex<MemoState>,
-    /// Words the memo keeps beyond its first map.
-    cap: usize,
-}
-
-impl Default for Memo {
-    fn default() -> Self {
-        Memo {
-            state: Mutex::default(),
-            cap: MEMO_WORDS,
-        }
-    }
-}
-
-#[derive(Default)]
-struct MemoState {
-    entries: HashMap<PrefixKey, Arc<Parsed>>,
-    /// Words held by entries past the first (see [`MEMO_WORDS`]).
-    words: usize,
-}
-
-impl Memo {
-    /// A memo keeping at most `cap` words beyond its first map.
-    #[cfg(test)]
-    fn with_cap(cap: usize) -> Self {
-        Memo {
-            cap,
-            ..Memo::default()
-        }
-    }
-
-    /// The parse of `cert`'s map prefix, from the memo or freshly made
-    /// and stored; just the certificate when storing the parse would
-    /// pass the cap. Parsing runs outside the lock; when two workers race
-    /// on one prefix, the first insert wins and both use it, so each
-    /// distinct stored map is evaluated at most once per memo.
-    fn source(&self, scheme: &UniversalScheme, cert: &Certificate) -> MapSource {
-        let key = PrefixKey(cert.clone());
-        let lock = || {
-            self.state
-                .lock()
-                .expect("nothing panics while holding the memo lock")
-        };
-        if let Some(hit) = lock().entries.get(&key) {
-            return MapSource::Memo(Arc::clone(hit));
-        }
-        let fresh = scheme.parse(cert);
-        let mut state = lock();
-        if let Some(hit) = state.entries.get(&key) {
-            return MapSource::Memo(Arc::clone(hit));
-        }
-        if !state.entries.is_empty() {
-            let words = state.words + fresh.map.as_ref().map_or(0, Map::words);
-            if words > self.cap {
-                return MapSource::Bits(Box::new(key.0));
-            }
-            state.words = words;
-        }
-        let fresh = Arc::new(fresh);
-        state.entries.insert(key, Arc::clone(&fresh));
-        MapSource::Memo(fresh)
-    }
-}
-
-/// Where a decoded certificate's map lives.
-enum MapSource {
-    /// The run memo's parse, shared by every certificate with the same
-    /// prefix bits.
-    Memo(Arc<Parsed>),
-    /// A map the memo refused to keep: the certificate (boxed, so the
-    /// arena's decodes stay small), parsed again at each use, so a run
-    /// holds at most the memo's cap in parsed maps.
-    Bits(Box<Certificate>),
-}
-
-impl MapSource {
-    /// The parse, borrowed from the memo or made into `slot`.
-    fn parsed<'a>(&'a self, scheme: &UniversalScheme, slot: &'a mut Option<Parsed>) -> &'a Parsed {
-        match self {
-            MapSource::Memo(parsed) => parsed,
-            MapSource::Bits(cert) => slot.insert(scheme.parse(cert)),
-        }
-    }
 }
 
 impl UniversalScheme {
@@ -251,18 +114,10 @@ impl UniversalScheme {
         self
     }
 
-    /// The parse of `cert`'s map prefix, its verdict not yet evaluated.
-    fn parse(&self, cert: &Certificate) -> Parsed {
-        Parsed {
-            map: self.parse_map(cert),
-            verdict: OnceLock::new(),
-        }
-    }
-
-    /// Parses the map prefix of `cert`: size, identifiers and adjacency,
-    /// which must end exactly where the trailing self-index begins.
-    fn parse_map(&self, cert: &Certificate) -> Option<Map> {
-        let mut r = BitReader::new(cert);
+    /// Parses a map prefix: size, identifiers and adjacency, which must
+    /// use up the prefix exactly. Its verdict is not yet evaluated.
+    fn parse(&self, prefix: &Certificate) -> Option<Parsed> {
+        let mut r = BitReader::new(prefix);
         let n = r.read(INDEX_BITS)? as usize;
         if n == 0 || n > MAX_N {
             return None;
@@ -299,11 +154,14 @@ impl UniversalScheme {
                 }
             }
         }
-        if r.remaining() != INDEX_BITS as usize {
+        if !r.exhausted() {
             return None;
         }
         let graph = Graph::from_edges(n, edges).ok()?;
-        Some(Map { ids, graph })
+        Some(Parsed {
+            map: Map { ids, graph },
+            verdict: OnceLock::new(),
+        })
     }
 }
 
@@ -363,10 +221,10 @@ impl Prover for UniversalScheme {
     }
 }
 
-/// A decoded universal certificate: its map prefix (see [`MapSource`])
-/// and its trailing self-index.
+/// A decoded universal certificate: its map prefix, keyed by every bit
+/// but the trailing self-index, and that self-index.
 pub struct UniversalCert {
-    map: MapSource,
+    pub(crate) map: Arc<Shared<Parsed>>,
     self_index: Option<usize>,
 }
 
@@ -374,23 +232,24 @@ impl Decode for UniversalScheme {
     type Decoded = UniversalCert;
     /// Each distinct map is parsed, and its property evaluated, once per
     /// run rather than once per vertex and neighbor.
-    type Cache = Memo;
+    type Cache = Memo<Parsed>;
 
-    fn decode(&self, cert: &Certificate, memo: &Memo) -> UniversalCert {
+    fn decode(&self, cert: &Certificate, memo: &Memo<Parsed>) -> UniversalCert {
+        let prefix = cert.len_bits().saturating_sub(INDEX_BITS as usize);
+        let window = BitReader::new(cert).take(prefix).expect("a prefix of cert");
         UniversalCert {
-            map: memo.source(self, cert),
+            map: memo.get(window, |bits| self.parse(bits)),
             self_index: self_index(cert),
         }
     }
 
     fn decide_decoded(&self, view: &DecodedView<'_, UniversalCert>) -> Result<(), RejectReason> {
         let own = view.own;
-        let mut own_slot = None;
-        let parsed = own.map.parsed(self, &mut own_slot);
-        let map = parsed
+        let parsed = own
             .map
-            .as_ref()
+            .parsed(|bits| self.parse(bits))
             .ok_or(RejectReason::MalformedCertificate)?;
+        let map = &parsed.map;
         let n = map.ids.len();
         let self_idx = own
             .self_index
@@ -401,24 +260,19 @@ impl Decode for UniversalScheme {
             return Err(RejectReason::AdjacencyMismatch);
         }
         // Neighbors carry the identical map (ids + adjacency). A neighbor
-        // sharing my map's parse (equal prefix bits) with its self-index
+        // sharing my map's entry (equal prefix bits) with its self-index
         // in range is a copy; any other is compared parsed.
         for (_, _, theirs) in view.neighbors() {
             let valid_index = |m: &Map| theirs.self_index.is_some_and(|i| i < m.ids.len());
-            if let (MapSource::Memo(mine), MapSource::Memo(their)) = (&own.map, &theirs.map) {
-                if valid_index(map) && Arc::ptr_eq(mine, their) {
-                    continue;
-                }
+            if Arc::ptr_eq(&own.map, &theirs.map) && valid_index(map) {
+                continue;
             }
-            let mut slot = None;
-            let nmap = theirs
+            let nparsed = theirs
                 .map
-                .parsed(self, &mut slot)
-                .map
-                .as_ref()
-                .filter(|m| valid_index(m))
+                .parsed(|bits| self.parse(bits))
+                .filter(|p| valid_index(&p.map))
                 .ok_or(RejectReason::MalformedNeighborCertificate)?;
-            if nmap != map {
+            if nparsed.map != *map {
                 return Err(RejectReason::CopyMismatch);
             }
         }
@@ -956,8 +810,8 @@ mod tests {
         for v in (1..n).step_by(2) {
             *asg.cert_mut(NodeId(v)) = asg.cert(NodeId(v)).with_bit_flipped(matrix + v);
         }
-        let forged_words = 2 * n + 2 * (g.num_edges() - 1);
-        let decided = |memo: &Memo| {
+        let prefix_bits = |v: usize| asg.cert(NodeId(v)).len_bits() - 16;
+        let decided = |memo: &Memo<Parsed>| {
             let decoded: Vec<UniversalCert> = g
                 .nodes()
                 .map(|v| scheme.decode(asg.cert(v), memo))
@@ -976,28 +830,20 @@ mod tests {
                 .collect();
             (decoded, reasons)
         };
-        let (capped, reasons) = decided(&Memo::with_cap(forged_words));
-        let stored: Vec<bool> = capped
-            .iter()
-            .map(|d| matches!(d.map, MapSource::Memo(_)))
-            .collect();
+        let (capped, reasons) = decided(&Memo::with_cap(prefix_bits(1)));
+        let stored: Vec<bool> = capped.iter().map(|d| d.map.is_kept()).collect();
         assert_eq!(stored, [true, true, true, false, true, false]);
-        // Live parsed words: the honest map and one forgery.
-        let mut held: Vec<&Arc<Parsed>> = capped
+        // Live parses: the honest map and one forgery.
+        let mut held: Vec<&Arc<Shared<Parsed>>> = capped
             .iter()
-            .filter_map(|d| match &d.map {
-                MapSource::Memo(parsed) => Some(parsed),
-                MapSource::Bits(_) => None,
-            })
+            .map(|d| &d.map)
+            .filter(|m| m.is_kept())
             .collect();
         held.sort_by_key(|p| Arc::as_ptr(p));
         held.dedup_by(|a, b| Arc::ptr_eq(a, b));
-        let words: usize = held
-            .iter()
-            .map(|p| p.map.as_ref().map_or(0, Map::words))
-            .sum();
+        let bits: usize = held.iter().map(|p| p.bits().len_bits()).sum();
         assert_eq!(held.len(), 2);
-        assert!(words <= g.num_nodes() * 2 + 2 * g.num_edges() + forged_words);
+        assert!(bits <= prefix_bits(0) + prefix_bits(1));
         // Verdicts do not depend on what the memo keeps.
         let expected: Vec<_> = g
             .nodes()

@@ -220,7 +220,7 @@ fn report_dir() -> std::path::PathBuf {
 }
 
 /// Writes every recorded result as `BENCH_<bench-name>.json` under the
-/// workspace `target/` directory (see [`report_dir`]), or in the
+/// workspace `target/` directory (see `report_dir`), or in the
 /// workspace root itself when `LOCERT_BENCH_BASELINE` is set to anything
 /// but `0` (baseline regeneration). Called by [`criterion_main!`];
 /// exposed for custom harnesses.

@@ -10,12 +10,9 @@
 //! [`locert_core::catalogue::build`]; only the instance pairing is
 //! campaign-specific.
 
-use locert_core::catalogue::{self, lollipop};
+use locert_core::catalogue::{self, lollipop, ID_BITS};
 use locert_core::Scheme;
 use locert_graph::{generators, Graph};
-
-/// Identifier field width used by every catalogued scheme.
-pub const ID_BITS: u32 = 16;
 
 /// One campaign target: a scheme and a yes-instance it certifies.
 pub struct NetTarget {

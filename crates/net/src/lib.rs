@@ -18,8 +18,8 @@
 //!   [`locert_core::faults`], per-neighbor retransmit with exponential
 //!   backoff and seeded jitter, and typed degradation to
 //!   [`sim::Verdict::Inconclusive`] when a neighborhood never completes.
-//! - [`catalogue`] — sixteen (scheme, yes-instance) targets spanning
-//!   every scheme family in the workspace.
+//! - [`catalogue`](mod@catalogue) — sixteen (scheme, yes-instance)
+//!   targets spanning every scheme family in the workspace.
 //! - [`campaign`] — the `netstorm` fault-grid sweep: detection rate,
 //!   time-to-verdict, and false-inconclusive rate per fault point,
 //!   parallelized over seeds with a journal byte-identical at any

@@ -13,17 +13,13 @@
 //! refusals must be typed errors, never panics — but draws no verdict.
 
 use locert_automata::library;
-use locert_core::catalogue;
+use locert_core::catalogue::{self, ID_BITS};
 use locert_core::schemes::spanning_tree::VertexCountScheme;
 use locert_core::schemes::universal::UniversalScheme;
 use locert_core::Scheme;
 use locert_graph::rooted::RootedTree;
 use locert_graph::{minors, Graph, NodeId};
 use locert_logic::{eval, props};
-
-/// Identifier field width used by every catalogued scheme. Wide enough
-/// for shuffled identifier assignments on every family graph.
-pub const ID_BITS: u32 = 16;
 
 /// Treedepth bound certified by the treedepth and kernel cases —
 /// matches the bound baked into the shared catalogue's `treedepth-3`

@@ -18,7 +18,7 @@
 //! never a panic — the regression guard for the panic-audit sweep.
 //!
 //! Every disagreement is journaled as an `OracleDisagreement` event and
-//! shrunk to a local minimum (see [`crate::shrink`]). All randomness
+//! shrunk to a local minimum (see [`crate::shrink()`]). All randomness
 //! derives from `locert_par::split_seed(seed, index)`, so a fixed seed
 //! gives byte-identical output at any thread count.
 

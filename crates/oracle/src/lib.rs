@@ -18,10 +18,10 @@
 //!   per-graph check (completeness, soundness via
 //!   `locert_core::attacks::attack_battery`, sibling agreement), and the
 //!   metamorphic relations from [`metamorphic`].
-//! - [`shrink`] — delta-debugging: a disagreement is shrunk to a local
-//!   minimum by greedy vertex then edge removal, each accepted step
-//!   journaled as a `ShrinkStep` event.
-//! - [`mutants`] (test-only, behind the `mutants` feature) — known-bad
+//! - [`shrink`](mod@shrink) — delta-debugging: a disagreement is shrunk
+//!   to a local minimum by greedy vertex then edge removal, each accepted
+//!   step journaled as a `ShrinkStep` event.
+//! - `mutants` (test-only, behind the `mutants` feature) — known-bad
 //!   scheme wrappers the oracle must catch; the `diffhunt --mutants`
 //!   self-test asserts it does.
 //!

@@ -8,7 +8,8 @@
 //! test-only (`mutants` feature) so the wrappers can never leak into a
 //! production binary.
 
-use crate::cases::{catalogue, OracleCase, ID_BITS};
+use crate::cases::{catalogue, OracleCase};
+use locert_core::catalogue::ID_BITS;
 use locert_core::framework::{DeclaredBound, RejectReason};
 use locert_core::schemes::depth2_fo::Depth2FoScheme;
 use locert_core::schemes::treedepth::TreedepthScheme;

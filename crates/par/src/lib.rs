@@ -23,7 +23,7 @@
 //!   so randomized work is reproducible under any partitioning.
 //!
 //! Architecture: one fixed-capacity Chase–Lev deque per worker
-//! ([`deque`]), a mutex-guarded global injector for external submissions
+//! (`deque`), a mutex-guarded global injector for external submissions
 //! and deque overflow (the one lock in the system; every hot path is
 //! deque push/pop/steal), a generation-counted parking lot, and panic
 //! propagation that re-raises the first payload on the submitting thread

@@ -910,7 +910,7 @@ pub fn from_jsonl(text: &str) -> Result<JournalSnapshot, JournalParseError> {
 // ---------------------------------------------------------------------
 
 /// Live journal tailing: bounded per-subscriber queues fed from
-/// [`append_one`], so a long-running process (the `/journal/tail` HTTP
+/// `append_one`, so a long-running process (the `/journal/tail` HTTP
 /// endpoint, a future `locert-serve` daemon) can watch events as they
 /// happen without holding the ring-buffer lock or growing without
 /// bound.
@@ -918,15 +918,15 @@ pub fn from_jsonl(text: &str) -> Result<JournalSnapshot, JournalParseError> {
 /// Design constraints, in order:
 ///
 /// 1. **Zero cost with no subscribers.** The recording hot path checks
-///    one relaxed atomic ([`active`]) before doing anything — no lock,
-///    no clone. The `tests/journal_no_alloc.rs` gate holds with this
+///    one relaxed atomic (`stream::active`) before doing anything — no
+///    lock, no clone. The `tests/journal_no_alloc.rs` gate holds with this
 ///    module compiled in.
 /// 2. **Recording never blocks on a slow reader.** Each subscriber has
 ///    its own bounded [`VecDeque`]; overflow drops that subscriber's
 ///    *oldest* queued entries and counts them
-///    ([`Subscription::dropped`]), mirroring the ring buffer's
-///    drop-oldest policy. Publishing only ever takes short
-///    uncontended-in-practice mutexes.
+///    ([`Subscription::dropped`](stream::Subscription::dropped)),
+///    mirroring the ring buffer's drop-oldest policy. Publishing only
+///    ever takes short uncontended-in-practice mutexes.
 /// 3. **Subscribers see the post-flush order.** Events diverted by
 ///    [`capture`] reach subscribers when the coordinator flushes them
 ///    via [`append_events`], in canonical order with their final `seq`

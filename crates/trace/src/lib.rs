@@ -409,9 +409,9 @@ thread_local! {
     static STACK: RefCell<Vec<ActiveSpan>> = const { RefCell::new(Vec::new()) };
 }
 
-/// RAII guard for one span entry; created by [`span`]/[`span!`]. Guards
-/// must be dropped in LIFO order on the thread that created them (plain
-/// lexical scoping guarantees this). While the subscriber is disabled the
+/// RAII guard for one span entry; created by [`span`](fn@span) or
+/// [`span!`]. Guards must be dropped in LIFO order on the thread that
+/// created them (plain lexical scoping guarantees this). While the subscriber is disabled the
 /// guard is disarmed and records nothing.
 #[must_use = "a span records on drop; binding it to `_` closes it immediately"]
 pub struct Span {
