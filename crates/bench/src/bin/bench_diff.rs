@@ -7,13 +7,11 @@
 //!
 //! Compares two benchmark artifacts and exits nonzero when any entry in
 //! CURRENT is slower than its BASELINE counterpart by the noise threshold
-//! or more (default 1.5x). Two artifact schemas are auto-detected:
+//! or more (default 1.5x). Three artifact schemas are auto-detected:
 //!
 //! - `locert-criterion/v1` (`BENCH_*.json` from the vendored criterion
 //!   stub): compares `median_ns` per benchmark name;
-//! - `locert-trace/v1` (legacy `metrics.json`): compares `wall_s` per
-//!   experiment id (inline in `experiments`);
-//! - `locert-trace/v2` (current `metrics.json`): compares `wall_s` per
+//! - `locert-trace/v2` (`metrics.json`): compares `wall_s` per
 //!   experiment id from the `timings` section — the deterministic
 //!   `experiments` section carries no wall-clock by design;
 //! - `locert-serve/v1` (`loadgen-latency.json` from the serve load
@@ -41,8 +39,8 @@ usage: bench-diff BASELINE CURRENT [--threshold FACTOR]
        bench-diff scale FACTOR IN OUT
 
 Compares two benchmark artifacts (BENCH_*.json with schema
-locert-criterion/v1, metrics.json with schema locert-trace/v1 or
-/v2 — v2 wall-clock lives in the \"timings\" section — or
+locert-criterion/v1, metrics.json with schema locert-trace/v2 —
+whose wall-clock lives in the \"timings\" section — or
 loadgen-latency.json with schema locert-serve/v1, whose p50/p99
 nanoseconds are compared per entry), prints a markdown delta table,
 and exits 1 if any shared entry in CURRENT reaches or exceeds
@@ -129,17 +127,12 @@ fn extract(doc: &Value) -> Result<(Kind, Vec<Entry>), String> {
                 .collect::<Result<Vec<_>, &str>>()?;
             Ok((Kind::Criterion, entries))
         }
-        "locert-trace/v1" | "locert-trace/v2" => {
-            // v1 kept wall_s inline in "experiments"; v2 moved every
-            // wall-clock key to the "timings" section so the committed
-            // deterministic section never diffs on regeneration.
-            let list_key = if schema == "locert-trace/v1" {
-                "experiments"
-            } else {
-                "timings"
-            };
+        "locert-trace/v2" => {
+            // Every wall-clock key lives in the "timings" section, so the
+            // committed deterministic section never diffs on
+            // regeneration.
             let items = doc
-                .get(list_key)
+                .get("timings")
                 .and_then(Value::as_arr)
                 .ok_or("missing wall-clock entry array")?;
             let entries = items
@@ -193,10 +186,8 @@ fn extract(doc: &Value) -> Result<(Kind, Vec<Entry>), String> {
 /// Multiplies every metric in the artifact by `factor`, in place.
 fn scale_doc(doc: &mut Value, factor: f64) -> Result<(), String> {
     let (kind, _) = extract(doc)?;
-    let schema = doc.get("schema").and_then(Value::as_str).unwrap_or("");
     let (list_key, metric_keys): (&str, &[&str]) = match kind {
         Kind::Criterion => ("benchmarks", &["median_ns"]),
-        Kind::Metrics if schema == "locert-trace/v1" => ("experiments", &["wall_s"]),
         Kind::Metrics => ("timings", &["wall_s"]),
         Kind::Serve => ("latency", &["p50_ns", "p99_ns"]),
     };

@@ -178,7 +178,7 @@ fn usage_and_io_errors_exit_two() {
     let metrics = scratch("usage_metrics.json");
     std::fs::write(
         &metrics,
-        r#"{"schema": "locert-trace/v1", "quick": true, "experiments": [{"id": "e1", "wall_s": 1.0, "telemetry": {}}]}"#,
+        r#"{"schema": "locert-trace/v2", "quick": true, "experiments": [{"id": "e1", "telemetry": {}}], "timings": [{"id": "e1", "wall_s": 1.0, "telemetry": {}}]}"#,
     )
     .unwrap();
     let out = bench_diff().arg(&path).arg(&metrics).output().unwrap();
@@ -191,7 +191,9 @@ fn metrics_schema_compares_wall_seconds() {
     let slow = scratch("wall_slow.json");
     std::fs::write(
         &base,
-        r#"{"schema": "locert-trace/v1", "quick": true, "experiments": [{"id": "e1", "wall_s": 1.0, "telemetry": {}}, {"id": "s2", "wall_s": 2.0, "telemetry": {}}]}"#,
+        r#"{"schema": "locert-trace/v2", "quick": true,
+            "experiments": [{"id": "e1", "telemetry": {}}, {"id": "s2", "telemetry": {}}],
+            "timings": [{"id": "e1", "wall_s": 1.0, "telemetry": {}}, {"id": "s2", "wall_s": 2.0, "telemetry": {}}]}"#,
     )
     .unwrap();
     let out = bench_diff()

@@ -83,7 +83,7 @@ pub fn exhaustive_soundness(
 /// by (length, value), combined as a mixed-radix counter with vertex 0 as
 /// the least-significant digit — and the early exit always reports the
 /// **least** fooling assignment under that order, whatever the worker
-/// count or steal schedule. `SoundnessError::Fooled` payloads, the
+/// count or schedule. `SoundnessError::Fooled` payloads, the
 /// `checked` count, and the `core.attacks.exhaustive.assignments` counter
 /// are therefore byte-identical to a sequential sweep.
 ///
@@ -140,10 +140,7 @@ pub fn exhaustive_soundness_in(
             .all(|v| verifier.verify(&view_of(instance, &asg, v)))
             .then_some(asg)
     };
-    // Small chunks keep the least-index pruning responsive: a fooling
-    // certificate found early cancels most of the remaining space.
-    let chunk = (total as usize / (pool.threads() * 16)).clamp(1, 64);
-    let found = pool.par_find_first(total as usize, chunk, fooled);
+    let found = pool.par_find_first(total as usize, fooled);
     let checked = found.as_ref().map_or(total, |(idx, _)| *idx as u64 + 1);
     if locert_trace::enabled() {
         locert_trace::add("core.attacks.exhaustive.assignments", checked);

@@ -207,14 +207,21 @@ impl FaultyWorld {
         self.presented_id[v.0]
     }
 
-    /// The neighbor-list index dropped from `v`'s view, if any.
-    pub fn dropped_entry(&self, v: NodeId) -> Option<usize> {
-        self.drop_neighbor[v.0]
-    }
-
-    /// The neighbor-list index duplicated in `v`'s view, if any.
-    pub fn duplicated_entry(&self, v: NodeId) -> Option<usize> {
-        self.dup_neighbor[v.0]
+    /// Applies `v`'s neighbor-entry faults to its neighbor list: a
+    /// replayed entry is appended first, then a lost entry is removed.
+    /// Every view of a faulty world — [`faulty_view_of`] and transport
+    /// layers such as `locert-net` — goes through this one rule.
+    pub fn apply_entry_faults<T: Copy>(&self, v: NodeId, neighbors: &mut Vec<T>) {
+        if let Some(i) = self.dup_neighbor[v.0] {
+            if i < neighbors.len() {
+                neighbors.push(neighbors[i]);
+            }
+        }
+        if let Some(i) = self.drop_neighbor[v.0] {
+            if i < neighbors.len() {
+                neighbors.remove(i);
+            }
+        }
     }
 }
 
@@ -370,17 +377,7 @@ pub fn faulty_view_of<'a>(
             )
         })
         .collect();
-    if let Some(i) = world.dup_neighbor[v.0] {
-        if i < neighbors.len() {
-            let entry = neighbors[i];
-            neighbors.push(entry);
-        }
-    }
-    if let Some(i) = world.drop_neighbor[v.0] {
-        if i < neighbors.len() {
-            neighbors.remove(i);
-        }
-    }
+    world.apply_entry_faults(v, &mut neighbors);
     LocalView {
         id: world.presented_id[v.0],
         input: instance.input(v),

@@ -159,8 +159,7 @@ impl<'v, F: GadgetFamily> ExtractedProtocol<'v, F> {
                 .all(|&v| self.verifier.verify(&view_of(&inst, &asg, v)))
                 .then_some(())
         };
-        let chunk = (total / (locert_par::global().threads() * 16)).clamp(1, 64);
-        let found = locert_par::global().par_find_first(total, chunk, accepting);
+        let found = locert_par::global().par_find_first(total, accepting);
         if locert_trace::enabled() {
             let enumerated = found.map_or(total, |(idx, ())| idx + 1);
             locert_trace::add("lb.framework.labelings_enumerated", enumerated as u64);

@@ -716,19 +716,8 @@ impl<'a> Sim<'a> {
                     (*ident, *input, cert)
                 })
                 .collect();
-            // Compose the core view faults (replayed / lost neighbor
-            // entries) exactly as `faults::faulty_view_of` does.
-            if let Some(i) = self.world.duplicated_entry(v) {
-                if i < neighbors.len() {
-                    let entry = neighbors[i];
-                    neighbors.push(entry);
-                }
-            }
-            if let Some(i) = self.world.dropped_entry(v) {
-                if i < neighbors.len() {
-                    neighbors.remove(i);
-                }
-            }
+            // The core view faults: replayed / lost neighbor entries.
+            self.world.apply_entry_faults(v, &mut neighbors);
             let view = LocalView {
                 id: self.world.presented_ident(v),
                 input: self.instance.input(v),

@@ -1,6 +1,6 @@
-//! Panic propagation: a panicking task must abort its batch or scope with
-//! the *original* payload, without deadlocking the submitter, and leave
-//! the pool usable for the next batch.
+//! Panic propagation: a panicking leaf must abort its batch with the
+//! *original* payload, without deadlocking the submitter, and leave the
+//! pool usable for the next batch.
 
 use locert_par::Pool;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -18,39 +18,24 @@ fn payload_str(payload: &(dyn std::any::Any + Send)) -> &str {
 fn chunk_panic_reaches_the_submitter() {
     let pool = Pool::new(4);
     let err = catch_unwind(AssertUnwindSafe(|| {
-        pool.par_chunks(1024, 16, |range| {
-            if range.contains(&500) {
+        pool.par_map_collect(1024, |i| {
+            if i == 500 {
                 panic!("leaf exploded at 500");
             }
-        });
+            i
+        })
     }))
     .expect_err("batch should propagate the leaf panic");
     assert_eq!(payload_str(&*err), "leaf exploded at 500");
 
     // The pool survives: the next batch runs to completion.
     let done = AtomicUsize::new(0);
-    pool.par_chunks(256, 8, |range| {
-        done.fetch_add(range.len(), Ordering::Relaxed);
+    let out = pool.par_map_collect(256, |i| {
+        done.fetch_add(1, Ordering::Relaxed);
+        i * 2
     });
     assert_eq!(done.load(Ordering::Relaxed), 256);
-}
-
-#[test]
-fn scope_panic_reaches_the_submitter() {
-    let pool = Pool::new(4);
-    let err = catch_unwind(AssertUnwindSafe(|| {
-        pool.scope(|s| {
-            for i in 0..64 {
-                s.spawn(move || {
-                    if i == 13 {
-                        panic!("task 13 failed");
-                    }
-                });
-            }
-        });
-    }))
-    .expect_err("scope should propagate the task panic");
-    assert_eq!(payload_str(&*err), "task 13 failed");
+    assert_eq!(out, (0..256).map(|i| i * 2).collect::<Vec<_>>());
 }
 
 #[test]
@@ -68,25 +53,4 @@ fn map_collect_panic_does_not_deadlock_inline_or_parallel() {
         .expect_err("map panic should propagate");
         assert_eq!(payload_str(&*err), "mapper failed", "threads = {threads}");
     }
-}
-
-#[test]
-fn scope_body_panic_still_drains_spawned_tasks() {
-    let pool = Pool::new(4);
-    let ran = AtomicUsize::new(0);
-    let err = catch_unwind(AssertUnwindSafe(|| {
-        pool.scope(|s| {
-            for _ in 0..32 {
-                s.spawn(|| {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-            panic!("scope body failed");
-        });
-    }))
-    .expect_err("scope body panic should propagate");
-    assert_eq!(payload_str(&*err), "scope body failed");
-    // Every spawned task either ran or was accounted before the unwind
-    // left `scope` — nothing may still be running against freed stack.
-    assert_eq!(ran.load(Ordering::SeqCst), 32);
 }

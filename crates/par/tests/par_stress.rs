@@ -1,8 +1,9 @@
-//! Scheduler stress: many more workers than cores, tiny tasks, and an
-//! atomic bitmap proving no task is lost or double-run. This is the
+//! Scheduler stress: many more workers than cores, small chunks, and
+//! an atomic bitmap proving no index is lost or run twice. This is the
 //! loom-less stand-in for a model checker: heavy preemption across 64
-//! oversubscribed workers exercises the deque/injector/park races the
-//! memory-ordering comments in `deque.rs` argue about.
+//! oversubscribed workers exercises the cursor claims, the holder count
+//! a submitter waits on before its batch is freed, and the park/wake
+//! races of the batch queue.
 //!
 //! CI runs this in a dedicated job (see `par-stress` in ci.yml); locally
 //! it is just a normal (slow-ish) test.
@@ -51,42 +52,26 @@ impl Bitmap {
 }
 
 #[test]
-fn oversubscribed_chunks_run_every_task_exactly_once() {
+fn oversubscribed_map_runs_every_index_exactly_once() {
     let pool = Pool::new(WORKERS);
     let bitmap = Bitmap::new(TASKS);
-    // chunk = 1: every index is its own task, maximizing queue traffic.
-    pool.par_chunks(TASKS, 1, |range| {
-        for i in range {
-            bitmap.mark(i);
-        }
+    // About four chunks per worker, so all 64 workers compete for claims.
+    let out = pool.par_map_collect(TASKS, |i| {
+        bitmap.mark(i);
+        i
     });
     bitmap.assert_all_exactly_once(TASKS);
-}
-
-#[test]
-fn oversubscribed_scope_runs_every_task_exactly_once() {
-    let pool = Pool::new(WORKERS);
-    let bitmap = Bitmap::new(TASKS);
-    pool.scope(|s| {
-        for i in 0..TASKS {
-            let bitmap = &bitmap;
-            s.spawn(move || bitmap.mark(i));
-        }
-    });
-    bitmap.assert_all_exactly_once(TASKS);
+    assert!(out.iter().enumerate().all(|(i, &x)| x == i));
 }
 
 #[test]
 fn repeated_small_batches_survive_churn() {
     let pool = Pool::new(WORKERS);
     for round in 0..200 {
+        // n < 4 · 64, so every chunk holds one index.
         let n = 1 + (round * 7) % 97;
         let bitmap = Bitmap::new(n);
-        pool.par_chunks(n, 1, |range| {
-            for i in range {
-                bitmap.mark(i);
-            }
-        });
+        pool.par_map_collect(n, |i| bitmap.mark(i));
         bitmap.assert_all_exactly_once(n);
     }
 }

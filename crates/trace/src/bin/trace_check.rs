@@ -15,9 +15,7 @@
 //! The optional v2 `journal` section (written when the run recorded a
 //! journal) must carry consistent ring-buffer accounting: `capacity`
 //! ≥ 1, `entries` ≤ `capacity`, and a `dropped` count — reported in the
-//! OK line so a truncated journal is visible at a glance. The legacy
-//! `locert-trace/v1` shape (wall_s and spans inline in `experiments`)
-//! is still accepted.
+//! OK line so a truncated journal is visible at a glance.
 //!
 //! `--compare` checks that two dumps have byte-identical *deterministic*
 //! sections (`quick` + `experiments`, serialized with sorted keys) — the
@@ -49,11 +47,9 @@ fn parse_doc(path: &str) -> (Value, usize) {
 fn check(path: &str) -> Result<String, String> {
     let (doc, bytes) = parse_doc(path);
     let schema = doc.get("schema").and_then(Value::as_str).unwrap_or("");
-    let v2 = match schema {
-        "locert-trace/v2" => true,
-        "locert-trace/v1" => false,
-        other => return Err(format!("{path}: unknown schema {other:?}")),
-    };
+    if schema != "locert-trace/v2" {
+        return Err(format!("{path}: unknown schema {schema:?}"));
+    }
     let experiments = doc
         .get("experiments")
         .and_then(Value::as_arr)
@@ -70,55 +66,37 @@ fn check(path: &str) -> Result<String, String> {
             Some(Value::Obj(counters)) if !counters.is_empty() => {}
             _ => return Err(format!("{path}: experiment {id} recorded no counters")),
         }
-        if !v2 {
-            // v1 carried wall_s and the span tree inline.
-            let spans = exp
-                .get("telemetry")
-                .and_then(|t| t.get("spans"))
-                .and_then(Value::as_arr)
-                .ok_or_else(|| format!("{path}: experiment {id} has no span tree"))?;
-            if spans.is_empty() {
-                return Err(format!("{path}: experiment {id} recorded no spans"));
-            }
-        }
     }
-    if v2 {
-        let timings = doc
-            .get("timings")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| format!("{path}: missing top-level \"timings\" array"))?;
-        if timings.len() != experiments.len() {
-            return Err(format!(
-                "{path}: timings has {} entries, experiments {}",
-                timings.len(),
-                experiments.len()
-            ));
+    let timings = doc
+        .get("timings")
+        .and_then(Value::as_arr)
+        .ok_or_else(|| format!("{path}: missing top-level \"timings\" array"))?;
+    if timings.len() != experiments.len() {
+        return Err(format!(
+            "{path}: timings has {} entries, experiments {}",
+            timings.len(),
+            experiments.len()
+        ));
+    }
+    for (i, t) in timings.iter().enumerate() {
+        let id = t
+            .get("id")
+            .and_then(Value::as_str)
+            .ok_or_else(|| format!("{path}: timings[{i}] has no \"id\""))?;
+        if t.get("wall_s").and_then(Value::as_num).is_none() {
+            return Err(format!("{path}: timing {id} has no wall_s"));
         }
-        for (i, t) in timings.iter().enumerate() {
-            let id = t
-                .get("id")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("{path}: timings[{i}] has no \"id\""))?;
-            if t.get("wall_s").and_then(Value::as_num).is_none() {
-                return Err(format!("{path}: timing {id} has no wall_s"));
-            }
-            let spans = t
-                .get("telemetry")
-                .and_then(|tel| tel.get("spans"))
-                .and_then(Value::as_arr)
-                .ok_or_else(|| format!("{path}: timing {id} has no span tree"))?;
-            if spans.is_empty() {
-                return Err(format!("{path}: timing {id} recorded no spans"));
-            }
+        let spans = t
+            .get("telemetry")
+            .and_then(|tel| tel.get("spans"))
+            .and_then(Value::as_arr)
+            .ok_or_else(|| format!("{path}: timing {id} has no span tree"))?;
+        if spans.is_empty() {
+            return Err(format!("{path}: timing {id} recorded no spans"));
         }
     }
     let journal_note = match doc.get("journal") {
         None => String::new(),
-        Some(_) if !v2 => {
-            return Err(format!(
-                "{path}: \"journal\" section requires locert-trace/v2"
-            ));
-        }
         Some(j) => {
             let field = |name: &str| {
                 j.get(name)
