@@ -28,6 +28,7 @@
 //! Exit codes: 0 = within threshold, 1 = regression, 2 = usage/IO/parse.
 
 use locert_par::cli::{Cli, FINDING};
+use locert_trace::export::{MetricsDoc, RingMeta, METRICS_SCHEMA};
 use locert_trace::json::{parse, Value};
 use std::process::ExitCode;
 
@@ -73,29 +74,19 @@ impl Kind {
     }
 }
 
-/// A v2 `journal` section's ring accounting: (capacity, dropped, entries).
-type JournalMeta = (u64, u64, u64);
-
-/// The optional `journal` section of a v2 metrics dump, when present and
-/// well-formed.
-fn journal_meta(doc: &Value) -> Option<JournalMeta> {
-    let j = doc.get("journal")?;
-    let field = |name: &str| {
-        j.get(name)
-            .and_then(Value::as_num)
-            .filter(|v| v.fract() == 0.0 && *v >= 0.0)
-            .map(|v| v as u64)
-    };
-    Some((field("capacity")?, field("dropped")?, field("entries")?))
-}
-
 /// Reads and parses one artifact into its kind, entry list, and
 /// (for v2 metrics dumps) journal ring accounting.
-fn load(path: &str) -> Result<(Kind, Vec<Entry>, Option<JournalMeta>), String> {
+fn load(path: &str) -> Result<(Kind, Vec<Entry>, Option<RingMeta>), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let doc = parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let (kind, entries) = extract(&doc).map_err(|e| format!("{path}: {e}"))?;
-    Ok((kind, entries, journal_meta(&doc)))
+    let journal = match kind {
+        Kind::Metrics => MetricsDoc::from_value(doc)
+            .and_then(|doc| doc.journal())
+            .map_err(|e| format!("{path}: {e}"))?,
+        _ => None,
+    };
+    Ok((kind, entries, journal))
 }
 
 fn extract(doc: &Value) -> Result<(Kind, Vec<Entry>), String> {
@@ -127,30 +118,17 @@ fn extract(doc: &Value) -> Result<(Kind, Vec<Entry>), String> {
                 .collect::<Result<Vec<_>, &str>>()?;
             Ok((Kind::Criterion, entries))
         }
-        "locert-trace/v2" => {
-            // Every wall-clock key lives in the "timings" section, so the
-            // committed deterministic section never diffs on
-            // regeneration.
-            let items = doc
-                .get("timings")
-                .and_then(Value::as_arr)
-                .ok_or("missing wall-clock entry array")?;
-            let entries = items
+        METRICS_SCHEMA => {
+            // Every wall-clock key lives in the "timings" half, so the
+            // committed deterministic half never diffs on regeneration.
+            let entries = MetricsDoc::from_value(doc.clone())?
+                .sections()?
                 .iter()
-                .map(|e| {
-                    Ok(Entry {
-                        name: e
-                            .get("id")
-                            .and_then(Value::as_str)
-                            .ok_or("experiment without \"id\"")?
-                            .to_string(),
-                        value: e
-                            .get("wall_s")
-                            .and_then(Value::as_num)
-                            .ok_or("experiment without \"wall_s\"")?,
-                    })
+                .map(|s| Entry {
+                    name: s.id.to_string(),
+                    value: s.wall_s,
                 })
-                .collect::<Result<Vec<_>, &str>>()?;
+                .collect();
             Ok((Kind::Metrics, entries))
         }
         "locert-serve/v1" => {
@@ -185,11 +163,15 @@ fn extract(doc: &Value) -> Result<(Kind, Vec<Entry>), String> {
 
 /// Multiplies every metric in the artifact by `factor`, in place.
 fn scale_doc(doc: &mut Value, factor: f64) -> Result<(), String> {
-    let (kind, _) = extract(doc)?;
-    let (list_key, metric_keys): (&str, &[&str]) = match kind {
+    let (list_key, metric_keys): (&str, &[&str]) = match extract(doc)?.0 {
         Kind::Criterion => ("benchmarks", &["median_ns"]),
-        Kind::Metrics => ("timings", &["wall_s"]),
         Kind::Serve => ("latency", &["p50_ns", "p99_ns"]),
+        Kind::Metrics => {
+            let mut metrics = MetricsDoc::from_value(std::mem::replace(doc, Value::Null))?;
+            metrics.scale_wall_s(factor);
+            *doc = metrics.into_value();
+            return Ok(());
+        }
     };
     let Value::Obj(map) = doc else {
         unreachable!("extract checked")
@@ -251,7 +233,12 @@ fn run_diff(cli: &Cli, baseline_path: &str, current_path: &str, threshold: f64) 
     // journal means wall-clock entries were produced under different
     // recording pressure, worth seeing next to the deltas.
     for (label, meta) in [("baseline", &base_journal), ("current", &cur_journal)] {
-        if let Some((capacity, dropped, entries)) = meta {
+        if let Some(RingMeta {
+            capacity,
+            dropped,
+            entries,
+        }) = meta
+        {
             let note = if *dropped > 0 {
                 " — **truncated**"
             } else {

@@ -37,7 +37,6 @@
 
 use locert_bench::*;
 use locert_par::cli::Cli;
-use locert_trace::json::Value;
 use std::fmt::Write as _;
 use std::io::Write as _;
 
@@ -340,7 +339,16 @@ fn main() {
             let _ = writeln!(md);
             let _ = writeln!(md, "{}", locert_trace::export::snapshot_markdown(snap));
         }
-        write_metrics_json(&cli, path, quick, &telemetry, journal_snap.as_ref());
+        let doc = locert_trace::export::metrics_document(
+            quick,
+            telemetry
+                .iter()
+                .map(|(id, secs, snap)| (id.as_str(), *secs, snap)),
+            journal_snap
+                .as_ref()
+                .map(locert_trace::export::RingMeta::of),
+        );
+        write_artifact(&cli, "metrics", path, &doc);
         eprintln!("wrote {path} ({} experiments)", telemetry.len());
     }
     if let Some(path) = &chrome_path {
@@ -370,70 +378,4 @@ fn main() {
     }
     write_artifact(&cli, "report", &out_path, &md);
     eprintln!("wrote {out_path} ({} tables)", tables.len());
-}
-
-/// The optional `journal` section of the metrics dump: ring
-/// configuration and outcome, so regression tooling can tell a
-/// truncated journal from a complete one without parsing the JSONL.
-fn journal_meta_json(snap: &locert_trace::journal::JournalSnapshot) -> Value {
-    Value::obj([
-        (
-            "capacity".to_string(),
-            Value::from(locert_trace::journal::capacity() as u64),
-        ),
-        ("dropped".to_string(), Value::from(snap.dropped)),
-        (
-            "entries".to_string(),
-            Value::from(snap.entries.len() as u64),
-        ),
-    ])
-}
-
-/// Serializes per-experiment telemetry as the `locert-trace/v2` document
-/// checked by `trace-check` (see `crates/trace/src/bin/trace_check.rs`).
-///
-/// Each snapshot is split (`export::split_deterministic`) into the
-/// seed-deterministic half (counters and value histograms — byte-stable
-/// at any thread count, under `experiments`) and the run-varying half
-/// (`wall_s`, `par.*` scheduling counters, `.ns` histograms, span trees —
-/// under `timings`). Baseline regeneration commits the whole file, but
-/// regression tooling (`trace-check --compare`, `bench_diff`, the CI
-/// `cmp`) reads only the deterministic section.
-fn write_metrics_json(
-    cli: &Cli,
-    path: &str,
-    quick: bool,
-    telemetry: &[(String, f64, locert_trace::Snapshot)],
-    journal_snap: Option<&locert_trace::journal::JournalSnapshot>,
-) {
-    let mut experiments: Vec<Value> = Vec::new();
-    let mut timing_entries: Vec<Value> = Vec::new();
-    for (id, secs, snap) in telemetry {
-        let (deterministic, timing) = locert_trace::export::split_deterministic(snap);
-        experiments.push(Value::obj([
-            ("id".to_string(), Value::from(id.as_str())),
-            (
-                "telemetry".to_string(),
-                locert_trace::export::snapshot_to_json(&deterministic),
-            ),
-        ]));
-        timing_entries.push(Value::obj([
-            ("id".to_string(), Value::from(id.as_str())),
-            ("wall_s".to_string(), Value::Num(*secs)),
-            (
-                "telemetry".to_string(),
-                locert_trace::export::snapshot_to_json(&timing),
-            ),
-        ]));
-    }
-    let mut fields = vec![
-        ("schema".to_string(), Value::from("locert-trace/v2")),
-        ("quick".to_string(), Value::Bool(quick)),
-        ("experiments".to_string(), Value::Arr(experiments)),
-        ("timings".to_string(), Value::Arr(timing_entries)),
-    ];
-    if let Some(snap) = journal_snap {
-        fields.push(("journal".to_string(), journal_meta_json(snap)));
-    }
-    write_artifact(cli, "metrics", path, &format!("{}\n", Value::obj(fields)));
 }

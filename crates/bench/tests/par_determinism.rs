@@ -14,7 +14,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use locert_trace::json::{self, Value};
+use locert_trace::export::MetricsDoc;
 
 /// Artifacts of one subprocess run of the experiments binary.
 struct RunArtifacts {
@@ -46,22 +46,12 @@ fn run_experiments(threads: usize, dir: &Path) -> RunArtifacts {
     }
 }
 
-/// The deterministic section of a `locert-trace/v2` dump, re-serialized —
-/// same projection as `trace-check --compare`.
+/// The deterministic projection of a `locert-trace/v2` dump — the one
+/// `trace-check --compare` diffs.
 fn deterministic_section(metrics: &str) -> String {
-    let doc = json::parse(metrics).expect("metrics parses as JSON");
-    assert_eq!(
-        doc.get("schema").and_then(Value::as_str),
-        Some("locert-trace/v2"),
-        "metrics dump must use the v2 schema"
-    );
-    let quick = doc.get("quick").cloned().expect("quick key");
-    let experiments = doc.get("experiments").cloned().expect("experiments key");
-    Value::obj([
-        ("quick".to_string(), quick),
-        ("experiments".to_string(), experiments),
-    ])
-    .to_string()
+    MetricsDoc::parse(metrics)
+        .and_then(|doc| doc.deterministic())
+        .expect("a locert-trace/v2 dump with a deterministic projection")
 }
 
 /// Strips the run-varying parts of the report: the telemetry appendix

@@ -26,7 +26,6 @@ use locert_net::campaign::{fault_grid, run_net_campaign, CampaignConfig};
 use locert_net::catalogue::catalogue;
 use locert_par::cli::{Cli, FINDING};
 use locert_trace::journal;
-use locert_trace::json::Value;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -89,59 +88,6 @@ fn parse_args(cli: &mut Cli) -> Args {
     args
 }
 
-/// Serializes the run's telemetry as a single-section `locert-trace/v2`
-/// document so `trace-check --compare` can diff the deterministic half
-/// against a second run. The `journal` section records the ring
-/// configuration and outcome of the journal written next to it.
-fn metrics_json(
-    quick: bool,
-    wall_s: f64,
-    snap: &locert_trace::Snapshot,
-    journal_snap: &journal::JournalSnapshot,
-) -> String {
-    let (deterministic, timing) = locert_trace::export::split_deterministic(snap);
-    let doc = Value::obj([
-        ("schema".to_string(), Value::from("locert-trace/v2")),
-        ("quick".to_string(), Value::Bool(quick)),
-        (
-            "experiments".to_string(),
-            Value::Arr(vec![Value::obj([
-                ("id".to_string(), Value::from("s4")),
-                (
-                    "telemetry".to_string(),
-                    locert_trace::export::snapshot_to_json(&deterministic),
-                ),
-            ])]),
-        ),
-        (
-            "timings".to_string(),
-            Value::Arr(vec![Value::obj([
-                ("id".to_string(), Value::from("s4")),
-                ("wall_s".to_string(), Value::Num(wall_s)),
-                (
-                    "telemetry".to_string(),
-                    locert_trace::export::snapshot_to_json(&timing),
-                ),
-            ])]),
-        ),
-        (
-            "journal".to_string(),
-            Value::obj([
-                (
-                    "capacity".to_string(),
-                    Value::from(journal::capacity() as u64),
-                ),
-                ("dropped".to_string(), Value::from(journal_snap.dropped)),
-                (
-                    "entries".to_string(),
-                    Value::from(journal_snap.entries.len() as u64),
-                ),
-            ]),
-        ),
-    ]);
-    format!("{doc}\n")
-}
-
 fn write_artifacts(dir: &std::path::Path, quick: bool, wall_s: f64) -> Result<(), String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let journal_snap = journal::snapshot();
@@ -158,7 +104,14 @@ fn write_artifacts(dir: &std::path::Path, quick: bool, wall_s: f64) -> Result<()
     let metrics_path = dir.join("net-metrics.json");
     std::fs::write(
         &metrics_path,
-        metrics_json(quick, wall_s, &locert_trace::snapshot(), &journal_snap),
+        // One section, `s4`, plus the ring section of the journal
+        // written next to it; `trace-check --compare` diffs the
+        // deterministic half against a second run.
+        locert_trace::export::metrics_document(
+            quick,
+            [("s4", wall_s, &locert_trace::snapshot())],
+            Some(locert_trace::export::RingMeta::of(&journal_snap)),
+        ),
     )
     .map_err(|e| format!("cannot write {}: {e}", metrics_path.display()))?;
     Ok(())

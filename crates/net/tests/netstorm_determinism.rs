@@ -6,6 +6,7 @@
 //! simulator: event timing, fault dice, retransmissions, and verdicts
 //! may not depend on scheduling.
 
+use locert_trace::export::MetricsDoc;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -47,14 +48,17 @@ fn run_netstorm(threads: usize, dir: &Path) -> RunArtifacts {
     }
 }
 
-/// Strips the run-varying `timings` section, keeping the deterministic
-/// half — the projection `trace-check --compare` diffs.
+/// The deterministic projection (`quick`, `experiments` and the
+/// `journal` ring section) — the one `trace-check --compare` diffs.
 fn deterministic_section(metrics: &str) -> String {
-    let start = metrics
-        .find("\"experiments\"")
-        .expect("metrics has an experiments section");
-    let end = metrics.find("\"timings\"").expect("metrics has timings");
-    metrics[start..end].to_string()
+    let projection = MetricsDoc::parse(metrics)
+        .and_then(|doc| doc.deterministic())
+        .expect("a locert-trace/v2 dump with a deterministic projection");
+    assert!(
+        projection.contains("\"journal\":{\"capacity\""),
+        "netstorm's projection covers its journal section"
+    );
+    projection
 }
 
 #[test]

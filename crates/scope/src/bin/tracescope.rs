@@ -19,7 +19,7 @@
 
 use locert_par::cli::{Cli, FINDING};
 use locert_scope::{causal, diff, flame, http, query, window};
-use locert_trace::journal::{self, JournalSnapshot};
+use locert_trace::journal::{self, Event, JournalSnapshot};
 use locert_trace::json;
 use std::process::ExitCode;
 
@@ -83,7 +83,16 @@ fn cmd_query(mut cli: Cli) -> ExitCode {
     let mut args = Vec::new();
     while let Some(arg) = cli.next() {
         match arg.as_str() {
-            "--kind" => q.kinds.push(cli.value("--kind")),
+            "--kind" => {
+                let kind = cli.value("--kind");
+                if !Event::KINDS.contains(&kind.as_str()) {
+                    cli.usage_error(format!(
+                        "unknown event kind {kind:?} (expected one of: {})",
+                        Event::KINDS.join(", ")
+                    ));
+                }
+                q.kinds.push(kind);
+            }
             "--vertex" => q.vertex = Some(cli.parse("--vertex")),
             "--name" => q.name = Some(cli.value("--name")),
             "--round" => q.round = Some(cli.parse("--round")),
@@ -236,7 +245,7 @@ fn cmd_flame(mut cli: Cli) -> ExitCode {
     let [path] = operands(&cli, args, "one METRICS_JSON path");
     let folded = json::parse(&read_file(&cli, &path))
         .map_err(|e| e.to_string())
-        .and_then(|doc| flame::from_metrics_json(&doc))
+        .and_then(flame::from_metrics_json)
         .unwrap_or_else(|e| cli.io_error(format!("{path}: {e}")));
     match out_path {
         Some(out) => {
@@ -291,10 +300,7 @@ fn cmd_serve(mut cli: Cli) -> ExitCode {
         locert_trace::journal::set_capacity(snap.entries.len().max(journal::DEFAULT_CAPACITY));
         locert_trace::journal::enable();
         for entry in &snap.entries {
-            locert_trace::add(
-                &format!("scope.journal.events.{}", query::kind_of(&entry.event)),
-                1,
-            );
+            locert_trace::add(&format!("scope.journal.events.{}", entry.event.kind()), 1);
         }
         locert_trace::add(journal::DROPPED_EVENTS_COUNTER, snap.dropped);
         journal::append_events(snap.entries.into_iter().map(|e| e.event));

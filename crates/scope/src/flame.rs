@@ -7,29 +7,10 @@
 //! appears exactly once and line order is the forest's deterministic
 //! (sorted) order.
 
+use locert_trace::export::{span_from_json, MetricsDoc};
 use locert_trace::json::Value;
 use locert_trace::SpanNode;
 use std::fmt::Write as _;
-
-/// Parses one exported span-tree node (`{"name","calls","total_ns",
-/// "children"}`, the shape `snapshot_to_json` writes).
-pub fn span_from_json(v: &Value) -> Option<SpanNode> {
-    let as_u64 = |key: &str| {
-        let x = v.get(key)?.as_num()?;
-        (x.is_finite() && x >= 0.0).then_some(x as u64)
-    };
-    Some(SpanNode {
-        name: v.get("name")?.as_str()?.to_string(),
-        calls: as_u64("calls")?,
-        total_ns: as_u64("total_ns")?,
-        children: v
-            .get("children")?
-            .as_arr()?
-            .iter()
-            .map(span_from_json)
-            .collect::<Option<Vec<_>>>()?,
-    })
-}
 
 fn walk(prefix: &str, span: &SpanNode, out: &mut String) {
     let frame = if prefix.is_empty() {
@@ -61,42 +42,31 @@ pub fn collapse(root: Option<&str>, spans: &[SpanNode]) -> String {
 }
 
 /// Extracts folded stacks from a parsed metrics document: either a
-/// `locert-trace/v2` file (spans live under `timings[].telemetry.spans`,
-/// each section rooted at its experiment id) or any object with a
-/// top-level `spans` array (a bare exported snapshot).
+/// `locert-trace/v2` document (read by [`MetricsDoc`], each section
+/// rooted at its id) or any object with a top-level `spans` array (a bare
+/// exported snapshot).
 ///
 /// # Errors
 ///
 /// A message naming what was missing or malformed.
-pub fn from_metrics_json(doc: &Value) -> Result<String, String> {
-    let collapse_arr = |root: Option<&str>, arr: &[Value]| -> Result<String, String> {
-        let spans = arr
-            .iter()
-            .map(span_from_json)
-            .collect::<Option<Vec<_>>>()
-            .ok_or_else(|| "malformed span node".to_string())?;
-        Ok(collapse(root, &spans))
-    };
-    if let Some(timings) = doc.get("timings").and_then(Value::as_arr) {
+pub fn from_metrics_json(doc: Value) -> Result<String, String> {
+    if doc.get("schema").is_some() {
+        let doc = MetricsDoc::from_value(doc)?;
         let mut out = String::new();
-        for entry in timings {
-            let id = entry
-                .get("id")
-                .and_then(Value::as_str)
-                .ok_or("timings entry without id")?;
-            let spans = entry
-                .get("telemetry")
-                .and_then(|t| t.get("spans"))
-                .and_then(Value::as_arr)
-                .ok_or("timings entry without telemetry.spans")?;
-            out.push_str(&collapse_arr(Some(id), spans)?);
+        for section in doc.sections()? {
+            out.push_str(&collapse(Some(section.id), &section.spans()?));
         }
         return Ok(out);
     }
-    if let Some(spans) = doc.get("spans").and_then(Value::as_arr) {
-        return collapse_arr(None, spans);
-    }
-    Err("no spans found: expected a locert-trace/v2 document or an object with `spans`".into())
+    let spans = doc
+        .get("spans")
+        .and_then(Value::as_arr)
+        .ok_or("no spans found: expected a locert-trace/v2 document or an object with `spans`")?
+        .iter()
+        .map(span_from_json)
+        .collect::<Option<Vec<_>>>()
+        .ok_or("malformed span node")?;
+    Ok(collapse(None, &spans))
 }
 
 #[cfg(test)]
@@ -140,7 +110,9 @@ mod tests {
     #[test]
     fn v2_document_roots_sections_at_experiment_ids() {
         let doc = locert_trace::json::parse(
-            r#"{"schema":"locert-trace/v2","timings":[
+            r#"{"schema":"locert-trace/v2","quick":true,
+            "experiments":[{"id":"e1","telemetry":{}},{"id":"s2","telemetry":{}}],
+            "timings":[
                 {"id":"e1","wall_s":0.5,"telemetry":{"spans":[
                     {"name":"e1.work","calls":1,"total_ns":2000,"children":[]}]}},
                 {"id":"s2","wall_s":0.1,"telemetry":{"spans":[
@@ -148,7 +120,7 @@ mod tests {
             ]}"#,
         )
         .expect("parses");
-        let folded = from_metrics_json(&doc).expect("collapses");
+        let folded = from_metrics_json(doc).expect("collapses");
         assert_eq!(
             folded.lines().collect::<Vec<_>>(),
             vec!["e1;e1.work 2000", "s2;s2.campaign 1000"]
@@ -161,8 +133,8 @@ mod tests {
             r#"{"spans":[{"name":"x","calls":2,"total_ns":7,"children":[]}]}"#,
         )
         .expect("parses");
-        assert_eq!(from_metrics_json(&doc).expect("collapses"), "x 7\n");
+        assert_eq!(from_metrics_json(doc).expect("collapses"), "x 7\n");
         let empty = locert_trace::json::parse("{}").expect("parses");
-        assert!(from_metrics_json(&empty).is_err());
+        assert!(from_metrics_json(empty).is_err());
     }
 }

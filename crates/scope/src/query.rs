@@ -14,30 +14,6 @@
 use locert_trace::journal::{Entry, Event, JournalSnapshot};
 use std::collections::BTreeMap;
 
-/// The JSONL `type` tag of an event — the vocabulary `--kind` filters
-/// use, identical to the wire format's.
-pub fn kind_of(event: &Event) -> &'static str {
-    match event {
-        Event::ProverStart { .. } => "prover-start",
-        Event::ProverEnd { .. } => "prover-end",
-        Event::Verdict { .. } => "verdict",
-        Event::CertMutated { .. } => "cert-mutated",
-        Event::FaultInjected { .. } => "fault-injected",
-        Event::Detection { .. } => "detection",
-        Event::CampaignRound { .. } => "campaign-round",
-        Event::OracleDisagreement { .. } => "oracle-disagreement",
-        Event::ShrinkStep { .. } => "shrink-step",
-        Event::NetSend { .. } => "net-send",
-        Event::NetDrop { .. } => "net-drop",
-        Event::NetRetry { .. } => "net-retry",
-        Event::NetCrash { .. } => "net-crash",
-        Event::NetVerdict { .. } => "net-verdict",
-        Event::ServeRequest { .. } => "serve-request",
-        Event::RoundMark { .. } => "round-mark",
-        Event::Marker { .. } => "marker",
-    }
-}
-
 /// Every vertex the event mentions, in any role.
 pub fn vertices_of(event: &Event) -> Vec<u64> {
     match event {
@@ -78,7 +54,7 @@ pub fn name_of(event: &Event) -> Option<&str> {
 /// A conjunctive journal filter. Unset fields match everything.
 #[derive(Debug, Clone, Default)]
 pub struct Query {
-    /// Event kinds ([`kind_of`] tags) to keep; empty keeps all.
+    /// Event kinds ([`Event::kind`] tags) to keep; empty keeps all.
     pub kinds: Vec<String>,
     /// Keep entries mentioning this vertex in any role.
     pub vertex: Option<u64>,
@@ -93,7 +69,7 @@ pub struct Query {
 impl Query {
     /// Whether the stateless filters (kind, vertex, name) pass.
     fn matches_stateless(&self, event: &Event) -> bool {
-        if !self.kinds.is_empty() && !self.kinds.iter().any(|k| k == kind_of(event)) {
+        if !self.kinds.is_empty() && !self.kinds.iter().any(|k| k == event.kind()) {
             return false;
         }
         if let Some(v) = self.vertex {

@@ -18,7 +18,7 @@
 //! Both are pure functions of their inputs: deterministic rounds in,
 //! deterministic windows out.
 
-use crate::query::{assign_rounds, kind_of};
+use crate::query::assign_rounds;
 use locert_trace::journal::JournalSnapshot;
 use locert_trace::Snapshot;
 use std::collections::BTreeMap;
@@ -153,7 +153,7 @@ pub fn journal_windows(
         });
         *delta
             .counters
-            .entry(format!("events.{}", kind_of(&entry.event)))
+            .entry(format!("events.{}", entry.event.kind()))
             .or_insert(0) += 1;
     }
     windows.into_values().collect()

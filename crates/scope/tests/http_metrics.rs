@@ -90,7 +90,7 @@ fn exporter_serves_metrics_health_and_tail() {
     for line in &lines {
         let v = locert_trace::json::parse(line).expect("tail line is JSON");
         assert!(
-            journal::event_from_json(&v).is_some(),
+            journal::Event::from_json(&v).is_some(),
             "tail line decodes as a journal event: {line}"
         );
     }

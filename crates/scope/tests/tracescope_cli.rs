@@ -88,6 +88,33 @@ fn exit_code_contract() {
     let count: usize = stdout_of(&out).trim().parse().expect("a count");
     assert!(count > 0, "campaign journal has detections");
 
+    // A tag outside the event table is a usage error naming the valid
+    // tags, not a silent zero.
+    let out = run(&["query", journal_str, "--kind", "detectoin", "--count"]);
+    assert_eq!(out.status.code(), Some(2), "unknown --kind exits 2");
+    assert!(stdout_of(&out).is_empty(), "no count is printed");
+    let stderr = stderr_of(&out);
+    assert!(stderr.contains("\"detectoin\""), "names the tag: {stderr}");
+    for tag in journal::Event::KINDS {
+        assert!(stderr.contains(tag), "lists {tag}: {stderr}");
+    }
+
+    // A journal cut short of its header's entry count is an input error.
+    let text = std::fs::read_to_string(&journal_path).expect("read journal");
+    let truncated = scratch("truncated.jsonl");
+    std::fs::write(
+        &truncated,
+        text.lines().take(3).collect::<Vec<_>>().join("\n"),
+    )
+    .expect("write truncated journal");
+    let out = run(&["tail", truncated.to_str().expect("utf8 path")]);
+    assert_eq!(out.status.code(), Some(2), "truncated journal exits 2");
+    assert!(
+        stderr_of(&out).contains("journal line 1"),
+        "{}",
+        stderr_of(&out)
+    );
+
     // why resolves every detection: exit 0, one chain line each.
     let out = run(&["why", journal_str]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));

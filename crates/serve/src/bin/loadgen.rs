@@ -129,38 +129,6 @@ fn latency_json(report: &locert_serve::loadgen::Report) -> String {
     format!("{doc}\n")
 }
 
-/// Serializes client telemetry as a `locert-trace/v2` document whose
-/// deterministic section excludes every wall-clock quantity.
-fn metrics_json(report: &locert_serve::loadgen::Report) -> String {
-    let snap = locert_trace::snapshot();
-    let (deterministic, timing) = locert_trace::export::split_deterministic(&snap);
-    let doc = Value::obj([
-        ("schema".to_string(), Value::from("locert-trace/v2")),
-        (
-            "experiments".to_string(),
-            Value::Arr(vec![Value::obj([
-                ("id".to_string(), Value::from("loadgen")),
-                (
-                    "telemetry".to_string(),
-                    locert_trace::export::snapshot_to_json(&deterministic),
-                ),
-            ])]),
-        ),
-        (
-            "timings".to_string(),
-            Value::Arr(vec![Value::obj([
-                ("id".to_string(), Value::from("loadgen")),
-                ("wall_s".to_string(), Value::Num(report.wall_s)),
-                (
-                    "telemetry".to_string(),
-                    locert_trace::export::snapshot_to_json(&timing),
-                ),
-            ])]),
-        ),
-    ]);
-    format!("{doc}\n")
-}
-
 fn main() -> ExitCode {
     let mut cli = Cli::with_pool("loadgen", USAGE);
     let mut args = parse_args(&mut cli);
@@ -225,7 +193,14 @@ fn main() -> ExitCode {
                     report.deterministic_lines(),
                 )
                 .map_err(|e| e.to_string())?;
-                std::fs::write(dir.join("loadgen-metrics.json"), metrics_json(&report))
+                // Client telemetry: counts under `experiments`, every
+                // wall-clock quantity under `timings`.
+                let metrics = locert_trace::export::metrics_document(
+                    false,
+                    [("loadgen", report.wall_s, &locert_trace::snapshot())],
+                    None,
+                );
+                std::fs::write(dir.join("loadgen-metrics.json"), metrics)
                     .map_err(|e| e.to_string())?;
                 std::fs::write(dir.join("loadgen-latency.json"), latency_json(&report))
                     .map_err(|e| e.to_string())

@@ -18,14 +18,21 @@
 //! OK line so a truncated journal is visible at a glance.
 //!
 //! `--compare` checks that two dumps have byte-identical *deterministic*
-//! sections (`quick` + `experiments`, serialized with sorted keys) — the
-//! CI determinism gate between `LOCERT_THREADS=1` and `=4` runs. The
-//! `timings` sections are expected to differ and are ignored.
+//! projections (`quick`, `experiments` and the optional `journal`
+//! section, serialized with sorted keys) — the CI determinism gate
+//! between `LOCERT_THREADS=1` and `=4` runs. The `timings` sections are
+//! expected to differ and are ignored.
+//!
+//! The document format itself is owned by `locert_trace::export`
+//! (`metrics_document` writes it, `MetricsDoc` reads it); this binary
+//! only adds the gate's policy: at least one section, and every section
+//! recorded counters and spans.
 //!
 //! Exit codes: 0 the check holds, 1 it fails, 2 usage error or a file
 //! that cannot be read or parsed.
 
-use locert_trace::json::{self, Value};
+use locert_trace::export::{MetricsDoc, METRICS_SCHEMA};
+use locert_trace::json;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: trace-check METRICS_JSON | trace-check --compare A_JSON B_JSON";
@@ -37,117 +44,50 @@ fn fail_usage(msg: &str) -> ! {
     std::process::exit(2)
 }
 
-fn parse_doc(path: &str) -> (Value, usize) {
+fn parse_doc(path: &str) -> (Result<MetricsDoc, String>, usize) {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| fail_usage(&format!("cannot read {path}: {e}")));
     let doc = json::parse(&text).unwrap_or_else(|e| fail_usage(&format!("{path}: {e}")));
-    (doc, text.len())
+    (MetricsDoc::from_value(doc), text.len())
 }
 
 fn check(path: &str) -> Result<String, String> {
     let (doc, bytes) = parse_doc(path);
-    let schema = doc.get("schema").and_then(Value::as_str).unwrap_or("");
-    if schema != "locert-trace/v2" {
-        return Err(format!("{path}: unknown schema {schema:?}"));
+    let at = |e: String| format!("{path}: {e}");
+    let doc = doc.map_err(at)?;
+    let sections = doc.sections().map_err(at)?;
+    if sections.is_empty() {
+        return Err(at("\"experiments\" is empty".into()));
     }
-    let experiments = doc
-        .get("experiments")
-        .and_then(Value::as_arr)
-        .ok_or_else(|| format!("{path}: missing top-level \"experiments\" array"))?;
-    if experiments.is_empty() {
-        return Err(format!("{path}: \"experiments\" is empty"));
-    }
-    for (i, exp) in experiments.iter().enumerate() {
-        let id = exp
-            .get("id")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("{path}: experiments[{i}] has no \"id\""))?;
-        match exp.get("telemetry").and_then(|t| t.get("counters")) {
-            Some(Value::Obj(counters)) if !counters.is_empty() => {}
-            _ => return Err(format!("{path}: experiment {id} recorded no counters")),
+    for section in &sections {
+        if section.counters().map_err(at)?.is_empty() {
+            return Err(at(format!(
+                "experiment {} recorded no counters",
+                section.id
+            )));
+        }
+        if section.spans().map_err(at)?.is_empty() {
+            return Err(at(format!("timing {} recorded no spans", section.id)));
         }
     }
-    let timings = doc
-        .get("timings")
-        .and_then(Value::as_arr)
-        .ok_or_else(|| format!("{path}: missing top-level \"timings\" array"))?;
-    if timings.len() != experiments.len() {
-        return Err(format!(
-            "{path}: timings has {} entries, experiments {}",
-            timings.len(),
-            experiments.len()
-        ));
-    }
-    for (i, t) in timings.iter().enumerate() {
-        let id = t
-            .get("id")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("{path}: timings[{i}] has no \"id\""))?;
-        if t.get("wall_s").and_then(Value::as_num).is_none() {
-            return Err(format!("{path}: timing {id} has no wall_s"));
-        }
-        let spans = t
-            .get("telemetry")
-            .and_then(|tel| tel.get("spans"))
-            .and_then(Value::as_arr)
-            .ok_or_else(|| format!("{path}: timing {id} has no span tree"))?;
-        if spans.is_empty() {
-            return Err(format!("{path}: timing {id} recorded no spans"));
-        }
-    }
-    let journal_note = match doc.get("journal") {
-        None => String::new(),
-        Some(j) => {
-            let field = |name: &str| {
-                j.get(name)
-                    .and_then(Value::as_num)
-                    .filter(|v| v.fract() == 0.0 && *v >= 0.0)
-                    .map(|v| v as u64)
-                    .ok_or_else(|| format!("{path}: journal section has no integer \"{name}\""))
-            };
-            let capacity = field("capacity")?;
-            let dropped = field("dropped")?;
-            let entries = field("entries")?;
-            if capacity == 0 {
-                return Err(format!("{path}: journal capacity must be at least 1"));
-            }
-            if entries > capacity {
-                return Err(format!(
-                    "{path}: journal claims {entries} entries in a ring of {capacity}"
-                ));
-            }
-            if dropped > 0 && entries < capacity {
-                return Err(format!(
-                    "{path}: journal dropped {dropped} events but the ring is not full \
-                     ({entries} of {capacity})"
-                ));
-            }
-            format!(", journal {entries}/{capacity} events, {dropped} dropped")
-        }
-    };
+    let journal_note = doc.journal().map_err(at)?.map_or_else(String::new, |j| {
+        format!(
+            ", journal {}/{} events, {} dropped",
+            j.entries, j.capacity, j.dropped
+        )
+    });
     Ok(format!(
-        "{path}: OK ({schema}, {} experiments, {bytes} bytes{journal_note})",
-        experiments.len(),
+        "{path}: OK ({METRICS_SCHEMA}, {} experiments, {bytes} bytes{journal_note})",
+        sections.len(),
     ))
 }
 
-/// The deterministic section of a dump, re-serialized (sorted keys, so
-/// formatting differences don't matter — only content does).
+/// The deterministic projection of a dump ([`MetricsDoc::deterministic`]).
 fn deterministic_section(path: &str) -> Result<String, String> {
-    let (doc, _) = parse_doc(path);
-    let quick = doc
-        .get("quick")
-        .cloned()
-        .ok_or_else(|| format!("{path}: missing \"quick\""))?;
-    let experiments = doc
-        .get("experiments")
-        .cloned()
-        .ok_or_else(|| format!("{path}: missing \"experiments\""))?;
-    Ok(Value::obj([
-        ("quick".to_string(), quick),
-        ("experiments".to_string(), experiments),
-    ])
-    .to_string())
+    parse_doc(path)
+        .0
+        .and_then(|doc| doc.deterministic())
+        .map_err(|e| format!("{path}: {e}"))
 }
 
 fn compare(a: &str, b: &str) -> Result<String, String> {

@@ -23,7 +23,7 @@
 
 use crate::json::{self, Value};
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -47,194 +47,258 @@ fn dropped_events_counter() -> &'static crate::Counter {
     C.get_or_init(|| crate::Counter::named(DROPPED_EVENTS_COUNTER))
 }
 
-/// One journal event. Variants mirror the phases of a certification
-/// run; reasons are kebab-case codes (see `locert-core`'s
-/// `RejectReason::code`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event {
-    /// A prover began assigning certificates for `scheme`.
-    ProverStart {
-        /// Scheme display name.
-        scheme: String,
-    },
-    /// The prover finished; `ok` is false when it returned an error.
-    ProverEnd {
-        /// Scheme display name.
-        scheme: String,
-        /// Whether certificate assignment succeeded.
-        ok: bool,
-        /// Maximum per-vertex certificate size in bits (0 on failure).
-        max_bits: u64,
-    },
-    /// One vertex's verification verdict.
-    Verdict {
-        /// The vertex (NodeId index).
-        vertex: u64,
-        /// Whether the vertex accepted.
-        accepted: bool,
-        /// Rejection reason code; `None` when accepted.
-        reason: Option<String>,
-        /// Certificate bits in the vertex's radius-1 view (own + neighbors).
-        bits_read: u64,
-    },
-    /// A certificate was mutated in place (`Assignment::cert_mut`).
-    CertMutated {
-        /// The vertex whose certificate was handed out mutably.
-        vertex: u64,
-    },
-    /// A fault model touched the world at `site`.
-    FaultInjected {
-        /// Fault model name (`FaultModel::name`).
-        model: String,
-        /// The targeted vertex.
-        site: u64,
-        /// Whether the injection changed the presented world.
-        effective: bool,
-    },
-    /// A verifier rejected in a faulty world; provenance links it back
-    /// to the injection site.
-    Detection {
-        /// Fault model name.
-        model: String,
-        /// The injected fault site.
-        site: u64,
-        /// The rejecting vertex.
-        detector: u64,
-        /// Rejection reason code.
-        reason: String,
-        /// BFS distance from fault site to detector, when connected.
-        distance: Option<u64>,
-    },
-    /// One run of a fault campaign finished.
-    CampaignRound {
-        /// Fault model name.
-        model: String,
-        /// Run index within the campaign.
-        run: u64,
-        /// Whether any vertex rejected.
-        detected: bool,
-        /// Distance from fault site to the nearest rejector.
-        locality: Option<u64>,
-    },
-    /// The differential oracle observed a disagreement between a scheme
-    /// run and ground truth, a sibling scheme, or a metamorphic relation.
-    OracleDisagreement {
-        /// Oracle case name.
-        case: String,
-        /// Which relation broke (e.g. `completeness`, `sibling:<name>`,
-        /// `relabel`, `union`).
-        relation: String,
-        /// Vertex count of the disagreeing instance.
-        vertices: u64,
-    },
-    /// One accepted step of the counterexample shrinker.
-    ShrinkStep {
-        /// Oracle case name.
-        case: String,
-        /// What was removed (`drop-vertex` or `drop-edge`).
-        action: String,
-        /// Vertex count after the step.
-        vertices: u64,
-    },
-    /// A network frame was handed to the link layer (`locert-net`).
-    NetSend {
-        /// Sending vertex (NodeId index).
-        src: u64,
-        /// Receiving vertex (NodeId index).
-        dst: u64,
-        /// Logical send time in the discrete-event clock.
-        time: u64,
-        /// Frame payload size in bits (header + certificate).
-        bits: u64,
-        /// Frame kind: `data` or `ack`.
-        kind: String,
-    },
-    /// The link layer discarded a frame.
-    NetDrop {
-        /// Sending vertex.
-        src: u64,
-        /// Intended receiver.
-        dst: u64,
-        /// Logical send time.
-        time: u64,
-        /// Why the frame died: `loss`, `partition`, or `dead-receiver`.
-        cause: String,
-    },
-    /// A node's retransmit timer fired and it resent a data frame.
-    NetRetry {
-        /// Retransmitting vertex.
-        node: u64,
-        /// Neighbor index (position in the adjacency list, not NodeId).
-        neighbor: u64,
-        /// Retry attempt number (1 = first retransmit).
-        attempt: u64,
-        /// Logical time of the retransmit.
-        time: u64,
-    },
-    /// A node crashed (losing its certificate) or restarted.
-    NetCrash {
-        /// The affected vertex.
-        node: u64,
-        /// Logical time of the transition.
-        time: u64,
-        /// `true` on crash, `false` on restart.
-        down: bool,
-    },
-    /// A node's final network verdict at quiescence.
-    NetVerdict {
-        /// The vertex.
-        vertex: u64,
-        /// `accepted`, `rejected`, or `inconclusive`.
-        status: String,
-        /// Rejection reason code when `status == "rejected"`.
-        reason: Option<String>,
-        /// Count of neighbors never heard from (inconclusive only).
-        missing: u64,
-        /// Logical time the verdict last changed.
-        time: u64,
-    },
-    /// One `locert-serve` request lifecycle: admission through verdict
-    /// (or typed rejection), with its cache disposition.
-    ServeRequest {
-        /// Connection ordinal, in accept order.
-        conn: u64,
-        /// Request ordinal within the connection (batch entries count
-        /// individually).
-        req: u64,
-        /// Stable scheme id (`locert-core`'s shared catalogue).
-        scheme: String,
-        /// Request mode: `prove`, `verify`, or `roundtrip`.
-        mode: String,
-        /// Vertex count of the request graph.
-        vertices: u64,
-        /// `accepted`, `rejected`, or a typed wire error code
-        /// (e.g. `unknown-scheme`, `overloaded`).
-        outcome: String,
-        /// Certificate-cache disposition: `hit`, `miss`, or `bypass`
-        /// (modes that never consult the cache).
-        cache: String,
-    },
-    /// A logical round boundary for windowed analytics. Emitted at the
-    /// *start* of a round: everything up to the next boundary event
-    /// belongs to this round.
-    ///
-    /// `round` is the producer's own round number when it has a
-    /// deterministic one (fault campaigns use the run index); `None`
-    /// when the producer has no local counter (`run_verification`), in
-    /// which case readers assign ordinals by position — well-defined
-    /// because the journal itself is deterministic for a fixed seed.
-    RoundMark {
-        /// The emitting subsystem (e.g. `core.verify`,
-        /// `core.faults.campaign`).
-        scope: String,
-        /// Producer-local round number, when one exists.
-        round: Option<u64>,
-    },
-    /// A free-form boundary marker (experiment start, phase change).
-    Marker {
-        /// Marker label.
-        label: String,
-    },
+/// Declares [`Event`] from one table. Each row gives a kind's JSONL
+/// `type` tag, its variant and its fields; a field's Rust name is its
+/// JSONL key and its type's [`Field`] impl is its encoding. The encoder
+/// ([`entry_to_jsonl_line`]), the decoder ([`Event::from_json`]) and
+/// [`Event::kind`] are generated from the same rows, so each tag and
+/// field name is written once.
+macro_rules! events {
+    (
+        $(#[$meta:meta])*
+        pub enum Event {
+            $(
+                $(#[$doc:meta])*
+                $tag:literal => $variant:ident {
+                    $( $(#[$fdoc:meta])* $field:ident: $ty:ty ),* $(,)?
+                }
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum Event {
+            $( $(#[$doc])* $variant { $( $(#[$fdoc])* $field: $ty ),* } ),*
+        }
+
+        impl Event {
+            /// Every JSONL `type` tag, in declaration order: the vocabulary
+            /// of `tracescope query --kind`.
+            pub const KINDS: &'static [&'static str] = &[$($tag),*];
+
+            /// The event's JSONL `type` tag.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $( Event::$variant { .. } => $tag ),*
+                }
+            }
+
+            /// The event's JSONL object: `type` plus one key per field.
+            fn to_object(&self) -> BTreeMap<String, Value> {
+                let mut obj = BTreeMap::new();
+                obj.insert("type".to_string(), Value::from(self.kind()));
+                match self {
+                    $( Event::$variant { $($field),* } => {
+                        $( obj.insert(stringify!($field).to_string(), Field::encode($field)); )*
+                    } )*
+                }
+                obj
+            }
+
+            /// Parses one JSONL object back into its event (extra keys such
+            /// as `seq` are ignored); `None` on an unknown tag or a missing
+            /// or mistyped field.
+            pub fn from_json(v: &Value) -> Option<Event> {
+                match v.get("type")?.as_str()? {
+                    $( $tag => Some(Event::$variant {
+                        $( $field: Field::decode(v.get(stringify!($field))?)? ),*
+                    }), )*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+events! {
+    /// One journal event. Variants mirror the phases of a certification
+    /// run; reasons are kebab-case codes (see `locert-core`'s
+    /// `RejectReason::code`).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Event {
+        /// A prover began assigning certificates for `scheme`.
+        "prover-start" => ProverStart {
+            /// Scheme display name.
+            scheme: String,
+        },
+        /// The prover finished; `ok` is false when it returned an error.
+        "prover-end" => ProverEnd {
+            /// Scheme display name.
+            scheme: String,
+            /// Whether certificate assignment succeeded.
+            ok: bool,
+            /// Maximum per-vertex certificate size in bits (0 on failure).
+            max_bits: u64,
+        },
+        /// One vertex's verification verdict.
+        "verdict" => Verdict {
+            /// The vertex (NodeId index).
+            vertex: u64,
+            /// Whether the vertex accepted.
+            accepted: bool,
+            /// Rejection reason code; `None` when accepted.
+            reason: Option<String>,
+            /// Certificate bits in the vertex's radius-1 view (own + neighbors).
+            bits_read: u64,
+        },
+        /// A certificate was mutated in place (`Assignment::cert_mut`).
+        "cert-mutated" => CertMutated {
+            /// The vertex whose certificate was handed out mutably.
+            vertex: u64,
+        },
+        /// A fault model touched the world at `site`.
+        "fault-injected" => FaultInjected {
+            /// Fault model name (`FaultModel::name`).
+            model: String,
+            /// The targeted vertex.
+            site: u64,
+            /// Whether the injection changed the presented world.
+            effective: bool,
+        },
+        /// A verifier rejected in a faulty world; provenance links it back
+        /// to the injection site.
+        "detection" => Detection {
+            /// Fault model name.
+            model: String,
+            /// The injected fault site.
+            site: u64,
+            /// The rejecting vertex.
+            detector: u64,
+            /// Rejection reason code.
+            reason: String,
+            /// BFS distance from fault site to detector, when connected.
+            distance: Option<u64>,
+        },
+        /// One run of a fault campaign finished.
+        "campaign-round" => CampaignRound {
+            /// Fault model name.
+            model: String,
+            /// Run index within the campaign.
+            run: u64,
+            /// Whether any vertex rejected.
+            detected: bool,
+            /// Distance from fault site to the nearest rejector.
+            locality: Option<u64>,
+        },
+        /// The differential oracle observed a disagreement between a scheme
+        /// run and ground truth, a sibling scheme, or a metamorphic relation.
+        "oracle-disagreement" => OracleDisagreement {
+            /// Oracle case name.
+            case: String,
+            /// Which relation broke (e.g. `completeness`, `sibling:<name>`,
+            /// `relabel`, `union`).
+            relation: String,
+            /// Vertex count of the disagreeing instance.
+            vertices: u64,
+        },
+        /// One accepted step of the counterexample shrinker.
+        "shrink-step" => ShrinkStep {
+            /// Oracle case name.
+            case: String,
+            /// What was removed (`drop-vertex` or `drop-edge`).
+            action: String,
+            /// Vertex count after the step.
+            vertices: u64,
+        },
+        /// A network frame was handed to the link layer (`locert-net`).
+        "net-send" => NetSend {
+            /// Sending vertex (NodeId index).
+            src: u64,
+            /// Receiving vertex (NodeId index).
+            dst: u64,
+            /// Logical send time in the discrete-event clock.
+            time: u64,
+            /// Frame payload size in bits (header + certificate).
+            bits: u64,
+            /// Frame kind: `data` or `ack`.
+            kind: String,
+        },
+        /// The link layer discarded a frame.
+        "net-drop" => NetDrop {
+            /// Sending vertex.
+            src: u64,
+            /// Intended receiver.
+            dst: u64,
+            /// Logical send time.
+            time: u64,
+            /// Why the frame died: `loss`, `partition`, or `dead-receiver`.
+            cause: String,
+        },
+        /// A node's retransmit timer fired and it resent a data frame.
+        "net-retry" => NetRetry {
+            /// Retransmitting vertex.
+            node: u64,
+            /// Neighbor index (position in the adjacency list, not NodeId).
+            neighbor: u64,
+            /// Retry attempt number (1 = first retransmit).
+            attempt: u64,
+            /// Logical time of the retransmit.
+            time: u64,
+        },
+        /// A node crashed (losing its certificate) or restarted.
+        "net-crash" => NetCrash {
+            /// The affected vertex.
+            node: u64,
+            /// Logical time of the transition.
+            time: u64,
+            /// `true` on crash, `false` on restart.
+            down: bool,
+        },
+        /// A node's final network verdict at quiescence.
+        "net-verdict" => NetVerdict {
+            /// The vertex.
+            vertex: u64,
+            /// `accepted`, `rejected`, or `inconclusive`.
+            status: String,
+            /// Rejection reason code when `status == "rejected"`.
+            reason: Option<String>,
+            /// Count of neighbors never heard from (inconclusive only).
+            missing: u64,
+            /// Logical time the verdict last changed.
+            time: u64,
+        },
+        /// One `locert-serve` request lifecycle: admission through verdict
+        /// (or typed rejection), with its cache disposition.
+        "serve-request" => ServeRequest {
+            /// Connection ordinal, in accept order.
+            conn: u64,
+            /// Request ordinal within the connection (batch entries count
+            /// individually).
+            req: u64,
+            /// Stable scheme id (`locert-core`'s shared catalogue).
+            scheme: String,
+            /// Request mode: `prove`, `verify`, or `roundtrip`.
+            mode: String,
+            /// Vertex count of the request graph.
+            vertices: u64,
+            /// `accepted`, `rejected`, or a typed wire error code
+            /// (e.g. `unknown-scheme`, `overloaded`).
+            outcome: String,
+            /// Certificate-cache disposition: `hit`, `miss`, or `bypass`
+            /// (modes that never consult the cache).
+            cache: String,
+        },
+        /// A logical round boundary for windowed analytics. Emitted at the
+        /// *start* of a round: everything up to the next boundary event
+        /// belongs to this round.
+        ///
+        /// `round` is the producer's own round number when it has a
+        /// deterministic one (fault campaigns use the run index); `None`
+        /// when the producer has no local counter (`run_verification`), in
+        /// which case readers assign ordinals by position — well-defined
+        /// because the journal itself is deterministic for a fixed seed.
+        "round-mark" => RoundMark {
+            /// The emitting subsystem (e.g. `core.verify`,
+            /// `core.faults.campaign`).
+            scope: String,
+            /// Producer-local round number, when one exists.
+            round: Option<u64>,
+        },
+        /// A free-form boundary marker (experiment start, phase change).
+        "marker" => Marker {
+            /// Marker label.
+            label: String,
+        },
+    }
 }
 
 /// A journal entry: the event plus its position in the run.
@@ -375,29 +439,19 @@ pub fn record_with(make: impl FnOnce() -> Event) {
 }
 
 fn append_one(event: Event) {
-    // Load the subscriber flag before taking the buffer lock so the
-    // common no-subscriber case never clones the event.
-    let live = stream::active();
     let mut b = buf().lock().expect("journal buffer");
     let seq = b.next_seq;
     b.next_seq += 1;
-    let mut evicted = false;
-    if b.entries.len() == b.capacity {
+    let evicted = b.entries.len() == b.capacity;
+    if evicted {
         b.entries.pop_front();
         b.dropped += 1;
-        evicted = true;
     }
-    let entry = Entry { seq, event };
-    let published = live.then(|| entry.clone());
-    b.entries.push_back(entry);
+    b.entries.push_back(Entry { seq, event });
     drop(b);
-    // Outside the buffer lock: the registry and subscriber locks must
-    // never nest inside it (and vice versa).
+    // Outside the buffer lock: the registry lock must never nest inside it.
     if evicted {
         dropped_events_counter().add(1);
-    }
-    if let Some(entry) = published {
-        stream::publish(&entry);
     }
 }
 
@@ -458,355 +512,51 @@ pub fn snapshot() -> JournalSnapshot {
 // JSONL encoding
 // ---------------------------------------------------------------------
 
-fn opt_u64(v: Option<u64>) -> Value {
-    v.map_or(Value::Null, Value::from)
+/// How one field type is stored in a JSONL object: the single place a
+/// payload type meets the wire format. Decoding is strict — a `u64`
+/// field rejects negative and fractional numbers.
+trait Field: Sized {
+    fn encode(&self) -> Value;
+    fn decode(v: &Value) -> Option<Self>;
 }
 
-/// One event as a JSON object (without the `seq` field).
-pub fn event_to_json(event: &Event) -> Value {
-    let typed = |ty: &str, rest: Vec<(String, Value)>| {
-        let mut pairs = vec![("type".to_string(), Value::from(ty))];
-        pairs.extend(rest);
-        Value::obj(pairs)
-    };
-    match event {
-        Event::ProverStart { scheme } => typed(
-            "prover-start",
-            vec![("scheme".to_string(), Value::from(scheme.as_str()))],
-        ),
-        Event::ProverEnd {
-            scheme,
-            ok,
-            max_bits,
-        } => typed(
-            "prover-end",
-            vec![
-                ("scheme".to_string(), Value::from(scheme.as_str())),
-                ("ok".to_string(), Value::from(*ok)),
-                ("max_bits".to_string(), Value::from(*max_bits)),
-            ],
-        ),
-        Event::Verdict {
-            vertex,
-            accepted,
-            reason,
-            bits_read,
-        } => typed(
-            "verdict",
-            vec![
-                ("vertex".to_string(), Value::from(*vertex)),
-                ("accepted".to_string(), Value::from(*accepted)),
-                (
-                    "reason".to_string(),
-                    reason.as_deref().map_or(Value::Null, Value::from),
-                ),
-                ("bits_read".to_string(), Value::from(*bits_read)),
-            ],
-        ),
-        Event::CertMutated { vertex } => typed(
-            "cert-mutated",
-            vec![("vertex".to_string(), Value::from(*vertex))],
-        ),
-        Event::FaultInjected {
-            model,
-            site,
-            effective,
-        } => typed(
-            "fault-injected",
-            vec![
-                ("model".to_string(), Value::from(model.as_str())),
-                ("site".to_string(), Value::from(*site)),
-                ("effective".to_string(), Value::from(*effective)),
-            ],
-        ),
-        Event::Detection {
-            model,
-            site,
-            detector,
-            reason,
-            distance,
-        } => typed(
-            "detection",
-            vec![
-                ("model".to_string(), Value::from(model.as_str())),
-                ("site".to_string(), Value::from(*site)),
-                ("detector".to_string(), Value::from(*detector)),
-                ("reason".to_string(), Value::from(reason.as_str())),
-                ("distance".to_string(), opt_u64(*distance)),
-            ],
-        ),
-        Event::CampaignRound {
-            model,
-            run,
-            detected,
-            locality,
-        } => typed(
-            "campaign-round",
-            vec![
-                ("model".to_string(), Value::from(model.as_str())),
-                ("run".to_string(), Value::from(*run)),
-                ("detected".to_string(), Value::from(*detected)),
-                ("locality".to_string(), opt_u64(*locality)),
-            ],
-        ),
-        Event::OracleDisagreement {
-            case,
-            relation,
-            vertices,
-        } => typed(
-            "oracle-disagreement",
-            vec![
-                ("case".to_string(), Value::from(case.as_str())),
-                ("relation".to_string(), Value::from(relation.as_str())),
-                ("vertices".to_string(), Value::from(*vertices)),
-            ],
-        ),
-        Event::ShrinkStep {
-            case,
-            action,
-            vertices,
-        } => typed(
-            "shrink-step",
-            vec![
-                ("case".to_string(), Value::from(case.as_str())),
-                ("action".to_string(), Value::from(action.as_str())),
-                ("vertices".to_string(), Value::from(*vertices)),
-            ],
-        ),
-        Event::NetSend {
-            src,
-            dst,
-            time,
-            bits,
-            kind,
-        } => typed(
-            "net-send",
-            vec![
-                ("src".to_string(), Value::from(*src)),
-                ("dst".to_string(), Value::from(*dst)),
-                ("time".to_string(), Value::from(*time)),
-                ("bits".to_string(), Value::from(*bits)),
-                ("kind".to_string(), Value::from(kind.as_str())),
-            ],
-        ),
-        Event::NetDrop {
-            src,
-            dst,
-            time,
-            cause,
-        } => typed(
-            "net-drop",
-            vec![
-                ("src".to_string(), Value::from(*src)),
-                ("dst".to_string(), Value::from(*dst)),
-                ("time".to_string(), Value::from(*time)),
-                ("cause".to_string(), Value::from(cause.as_str())),
-            ],
-        ),
-        Event::NetRetry {
-            node,
-            neighbor,
-            attempt,
-            time,
-        } => typed(
-            "net-retry",
-            vec![
-                ("node".to_string(), Value::from(*node)),
-                ("neighbor".to_string(), Value::from(*neighbor)),
-                ("attempt".to_string(), Value::from(*attempt)),
-                ("time".to_string(), Value::from(*time)),
-            ],
-        ),
-        Event::NetCrash { node, time, down } => typed(
-            "net-crash",
-            vec![
-                ("node".to_string(), Value::from(*node)),
-                ("time".to_string(), Value::from(*time)),
-                ("down".to_string(), Value::from(*down)),
-            ],
-        ),
-        Event::NetVerdict {
-            vertex,
-            status,
-            reason,
-            missing,
-            time,
-        } => typed(
-            "net-verdict",
-            vec![
-                ("vertex".to_string(), Value::from(*vertex)),
-                ("status".to_string(), Value::from(status.as_str())),
-                (
-                    "reason".to_string(),
-                    reason.as_deref().map_or(Value::Null, Value::from),
-                ),
-                ("missing".to_string(), Value::from(*missing)),
-                ("time".to_string(), Value::from(*time)),
-            ],
-        ),
-        Event::ServeRequest {
-            conn,
-            req,
-            scheme,
-            mode,
-            vertices,
-            outcome,
-            cache,
-        } => typed(
-            "serve-request",
-            vec![
-                ("conn".to_string(), Value::from(*conn)),
-                ("req".to_string(), Value::from(*req)),
-                ("scheme".to_string(), Value::from(scheme.as_str())),
-                ("mode".to_string(), Value::from(mode.as_str())),
-                ("vertices".to_string(), Value::from(*vertices)),
-                ("outcome".to_string(), Value::from(outcome.as_str())),
-                ("cache".to_string(), Value::from(cache.as_str())),
-            ],
-        ),
-        Event::RoundMark { scope, round } => typed(
-            "round-mark",
-            vec![
-                ("scope".to_string(), Value::from(scope.as_str())),
-                ("round".to_string(), opt_u64(*round)),
-            ],
-        ),
-        Event::Marker { label } => typed(
-            "marker",
-            vec![("label".to_string(), Value::from(label.as_str()))],
-        ),
+impl Field for u64 {
+    fn encode(&self) -> Value {
+        Value::from(*self)
+    }
+    fn decode(v: &Value) -> Option<u64> {
+        v.as_u64()
     }
 }
 
-fn get_u64(v: &Value, key: &str) -> Option<u64> {
-    let x = v.get(key)?.as_num()?;
-    if x.is_finite() && x >= 0.0 && x.fract() == 0.0 {
-        Some(x as u64)
-    } else {
-        None
+impl Field for bool {
+    fn encode(&self) -> Value {
+        Value::from(*self)
+    }
+    fn decode(v: &Value) -> Option<bool> {
+        v.as_bool()
     }
 }
 
-fn get_opt_u64(v: &Value, key: &str) -> Option<Option<u64>> {
-    match v.get(key)? {
-        Value::Null => Some(None),
-        _ => get_u64(v, key).map(Some),
+impl Field for String {
+    fn encode(&self) -> Value {
+        Value::from(self.as_str())
+    }
+    fn decode(v: &Value) -> Option<String> {
+        v.as_str().map(str::to_string)
     }
 }
 
-fn get_str(v: &Value, key: &str) -> Option<String> {
-    Some(v.get(key)?.as_str()?.to_string())
-}
-
-fn get_bool(v: &Value, key: &str) -> Option<bool> {
-    match v.get(key)? {
-        Value::Bool(b) => Some(*b),
-        _ => None,
+/// `None` is stored as `null`.
+impl<T: Field> Field for Option<T> {
+    fn encode(&self) -> Value {
+        self.as_ref().map_or(Value::Null, Field::encode)
     }
-}
-
-/// Parses one event object back (the inverse of [`event_to_json`]).
-pub fn event_from_json(v: &Value) -> Option<Event> {
-    match v.get("type")?.as_str()? {
-        "prover-start" => Some(Event::ProverStart {
-            scheme: get_str(v, "scheme")?,
-        }),
-        "prover-end" => Some(Event::ProverEnd {
-            scheme: get_str(v, "scheme")?,
-            ok: get_bool(v, "ok")?,
-            max_bits: get_u64(v, "max_bits")?,
-        }),
-        "verdict" => Some(Event::Verdict {
-            vertex: get_u64(v, "vertex")?,
-            accepted: get_bool(v, "accepted")?,
-            reason: match v.get("reason")? {
-                Value::Null => None,
-                r => Some(r.as_str()?.to_string()),
-            },
-            bits_read: get_u64(v, "bits_read")?,
-        }),
-        "cert-mutated" => Some(Event::CertMutated {
-            vertex: get_u64(v, "vertex")?,
-        }),
-        "fault-injected" => Some(Event::FaultInjected {
-            model: get_str(v, "model")?,
-            site: get_u64(v, "site")?,
-            effective: get_bool(v, "effective")?,
-        }),
-        "detection" => Some(Event::Detection {
-            model: get_str(v, "model")?,
-            site: get_u64(v, "site")?,
-            detector: get_u64(v, "detector")?,
-            reason: get_str(v, "reason")?,
-            distance: get_opt_u64(v, "distance")?,
-        }),
-        "campaign-round" => Some(Event::CampaignRound {
-            model: get_str(v, "model")?,
-            run: get_u64(v, "run")?,
-            detected: get_bool(v, "detected")?,
-            locality: get_opt_u64(v, "locality")?,
-        }),
-        "oracle-disagreement" => Some(Event::OracleDisagreement {
-            case: get_str(v, "case")?,
-            relation: get_str(v, "relation")?,
-            vertices: get_u64(v, "vertices")?,
-        }),
-        "shrink-step" => Some(Event::ShrinkStep {
-            case: get_str(v, "case")?,
-            action: get_str(v, "action")?,
-            vertices: get_u64(v, "vertices")?,
-        }),
-        "net-send" => Some(Event::NetSend {
-            src: get_u64(v, "src")?,
-            dst: get_u64(v, "dst")?,
-            time: get_u64(v, "time")?,
-            bits: get_u64(v, "bits")?,
-            kind: get_str(v, "kind")?,
-        }),
-        "net-drop" => Some(Event::NetDrop {
-            src: get_u64(v, "src")?,
-            dst: get_u64(v, "dst")?,
-            time: get_u64(v, "time")?,
-            cause: get_str(v, "cause")?,
-        }),
-        "net-retry" => Some(Event::NetRetry {
-            node: get_u64(v, "node")?,
-            neighbor: get_u64(v, "neighbor")?,
-            attempt: get_u64(v, "attempt")?,
-            time: get_u64(v, "time")?,
-        }),
-        "net-crash" => Some(Event::NetCrash {
-            node: get_u64(v, "node")?,
-            time: get_u64(v, "time")?,
-            down: get_bool(v, "down")?,
-        }),
-        "net-verdict" => Some(Event::NetVerdict {
-            vertex: get_u64(v, "vertex")?,
-            status: get_str(v, "status")?,
-            reason: match v.get("reason")? {
-                Value::Null => None,
-                r => Some(r.as_str()?.to_string()),
-            },
-            missing: get_u64(v, "missing")?,
-            time: get_u64(v, "time")?,
-        }),
-        "serve-request" => Some(Event::ServeRequest {
-            conn: get_u64(v, "conn")?,
-            req: get_u64(v, "req")?,
-            scheme: get_str(v, "scheme")?,
-            mode: get_str(v, "mode")?,
-            vertices: get_u64(v, "vertices")?,
-            outcome: get_str(v, "outcome")?,
-            cache: get_str(v, "cache")?,
-        }),
-        "round-mark" => Some(Event::RoundMark {
-            scope: get_str(v, "scope")?,
-            round: get_opt_u64(v, "round")?,
-        }),
-        "marker" => Some(Event::Marker {
-            label: get_str(v, "label")?,
-        }),
-        _ => None,
+    fn decode(v: &Value) -> Option<Option<T>> {
+        match v {
+            Value::Null => Some(None),
+            v => T::decode(v).map(Some),
+        }
     }
 }
 
@@ -836,13 +586,10 @@ pub fn write_jsonl<W: io::Write>(snap: &JournalSnapshot, out: &mut W) -> io::Res
     Ok(())
 }
 
-/// One entry as its JSONL line (no trailing newline) — the unit both
-/// [`write_jsonl`] and live tailing emit.
+/// One entry as its JSONL line (no trailing newline): the unit
+/// [`write_jsonl`], `tracescope` and `/journal/tail` emit.
 pub fn entry_to_jsonl_line(entry: &Entry) -> String {
-    let mut obj = match event_to_json(&entry.event) {
-        Value::Obj(map) => map,
-        _ => unreachable!("event_to_json returns objects"),
-    };
+    let mut obj = entry.event.to_object();
     obj.insert("seq".to_string(), Value::from(entry.seq));
     Value::Obj(obj).to_string()
 }
@@ -879,7 +626,9 @@ impl std::error::Error for JournalParseError {}
 /// # Errors
 ///
 /// [`JournalParseError`] naming the first malformed line: invalid JSON,
-/// a bad header, an unknown event type, or a missing field.
+/// a bad header, an unknown event type, or a missing field. A header
+/// whose `entries` count differs from the number of entry lines (a
+/// truncated or padded file) fails on the header line.
 pub fn from_jsonl(text: &str) -> Result<JournalSnapshot, JournalParseError> {
     let fail = |line: usize, message: &str| JournalParseError {
         line,
@@ -889,188 +638,41 @@ pub fn from_jsonl(text: &str) -> Result<JournalSnapshot, JournalParseError> {
         .lines()
         .enumerate()
         .filter(|(_, l)| !l.trim().is_empty());
-    let (i, header_line) = lines.next().ok_or_else(|| fail(1, "empty journal"))?;
-    let header = json::parse(header_line).map_err(|e| fail(i + 1, &format!("bad header: {e}")))?;
+    let (h, header_line) = lines.next().ok_or_else(|| fail(1, "empty journal"))?;
+    let header = json::parse(header_line).map_err(|e| fail(h + 1, &format!("bad header: {e}")))?;
     if header.get("schema").and_then(Value::as_str) != Some(JOURNAL_SCHEMA) {
-        return Err(fail(i + 1, "missing or unknown schema"));
+        return Err(fail(h + 1, "missing or unknown schema"));
     }
-    let dropped = get_u64(&header, "dropped").ok_or_else(|| fail(i + 1, "bad dropped count"))?;
+    let count = |key: &str| {
+        let bad = || fail(h + 1, &format!("bad {key} count"));
+        header
+            .get(key)
+            .map(|v| v.as_u64().ok_or_else(bad))
+            .transpose()
+    };
+    let dropped = count("dropped")?.ok_or_else(|| fail(h + 1, "bad dropped count"))?;
+    let declared = count("entries")?;
     let mut entries = Vec::new();
     for (i, line) in lines {
         let v = json::parse(line).map_err(|e| fail(i + 1, &format!("bad entry: {e}")))?;
-        let seq = get_u64(&v, "seq").ok_or_else(|| fail(i + 1, "missing seq"))?;
-        let event = event_from_json(&v).ok_or_else(|| fail(i + 1, "unknown or malformed event"))?;
+        let seq = v
+            .get("seq")
+            .and_then(Value::as_u64)
+            .ok_or_else(|| fail(i + 1, "missing seq"))?;
+        let event =
+            Event::from_json(&v).ok_or_else(|| fail(i + 1, "unknown or malformed event"))?;
         entries.push(Entry { seq, event });
     }
+    if let Some(declared) = declared.filter(|&n| n != entries.len() as u64) {
+        return Err(fail(
+            h + 1,
+            &format!(
+                "header declares {declared} entries but the file has {}",
+                entries.len()
+            ),
+        ));
+    }
     Ok(JournalSnapshot { entries, dropped })
-}
-
-// ---------------------------------------------------------------------
-// Live tailing
-// ---------------------------------------------------------------------
-
-/// Live journal tailing: bounded per-subscriber queues fed from
-/// `append_one`, so a long-running process (the `/journal/tail` HTTP
-/// endpoint, a future `locert-serve` daemon) can watch events as they
-/// happen without holding the ring-buffer lock or growing without
-/// bound.
-///
-/// Design constraints, in order:
-///
-/// 1. **Zero cost with no subscribers.** The recording hot path checks
-///    one relaxed atomic (`stream::active`) before doing anything — no
-///    lock, no clone. The `tests/journal_no_alloc.rs` gate holds with this
-///    module compiled in.
-/// 2. **Recording never blocks on a slow reader.** Each subscriber has
-///    its own bounded [`VecDeque`]; overflow drops that subscriber's
-///    *oldest* queued entries and counts them
-///    ([`Subscription::dropped`](stream::Subscription::dropped)),
-///    mirroring the ring buffer's drop-oldest policy. Publishing only
-///    ever takes short uncontended-in-practice mutexes.
-/// 3. **Subscribers see the post-flush order.** Events diverted by
-///    [`capture`] reach subscribers when the coordinator flushes them
-///    via [`append_events`], in canonical order with their final `seq`
-///    — a tailer observes the same sequence a snapshot would.
-pub mod stream {
-    use super::Entry;
-    use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
-    use std::time::Duration;
-
-    /// Default per-subscriber queue capacity.
-    pub const DEFAULT_QUEUE_CAPACITY: usize = 4096;
-
-    /// Number of live subscribers; the recording fast path reads this
-    /// and nothing else.
-    static SUB_COUNT: AtomicUsize = AtomicUsize::new(0);
-
-    struct SubState {
-        queue: VecDeque<Entry>,
-        dropped: u64,
-    }
-
-    struct Shared {
-        state: Mutex<SubState>,
-        cond: Condvar,
-        capacity: usize,
-    }
-
-    fn subscribers() -> &'static Mutex<Vec<Weak<Shared>>> {
-        static SUBS: OnceLock<Mutex<Vec<Weak<Shared>>>> = OnceLock::new();
-        SUBS.get_or_init(|| Mutex::new(Vec::new()))
-    }
-
-    /// Whether any subscriber is live (one relaxed load).
-    #[inline]
-    pub(super) fn active() -> bool {
-        SUB_COUNT.load(Ordering::Relaxed) != 0
-    }
-
-    /// Fans one appended entry out to every live subscriber. Called by
-    /// [`super::append_one`] *after* releasing the ring-buffer lock.
-    pub(super) fn publish(entry: &Entry) {
-        let subs = subscribers().lock().expect("journal subscribers");
-        for weak in subs.iter() {
-            let Some(shared) = weak.upgrade() else {
-                continue;
-            };
-            let mut st = shared.state.lock().expect("subscriber queue");
-            if st.queue.len() == shared.capacity {
-                st.queue.pop_front();
-                st.dropped += 1;
-            }
-            st.queue.push_back(entry.clone());
-            drop(st);
-            shared.cond.notify_all();
-        }
-    }
-
-    /// A live tail of the journal. Entries recorded while the
-    /// subscription exists are queued here (bounded, drop-oldest);
-    /// dropping the subscription unregisters it.
-    pub struct Subscription {
-        shared: Arc<Shared>,
-    }
-
-    /// Registers a subscriber with the default queue capacity.
-    pub fn subscribe() -> Subscription {
-        subscribe_with_capacity(DEFAULT_QUEUE_CAPACITY)
-    }
-
-    /// Registers a subscriber whose queue holds at most `capacity`
-    /// entries; older queued entries are dropped (and counted) when a
-    /// slow reader falls behind.
-    pub fn subscribe_with_capacity(capacity: usize) -> Subscription {
-        let shared = Arc::new(Shared {
-            state: Mutex::new(SubState {
-                queue: VecDeque::new(),
-                dropped: 0,
-            }),
-            cond: Condvar::new(),
-            capacity: capacity.max(1),
-        });
-        let mut subs = subscribers().lock().expect("journal subscribers");
-        subs.retain(|w| w.strong_count() > 0);
-        subs.push(Arc::downgrade(&shared));
-        SUB_COUNT.store(subs.len(), Ordering::Release);
-        Subscription { shared }
-    }
-
-    impl Subscription {
-        /// Takes everything currently queued, oldest first, without
-        /// blocking.
-        pub fn drain(&self) -> Vec<Entry> {
-            let mut st = self.shared.state.lock().expect("subscriber queue");
-            st.queue.drain(..).collect()
-        }
-
-        /// Waits up to `timeout` for one entry; `None` on timeout.
-        pub fn recv_timeout(&self, timeout: Duration) -> Option<Entry> {
-            let mut st = self.shared.state.lock().expect("subscriber queue");
-            if st.queue.is_empty() {
-                let (guard, res) = self
-                    .shared
-                    .cond
-                    .wait_timeout_while(st, timeout, |st| st.queue.is_empty())
-                    .expect("subscriber queue");
-                st = guard;
-                if res.timed_out() && st.queue.is_empty() {
-                    return None;
-                }
-            }
-            st.queue.pop_front()
-        }
-
-        /// Entries this subscriber lost to queue overflow.
-        pub fn dropped(&self) -> u64 {
-            self.shared.state.lock().expect("subscriber queue").dropped
-        }
-
-        /// Entries currently queued.
-        pub fn len(&self) -> usize {
-            self.shared
-                .state
-                .lock()
-                .expect("subscriber queue")
-                .queue
-                .len()
-        }
-
-        /// Whether the queue is currently empty.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-    }
-
-    impl Drop for Subscription {
-        fn drop(&mut self) {
-            let mut subs = subscribers().lock().expect("journal subscribers");
-            let me = Arc::as_ptr(&self.shared);
-            subs.retain(|w| w.strong_count() > 0 && !std::ptr::eq(w.as_ptr(), me));
-            SUB_COUNT.store(subs.len(), Ordering::Release);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1214,6 +816,23 @@ mod tests {
         assert_eq!(back, snap);
         // Determinism: encoding the re-parsed snapshot is byte-identical.
         assert_eq!(to_jsonl(&back), text);
+        // The samples cover every row of the event table.
+        let kinds: std::collections::BTreeSet<&str> =
+            snap.entries.iter().map(|e| e.event.kind()).collect();
+        let table: std::collections::BTreeSet<&str> = Event::KINDS.iter().copied().collect();
+        assert_eq!(kinds, table, "sample_events must cover every kind");
+        assert_eq!(table.len(), Event::KINDS.len(), "tags are distinct");
+    }
+
+    #[test]
+    fn design_doc_lists_every_event_kind() {
+        let design = include_str!("../../../DESIGN.md");
+        for tag in Event::KINDS {
+            assert!(
+                design.contains(&format!("| `{tag}` |")),
+                "DESIGN.md's event-taxonomy table has no row for `{tag}`"
+            );
+        }
     }
 
     #[test]
@@ -1298,62 +917,6 @@ mod tests {
     }
 
     #[test]
-    fn subscribers_tail_the_journal_live() {
-        let _g = crate::tests::serial();
-        reset();
-        enable();
-        record_with(|| Event::Marker {
-            label: "before".into(),
-        });
-        let sub = stream::subscribe_with_capacity(3);
-        assert!(sub.is_empty(), "nothing recorded since subscribing");
-        for i in 0..5u64 {
-            record_with(|| Event::CertMutated { vertex: i });
-        }
-        // Capacity 3, drop-oldest: vertices 2, 3, 4 remain; 0 and 1
-        // were evicted from the *subscriber's* queue (the ring kept
-        // everything).
-        assert_eq!(sub.dropped(), 2);
-        let tailed: Vec<u64> = sub
-            .drain()
-            .iter()
-            .filter_map(|e| match &e.event {
-                Event::CertMutated { vertex } => Some(*vertex),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(tailed, vec![2, 3, 4]);
-        // Seq numbers are the ring's, assigned at append time.
-        assert_eq!(snapshot().entries.len(), 6);
-        // Captured events reach subscribers at flush, in flush order.
-        let ((), captured) = capture(|| {
-            record_with(|| Event::CertMutated { vertex: 100 });
-        });
-        assert!(sub.is_empty(), "capture diverts away from subscribers");
-        append_events(captured);
-        let flushed = sub.drain();
-        assert_eq!(flushed.len(), 1);
-        assert_eq!(flushed[0].event, Event::CertMutated { vertex: 100 });
-        // recv_timeout returns a queued entry immediately and times out
-        // on an empty queue.
-        record_with(|| Event::Marker { label: "w".into() });
-        assert!(sub
-            .recv_timeout(std::time::Duration::from_millis(10))
-            .is_some());
-        assert!(sub
-            .recv_timeout(std::time::Duration::from_millis(10))
-            .is_none());
-        // Dropping the subscription unregisters it: recording continues
-        // without publishing.
-        drop(sub);
-        record_with(|| Event::Marker {
-            label: "after-drop".into(),
-        });
-        disable();
-        reset();
-    }
-
-    #[test]
     fn eviction_bumps_dropped_events_counter_exactly() {
         let _g = crate::tests::serial();
         crate::reset();
@@ -1411,6 +974,19 @@ mod tests {
         );
         let err = from_jsonl(&format!("{ok_header}null\n")).expect_err("fails");
         assert_eq!(err.line, 2);
+        // A journal cut short of its header's count fails on the header.
+        let marker = "{\"label\":\"x\",\"seq\":0,\"type\":\"marker\"}\n";
+        assert!(from_jsonl(&format!("{ok_header}{marker}")).is_ok());
+        let two = "{\"dropped\":0,\"entries\":2,\"schema\":\"locert-journal/v1\"}\n";
+        let err = from_jsonl(&format!("{two}{marker}")).expect_err("truncated");
+        assert_eq!(err.line, 1);
+        assert!(err.message.contains("declares 2 entries"), "{err}");
+        // Fractional and negative counts are malformed, not truncated.
+        for bad in ["1.5", "-1"] {
+            let header =
+                format!("{{\"dropped\":0,\"entries\":{bad},\"schema\":\"locert-journal/v1\"}}\n");
+            assert!(from_jsonl(&format!("{header}{marker}")).is_err(), "{bad}");
+        }
     }
 
     /// A light property test (vendored proptest has no trace dep here):

@@ -66,6 +66,23 @@ impl Value {
             _ => None,
         }
     }
+
+    /// The number, if this is a non-negative integer: the strict reading
+    /// every `u64` field of the telemetry formats uses (`2.5` and `-1`
+    /// are `None`, not truncated).
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_num()
+            .filter(|x| x.is_finite() && *x >= 0.0 && x.fract() == 0.0)
+            .map(|x| x as u64)
+    }
+
+    /// The boolean, if this is `true` or `false`.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
 }
 
 impl From<&str> for Value {

@@ -16,7 +16,9 @@
 //! - **structured export** ([`snapshot`] → [`export`]): JSON for machines
 //!   and a markdown summary for humans, with a hand-rolled JSON
 //!   reader/writer ([`json`]) since the workspace is offline and
-//!   serde-free.
+//!   serde-free. [`export`] owns the `locert-trace/v2` metrics document
+//!   (its one writer and one reader) and [`journal`] owns the JSONL
+//!   event journal, so no other crate encodes or decodes either format.
 //!
 //! Everything is gated on a global subscriber flag ([`enable`]): while
 //! disabled — the default — every instrumentation point is a single

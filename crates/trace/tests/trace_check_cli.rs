@@ -1,6 +1,7 @@
-//! Black-box tests of `trace-check`'s v2 `journal`-section validation:
-//! consistent ring accounting passes (and is surfaced in the OK line),
-//! impossible accounting fails.
+//! Black-box tests of `trace-check`'s v2 validation: consistent
+//! `journal` ring accounting passes (and is surfaced in the OK line),
+//! impossible accounting fails, and span trees must carry non-negative
+//! integer counts.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -16,19 +17,26 @@ fn check(doc: &str, name: &str) -> Output {
         .expect("spawn trace-check")
 }
 
-/// A minimal valid `locert-trace/v2` document with the given optional
-/// `journal` section spliced in.
-fn v2_doc(journal: Option<&str>) -> String {
+/// One span node, the only one in [`v2_doc`]'s span tree.
+const SPAN: &str = r#"{"name":"s2","calls":1,"total_ns":5,"children":[]}"#;
+
+/// A minimal valid `locert-trace/v2` document with the given span node
+/// and optional `journal` section spliced in.
+fn v2_doc_with(span: &str, journal: Option<&str>) -> String {
     let journal = journal.map_or_else(String::new, |j| format!(r#","journal":{j}"#));
     format!(
         concat!(
             r#"{{"schema":"locert-trace/v2","quick":true,"#,
             r#""experiments":[{{"id":"s2","telemetry":{{"counters":{{"x":1}}}}}}],"#,
-            r#""timings":[{{"id":"s2","wall_s":0.5,"telemetry":{{"spans":[{{}}]}}}}]"#,
+            r#""timings":[{{"id":"s2","wall_s":0.5,"telemetry":{{"spans":[{}]}}}}]"#,
             r#"{}}}"#
         ),
-        journal
+        span, journal
     )
+}
+
+fn v2_doc(journal: Option<&str>) -> String {
+    v2_doc_with(SPAN, journal)
 }
 
 #[test]
@@ -102,4 +110,38 @@ fn impossible_journal_accounting_fails() {
     assert!(!out.status.success());
     let out = check(&v2_doc(Some(r#"{"dropped":0}"#)), "journal-missing.json");
     assert!(!out.status.success());
+}
+
+#[test]
+fn span_trees_need_non_negative_integer_counts() {
+    let out = check(&v2_doc(None), "span-ok.json");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // The reader rejects what it used to truncate: 2.5 calls, -1 ns.
+    for (name, bad) in [
+        (
+            "span-frac-calls.json",
+            SPAN.replace(r#""calls":1"#, r#""calls":2.5"#),
+        ),
+        (
+            "span-frac-ns.json",
+            SPAN.replace(r#""total_ns":5"#, r#""total_ns":5.5"#),
+        ),
+        (
+            "span-neg-ns.json",
+            SPAN.replace(r#""total_ns":5"#, r#""total_ns":-1"#),
+        ),
+        ("span-empty.json", "{}".to_string()),
+    ] {
+        let out = check(&v2_doc_with(&bad, None), name);
+        assert_eq!(out.status.code(), Some(1), "{name} must fail the check");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("malformed span node"),
+            "{name}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }

@@ -7,9 +7,7 @@
 //! to `record_with` must never run. A counting global allocator makes
 //! that claim checkable: with the journal disabled, a burst of
 //! `record_with` calls and instrumented `cert_mut` calls performs zero
-//! allocations — even with the live-tailing stream sink compiled in and
-//! a subscriber registered, since publication sits behind the same
-//! enabled gate.
+//! allocations.
 //!
 //! This lives in its own integration-test binary because the
 //! `#[global_allocator]` is process-wide; keeping a single `#[test]`
@@ -52,12 +50,6 @@ fn disabled_journal_fast_path_does_not_allocate() {
     locert_trace::journal::disable();
     assert!(!locert_trace::journal::enabled());
 
-    // A live streaming subscriber must not change the disabled cost:
-    // the subscription check sits behind the same enabled gate, so a
-    // registered tailer costs nothing until recording is on. (Creating
-    // the subscription allocates; do it before the measured window.)
-    let subscription = locert_trace::journal::stream::subscribe();
-
     let before = ALLOCATIONS.load(Ordering::SeqCst);
 
     // Direct record_with calls: the closure builds a String, so if it
@@ -86,17 +78,12 @@ fn disabled_journal_fast_path_does_not_allocate() {
     assert_eq!(
         after - before,
         0,
-        "disabled journal path allocated {} times (with a live subscriber registered)",
+        "disabled journal path allocated {} times",
         after - before
-    );
-    assert!(
-        subscription.is_empty(),
-        "a disabled journal must not publish to subscribers"
     );
 
     // Sanity: the same closure allocates once recording is on, proving
-    // the counter actually observes this code path — and the subscriber
-    // now sees the entry, proving the stream seam was live all along.
+    // the counter actually observes this code path.
     locert_trace::journal::enable();
     locert_trace::journal::reset();
     locert_trace::journal::record_with(|| locert_trace::journal::Event::Marker {
@@ -107,12 +94,6 @@ fn disabled_journal_fast_path_does_not_allocate() {
         enabled_allocs > 0,
         "counting allocator must observe the enabled path"
     );
-    assert_eq!(
-        subscription.drain().len(),
-        1,
-        "the enabled path publishes to the live subscriber"
-    );
-    drop(subscription);
     locert_trace::journal::disable();
     locert_trace::journal::reset();
 }
