@@ -569,11 +569,29 @@ pub mod mutants {
     use super::*;
     use locert_core::bits::BitWriter;
     use locert_core::framework::{
-        Assignment, LocalView, Prover, ProverError, RejectReason, Verifier,
+        Assignment, Decode, DecodedView, Prover, ProverError, RejectReason,
     };
     use locert_core::schemes::common::write_ident;
     use locert_core::schemes::spanning_tree::try_honest_tree_fields;
+    use locert_core::Certificate;
     use locert_graph::NodeId;
+
+    /// A verifier that decodes nothing and accepts every view: these
+    /// mutants are caught by their sizes alone.
+    macro_rules! accepts_all {
+        ($mutant:ty) => {
+            impl Decode for $mutant {
+                type Decoded = ();
+                type Cache = ();
+
+                fn decode(&self, _: &Certificate, _: &()) {}
+
+                fn decide_decoded(&self, _: &DecodedView<'_, ()>) -> Result<(), RejectReason> {
+                    Ok(())
+                }
+            }
+        };
+    }
 
     /// Writes the spanning-tree distance field in **unary** — the classic
     /// `O(log n)` scheme blown up to `Θ(n)` bits while still declaring
@@ -609,11 +627,7 @@ pub mod mutants {
         }
     }
 
-    impl Verifier for UnaryDistance {
-        fn decide(&self, _view: &LocalView<'_>) -> Result<(), RejectReason> {
-            Ok(())
-        }
-    }
+    accepts_all!(UnaryDistance);
 
     impl Scheme for UnaryDistance {
         fn name(&self) -> String {
@@ -652,11 +666,7 @@ pub mod mutants {
         }
     }
 
-    impl Verifier for PaddedConstant {
-        fn decide(&self, _view: &LocalView<'_>) -> Result<(), RejectReason> {
-            Ok(())
-        }
-    }
+    accepts_all!(PaddedConstant);
 
     impl Scheme for PaddedConstant {
         fn name(&self) -> String {
@@ -700,11 +710,7 @@ pub mod mutants {
         }
     }
 
-    impl Verifier for DoubleRoot {
-        fn decide(&self, _view: &LocalView<'_>) -> Result<(), RejectReason> {
-            Ok(())
-        }
-    }
+    accepts_all!(DoubleRoot);
 
     impl Scheme for DoubleRoot {
         fn name(&self) -> String {

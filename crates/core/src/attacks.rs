@@ -9,7 +9,7 @@
 //! their role in the test suite.
 
 use crate::bits::{BitWriter, Certificate};
-use crate::framework::{run_verification, view_of, Assignment, Instance, Verifier};
+use crate::framework::{run_verification, Assignment, Instance, Verifier};
 use locert_graph::NodeId;
 use rand::{Rng, RngExt};
 use std::error::Error;
@@ -121,24 +121,19 @@ pub fn exhaustive_soundness_in(
         });
     }
     let total = total.expect("guarded above");
-    // Decodes enumeration index -> assignment (vertex v reads digit v).
-    let assignment_at = |mut idx: usize| -> Assignment {
-        let mut certs = Vec::with_capacity(n);
-        for _ in 0..n {
-            certs.push(space[idx % m].clone());
-            idx /= m;
-        }
-        Assignment::from_unpacked(certs)
-    };
+    // Every candidate certificate decoded once; enumeration index `idx`
+    // gives vertex `u` the space entry at digit `u` (no overflow: the
+    // digit weights stay below `total`).
+    let prepared = verifier.prepare(&space);
+    let digit = |idx: usize, u: NodeId| idx / m.pow(u.0 as u32) % m;
     // One candidate: journal-silent accept-all probe (short-circuits on
     // the first rejecting vertex).
-    let fooled = |idx: usize| -> Option<Assignment> {
-        let asg = assignment_at(idx);
+    let fooled = |idx: usize| -> Option<()> {
         instance
             .graph()
             .nodes()
-            .all(|v| verifier.verify(&view_of(instance, &asg, v)))
-            .then_some(asg)
+            .all(|v| prepared.decide_at(instance, v, |u| digit(idx, u)).is_ok())
+            .then_some(())
     };
     let found = pool.par_find_first(total as usize, fooled);
     let checked = found.as_ref().map_or(total, |(idx, _)| *idx as u64 + 1);
@@ -146,7 +141,15 @@ pub fn exhaustive_soundness_in(
         locert_trace::add("core.attacks.exhaustive.assignments", checked);
     }
     match found {
-        Some((_, asg)) => Err(SoundnessError::Fooled(Box::new(asg))),
+        Some((idx, ())) => {
+            let certs = instance
+                .graph()
+                .nodes()
+                .map(|v| space[digit(idx, v)].clone());
+            Err(SoundnessError::Fooled(Box::new(Assignment::from_unpacked(
+                certs.collect(),
+            ))))
+        }
         None => Ok(checked),
     }
 }
@@ -269,7 +272,7 @@ pub fn attack_battery(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::{LocalView, RejectReason};
+    use crate::framework::{Decode, DecodedView, RejectReason};
     use locert_graph::{generators, IdAssignment};
     use locert_par::Pool;
     use rand::rngs::StdRng;
@@ -280,13 +283,26 @@ mod tests {
     /// the constant 0b1.
     struct TokenVerifier;
 
-    impl Verifier for TokenVerifier {
-        fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
-            if view.degree() == 2 && view.cert.len_bits() == 1 && view.cert.bit(0) {
-                Ok(())
-            } else {
-                Err(RejectReason::PropertyViolation)
-            }
+    /// Accepts iff the vertex has degree 2 and its certificate decoded
+    /// to `true`.
+    fn degree_two_token(view: &DecodedView<'_, bool>) -> Result<(), RejectReason> {
+        if view.degree() == 2 && *view.own {
+            Ok(())
+        } else {
+            Err(RejectReason::PropertyViolation)
+        }
+    }
+
+    impl Decode for TokenVerifier {
+        type Decoded = bool;
+        type Cache = ();
+
+        fn decode(&self, cert: &Certificate, _: &()) -> bool {
+            cert.len_bits() == 1 && cert.bit(0)
+        }
+
+        fn decide_decoded(&self, view: &DecodedView<'_, bool>) -> Result<(), RejectReason> {
+            degree_two_token(view)
         }
     }
 
@@ -353,13 +369,16 @@ mod tests {
     /// fool it on a cycle and the early exit has real choices to make.
     struct PrefixTokenVerifier;
 
-    impl Verifier for PrefixTokenVerifier {
-        fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
-            if view.degree() == 2 && view.cert.len_bits() >= 1 && view.cert.bit(0) {
-                Ok(())
-            } else {
-                Err(RejectReason::PropertyViolation)
-            }
+    impl Decode for PrefixTokenVerifier {
+        type Decoded = bool;
+        type Cache = ();
+
+        fn decode(&self, cert: &Certificate, _: &()) -> bool {
+            cert.len_bits() >= 1 && cert.bit(0)
+        }
+
+        fn decide_decoded(&self, view: &DecodedView<'_, bool>) -> Result<(), RejectReason> {
+            degree_two_token(view)
         }
     }
 
@@ -476,8 +495,13 @@ mod tests {
     /// must catch it.
     struct AcceptAllVerifier;
 
-    impl Verifier for AcceptAllVerifier {
-        fn decide(&self, _view: &LocalView<'_>) -> Result<(), RejectReason> {
+    impl Decode for AcceptAllVerifier {
+        type Decoded = ();
+        type Cache = ();
+
+        fn decode(&self, _: &Certificate, _: &()) {}
+
+        fn decide_decoded(&self, _: &DecodedView<'_, ()>) -> Result<(), RejectReason> {
             Ok(())
         }
     }

@@ -213,6 +213,12 @@ fn path_minor_free(b: u32, _: usize, t: usize) -> Box<dyn Scheme> {
     Box::new(PathMinorFreeScheme::new(b, t))
 }
 
+/// The `ct-minor-free` entry's scheme. It has an open soundness hole:
+/// it is sound only when the claimed blocks are the true biconnected
+/// components, since its verifier checks only that adjacent vertices
+/// share exactly one claimed block. A forged assignment listing every
+/// edge as its own block is accepted on `cycle(17)`, which has a `C₃`
+/// and a `C₄` minor. The fix is ROADMAP item 1.
 fn ct_minor_free(b: u32, _: usize, t: usize) -> Box<dyn Scheme> {
     Box::new(CtMinorFreeScheme::new(b, t))
 }
@@ -312,6 +318,7 @@ static ENTRIES: [SchemeEntry; 16] = [
         path_minor_free,
         |n| plain(generators::star(n))
     ),
+    // Sound only on true block decompositions (see `ct_minor_free`).
     family!(
         "ct-minor-free",
         3,

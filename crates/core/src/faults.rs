@@ -26,7 +26,7 @@
 //!   nearest rejecting vertex (0 = the faulted vertex itself rejects).
 
 use crate::bits::{BitWriter, Certificate};
-use crate::framework::{Assignment, Instance, LocalView, RejectReason, Verifier};
+use crate::framework::{Assignment, Instance, RejectReason, Verifier};
 use locert_graph::{traversal, Ident, NodeId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -209,7 +209,7 @@ impl FaultyWorld {
 
     /// Applies `v`'s neighbor-entry faults to its neighbor list: a
     /// replayed entry is appended first, then a lost entry is removed.
-    /// Every view of a faulty world — [`faulty_view_of`] and transport
+    /// Every view of a faulty world — [`run_with_faults`] and transport
     /// layers such as `locert-net` — goes through this one rule.
     pub fn apply_entry_faults<T: Copy>(&self, v: NodeId, neighbors: &mut Vec<T>) {
         if let Some(i) = self.dup_neighbor[v.0] {
@@ -357,35 +357,6 @@ fn zero_of_len(len: usize) -> Certificate {
     w.finish()
 }
 
-/// Builds vertex `v`'s radius-1 view of the faulty world: corrupted
-/// certificates, presented (possibly duplicated) identifiers, and the
-/// site's dropped / duplicated neighbor entries.
-pub fn faulty_view_of<'a>(
-    instance: &Instance<'_>,
-    world: &'a FaultyWorld,
-    v: NodeId,
-) -> LocalView<'a> {
-    let mut neighbors: Vec<(Ident, usize, &'a Certificate)> = instance
-        .graph()
-        .neighbors(v)
-        .iter()
-        .map(|&u| {
-            (
-                world.presented_id[u.0],
-                instance.input(u),
-                world.certs.cert(u),
-            )
-        })
-        .collect();
-    world.apply_entry_faults(v, &mut neighbors);
-    LocalView {
-        id: world.presented_id[v.0],
-        input: instance.input(v),
-        cert: world.certs.cert(v),
-        neighbors,
-    }
-}
-
 /// One rejection in a faulty world, linked back to its provenance: which
 /// vertex rejected, why, and how far it sits from the nearest fault site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -443,13 +414,26 @@ pub fn run_with_faults(
             effective: world.is_effective(),
         });
     }
+    // Each vertex's view of the faulty world: corrupted certificates,
+    // presented (possibly duplicated) identifiers, and the site's dropped
+    // or duplicated neighbor entries.
+    let g = instance.graph();
+    let certs: Vec<Certificate> = g.nodes().map(|v| world.certs.cert(v).clone()).collect();
+    let prepared = verifier.prepare(&certs);
     let mut rejecting = Vec::new();
     let mut reasons = Vec::new();
-    for v in instance.graph().nodes() {
+    for v in g.nodes() {
         if world.is_byzantine(v) {
             continue;
         }
-        if let Err(reason) = verifier.decide(&faulty_view_of(instance, &world, v)) {
+        let mut neighbors: Vec<(Ident, usize, usize)> = g
+            .neighbors(v)
+            .iter()
+            .map(|&u| (world.presented_id[u.0], instance.input(u), u.0))
+            .collect();
+        world.apply_entry_faults(v, &mut neighbors);
+        let decided = prepared.decide(world.presented_id[v.0], instance.input(v), v.0, &neighbors);
+        if let Err(reason) = decided {
             rejecting.push(v);
             reasons.push(reason);
         }
@@ -632,6 +616,7 @@ pub fn run_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::test_views::ViewProbe;
     use crate::framework::{run_verification, Prover};
     use crate::schemes::acyclicity::AcyclicityScheme;
     use crate::schemes::spanning_tree::VertexCountScheme;
@@ -765,9 +750,10 @@ mod tests {
         assert_eq!(plan.sites(), vec![NodeId(1), NodeId(4), NodeId(2)]);
         // The duplicated id really is presented by vertex 2 in a
         // neighbor's view.
-        let view = faulty_view_of(&inst, &world, NodeId(3));
-        assert!(view
-            .neighbors
+        let probe = ViewProbe::default();
+        run_with_faults(&probe, &inst, &honest, &plan);
+        let (_, _, neighbors) = &probe.0.into_inner().unwrap()[3];
+        assert!(neighbors
             .iter()
             .any(|&(id, _, _)| id == world.presented_id[2]));
     }
@@ -777,14 +763,22 @@ mod tests {
         let (g, ids) = tree_instance(5);
         let inst = Instance::new(&g, &ids);
         let honest = Assignment::empty(5);
+        // Each vertex's degree as the faulty world shows it.
+        let degrees = |plan: &FaultPlan| -> Vec<usize> {
+            let probe = ViewProbe::default();
+            run_with_faults(&probe, &inst, &honest, plan);
+            let seen = probe.0.into_inner().unwrap();
+            seen.iter()
+                .map(|(_, _, neighbors)| neighbors.len())
+                .collect()
+        };
         let drop = FaultPlan::new(1).with_fault(FaultModel::DropNeighbor, NodeId(2));
-        let world = inject(&inst, &honest, &drop);
-        assert_eq!(faulty_view_of(&inst, &world, NodeId(2)).degree(), 1);
+        assert_eq!(degrees(&drop)[2], 1);
         let dup = FaultPlan::new(1).with_fault(FaultModel::DuplicateNeighbor, NodeId(2));
-        let world = inject(&inst, &honest, &dup);
-        assert_eq!(faulty_view_of(&inst, &world, NodeId(2)).degree(), 3);
+        let dup_degrees = degrees(&dup);
+        assert_eq!(dup_degrees[2], 3);
         // Other vertices' views are untouched.
-        assert_eq!(faulty_view_of(&inst, &world, NodeId(1)).degree(), 2);
+        assert_eq!(dup_degrees[1], 2);
     }
 
     #[test]
@@ -794,13 +788,14 @@ mod tests {
         let (g, ids) = tree_instance(4);
         let inst = Instance::new(&g, &ids);
         let honest = Assignment::empty(4);
-        struct AcceptAll;
-        impl Verifier for AcceptAll {
-            fn decide(&self, _view: &LocalView<'_>) -> Result<(), crate::framework::RejectReason> {
-                Ok(())
-            }
-        }
-        let stats = run_campaign(&AcceptAll, &inst, &honest, FaultModel::BitFlip, 10, 1);
+        let stats = run_campaign(
+            &ViewProbe::default(),
+            &inst,
+            &honest,
+            FaultModel::BitFlip,
+            10,
+            1,
+        );
         assert_eq!(stats.effective_runs, 0);
         assert_eq!(stats.noop_runs, 10);
         assert_eq!(stats.detection_rate(), 1.0); // vacuous

@@ -197,70 +197,6 @@ impl Assignment {
     }
 }
 
-/// What one vertex sees: its radius-1 view.
-#[derive(Debug, Clone)]
-pub struct LocalView<'a> {
-    /// The vertex's own identifier.
-    pub id: Ident,
-    /// The vertex's own input (0 if the instance has none).
-    pub input: usize,
-    /// The vertex's own certificate.
-    pub cert: &'a Certificate,
-    /// For each incident edge: the neighbor's identifier, input and
-    /// certificate. **No information about edges among neighbors.**
-    pub neighbors: Vec<(Ident, usize, &'a Certificate)>,
-}
-
-impl<'a> LocalView<'a> {
-    /// The degree of the vertex.
-    pub fn degree(&self) -> usize {
-        self.neighbors.len()
-    }
-
-    /// Whether some neighbor carries identifier `id`.
-    pub fn has_neighbor(&self, id: Ident) -> bool {
-        self.neighbors.iter().any(|&(nid, _, _)| nid == id)
-    }
-
-    /// The certificate of the neighbor with identifier `id`, if present.
-    pub fn neighbor_cert(&self, id: Ident) -> Option<&'a Certificate> {
-        self.neighbors
-            .iter()
-            .find(|&&(nid, _, _)| nid == id)
-            .map(|&(_, _, c)| c)
-    }
-}
-
-/// Builds the view of vertex `v` under `assignment`.
-pub fn view_of<'a>(
-    instance: &'a Instance<'a>,
-    assignment: &'a Assignment,
-    v: NodeId,
-) -> LocalView<'a> {
-    let neighbors: Vec<(Ident, usize, &Certificate)> = instance
-        .graph()
-        .neighbors(v)
-        .iter()
-        .map(|&u| {
-            (
-                instance.ids().ident(u),
-                instance.input(u),
-                assignment.cert(u),
-            )
-        })
-        .collect();
-    if locert_trace::enabled() {
-        locert_trace::add("core.framework.view_of.calls", 1);
-        locert_trace::record("core.framework.view.neighbors", neighbors.len() as u64);
-    }
-    LocalView {
-        id: instance.ids().ident(v),
-        input: instance.input(v),
-        cert: assignment.cert(v),
-        neighbors,
-    }
-}
-
 /// Error produced by a prover.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProverError {
@@ -421,7 +357,8 @@ pub struct Verdict {
     pub bits_read: usize,
 }
 
-/// The local verification algorithm of a scheme.
+/// The local verification algorithm of a scheme, as the simulator calls
+/// it.
 ///
 /// `Sync` is a supertrait because [`run_verification`] runs vertices in
 /// parallel sharing one `&dyn Verifier` — faithful to the model, where
@@ -429,69 +366,116 @@ pub struct Verdict {
 /// radius-1 view. Interior mutability (memo caches) must be thread-safe
 /// (`Mutex`, atomics), not `RefCell`.
 ///
-/// Every catalogued scheme implements [`Decode`] instead and gets this
-/// trait from the blanket implementation below; a direct implementation
-/// (test doubles, mutants) only needs [`Verifier::decide`].
+/// A scheme implements [`Decode`] and gets this trait from the blanket
+/// implementation below, the only one: both entry points decide through
+/// [`Decode::decide_decoded`].
 pub trait Verifier: Sync {
-    /// The decision of one vertex given its radius-1 view, with a
-    /// [`RejectReason`] on rejection.
-    ///
-    /// # Errors
-    ///
-    /// The reason the vertex rejects; `Ok(())` means accept.
-    fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason>;
-
     /// Every vertex's reject reason (`None` = accept) under
-    /// `assignment`, indexed by [`NodeId`]: the per-run hook
-    /// [`run_verification_in`] calls (provided; the default builds each
-    /// vertex's [`LocalView`] with [`view_of`] and calls
-    /// [`Verifier::decide`]).
-    ///
-    /// Contract for overrides: entry `v` equals what `decide` answers on
-    /// `view_of(instance, assignment, v)`, and the result has exactly
-    /// one entry per vertex.
+    /// `assignment`, indexed by [`NodeId`], exactly one entry per vertex:
+    /// the per-run hook [`run_verification_in`] calls.
     fn decide_all(
         &self,
         instance: &Instance<'_>,
         assignment: &Assignment,
         pool: &locert_par::Pool,
-    ) -> Vec<Option<RejectReason>> {
-        decide_timed(pool, instance.graph().num_nodes(), &|i| {
-            self.decide(&view_of(instance, assignment, NodeId(i))).err()
-        })
+    ) -> Vec<Option<RejectReason>>;
+
+    /// Decodes a candidate certificate list once, for deciding any vertex
+    /// whose own and neighbors' certificates are entries of it.
+    fn prepare(&self, certs: &[Certificate]) -> Prepared<'_>;
+}
+
+/// A verifier's decision over a candidate certificate list decoded once
+/// ([`Verifier::prepare`]). Exhaustive attacks, fault campaigns, the
+/// network simulator and the lower-bound protocols decide vertices
+/// through it: each list entry is decoded once, however many vertices
+/// and candidate assignments read it.
+pub struct Prepared<'a> {
+    decide: Box<PreparedDecide<'a>>,
+}
+
+/// The decision a [`Prepared`] list wraps (see [`Prepared::decide`]).
+type PreparedDecide<'a> =
+    dyn Fn(Ident, usize, usize, &[(Ident, usize, usize)]) -> Result<(), RejectReason> + Sync + 'a;
+
+impl Prepared<'_> {
+    /// The decision of a vertex with identifier `id` and input `input`
+    /// whose certificate is entry `own`, given one `(identifier, input,
+    /// entry)` per incident edge.
+    ///
+    /// # Errors
+    ///
+    /// The reason the vertex rejects; `Ok(())` means accept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an entry is out of range for the prepared list.
+    pub fn decide(
+        &self,
+        id: Ident,
+        input: usize,
+        own: usize,
+        neighbors: &[(Ident, usize, usize)],
+    ) -> Result<(), RejectReason> {
+        (self.decide)(id, input, own, neighbors)
     }
 
-    /// The bare boolean decision (provided; equivalent to
-    /// `self.decide(view).is_ok()`).
-    fn verify(&self, view: &LocalView<'_>) -> bool {
-        self.decide(view).is_ok()
+    /// The decision of vertex `v` of `instance` when each vertex `u`
+    /// carries entry `entry(u)`: `v`'s radius-1 view, counted in the view
+    /// telemetry (one `core.framework.view_of.calls`, and the degree in
+    /// `core.framework.view.neighbors`) as a run counts each vertex.
+    ///
+    /// # Errors
+    ///
+    /// As [`Prepared::decide`].
+    pub fn decide_at(
+        &self,
+        instance: &Instance<'_>,
+        v: NodeId,
+        entry: impl Fn(NodeId) -> usize,
+    ) -> Result<(), RejectReason> {
+        let neighbors: Vec<(Ident, usize, usize)> = instance
+            .graph()
+            .neighbors(v)
+            .iter()
+            .map(|&u| (instance.ids().ident(u), instance.input(u), entry(u)))
+            .collect();
+        if locert_trace::enabled() {
+            locert_trace::add("core.framework.view_of.calls", 1);
+            locert_trace::record("core.framework.view.neighbors", neighbors.len() as u64);
+        }
+        self.decide(
+            instance.ids().ident(v),
+            instance.input(v),
+            entry(v),
+            &neighbors,
+        )
     }
 }
 
 /// A verifier split into a *decode stage* and a decision on decoded
-/// certificates (DESIGN.md §7.1).
+/// certificates (DESIGN.md §7.1): the one verifier contract a scheme
+/// implements.
 ///
 /// [`Decode::decode`] is a pure function of one certificate's bits: it
 /// sees no identifier, input, graph or neighbor, so a decoded
 /// certificate carries exactly what any vertex could have parsed from
 /// those bits itself, and deciding on decoded certificates stays inside
 /// the radius-1 model. That purity is what lets [`run_verification_in`]
-/// decode each of the `n` certificates once per run into an arena,
-/// where the per-vertex path would parse every certificate once per
-/// vertex that reads it.
+/// decode each of the `n` certificates once per run into an arena, and
+/// [`Verifier::prepare`] each candidate certificate once per list.
 ///
 /// The blanket [`Verifier`] implementation routes both entry points
 /// through [`Decode::decide_decoded`], so there is one decision path:
-/// `decide` decodes the view's certificates and `decide_all` reads the
-/// run's arena.
+/// `decide_all` reads the run's arena and `prepare` a decoded list.
 pub trait Decode: Sync {
     /// One certificate's decoding, including its parse failures (a
     /// scheme decides *where* in its checks a malformed certificate
     /// rejects, so the decode stage never rejects by itself).
     type Decoded: Send + Sync;
 
-    /// A memo shared by the decodes of one run (or of one `decide`
-    /// call): work that equal certificate bits share, such as a parsed
+    /// A memo shared by the decodes of one run (or of one prepared
+    /// list): work that equal certificate bits share, such as a parsed
     /// broadcast map or type table (a [`Memo`]). It must be keyed by
     /// certificate bits alone, so it changes what decoding costs, never
     /// what it returns.
@@ -509,23 +493,6 @@ pub trait Decode: Sync {
 }
 
 impl<S: Decode> Verifier for S {
-    fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
-        let cache = S::Cache::default();
-        let own = self.decode(view.cert, &cache);
-        let decoded: Vec<S::Decoded> = view
-            .neighbors
-            .iter()
-            .map(|&(_, _, cert)| self.decode(cert, &cache))
-            .collect();
-        let neighbors: Vec<(Ident, usize, &S::Decoded)> = view
-            .neighbors
-            .iter()
-            .zip(&decoded)
-            .map(|(&(id, input, _), d)| (id, input, d))
-            .collect();
-        self.decide_decoded(&DecodedView::listed(view.id, view.input, &own, &neighbors))
-    }
-
     fn decide_all(
         &self,
         instance: &Instance<'_>,
@@ -555,6 +522,20 @@ impl<S: Decode> Verifier for S {
         });
         record_views(instance.graph());
         reasons
+    }
+
+    fn prepare(&self, certs: &[Certificate]) -> Prepared<'_> {
+        let cache = S::Cache::default();
+        let decoded: Vec<S::Decoded> = certs.iter().map(|c| self.decode(c, &cache)).collect();
+        Prepared {
+            decide: Box::new(move |id, input, own, neighbors| {
+                let neighbors: Vec<(Ident, usize, &S::Decoded)> = neighbors
+                    .iter()
+                    .map(|&(nid, ninput, entry)| (nid, ninput, &decoded[entry]))
+                    .collect();
+                self.decide_decoded(&DecodedView::listed(id, input, &decoded[own], &neighbors))
+            }),
+        }
     }
 }
 
@@ -736,8 +717,8 @@ impl<T> Memo<T> {
 
 /// What one vertex sees with every certificate decoded: its own
 /// identifier, input and decoded certificate, and per incident edge the
-/// neighbor's identifier, input and decoded certificate. Like
-/// [`LocalView`], it has no information about edges among neighbors.
+/// neighbor's identifier, input and decoded certificate. As in the
+/// model, it has no information about edges among neighbors.
 pub struct DecodedView<'a, D> {
     /// The vertex's own identifier.
     pub id: Ident,
@@ -779,9 +760,9 @@ impl<D> Clone for DecodedView<'_, D> {
 impl<D> Copy for DecodedView<'_, D> {}
 
 impl<'a, D> DecodedView<'a, D> {
-    /// A view over explicitly listed neighbors: per-vertex `decide` lists
-    /// its view's decodes, and composite schemes hand a part's decodes to
-    /// the part's decision.
+    /// A view over explicitly listed neighbors: a [`Prepared`] list's
+    /// decisions list their view's decodes, and composite schemes hand a
+    /// part's decodes to the part's decision.
     pub fn listed(
         id: Ident,
         input: usize,
@@ -886,9 +867,9 @@ impl<'a, D> Iterator for NeighborIter<'a, D> {
 
 impl<D> ExactSizeIterator for NeighborIter<'_, D> {}
 
-/// The `view_of` telemetry of a run that builds no `LocalView`: one call
-/// and one degree per vertex, as `view_of` would have recorded them (and,
-/// like `view_of`, nothing without a vertex).
+/// The view telemetry of a run: one `core.framework.view_of.calls` and
+/// one degree per vertex, as [`Prepared::decide_at`] counts a vertex (and
+/// nothing without a vertex).
 fn record_views(g: &Graph) {
     if !locert_trace::enabled() || g.num_nodes() == 0 {
         return;
@@ -1220,6 +1201,7 @@ pub fn run_scheme(
 
 #[cfg(test)]
 mod tests {
+    use super::test_views::{Seen, ViewProbe};
     use super::*;
     use crate::bits::BitWriter;
     use locert_graph::generators;
@@ -1244,13 +1226,18 @@ mod tests {
         }
     }
 
-    impl Verifier for DegreeScheme {
-        fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
-            let mut r = crate::bits::BitReader::new(view.cert);
-            let claimed = r.read(16).ok_or(RejectReason::MalformedCertificate)?;
-            if !r.exhausted() {
-                return Err(RejectReason::MalformedCertificate);
-            }
+    impl Decode for DegreeScheme {
+        type Decoded = Option<u64>;
+        type Cache = ();
+
+        fn decode(&self, cert: &Certificate, _: &()) -> Option<u64> {
+            let mut r = BitReader::new(cert);
+            let claimed = r.read(16)?;
+            r.exhausted().then_some(claimed)
+        }
+
+        fn decide_decoded(&self, view: &DecodedView<'_, Option<u64>>) -> Result<(), RejectReason> {
+            let claimed = view.own.ok_or(RejectReason::MalformedCertificate)?;
             if claimed != view.degree() as u64 {
                 return Err(RejectReason::CounterMismatch);
             }
@@ -1323,20 +1310,31 @@ mod tests {
         assert_eq!(RejectReason::from_code("custom-check"), None);
     }
 
+    /// What `v` sees on a run and on a prepared list, which must agree.
+    fn seen(inst: &Instance<'_>, asg: &Assignment, v: NodeId) -> Seen {
+        let probe = ViewProbe::default();
+        run_verification(&probe, inst, asg);
+        let certs: Vec<Certificate> = inst.graph().nodes().map(|u| asg.cert(u).clone()).collect();
+        assert_eq!(probe.prepare(&certs).decide_at(inst, v, |u| u.0), Ok(()));
+        let mut seen = probe.0.into_inner().unwrap();
+        let prepared = seen.pop().unwrap();
+        let id = inst.ids().ident(v);
+        assert_eq!(seen.iter().find(|s| s.0 == id), Some(&prepared));
+        prepared
+    }
+
     #[test]
     fn views_do_not_expose_neighbor_edges() {
         // The view type simply has no such field; spot-check the shape.
         let g = generators::clique(3);
         let ids = IdAssignment::contiguous(3);
         let inst = Instance::new(&g, &ids);
-        let asg = Assignment::empty(3);
-        let view = view_of(&inst, &asg, NodeId(0));
-        assert_eq!(view.degree(), 2);
-        assert!(view.has_neighbor(Ident(2)));
-        assert!(view.has_neighbor(Ident(3)));
-        assert!(!view.has_neighbor(Ident(1))); // itself.
-        assert!(view.neighbor_cert(Ident(2)).unwrap().is_empty());
-        assert_eq!(view.neighbor_cert(Ident(9)), None);
+        let mut w = BitWriter::new();
+        w.write(0, 5);
+        let asg = Assignment::new(vec![Certificate::empty(), w.finish(), Certificate::empty()]);
+        let (id, _, neighbors) = seen(&inst, &asg, NodeId(0));
+        assert_eq!(id, Ident(1));
+        assert_eq!(neighbors, [(Ident(2), 0, 5), (Ident(3), 0, 0)]);
     }
 
     #[test]
@@ -1346,9 +1344,9 @@ mod tests {
         let inputs = vec![7usize, 8, 9];
         let inst = Instance::with_inputs(&g, &ids, &inputs);
         let asg = Assignment::empty(3);
-        let view = view_of(&inst, &asg, NodeId(1));
-        assert_eq!(view.input, 8);
-        let mut nbr_inputs: Vec<usize> = view.neighbors.iter().map(|&(_, i, _)| i).collect();
+        let (_, input, neighbors) = seen(&inst, &asg, NodeId(1));
+        assert_eq!(input, 8);
+        let mut nbr_inputs: Vec<usize> = neighbors.iter().map(|&(_, i, _)| i).collect();
         nbr_inputs.sort_unstable();
         assert_eq!(nbr_inputs, vec![7, 9]);
     }
@@ -1523,5 +1521,97 @@ mod tests {
             assert_eq!(finals[&v].component_bits()["degree"], 16);
         }
         assert_eq!(ledger.max_bits(), 16);
+    }
+}
+
+/// Views for tests: the raw-bits view the reference verifiers in the
+/// scheme tests decide from, and a verifier that records the decoded
+/// views it is given.
+#[cfg(test)]
+pub(crate) mod test_views {
+    use super::*;
+
+    /// A vertex's radius-1 view on raw certificate bits: what the reference
+    /// verifiers in the scheme tests decide from, parsing every certificate
+    /// in the view afresh, as the schemes did before the decode stage.
+    pub(crate) struct LocalView<'a> {
+        /// The vertex's own identifier.
+        pub id: Ident,
+        /// The vertex's own input (0 if the instance has none).
+        pub input: usize,
+        /// The vertex's own certificate.
+        pub cert: &'a Certificate,
+        /// For each incident edge: the neighbor's identifier, input and
+        /// certificate.
+        pub neighbors: Vec<(Ident, usize, &'a Certificate)>,
+    }
+
+    impl LocalView<'_> {
+        /// Whether some neighbor carries identifier `id`.
+        pub fn has_neighbor(&self, id: Ident) -> bool {
+            self.neighbors.iter().any(|&(nid, _, _)| nid == id)
+        }
+
+        /// Certificate bits in the view (a [`Verdict`]'s `bits_read`).
+        pub fn bits(&self) -> usize {
+            self.cert.len_bits()
+                + self
+                    .neighbors
+                    .iter()
+                    .map(|&(_, _, c)| c.len_bits())
+                    .sum::<usize>()
+        }
+    }
+
+    /// The raw view of vertex `v` under `assignment`.
+    pub(crate) fn view_of<'a>(
+        instance: &'a Instance<'a>,
+        assignment: &'a Assignment,
+        v: NodeId,
+    ) -> LocalView<'a> {
+        LocalView {
+            id: instance.ids().ident(v),
+            input: instance.input(v),
+            cert: assignment.cert(v),
+            neighbors: instance
+                .graph()
+                .neighbors(v)
+                .iter()
+                .map(|&u| {
+                    (
+                        instance.ids().ident(u),
+                        instance.input(u),
+                        assignment.cert(u),
+                    )
+                })
+                .collect(),
+        }
+    }
+
+    /// What a decision saw: the vertex's identifier and input, and each
+    /// neighbor's identifier, input and certificate length.
+    pub(crate) type Seen = (Ident, usize, Vec<(Ident, usize, usize)>);
+
+    /// A test verifier that records the view of every vertex it decides, in
+    /// the order it decides them, and accepts.
+    #[derive(Default)]
+    pub(crate) struct ViewProbe(pub Mutex<Vec<Seen>>);
+
+    impl Decode for ViewProbe {
+        type Decoded = usize;
+        type Cache = ();
+
+        fn decode(&self, cert: &Certificate, _: &()) -> usize {
+            cert.len_bits()
+        }
+
+        fn decide_decoded(&self, view: &DecodedView<'_, usize>) -> Result<(), RejectReason> {
+            let neighbors = view.neighbors().map(|(id, input, &bits)| (id, input, bits));
+            self.0
+                .lock()
+                .unwrap()
+                .push((view.id, view.input, neighbors.collect()));
+            Ok(())
+        }
     }
 }

@@ -54,6 +54,6 @@ pub mod schemes;
 
 pub use bits::{BitReader, BitWriter, Certificate};
 pub use framework::{
-    run_scheme, run_verification, Assignment, Decode, DecodedView, Instance, LocalView, Prover,
-    ProverError, Scheme, VerificationOutcome, Verifier,
+    run_scheme, run_verification, Assignment, Decode, DecodedView, Instance, Prover, ProverError,
+    Scheme, VerificationOutcome, Verifier,
 };

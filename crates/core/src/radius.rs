@@ -7,8 +7,9 @@
 //!
 //! This module implements the radius-`r` model — a vertex sees the entire
 //! ball of radius `r` around itself, **including the edges inside the
-//! ball** (unlike the radius-1 [`LocalView`](crate::framework::LocalView),
-//! which hides edges among neighbors) — and the certificate-free radius-3
+//! ball** (unlike the radius-1
+//! [`DecodedView`](crate::framework::DecodedView), which hides edges
+//! among neighbors) — and the certificate-free radius-3
 //! decision of "diameter ≤ 2", making the appendix's contrast executable.
 
 use crate::framework::{Assignment, Instance};

@@ -25,8 +25,8 @@
 
 use crate::bits::{width_for, BitReader, BitWriter, Certificate};
 use crate::framework::{
-    Assignment, DeclaredBound, Decode, DecodedView, Held, Instance, LocalView, Memo, Prover,
-    ProverError, RejectReason, Scheme, Shared, Verifier,
+    Assignment, DeclaredBound, Decode, DecodedView, Held, Instance, Memo, Prover, ProverError,
+    RejectReason, Scheme, Shared, Verifier,
 };
 use crate::schemes::treedepth::{
     check_own_td, check_td_edges, honest_td_certs, model_for, ModelStrategy, TdCert,
@@ -694,29 +694,30 @@ impl KernelMsoGlobalScheme {
         Ok((global, locals))
     }
 
-    /// One vertex's verdict given its local view and the shared global
-    /// certificate.
-    pub fn verify_with_global(&self, view: &LocalView<'_>, global: &Certificate) -> bool {
-        let glue = |local: &Certificate| {
-            let mut w = BitWriter::new();
-            w.write_cert(local);
-            w.write_cert(global);
-            w.finish()
-        };
-        let own = glue(view.cert);
-        let nbr_certs: Vec<Certificate> = view.neighbors.iter().map(|(_, _, c)| glue(c)).collect();
-        let full_view = LocalView {
-            id: view.id,
-            input: view.input,
-            cert: &own,
-            neighbors: view
-                .neighbors
-                .iter()
-                .zip(nbr_certs.iter())
-                .map(|(&(id, input, _), c)| (id, input, c))
-                .collect(),
-        };
-        self.inner.verify(&full_view)
+    /// Whether every vertex accepts its local certificate (in `locals`)
+    /// glued to the shared global certificate. Stops at the first
+    /// rejecting vertex.
+    pub fn verify_with_global(
+        &self,
+        instance: &Instance<'_>,
+        locals: &Assignment,
+        global: &Certificate,
+    ) -> bool {
+        let full: Vec<Certificate> = instance
+            .graph()
+            .nodes()
+            .map(|v| {
+                let mut w = BitWriter::new();
+                w.write_cert(locals.cert(v));
+                w.write_cert(global);
+                w.finish()
+            })
+            .collect();
+        let prepared = self.inner.prepare(&full);
+        instance
+            .graph()
+            .nodes()
+            .all(|v| prepared.decide_at(instance, v, |u| u.0).is_ok())
     }
 
     /// Runs the full global+local pipeline.
@@ -726,12 +727,8 @@ impl KernelMsoGlobalScheme {
     /// Propagates the prover's error.
     pub fn run(&self, instance: &Instance<'_>) -> Result<GlobalOutcome, ProverError> {
         let (global, locals) = self.assign_split(instance)?;
-        let accepted = instance.graph().nodes().all(|v| {
-            let view = crate::framework::view_of(instance, &locals, v);
-            self.verify_with_global(&view, &global)
-        });
         Ok(GlobalOutcome {
-            accepted,
+            accepted: self.verify_with_global(instance, &locals, &global),
             global_bits: global.len_bits(),
             max_local_bits: locals.max_bits(),
         })
@@ -744,7 +741,8 @@ impl KernelMsoGlobalScheme {
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
-    use crate::framework::{run_verification_in, view_of, Verdict};
+    use crate::framework::test_views::{view_of, LocalView};
+    use crate::framework::{run_verification_in, Verdict};
     use locert_par::Pool;
 
     /// The parsed certificate as it stood: flags and types apart, the
@@ -963,8 +961,8 @@ pub(crate) mod reference {
         }
     }
 
-    /// Checks `run_verification` on every pool and the per-vertex
-    /// `decide` against `reference`, verdict by verdict; returns the
+    /// Checks `run_verification` on every pool and the prepared per-vertex
+    /// decision against `reference`, verdict by verdict; returns the
     /// verdicts.
     pub(crate) fn agrees(
         pools: &[Pool],
@@ -973,22 +971,20 @@ pub(crate) mod reference {
         inst: &Instance<'_>,
         asg: &Assignment,
     ) -> Vec<Verdict> {
+        let certs: Vec<Certificate> = inst.graph().nodes().map(|v| asg.cert(v).clone()).collect();
+        let prepared = scheme.prepare(&certs);
         let expected: Vec<Verdict> = inst
             .graph()
             .nodes()
             .map(|v| {
                 let view = view_of(inst, asg, v);
                 let reason = reference(&view).err();
-                assert_eq!(scheme.decide(&view).err(), reason, "decide at vertex {v:?}");
+                let decided = prepared.decide_at(inst, v, |u| u.0);
+                assert_eq!(decided.err(), reason, "decide at vertex {v:?}");
                 Verdict {
                     accepted: reason.is_none(),
                     reason,
-                    bits_read: view.cert.len_bits()
-                        + view
-                            .neighbors
-                            .iter()
-                            .map(|&(_, _, c)| c.len_bits())
-                            .sum::<usize>(),
+                    bits_read: view.bits(),
                 }
             })
             .collect();
@@ -1011,7 +1007,8 @@ pub(crate) mod reference {
 mod tests {
     use super::reference::{self, agrees, truncated};
     use super::*;
-    use crate::framework::{run_scheme, run_verification, run_verification_in, view_of};
+    use crate::framework::test_views::{view_of, LocalView};
+    use crate::framework::{run_scheme, run_verification, run_verification_in};
     use crate::schemes::common::id_bits_for;
     use locert_graph::{generators, IdAssignment};
     use locert_logic::props;
@@ -1311,12 +1308,14 @@ mod tests {
                 pool.threads()
             );
         }
-        // A per-vertex decide has a memo of its own.
+        // A prepared list has a memo of its own, shared by its decisions.
         calls.store(0, Ordering::SeqCst);
+        let certs: Vec<Certificate> = g.nodes().map(|v| asg.cert(v).clone()).collect();
+        let prepared = scheme.prepare(&certs);
         for v in g.nodes() {
-            assert!(scheme.verify(&crate::framework::view_of(&inst, &asg, v)));
+            assert_eq!(prepared.decide_at(&inst, v, |u| u.0), Ok(()));
         }
-        assert_eq!(calls.load(Ordering::SeqCst), 9);
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -1626,22 +1625,18 @@ mod tests {
         let inst = Instance::new(&g, &ids);
         let split = KernelMsoGlobalScheme::new(id_bits_for(&inst), 2, phi).unwrap();
         let (global, locals) = split.assign_split(&inst).unwrap();
+        assert!(split.verify_with_global(&inst, &locals, &global));
         // Corrupt the global table: everyone who reads it rejects.
         let bad_global = global.with_bit_flipped(global.len_bits() / 2);
-        let rejected = g.nodes().any(|v| {
-            let view = crate::framework::view_of(&inst, &locals, v);
-            !split.verify_with_global(&view, &bad_global)
-        });
-        assert!(rejected, "corrupted global table went unnoticed");
+        assert!(
+            !split.verify_with_global(&inst, &locals, &bad_global),
+            "corrupted global table went unnoticed"
+        );
         // Corrupt one local certificate.
         let mut bad_locals = locals.clone();
         let c = bad_locals.cert(NodeId(3)).clone();
         *bad_locals.cert_mut(NodeId(3)) = c.with_bit_flipped(1);
-        let rejected_local = g.nodes().any(|v| {
-            let view = crate::framework::view_of(&inst, &bad_locals, v);
-            !split.verify_with_global(&view, &global)
-        });
-        assert!(rejected_local);
+        assert!(!split.verify_with_global(&inst, &bad_locals, &global));
     }
 
     #[test]

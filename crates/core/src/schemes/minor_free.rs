@@ -412,7 +412,8 @@ impl Scheme for CtMinorFreeScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::{run_scheme, run_verification, run_verification_in, view_of, LocalView};
+    use crate::framework::test_views::{view_of, LocalView};
+    use crate::framework::{run_scheme, run_verification, run_verification_in};
     use crate::schemes::common::id_bits_for;
     use crate::schemes::kernel_mso::reference::{self, agrees, truncated};
     use locert_graph::{generators, minors, GraphBuilder};

@@ -327,9 +327,9 @@ pub fn fpf_automorphism_scheme(id_bits: u32) -> UniversalScheme {
 mod tests {
     use super::*;
     use crate::attacks;
+    use crate::framework::test_views::{view_of, LocalView};
     use crate::framework::{
-        run_scheme, run_verification, run_verification_in, view_of, DecodedView, LocalView,
-        Verdict, Verifier,
+        run_scheme, run_verification, run_verification_in, DecodedView, Verdict, Verifier,
     };
     use crate::schemes::common::id_bits_for;
     use locert_graph::{generators, traversal, IdAssignment};
@@ -421,8 +421,8 @@ mod tests {
         Ok(())
     }
 
-    /// Checks `run_verification` on every pool and the per-vertex
-    /// `decide` against the reference, verdict by verdict; returns the
+    /// Checks `run_verification` on every pool and the prepared per-vertex
+    /// decision against the reference, verdict by verdict; returns the
     /// verdicts.
     fn agrees_with_reference(
         pools: &[Pool],
@@ -430,26 +430,20 @@ mod tests {
         inst: &Instance<'_>,
         asg: &Assignment,
     ) -> Vec<Verdict> {
+        let certs: Vec<Certificate> = inst.graph().nodes().map(|v| asg.cert(v).clone()).collect();
+        let prepared = scheme.prepare(&certs);
         let expected: Vec<Verdict> = inst
             .graph()
             .nodes()
             .map(|v| {
                 let view = view_of(inst, asg, v);
-                assert_eq!(
-                    scheme.decide(&view),
-                    decide_reference(scheme, &view),
-                    "decide at vertex {v:?}"
-                );
                 let reason = decide_reference(scheme, &view).err();
+                let decided = prepared.decide_at(inst, v, |u| u.0);
+                assert_eq!(decided.err(), reason, "decide at vertex {v:?}");
                 Verdict {
                     accepted: reason.is_none(),
                     reason,
-                    bits_read: view.cert.len_bits()
-                        + view
-                            .neighbors
-                            .iter()
-                            .map(|&(_, _, c)| c.len_bits())
-                            .sum::<usize>(),
+                    bits_read: view.bits(),
                 }
             })
             .collect();

@@ -1,17 +1,23 @@
-//! The run path and the per-vertex path answer alike, verdict by verdict.
+//! The run path, the prepared per-vertex path and the fault path answer
+//! alike, verdict by verdict.
 //!
-//! `run_verification_in` decides every vertex from certificates decoded
-//! once per run; `Verifier::decide` decides one vertex from its
-//! `LocalView`. For every catalogue id, on seeded instances and seeded
-//! mutations of their assignments, both must give the same reject reason
-//! and `bits_read` at every vertex, at 1 and at 4 workers. A digest of
-//! every verdict per id pins `decide` itself: the digests were computed
-//! by this test on the code before the decode stage existed, so a change
-//! to any scheme's answers fails here even when both paths move together.
+//! `run_verification_in` decides every vertex from the run's arena of
+//! decoded certificates; `Verifier::prepare` decodes a certificate list
+//! once and decides one vertex at a time from indices into it; and
+//! `faults::run_with_faults` decides a faulty world through `prepare`.
+//! For every catalogue id, on seeded instances and seeded mutations of
+//! their assignments, the first two must give the same reject reason and
+//! `bits_read` at every vertex, at 1 and at 4 workers, and the fault path
+//! under an empty plan the same rejecting vertices and reasons. A digest
+//! of every verdict per id pins the decisions themselves: the digests
+//! were computed by this test on the code before the decode stage
+//! existed, so a change to any scheme's answers fails here even when all
+//! paths move together.
 
 use locert_core::bits::{BitReader, BitWriter, Certificate};
 use locert_core::catalogue;
-use locert_core::framework::{run_verification_in, view_of, RejectReason, Verdict};
+use locert_core::faults::{run_with_faults, FaultPlan};
+use locert_core::framework::{run_verification_in, RejectReason, Verdict};
 use locert_core::schemes::common::id_bits_for;
 use locert_core::{Assignment, Instance, Scheme};
 use locert_graph::{generators, Graph, IdAssignment, NodeId};
@@ -140,18 +146,18 @@ fn mutations(g: &Graph, base: &Assignment, rng: &mut StdRng) -> Vec<Assignment> 
     out
 }
 
-/// Every vertex's verdict from the per-vertex path.
+/// Every vertex's verdict from the prepared per-vertex path.
 fn per_vertex(scheme: &dyn Scheme, inst: &Instance<'_>, asg: &Assignment) -> Vec<Verdict> {
-    inst.graph()
-        .nodes()
+    let g = inst.graph();
+    let certs: Vec<Certificate> = g.nodes().map(|v| asg.cert(v).clone()).collect();
+    let prepared = scheme.prepare(&certs);
+    g.nodes()
         .map(|v| {
-            let view = view_of(inst, asg, v);
-            let reason = scheme.decide(&view).err();
-            let bits_read = view.cert.len_bits()
-                + view
-                    .neighbors
+            let reason = prepared.decide_at(inst, v, |u| u.0).err();
+            let bits_read = certs[v.0].len_bits()
+                + g.neighbors(v)
                     .iter()
-                    .map(|&(_, _, c)| c.len_bits())
+                    .map(|&u| certs[u.0].len_bits())
                     .sum::<usize>();
             Verdict {
                 accepted: reason.is_none(),
@@ -162,8 +168,9 @@ fn per_vertex(scheme: &dyn Scheme, inst: &Instance<'_>, asg: &Assignment) -> Vec
         .collect()
 }
 
-/// Checks both paths on every mutation of `base` under `inst`, feeding
-/// the verdicts into `digest`; returns how many verdicts rejected.
+/// Checks the three paths on every mutation of `base` under `inst`,
+/// feeding the verdicts into `digest`; returns how many verdicts
+/// rejected.
 fn check(
     id: &str,
     scheme: &dyn Scheme,
@@ -189,6 +196,23 @@ fn check(
             }
             assert_eq!(got.verdicts().len(), expected.len());
         }
+        let faulted = run_with_faults(scheme, inst, asg, &FaultPlan::new(0));
+        let rejected: Vec<(NodeId, RejectReason)> = expected
+            .iter()
+            .enumerate()
+            .filter_map(|(v, e)| Some((NodeId(v), e.reason?)))
+            .collect();
+        let detected: Vec<(NodeId, RejectReason)> = faulted
+            .detections
+            .iter()
+            .map(|d| (d.vertex, d.reason))
+            .collect();
+        assert_eq!(
+            detected,
+            rejected,
+            "{id}: n = {}, mutation {m}, fault path",
+            inst.graph().num_nodes()
+        );
         for verdict in &expected {
             digest.verdict(verdict.reason, verdict.bits_read);
             rejections += usize::from(!verdict.accepted);

@@ -5,10 +5,10 @@
 //! own: no other test runs in its process and writes to the histogram it
 //! counts.
 
-use locert_core::bits::{BitReader, BitWriter};
+use locert_core::bits::{BitReader, BitWriter, Certificate};
 use locert_core::framework::{DeclaredBound, RejectReason};
 use locert_core::{
-    run_verification, Assignment, Instance, LocalView, Prover, ProverError, Scheme, Verifier,
+    run_verification, Assignment, Decode, DecodedView, Instance, Prover, ProverError, Scheme,
 };
 use locert_graph::{generators, IdAssignment};
 
@@ -32,13 +32,18 @@ impl Prover for DegreeScheme {
     }
 }
 
-impl Verifier for DegreeScheme {
-    fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
-        let mut r = BitReader::new(view.cert);
-        let claimed = r.read(16).ok_or(RejectReason::MalformedCertificate)?;
-        if !r.exhausted() {
-            return Err(RejectReason::MalformedCertificate);
-        }
+impl Decode for DegreeScheme {
+    type Decoded = Option<u64>;
+    type Cache = ();
+
+    fn decode(&self, cert: &Certificate, _: &()) -> Option<u64> {
+        let mut r = BitReader::new(cert);
+        let claimed = r.read(16)?;
+        r.exhausted().then_some(claimed)
+    }
+
+    fn decide_decoded(&self, view: &DecodedView<'_, Option<u64>>) -> Result<(), RejectReason> {
+        let claimed = view.own.ok_or(RejectReason::MalformedCertificate)?;
         if claimed != view.degree() as u64 {
             return Err(RejectReason::CounterMismatch);
         }

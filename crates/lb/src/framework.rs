@@ -20,7 +20,7 @@
 
 use crate::cc::Protocol;
 use locert_core::bits::{BitWriter, Certificate};
-use locert_core::framework::{view_of, Assignment, Instance, Verifier};
+use locert_core::framework::{Assignment, Instance, Verifier};
 use locert_graph::{Graph, IdAssignment, NodeId};
 
 /// The four-way partition of a gadget graph.
@@ -106,17 +106,18 @@ impl<'v, F: GadgetFamily> ExtractedProtocol<'v, F> {
     }
 
     /// Splits a flat CC certificate into per-interface-vertex labels (in
-    /// `v_alpha ++ v_beta` order).
-    fn interface_assignment(&self, part: &Partition, n: usize, cert: &[bool]) -> Assignment {
-        let mut asg = Assignment::empty(n);
+    /// `v_alpha ++ v_beta` order); the other vertices' certificates are
+    /// empty.
+    fn interface_certs(&self, part: &Partition, n: usize, cert: &[bool]) -> Vec<Certificate> {
+        let mut certs = vec![Certificate::empty(); n];
         for (i, &v) in part.v_alpha.iter().chain(part.v_beta.iter()).enumerate() {
             let mut w = BitWriter::new();
             for j in 0..self.q {
                 w.write_bit(cert[i * self.q + j]);
             }
-            *asg.cert_mut(v) = w.finish();
+            certs[v.0] = w.finish();
         }
-        asg
+        certs
     }
 
     /// One player's side: enumerate all `q`-bit labelings of `private`,
@@ -128,7 +129,7 @@ impl<'v, F: GadgetFamily> ExtractedProtocol<'v, F> {
         &self,
         g: &Graph,
         ids: &IdAssignment,
-        base: &Assignment,
+        base: Vec<Certificate>,
         private: &[NodeId],
         checked: &[NodeId],
     ) -> bool {
@@ -141,22 +142,32 @@ impl<'v, F: GadgetFamily> ExtractedProtocol<'v, F> {
         );
         let total = total.expect("guarded above") as usize;
         let inst = Instance::new(g, ids);
+        // The base certificates, then every q-bit label, each decoded
+        // once: vertex u reads entry u, or entry n + its label when it
+        // is private.
+        let n = g.num_nodes();
+        let labels = (0..options).map(|label| {
+            let mut w = BitWriter::new();
+            w.write(label, q as u32);
+            w.finish()
+        });
+        let mut certs = base;
+        certs.extend(labels);
+        let prepared = self.verifier.prepare(&certs);
         // Enumerate labelings in parallel (mixed-radix index, private
         // vertex 0 as the least-significant digit — the same order the
         // sequential loop used). `par_find_first` stops at the *least*
         // accepting index, so the enumeration count below matches a
         // sequential stop-at-first-success sweep at any worker count.
         let accepting = |mut idx: usize| -> Option<()> {
-            let mut asg = base.clone();
+            let mut entries: Vec<usize> = (0..n).collect();
             for &v in private {
-                let mut w = BitWriter::new();
-                w.write(idx as u64 % options, q as u32);
+                entries[v.0] = n + idx % options as usize;
                 idx /= options as usize;
-                *asg.cert_mut(v) = w.finish();
             }
             checked
                 .iter()
-                .all(|&v| self.verifier.verify(&view_of(&inst, &asg, v)))
+                .all(|&v| prepared.decide_at(&inst, v, |u| entries[u.0]).is_ok())
                 .then_some(())
         };
         let found = locert_par::global().par_find_first(total, accepting);
@@ -175,22 +186,22 @@ impl<'v, F: GadgetFamily> Protocol for ExtractedProtocol<'v, F> {
         // edges in sight.
         let blank = vec![false; self.family.input_bits()];
         let (g, part, ids) = self.family.build(s_a, &blank);
-        let base = self.interface_assignment(&part, g.num_nodes(), cert);
+        let base = self.interface_certs(&part, g.num_nodes(), cert);
         let checked: Vec<NodeId> = part
             .v_a
             .iter()
             .chain(part.v_alpha.iter())
             .copied()
             .collect();
-        self.side_accepts(&g, &ids, &base, &part.v_a, &checked)
+        self.side_accepts(&g, &ids, base, &part.v_a, &checked)
     }
 
     fn bob(&self, s_b: &[bool], cert: &[bool]) -> bool {
         let blank = vec![false; self.family.input_bits()];
         let (g, part, ids) = self.family.build(&blank, s_b);
-        let base = self.interface_assignment(&part, g.num_nodes(), cert);
+        let base = self.interface_certs(&part, g.num_nodes(), cert);
         let checked: Vec<NodeId> = part.v_b.iter().chain(part.v_beta.iter()).copied().collect();
-        self.side_accepts(&g, &ids, &base, &part.v_b, &checked)
+        self.side_accepts(&g, &ids, base, &part.v_b, &checked)
     }
 
     fn certificate_bits(&self) -> usize {
@@ -221,7 +232,7 @@ pub type InterfaceCert = Certificate;
 mod tests {
     use super::*;
     use crate::cc::{decides_equality, exists_accepting_certificate};
-    use locert_core::framework::{LocalView, RejectReason};
+    use locert_core::framework::{Decode, DecodedView, RejectReason};
     use locert_graph::{GraphBuilder, Ident};
 
     /// Toy family: V_A = {a}, V_α = {α}, V_β = {β}, V_B = {b} on a path
@@ -309,9 +320,17 @@ mod tests {
     /// the point, it exercises the simulation plumbing end-to-end.
     struct DegreeParityVerifier;
 
-    impl Verifier for DegreeParityVerifier {
-        fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
-            if view.cert.len_bits() == 1 && view.cert.bit(0) == (view.degree() % 2 == 1) {
+    impl Decode for DegreeParityVerifier {
+        /// The certificate's bit, when it is exactly one bit long.
+        type Decoded = Option<bool>;
+        type Cache = ();
+
+        fn decode(&self, cert: &Certificate, _: &()) -> Option<bool> {
+            (cert.len_bits() == 1).then(|| cert.bit(0))
+        }
+
+        fn decide_decoded(&self, view: &DecodedView<'_, Option<bool>>) -> Result<(), RejectReason> {
+            if *view.own == Some(view.degree() % 2 == 1) {
                 Ok(())
             } else {
                 Err(RejectReason::PropertyViolation)
@@ -353,8 +372,13 @@ mod tests {
     /// *complete* for a trivially-accepting verifier.
     struct AcceptAll;
 
-    impl Verifier for AcceptAll {
-        fn decide(&self, _view: &LocalView<'_>) -> Result<(), RejectReason> {
+    impl Decode for AcceptAll {
+        type Decoded = ();
+        type Cache = ();
+
+        fn decode(&self, _: &Certificate, _: &()) {}
+
+        fn decide_decoded(&self, _: &DecodedView<'_, ()>) -> Result<(), RejectReason> {
             Ok(())
         }
     }

@@ -26,7 +26,7 @@
 //! any `locert-par` width.
 
 use locert_core::faults::{self, FaultPlan, FaultyWorld};
-use locert_core::framework::{Assignment, Instance, LocalView, RejectReason, Verifier};
+use locert_core::framework::{Assignment, Instance, RejectReason, Verifier};
 use locert_core::Certificate;
 use locert_graph::{Ident, NodeId};
 use locert_trace::journal::{self, Event};
@@ -708,23 +708,21 @@ impl<'a> Sim<'a> {
                 rounds_waited,
             }
         } else {
-            let mut neighbors: Vec<(Ident, usize, &Certificate)> = n
-                .received
-                .iter()
-                .map(|r| {
-                    let (ident, input, cert) = r.as_ref().expect("checked complete");
-                    (*ident, *input, cert)
-                })
+            // The node's own certificate is entry 0, the frame received
+            // on incident edge i entry i + 1.
+            let frames = n.received.iter().flatten();
+            let certs: Vec<Certificate> = std::iter::once(n.cert.clone())
+                .chain(frames.clone().map(|(_, _, cert)| cert.clone()))
+                .collect();
+            let mut neighbors: Vec<(Ident, usize, usize)> = frames
+                .enumerate()
+                .map(|(i, &(ident, input, _))| (ident, input, i + 1))
                 .collect();
             // The core view faults: replayed / lost neighbor entries.
             self.world.apply_entry_faults(v, &mut neighbors);
-            let view = LocalView {
-                id: self.world.presented_ident(v),
-                input: self.instance.input(v),
-                cert: &n.cert,
-                neighbors,
-            };
-            match self.verifier.decide(&view) {
+            let prepared = self.verifier.prepare(&certs);
+            let id = self.world.presented_ident(v);
+            match prepared.decide(id, self.instance.input(v), 0, &neighbors) {
                 Ok(()) => Verdict::Accepted,
                 Err(reason) => Verdict::Rejected(reason),
             }

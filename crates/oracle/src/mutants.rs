@@ -12,84 +12,38 @@ use crate::cases::{catalogue, OracleCase};
 use locert_core::catalogue::ID_BITS;
 use locert_core::framework::{DeclaredBound, RejectReason};
 use locert_core::schemes::depth2_fo::Depth2FoScheme;
+use locert_core::schemes::spanning_tree::SpanningTreeScheme;
 use locert_core::schemes::treedepth::TreedepthScheme;
 use locert_core::{
-    Assignment, BitWriter, Instance, LocalView, Prover, ProverError, Scheme, Verifier,
+    Assignment, BitWriter, Certificate, Decode, DecodedView, Instance, Prover, ProverError, Scheme,
 };
 use locert_graph::NodeId;
 
-fn base(name: &str) -> Box<dyn Scheme> {
-    (catalogue()
-        .into_iter()
-        .find(|c| c.name == name)
-        .expect("catalogued case")
-        .build)()
+/// A bug injected into a wrapped scheme.
+#[derive(Clone, Copy)]
+enum Bug {
+    /// Inverts every per-vertex verdict — a flipped comparison in the
+    /// verifier. Caught because the honest run rejects a yes-instance.
+    FlipVerdict,
+    /// Accepts every view — a verifier whose checks were optimized
+    /// away. Caught by the attack battery on any no-instance.
+    AcceptAll,
+    /// Drops the last bit of vertex 0's certificate — an off-by-one
+    /// field width in the prover. Caught because the honest assignment
+    /// no longer parses at (or next to) vertex 0.
+    TruncateLastBit,
 }
 
-/// Inverts every per-vertex verdict — a flipped comparison in the
-/// verifier. Caught because the honest run rejects a yes-instance.
-struct FlipVerdict(Box<dyn Scheme>);
+/// Scheme `S` with `bug` injected; it decodes as `S` does.
+struct Mutated<S> {
+    scheme: S,
+    bug: Bug,
+}
 
-impl Prover for FlipVerdict {
+impl<S: Prover> Prover for Mutated<S> {
     fn assign(&self, instance: &Instance<'_>) -> Result<Assignment, ProverError> {
-        self.0.assign(instance)
-    }
-}
-
-impl Verifier for FlipVerdict {
-    fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
-        match self.0.decide(view) {
-            Ok(()) => Err(RejectReason::PropertyViolation),
-            Err(_) => Ok(()),
-        }
-    }
-}
-
-impl Scheme for FlipVerdict {
-    fn name(&self) -> String {
-        format!("{}+flip", self.0.name())
-    }
-
-    fn declared_bound(&self) -> DeclaredBound {
-        self.0.declared_bound()
-    }
-}
-
-/// Accepts every view — a verifier whose checks were optimized away.
-/// Caught by the attack battery on any no-instance.
-struct AcceptAll(Box<dyn Scheme>);
-
-impl Prover for AcceptAll {
-    fn assign(&self, instance: &Instance<'_>) -> Result<Assignment, ProverError> {
-        self.0.assign(instance)
-    }
-}
-
-impl Verifier for AcceptAll {
-    fn decide(&self, _view: &LocalView<'_>) -> Result<(), RejectReason> {
-        Ok(())
-    }
-}
-
-impl Scheme for AcceptAll {
-    fn name(&self) -> String {
-        format!("{}+accept-all", self.0.name())
-    }
-
-    fn declared_bound(&self) -> DeclaredBound {
-        self.0.declared_bound()
-    }
-}
-
-/// Drops the last bit of vertex 0's certificate — an off-by-one field
-/// width in the prover. Caught because the honest assignment no longer
-/// parses at (or next to) vertex 0.
-struct TruncateLastBit(Box<dyn Scheme>);
-
-impl Prover for TruncateLastBit {
-    fn assign(&self, instance: &Instance<'_>) -> Result<Assignment, ProverError> {
-        let mut asg = self.0.assign(instance)?;
-        if instance.graph().num_nodes() > 0 {
+        let mut asg = self.scheme.assign(instance)?;
+        if matches!(self.bug, Bug::TruncateLastBit) && instance.graph().num_nodes() > 0 {
             let c = asg.cert(NodeId(0)).clone();
             if c.len_bits() > 0 {
                 let mut w = BitWriter::new();
@@ -103,32 +57,59 @@ impl Prover for TruncateLastBit {
     }
 }
 
-impl Verifier for TruncateLastBit {
-    fn decide(&self, view: &LocalView<'_>) -> Result<(), RejectReason> {
-        self.0.decide(view)
+impl<S: Decode> Decode for Mutated<S> {
+    type Decoded = S::Decoded;
+    type Cache = S::Cache;
+
+    fn decode(&self, cert: &Certificate, cache: &S::Cache) -> S::Decoded {
+        self.scheme.decode(cert, cache)
+    }
+
+    fn decide_decoded(&self, view: &DecodedView<'_, S::Decoded>) -> Result<(), RejectReason> {
+        match self.bug {
+            Bug::FlipVerdict => match self.scheme.decide_decoded(view) {
+                Ok(()) => Err(RejectReason::PropertyViolation),
+                Err(_) => Ok(()),
+            },
+            Bug::AcceptAll => Ok(()),
+            Bug::TruncateLastBit => self.scheme.decide_decoded(view),
+        }
     }
 }
 
-impl Scheme for TruncateLastBit {
+impl<S: Scheme + Decode> Scheme for Mutated<S> {
     fn name(&self) -> String {
-        format!("{}+truncate", self.0.name())
+        let suffix = match self.bug {
+            Bug::FlipVerdict => "flip",
+            Bug::AcceptAll => "accept-all",
+            Bug::TruncateLastBit => "truncate",
+        };
+        format!("{}+{suffix}", self.scheme.name())
     }
 
     fn declared_bound(&self) -> DeclaredBound {
-        self.0.declared_bound()
+        self.scheme.declared_bound()
     }
 }
 
+/// The catalogue's `spanning-tree` scheme with `bug` injected.
+fn spanning_tree(bug: Bug) -> Box<dyn Scheme> {
+    Box::new(Mutated {
+        scheme: SpanningTreeScheme::new(ID_BITS),
+        bug,
+    })
+}
+
 fn build_flip_spanning_tree() -> Box<dyn Scheme> {
-    Box::new(FlipVerdict(base("spanning-tree")))
+    spanning_tree(Bug::FlipVerdict)
 }
 
 fn build_accept_all_spanning_tree() -> Box<dyn Scheme> {
-    Box::new(AcceptAll(base("spanning-tree")))
+    spanning_tree(Bug::AcceptAll)
 }
 
 fn build_truncated_spanning_tree() -> Box<dyn Scheme> {
-    Box::new(TruncateLastBit(base("spanning-tree")))
+    spanning_tree(Bug::TruncateLastBit)
 }
 
 fn build_treedepth_off_by_one() -> Box<dyn Scheme> {

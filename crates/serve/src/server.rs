@@ -141,6 +141,16 @@ impl Server {
         (cache.hits(), cache.misses(), cache.evictions())
     }
 
+    /// Connection handlers in the registry: the running ones, and those
+    /// finished since the last accepted connection (each accept reaps
+    /// the finished ones).
+    pub fn handler_count(&self) -> usize {
+        self.handlers
+            .lock()
+            .expect("handler registry poisoned")
+            .len()
+    }
+
     fn join_all(&mut self) {
         if let Some(handle) = self.accept_handle.take() {
             let _ = handle.join();
@@ -176,18 +186,34 @@ impl Drop for Server {
     }
 }
 
+/// The pause after a failed `accept`, doubled per consecutive failure up
+/// to [`ACCEPT_BACKOFF_MAX`]: a listener out of file descriptors fails
+/// at once, and retrying at once would spin a core.
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(1);
+
+/// The longest pause between failed `accept`s.
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(200);
+
 fn accept_loop(
     listener: &TcpListener,
     shared: &Arc<Shared>,
     handlers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
+    let mut backoff = ACCEPT_BACKOFF_MIN;
     loop {
         if shared.draining() {
             return;
         }
         let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => continue,
+            Ok((stream, _)) => {
+                backoff = ACCEPT_BACKOFF_MIN;
+                stream
+            }
+            Err(_) => {
+                std::thread::sleep(backoff);
+                backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
+                continue;
+            }
         };
         if shared.draining() {
             return; // the wake-up connection from `begin_drain`
@@ -199,11 +225,15 @@ fn accept_loop(
             .spawn(move || {
                 let _ = handle_connection(stream, &conn_shared, conn);
             });
+        let mut registry = handlers.lock().expect("handler registry poisoned");
+        // Reap the handlers whose connections have closed, so the
+        // registry holds the open connections, not every one since
+        // start.
+        for finished in registry.extract_if(.., |handle| handle.is_finished()) {
+            let _ = finished.join();
+        }
         if let Ok(handle) = spawned {
-            handlers
-                .lock()
-                .expect("handler registry poisoned")
-                .push(handle);
+            registry.push(handle);
         }
     }
 }

@@ -190,6 +190,29 @@ fn drain_acks_and_joins_within_timeout() {
 }
 
 #[test]
+fn finished_handlers_are_reaped_while_the_daemon_runs() {
+    let server = start(4);
+    for _ in 0..500 {
+        drop(TcpStream::connect(server.addr()).unwrap());
+    }
+    // Each accept reaps the handlers finished by then. Once the closed
+    // connections' handlers have exited, the next accepted connection
+    // leaves only itself (and any handler still exiting) registered.
+    let mut handlers = usize::MAX;
+    for _ in 0..50 {
+        std::thread::sleep(Duration::from_millis(100));
+        let mut client = Client::connect(server.addr()).unwrap();
+        let responses = client.send_batch(&[spanning_tree_request(5)]).unwrap();
+        assert!(matches!(&responses[0], Response::Ok { .. }));
+        handlers = server.handler_count();
+        if handlers <= 4 {
+            break;
+        }
+    }
+    assert!(handlers <= 4, "{handlers} handlers registered");
+}
+
+#[test]
 fn encode_requests_and_server_agree_on_the_frame_layout() {
     // A wire-level sanity check independent of the Client helper: bytes
     // out of encode_requests drive the daemon directly.
