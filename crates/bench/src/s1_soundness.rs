@@ -196,10 +196,10 @@ fn exhaustive_cases(b: u32) -> Vec<ExhaustiveCase> {
 /// Unlike the sampled campaign of [`run`], a clean row here is a *proof*
 /// of soundness for that instance and certificate width: every one of
 /// the `(2^{max_bits+1} - 1)^n` assignments was enumerated and rejected
-/// somewhere. The sweep runs on the `locert-par` pool
-/// ([`locert_core::attacks::exhaustive_soundness`] parallelises the
-/// enumeration with a deterministic least-witness early exit), which is
-/// what makes widths beyond a handful of bits affordable.
+/// somewhere: one [`locert_core::attacks::search_in`] on the
+/// `locert-par` pool with every vertex free and checked, deciding
+/// candidates uncounted, so the one count it records is the same at
+/// every thread count.
 pub fn run_exhaustive() -> Table {
     use locert_core::attacks::exhaustive_soundness;
 

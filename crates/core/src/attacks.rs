@@ -7,6 +7,9 @@
 //! adversarial provers ([`mutation_attacks`], [`random_assignments`]) —
 //! these can only *falsify* soundness, never prove it, which is exactly
 //! their role in the test suite.
+//!
+//! The exhaustive questions — the soundness quantifier here and
+//! `locert-lb`'s Alice/Bob simulation — are each one [`search_in`].
 
 use crate::bits::{BitWriter, Certificate};
 use crate::framework::{run_verification, Assignment, Instance, Verifier};
@@ -14,6 +17,7 @@ use locert_graph::NodeId;
 use rand::{Rng, RngExt};
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// How an exhaustive soundness check can fail.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,19 +58,117 @@ impl fmt::Display for SoundnessError {
 
 impl Error for SoundnessError {}
 
-/// Exhaustively checks that **no** assignment with per-vertex certificates
-/// of at most `max_bits` bits is accepted on `instance`, enumerating on
-/// the global [`locert_par`] pool.
+/// One certificate search (see [`search_in`]); entries index `candidates`.
+#[derive(Debug)]
+pub struct Search<'a> {
+    /// The candidate certificates, decoded once per search.
+    pub candidates: &'a [Certificate],
+    /// Each vertex's entry by [`NodeId`]; the search overwrites the free ones'.
+    pub fixed: &'a [usize],
+    /// The vertices the search labels, `free[0]` the least-significant digit.
+    pub free: &'a [NodeId],
+    /// The entries each free vertex ranges over.
+    pub range: Range<usize>,
+    /// The vertices that must all accept, decided in order up to the first reject.
+    pub checked: &'a [NodeId],
+}
+
+/// What a [`search_in`] found.
+#[derive(Debug, PartialEq, Eq)]
+pub enum SearchOutcome {
+    /// No labelling is accepted; all `total = range.len()^free.len()` were decided.
+    Exhausted { total: u64 },
+    /// The least labelling accepted, at enumeration index `index`, as every
+    /// vertex's entry by [`NodeId`].
+    Found { index: u64, entries: Vec<usize> },
+}
+
+impl SearchOutcome {
+    /// The labellings covered: all of them, or up to the one found.
+    pub fn covered(&self) -> u64 {
+        match self {
+            SearchOutcome::Exhausted { total } => *total,
+            SearchOutcome::Found { index, .. } => index + 1,
+        }
+    }
+}
+
+/// Searches the labellings of `search.free` on `pool` for the least one
+/// under which every vertex of `search.checked` accepts.
 ///
-/// Returns `Ok(checked)` with the number of assignments tried (under the
-/// canonical enumeration order — see [`exhaustive_soundness_in`]).
+/// Labelling `index` gives `free[k]` the entry `range.start + index /
+/// m^k % m` (`m = range.len()`) and every other vertex its `fixed` entry.
+/// The least accepted index wins at any worker count. Decisions go
+/// through [`Prepared::decide`](crate::framework::Prepared::decide) and
+/// record nothing, so workers that run past a find leave no trace.
 ///
 /// # Errors
 ///
-/// [`SoundnessError::Fooled`] with the fooling assignment if soundness
-/// fails, or [`SoundnessError::BudgetExceeded`] when the search space
-/// `(2^{max_bits+1} - 1)^n` exceeds `budget` — a typed error instead of a
-/// panic, so campaign drivers can skip oversized sweeps gracefully.
+/// [`SoundnessError::BudgetExceeded`] when the `m^|free|` labellings
+/// exceed `budget`, before any candidate is decoded.
+///
+/// # Panics
+///
+/// If `fixed` misses a vertex or an entry is out of range for `candidates`.
+pub fn search_in(
+    pool: &locert_par::Pool,
+    verifier: &dyn Verifier,
+    instance: &Instance<'_>,
+    search: &Search<'_>,
+    budget: u64,
+) -> Result<SearchOutcome, SoundnessError> {
+    let m = search.range.len();
+    let space = (m as u64).checked_pow(search.free.len() as u32);
+    let total = match space {
+        Some(total) if total <= budget => total,
+        _ => return Err(SoundnessError::BudgetExceeded { space, budget }),
+    };
+    let g = instance.graph();
+    let labelling = |mut index: usize| {
+        let mut entries = search.fixed.to_vec();
+        for &v in search.free {
+            entries[v.0] = search.range.start + index % m;
+            index /= m;
+        }
+        entries
+    };
+    let prepared = verifier.prepare(search.candidates);
+    let ids = instance.ids();
+    let accepted = |index: usize| -> Option<Vec<usize>> {
+        let entries = labelling(index);
+        let mut neighbors = Vec::new();
+        let mut accepts = |v: NodeId| {
+            neighbors.clear();
+            neighbors.extend(
+                g.neighbors(v)
+                    .iter()
+                    .map(|&u| (ids.ident(u), instance.input(u), entries[u.0])),
+            );
+            prepared
+                .decide(ids.ident(v), instance.input(v), entries[v.0], &neighbors)
+                .is_ok()
+        };
+        let accepted = search.checked.iter().all(|&v| accepts(v));
+        accepted.then_some(entries)
+    };
+    Ok(match pool.par_find_first(total as usize, accepted) {
+        None => SearchOutcome::Exhausted { total },
+        Some((index, entries)) => SearchOutcome::Found {
+            index: index as u64,
+            entries,
+        },
+    })
+}
+
+/// Exhaustively checks that **no** assignment with per-vertex certificates
+/// of at most `max_bits` bits is accepted on `instance`, on the global
+/// [`locert_par`] pool; `Ok(checked)` counts the assignments tried.
+///
+/// # Errors
+///
+/// [`SoundnessError::Fooled`] with the least fooling assignment, or
+/// [`SoundnessError::BudgetExceeded`] when the `(2^{max_bits+1} - 1)^n`
+/// assignments exceed `budget`, so campaigns can skip oversized sweeps.
 pub fn exhaustive_soundness(
     verifier: &dyn Verifier,
     instance: &Instance<'_>,
@@ -76,20 +178,11 @@ pub fn exhaustive_soundness(
     exhaustive_soundness_in(locert_par::global(), verifier, instance, max_bits, budget)
 }
 
-/// [`exhaustive_soundness`] on an explicit pool (tests pin worker counts
-/// in-process with it).
-///
-/// Assignments are enumerated in a canonical order — certificates sorted
-/// by (length, value), combined as a mixed-radix counter with vertex 0 as
-/// the least-significant digit — and the early exit always reports the
-/// **least** fooling assignment under that order, whatever the worker
-/// count or schedule. `SoundnessError::Fooled` payloads, the
-/// `checked` count, and the `core.attacks.exhaustive.assignments` counter
-/// are therefore byte-identical to a sequential sweep.
-///
-/// Candidate checks are journal-silent (no per-candidate `Verdict`
-/// events) and uncounted; the single deterministic counter above is the
-/// sweep's trace footprint.
+/// [`exhaustive_soundness`] on an explicit pool: one [`search_in`] with
+/// every vertex free and checked over the bit strings in (length, value)
+/// order, vertex 0 the least-significant digit. Witness, count and the
+/// `core.attacks.exhaustive.assignments` counter, its one trace, are a
+/// sequential sweep's at any worker count.
 ///
 /// # Errors
 ///
@@ -102,55 +195,32 @@ pub fn exhaustive_soundness_in(
     budget: u64,
 ) -> Result<u64, SoundnessError> {
     let _span = locert_trace::span!("core.attacks.exhaustive");
-    let n = instance.graph().num_nodes();
     // All bit strings of length 0..=max_bits, sorted by (length, value).
-    let mut space: Vec<Certificate> = Vec::new();
+    let mut candidates: Vec<Certificate> = Vec::new();
     for len in 0..=max_bits {
         for value in 0..(1u64 << len) {
             let mut w = BitWriter::new();
             w.write(value, len as u32);
-            space.push(w.finish());
+            candidates.push(w.finish());
         }
     }
-    let m = space.len();
-    let total = (m as u64).checked_pow(n as u32);
-    if total.is_none_or(|t| t > budget) {
-        return Err(SoundnessError::BudgetExceeded {
-            space: total,
-            budget,
-        });
-    }
-    let total = total.expect("guarded above");
-    // Every candidate certificate decoded once; enumeration index `idx`
-    // gives vertex `u` the space entry at digit `u` (no overflow: the
-    // digit weights stay below `total`).
-    let prepared = verifier.prepare(&space);
-    let digit = |idx: usize, u: NodeId| idx / m.pow(u.0 as u32) % m;
-    // One candidate: journal-silent accept-all probe (short-circuits on
-    // the first rejecting vertex).
-    let fooled = |idx: usize| -> Option<()> {
-        instance
-            .graph()
-            .nodes()
-            .all(|v| prepared.decide_at(instance, v, |u| digit(idx, u)).is_ok())
-            .then_some(())
+    let all: Vec<NodeId> = instance.graph().nodes().collect();
+    let search = Search {
+        candidates: &candidates,
+        fixed: &vec![0; all.len()],
+        free: &all,
+        range: 0..candidates.len(),
+        checked: &all,
     };
-    let found = pool.par_find_first(total as usize, fooled);
-    let checked = found.as_ref().map_or(total, |(idx, _)| *idx as u64 + 1);
+    let outcome = search_in(pool, verifier, instance, &search, budget)?;
     if locert_trace::enabled() {
-        locert_trace::add("core.attacks.exhaustive.assignments", checked);
+        locert_trace::add("core.attacks.exhaustive.assignments", outcome.covered());
     }
-    match found {
-        Some((idx, ())) => {
-            let certs = instance
-                .graph()
-                .nodes()
-                .map(|v| space[digit(idx, v)].clone());
-            Err(SoundnessError::Fooled(Box::new(Assignment::from_unpacked(
-                certs.collect(),
-            ))))
-        }
-        None => Ok(checked),
+    match outcome {
+        SearchOutcome::Exhausted { total } => Ok(total),
+        SearchOutcome::Found { entries, .. } => Err(SoundnessError::Fooled(Box::new(
+            Assignment::from_unpacked(entries.iter().map(|&e| candidates[e].clone()).collect()),
+        ))),
     }
 }
 
@@ -382,86 +452,164 @@ mod tests {
         }
     }
 
+    /// The sweep's reference semantics, independent of the engine: every
+    /// full assignment in the canonical order (certificates sorted by
+    /// (length, value), vertex 0 the least-significant digit), one
+    /// `run_verification` each, up to the first one accepted.
+    fn reference_sweep(
+        verifier: &dyn Verifier,
+        instance: &Instance<'_>,
+        max_bits: usize,
+    ) -> Result<u64, SoundnessError> {
+        let mut space = Vec::new();
+        for len in 0..=max_bits {
+            for value in 0..(1u64 << len) {
+                let mut w = BitWriter::new();
+                w.write(value, len as u32);
+                space.push(w.finish());
+            }
+        }
+        let (n, m) = (instance.graph().num_nodes(), space.len());
+        let total = m.pow(n as u32);
+        for idx in 0..total {
+            let mut rest = idx;
+            let certs = (0..n)
+                .map(|_| {
+                    let cert = space[rest % m].clone();
+                    rest /= m;
+                    cert
+                })
+                .collect();
+            let asg = Assignment::new(certs);
+            if run_verification(verifier, instance, &asg).accepted() {
+                return Err(SoundnessError::Fooled(Box::new(asg)));
+            }
+        }
+        Ok(total as u64)
+    }
+
+    /// Requires the engine, at 1 and 4 workers, to return exactly what
+    /// the reference sweep returns.
+    fn assert_agrees(verifier: &dyn Verifier, instance: &Instance<'_>, max_bits: usize) {
+        let reference = reference_sweep(verifier, instance, max_bits);
+        for threads in [1, 4] {
+            let pool = Pool::new(threads);
+            assert_eq!(
+                exhaustive_soundness_in(&pool, verifier, instance, max_bits, 1_000_000),
+                reference,
+                "max_bits = {max_bits}, threads = {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn sweep_agrees_with_reference_on_test_verifiers() {
+        let verifiers: [&dyn Verifier; 3] =
+            [&TokenVerifier, &PrefixTokenVerifier, &AcceptAllVerifier];
+        for g in [generators::cycle(3), generators::path(3)] {
+            let ids = IdAssignment::contiguous(3);
+            let inst = Instance::new(&g, &ids);
+            for verifier in verifiers {
+                for max_bits in [1, 2] {
+                    assert_agrees(verifier, &inst, max_bits);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_agrees_with_reference_on_s1b_cases() {
+        use crate::schemes::acyclicity::AcyclicityScheme;
+        use crate::schemes::spanning_tree::VertexCountScheme;
+        use crate::schemes::tree_depth_bound::TreeDepthBoundScheme;
+        use crate::schemes::tree_diameter::TreeDiameterScheme;
+        // S1b's scheme/no-instance pairs (`s1_soundness::exhaustive_cases`).
+        let cases: [(&dyn Verifier, locert_graph::Graph); 4] = [
+            (&AcyclicityScheme::new(6), generators::cycle(4)),
+            (&VertexCountScheme::new(6, 5), generators::path(4)),
+            (&TreeDiameterScheme::new(6, 1), generators::path(4)),
+            (&TreeDepthBoundScheme::new(1), generators::path(4)),
+        ];
+        let ids = IdAssignment::contiguous(4);
+        for (verifier, g) in &cases {
+            let inst = Instance::new(g, &ids);
+            for max_bits in [1, 2] {
+                assert_agrees(*verifier, &inst, max_bits);
+            }
+        }
+    }
+
     #[test]
     fn exhaustive_early_exit_reports_least_witness_at_any_thread_count() {
         let g = generators::cycle(3);
         let ids = IdAssignment::contiguous(3);
         let inst = Instance::new(&g, &ids);
-        // Sanity: the sloppy verifier has at least two distinct fooling
-        // assignments in the max_bits = 2 space.
-        let count_fooling = || {
-            let mut space = Vec::new();
-            for len in 0..=2usize {
-                for value in 0..(1u64 << len) {
-                    let mut w = BitWriter::new();
-                    w.write(value, len as u32);
-                    space.push(w.finish());
-                }
-            }
-            let mut fooling = Vec::new();
-            let m = space.len();
-            for idx in 0..m * m * m {
-                let certs = vec![
-                    space[idx % m].clone(),
-                    space[(idx / m) % m].clone(),
-                    space[(idx / m / m) % m].clone(),
-                ];
-                let asg = Assignment::new(certs);
-                if run_verification(&PrefixTokenVerifier, &inst, &asg).accepted() {
-                    fooling.push(idx);
-                }
-            }
-            fooling
+        // The reference: the sloppy verifier's least fooling assignment in
+        // the max_bits = 2 space is "1" everywhere, and "11" at vertex 0
+        // fools it too, so the early exit has real choices to make.
+        let reference = match reference_sweep(&PrefixTokenVerifier, &inst, 2) {
+            Err(SoundnessError::Fooled(asg)) => *asg,
+            other => panic!("expected Fooled, got {other:?}"),
         };
-        let fooling = count_fooling();
-        assert!(
-            fooling.len() >= 2,
-            "test premise: multiple fooling assignments, got {fooling:?}"
-        );
-        // The sequential pool is the reference semantics.
-        let sequential = Pool::new(1);
-        let reference =
-            match exhaustive_soundness_in(&sequential, &PrefixTokenVerifier, &inst, 2, 1_000_000) {
-                Err(SoundnessError::Fooled(asg)) => *asg,
-                other => panic!("expected Fooled, got {other:?}"),
-            };
-        // The reference is the least fooling index's assignment.
-        let least = fooling[0];
-        let expected_certs: Vec<Certificate> =
-            (0..3).map(|v| reference.cert(NodeId(v)).clone()).collect();
-        {
-            let mut space = Vec::new();
-            for len in 0..=2usize {
-                for value in 0..(1u64 << len) {
-                    let mut w = BitWriter::new();
-                    w.write(value, len as u32);
-                    space.push(w.finish());
-                }
-            }
-            let m = space.len();
-            let least_certs: Vec<Certificate> = vec![
-                space[least % m].clone(),
-                space[(least / m) % m].clone(),
-                space[(least / m / m) % m].clone(),
-            ];
-            assert_eq!(expected_certs, least_certs, "least witness mismatch");
-        }
+        let mut one = BitWriter::new();
+        one.write_bit(true);
+        assert_eq!(reference, Assignment::new(vec![one.finish(); 3]));
         // Parallel pools must report the exact same witness, every time.
         let parallel = Pool::new(4);
         for round in 0..10 {
             match exhaustive_soundness_in(&parallel, &PrefixTokenVerifier, &inst, 2, 1_000_000) {
                 Err(SoundnessError::Fooled(asg)) => {
-                    for v in 0..3 {
-                        assert_eq!(
-                            asg.cert(NodeId(v)),
-                            reference.cert(NodeId(v)),
-                            "witness diverged at vertex {v}, round {round}"
-                        );
-                    }
+                    assert_eq!(*asg, reference, "witness diverged in round {round}");
                 }
                 other => panic!("expected Fooled, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn search_keeps_fixed_entries_and_checks_only_the_checked() {
+        // Vertex 1 of a 3-path is fixed to "1"; the endpoints range over
+        // {"", "0", "1"}, and only the middle vertex is checked, so the
+        // least labelling is (0, 0): it covers one labelling of nine.
+        let g = generators::path(3);
+        let ids = IdAssignment::contiguous(3);
+        let inst = Instance::new(&g, &ids);
+        let mut one = BitWriter::new();
+        one.write_bit(true);
+        let mut zero = BitWriter::new();
+        zero.write_bit(false);
+        let candidates = [Certificate::empty(), zero.finish(), one.finish()];
+        let (ends, middle) = ([NodeId(0), NodeId(2)], [NodeId(1)]);
+        let search = |checked| Search {
+            candidates: &candidates,
+            fixed: &[0, 2, 0],
+            free: &ends,
+            range: 0..3,
+            checked,
+        };
+        let pool = Pool::new(1);
+        let found = search_in(&pool, &TokenVerifier, &inst, &search(&middle), 100).unwrap();
+        assert_eq!(
+            found,
+            SearchOutcome::Found {
+                index: 0,
+                entries: vec![0, 2, 0]
+            }
+        );
+        assert_eq!(found.covered(), 1);
+        // Checking the endpoints too (degree 1) exhausts all nine.
+        let all = [NodeId(0), NodeId(1), NodeId(2)];
+        assert_eq!(
+            search_in(&pool, &TokenVerifier, &inst, &search(&all), 100),
+            Ok(SearchOutcome::Exhausted { total: 9 })
+        );
+        assert_eq!(
+            search_in(&pool, &TokenVerifier, &inst, &search(&all), 8),
+            Err(SoundnessError::BudgetExceeded {
+                space: Some(9),
+                budget: 8
+            })
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! - **rejection locality**: the BFS distance from the fault site to the
 //!   nearest rejecting vertex (0 = the faulted vertex itself rejects).
 
-use crate::bits::{BitWriter, Certificate};
+use crate::bits::{BitReader, BitWriter, Certificate};
 use crate::framework::{Assignment, Instance, RejectReason, Verifier};
 use locert_graph::{traversal, Ident, NodeId};
 use rand::rngs::StdRng;
@@ -226,11 +226,13 @@ impl FaultyWorld {
 }
 
 /// Applies `plan` to the honest world, producing a [`FaultyWorld`].
-/// Deterministic in `(instance, honest, plan)`.
+/// Deterministic in `(instance, honest, plan)`. The faulty world starts
+/// from what [`Assignment::cert`] reads at each vertex: empty where a
+/// short `honest` does not reach.
 pub fn inject(instance: &Instance<'_>, honest: &Assignment, plan: &FaultPlan) -> FaultyWorld {
     let n = instance.graph().num_nodes();
     let mut world = FaultyWorld {
-        certs: honest.clone(),
+        certs: Assignment::from_unpacked((0..n).map(|v| honest.cert(NodeId(v)).clone()).collect()),
         byzantine: vec![false; n],
         presented_id: (0..n).map(|v| instance.ids().ident(NodeId(v))).collect(),
         drop_neighbor: vec![None; n],
@@ -256,7 +258,8 @@ pub fn inject(instance: &Instance<'_>, honest: &Assignment, plan: &FaultPlan) ->
                 let len = world.certs.cert(v).len_bits();
                 if len > 0 {
                     let keep = rng.random_range(0..len);
-                    *world.certs.cert_mut(v) = prefix_of(world.certs.cert(v), keep);
+                    let prefix = BitReader::new(world.certs.cert(v)).read_cert(keep);
+                    *world.certs.cert_mut(v) = prefix.expect("keep < len");
                     world.effective = true;
                 }
             }
@@ -292,7 +295,8 @@ pub fn inject(instance: &Instance<'_>, honest: &Assignment, plan: &FaultPlan) ->
             }
             FaultModel::ZeroCert => {
                 let len = world.certs.cert(v).len_bits();
-                let zeroed = zero_of_len(len);
+                let zeroed = Certificate::from_bytes(vec![0; len.div_ceil(8)], len);
+                let zeroed = zeroed.expect("zero padding");
                 if zeroed != *world.certs.cert(v) {
                     world.effective = true;
                 }
@@ -339,22 +343,6 @@ fn other_vertex(n: usize, v: NodeId, rng: &mut StdRng) -> Option<NodeId> {
     }
     let pick = rng.random_range(0..n - 1);
     Some(NodeId(if pick >= v.0 { pick + 1 } else { pick }))
-}
-
-fn prefix_of(c: &Certificate, keep: usize) -> Certificate {
-    let mut w = BitWriter::new();
-    for i in 0..keep.min(c.len_bits()) {
-        w.write_bit(c.bit(i));
-    }
-    w.finish()
-}
-
-fn zero_of_len(len: usize) -> Certificate {
-    let mut w = BitWriter::new();
-    for _ in 0..len {
-        w.write_bit(false);
-    }
-    w.finish()
 }
 
 /// One rejection in a faulty world, linked back to its provenance: which
@@ -638,6 +626,27 @@ mod tests {
         assert_eq!(outcome.locality, None);
         // And the honest assignment is untouched by injection.
         assert!(run_verification(&scheme, &inst, &honest).accepted());
+    }
+
+    #[test]
+    fn short_honest_assignments_are_padded_not_panicked_on() {
+        // Sites 2 and 3 lie past the end of a 2-vertex assignment on a
+        // 4-vertex path; every model must corrupt the padding instead.
+        let (g, ids) = tree_instance(4);
+        let inst = Instance::new(&g, &ids);
+        let scheme = AcyclicityScheme::new(4);
+        let short = Assignment::empty(2);
+        let full = Assignment::empty(4);
+        for model in FaultModel::ALL {
+            for site in 0..4 {
+                let plan = FaultPlan::new(5).with_fault(model, NodeId(site));
+                assert_eq!(
+                    run_with_faults(&scheme, &inst, &short, &plan),
+                    run_with_faults(&scheme, &inst, &full, &plan),
+                    "model {model} at site {site}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -118,12 +118,9 @@ impl Assignment {
         Assignment { certs }
     }
 
-    /// Wraps per-vertex certificates as-is, without arena packing.
-    ///
-    /// For enumeration hot loops (exhaustive and random attacks) that
-    /// build millions of short-lived assignments: `new`'s arena costs
-    /// two allocations per assignment, which dominates when each
-    /// assignment is verified once and dropped. Honest provers use
+    /// Wraps per-vertex certificates as-is, without arena packing, for
+    /// short-lived assignments (attack candidates, faulty worlds) that
+    /// would not repay `new`'s two allocations. Honest provers use
     /// [`Assignment::new`] so long-lived assignments stay arena-backed.
     pub fn from_unpacked(certs: Vec<Certificate>) -> Self {
         Assignment { certs }

@@ -305,27 +305,18 @@ mod tests {
                 w.finish()
             })
             .collect();
-        let n = 4;
-        let mut indices = vec![0usize; n];
-        loop {
-            let asg = Assignment::new(indices.iter().map(|&i| options[i].clone()).collect());
-            assert!(
-                !run_verification(&scheme, &inst, &asg).accepted(),
-                "fooling assignment {indices:?}"
-            );
-            let mut i = 0;
-            loop {
-                if i == n {
-                    return;
-                }
-                indices[i] += 1;
-                if indices[i] < options.len() {
-                    break;
-                }
-                indices[i] = 0;
-                i += 1;
-            }
-        }
+        let all: Vec<NodeId> = g.nodes().collect();
+        let search = attacks::Search {
+            candidates: &options,
+            fixed: &[0; 4],
+            free: &all,
+            range: 0..options.len(),
+            checked: &all,
+        };
+        assert_eq!(
+            attacks::search_in(locert_par::global(), &scheme, &inst, &search, 10_000),
+            Ok(attacks::SearchOutcome::Exhausted { total: 9u64.pow(4) })
+        );
     }
 
     #[test]

@@ -327,16 +327,6 @@ pub fn try_honest_count_fields(instance: &Instance<'_>, root: NodeId) -> Option<
     )
 }
 
-/// Honest count fields rooted at `root` (BFS tree + subtree sizes).
-///
-/// # Panics
-///
-/// On a disconnected instance or an out-of-range root; provers should
-/// prefer [`try_honest_count_fields`] and surface a typed error.
-pub fn honest_count_fields(instance: &Instance<'_>, root: NodeId) -> Vec<CountFields> {
-    try_honest_count_fields(instance, root).expect("connected instance")
-}
-
 /// Verifies count fields at one vertex, with a caller-supplied reader of
 /// the count fields in a decoded certificate (so composite certificates
 /// can embed them anywhere). Returns the own fields on success.

@@ -37,16 +37,15 @@ pub fn exists_accepting_certificate(
 ) -> Option<Vec<bool>> {
     let m = p.certificate_bits();
     assert!(m < 63, "certificate space too large to enumerate");
+    let mut tried = 0u64;
+    let found = all_strings(m).find(|cert| {
+        tried += 1;
+        p.alice(s_a, cert) && p.bob(s_b, cert)
+    });
     if locert_trace::enabled() {
-        let mut tried = 0u64;
-        let found = all_strings(m).find(|cert| {
-            tried += 1;
-            p.alice(s_a, cert) && p.bob(s_b, cert)
-        });
         locert_trace::add("lb.cc.certs_tried", tried);
-        return found;
     }
-    all_strings(m).find(|cert| p.alice(s_a, cert) && p.bob(s_b, cert))
+    found
 }
 
 /// Exhaustively checks that `p` decides EQUALITY on length-`ℓ` inputs.

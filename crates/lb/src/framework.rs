@@ -19,9 +19,13 @@
 //! `r·q` certificate bits, so `q = Ω(ℓ/r)` (Theorem 7.1).
 
 use crate::cc::Protocol;
+use locert_core::attacks::{search_in, Search, SearchOutcome};
 use locert_core::bits::{BitWriter, Certificate};
-use locert_core::framework::{Assignment, Instance, Verifier};
+use locert_core::framework::{Instance, Verifier};
 use locert_graph::{Graph, IdAssignment, NodeId};
+
+/// The most private labelings one player's side enumerates.
+const LABELINGS_BUDGET: u64 = 1_000_000;
 
 /// The four-way partition of a gadget graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,77 +109,57 @@ impl<'v, F: GadgetFamily> ExtractedProtocol<'v, F> {
         }
     }
 
-    /// Splits a flat CC certificate into per-interface-vertex labels (in
-    /// `v_alpha ++ v_beta` order); the other vertices' certificates are
-    /// empty.
-    fn interface_certs(&self, part: &Partition, n: usize, cert: &[bool]) -> Vec<Certificate> {
+    /// One player's side: accept if some `q`-bit labeling of its private
+    /// vertices makes them and its interface vertices (`side` picks both)
+    /// accept. The other side's verdicts are ignored: its certificates are
+    /// blank here, which can only make it reject, and that is the other
+    /// player's business.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "simulation space too large; shrink q or the gadget"
+    /// above `LABELINGS_BUDGET` labelings: [`Protocol`] answers a `bool`.
+    fn side_accepts(
+        &self,
+        (g, part, ids): (Graph, Partition, IdAssignment),
+        cert: &[bool],
+        side: fn(&Partition) -> (&Vec<NodeId>, &Vec<NodeId>),
+    ) -> bool {
+        // Entry u is vertex u's certificate: its q bits of `cert` on V_α ++
+        // V_β, else blank. The q-bit labels follow; none past the budget's
+        // can be reached.
+        let (q, n) = (self.q, g.num_nodes());
         let mut certs = vec![Certificate::empty(); n];
-        for (i, &v) in part.v_alpha.iter().chain(part.v_beta.iter()).enumerate() {
+        for (i, &v) in part.v_alpha.iter().chain(&part.v_beta).enumerate() {
             let mut w = BitWriter::new();
-            for j in 0..self.q {
-                w.write_bit(cert[i * self.q + j]);
+            for &bit in &cert[i * q..(i + 1) * q] {
+                w.write_bit(bit);
             }
             certs[v.0] = w.finish();
         }
-        certs
-    }
-
-    /// One player's side: enumerate all `q`-bit labelings of `private`,
-    /// accept if some labeling makes every vertex of `private ∪
-    /// interface_side` accept. (The other side's verdicts are ignored —
-    /// their certificates are blank in this simulation, which can only
-    /// make them reject; rejection over there is Bob's business.)
-    fn side_accepts(
-        &self,
-        g: &Graph,
-        ids: &IdAssignment,
-        base: Vec<Certificate>,
-        private: &[NodeId],
-        checked: &[NodeId],
-    ) -> bool {
-        let q = self.q;
-        let options = 1u64 << q;
-        let total = options.checked_pow(private.len() as u32);
-        assert!(
-            total.is_some_and(|t| t <= 1_000_000),
-            "simulation space too large; shrink q or the gadget"
-        );
-        let total = total.expect("guarded above") as usize;
-        let inst = Instance::new(g, ids);
-        // The base certificates, then every q-bit label, each decoded
-        // once: vertex u reads entry u, or entry n + its label when it
-        // is private.
-        let n = g.num_nodes();
-        let labels = (0..options).map(|label| {
+        let labels = (0..1u64 << q).take(LABELINGS_BUDGET as usize + 1);
+        certs.extend(labels.map(|label| {
             let mut w = BitWriter::new();
             w.write(label, q as u32);
             w.finish()
-        });
-        let mut certs = base;
-        certs.extend(labels);
-        let prepared = self.verifier.prepare(&certs);
-        // Enumerate labelings in parallel (mixed-radix index, private
-        // vertex 0 as the least-significant digit — the same order the
-        // sequential loop used). `par_find_first` stops at the *least*
-        // accepting index, so the enumeration count below matches a
-        // sequential stop-at-first-success sweep at any worker count.
-        let accepting = |mut idx: usize| -> Option<()> {
-            let mut entries: Vec<usize> = (0..n).collect();
-            for &v in private {
-                entries[v.0] = n + idx % options as usize;
-                idx /= options as usize;
-            }
-            checked
-                .iter()
-                .all(|&v| prepared.decide_at(&inst, v, |u| entries[u.0]).is_ok())
-                .then_some(())
+        }));
+        let (private, interface) = side(&part);
+        let fixed: Vec<usize> = (0..n).collect();
+        let checked: Vec<NodeId> = private.iter().chain(interface).copied().collect();
+        let search = Search {
+            candidates: &certs,
+            fixed: &fixed,
+            free: private,
+            range: n..certs.len(),
+            checked: &checked,
         };
-        let found = locert_par::global().par_find_first(total, accepting);
+        let (pool, inst) = (locert_par::global(), Instance::new(&g, &ids));
+        let outcome = search_in(pool, self.verifier, &inst, &search, LABELINGS_BUDGET)
+            .unwrap_or_else(|_| panic!("simulation space too large; shrink q or the gadget"));
         if locert_trace::enabled() {
-            let enumerated = found.map_or(total, |(idx, ())| idx + 1);
-            locert_trace::add("lb.framework.labelings_enumerated", enumerated as u64);
+            locert_trace::add("lb.framework.labelings_enumerated", outcome.covered());
         }
-        found.is_some()
+        matches!(outcome, SearchOutcome::Found { .. })
     }
 }
 
@@ -185,23 +169,14 @@ impl<'v, F: GadgetFamily> Protocol for ExtractedProtocol<'v, F> {
         // know s_B, and the vertices she checks (V_A ∪ V_α) have no Bob
         // edges in sight.
         let blank = vec![false; self.family.input_bits()];
-        let (g, part, ids) = self.family.build(s_a, &blank);
-        let base = self.interface_certs(&part, g.num_nodes(), cert);
-        let checked: Vec<NodeId> = part
-            .v_a
-            .iter()
-            .chain(part.v_alpha.iter())
-            .copied()
-            .collect();
-        self.side_accepts(&g, &ids, base, &part.v_a, &checked)
+        let gadget = self.family.build(s_a, &blank);
+        self.side_accepts(gadget, cert, |p| (&p.v_a, &p.v_alpha))
     }
 
     fn bob(&self, s_b: &[bool], cert: &[bool]) -> bool {
         let blank = vec![false; self.family.input_bits()];
-        let (g, part, ids) = self.family.build(&blank, s_b);
-        let base = self.interface_certs(&part, g.num_nodes(), cert);
-        let checked: Vec<NodeId> = part.v_b.iter().chain(part.v_beta.iter()).copied().collect();
-        self.side_accepts(&g, &ids, base, &part.v_b, &checked)
+        let gadget = self.family.build(&blank, s_b);
+        self.side_accepts(gadget, cert, |p| (&p.v_b, &p.v_beta))
     }
 
     fn certificate_bits(&self) -> usize {
@@ -211,22 +186,6 @@ impl<'v, F: GadgetFamily> Protocol for ExtractedProtocol<'v, F> {
         part.interface_size() * self.q
     }
 }
-
-/// Glues a full certificate assignment out of Alice's and Bob's accepting
-/// labelings plus the shared interface labels — the converse direction of
-/// Proposition 7.2's Claim 3 (used in tests).
-pub fn merge_assignments(n: usize, parts: &[(Vec<NodeId>, Assignment)]) -> Assignment {
-    let mut merged = Assignment::empty(n);
-    for (vertices, asg) in parts {
-        for &v in vertices {
-            *merged.cert_mut(v) = asg.cert(v).clone();
-        }
-    }
-    merged
-}
-
-/// A certificate for external use in tests.
-pub type InterfaceCert = Certificate;
 
 #[cfg(test)]
 mod tests {

@@ -254,11 +254,6 @@ impl GadgetFamily for TreedepthFamily {
     }
 }
 
-/// Whether two matchings are equal in the paper's sense.
-pub fn matchings_equal(m_a: &[usize], m_b: &[usize]) -> bool {
-    m_a == m_b
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
