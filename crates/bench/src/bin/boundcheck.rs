@@ -18,9 +18,8 @@
 //! ```
 //!
 //! `--baseline` regenerates the committed baseline instead of gating;
-//! `--mutants` (requires the `mutants` feature) self-tests the gate by
-//! poisoning catalogue targets with known size bugs and demanding every
-//! one is caught. Exit codes: 0 conforming, 1 violations, 2 usage or
+//! `--mutants` self-tests the gate by poisoning catalogue entries with
+//! known size bugs and demanding every one is caught. Exit codes: 0 conforming, 1 violations, 2 usage or
 //! I/O error.
 
 use locert_bench::e9_bounds::{self, baseline, fit_sweep, DEFAULT_TOLERANCE};
@@ -42,10 +41,10 @@ usage: boundcheck [--baseline [PATH]] [--compare PATH] [--tolerance X]
                      LOCERT_THREADS env, then available parallelism)
   --quick            shrink the size grids (smoke mode; skips the
                      baseline compare, whose grids are full-size)
-  --mutants          self-test: poison targets with known size bugs and
-                     verify the gate catches every one (needs the
-                     `mutants` build feature)
-  --list             list sweep targets with grids and declared bounds
+  --mutants          self-test: poison entries with known size bugs and
+                     verify the gate catches every one
+  --list             list catalogue entries with declared bounds and
+                     components
   --help             print this message";
 
 struct Options {
@@ -84,12 +83,12 @@ fn parse_args(cli: &mut Cli) -> Options {
     opts
 }
 
-fn list_targets() {
-    for target in e9_bounds::targets() {
-        let (point, declared) = e9_bounds::measure(&target, 16, false);
+fn list_entries() {
+    for entry in locert_core::catalogue::entries() {
+        let (point, declared) = e9_bounds::measure(&entry, 16, false);
         println!(
             "{:24} declared {:14} components at n=16: {}",
-            target.name,
+            entry.id,
             declared.family(),
             point
                 .components
@@ -135,15 +134,14 @@ fn gate(
     violations
 }
 
-#[cfg(feature = "mutants")]
-fn run_mutants(_cli: &Cli, tolerance: f64, committed: &json::Value) -> ! {
+fn run_mutants(tolerance: f64, committed: &json::Value) -> ! {
     let mut escaped = 0usize;
     for mutant in e9_bounds::mutants::mutants() {
-        let targets = e9_bounds::mutants::apply(&mutant);
+        let entries = e9_bounds::mutants::apply(&mutant);
         // Mutant verifiers are vacuous; sweep provers only.
-        let results: Vec<_> = targets
+        let results: Vec<_> = entries
             .iter()
-            .map(|t| e9_bounds::sweep(t, false, false))
+            .map(|e| e9_bounds::sweep(e, false, false))
             .collect();
         // The honest sweep verifies read amplification; the mutant sweep
         // does not, so exempt read-amp from the compare by gating the
@@ -175,11 +173,6 @@ fn run_mutants(_cli: &Cli, tolerance: f64, committed: &json::Value) -> ! {
     std::process::exit(0);
 }
 
-#[cfg(not(feature = "mutants"))]
-fn run_mutants(cli: &Cli, _tolerance: f64, _committed: &json::Value) -> ! {
-    cli.usage_error("--mutants needs a build with `--features mutants`");
-}
-
 fn read_committed(cli: &Cli, path: &str) -> json::Value {
     let raw = std::fs::read_to_string(path)
         .unwrap_or_else(|e| cli.io_error(format!("reading {path}: {e}")));
@@ -190,12 +183,12 @@ fn main() {
     let mut cli = Cli::with_pool("boundcheck", USAGE);
     let opts = parse_args(&mut cli);
     if opts.list {
-        list_targets();
+        list_entries();
         return;
     }
     if opts.mutants {
         let committed = read_committed(&cli, &opts.compare_path);
-        run_mutants(&cli, opts.tolerance, &committed);
+        run_mutants(opts.tolerance, &committed);
     }
     let results = e9_bounds::sweep_all(opts.quick, true);
     if let Some(path) = opts.write_baseline {

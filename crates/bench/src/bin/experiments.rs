@@ -14,20 +14,17 @@
 //! (default: `LOCERT_THREADS`, then available parallelism) — every
 //! deterministic artifact is byte-identical at any value; `--metrics`
 //! enables the locert-trace subscriber and writes a machine-readable
-//! telemetry dump (default `target/metrics.json`) plus a Telemetry
-//! appendix in the report; `--baseline` writes the dump to the committed
-//! workspace-root `metrics.json` instead (baseline regeneration);
-//! `--journal` records the replayable verification journal and streams
-//! it out as JSONL (default `target/journal.jsonl`) in O(line) memory;
-//! `--journal-capacity` bounds the in-memory ring buffer (events beyond
-//! it evict oldest-first and are tallied under `journal.dropped_events`
-//! and the metrics dump's `journal` section); `--chrome-trace` exports
+//! telemetry dump (default `target/metrics.json`), which the report
+//! names; `--baseline` writes the dump to the committed workspace-root
+//! `metrics.json` instead (baseline regeneration); `--journal` records
+//! the replayable verification journal into a ring of
+//! `journal::BATCH_CAPACITY` events and streams it out as JSONL (default
+//! `target/journal.jsonl`) in O(line) memory; `--chrome-trace` exports
 //! the span tree in Chrome trace-event format (default
 //! `target/trace.json`, load via `chrome://tracing` or Perfetto);
-//! trailing arguments select
-//! experiment ids (`e1`, `e4`, `f1`, …). Unknown `--` flags and unknown
-//! ids are usage errors; unwritable output paths are IO errors; both
-//! exit 2, never panic.
+//! trailing arguments select experiment ids (`e1`, `e4`, `f1`, …).
+//! Unknown `--` flags and unknown ids are usage errors; unwritable
+//! output paths are IO errors; both exit 2, never panic.
 //!
 //! The metrics dump (`locert-trace/v2`) keeps seed-deterministic
 //! telemetry (counters, value histograms) in `experiments` and
@@ -48,8 +45,8 @@ const KNOWN_IDS: [&str; 18] = [
 
 const USAGE: &str = "\
 usage: experiments [--out PATH] [--quick] [--threads N] [--metrics [PATH]]
-                   [--baseline] [--journal [PATH]] [--journal-capacity N]
-                   [--chrome-trace [PATH]] [only-ids…]
+                   [--baseline] [--journal [PATH]] [--chrome-trace [PATH]]
+                   [only-ids…]
 
   --out PATH            report destination (default EXPERIMENTS.md)
   --quick               shrink size grids for a fast smoke run
@@ -58,18 +55,13 @@ usage: experiments [--out PATH] [--quick] [--threads N] [--metrics [PATH]]
                         deterministic artifacts are byte-identical at any N
   --metrics [PATH]      record spans/counters/histograms via locert-trace
                         and write them as JSON (default
-                        target/metrics.json); also appends a Telemetry
-                        appendix to the report
+                        target/metrics.json)
   --baseline            write the telemetry dump to the committed
                         workspace-root metrics.json (baseline
                         regeneration; implies --metrics metrics.json)
   --journal [PATH]      record the replayable verification journal and
                         stream it out as JSONL (default
                         target/journal.jsonl)
-  --journal-capacity N  ring-buffer capacity in events (default 65536);
-                        overflow evicts oldest-first, counted in
-                        journal.dropped_events and the metrics journal
-                        section
   --chrome-trace [PATH] export the span tree as Chrome trace events
                         (default target/trace.json)
   --help                print this message
@@ -135,9 +127,6 @@ fn main() {
                         .unwrap_or_else(|| "target/journal.jsonl".into()),
                 )
             }
-            "--journal-capacity" => {
-                locert_trace::journal::set_capacity(cli.parse_at_least("--journal-capacity", 1))
-            }
             "--chrome-trace" => {
                 chrome_path = Some(
                     cli.optional(is_path)
@@ -160,6 +149,7 @@ fn main() {
         locert_trace::enable();
     }
     if journal_path.is_some() {
+        locert_trace::journal::set_capacity(locert_trace::journal::BATCH_CAPACITY);
         locert_trace::journal::enable();
     }
 
@@ -309,9 +299,8 @@ fn main() {
     if let Some(path) = &metrics_path {
         let _ = writeln!(
             md,
-            "Telemetry for this run (spans, counters, histograms) is in the \
-             [appendix](#telemetry-appendix) and, machine-readable, in \
-             `{path}`."
+            "Telemetry for this run (spans, counters, histograms) is \
+             machine-readable in `{path}`."
         );
         let _ = writeln!(md);
     }
@@ -324,21 +313,6 @@ fn main() {
         .as_ref()
         .map(|_| locert_trace::journal::snapshot());
     if let Some(path) = &metrics_path {
-        let _ = writeln!(md, "## Telemetry appendix");
-        let _ = writeln!(md);
-        let _ = writeln!(
-            md,
-            "Recorded by the `locert-trace` subscriber (`--metrics`). Metric \
-             names follow `layer.component.metric` (DESIGN.md §Observability); \
-             `.ns` histograms are wall-time and vary between runs, counters \
-             are deterministic for fixed seeds."
-        );
-        for (id, secs, snap) in &telemetry {
-            let _ = writeln!(md);
-            let _ = writeln!(md, "### {id} ({secs:.2} s)");
-            let _ = writeln!(md);
-            let _ = writeln!(md, "{}", locert_trace::export::snapshot_markdown(snap));
-        }
         let doc = locert_trace::export::metrics_document(
             quick,
             telemetry

@@ -1,8 +1,8 @@
 //! E9 — the bound-conformance observatory: per-component certificate
 //! size curves, measured against every scheme's [`DeclaredBound`].
 //!
-//! One sweep target per shared-catalogue scheme family (the sixteen
-//! stable ids of [`locert_core::catalogue`]), over **growing** seeded
+//! One sweep per shared-catalogue entry (the sixteen stable ids of
+//! [`locert_core::catalogue`]), each over the entry's **growing** seeded
 //! instance families with identifier widths that track `n`
 //! (`id_bits_for`), so `O(log n)` growth is actually observable. Every
 //! point runs the prover under a [`locert_trace::ledger`] capture: the
@@ -21,17 +21,17 @@
 //! `locert-trace/v2` metrics schema.
 
 use crate::report::{f2, Table};
+use locert_core::catalogue::{self, SchemeEntry};
 use locert_core::framework::{run_verification, DeclaredBound, Instance};
 use locert_core::schemes::common::id_bits_for;
-use locert_core::Scheme;
-use locert_graph::{Graph, IdAssignment};
+use locert_graph::IdAssignment;
 use std::collections::BTreeMap;
 
 /// Default slope tolerance for the least-squares conformance fit: the
 /// normalized ratio drift per doubling of `n` must stay below this.
 pub const DEFAULT_TOLERANCE: f64 = 0.15;
 
-/// The default size grid (most targets).
+/// The default size grid (most entries).
 const GRID: &[usize] = &[16, 32, 64, 128, 256];
 /// Quick-mode grid.
 const GRID_QUICK: &[usize] = &[16, 64];
@@ -39,41 +39,14 @@ const GRID_QUICK: &[usize] = &[16, 64];
 const GRID_UNIVERSAL: &[usize] = &[8, 12, 16, 24];
 const GRID_UNIVERSAL_QUICK: &[usize] = &[8, 16];
 
-/// One sweep target: a named scheme constructor over a growing family.
-pub struct SweepTarget {
-    /// Stable target name (mirrors the `locert-net` catalogue).
-    pub name: &'static str,
-    grid: &'static [usize],
-    quick_grid: &'static [usize],
-    /// Builds the scheme for identifier width `id_bits` at size `n`.
-    build: fn(u32, usize) -> Box<dyn Scheme>,
-    /// The instance family: graph plus optional vertex inputs.
-    family: fn(usize) -> (Graph, Option<Vec<usize>>),
-}
-
-/// The sixteen sweep targets, in catalogue order: the shared
-/// [`locert_core::catalogue`] entries with this observatory's grid
-/// policy applied.
-pub fn targets() -> Vec<SweepTarget> {
-    locert_core::catalogue::entries()
-        .into_iter()
-        .map(|e| {
-            // The universal scheme broadcasts the n² map; keep its grid
-            // small.
-            let (grid, quick_grid) = if e.id == "universal-connected" {
-                (GRID_UNIVERSAL, GRID_UNIVERSAL_QUICK)
-            } else {
-                (GRID, GRID_QUICK)
-            };
-            SweepTarget {
-                name: e.id,
-                grid,
-                quick_grid,
-                build: e.build,
-                family: e.family,
-            }
-        })
-        .collect()
+/// The size grid `entry` is swept over.
+fn grid(entry: &SchemeEntry, quick: bool) -> &'static [usize] {
+    match (entry.id == "universal-connected", quick) {
+        (true, true) => GRID_UNIVERSAL_QUICK,
+        (true, false) => GRID_UNIVERSAL,
+        (false, true) => GRID_QUICK,
+        (false, false) => GRID,
+    }
 }
 
 /// One measured sweep point.
@@ -107,28 +80,28 @@ pub struct SweepResult {
     pub points: Vec<SweepPoint>,
 }
 
-/// Runs one target's prover at size `n` under a ledger capture and
-/// (optionally) the verifier, returning the measured point and the
-/// declared bound.
+/// Runs one entry's prover at size `n` of its family under a ledger
+/// capture and (optionally) the verifier, returning the measured point
+/// and the declared bound.
 ///
 /// # Panics
 ///
 /// Panics when the honest prover fails or (with `verify`) any vertex
 /// rejects — sweep families are yes-instances by construction.
-pub fn measure(target: &SweepTarget, n: usize, verify: bool) -> (SweepPoint, DeclaredBound) {
-    let (g, inputs) = (target.family)(n);
+pub fn measure(entry: &SchemeEntry, n: usize, verify: bool) -> (SweepPoint, DeclaredBound) {
+    let (g, inputs) = (entry.family)(n);
     let n_actual = g.num_nodes();
     let ids = IdAssignment::contiguous(n_actual);
     let inst = match &inputs {
         Some(inp) => Instance::with_inputs(&g, &ids, inp),
         None => Instance::new(&g, &ids),
     };
-    let scheme = (target.build)(id_bits_for(&inst), n_actual);
+    let scheme = (entry.build)(id_bits_for(&inst), n_actual);
     let (asg, ledger) = locert_trace::ledger::capture(|| scheme.assign(&inst));
     let asg = asg.unwrap_or_else(|e| {
         panic!(
             "sweep family for {} is a yes-instance at n = {n}: {e}",
-            target.name
+            entry.id
         )
     });
     debug_assert_eq!(ledger.max_bits(), asg.max_bits());
@@ -137,7 +110,7 @@ pub fn measure(target: &SweepTarget, n: usize, verify: bool) -> (SweepPoint, Dec
         assert!(
             out.accepted(),
             "honest verification rejected for {} at n = {n}",
-            target.name
+            entry.id
         );
         let stored = asg.total_bits();
         let read: usize = out.verdicts().iter().map(|v| v.bits_read).sum();
@@ -158,30 +131,29 @@ pub fn measure(target: &SweepTarget, n: usize, verify: bool) -> (SweepPoint, Dec
     )
 }
 
-/// Sweeps one target over its grid.
-pub fn sweep(target: &SweepTarget, quick: bool, verify: bool) -> SweepResult {
-    let grid = if quick {
-        target.quick_grid
-    } else {
-        target.grid
-    };
+/// Sweeps one entry over its grid.
+pub fn sweep(entry: &SchemeEntry, quick: bool, verify: bool) -> SweepResult {
+    let grid = grid(entry, quick);
     let mut points = Vec::with_capacity(grid.len());
     let mut declared = DeclaredBound::Constant;
     for &n in grid {
-        let (point, bound) = measure(target, n, verify);
+        let (point, bound) = measure(entry, n, verify);
         points.push(point);
         declared = bound;
     }
     SweepResult {
-        name: target.name,
+        name: entry.id,
         declared,
         points,
     }
 }
 
-/// Sweeps every catalogue target.
+/// Sweeps every catalogue entry, in catalogue order.
 pub fn sweep_all(quick: bool, verify: bool) -> Vec<SweepResult> {
-    targets().iter().map(|t| sweep(t, quick, verify)).collect()
+    catalogue::entries()
+        .iter()
+        .map(|e| sweep(e, quick, verify))
+        .collect()
 }
 
 /// The conformance fit of one sweep against its declared bound.
@@ -562,9 +534,10 @@ pub mod baseline {
 }
 
 /// Known-bad scheme variants for `boundcheck --mutants`: each injects a
-/// realistic size bug and the gate must catch every one. Feature-gated
-/// (`mutants`) so they can never leak into a production sweep.
-#[cfg(feature = "mutants")]
+/// realistic size bug and the gate must catch every one. Only [`apply`]
+/// puts one into an entry list, and only `--mutants` calls it.
+///
+/// [`apply`]: mutants::apply
 pub mod mutants {
     use super::*;
     use locert_core::bits::BitWriter;
@@ -574,6 +547,7 @@ pub mod mutants {
     use locert_core::schemes::common::write_ident;
     use locert_core::schemes::spanning_tree::try_honest_tree_fields;
     use locert_core::Certificate;
+    use locert_core::Scheme;
     use locert_graph::NodeId;
 
     /// A verifier that decodes nothing and accepts every view: these
@@ -722,12 +696,12 @@ pub mod mutants {
         }
     }
 
-    /// One injected size bug: the poisoned target and how the gate must
+    /// One injected size bug: the poisoned entry and how the gate must
     /// catch it.
     pub struct BoundMutant {
         /// Stable mutant name (shown by `boundcheck --mutants`).
         pub name: &'static str,
-        /// The sweep target whose scheme is replaced.
+        /// The catalogue id whose scheme is replaced.
         pub case: &'static str,
         /// `true` when the conformance *fit* must fail; `false` when the
         /// fit passes and only the baseline compare may catch it.
@@ -759,15 +733,13 @@ pub mod mutants {
         ]
     }
 
-    /// The target list with `mutant`'s case poisoned.
-    pub fn apply(mutant: &BoundMutant) -> Vec<SweepTarget> {
-        let mut all = targets();
-        let target = all
-            .iter_mut()
-            .find(|t| t.name == mutant.case)
-            .expect("mutant poisons a catalogued target");
-        target.build = mutant.build;
-        all
+    /// Copies of the catalogue entries with `mutant`'s case poisoned.
+    pub fn apply(mutant: &BoundMutant) -> Vec<SchemeEntry> {
+        let mut entries = catalogue::entries();
+        for entry in entries.iter_mut().filter(|e| e.id == mutant.case) {
+            entry.build = mutant.build;
+        }
+        entries
     }
 }
 
@@ -825,11 +797,30 @@ mod tests {
     fn read_amplification_is_exactly_300_on_cycles() {
         // Uniform certificates on a 2-regular graph: every stored bit is
         // read three times (once by the owner, once per neighbor).
-        let target = targets()
-            .into_iter()
-            .find(|t| t.name == "spanning-tree")
-            .unwrap();
-        let (point, _) = measure(&target, 16, true);
+        let entry = catalogue::by_id("spanning-tree").unwrap();
+        let (point, _) = measure(entry, 16, true);
         assert_eq!(point.read_amp_pct, Some(300));
+    }
+
+    #[test]
+    fn each_mutant_poisons_exactly_its_named_entry() {
+        let honest: Vec<String> = catalogue::entries()
+            .iter()
+            .map(|e| (e.build)(16, 16).name())
+            .collect();
+        for mutant in mutants::mutants() {
+            let poisoned = mutants::apply(&mutant);
+            assert_eq!(poisoned.len(), honest.len());
+            let changed: Vec<&str> = poisoned
+                .iter()
+                .zip(&honest)
+                .filter(|(e, name)| (e.build)(16, 16).name() != **name)
+                .map(|(e, _)| e.id)
+                .collect();
+            assert_eq!(changed, [mutant.case], "{}", mutant.name);
+            for (p, h) in poisoned.iter().zip(catalogue::entries()) {
+                assert_eq!(p.id, h.id, "{}: catalogue order", mutant.name);
+            }
+        }
     }
 }

@@ -54,22 +54,17 @@ fn deterministic_section(metrics: &str) -> String {
         .expect("a locert-trace/v2 dump with a deterministic projection")
 }
 
-/// Strips the run-varying parts of the report: the telemetry appendix
-/// (wall histograms, `par.*` scheduling counters), the line naming the
+/// Strips the run-varying parts of the report: the line naming the
 /// per-run metrics path, and every wall-time table column (headers with
 /// a time unit — `wall time [s]`, `prover [ms]`, `verify [µs/vertex]`).
 /// Everything else — every deterministic table cell — must be
 /// byte-identical across thread counts.
 fn deterministic_report(report: &str) -> String {
-    let body = report
-        .split("## Telemetry appendix")
-        .next()
-        .unwrap_or(report);
     let timing_col = |h: &str| h.contains("[ms]") || h.contains("[µs") || h.contains("[s]");
     let mut out = String::new();
     let mut drop_cols: Vec<usize> = Vec::new();
     let mut in_table = false;
-    for line in body.lines() {
+    for line in report.lines() {
         if line.contains("machine-readable") {
             continue; // names the per-run metrics path
         }

@@ -2,17 +2,25 @@
 //! family in the workspace, with a constructor and a canonical growing
 //! instance family.
 //!
-//! Every consumer of schemes — the `locert` CLI, the `netstorm` fault
-//! campaign, the `boundcheck`/`experiments` bound sweeps, the `diffhunt`
-//! oracle, and the `locert-serve` daemon's by-id request dispatch —
-//! resolves entries here, so a new scheme family lands everywhere by
-//! adding one [`SchemeEntry`]. The id strings are wire-stable: journals,
-//! tables, repro files, and serve requests all key on them.
+//! Every consumer of schemes reads its entries here, so a new scheme
+//! family lands everywhere by adding one [`SchemeEntry`]. The id strings
+//! are wire-stable: journals, tables, repro files, and serve requests all
+//! key on them.
+//!
+//! An id is resolved to its `&'static SchemeEntry` once, where it enters
+//! the process: the `locert` CLI ([`resolve`]), `locert-serve`'s request
+//! admission and `loadgen --schemes` ([`by_id`]). Past that point code
+//! holds the entry, not the string. Consumers with no outside id walk
+//! [`entries`] and hold what they read: the `boundcheck`/`experiments`
+//! bound sweeps and the `netstorm` campaign take every entry in order,
+//! and the `diffhunt` oracle takes the `build` of the nine entries it
+//! has a ground truth for.
 //!
 //! Consumers choose their own instances: [`SchemeEntry::family`] is the
-//! canonical *growing* family used by the certificate-size sweeps, while
-//! `locert-net` pairs the same schemes with small fixed yes-instances
-//! and `locert-serve` certifies whatever graph the request carries.
+//! canonical *growing* family used by the certificate-size sweeps and
+//! `loadgen`, `locert-net` pairs nine of the schemes with small fixed
+//! yes-instances instead, and `locert-serve` certifies whatever graph
+//! the request carries.
 //!
 //! Six entries are named members of parametric families: their ids end
 //! in `-<k>` and they carry a [`Param`] record. [`resolve`] reads a spec
@@ -47,7 +55,7 @@ use std::fmt;
 pub const ID_BITS: u32 = 16;
 
 /// One catalogued scheme family.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 pub struct SchemeEntry {
     /// Stable scheme id (wire format, journals, and tables key on it).
     pub id: &'static str,

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! netstorm [--seed N] [--quick] [--threads N] [--runs N] [--size N]
-//!          [--journal-capacity N] [--out DIR] [--list]
+//!          [--out DIR] [--list]
 //! ```
 //!
 //! Drives every catalogued (scheme, yes-instance) target through the
@@ -30,7 +30,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "\
 usage: netstorm [--seed N] [--quick] [--threads N] [--runs N] [--size N]
-                [--journal-capacity N] [--out DIR] [--list]
+                [--out DIR] [--list]
 
 Seeded, deterministic message-passing simulation of every catalogued
 certification scheme under a grid of network faults: loss, duplication,
@@ -42,11 +42,6 @@ crash-restart with certificate loss, and healing partitions.
   --threads N  worker threads (also honours LOCERT_THREADS; must be >= 1)
   --runs N     seeded runs per (target, point) cell
   --size N     approximate instance size in vertices (>= 7)
-  --journal-capacity N
-               journal ring-buffer capacity in events (default 1048576);
-               overflow evicts oldest-first, counted in
-               journal.dropped_events and net-metrics.json's journal
-               section
   --out DIR    write net-journal.jsonl and net-metrics.json
   --list       print the target catalogue and fault grid, then exit";
 
@@ -55,7 +50,6 @@ struct Args {
     quick: bool,
     runs: Option<usize>,
     size: Option<usize>,
-    journal_capacity: usize,
     out: Option<std::path::PathBuf>,
     list: bool,
 }
@@ -66,7 +60,6 @@ fn parse_args(cli: &mut Cli) -> Args {
         quick: false,
         runs: None,
         size: None,
-        journal_capacity: 1 << 20,
         out: None,
         list: false,
     };
@@ -76,9 +69,6 @@ fn parse_args(cli: &mut Cli) -> Args {
             "--threads" => cli.threads(),
             "--runs" => args.runs = Some(cli.parse_at_least("--runs", 1)),
             "--size" => args.size = Some(cli.parse_at_least("--size", 7)),
-            "--journal-capacity" => {
-                args.journal_capacity = cli.parse_at_least("--journal-capacity", 1)
-            }
             "--out" => args.out = Some(cli.value("--out").into()),
             "--quick" => args.quick = true,
             "--list" => args.list = true,
@@ -140,7 +130,7 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    journal::set_capacity(args.journal_capacity);
+    journal::set_capacity(journal::BATCH_CAPACITY);
     journal::enable();
     locert_trace::enable();
     let mut cfg = if args.quick {

@@ -269,15 +269,6 @@ impl CampaignRow {
         }
     }
 
-    /// Inconclusive fraction of all runs.
-    pub fn inconclusive_rate(&self) -> f64 {
-        if self.runs == 0 {
-            0.0
-        } else {
-            self.inconclusive as f64 / self.runs as f64
-        }
-    }
-
     /// Mean logical time of the earliest rejection, over detected runs.
     pub fn mean_detection_time(&self) -> Option<f64> {
         (self.detected > 0).then(|| self.detection_time_sum as f64 / self.detected as f64)

@@ -1,16 +1,15 @@
 //! The sixteen (scheme, yes-instance) targets of the network campaign.
 //!
-//! One target per scheme family in the shared catalogue
+//! One target per entry of the shared catalogue
 //! ([`locert_core::catalogue`]) — tree certification, counting,
 //! diameter, treedepth (paper and kernel routes), MSO on trees and
 //! words, existential and depth-2 FO, minor-freeness, the universal
 //! fallback, and a combinator — each paired with a small yes-instance
 //! whose honest certificates the fault grid then attacks in transit.
-//! The schemes themselves are built by stable id via
-//! [`locert_core::catalogue::build`]; only the instance pairing is
-//! campaign-specific.
+//! The campaign walks the entries in order and builds each scheme from
+//! its entry; only the instance pairing is campaign-specific.
 
-use locert_core::catalogue::{self, lollipop, ID_BITS};
+use locert_core::catalogue::{self, SchemeEntry, ID_BITS};
 use locert_core::Scheme;
 use locert_graph::{generators, Graph};
 
@@ -27,41 +26,36 @@ pub struct NetTarget {
     pub inputs: Option<Vec<usize>>,
 }
 
+/// The campaign's yes-instance for `entry` at roughly `n >= 7`
+/// vertices: a fixed small graph (a star capped at 9 vertices,
+/// `path(7)`, `clique(5)`, a three-legged spider) for the nine entries
+/// whose campaign instance is not their growing family, and the
+/// family itself for the other seven.
+fn instance(entry: &SchemeEntry, n: usize) -> (Graph, Option<Vec<usize>>) {
+    let graph = match entry.id {
+        "universal-connected" => generators::clique(5),
+        "tree-diameter-3" | "tree-depth-bound-2" | "depth2-dominating" | "path-minor-free-4" => {
+            generators::star(n.min(9))
+        }
+        "treedepth-3" | "ct-minor-free-3" | "kernel-triangle-free" => generators::path(7),
+        "mso-height-5" => generators::spider(3, 2),
+        _ => return (entry.family)(n),
+    };
+    (graph, None)
+}
+
 /// Builds the full sixteen-target catalogue, scaled to instances of
 /// roughly `n` vertices (`n >= 7`). Order is stable: journals, tables,
-/// and the deterministic CLI output all follow it.
+/// and the deterministic CLI output all follow the catalogue's.
 pub fn catalogue(n: usize) -> Vec<NetTarget> {
     let n = n.max(7);
-    let even = if n.is_multiple_of(2) { n } else { n + 1 };
-    let alternating: Vec<usize> = (0..n)
-        .map(|i| usize::from(i % 2 == 1 && i + 1 < n))
-        .collect();
-    let instances: Vec<(&'static str, Graph, Option<Vec<usize>>)> = vec![
-        ("acyclicity", generators::path(n), None),
-        ("spanning-tree", generators::cycle(n), None),
-        ("vertex-count", generators::path(n), None),
-        ("universal-connected", generators::clique(5), None),
-        ("tree-diameter-3", generators::star(n.min(9)), None),
-        ("treedepth-3", generators::path(7), None),
-        ("tree-depth-bound-2", generators::star(n.min(9)), None),
-        ("mso-perfect-matching", generators::path(even), None),
-        ("mso-height-5", generators::spider(3, 2), None),
-        ("word-no-11", generators::path(n), Some(alternating)),
-        ("existential-triangle", lollipop(n), None),
-        ("depth2-dominating", generators::star(n.min(9)), None),
-        ("path-minor-free-4", generators::star(n.min(9)), None),
-        ("ct-minor-free-3", generators::path(7), None),
-        ("kernel-triangle-free", generators::path(7), None),
-        ("and-acyclic-count", generators::path(n), None),
-    ];
-    instances
-        .into_iter()
-        .map(|(name, graph, inputs)| {
-            let scheme = catalogue::build(name, ID_BITS, graph.num_nodes())
-                .unwrap_or_else(|| panic!("{name} is a catalogued scheme id"));
+    catalogue::entries()
+        .iter()
+        .map(|entry| {
+            let (graph, inputs) = instance(entry, n);
             NetTarget {
-                name,
-                scheme,
+                name: entry.id,
+                scheme: (entry.build)(ID_BITS, graph.num_nodes()),
                 graph,
                 inputs,
             }

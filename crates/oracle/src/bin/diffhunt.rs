@@ -12,11 +12,11 @@
 //!
 //! With `--out DIR` the run writes a replayable `locert-journal/v1`
 //! artifact (`oracle-journal.jsonl`) and one minimal `.graph` repro per
-//! shrunk disagreement. With `--mutants` (needs the `mutants` feature)
-//! it runs the self-test instead: every injected scheme bug must be
-//! detected with a witness of at most 12 vertices.
+//! shrunk disagreement. With `--mutants` it runs the self-test instead:
+//! every injected scheme bug must be detected with a witness of at most
+//! 12 vertices.
 
-use locert_oracle::{cases, harness};
+use locert_oracle::{cases, harness, mutants};
 use locert_par::cli::{Cli, FINDING};
 use locert_trace::journal;
 use std::process::ExitCode;
@@ -33,7 +33,7 @@ is shrunk to a minimal repro.
   --quick      smaller random family (CI smoke mode)
   --threads N  worker threads (also honours LOCERT_THREADS)
   --out DIR    write oracle-journal.jsonl and shrunk .graph repros
-  --mutants    mutation self-test (requires the `mutants` build feature)
+  --mutants    mutation self-test: every injected scheme bug must be caught
   --list       print the case catalogue and exit";
 
 struct Args {
@@ -130,9 +130,7 @@ fn run_sweep(cli: &Cli, args: &Args) -> ExitCode {
     }
 }
 
-#[cfg(feature = "mutants")]
 fn run_mutants(cli: &Cli, args: &Args) -> ExitCode {
-    use locert_oracle::mutants;
     let graphs = harness::family(true, args.seed);
     let mut escaped = 0usize;
     let mut all = Vec::new();
@@ -182,11 +180,6 @@ fn run_mutants(cli: &Cli, args: &Args) -> ExitCode {
     }
 }
 
-#[cfg(not(feature = "mutants"))]
-fn run_mutants(cli: &Cli, _args: &Args) -> ExitCode {
-    cli.usage_error("this binary was built without the `mutants` feature (use --features mutants)")
-}
-
 fn main() -> ExitCode {
     let mut cli = Cli::with_pool("diffhunt", USAGE);
     let args = parse_args(&mut cli);
@@ -196,7 +189,7 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    journal::set_capacity(1 << 20);
+    journal::set_capacity(journal::BATCH_CAPACITY);
     journal::enable();
     if args.mutants {
         run_mutants(&cli, &args)

@@ -32,10 +32,19 @@ pub struct OracleCase {
     pub name: &'static str,
     /// Sibling group; same group ⇒ same property ⇒ decisions must agree.
     pub group: &'static str,
-    /// Builds a fresh scheme instance.
-    pub build: fn() -> Box<dyn Scheme>,
+    /// Builds the scheme for identifier width `id_bits` at instance size
+    /// `n` — the type of a catalogue entry's `build`.
+    pub build: fn(u32, usize) -> Box<dyn Scheme>,
     /// Independent ground truth; `None` = outside the promise domain.
     pub truth: fn(&Graph) -> Option<bool>,
+}
+
+impl OracleCase {
+    /// A fresh scheme at the oracle's identifier width. No case binds
+    /// the instance size, so `n` is 0.
+    pub fn scheme(&self) -> Box<dyn Scheme> {
+        (self.build)(ID_BITS, 0)
+    }
 }
 
 fn connected_domain(g: &Graph, value: bool) -> Option<bool> {
@@ -110,151 +119,90 @@ fn has_triangle_direct(g: &Graph) -> bool {
         .any(|(u, v)| g.neighbors(u).iter().any(|w| g.neighbors(v).contains(w)))
 }
 
-/// Builds a shared-catalogue scheme by stable id. The instance-size
-/// parameter is irrelevant for every id the oracle delegates (none of
-/// them bind `n`); the differing constructions below stay local.
-fn shared(id: &str) -> Box<dyn Scheme> {
-    catalogue::build(id, ID_BITS, 0)
-        .unwrap_or_else(|| panic!("{id} is a shared-catalogue scheme id"))
-}
-
-fn build_spanning_tree() -> Box<dyn Scheme> {
-    shared("spanning-tree")
-}
-
-fn build_vertex_count() -> Box<dyn Scheme> {
-    // Not the catalogue's `vertex-count`: the oracle variant certifies
-    // *any* count (the truth is connectivity), not a fixed target `n`.
-    Box::new(VertexCountScheme::any_count(ID_BITS))
-}
-
-fn build_universal_connected() -> Box<dyn Scheme> {
-    // The verifier independently rejects disconnected broadcast maps;
-    // the property closure is the identity on top of that.
-    shared("universal-connected")
-}
-
-fn build_treedepth() -> Box<dyn Scheme> {
-    shared("treedepth-3")
-}
-
-fn build_depth2_dominating() -> Box<dyn Scheme> {
-    shared("depth2-dominating")
-}
-
-fn build_universal_dominating() -> Box<dyn Scheme> {
-    Box::new(UniversalScheme::new(
-        ID_BITS,
-        "universal-dominating",
-        has_dominating_vertex_direct,
-    ))
-}
-
-fn build_existential_triangle() -> Box<dyn Scheme> {
-    shared("existential-triangle")
-}
-
-fn build_universal_triangle() -> Box<dyn Scheme> {
-    Box::new(UniversalScheme::new(
-        ID_BITS,
-        "universal-triangle",
-        has_triangle_direct,
-    ))
-}
-
-fn build_mso_perfect_matching() -> Box<dyn Scheme> {
-    shared("mso-perfect-matching")
-}
-
-fn build_path_minor_free() -> Box<dyn Scheme> {
-    shared("path-minor-free-4")
-}
-
-fn build_kernel_triangle_free() -> Box<dyn Scheme> {
-    shared("kernel-triangle-free")
-}
-
-fn build_acyclicity() -> Box<dyn Scheme> {
-    shared("acyclicity")
-}
+/// A ground-truth function: `None` = outside the promise domain.
+type Truth = fn(&Graph) -> Option<bool>;
 
 /// The full case catalogue. Order is stable — journals, repro file
 /// names, and the deterministic CLI output all follow it.
+///
+/// Nine cases certify with their catalogue entry's own `build`, read
+/// while walking [`catalogue::entries`]; the match gives each its
+/// position, sibling group and truth. The other three are local
+/// constructions placed between them.
 pub fn catalogue() -> Vec<OracleCase> {
-    vec![
-        OracleCase {
-            name: "spanning-tree",
-            group: "connected",
-            build: build_spanning_tree,
-            truth: truth_connected,
-        },
-        OracleCase {
-            name: "vertex-count",
-            group: "connected",
-            build: build_vertex_count,
-            truth: truth_connected,
-        },
-        OracleCase {
-            name: "universal-connected",
-            group: "connected",
-            build: build_universal_connected,
-            truth: truth_connected,
-        },
-        OracleCase {
-            name: "acyclicity",
-            group: "tree",
-            build: build_acyclicity,
-            truth: truth_tree,
-        },
-        OracleCase {
-            name: "treedepth-3",
-            group: "td3",
-            build: build_treedepth,
-            truth: truth_td,
-        },
-        OracleCase {
-            name: "depth2-dominating",
-            group: "dominating",
-            build: build_depth2_dominating,
-            truth: truth_dominating,
-        },
-        OracleCase {
-            name: "universal-dominating",
-            group: "dominating",
-            build: build_universal_dominating,
-            truth: truth_dominating,
-        },
-        OracleCase {
-            name: "existential-triangle",
-            group: "triangle",
-            build: build_existential_triangle,
-            truth: truth_triangle,
-        },
-        OracleCase {
-            name: "universal-triangle",
-            group: "triangle",
-            build: build_universal_triangle,
-            truth: truth_triangle,
-        },
-        OracleCase {
-            name: "mso-perfect-matching",
-            group: "pm",
-            build: build_mso_perfect_matching,
-            truth: truth_perfect_matching,
-        },
-        OracleCase {
-            name: "path-minor-free-4",
-            group: "p4free",
-            build: build_path_minor_free,
-            truth: truth_p4_free,
-        },
-        OracleCase {
-            name: "kernel-triangle-free",
-            group: "kernel-tf",
-            build: build_kernel_triangle_free,
-            truth: truth_kernel_triangle_free,
-        },
-    ]
+    let mut ranked: Vec<(usize, OracleCase)> = catalogue::entries()
+        .into_iter()
+        .filter_map(|entry| {
+            let (rank, group, truth): (_, _, Truth) = match entry.id {
+                "spanning-tree" => (0, "connected", truth_connected),
+                // The verifier independently rejects disconnected
+                // broadcast maps; the property closure is the identity
+                // on top of that.
+                "universal-connected" => (2, "connected", truth_connected),
+                "acyclicity" => (3, "tree", truth_tree),
+                "treedepth-3" => (4, "td3", truth_td),
+                "depth2-dominating" => (5, "dominating", truth_dominating),
+                "existential-triangle" => (7, "triangle", truth_triangle),
+                "mso-perfect-matching" => (9, "pm", truth_perfect_matching),
+                "path-minor-free-4" => (10, "p4free", truth_p4_free),
+                "kernel-triangle-free" => (11, "kernel-tf", truth_kernel_triangle_free),
+                _ => return None,
+            };
+            let case = OracleCase {
+                name: entry.id,
+                group,
+                build: entry.build,
+                truth,
+            };
+            Some((rank, case))
+        })
+        .collect();
+    ranked.extend([
+        (
+            1,
+            OracleCase {
+                // Not the catalogue's `vertex-count`: this variant
+                // certifies *any* count (the truth is connectivity), not
+                // a fixed target `n`.
+                name: "vertex-count",
+                group: "connected",
+                build: |b, _| Box::new(VertexCountScheme::any_count(b)),
+                truth: truth_connected,
+            },
+        ),
+        (
+            6,
+            OracleCase {
+                name: "universal-dominating",
+                group: "dominating",
+                build: |b, _| {
+                    Box::new(UniversalScheme::new(
+                        b,
+                        "universal-dominating",
+                        has_dominating_vertex_direct,
+                    ))
+                },
+                truth: truth_dominating,
+            },
+        ),
+        (
+            8,
+            OracleCase {
+                name: "universal-triangle",
+                group: "triangle",
+                build: |b, _| {
+                    Box::new(UniversalScheme::new(
+                        b,
+                        "universal-triangle",
+                        has_triangle_direct,
+                    ))
+                },
+                truth: truth_triangle,
+            },
+        ),
+    ]);
+    ranked.sort_by_key(|&(rank, _)| rank);
+    ranked.into_iter().map(|(_, case)| case).collect()
 }
 
 #[cfg(test)]
@@ -267,8 +215,27 @@ mod tests {
         let cases = catalogue();
         let names: BTreeSet<_> = cases.iter().map(|c| c.name).collect();
         assert_eq!(names.len(), cases.len(), "duplicate case names");
+        // Journals and repro files key on this order.
+        let ordered: Vec<_> = cases.iter().map(|c| (c.name, c.group)).collect();
+        assert_eq!(
+            ordered,
+            [
+                ("spanning-tree", "connected"),
+                ("vertex-count", "connected"),
+                ("universal-connected", "connected"),
+                ("acyclicity", "tree"),
+                ("treedepth-3", "td3"),
+                ("depth2-dominating", "dominating"),
+                ("universal-dominating", "dominating"),
+                ("existential-triangle", "triangle"),
+                ("universal-triangle", "triangle"),
+                ("mso-perfect-matching", "pm"),
+                ("path-minor-free-4", "p4free"),
+                ("kernel-triangle-free", "kernel-tf"),
+            ]
+        );
         for case in &cases {
-            let scheme = (case.build)();
+            let scheme = case.scheme();
             assert!(!scheme.name().is_empty(), "{}", case.name);
         }
     }

@@ -128,7 +128,7 @@ pub fn check_case_on_graph(
     rounds: usize,
 ) -> Vec<Disagreement> {
     let mut out = Vec::new();
-    let scheme = (case.build)();
+    let scheme = case.scheme();
     let ids = IdAssignment::contiguous(g.num_nodes());
     let truth = (case.truth)(g);
     let decision = decision_of(scheme.as_ref(), g, &ids);
@@ -216,7 +216,7 @@ pub fn check_graph(cases: &[OracleCase], g: &Graph, seed: u64, rounds: usize) ->
         // Sibling decisions only compare in-domain graphs; the honest
         // decision is recomputed cheaply (the prover is deterministic).
         let d = if (case.truth)(g).is_some() {
-            let scheme = (case.build)();
+            let scheme = case.scheme();
             let ids = IdAssignment::contiguous(g.num_nodes());
             Some(decision_of(scheme.as_ref(), g, &ids))
         } else {
@@ -410,7 +410,7 @@ mod tests {
     fn decisions_track_ground_truth() {
         let cases = catalogue();
         let st = cases.iter().find(|c| c.name == "spanning-tree").unwrap();
-        let scheme = (st.build)();
+        let scheme = st.scheme();
         let p4 = generators::path(4);
         let ids = IdAssignment::contiguous(4);
         assert_eq!(decision_of(scheme.as_ref(), &p4, &ids), Decision::Accept);

@@ -21,9 +21,8 @@
 //! - [`shrink`](mod@shrink) — delta-debugging: a disagreement is shrunk
 //!   to a local minimum by greedy vertex then edge removal, each accepted
 //!   step journaled as a `ShrinkStep` event.
-//! - `mutants` (test-only, behind the `mutants` feature) — known-bad
-//!   scheme wrappers the oracle must catch; the `diffhunt --mutants`
-//!   self-test asserts it does.
+//! - [`mutants`] — known-bad scheme wrappers the oracle must catch; the
+//!   `diffhunt --mutants` self-test asserts it does.
 //!
 //! Everything is deterministic for a fixed seed at any thread count:
 //! graph generation and attack randomness derive from
@@ -35,7 +34,6 @@
 pub mod cases;
 pub mod harness;
 pub mod metamorphic;
-#[cfg(any(test, feature = "mutants"))]
 pub mod mutants;
 pub mod shrink;
 

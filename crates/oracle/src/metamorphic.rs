@@ -126,7 +126,7 @@ mod tests {
     fn relations_hold_for_the_spanning_tree_case() {
         let cases = catalogue();
         let case = cases.iter().find(|c| c.name == "spanning-tree").unwrap();
-        let scheme = (case.build)();
+        let scheme = case.scheme();
         let g = generators::cycle(5);
         let ids = IdAssignment::contiguous(5);
         let base = decision_of(scheme.as_ref(), &g, &ids);

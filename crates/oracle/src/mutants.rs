@@ -4,12 +4,11 @@
 //! case — a flipped comparison, an off-by-one certificate width, an
 //! accept-everything verifier — and the oracle must detect every one of
 //! them with a shrunk counterexample. `diffhunt --mutants` runs the
-//! battery; the tests here mirror it in-process. This module is
-//! test-only (`mutants` feature) so the wrappers can never leak into a
-//! production binary.
+//! battery; the tests here mirror it in-process. Nothing but
+//! [`apply`] puts a mutant into a case list, and only `--mutants` calls
+//! it.
 
 use crate::cases::{catalogue, OracleCase};
-use locert_core::catalogue::ID_BITS;
 use locert_core::framework::{DeclaredBound, RejectReason};
 use locert_core::schemes::depth2_fo::Depth2FoScheme;
 use locert_core::schemes::spanning_tree::SpanningTreeScheme;
@@ -93,37 +92,11 @@ impl<S: Scheme + Decode> Scheme for Mutated<S> {
 }
 
 /// The catalogue's `spanning-tree` scheme with `bug` injected.
-fn spanning_tree(bug: Bug) -> Box<dyn Scheme> {
+fn spanning_tree(id_bits: u32, bug: Bug) -> Box<dyn Scheme> {
     Box::new(Mutated {
-        scheme: SpanningTreeScheme::new(ID_BITS),
+        scheme: SpanningTreeScheme::new(id_bits),
         bug,
     })
-}
-
-fn build_flip_spanning_tree() -> Box<dyn Scheme> {
-    spanning_tree(Bug::FlipVerdict)
-}
-
-fn build_accept_all_spanning_tree() -> Box<dyn Scheme> {
-    spanning_tree(Bug::AcceptAll)
-}
-
-fn build_truncated_spanning_tree() -> Box<dyn Scheme> {
-    spanning_tree(Bug::TruncateLastBit)
-}
-
-fn build_treedepth_off_by_one() -> Box<dyn Scheme> {
-    // Labeled treedepth-3 in the catalogue, but certifies t = 2: the
-    // classic threshold off-by-one. Caught on any graph of treedepth
-    // exactly 3 (P4 already).
-    Box::new(TreedepthScheme::new(ID_BITS, crate::cases::TD_BOUND - 1))
-}
-
-fn build_always_true_dominating() -> Box<dyn Scheme> {
-    // Truth-table flip: the depth-2 scheme for "has a dominating vertex"
-    // replaced by the all-true table — the prover now happily certifies
-    // no-instances.
-    Box::new(Depth2FoScheme::from_truth_table(ID_BITS, [true; 4]))
 }
 
 /// One injected bug: which case it poisons and the poisoned constructor.
@@ -132,7 +105,7 @@ pub struct Mutant {
     pub name: &'static str,
     /// The catalogue case whose scheme is replaced.
     pub case: &'static str,
-    build: fn() -> Box<dyn Scheme>,
+    build: fn(u32, usize) -> Box<dyn Scheme>,
 }
 
 /// The mutant battery.
@@ -141,27 +114,33 @@ pub fn mutants() -> Vec<Mutant> {
         Mutant {
             name: "flip-verdict",
             case: "spanning-tree",
-            build: build_flip_spanning_tree,
+            build: |b, _| spanning_tree(b, Bug::FlipVerdict),
         },
         Mutant {
             name: "accept-all",
             case: "spanning-tree",
-            build: build_accept_all_spanning_tree,
+            build: |b, _| spanning_tree(b, Bug::AcceptAll),
         },
         Mutant {
             name: "truncate-last-bit",
             case: "spanning-tree",
-            build: build_truncated_spanning_tree,
+            build: |b, _| spanning_tree(b, Bug::TruncateLastBit),
         },
         Mutant {
             name: "treedepth-off-by-one",
             case: "treedepth-3",
-            build: build_treedepth_off_by_one,
+            // Labeled treedepth-3 in the catalogue, but certifies t = 2:
+            // the classic threshold off-by-one. Caught on any graph of
+            // treedepth exactly 3 (P4 already).
+            build: |b, _| Box::new(TreedepthScheme::new(b, crate::cases::TD_BOUND - 1)),
         },
         Mutant {
             name: "truth-table-flip",
             case: "depth2-dominating",
-            build: build_always_true_dominating,
+            // The depth-2 scheme for "has a dominating vertex" replaced by
+            // the all-true table — the prover now happily certifies
+            // no-instances.
+            build: |b, _| Box::new(Depth2FoScheme::from_truth_table(b, [true; 4])),
         },
     ]
 }
@@ -169,11 +148,9 @@ pub fn mutants() -> Vec<Mutant> {
 /// The catalogue with `mutant`'s target case poisoned.
 pub fn apply(mutant: &Mutant) -> Vec<OracleCase> {
     let mut cases = catalogue();
-    let target = cases
-        .iter_mut()
-        .find(|c| c.name == mutant.case)
-        .expect("mutant targets a catalogued case");
-    target.build = mutant.build;
+    for case in cases.iter_mut().filter(|c| c.name == mutant.case) {
+        case.build = mutant.build;
+    }
     cases
 }
 

@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex};
 #[derive(Clone)]
 pub struct Admission {
     limit: usize,
-    in_flight: Arc<Mutex<HashMap<String, usize>>>,
+    in_flight: Arc<Mutex<HashMap<&'static str, usize>>>,
 }
 
 impl Admission {
@@ -37,17 +37,17 @@ impl Admission {
         self.limit
     }
 
-    /// Tries to take a slot for `scheme`. `None` means the scheme is at
-    /// its limit — reject with `overloaded`.
-    pub fn try_acquire(&self, scheme: &str) -> Option<Permit> {
+    /// Tries to take a slot for `scheme`, a catalogue entry's id. `None`
+    /// means the scheme is at its limit — reject with `overloaded`.
+    pub fn try_acquire(&self, scheme: &'static str) -> Option<Permit> {
         let mut map = self.in_flight.lock().expect("admission lock poisoned");
-        let count = map.entry(scheme.to_string()).or_insert(0);
+        let count = map.entry(scheme).or_insert(0);
         if *count >= self.limit {
             return None;
         }
         *count += 1;
         Some(Permit {
-            scheme: scheme.to_string(),
+            scheme,
             in_flight: Arc::clone(&self.in_flight),
         })
     }
@@ -65,17 +65,17 @@ impl Admission {
 
 /// A held admission slot; dropping releases it.
 pub struct Permit {
-    scheme: String,
-    in_flight: Arc<Mutex<HashMap<String, usize>>>,
+    scheme: &'static str,
+    in_flight: Arc<Mutex<HashMap<&'static str, usize>>>,
 }
 
 impl Drop for Permit {
     fn drop(&mut self) {
         if let Ok(mut map) = self.in_flight.lock() {
-            if let Some(count) = map.get_mut(&self.scheme) {
+            if let Some(count) = map.get_mut(self.scheme) {
                 *count = count.saturating_sub(1);
                 if *count == 0 {
-                    map.remove(&self.scheme);
+                    map.remove(self.scheme);
                 }
             }
         }

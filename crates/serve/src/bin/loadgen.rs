@@ -18,7 +18,7 @@
 //! violation, 2 on usage or I/O errors (a transport failure included).
 
 use locert_par::cli::{Cli, FINDING};
-use locert_serve::loadgen::{run_loadgen, LoadgenConfig, DEFAULT_MIX};
+use locert_serve::loadgen::{parse_mix, run_loadgen, LoadgenConfig};
 use locert_serve::Mode;
 use locert_trace::json::Value;
 use std::process::ExitCode;
@@ -39,7 +39,8 @@ local verdict cross-checks and cache-hit accounting.
   --repeats N        phase-2 total requests (default 60)
   --concurrency N    worker connections; 1 = deterministic (default 1)
   --qps N            pace across workers; 0 = unpaced (default 0)
-  --schemes a,b,c    scheme mix (default spanning-tree,acyclicity,
+  --schemes a,b,c    scheme mix of catalogue ids; an unknown id is a
+                     usage error (default spanning-tree,acyclicity,
                      mso-perfect-matching)
   --inject-errors N  unknown-scheme probes expecting that exact code
   --mode M           prove | verify-less roundtrip (default roundtrip)
@@ -75,11 +76,8 @@ fn parse_args(cli: &mut Cli) -> Args {
             "--qps" => args.config.qps = cli.parse("--qps"),
             "--inject-errors" => args.config.inject_errors = cli.parse("--inject-errors"),
             "--schemes" => {
-                let v = cli.value("--schemes");
-                args.config.schemes = v.split(',').map(|s| s.trim().to_string()).collect();
-                if args.config.schemes.iter().any(|s| s.is_empty()) {
-                    cli.usage_error(format!("empty scheme id in {v:?}"));
-                }
+                args.config.schemes =
+                    parse_mix(&cli.value("--schemes")).unwrap_or_else(|e| cli.usage_error(e));
             }
             "--mode" => {
                 args.config.mode = match cli.value("--mode").as_str() {
@@ -143,9 +141,6 @@ fn main() -> ExitCode {
         None => cli.usage_error(format!("cannot resolve {addr:?}")),
     };
     args.config.addr = addr;
-    if args.config.schemes.is_empty() {
-        args.config.schemes = DEFAULT_MIX.iter().map(|s| s.to_string()).collect();
-    }
     locert_trace::enable();
     let report = match run_loadgen(&args.config) {
         Ok(report) => report,

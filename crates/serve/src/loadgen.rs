@@ -24,7 +24,7 @@
 
 use crate::client::Client;
 use crate::proto::{CacheDisposition, ErrorCode, Mode, Request, Response};
-use locert_core::catalogue;
+use locert_core::catalogue::{self, SchemeEntry};
 use locert_core::framework::{run_verification, Assignment, Instance};
 use locert_core::schemes::common::id_bits_for;
 use locert_graph::{Graph, IdAssignment};
@@ -36,7 +36,26 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// The default scheme mix: three cheap, structurally distinct families.
-pub const DEFAULT_MIX: [&str; 3] = ["spanning-tree", "acyclicity", "mso-perfect-matching"];
+pub const DEFAULT_MIX: &str = "spanning-tree,acyclicity,mso-perfect-matching";
+
+/// Resolves a comma-separated scheme mix (the `--schemes` value) to
+/// catalogue entries, in order. This is where loadgen reads scheme ids;
+/// everything past it holds entries.
+///
+/// # Errors
+///
+/// A message naming the first id that is empty or not in the catalogue.
+pub fn parse_mix(list: &str) -> Result<Vec<&'static SchemeEntry>, String> {
+    list.split(',')
+        .map(str::trim)
+        .map(|id| {
+            if id.is_empty() {
+                return Err(format!("empty scheme id in {list:?}"));
+            }
+            catalogue::by_id(id).ok_or_else(|| format!("unknown scheme {id:?}"))
+        })
+        .collect()
+}
 
 /// Workload knobs.
 #[derive(Debug, Clone)]
@@ -56,7 +75,7 @@ pub struct LoadgenConfig {
     /// Target request rate across all workers; 0 = unpaced.
     pub qps: u64,
     /// Scheme mix, cycled per request.
-    pub schemes: Vec<String>,
+    pub schemes: Vec<&'static SchemeEntry>,
     /// Unknown-scheme probes appended after the phases.
     pub inject_errors: usize,
     /// Request mode for both phases.
@@ -73,7 +92,8 @@ impl Default for LoadgenConfig {
             repeats: 60,
             concurrency: 1,
             qps: 0,
-            schemes: DEFAULT_MIX.iter().map(|s| s.to_string()).collect(),
+            // `DEFAULT_MIX` resolves (a unit test pins it).
+            schemes: parse_mix(DEFAULT_MIX).unwrap_or_default(),
             inject_errors: 0,
             mode: Mode::Roundtrip,
         }
@@ -90,8 +110,9 @@ pub struct WorkItem {
     pub graph: Graph,
     /// Input word, when the scheme reads one.
     pub inputs: Option<Vec<usize>>,
-    /// The typed error this probe must provoke (`None` = must succeed).
-    pub expect_error: Option<ErrorCode>,
+    /// The catalogue entry the request names; `None` for an
+    /// unknown-scheme probe, which must come back `unknown-scheme`.
+    pub entry: Option<&'static SchemeEntry>,
 }
 
 fn to_request(mode: Mode, scheme: &str, graph: &Graph, inputs: &Option<Vec<usize>>) -> Request {
@@ -120,19 +141,17 @@ pub fn build_workload(config: &LoadgenConfig) -> Vec<WorkItem> {
     // and every cache consult is a compulsory miss.
     let mut next_size: BTreeMap<&str, usize> = BTreeMap::new();
     for i in 0..config.unique {
-        let scheme = &config.schemes[i % config.schemes.len()];
-        let entry = catalogue::by_id(scheme)
-            .unwrap_or_else(|| panic!("unknown scheme {scheme:?} in the mix"));
+        let entry = config.schemes[i % config.schemes.len()];
         let size = next_size.entry(entry.id).or_insert(8);
         let n = *size + 2 * rng.random_range(0..2usize);
         *size = n + 2;
         let (graph, inputs) = (entry.family)(n);
         items.push(WorkItem {
             phase: 1,
-            request: to_request(config.mode, scheme, &graph, &inputs),
+            request: to_request(config.mode, entry.id, &graph, &inputs),
             graph,
             inputs,
-            expect_error: None,
+            entry: Some(entry),
         });
     }
     // Phase 2: `distinct` instances at sizes disjoint from phase 1
@@ -140,20 +159,19 @@ pub fn build_workload(config: &LoadgenConfig) -> Vec<WorkItem> {
     let floor = 2 + next_size.values().copied().max().unwrap_or(8);
     let pool: Vec<_> = (0..config.distinct)
         .map(|k| {
-            let scheme = &config.schemes[k % config.schemes.len()];
-            let entry = catalogue::by_id(scheme).expect("mix validated above");
+            let entry = config.schemes[k % config.schemes.len()];
             let (graph, inputs) = (entry.family)(floor + 2 * k);
-            (scheme.clone(), graph, inputs)
+            (entry, graph, inputs)
         })
         .collect();
     for j in 0..config.repeats {
-        let (scheme, graph, inputs) = &pool[j % pool.len()];
+        let (entry, graph, inputs) = &pool[j % pool.len()];
         items.push(WorkItem {
             phase: 2,
-            request: to_request(config.mode, scheme, graph, inputs),
+            request: to_request(config.mode, entry.id, graph, inputs),
             graph: graph.clone(),
             inputs: inputs.clone(),
-            expect_error: None,
+            entry: Some(*entry),
         });
     }
     for _ in 0..config.inject_errors {
@@ -163,7 +181,7 @@ pub fn build_workload(config: &LoadgenConfig) -> Vec<WorkItem> {
             request: to_request(config.mode, "no-such-scheme", &graph, &None),
             graph,
             inputs: None,
-            expect_error: Some(ErrorCode::UnknownScheme),
+            entry: None,
         });
     }
     items
@@ -249,9 +267,10 @@ impl Report {
     }
 }
 
-/// Checks one roundtrip/verify response against local ground truth.
-/// Returns false on any disagreement.
+/// Checks one roundtrip/verify response to a request for `entry`
+/// against local ground truth. Returns false on any disagreement.
 fn cross_check(
+    entry: &SchemeEntry,
     item: &WorkItem,
     accepted: bool,
     certs: Option<&[locert_core::Certificate]>,
@@ -269,12 +288,7 @@ fn cross_check(
         Some(word) => Instance::with_inputs(&item.graph, &ids, word),
         None => Instance::new(&item.graph, &ids),
     };
-    let scheme = catalogue::build(
-        &item.request.scheme,
-        id_bits_for(&instance),
-        item.graph.num_nodes(),
-    )
-    .expect("workload schemes are catalogued");
+    let scheme = (entry.build)(id_bits_for(&instance), item.graph.num_nodes());
     let assignment = Assignment::new(certs.to_vec());
     let outcome = run_verification(scheme.as_ref(), &instance, &assignment);
     outcome.accepted() == accepted && accepted
@@ -303,17 +317,20 @@ fn tally(report: &mut Report, item: &WorkItem, response: &Response) {
                     report.phase2_hits += 1;
                 }
             }
-            if item.expect_error.is_some() {
-                report.unexpected += 1; // the probe should have failed
-            } else if !cross_check(item, *accepted, certs.as_deref()) {
-                report.mismatches += 1;
-                locert_trace::add("loadgen.mismatch", 1);
+            match item.entry {
+                None => report.unexpected += 1, // the probe should have failed
+                Some(entry) => {
+                    if !cross_check(entry, item, *accepted, certs.as_deref()) {
+                        report.mismatches += 1;
+                        locert_trace::add("loadgen.mismatch", 1);
+                    }
+                }
             }
         }
         Response::Err { code, .. } => {
             *report.errors.entry(code.code().to_string()).or_insert(0) += 1;
             locert_trace::add(&format!("loadgen.error.{}", code.code()), 1);
-            if item.expect_error != Some(*code) {
+            if item.entry.is_some() || *code != ErrorCode::UnknownScheme {
                 report.unexpected += 1;
             }
         }
@@ -453,9 +470,24 @@ mod tests {
         let items = build_workload(&config);
         let probes: Vec<_> = items.iter().filter(|i| i.phase == 0).collect();
         assert_eq!(probes.len(), 3);
-        assert!(probes
-            .iter()
-            .all(|p| p.expect_error == Some(ErrorCode::UnknownScheme)));
+        assert!(probes.iter().all(|p| p.entry.is_none()));
+    }
+
+    #[test]
+    fn scheme_mixes_resolve_in_order_and_name_the_first_bad_id() {
+        let ids = |mix: &[&SchemeEntry]| mix.iter().map(|e| e.id).collect::<Vec<_>>();
+        assert_eq!(
+            ids(&LoadgenConfig::default().schemes),
+            ["spanning-tree", "acyclicity", "mso-perfect-matching"]
+        );
+        assert_eq!(
+            ids(&parse_mix(" word-no-11 ,acyclicity").unwrap()),
+            ["word-no-11", "acyclicity"]
+        );
+        let err = parse_mix("acyclicity,nope,also-nope").unwrap_err();
+        assert!(err.starts_with("unknown scheme \"nope\""), "{err}");
+        assert!(parse_mix("acyclicity,,spanning-tree").is_err());
+        assert!(parse_mix("treedepth-5").is_err(), "daemon ids are exact");
     }
 
     #[test]

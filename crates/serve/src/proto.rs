@@ -653,12 +653,6 @@ impl FrameReader {
         FrameReader::default()
     }
 
-    /// Whether a frame is partially read — a timeout now means a slow
-    /// writer mid-frame, not an idle connection.
-    pub fn mid_frame(&self) -> bool {
-        self.len_filled > 0 || self.payload.is_some()
-    }
-
     /// Reads one frame, resuming a partially-read one if present.
     /// Returns `Ok(None)` on clean EOF before a length prefix.
     ///

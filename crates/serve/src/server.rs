@@ -24,7 +24,7 @@
 use crate::admit::{Admission, Permit};
 use crate::cache::{CacheKey, CertCache};
 use crate::proto::{self, CacheDisposition, ErrorCode, Message, Mode, Request, Response};
-use locert_core::catalogue;
+use locert_core::catalogue::{self, SchemeEntry};
 use locert_core::framework::{run_verification, Assignment, Instance, ProverError};
 use locert_core::schemes::common::id_bits_for;
 use locert_graph::io::{MAX_EDGES, MAX_VERTICES};
@@ -310,6 +310,8 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, conn: u64) -> io::
 /// Validated, admitted request ready to execute.
 struct Admitted<'a> {
     request: &'a Request,
+    /// The catalogue entry the request's scheme id resolved to.
+    entry: &'static SchemeEntry,
     graph: Graph,
     inputs: Option<Vec<usize>>,
     _permit: Permit,
@@ -330,12 +332,12 @@ fn admit<'a>(shared: &Shared, request: &'a Request) -> Result<Admitted<'a>, Resp
             "daemon is draining".to_string(),
         ));
     }
-    if catalogue::by_id(&request.scheme).is_none() {
+    let Some(entry) = catalogue::by_id(&request.scheme) else {
         return Err(reject(
             ErrorCode::UnknownScheme,
             format!("no scheme {:?}", request.scheme),
         ));
-    }
+    };
     let n = request.n as usize;
     if n > MAX_VERTICES || request.edges.len() > MAX_EDGES {
         return Err(reject(
@@ -378,7 +380,7 @@ fn admit<'a>(shared: &Shared, request: &'a Request) -> Result<Admitted<'a>, Resp
         }
         _ => {}
     }
-    let Some(permit) = shared.admission.try_acquire(&request.scheme) else {
+    let Some(permit) = shared.admission.try_acquire(entry.id) else {
         return Err(reject(
             ErrorCode::Overloaded,
             format!(
@@ -390,6 +392,7 @@ fn admit<'a>(shared: &Shared, request: &'a Request) -> Result<Admitted<'a>, Resp
     };
     Ok(Admitted {
         request,
+        entry,
         graph,
         inputs,
         _permit: permit,
@@ -406,17 +409,12 @@ fn prove_cached(
     let key = CacheKey::of(
         &admitted.graph,
         admitted.inputs.as_deref(),
-        &admitted.request.scheme,
+        admitted.entry.id,
     );
     if let Some(certs) = shared.cache.lock().expect("cache lock poisoned").get(&key) {
         return Ok((certs, CacheDisposition::Hit));
     }
-    let scheme = catalogue::build(
-        &admitted.request.scheme,
-        id_bits_for(instance),
-        admitted.graph.num_nodes(),
-    )
-    .expect("scheme id validated at admission");
+    let scheme = (admitted.entry.build)(id_bits_for(instance), admitted.graph.num_nodes());
     let assignment = match scheme.assign(instance) {
         Ok(assignment) => assignment,
         Err(ProverError::NotAYesInstance) => {
@@ -467,8 +465,7 @@ fn execute(shared: &Shared, admitted: &Admitted<'_>) -> Response {
                 .certs
                 .clone()
                 .expect("validated at admission");
-            let scheme = catalogue::build(&admitted.request.scheme, id_bits_for(&instance), n)
-                .expect("scheme id validated at admission");
+            let scheme = (admitted.entry.build)(id_bits_for(&instance), n);
             let outcome = run_verification(scheme.as_ref(), &instance, &Assignment::new(certs));
             Response::Ok {
                 accepted: outcome.accepted(),
@@ -479,8 +476,7 @@ fn execute(shared: &Shared, admitted: &Admitted<'_>) -> Response {
         }
         Mode::Roundtrip => match prove_cached(shared, admitted, &instance) {
             Ok((certs, cache)) => {
-                let scheme = catalogue::build(&admitted.request.scheme, id_bits_for(&instance), n)
-                    .expect("scheme id validated at admission");
+                let scheme = (admitted.entry.build)(id_bits_for(&instance), n);
                 let assignment = Assignment::new(certs.clone());
                 let outcome = run_verification(scheme.as_ref(), &instance, &assignment);
                 Response::Ok {

@@ -320,3 +320,17 @@ fn zero_threads_is_a_usage_error() {
         );
     }
 }
+
+/// An unknown `--schemes` id is a usage error naming the id: exit 2
+/// while the arguments are parsed, before any connection, never a panic.
+#[test]
+fn loadgen_unknown_scheme_is_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_loadgen"))
+        .args(["--addr", "127.0.0.1:1", "--schemes", "nope"])
+        .output()
+        .expect("spawn loadgen");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown scheme \"nope\""), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

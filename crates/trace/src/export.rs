@@ -1,13 +1,11 @@
-//! Structured export of a [`Snapshot`]: JSON for machines, markdown for
-//! humans (the EXPERIMENTS.md telemetry appendix), and the one writer and
-//! reader of the `locert-trace/v2` metrics document ([`metrics_document`],
-//! [`MetricsDoc`]).
+//! Structured export of a [`Snapshot`]: JSON, the Chrome trace-event
+//! timeline, and the one writer and reader of the `locert-trace/v2`
+//! metrics document ([`metrics_document`], [`MetricsDoc`]).
 
 use crate::journal::{self, JournalSnapshot};
 use crate::json::{self, Value};
 use crate::{HistogramSnapshot, Snapshot, SpanNode};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 fn span_to_json(s: &SpanNode) -> Value {
     Value::obj([
@@ -509,62 +507,6 @@ pub fn chrome_trace_string(sections: &[(&str, &Snapshot)]) -> String {
     chrome_trace_json(sections).to_string()
 }
 
-fn push_span_rows(out: &mut String, span: &SpanNode, depth: usize) {
-    let indent = "··".repeat(depth);
-    let mean_us = span.total_ns as f64 / 1e3 / span.calls.max(1) as f64;
-    let _ = writeln!(
-        out,
-        "| {}{} | {} | {:.2} | {:.1} |",
-        indent,
-        span.name.replace('|', "\\|"),
-        span.calls,
-        span.total_ns as f64 / 1e6,
-        mean_us
-    );
-    for child in &span.children {
-        push_span_rows(out, child, depth + 1);
-    }
-}
-
-/// Renders the snapshot as a markdown summary: a span-tree table, a
-/// counter table, and a histogram table.
-pub fn snapshot_markdown(snap: &Snapshot) -> String {
-    let mut out = String::new();
-    if !snap.spans.is_empty() {
-        let _ = writeln!(out, "| span | calls | total [ms] | mean [µs/call] |");
-        let _ = writeln!(out, "|---|---|---|---|");
-        for span in &snap.spans {
-            push_span_rows(&mut out, span, 0);
-        }
-        let _ = writeln!(out);
-    }
-    if !snap.counters.is_empty() {
-        let _ = writeln!(out, "| counter | value |");
-        let _ = writeln!(out, "|---|---|");
-        for (name, value) in &snap.counters {
-            let _ = writeln!(out, "| {} | {} |", name.replace('|', "\\|"), value);
-        }
-        let _ = writeln!(out);
-    }
-    if !snap.histograms.is_empty() {
-        let _ = writeln!(out, "| histogram | count | min | mean | max |");
-        let _ = writeln!(out, "|---|---|---|---|---|");
-        for (name, h) in &snap.histograms {
-            let _ = writeln!(
-                out,
-                "| {} | {} | {} | {:.2} | {} |",
-                name.replace('|', "\\|"),
-                h.count,
-                h.min.unwrap_or(0),
-                h.mean().unwrap_or(0.0),
-                h.max.unwrap_or(0)
-            );
-        }
-        let _ = writeln!(out);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,27 +560,6 @@ mod tests {
             children[0].get("name").and_then(json::Value::as_str),
             Some("export.test.inner")
         );
-    }
-
-    #[test]
-    fn markdown_mentions_every_section() {
-        let _g = crate::tests::serial();
-        crate::disable();
-        crate::reset();
-        crate::enable();
-        {
-            let _s = crate::span!("md.test.span");
-            crate::add("md.test.counter", 1);
-            crate::record("md.test.histogram", 2);
-        }
-        crate::disable();
-        let snap = crate::snapshot();
-        crate::reset();
-        let md = snapshot_markdown(&snap);
-        assert!(md.contains("md.test.span"));
-        assert!(md.contains("md.test.counter"));
-        assert!(md.contains("md.test.histogram"));
-        assert!(md.contains("| span | calls |"));
     }
 
     #[test]
@@ -964,7 +885,6 @@ mod tests {
             histograms: Default::default(),
             spans: Vec::new(),
         };
-        assert_eq!(snapshot_markdown(&snap), "");
         let parsed = json::parse(&snapshot_json_string(&snap)).expect("parses");
         assert_eq!(
             parsed

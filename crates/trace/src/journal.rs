@@ -31,10 +31,16 @@ use std::sync::{Mutex, OnceLock};
 /// Schema identifier written in the JSONL header line.
 pub const JOURNAL_SCHEMA: &str = "locert-journal/v1";
 
-/// Default ring-buffer capacity (entries). Large enough for every
-/// experiment in the suite; a run that overflows it keeps the *newest*
-/// entries and counts the dropped ones.
+/// Default ring-buffer capacity (entries), the one the daemon runs
+/// with; a run that overflows it keeps the *newest* entries and counts
+/// the dropped ones.
 pub const DEFAULT_CAPACITY: usize = 65_536;
+
+/// Ring-buffer capacity of the batch binaries (`experiments`,
+/// `netstorm`, `diffhunt`): 2²⁰ entries, enough that none of their runs
+/// drops an event, so a journal `cmp` covers the whole run. The ring
+/// fills on demand, so a short run pays only for what it records.
+pub const BATCH_CAPACITY: usize = 1 << 20;
 
 /// Registry counter bumped once per entry evicted from the ring buffer
 /// (overflow or a capacity shrink). Lets CI artifacts surface silent

@@ -13,9 +13,8 @@
 //! - **a metrics registry**: named atomic [`Counter`]s and fixed-bucket
 //!   [`Histogram`]s (power-of-two buckets), safe to update from any
 //!   thread;
-//! - **structured export** ([`snapshot`] → [`export`]): JSON for machines
-//!   and a markdown summary for humans, with a hand-rolled JSON
-//!   reader/writer ([`json`]) since the workspace is offline and
+//! - **structured export** ([`snapshot`] → [`export`]): JSON and Chrome
+//!   trace events, with a hand-rolled JSON reader/writer ([`json`]) since the workspace is offline and
 //!   serde-free. [`export`] owns the `locert-trace/v2` metrics document
 //!   (its one writer and one reader) and [`journal`] owns the JSONL
 //!   event journal, so no other crate encodes or decodes either format.
