@@ -186,6 +186,37 @@ fn bench_verify_catalogue(c: &mut Criterion) {
     g.finish();
 }
 
+/// The generator layer's admission step: `Graph::from_edges` on a
+/// prepared edge list (the form a `.graph` file or a wire request
+/// arrives in), so only the validation and the CSR build are timed.
+fn bench_graph_build(c: &mut Criterion) {
+    use locert_graph::{generators, Graph};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let n = 16384;
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut g = c.benchmark_group("graph_build");
+    for (family, graph) in [
+        ("path", generators::path(n)),
+        ("random_tree", generators::random_tree(n, &mut rng)),
+        (
+            "random_connected",
+            generators::random_connected(n, n, &mut rng),
+        ),
+    ] {
+        let edges: Vec<(usize, usize)> = graph.edges().map(|(u, v)| (u.0, v.0)).collect();
+        g.bench_with_input(
+            BenchmarkId::new(format!("from_edges/{family}"), n),
+            &edges,
+            |b, edges| {
+                b.iter(|| black_box(Graph::from_edges(n, edges.iter().copied()).unwrap()));
+            },
+        );
+    }
+    g.finish();
+}
+
 fn config() -> Criterion {
     // Keep the full-suite wall time bounded: 10 samples × short windows.
     Criterion::default()
@@ -208,6 +239,7 @@ criterion_group!(
     bench_e7_fo,
     bench_e8_words,
     bench_f1_paths,
+    bench_graph_build,
     bench_p34_spanning_tree,
     bench_s1_exhaustive,
     bench_verify_catalogue,

@@ -596,7 +596,7 @@ pub mod mutants {
                         write_ident(&mut w, f.parent, self.id_bits);
                         w.finish_for(v)
                     })
-                    .collect(),
+                    .collect::<Vec<_>>(),
             ))
         }
     }
@@ -635,7 +635,7 @@ pub mod mutants {
                         }
                         w.finish_for(v.0)
                     })
-                    .collect(),
+                    .collect::<Vec<_>>(),
             ))
         }
     }
@@ -679,7 +679,7 @@ pub mod mutants {
                         write_ident(&mut w, f.parent, self.id_bits);
                         w.finish_for(v)
                     })
-                    .collect(),
+                    .collect::<Vec<_>>(),
             ))
         }
     }

@@ -473,7 +473,7 @@ mod tests {
         let total = m.pow(n as u32);
         for idx in 0..total {
             let mut rest = idx;
-            let certs = (0..n)
+            let certs: Vec<_> = (0..n)
                 .map(|_| {
                     let cert = space[rest % m].clone();
                     rest /= m;

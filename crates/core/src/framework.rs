@@ -100,12 +100,15 @@ pub struct Assignment {
 
 impl Assignment {
     /// Wraps per-vertex certificates (indexed by [`NodeId`]), packing
-    /// their bytes into one shared arena.
-    pub fn new(certs: Vec<Certificate>) -> Self {
+    /// their bytes into one shared arena. The list is only read, so a
+    /// caller that keeps its certificates lends them (`&[Certificate]`,
+    /// `&Vec<Certificate>`) instead of cloning them in.
+    pub fn new(certs: impl AsRef<[Certificate]>) -> Self {
+        let certs = certs.as_ref();
         let total: usize = certs.iter().map(|c| c.as_bytes().len()).sum();
         let mut arena = Vec::with_capacity(total);
         let mut offsets = Vec::with_capacity(certs.len());
-        for c in &certs {
+        for c in certs {
             offsets.push(arena.len());
             arena.extend_from_slice(c.as_bytes());
         }
@@ -1209,7 +1212,7 @@ mod tests {
 
     impl Prover for DegreeScheme {
         fn assign(&self, instance: &Instance<'_>) -> Result<Assignment, ProverError> {
-            let certs = instance
+            let certs: Vec<_> = instance
                 .graph()
                 .nodes()
                 .map(|v| {

@@ -46,7 +46,7 @@ impl Prover for AcyclicityScheme {
                     f.write(&mut w, self.id_bits);
                     w.finish_for(v)
                 })
-                .collect(),
+                .collect::<Vec<_>>(),
         ))
     }
 }

@@ -47,7 +47,7 @@ impl<A: Scheme, B: Scheme> Prover for AndScheme<A, B> {
     fn assign(&self, instance: &Instance<'_>) -> Result<Assignment, ProverError> {
         let a = self.first.assign(instance)?;
         let b = self.second.assign(instance)?;
-        let certs = instance
+        let certs: Vec<_> = instance
             .graph()
             .nodes()
             .map(|v| {
@@ -148,7 +148,7 @@ impl<A: Scheme, B: Scheme> Prover for OrScheme<A, B> {
                         w.write_cert(asg.cert(NodeId(v)));
                         w.finish_for(v)
                     })
-                    .collect(),
+                    .collect::<Vec<_>>(),
             )
         };
         let n = instance.graph().num_nodes();

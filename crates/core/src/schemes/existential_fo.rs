@@ -219,7 +219,7 @@ impl Prover for ExistentialFoScheme {
                     "instance is disconnected (connected-graph promise)".into(),
                 )
             })?;
-        let certs = g
+        let certs: Vec<_> = g
             .nodes()
             .map(|v| {
                 let mut w = BitWriter::new();
@@ -428,7 +428,7 @@ mod tests {
             true, false, true, //
             true, true, false,
         ];
-        let certs = g
+        let certs: Vec<_> = g
             .nodes()
             .map(|v| {
                 let mut w = BitWriter::new();
@@ -538,7 +538,7 @@ mod tests {
         let scheme = ExistentialFoScheme::new(l, &phi).unwrap();
         let honest = scheme.assign(&inst).unwrap();
         // Rewrite every certificate to claim witness ids {6, 7} (absent).
-        let certs = g
+        let certs: Vec<_> = g
             .nodes()
             .map(|v| {
                 let mut w = BitWriter::new();

@@ -426,7 +426,7 @@ impl KernelMsoScheme {
         debug_assert_eq!(pruned.len(), instance.graph().num_nodes());
         let td = honest_td_certs(instance, model);
         let tb = table.type_bits();
-        let certs = instance
+        let certs: Vec<_> = instance
             .graph()
             .nodes()
             .map(|v| {
@@ -689,7 +689,7 @@ impl KernelMsoGlobalScheme {
                         .read_cert(local_bits(c))
                         .expect("every local certificate ends in the table")
                 })
-                .collect(),
+                .collect::<Vec<_>>(),
         );
         Ok((global, locals))
     }
@@ -838,7 +838,7 @@ pub(crate) mod reference {
         }
         let td = honest_td_certs(instance, &model);
         let tb = table.type_bits();
-        let certs = g
+        let certs: Vec<_> = g
             .nodes()
             .map(|v| {
                 let ancs = model.ancestors(v);

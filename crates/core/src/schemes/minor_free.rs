@@ -284,7 +284,7 @@ impl Prover for CtMinorFreeScheme {
                 per_vertex[v.0].push((block_id, sub_asg.cert(NodeId(i)).clone()));
             }
         }
-        let certs = per_vertex
+        let certs: Vec<_> = per_vertex
             .into_iter()
             .enumerate()
             .map(|(v, blocks)| {
@@ -455,7 +455,7 @@ mod tests {
             per_vertex
                 .iter()
                 .map(|blocks| encode(scheme.id_bits, blocks))
-                .collect(),
+                .collect::<Vec<_>>(),
         ))
     }
 

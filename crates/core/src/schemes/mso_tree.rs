@@ -90,7 +90,7 @@ impl Prover for MsoTreeScheme {
             .automaton
             .accepting_run(&tree)
             .ok_or(ProverError::NotAYesInstance)?;
-        let certs = g
+        let certs: Vec<_> = g
             .nodes()
             .map(|v| {
                 let mut w = BitWriter::new();

@@ -216,7 +216,7 @@ impl Prover for SpanningTreeScheme {
         // A rooted spanning tree exists iff the instance is non-empty and
         // connected: anything else is a no-instance, not a panic.
         let fields = try_honest_tree_fields(instance, root).ok_or(ProverError::NotAYesInstance)?;
-        let certs = fields
+        let certs: Vec<_> = fields
             .iter()
             .enumerate()
             .map(|(v, f)| {
@@ -405,7 +405,7 @@ impl Prover for VertexCountScheme {
         }
         let fields =
             try_honest_count_fields(instance, NodeId(0)).ok_or(ProverError::NotAYesInstance)?;
-        let certs = fields
+        let certs: Vec<_> = fields
             .iter()
             .enumerate()
             .map(|(v, f)| {

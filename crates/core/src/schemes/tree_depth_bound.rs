@@ -66,7 +66,7 @@ impl Prover for TreeDepthBoundScheme {
                     w.write(rooted.depth(v) as u64, self.bits);
                     w.finish_for(v.0)
                 })
-                .collect(),
+                .collect::<Vec<_>>(),
         ))
     }
 }

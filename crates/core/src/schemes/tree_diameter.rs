@@ -76,7 +76,7 @@ impl Prover for TreeDiameterScheme {
                     w.write(height[v.0], self.id_bits);
                     w.finish_for(v.0)
                 })
-                .collect(),
+                .collect::<Vec<_>>(),
         ))
     }
 }

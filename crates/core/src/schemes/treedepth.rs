@@ -358,7 +358,7 @@ impl Prover for TreedepthScheme {
     fn assign(&self, instance: &Instance<'_>) -> Result<Assignment, ProverError> {
         let _span = locert_trace::span!("core.schemes.treedepth.prover");
         let model = model_for(instance.graph(), self.t, &self.strategy)?;
-        let certs = honest_td_certs(instance, &model)
+        let certs: Vec<_> = honest_td_certs(instance, &model)
             .iter()
             .enumerate()
             .map(|(v, c)| {

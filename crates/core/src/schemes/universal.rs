@@ -184,7 +184,7 @@ impl Prover for UniversalScheme {
             )));
         }
         let ids = instance.ids();
-        let certs = g
+        let certs: Vec<_> = g
             .nodes()
             .map(|v| {
                 let mut w = BitWriter::new();

@@ -118,7 +118,7 @@ fn mutations(g: &Graph, base: &Assignment, rng: &mut StdRng) -> Vec<Assignment> 
             // The same bit flipped in every copy long enough to have it.
             8 if len > 0 => {
                 let at = rng.random_range(0..len);
-                let flipped = certs
+                let flipped: Vec<_> = certs
                     .iter()
                     .map(|c| {
                         if at < c.len_bits() {
@@ -136,7 +136,7 @@ fn mutations(g: &Graph, base: &Assignment, rng: &mut StdRng) -> Vec<Assignment> 
             // An assignment shorter than n.
             11 => {
                 let keep = n.saturating_sub(1 + rng.random_range(0..n.div_ceil(2)));
-                asg = Assignment::new(certs[..keep.min(certs.len())].to_vec());
+                asg = Assignment::new(&certs[..keep.min(certs.len())]);
             }
             // Empty certificate where the mutation had nothing to bite.
             _ => *asg.cert_mut(v) = Certificate::empty(),
@@ -265,7 +265,11 @@ fn run_path_equals_per_vertex_decide_for_every_catalogue_id() {
                 };
                 let scheme = (entry.build)(id_bits_for(&inst), n);
                 let base = scheme.assign(&inst).unwrap_or_else(|_| {
-                    Assignment::new((0..n).map(|v| honest.cert(NodeId(v)).clone()).collect())
+                    Assignment::new(
+                        (0..n)
+                            .map(|v| honest.cert(NodeId(v)).clone())
+                            .collect::<Vec<_>>(),
+                    )
                 });
                 rejections += check(
                     id,

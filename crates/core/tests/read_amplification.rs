@@ -18,7 +18,7 @@ struct DegreeScheme;
 
 impl Prover for DegreeScheme {
     fn assign(&self, instance: &Instance<'_>) -> Result<Assignment, ProverError> {
-        let certs = instance
+        let certs: Vec<_> = instance
             .graph()
             .nodes()
             .map(|v| {

@@ -5,7 +5,11 @@
 //! FNV-1a, so any presentation of the same labeled graph — shuffled
 //! edge lines, flipped endpoints, comments, redundant headers — hashes
 //! identically. [`Graph`] normalizes on construction, which makes the
-//! canonical order free; the digest is a pure fold over it.
+//! canonical order free; the digest is a pure fold over it. Every
+//! number is folded as its eight little-endian bytes, but a zero byte
+//! only multiplies the state by the FNV prime (`h ^ 0 == h`), so the
+//! zero high bytes of a small index fold as one multiply by a power of
+//! the prime: the same value for a fraction of the work.
 //!
 //! The digest is labeled-graph identity, not isomorphism: relabeling
 //! *vertices* produces a different adjacency and a different digest
@@ -30,8 +34,30 @@ fn fold(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-fn fold_usize(h: u64, x: usize) -> u64 {
-    fold(h, &(x as u64).to_le_bytes())
+/// `FNV_PRIME^k` for `k` in `0..=8`.
+const PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
+/// Folds the eight little-endian bytes of `x`, exactly as
+/// `fold(h, &(x as u64).to_le_bytes())` does: the significant low bytes
+/// one at a time, then each zero high byte, which only multiplies by
+/// `FNV_PRIME`, as one multiply by the matching power.
+fn fold_usize(mut h: u64, x: usize) -> u64 {
+    let mut x = x as u64;
+    let zero_high = (x.leading_zeros() / 8) as usize;
+    for _ in zero_high..8 {
+        h ^= x & 0xff;
+        h = h.wrapping_mul(FNV_PRIME);
+        x >>= 8;
+    }
+    h.wrapping_mul(PRIME_POW[zero_high])
 }
 
 /// 64-bit content digest of a graph over its canonical edge list.
@@ -100,6 +126,26 @@ mod tests {
                 g.num_nodes(),
                 g.num_edges()
             );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn fold_usize_matches_the_bytewise_fold(
+            h in 0u64..=u64::MAX,
+            x in 0u64..=u64::MAX,
+            shift in 0u32..64,
+        ) {
+            // Shifting spreads `x` over every count of significant bytes.
+            for x in [x >> shift, 0, 255, 256, u64::MAX] {
+                proptest::prop_assert_eq!(
+                    fold_usize(h, x as usize),
+                    fold(h, &x.to_le_bytes()),
+                    "x = {:#x}", x
+                );
+            }
         }
     }
 

@@ -4,10 +4,11 @@
 //! (no parallel edges), loopless, undirected, with vertices indexed by
 //! [`NodeId`] in `0..n`. Construction goes through [`GraphBuilder`], which
 //! validates edges, or through the convenience constructor
-//! [`Graph::from_edges`].
+//! [`Graph::from_edges`]. The builder holds only the edge list and
+//! builds the CSR arrays with one counting sort, so constructing a graph
+//! costs a constant number of allocations rather than one per vertex.
 
 use crate::node::NodeId;
-use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
@@ -94,7 +95,13 @@ impl Graph {
     where
         I: IntoIterator<Item = (usize, usize)>,
     {
-        let mut b = GraphBuilder::new(n);
+        let edges = edges.into_iter();
+        // The whole list fits without regrowing when the iterator knows its
+        // length; otherwise start, like `GraphBuilder::new`, at a tree's worth.
+        let mut b = GraphBuilder {
+            n,
+            edges: Vec::with_capacity(edges.size_hint().0.max(n)),
+        };
         for (u, v) in edges {
             b.add_edge(u, v)?;
         }
@@ -257,6 +264,9 @@ impl Graph {
 
 /// Incremental, validating builder for [`Graph`].
 ///
+/// The builder keeps the validated edge list and nothing per vertex;
+/// [`GraphBuilder::build`] turns it into CSR form with a counting sort.
+///
 /// # Example
 ///
 /// ```
@@ -271,20 +281,26 @@ impl Graph {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
-    adj: Vec<BTreeSet<NodeId>>,
+    n: usize,
+    /// Validated edges in insertion order, duplicates included.
+    edges: Vec<(NodeId, NodeId)>,
 }
 
 impl GraphBuilder {
-    /// Starts a builder for a graph on `n` vertices.
+    /// Starts a builder for a graph on `n` vertices, with room for `n`
+    /// edges: a tree's edge list (the common case) never regrows, and a
+    /// buffer grown by doubling would leave freed copies behind in the
+    /// heap on every build.
     pub fn new(n: usize) -> Self {
         GraphBuilder {
-            adj: vec![BTreeSet::new(); n],
+            n,
+            edges: Vec::with_capacity(n),
         }
     }
 
     /// Number of vertices of the graph under construction.
     pub fn num_nodes(&self) -> usize {
-        self.adj.len()
+        self.n
     }
 
     /// Adds the undirected edge `{u, v}`. Adding an existing edge is a no-op.
@@ -293,7 +309,7 @@ impl GraphBuilder {
     ///
     /// Returns [`GraphError::NodeOutOfRange`] or [`GraphError::SelfLoop`].
     pub fn add_edge(&mut self, u: usize, v: usize) -> Result<&mut Self, GraphError> {
-        let n = self.adj.len();
+        let n = self.n;
         if u >= n {
             return Err(GraphError::NodeOutOfRange { node: u, n });
         }
@@ -303,31 +319,69 @@ impl GraphBuilder {
         if u == v {
             return Err(GraphError::SelfLoop { node: u });
         }
-        self.adj[u].insert(NodeId(v));
-        self.adj[v].insert(NodeId(u));
+        self.edges.push((NodeId(u), NodeId(v)));
         Ok(self)
     }
 
     /// Appends a fresh isolated vertex and returns its id.
     pub fn add_node(&mut self) -> NodeId {
-        self.adj.push(BTreeSet::new());
-        NodeId(self.adj.len() - 1)
+        self.n += 1;
+        NodeId(self.n - 1)
     }
 
-    /// Finalizes the graph, flattening the per-vertex sets into CSR form.
+    /// Finalizes the graph with a counting sort of the half-edges.
+    ///
+    /// Degrees are counted into `offsets` and prefix-summed, so
+    /// `offsets[v]` ends row `v`; scattering each half-edge at
+    /// `--offsets[u]` then leaves `offsets[v]` at the start of row `v`,
+    /// with no second cursor array. The edge list is dropped before the
+    /// rows are sorted and compacted in place, which merges duplicate
+    /// edges. With the edge list, a build from [`Graph::from_edges`] is
+    /// three allocations (edge list, offsets, neighbors), whatever `n` is,
+    /// and one more to shrink `neighbors` when duplicates were merged.
     pub fn build(self) -> Graph {
-        let mut offsets = Vec::with_capacity(self.adj.len() + 1);
-        offsets.push(0);
-        let total: usize = self.adj.iter().map(BTreeSet::len).sum();
-        let mut neighbors = Vec::with_capacity(total);
-        for s in self.adj {
-            neighbors.extend(s);
-            offsets.push(neighbors.len());
+        let GraphBuilder { n, edges } = self;
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, v) in &edges {
+            offsets[u.0] += 1;
+            offsets[v.0] += 1;
         }
+        let mut total = 0;
+        for end in &mut offsets[..n] {
+            total += *end;
+            *end = total;
+        }
+        offsets[n] = total;
+        let mut neighbors = vec![NodeId(0); total];
+        for (u, v) in edges {
+            offsets[u.0] -= 1;
+            neighbors[offsets[u.0]] = v;
+            offsets[v.0] -= 1;
+            neighbors[offsets[v.0]] = u;
+        }
+        // Sort each row and drop repeats, sliding rows left over the gaps
+        // duplicates leave. `offsets[v + 1]` still holds the old end of
+        // row `v` when it is read, since only `offsets[v]` is rewritten.
+        let mut len = 0;
+        for v in 0..n {
+            let (start, end) = (offsets[v], offsets[v + 1]);
+            neighbors[start..end].sort_unstable();
+            offsets[v] = len;
+            for i in start..end {
+                let w = neighbors[i];
+                if len == offsets[v] || neighbors[len - 1] != w {
+                    neighbors[len] = w;
+                    len += 1;
+                }
+            }
+        }
+        offsets[n] = len;
+        neighbors.truncate(len);
+        neighbors.shrink_to_fit();
         Graph {
             offsets,
             neighbors,
-            num_edges: total / 2,
+            num_edges: len / 2,
         }
     }
 }

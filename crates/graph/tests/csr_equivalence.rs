@@ -1,17 +1,20 @@
 //! CSR observational equivalence: the flat offsets/neighbors layout
-//! behind [`locert_graph::Graph`] must be indistinguishable from the
-//! adjacency-set model it replaced, for every generator family.
+//! behind [`locert_graph::Graph`], and the counting-sort build in
+//! [`GraphBuilder::build`] that fills it, must be indistinguishable from
+//! a per-vertex adjacency-set model.
 //!
-//! The reference model is a per-vertex `BTreeSet` rebuilt from the
-//! graph's own edge list: if the CSR slices were unsorted, duplicated,
-//! asymmetric, or misaligned against `offsets`, the slices and the sets
-//! would disagree somewhere. On top of that, BFS orders, `digest()`,
-//! and `.graph` text round-trips must all be stable under a rebuild —
-//! those are the observations the certification stack actually makes.
+//! The reference model is a per-vertex `BTreeSet`, rebuilt either from
+//! the graph's own edge list or from the raw builder calls (duplicates,
+//! both orientations, `add_node` between edges, invalid edges): if the
+//! CSR slices were unsorted, duplicated, asymmetric, or misaligned
+//! against `offsets`, the slices and the sets would disagree somewhere.
+//! On top of that, BFS orders, `digest()`, and `.graph` text
+//! round-trips must all be stable under a rebuild — those are the
+//! observations the certification stack actually makes.
 
 use locert_graph::digest::digest;
 use locert_graph::io::{parse_edge_list, to_edge_list};
-use locert_graph::{generators, traversal, Graph, GraphBuilder, NodeId};
+use locert_graph::{generators, traversal, Graph, GraphBuilder, GraphError, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -86,8 +89,90 @@ fn csr_bfs(g: &Graph, source: NodeId) -> Vec<usize> {
     order
 }
 
+/// Replays raw builder calls on a `BTreeSet` model with the builder's
+/// checks in the builder's order. Each op is `(kind, a, b)`: kind 0 adds
+/// a vertex, any other kind adds the edge `{a mod (n + 1), b mod (n + 1)}`
+/// for the current `n`, so endpoints `== n` (out of range) and self-loops
+/// both turn up. Returns the sets and the error each edge call gave.
+fn reference_build(
+    n: usize,
+    ops: &[(u8, usize, usize)],
+) -> (Vec<BTreeSet<usize>>, Vec<Option<GraphError>>) {
+    let mut sets = vec![BTreeSet::new(); n];
+    let mut errors = Vec::new();
+    for &(kind, a, b) in ops {
+        let n = sets.len();
+        if kind == 0 {
+            sets.push(BTreeSet::new());
+            continue;
+        }
+        let (u, v) = (a % (n + 1), b % (n + 1));
+        let error = if u >= n {
+            Some(GraphError::NodeOutOfRange { node: u, n })
+        } else if v >= n {
+            Some(GraphError::NodeOutOfRange { node: v, n })
+        } else if u == v {
+            Some(GraphError::SelfLoop { node: u })
+        } else {
+            sets[u].insert(v);
+            sets[v].insert(u);
+            None
+        };
+        errors.push(error);
+    }
+    (sets, errors)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn builder_matches_the_set_model_on_edge_multisets(
+        n in 0usize..10,
+        ops in prop::collection::vec((0u8..6, 0usize..64, 0usize..64), 0..60),
+    ) {
+        let (sets, expected_errors) = reference_build(n, &ops);
+
+        let mut b = GraphBuilder::new(n);
+        let mut errors = Vec::new();
+        for &(kind, a, c) in &ops {
+            if kind == 0 {
+                let v = b.add_node();
+                prop_assert_eq!(v, NodeId(b.num_nodes() - 1));
+                continue;
+            }
+            let m = b.num_nodes() + 1;
+            errors.push(b.add_edge(a % m, c % m).err());
+        }
+        prop_assert_eq!(&errors, &expected_errors, "errors diverged");
+        let g = b.build();
+        prop_assert_eq!(g.num_nodes(), sets.len());
+        for v in g.nodes() {
+            let row: Vec<usize> = g.neighbors(v).iter().map(|u| u.0).collect();
+            let want: Vec<usize> = sets[v.0].iter().copied().collect();
+            prop_assert_eq!(row, want, "row {:?} diverged", v);
+        }
+        let set_sum: usize = sets.iter().map(BTreeSet::len).sum();
+        prop_assert_eq!(g.num_edges(), set_sum / 2);
+
+        // `from_edges` on the same edges (no vertex added between them)
+        // fails at the first bad edge, with that edge's error.
+        let edges: Vec<(usize, usize)> =
+            ops.iter().map(|&(_, a, c)| (a % (n + 1), c % (n + 1))).collect();
+        let (edge_sets, edge_errors) =
+            reference_build(n, &ops.iter().map(|&(_, a, c)| (1, a, c)).collect::<Vec<_>>());
+        match edge_errors.into_iter().flatten().next() {
+            Some(first) => prop_assert_eq!(Graph::from_edges(n, edges), Err(first)),
+            None => {
+                let g = Graph::from_edges(n, edges).unwrap();
+                let rows: Vec<BTreeSet<usize>> = g
+                    .nodes()
+                    .map(|v| g.neighbors(v).iter().map(|u| u.0).collect())
+                    .collect();
+                prop_assert_eq!(rows, edge_sets);
+            }
+        }
+    }
 
     #[test]
     fn csr_matches_adjacency_set_model(seed in 0u64..1 << 16) {

@@ -289,7 +289,7 @@ fn cross_check(
         None => Instance::new(&item.graph, &ids),
     };
     let scheme = (entry.build)(id_bits_for(&instance), item.graph.num_nodes());
-    let assignment = Assignment::new(certs.to_vec());
+    let assignment = Assignment::new(certs);
     let outcome = run_verification(scheme.as_ref(), &instance, &assignment);
     outcome.accepted() == accepted && accepted
 }

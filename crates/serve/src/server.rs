@@ -25,11 +25,14 @@ use crate::admit::{Admission, Permit};
 use crate::cache::{CacheKey, CertCache};
 use crate::proto::{self, CacheDisposition, ErrorCode, Message, Mode, Request, Response};
 use locert_core::catalogue::{self, SchemeEntry};
-use locert_core::framework::{run_verification, Assignment, Instance, ProverError};
+use locert_core::framework::{
+    run_verification, Assignment, Instance, ProverError, VerificationOutcome,
+};
 use locert_core::schemes::common::id_bits_for;
 use locert_graph::io::{MAX_EDGES, MAX_VERTICES};
 use locert_graph::{Graph, IdAssignment};
 use locert_trace::journal::{self, Event};
+use std::cell::OnceCell;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -314,6 +317,8 @@ struct Admitted<'a> {
     entry: &'static SchemeEntry,
     graph: Graph,
     inputs: Option<Vec<usize>>,
+    /// Contiguous identifiers, built on first use (see `with_instance`).
+    ids: OnceCell<IdAssignment>,
     _permit: Permit,
 }
 
@@ -395,8 +400,34 @@ fn admit<'a>(shared: &Shared, request: &'a Request) -> Result<Admitted<'a>, Resp
         entry,
         graph,
         inputs,
+        ids: OnceCell::new(),
         _permit: permit,
     })
+}
+
+impl Admitted<'_> {
+    /// Runs `f` on the request's instance under contiguous identifiers,
+    /// the ids every certificate the daemon serves or checks is made for.
+    /// Only a prover or a verifier reads identifiers, so a cache hit never
+    /// builds them, and a roundtrip miss builds them once for both.
+    fn with_instance<R>(&self, f: impl FnOnce(&Instance<'_>) -> R) -> R {
+        let ids = self
+            .ids
+            .get_or_init(|| IdAssignment::contiguous(self.graph.num_nodes()));
+        let instance = match &self.inputs {
+            Some(word) => Instance::with_inputs(&self.graph, ids, word),
+            None => Instance::new(&self.graph, ids),
+        };
+        f(&instance)
+    }
+
+    /// Runs the request's verifier on `certs`.
+    fn verify(&self, certs: &[Certs]) -> VerificationOutcome {
+        self.with_instance(|instance| {
+            let scheme = (self.entry.build)(id_bits_for(instance), self.graph.num_nodes());
+            run_verification(scheme.as_ref(), instance, &Assignment::new(certs))
+        })
+    }
 }
 
 /// Runs the prover, consulting the certificate cache first. Returns the
@@ -404,7 +435,6 @@ fn admit<'a>(shared: &Shared, request: &'a Request) -> Result<Admitted<'a>, Resp
 fn prove_cached(
     shared: &Shared,
     admitted: &Admitted<'_>,
-    instance: &Instance<'_>,
 ) -> Result<(Vec<Certs>, CacheDisposition), Response> {
     let key = CacheKey::of(
         &admitted.graph,
@@ -414,8 +444,11 @@ fn prove_cached(
     if let Some(certs) = shared.cache.lock().expect("cache lock poisoned").get(&key) {
         return Ok((certs, CacheDisposition::Hit));
     }
-    let scheme = (admitted.entry.build)(id_bits_for(instance), admitted.graph.num_nodes());
-    let assignment = match scheme.assign(instance) {
+    let proved = admitted.with_instance(|instance| {
+        let scheme = (admitted.entry.build)(id_bits_for(instance), admitted.graph.num_nodes());
+        scheme.assign(instance)
+    });
+    let assignment = match proved {
         Ok(assignment) => assignment,
         Err(ProverError::NotAYesInstance) => {
             return Err(reject(
@@ -443,14 +476,8 @@ type Certs = locert_core::bits::Certificate;
 /// Executes one admitted request.
 fn execute(shared: &Shared, admitted: &Admitted<'_>) -> Response {
     locert_trace::add("serve.requests", 1);
-    let n = admitted.graph.num_nodes();
-    let ids = IdAssignment::contiguous(n);
-    let instance = match &admitted.inputs {
-        Some(word) => Instance::with_inputs(&admitted.graph, &ids, word),
-        None => Instance::new(&admitted.graph, &ids),
-    };
     match admitted.request.mode {
-        Mode::Prove => match prove_cached(shared, admitted, &instance) {
+        Mode::Prove => match prove_cached(shared, admitted) {
             Ok((certs, cache)) => Response::Ok {
                 accepted: true,
                 cache,
@@ -463,10 +490,9 @@ fn execute(shared: &Shared, admitted: &Admitted<'_>) -> Response {
             let certs = admitted
                 .request
                 .certs
-                .clone()
+                .as_deref()
                 .expect("validated at admission");
-            let scheme = (admitted.entry.build)(id_bits_for(&instance), n);
-            let outcome = run_verification(scheme.as_ref(), &instance, &Assignment::new(certs));
+            let outcome = admitted.verify(certs);
             Response::Ok {
                 accepted: outcome.accepted(),
                 cache: CacheDisposition::Bypass,
@@ -474,11 +500,9 @@ fn execute(shared: &Shared, admitted: &Admitted<'_>) -> Response {
                 certs: None,
             }
         }
-        Mode::Roundtrip => match prove_cached(shared, admitted, &instance) {
+        Mode::Roundtrip => match prove_cached(shared, admitted) {
             Ok((certs, cache)) => {
-                let scheme = (admitted.entry.build)(id_bits_for(&instance), n);
-                let assignment = Assignment::new(certs.clone());
-                let outcome = run_verification(scheme.as_ref(), &instance, &assignment);
+                let outcome = admitted.verify(&certs);
                 Response::Ok {
                     accepted: outcome.accepted(),
                     cache,

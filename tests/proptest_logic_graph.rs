@@ -298,7 +298,7 @@ proptest! {
                     w.write(v as u64, 4);
                     w.finish()
                 })
-                .collect(),
+                .collect::<Vec<_>>(),
         );
         let center = center % n;
         for r in 1..=3 {
