@@ -15,11 +15,18 @@
 //! can check its own guard by looking at its children's states.
 //!
 //! Counting is *capped*: every constant in a guard is at most
-//! [`TreeAutomaton::cap`], and count vectors saturate there — sound
-//! because `Σ min(xᵢ, C) ≥ c ⇔ Σ xᵢ ≥ c` whenever `c ≤ C`.
+//! [`TreeAutomaton::cap`], and count vectors saturate just past it —
+//! sound because `Σ min(xᵢ, C + 1) ≥ c ⇔ Σ xᵢ ≥ c` whenever `c ≤ C`.
+//!
+//! Both the feasibility pass and the run search decide a node's
+//! existential choice with one layered DP over packed count vectors
+//! (`CountLayers`): layer `i` is the sorted, deduplicated set of capped
+//! count vectors the first `i` children can produce, each vector packed
+//! into a few words of one flat buffer that every node reuses. The run
+//! [`TreeAutomaton::accepting_run`] returns is the least accepting run in
+//! a fixed total order (see there), never one that depends on hashing.
 
 use locert_graph::{NodeId, RootedTree};
-use std::collections::HashMap;
 
 /// One threshold atom: "the number of children whose state lies in
 /// `states` (a bitmask) compares against `count`".
@@ -70,14 +77,20 @@ impl Guard {
     /// Evaluates the guard against per-state children counts (uncapped;
     /// sums saturate internally).
     pub fn eval(&self, counts: &[usize]) -> bool {
+        self.holds(&|states| set_count(counts, states))
+    }
+
+    /// Evaluates the guard, reading the number of children in a state
+    /// set (a bitmask) through `count`.
+    fn holds(&self, count: &impl Fn(u64) -> usize) -> bool {
         match self {
             Guard::True => true,
             Guard::False => false,
-            Guard::AtLeast(a) => set_count(counts, a.states) >= a.count,
-            Guard::AtMost(a) => set_count(counts, a.states) <= a.count,
-            Guard::Not(g) => !g.eval(counts),
-            Guard::And(a, b) => a.eval(counts) && b.eval(counts),
-            Guard::Or(a, b) => a.eval(counts) || b.eval(counts),
+            Guard::AtLeast(a) => count(a.states) >= a.count,
+            Guard::AtMost(a) => count(a.states) <= a.count,
+            Guard::Not(g) => !g.holds(count),
+            Guard::And(a, b) => a.holds(count) && b.holds(count),
+            Guard::Or(a, b) => a.holds(count) || b.holds(count),
         }
     }
 
@@ -307,51 +320,18 @@ impl TreeAutomaton {
     /// counts. The existential choice is decided by a DP over capped count
     /// vectors.
     pub fn feasible_states(&self, t: &LabeledTree) -> Vec<u64> {
-        let n = t.tree().num_nodes();
+        let mut feasible = vec![0u64; t.tree().num_nodes()];
+        let mut layers = CountLayers::default();
         let cap = self.cap();
-        let mut feasible = vec![0u64; n];
         for v in t.tree().postorder() {
             let kids = t.tree().children(v);
-            let vectors = self.reachable_count_vectors(kids, &feasible, cap);
+            layers.build(self.num_states, cap, kids, &feasible);
             let label = t.label(v);
-            for q in 0..self.num_states {
-                if vectors
-                    .iter()
-                    .any(|vec| self.guards[q][label].eval(&to_usize(vec)))
-                {
-                    feasible[v.0] |= 1u64 << q;
-                }
-            }
+            feasible[v.0] = (0..self.num_states)
+                .filter(|&q| layers.any_last(&self.guards[q][label]))
+                .fold(0, |mask, q| mask | (1u64 << q));
         }
         feasible
-    }
-
-    /// All capped count vectors reachable by assigning each child one of
-    /// its feasible states.
-    fn reachable_count_vectors(
-        &self,
-        kids: &[NodeId],
-        feasible: &[u64],
-        cap: usize,
-    ) -> Vec<Vec<u8>> {
-        let mut set: Vec<Vec<u8>> = vec![vec![0u8; self.num_states]];
-        for &c in kids {
-            let mut next: std::collections::HashSet<Vec<u8>> = std::collections::HashSet::new();
-            for vec in &set {
-                for q in 0..self.num_states {
-                    if feasible[c.0] & (1u64 << q) != 0 {
-                        let mut w = vec.clone();
-                        w[q] = w[q].saturating_add(1).min(cap as u8 + 1);
-                        next.insert(w);
-                    }
-                }
-            }
-            set = next.into_iter().collect();
-            if set.is_empty() {
-                break;
-            }
-        }
-        set
     }
 
     /// Whether the automaton accepts `t`.
@@ -363,6 +343,16 @@ impl TreeAutomaton {
 
     /// An accepting run (state per node), if one exists. This is exactly
     /// the certificate of Theorem 2.2.
+    ///
+    /// The run is the least accepting run when runs are compared
+    /// lexicographically with the nodes read in breadth-first order
+    /// (children in [`RootedTree::children`] order). Top-down, that is:
+    /// the root takes its least feasible accepting state, and each node
+    /// gives its children the lexicographically least tuple of feasible
+    /// states that satisfies its own guard. Choices below different nodes
+    /// are independent once their parents are fixed, so the greedy
+    /// choice is the least run, and the result is a function of the
+    /// automaton and the tree alone.
     pub fn accepting_run(&self, t: &LabeledTree) -> Option<Vec<usize>> {
         let n = t.tree().num_nodes();
         let feasible = self.feasible_states(t);
@@ -371,66 +361,22 @@ impl TreeAutomaton {
             .find(|&q| feasible[root.0] & (1u64 << q) != 0 && self.accepting[q])?;
         let mut states = vec![usize::MAX; n];
         states[root.0] = root_state;
-        // Top-down: each node's state is fixed; choose children states.
         let mut order = t.tree().postorder();
         order.reverse(); // parents before children.
+        let mut layers = CountLayers::default();
         let cap = self.cap();
         for v in order {
-            let q = states[v.0];
-            debug_assert_ne!(q, usize::MAX);
             let kids = t.tree().children(v);
             if kids.is_empty() {
                 continue;
             }
-            let choice = self
-                .choose_child_states(kids, &feasible, &self.guards[q][t.label(v)], cap)
-                .expect("feasibility promised a satisfying choice");
-            for (i, &c) in kids.iter().enumerate() {
-                states[c.0] = choice[i];
-            }
+            layers.build(self.num_states, cap, kids, &feasible);
+            let guard = &self.guards[states[v.0]][t.label(v)];
+            let chosen = layers.choose(guard, kids, &feasible, &mut states);
+            assert!(chosen, "feasibility promised a satisfying choice");
         }
         debug_assert!(self.is_accepting_run(t, &states));
         Some(states)
-    }
-
-    /// Finds one per-child state choice satisfying `guard`, via the count
-    /// DP with parent pointers.
-    fn choose_child_states(
-        &self,
-        kids: &[NodeId],
-        feasible: &[u64],
-        guard: &Guard,
-        cap: usize,
-    ) -> Option<Vec<usize>> {
-        // layer i: map vector -> (prev vector, chosen state).
-        type Layer = HashMap<Vec<u8>, (Vec<u8>, usize)>;
-        let mut layers: Vec<Layer> = Vec::new();
-        let zero = vec![0u8; self.num_states];
-        let mut current: Vec<Vec<u8>> = vec![zero.clone()];
-        for &c in kids {
-            let mut layer = HashMap::new();
-            for vec in &current {
-                for q in 0..self.num_states {
-                    if feasible[c.0] & (1u64 << q) != 0 {
-                        let mut w = vec.clone();
-                        w[q] = w[q].saturating_add(1).min(cap as u8 + 1);
-                        layer.entry(w).or_insert_with(|| (vec.clone(), q));
-                    }
-                }
-            }
-            current = layer.keys().cloned().collect();
-            layers.push(layer);
-        }
-        let target = current.into_iter().find(|vec| guard.eval(&to_usize(vec)))?;
-        // Walk back the layers.
-        let mut choice = vec![usize::MAX; kids.len()];
-        let mut cur = target;
-        for i in (0..kids.len()).rev() {
-            let (prev, q) = layers[i].get(&cur)?.clone();
-            choice[i] = q;
-            cur = prev;
-        }
-        Some(choice)
     }
 
     /// Product automaton; `combine` merges acceptance.
@@ -564,14 +510,348 @@ impl TreeAutomaton {
     }
 }
 
-fn to_usize(v: &[u8]) -> Vec<usize> {
-    v.iter().map(|&x| x as usize).collect()
+/// The states of `mask`, least first.
+fn states_of(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let q = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            q
+        })
+    })
+}
+
+/// The layered count-vector DP of one node, on scratch that every node
+/// reuses.
+///
+/// A node with `k` children counts, per state, the children carrying it,
+/// saturated at `sat = min(cap + 1, k)`: a count never exceeds `k`, so
+/// below `cap + 1` saturation never fires and above it the guards cannot
+/// tell the difference. A count vector packs into `width` words of
+/// `bits`-bit fields, state `q` in word `q / per_word` at bit
+/// `(q % per_word) * bits`, so any automaton [`TreeAutomaton::new`]
+/// accepts (up to 64 states, any cap) fits. Layer `i` is the set of
+/// vectors the first `i` children reach, each child taking one of its
+/// feasible states; it is sorted by words and deduplicated, so a vector
+/// is found by binary search, and the layers of one node lie back to
+/// back in one buffer.
+#[derive(Debug, Default)]
+struct CountLayers {
+    bits: u32,
+    per_word: usize,
+    width: usize,
+    sat: u64,
+    /// Every layer's vectors, `width` words each.
+    vecs: Vec<u64>,
+    /// Layer `i` is vectors `starts[i]..starts[i + 1]`.
+    starts: Vec<usize>,
+    /// The candidates for the layer being built, then one vector being
+    /// probed while a run is chosen.
+    next: Vec<u64>,
+    /// The candidates' sort order.
+    order: Vec<u32>,
+    /// Per vector: whether some completion of it satisfies the guard
+    /// being chosen for.
+    good: Vec<bool>,
+}
+
+impl CountLayers {
+    /// Builds every layer of a node with children `kids`.
+    fn build(&mut self, num_states: usize, cap: usize, kids: &[NodeId], feasible: &[u64]) {
+        self.sat = cap.saturating_add(1).min(kids.len()) as u64;
+        self.bits = (u64::BITS - self.sat.leading_zeros()).max(1);
+        self.per_word = (u64::BITS / self.bits) as usize;
+        self.width = num_states.div_ceil(self.per_word);
+        self.vecs.clear();
+        self.vecs.resize(self.width, 0);
+        self.starts.clear();
+        self.starts.extend([0, 1]);
+        let w = self.width;
+        for (i, &c) in kids.iter().enumerate() {
+            self.next.clear();
+            for j in self.starts[i]..self.starts[i + 1] {
+                for q in states_of(feasible[c.0]) {
+                    let at = self.next.len();
+                    self.next.extend_from_slice(&self.vecs[j * w..(j + 1) * w]);
+                    self.bump(at, q);
+                }
+            }
+            self.push_layer();
+        }
+    }
+
+    /// Adds one child in state `q` to the vector at word `at` of `next`.
+    fn bump(&mut self, at: usize, q: usize) {
+        let word = at + q / self.per_word;
+        let shift = (q % self.per_word) as u32 * self.bits;
+        if (self.next[word] >> shift) & self.field_mask() < self.sat {
+            self.next[word] += 1 << shift;
+        }
+    }
+
+    fn field_mask(&self) -> u64 {
+        u64::MAX >> (u64::BITS - self.bits)
+    }
+
+    /// Sorts and deduplicates the candidates in `next` into a new layer.
+    fn push_layer(&mut self) {
+        let w = self.width;
+        let next = &self.next;
+        self.order.clear();
+        self.order.extend(0..(next.len() / w) as u32);
+        let vec = |i: u32| &next[i as usize * w..(i as usize + 1) * w];
+        self.order.sort_unstable_by(|&a, &b| vec(a).cmp(vec(b)));
+        let first = self.vecs.len();
+        for &i in &self.order {
+            if self.vecs.len() == first || self.vecs[self.vecs.len() - w..] != *vec(i) {
+                self.vecs.extend_from_slice(vec(i));
+            }
+        }
+        self.starts.push(self.vecs.len() / w);
+    }
+
+    /// The index of the last layer: the node's number of children.
+    fn last(&self) -> usize {
+        self.starts.len() - 2
+    }
+
+    fn vec(&self, j: usize) -> &[u64] {
+        &self.vecs[j * self.width..(j + 1) * self.width]
+    }
+
+    /// The number of children whose state lies in `states`, in vector
+    /// `vec`.
+    fn count(&self, vec: &[u64], states: u64) -> usize {
+        let mask = self.field_mask();
+        states_of(states)
+            .map(|q| {
+                let shift = (q % self.per_word) as u32 * self.bits;
+                ((vec[q / self.per_word] >> shift) & mask) as usize
+            })
+            .sum()
+    }
+
+    /// Whether some vector of the last layer satisfies `guard`.
+    fn any_last(&self, guard: &Guard) -> bool {
+        let last = self.last();
+        (self.starts[last]..self.starts[last + 1]).any(|j| {
+            let vec = self.vec(j);
+            guard.holds(&|states| self.count(vec, states))
+        })
+    }
+
+    /// The index in layer `i` of vector `j` plus one child in state `q`
+    /// (it must be there: `j` is in layer `i - 1` and `q` feasible for
+    /// child `i`).
+    fn step(&mut self, j: usize, q: usize, i: usize) -> usize {
+        let w = self.width;
+        self.next.clear();
+        self.next.extend_from_slice(&self.vecs[j * w..(j + 1) * w]);
+        self.bump(0, q);
+        let probe = &self.next[..w];
+        let (mut lo, mut hi) = (self.starts[i], self.starts[i + 1]);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.vec(mid) < probe {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        debug_assert_eq!(self.vec(lo), probe, "successor missing from its layer");
+        lo
+    }
+
+    /// Writes into `states` the lexicographically least tuple of feasible
+    /// child states whose count vector satisfies `guard`; `false` when
+    /// there is none. Needs the layers of `kids`.
+    fn choose(
+        &mut self,
+        guard: &Guard,
+        kids: &[NodeId],
+        feasible: &[u64],
+        states: &mut [usize],
+    ) -> bool {
+        let k = kids.len();
+        self.good.clear();
+        self.good.resize(self.starts[k + 1], false);
+        for j in self.starts[k]..self.starts[k + 1] {
+            let vec = self.vec(j);
+            self.good[j] = guard.holds(&|states| self.count(vec, states));
+        }
+        // Backwards: a vector is good when some feasible state of the
+        // next child leads to a good vector.
+        for i in (0..k).rev() {
+            for j in self.starts[i]..self.starts[i + 1] {
+                self.good[j] = states_of(feasible[kids[i].0]).any(|q| {
+                    let next = self.step(j, q, i + 1);
+                    self.good[next]
+                });
+            }
+        }
+        if !self.good[0] {
+            return false;
+        }
+        // Forwards: each child takes its least state that stays good.
+        let mut cur = 0;
+        for (i, &c) in kids.iter().enumerate() {
+            (states[c.0], cur) = states_of(feasible[c.0])
+                .find_map(|q| {
+                    let next = self.step(cur, q, i + 1);
+                    self.good[next].then_some((q, next))
+                })
+                .expect("a good vector has a good successor");
+        }
+        true
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{lcl, library};
     use locert_graph::{generators, Graph};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    use std::collections::HashSet;
+
+    /// The feasibility DP as it stood before the packed layers: one
+    /// hash set of unpacked `u8` count vectors per child, counts
+    /// saturating at `cap + 1` (so caps below 255 only).
+    fn reference_feasible_states(a: &TreeAutomaton, t: &LabeledTree) -> Vec<u64> {
+        let cap = a.cap();
+        let mut feasible = vec![0u64; t.tree().num_nodes()];
+        for v in t.tree().postorder() {
+            let mut set: Vec<Vec<u8>> = vec![vec![0u8; a.num_states]];
+            for &c in t.tree().children(v) {
+                let mut next: HashSet<Vec<u8>> = HashSet::new();
+                for vec in &set {
+                    for q in 0..a.num_states {
+                        if feasible[c.0] & (1u64 << q) != 0 {
+                            let mut w = vec.clone();
+                            w[q] = w[q].saturating_add(1).min(cap as u8 + 1);
+                            next.insert(w);
+                        }
+                    }
+                }
+                set = next.into_iter().collect();
+            }
+            for q in 0..a.num_states {
+                let guard = &a.guards[q][t.label(v)];
+                if set
+                    .iter()
+                    .any(|vec| guard.eval(&vec.iter().map(|&x| x as usize).collect::<Vec<_>>()))
+                {
+                    feasible[v.0] |= 1u64 << q;
+                }
+            }
+        }
+        feasible
+    }
+
+    /// Every `library` automaton, one product, and the two-label
+    /// solution automata of the `lcl` problems.
+    fn automata_under_test() -> Vec<(&'static str, TreeAutomaton)> {
+        vec![
+            ("height-1", library::height_at_most(1)),
+            ("height-4", library::height_at_most(4)),
+            ("perfect-matching", library::has_perfect_matching()),
+            ("max-children-2", library::max_children_at_most(2)),
+            ("internal-at-least-2", library::all_internal_at_least(2)),
+            ("uniform-leaves-5", library::uniform_leaf_depth(5)),
+            ("leaf-at-depth-2", library::some_leaf_at_depth(2)),
+            (
+                "perfect-matching ∩ height-4",
+                library::has_perfect_matching().intersect(&library::height_at_most(4)),
+            ),
+            ("mis", lcl::maximal_independent_set().solution_automaton()),
+            (
+                "2-coloring",
+                lcl::proper_two_coloring().solution_automaton(),
+            ),
+        ]
+    }
+
+    #[test]
+    fn packed_layers_agree_with_the_hash_set_reference() {
+        let mut rng = StdRng::seed_from_u64(25);
+        for (name, a) in automata_under_test() {
+            for _ in 0..60 {
+                let n = rng.random_range(1..=12usize);
+                let g = generators::random_tree(n, &mut rng);
+                let root = rng.random_range(0..n);
+                let labels = (0..n)
+                    .map(|_| rng.random_range(0..a.num_labels()))
+                    .collect();
+                let t = LabeledTree::new(rooted(&g, root), labels, a.num_labels()).unwrap();
+                let expected = reference_feasible_states(&a, &t);
+                assert_eq!(a.feasible_states(&t), expected, "{name} on {g:?}");
+                let accepts = expected[root]
+                    & (0..a.num_states())
+                        .filter(|&q| a.is_accepting(q))
+                        .fold(0, |m, q| m | (1u64 << q))
+                    != 0;
+                assert_eq!(a.accepts(&t), accepts, "{name} on {g:?}");
+                match a.accepting_run(&t) {
+                    Some(run) => {
+                        assert!(accepts, "{name}: a run on a rejected tree");
+                        assert!(a.is_accepting_run(&t, &run), "{name} on {g:?}");
+                    }
+                    None => assert!(!accepts, "{name}: no run on an accepted tree"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn caps_past_a_byte_are_counted_exactly() {
+        // "At least 300 children in state 0" — the saturation point does
+        // not fit the reference's u8 counts.
+        let g = Guard::AtLeast(CountAtom {
+            states: 0b1,
+            count: 300,
+        });
+        let a = TreeAutomaton::new(2, 1, vec![vec![Guard::leaf(2)], vec![g]], vec![false, true])
+            .unwrap();
+        assert_eq!(a.cap(), 300);
+        let at = |n| LabeledTree::unlabeled(rooted(&generators::star(n), 0));
+        assert!(!a.accepts(&at(300)), "299 leaves");
+        assert!(a.accepts(&at(301)), "300 leaves");
+        let run = a.accepting_run(&at(400)).unwrap();
+        assert!(a.is_accepting_run(&at(400), &run));
+    }
+
+    #[test]
+    fn many_states_span_several_words() {
+        // 64 states with 2-bit counts need two words per vector.
+        let product = library::some_leaf_at_depth(2).intersect(&library::height_at_most(15));
+        assert_eq!(product.num_states(), 64);
+        let t = LabeledTree::unlabeled(rooted(&generators::spider(4, 2), 0));
+        assert_eq!(
+            product.feasible_states(&t),
+            reference_feasible_states(&product, &t)
+        );
+        let run = product.accepting_run(&t).unwrap();
+        assert!(product.is_accepting_run(&t, &run));
+    }
+
+    #[test]
+    fn accepting_run_is_the_least_run_every_call() {
+        // Six legs of length 2: any leg may carry the marked path, so the
+        // automaton has six accepting runs. The least one in breadth-first
+        // order marks the hub's last child: among the hub's children
+        // tuples, the one with its On₁ (state 2) last is the least.
+        let a = library::some_leaf_at_depth(2);
+        let t = LabeledTree::unlabeled(rooted(&generators::spider(6, 2), 0));
+        let first = a.accepting_run(&t).unwrap();
+        for _ in 0..50 {
+            assert_eq!(a.accepting_run(&t).unwrap(), first);
+        }
+        assert_eq!(first, PINNED_SPIDER_RUN);
+        assert!(a.is_accepting_run(&t, &first));
+    }
+
+    const PINNED_SPIDER_RUN: [usize; 13] = [3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1];
 
     fn rooted(g: &Graph, r: usize) -> RootedTree {
         RootedTree::from_tree(g, NodeId(r)).unwrap()

@@ -153,36 +153,62 @@ fn bench_prover_vs_verifier(c: &mut Criterion) {
     group.finish();
 }
 
-/// The verifier layer alone: `run_verification` on each compact catalogue
-/// scheme's canonical family at n = 16384, with the honest assignment
-/// made once outside the timed loop.
-fn bench_verify_catalogue(c: &mut Criterion) {
+/// Runs `each` on every compact catalogue scheme with its canonical
+/// family instance at n = 16384, skipping the broadcast scheme, whose
+/// O(n²) maps are out of reach at this n.
+fn for_catalogue_at_16384(
+    mut each: impl FnMut(
+        &str,
+        &dyn locert_core::framework::Scheme,
+        &locert_core::framework::Instance<'_>,
+    ),
+) {
     use locert_core::catalogue;
-    use locert_core::framework::{run_verification, DeclaredBound, Instance};
+    use locert_core::framework::{DeclaredBound, Instance};
     use locert_core::schemes::common::id_bits_for;
     use locert_graph::IdAssignment;
 
-    let n = 16384;
-    let mut g = c.benchmark_group("verify_catalogue");
     for entry in catalogue::entries() {
-        let (graph, inputs) = (entry.family)(n);
+        let (graph, inputs) = (entry.family)(16384);
         let ids = IdAssignment::contiguous(graph.num_nodes());
         let inst = match &inputs {
             Some(word) => Instance::with_inputs(&graph, &ids, word),
             None => Instance::new(&graph, &ids),
         };
         let scheme = (entry.build)(id_bits_for(&inst), graph.num_nodes());
-        // The broadcast scheme's O(n²) maps are out of reach at this n.
-        if scheme.declared_bound() == DeclaredBound::QuadraticN {
-            continue;
+        if scheme.declared_bound() != DeclaredBound::QuadraticN {
+            each(entry.id, scheme.as_ref(), &inst);
         }
-        let asg = scheme
-            .assign(&inst)
-            .expect("family instances are yes-instances");
-        g.bench_with_input(BenchmarkId::new(entry.id, n), &n, |b, _| {
-            b.iter(|| black_box(run_verification(scheme.as_ref(), &inst, &asg).accepted()));
-        });
     }
+}
+
+/// The verifier layer alone: `run_verification` on each compact catalogue
+/// scheme's canonical family at n = 16384, with the honest assignment
+/// made once outside the timed loop.
+fn bench_verify_catalogue(c: &mut Criterion) {
+    use locert_core::framework::run_verification;
+
+    let mut g = c.benchmark_group("verify_catalogue");
+    for_catalogue_at_16384(|id, scheme, inst| {
+        let asg = scheme
+            .assign(inst)
+            .expect("family instances are yes-instances");
+        g.bench_with_input(BenchmarkId::new(id, 16384), &16384, |b, _| {
+            b.iter(|| black_box(run_verification(scheme, inst, &asg).accepted()));
+        });
+    });
+    g.finish();
+}
+
+/// The prover layer alone: `assign` on the same instances as
+/// `verify_catalogue`, so each id's prover and verifier medians compare.
+fn bench_prove_catalogue(c: &mut Criterion) {
+    let mut g = c.benchmark_group("prove_catalogue");
+    for_catalogue_at_16384(|id, scheme, inst| {
+        g.bench_with_input(BenchmarkId::new(id, 16384), &16384, |b, _| {
+            b.iter(|| black_box(scheme.assign(inst).expect("yes-instance").len()));
+        });
+    });
     g.finish();
 }
 
@@ -243,5 +269,6 @@ criterion_group!(
     bench_p34_spanning_tree,
     bench_s1_exhaustive,
     bench_verify_catalogue,
+    bench_prove_catalogue,
 );
 criterion_main!(benches);

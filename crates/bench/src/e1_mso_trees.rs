@@ -133,6 +133,48 @@ pub fn bench_once(n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use locert_core::framework::Prover;
+
+    /// FNV-1a over every certificate's length and bytes, in vertex order.
+    fn certificate_digest(scheme: &MsoTreeScheme, g: &Graph) -> u64 {
+        let ids = IdAssignment::contiguous(g.num_nodes());
+        let assignment = scheme
+            .assign(&Instance::new(g, &ids))
+            .expect("yes-instance");
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in g.nodes() {
+            let cert = assignment.cert(v);
+            for b in (cert.len_bits() as u64)
+                .to_le_bytes()
+                .iter()
+                .chain(cert.as_bytes())
+            {
+                h = (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The honest certificates of every E1 property are pinned. Four
+    /// automata are deterministic, so their run is the only one;
+    /// `leaf-at-depth-3` has one accepting run per leg of the spider, and
+    /// the pin holds the least one, which `accepting_run` returns on
+    /// every call.
+    #[test]
+    fn honest_certificates_are_pinned() {
+        let pinned: [(&str, u64); 5] = [
+            ("perfect-matching", 0xe5ba_ed15_0ab9_9765),
+            ("height<=2", 0x2cde_5aff_21d9_4835),
+            ("max-children<=2", 0xa77e_41b7_4482_d1a5),
+            ("leaf-at-depth-3", 0x2efe_5977_d88c_5a65),
+            ("uniform-leaves", 0x4b86_7c80_6a81_0f7e),
+        ];
+        for (prop, expected) in pinned {
+            let g = instance_for(prop, 64);
+            let digest = certificate_digest(&scheme_for(prop), &g);
+            assert_eq!(digest, expected, "{prop}: {digest:#018x}");
+        }
+    }
 
     #[test]
     fn sizes_are_flat() {

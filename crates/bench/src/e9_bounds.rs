@@ -540,7 +540,6 @@ pub mod baseline {
 /// [`apply`]: mutants::apply
 pub mod mutants {
     use super::*;
-    use locert_core::bits::BitWriter;
     use locert_core::framework::{
         Assignment, Decode, DecodedView, Prover, ProverError, RejectReason,
     };
@@ -579,25 +578,18 @@ pub mod mutants {
         fn assign(&self, instance: &Instance<'_>) -> Result<Assignment, ProverError> {
             let fields =
                 try_honest_tree_fields(instance, NodeId(0)).ok_or(ProverError::NotAYesInstance)?;
-            Ok(Assignment::new(
-                fields
-                    .iter()
-                    .enumerate()
-                    .map(|(v, f)| {
-                        let mut w = BitWriter::new();
-                        w.component("root-id");
-                        write_ident(&mut w, f.root, self.id_bits);
-                        w.component("distance");
-                        for _ in 0..f.dist {
-                            w.write_bit(true);
-                        }
-                        w.write_bit(false);
-                        w.component("parent-id");
-                        write_ident(&mut w, f.parent, self.id_bits);
-                        w.finish_for(v)
-                    })
-                    .collect::<Vec<_>>(),
-            ))
+            Ok(Assignment::write_each(fields.len(), |v, w| {
+                let f = &fields[v.0];
+                w.component("root-id");
+                write_ident(w, f.root, self.id_bits);
+                w.component("distance");
+                for _ in 0..f.dist {
+                    w.write_bit(true);
+                }
+                w.write_bit(false);
+                w.component("parent-id");
+                write_ident(w, f.parent, self.id_bits);
+            }))
         }
     }
 
@@ -623,20 +615,14 @@ pub mod mutants {
         fn assign(&self, instance: &Instance<'_>) -> Result<Assignment, ProverError> {
             let g = instance.graph();
             let pad = g.num_nodes() / 8;
-            Ok(Assignment::new(
-                g.nodes()
-                    .map(|v| {
-                        let mut w = BitWriter::new();
-                        w.component("automaton-state");
-                        w.write(0, 4);
-                        w.component("padding");
-                        for _ in 0..pad {
-                            w.write_bit(false);
-                        }
-                        w.finish_for(v.0)
-                    })
-                    .collect::<Vec<_>>(),
-            ))
+            Ok(Assignment::write_each(g.num_nodes(), |_, w| {
+                w.component("automaton-state");
+                w.write(0, 4);
+                w.component("padding");
+                for _ in 0..pad {
+                    w.write_bit(false);
+                }
+            }))
         }
     }
 
@@ -664,23 +650,16 @@ pub mod mutants {
         fn assign(&self, instance: &Instance<'_>) -> Result<Assignment, ProverError> {
             let fields =
                 try_honest_tree_fields(instance, NodeId(0)).ok_or(ProverError::NotAYesInstance)?;
-            Ok(Assignment::new(
-                fields
-                    .iter()
-                    .enumerate()
-                    .map(|(v, f)| {
-                        let mut w = BitWriter::new();
-                        w.component("root-id");
-                        write_ident(&mut w, f.root, self.id_bits);
-                        write_ident(&mut w, f.root, self.id_bits);
-                        w.component("distance");
-                        w.write(f.dist, self.id_bits);
-                        w.component("parent-id");
-                        write_ident(&mut w, f.parent, self.id_bits);
-                        w.finish_for(v)
-                    })
-                    .collect::<Vec<_>>(),
-            ))
+            Ok(Assignment::write_each(fields.len(), |v, w| {
+                let f = &fields[v.0];
+                w.component("root-id");
+                write_ident(w, f.root, self.id_bits);
+                write_ident(w, f.root, self.id_bits);
+                w.component("distance");
+                w.write(f.dist, self.id_bits);
+                w.component("parent-id");
+                write_ident(w, f.parent, self.id_bits);
+            }))
         }
     }
 

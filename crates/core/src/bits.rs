@@ -326,30 +326,56 @@ impl BitWriter {
         self.write(u64::from(bit), 1)
     }
 
-    /// Appends all bits of another certificate. Byte-aligned writers
-    /// append with a single memcpy (certificates are canonical, so the
-    /// tail padding bits are already zero); unaligned writers fall back
-    /// to 56-bit chunks.
+    /// Appends all bits of another certificate.
     pub fn write_cert(&mut self, other: &Certificate) -> &mut Self {
-        if self.len_bits.is_multiple_of(8) {
-            self.bytes.extend_from_slice(other.as_bytes());
-            self.len_bits += other.len_bits();
+        self.write_bits(other.as_bytes(), other.len_bits())
+    }
+
+    /// Appends the first `len_bits` bits of `bytes`, which must hold
+    /// them in canonical form: `len_bits.div_ceil(8)` bytes, the final
+    /// byte's padding bits zero (as [`BitWriter::bytes`] and
+    /// [`Certificate::as_bytes`] leave them). A byte-aligned writer
+    /// appends with one memcpy; an unaligned one splits each source byte
+    /// over the current partial byte and the next, so the zero padding
+    /// lands past the end.
+    pub fn write_bits(&mut self, bytes: &[u8], len_bits: usize) -> &mut Self {
+        debug_assert_eq!(bytes.len(), len_bits.div_ceil(8), "non-canonical length");
+        let shift = self.len_bits % 8;
+        if shift == 0 {
+            self.bytes.extend_from_slice(bytes);
         } else {
-            let mut r = BitReader::new(other);
-            let mut rem = other.len_bits();
-            while rem > 0 {
-                let take = rem.min(56) as u32;
-                let v = r.read(take).expect("reader stays in range");
-                self.write(v, take);
-                rem -= take as usize;
+            let mut carry = self
+                .bytes
+                .pop()
+                .expect("an unaligned writer has a partial byte");
+            self.bytes.reserve(bytes.len() + 1);
+            for &b in bytes {
+                self.bytes.push(carry | (b >> shift));
+                carry = b << (8 - shift);
             }
+            self.bytes.push(carry);
+            self.bytes.truncate((self.len_bits + len_bits).div_ceil(8));
         }
+        self.len_bits += len_bits;
         self
     }
 
     /// Current length in bits.
     pub fn len_bits(&self) -> usize {
         self.len_bits
+    }
+
+    /// The bytes written so far, in canonical form (the final byte's
+    /// padding bits zero).
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Empties the writer for the next certificate, keeping its buffers.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.len_bits = 0;
+        self.marks.clear();
     }
 
     /// Marks the bits written from here on as belonging to the witness
@@ -382,6 +408,14 @@ impl BitWriter {
     /// mark at bit 0 so the attributed spans tile the whole
     /// certificate.
     pub fn finish_for(self, vertex: usize) -> Certificate {
+        self.record_for(vertex);
+        self.finish()
+    }
+
+    /// The ledger half of [`BitWriter::finish_for`]: records the bits
+    /// written so far as `vertex`'s certificate when a ledger capture is
+    /// active on this thread, and leaves the writer as it is.
+    pub fn record_for(&self, vertex: usize) {
         if locert_trace::ledger::capturing() {
             debug_assert!(
                 self.len_bits == 0 || self.marks.first().is_some_and(|&(_, start)| start == 0),
@@ -389,7 +423,6 @@ impl BitWriter {
             );
             locert_trace::ledger::record_cert(vertex, self.len_bits, &self.marks);
         }
-        self.finish()
     }
 }
 
@@ -683,6 +716,40 @@ mod tests {
         let mut r = BitReader::new(&cb);
         assert_eq!(r.read(2), Some(0b01));
         assert_eq!(r.read(3), Some(0b101));
+    }
+
+    #[test]
+    fn write_bits_matches_a_bit_loop_at_every_offset() {
+        let source: Vec<bool> = (0..70).map(|i| (i * 7 + i / 3) % 5 < 2).collect();
+        for offset in 0..10 {
+            for len in 0..source.len() {
+                let mut bits = BitWriter::new();
+                for &b in &source[..len] {
+                    bits.write_bit(b);
+                }
+                let cert = bits.finish();
+                let mut fast = BitWriter::new();
+                let mut slow = BitWriter::new();
+                for i in 0..offset {
+                    fast.write_bit(i % 2 == 0);
+                    slow.write_bit(i % 2 == 0);
+                }
+                fast.write_cert(&cert);
+                for &b in &source[..len] {
+                    slow.write_bit(b);
+                }
+                assert_eq!(fast.finish(), slow.finish(), "offset {offset}, {len} bits");
+            }
+        }
+    }
+
+    #[test]
+    fn a_cleared_writer_starts_afresh() {
+        let mut w = BitWriter::new();
+        w.write(0b1011, 4);
+        w.clear();
+        w.write(0b01, 2);
+        assert_eq!((w.bytes(), w.len_bits()), (&[0b0100_0000][..], 2));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   locally-checkable-labeling extension), used e.g. to put letters on
 //!   path graphs.
 
-use crate::bits::{BitReader, Certificate};
+use crate::bits::{BitReader, BitWriter, Certificate};
 use locert_graph::{Graph, IdAssignment, Ident, NodeId};
 use locert_trace::LocalHistogram;
 use std::collections::HashMap;
@@ -121,10 +121,35 @@ impl Assignment {
         Assignment { certs }
     }
 
+    /// Writes the certificates of vertices `0..n`, each by `write` into
+    /// one reused writer, straight into one arena: the assignment that
+    /// [`Assignment::new`] makes of per-vertex writers finished with
+    /// [`BitWriter::finish_for`], ledger records included, without a
+    /// buffer per vertex.
+    pub fn write_each(n: usize, mut write: impl FnMut(NodeId, &mut BitWriter)) -> Self {
+        let mut arena = Vec::new();
+        let mut spans = Vec::with_capacity(n);
+        let mut w = BitWriter::new();
+        for v in 0..n {
+            w.clear();
+            write(NodeId(v), &mut w);
+            w.record_for(v);
+            spans.push((arena.len(), w.len_bits()));
+            arena.extend_from_slice(w.bytes());
+        }
+        let arena: std::sync::Arc<[u8]> = arena.into();
+        let certs = spans
+            .into_iter()
+            .map(|(off, len)| Certificate::view(arena.clone(), off, len))
+            .collect();
+        Assignment { certs }
+    }
+
     /// Wraps per-vertex certificates as-is, without arena packing, for
     /// short-lived assignments (attack candidates, faulty worlds) that
     /// would not repay `new`'s two allocations. Honest provers use
-    /// [`Assignment::new`] so long-lived assignments stay arena-backed.
+    /// [`Assignment::write_each`] so long-lived assignments stay
+    /// arena-backed.
     pub fn from_unpacked(certs: Vec<Certificate>) -> Self {
         Assignment { certs }
     }
@@ -1212,17 +1237,11 @@ mod tests {
 
     impl Prover for DegreeScheme {
         fn assign(&self, instance: &Instance<'_>) -> Result<Assignment, ProverError> {
-            let certs: Vec<_> = instance
-                .graph()
-                .nodes()
-                .map(|v| {
-                    let mut w = BitWriter::new();
-                    w.component("degree");
-                    w.write(instance.graph().degree(v) as u64, 16);
-                    w.finish_for(v.0)
-                })
-                .collect();
-            Ok(Assignment::new(certs))
+            let g = instance.graph();
+            Ok(Assignment::write_each(g.num_nodes(), |v, w| {
+                w.component("degree");
+                w.write(g.degree(v) as u64, 16);
+            }))
         }
     }
 
@@ -1504,6 +1523,36 @@ mod tests {
             &first
         ));
         assert_eq!(stored(&memo), 1);
+    }
+
+    #[test]
+    fn written_arenas_match_packed_writers_and_their_ledger() {
+        // Lengths 0..=20 bits, so certificates start on and off byte
+        // boundaries and some are empty.
+        let write = |v: usize, w: &mut BitWriter| {
+            for i in 0..v {
+                w.component(if i % 2 == 0 { "even" } else { "odd" });
+                w.write_bit(i % 3 == 0);
+            }
+        };
+        let (packed, packed_ledger) = locert_trace::ledger::capture(|| {
+            let certs: Vec<_> = (0..21)
+                .map(|v| {
+                    let mut w = BitWriter::new();
+                    write(v, &mut w);
+                    w.finish_for(v)
+                })
+                .collect();
+            Assignment::new(certs)
+        });
+        let (written, written_ledger) =
+            locert_trace::ledger::capture(|| Assignment::write_each(21, |v, w| write(v.0, w)));
+        assert_eq!(written.len(), 21);
+        for v in 0..21 {
+            assert_eq!(written.cert(NodeId(v)), packed.cert(NodeId(v)));
+            assert!(written.cert(NodeId(v)).is_view());
+        }
+        assert_eq!(written_ledger, packed_ledger);
     }
 
     #[test]

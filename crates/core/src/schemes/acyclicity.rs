@@ -9,7 +9,7 @@
 //! schemes here (MSO-on-trees first certifies tree-ness; the paper notes
 //! acyclicity requires `Ω(log n)` bits [31, 37], so this is tight).
 
-use crate::bits::{BitReader, BitWriter, Certificate};
+use crate::bits::{BitReader, Certificate};
 use crate::framework::{
     Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
     Scheme,
@@ -37,17 +37,9 @@ impl Prover for AcyclicityScheme {
             return Err(ProverError::NotAYesInstance);
         }
         let fields = honest_tree_fields(instance, NodeId(0));
-        Ok(Assignment::new(
-            fields
-                .iter()
-                .enumerate()
-                .map(|(v, f)| {
-                    let mut w = BitWriter::new();
-                    f.write(&mut w, self.id_bits);
-                    w.finish_for(v)
-                })
-                .collect::<Vec<_>>(),
-        ))
+        Ok(Assignment::write_each(fields.len(), |v, w| {
+            fields[v.0].write(w, self.id_bits);
+        }))
     }
 }
 

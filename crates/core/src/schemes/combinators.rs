@@ -7,12 +7,11 @@
 //! disjunct's certificate, and every vertex checks the selector agrees
 //! with its neighbors'.
 
-use crate::bits::{BitReader, BitWriter, Certificate};
+use crate::bits::{BitReader, Certificate};
 use crate::framework::{
     Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
     Scheme,
 };
-use locert_graph::NodeId;
 
 /// Both sub-properties hold: certificates are concatenated with a length
 /// header for the first part.
@@ -47,22 +46,17 @@ impl<A: Scheme, B: Scheme> Prover for AndScheme<A, B> {
     fn assign(&self, instance: &Instance<'_>) -> Result<Assignment, ProverError> {
         let a = self.first.assign(instance)?;
         let b = self.second.assign(instance)?;
-        let certs: Vec<_> = instance
-            .graph()
-            .nodes()
-            .map(|v| {
+        Ok(Assignment::write_each(
+            instance.graph().num_nodes(),
+            |v, w| {
                 let ca = a.cert(v);
-                let cb = b.cert(v);
-                let mut w = BitWriter::new();
                 w.component("length-header");
                 w.write(ca.len_bits() as u64, self.len_bits);
                 w.component("embedded");
                 w.write_cert(ca);
-                w.write_cert(cb);
-                w.finish_for(v.0)
-            })
-            .collect();
-        Ok(Assignment::new(certs))
+                w.write_cert(b.cert(v));
+            },
+        ))
     }
 }
 
@@ -138,18 +132,12 @@ impl<A: Scheme, B: Scheme> OrScheme<A, B> {
 impl<A: Scheme, B: Scheme> Prover for OrScheme<A, B> {
     fn assign(&self, instance: &Instance<'_>) -> Result<Assignment, ProverError> {
         let wrap = |selector: bool, asg: Assignment, n: usize| {
-            Assignment::new(
-                (0..n)
-                    .map(|v| {
-                        let mut w = BitWriter::new();
-                        w.component("selector");
-                        w.write_bit(selector);
-                        w.component("embedded");
-                        w.write_cert(asg.cert(NodeId(v)));
-                        w.finish_for(v)
-                    })
-                    .collect::<Vec<_>>(),
-            )
+            Assignment::write_each(n, |v, w| {
+                w.component("selector");
+                w.write_bit(selector);
+                w.component("embedded");
+                w.write_cert(asg.cert(v));
+            })
         };
         let n = instance.graph().num_nodes();
         match self.first.assign(instance) {
@@ -230,6 +218,7 @@ impl<A: Scheme + Decode, B: Scheme + Decode> Scheme for OrScheme<A, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits::BitWriter;
     use crate::framework::run_scheme;
     use crate::schemes::acyclicity::AcyclicityScheme;
     use crate::schemes::common::id_bits_for;

@@ -22,7 +22,7 @@
 //!   (which checks degree `< n − 1`);
 //! - `Neither`: certified vertex count + everyone checks degree `< n−1`.
 
-use crate::bits::{BitReader, BitWriter, Certificate};
+use crate::bits::{BitReader, Certificate};
 use crate::framework::{
     Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
     Scheme,
@@ -147,25 +147,16 @@ impl Prover for Depth2FoScheme {
             return Err(ProverError::NotAYesInstance);
         }
         let n = g.num_nodes();
-        let certs: Vec<Certificate> = match region {
-            Region::Single => {
-                let mut w = BitWriter::new();
-                w.component("region-tag");
-                w.write(region.tag(), 2);
-                vec![w.finish_for(0)]
-            }
+        // The fields after the region tag: none on a single vertex, the
+        // counting fields from vertex 0 in a clique or the neither-region,
+        // and in the dominated-only region the counting fields from the
+        // dominator and a spanning tree rooted at a non-dominating witness.
+        let (counts, witness_tree) = match region {
+            Region::Single => (None, None),
             Region::Clique | Region::Neither => {
                 let counts = try_honest_count_fields(instance, NodeId(0))
                     .ok_or(ProverError::NotAYesInstance)?;
-                g.nodes()
-                    .map(|v| {
-                        let mut w = BitWriter::new();
-                        w.component("region-tag");
-                        w.write(region.tag(), 2);
-                        counts[v.0].write(&mut w, self.id_bits);
-                        w.finish_for(v.0)
-                    })
-                    .collect()
+                (Some(counts), None)
             }
             Region::DomOnly => {
                 let dom = g
@@ -180,19 +171,19 @@ impl Prover for Depth2FoScheme {
                     try_honest_count_fields(instance, dom).ok_or(ProverError::NotAYesInstance)?;
                 let wtree = try_honest_tree_fields(instance, witness)
                     .ok_or(ProverError::NotAYesInstance)?;
-                g.nodes()
-                    .map(|v| {
-                        let mut w = BitWriter::new();
-                        w.component("region-tag");
-                        w.write(region.tag(), 2);
-                        counts[v.0].write(&mut w, self.id_bits);
-                        wtree[v.0].write(&mut w, self.id_bits);
-                        w.finish_for(v.0)
-                    })
-                    .collect()
+                (Some(counts), Some(wtree))
             }
         };
-        Ok(Assignment::new(certs))
+        Ok(Assignment::write_each(n, |v, w| {
+            w.component("region-tag");
+            w.write(region.tag(), 2);
+            if let Some(counts) = &counts {
+                counts[v.0].write(w, self.id_bits);
+            }
+            if let Some(wtree) = &witness_tree {
+                wtree[v.0].write(w, self.id_bits);
+            }
+        }))
     }
 }
 

@@ -14,7 +14,7 @@
 //! every vertex checks the matrix is symmetric, loop-free, and that it
 //! satisfies `φ`.
 
-use crate::bits::{BitReader, BitWriter, Certificate};
+use crate::bits::{BitReader, Certificate};
 use crate::framework::{
     Assignment, DeclaredBound, Decode, DecodedView, Instance, Memo, Prover, ProverError,
     RejectReason, Scheme, Shared,
@@ -219,25 +219,19 @@ impl Prover for ExistentialFoScheme {
                     "instance is disconnected (connected-graph promise)".into(),
                 )
             })?;
-        let certs: Vec<_> = g
-            .nodes()
-            .map(|v| {
-                let mut w = BitWriter::new();
-                w.component("witness-ids");
-                for &id in &witness_ids {
-                    write_ident(&mut w, id, self.id_bits);
-                }
-                w.component("adjacency");
-                for &b in &matrix {
-                    w.write_bit(b);
-                }
-                for tf in &trees {
-                    tf[v.0].write(&mut w, self.id_bits);
-                }
-                w.finish_for(v.0)
-            })
-            .collect();
-        Ok(Assignment::new(certs))
+        Ok(Assignment::write_each(g.num_nodes(), |v, w| {
+            w.component("witness-ids");
+            for &id in &witness_ids {
+                write_ident(w, id, self.id_bits);
+            }
+            w.component("adjacency");
+            for &b in &matrix {
+                w.write_bit(b);
+            }
+            for tf in &trees {
+                tf[v.0].write(w, self.id_bits);
+            }
+        }))
     }
 }
 
@@ -349,6 +343,7 @@ impl Scheme for ExistentialFoScheme {
 mod tests {
     use super::*;
     use crate::attacks;
+    use crate::bits::BitWriter;
     use crate::framework::{run_scheme, run_verification};
     use crate::schemes::common::id_bits_for;
     use crate::schemes::spanning_tree::honest_tree_fields;

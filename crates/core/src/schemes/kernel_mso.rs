@@ -29,11 +29,9 @@ use crate::framework::{
     RejectReason, Scheme, Shared, Verifier,
 };
 use crate::schemes::treedepth::{
-    check_own_td, check_td_edges, honest_td_certs, model_for, ModelStrategy, TdCert,
+    ancestors, check_own_td, check_td_edges, model_for, HonestTd, ModelStrategy, TdCert,
 };
-use locert_graph::{Graph, GraphBuilder};
-#[cfg(test)]
-use locert_graph::{Ident, NodeId};
+use locert_graph::{Graph, GraphBuilder, Ident, NodeId};
 use locert_kernel::{k_reduce, TypeId};
 use locert_logic::depth::{is_fo, quantifier_depth};
 use locert_logic::eval::models;
@@ -223,10 +221,14 @@ pub struct ParsedTable {
 /// gate. It is a function of the graph (and the scheme's parameters)
 /// alone, so graphs with equal CSR arrays share one shape.
 pub(crate) struct KernelShape {
-    model: EliminationTree,
+    pub(crate) model: EliminationTree,
     pruned: Vec<bool>,
     end_type: Vec<TypeId>,
-    table: SerTable,
+    /// The number of types in the table and the width of a type index.
+    types: usize,
+    type_bits: u32,
+    /// The table serialized once: every certificate ends with these bits.
+    table: Certificate,
 }
 
 /// Certifies an FO sentence on graphs of treedepth ≤ `t` (Theorem 2.6).
@@ -405,57 +407,76 @@ impl KernelMsoScheme {
         if !self.kernel_satisfies_phi(&table, root_type.0) {
             return Err(ProverError::NotAYesInstance);
         }
+        let mut w = BitWriter::new();
+        table.write(&mut w, self.t, self.k);
         Ok(KernelShape {
             model,
             pruned: red.pruned,
             end_type: red.end_type,
-            table,
+            types: table.types.len(),
+            type_bits: table.type_bits(),
+            table: w.finish(),
         })
     }
 
-    /// The certificates of `shape` under `instance`'s identifiers.
-    /// `shape` must be the shape of `instance`'s graph, or of a graph
-    /// with equal CSR arrays.
-    pub(crate) fn stamp(&self, instance: &Instance<'_>, shape: &KernelShape) -> Assignment {
+    /// Writes `v`'s certificate of `shape`, whose model `td` was last
+    /// filled with, under the naming `ident`. `shape` must be the shape of
+    /// the certified graph, or of a graph with equal CSR arrays.
+    pub(crate) fn stamp(
+        &self,
+        w: &mut BitWriter,
+        v: NodeId,
+        shape: &KernelShape,
+        td: &HonestTd,
+        ident: impl Fn(NodeId) -> Ident,
+    ) {
+        self.stamp_local(w, v, shape, td, ident);
+        w.component("kernel-table");
+        w.write_cert(&shape.table);
+    }
+
+    /// [`KernelMsoScheme::stamp`] without the trailing table: `v`'s
+    /// local certificate in the global+local split.
+    fn stamp_local(
+        &self,
+        w: &mut BitWriter,
+        v: NodeId,
+        shape: &KernelShape,
+        td: &HonestTd,
+        ident: impl Fn(NodeId) -> Ident,
+    ) {
         let KernelShape {
             model,
             pruned,
             end_type,
-            table,
+            types,
+            type_bits,
+            table: _,
         } = shape;
-        debug_assert_eq!(pruned.len(), instance.graph().num_nodes());
-        let td = honest_td_certs(instance, model);
-        let tb = table.type_bits();
-        let certs: Vec<_> = instance
-            .graph()
-            .nodes()
-            .map(|v| {
-                let ancs = model.ancestors(v);
-                let mut w = BitWriter::new();
-                td[v.0].write(&mut w, self.id_bits, self.t);
-                w.component("pruned-flags");
-                for &a in &ancs {
-                    w.write_bit(pruned[a.0]);
-                }
-                w.component("end-types");
-                w.write(table.types.len() as u64, 12);
-                for &a in &ancs {
-                    w.write(end_type[a.0].0 as u64, tb);
-                }
-                w.component("kernel-table");
-                table.write(&mut w, self.t, self.k);
-                w.finish_for(v.0)
-            })
-            .collect();
-        Assignment::new(certs)
+        td.write(w, v, model, ident, self.id_bits, self.t);
+        w.component("pruned-flags");
+        for a in ancestors(model, v) {
+            w.write_bit(pruned[a.0]);
+        }
+        w.component("end-types");
+        w.write(*types as u64, 12);
+        for a in ancestors(model, v) {
+            w.write(end_type[a.0].0 as u64, *type_bits);
+        }
     }
 }
 
 impl Prover for KernelMsoScheme {
     fn assign(&self, instance: &Instance<'_>) -> Result<Assignment, ProverError> {
         let _span = locert_trace::span!("core.schemes.kernel_mso.prover");
-        let shape = self.shape(instance.graph())?;
-        Ok(self.stamp(instance, &shape))
+        let g = instance.graph();
+        let ids = instance.ids();
+        let shape = self.shape(g)?;
+        let mut td = HonestTd::default();
+        td.fill(g, |v| ids.ident(v), &shape.model);
+        Ok(Assignment::write_each(g.num_nodes(), |v, w| {
+            self.stamp(w, v, &shape, &td, |a| ids.ident(a));
+        }))
     }
 }
 
@@ -652,15 +673,6 @@ impl KernelMsoGlobalScheme {
         self
     }
 
-    /// The bit length of the serialized table inside `cert` (the table is
-    /// the suffix of every local-only certificate).
-    fn table_bits(&self, cert: &Certificate) -> Option<usize> {
-        let parsed = self
-            .inner
-            .parse_in(&Memo::default(), BitReader::new(cert))?;
-        Some(parsed.table.bits().len_bits())
-    }
-
     /// Prover: the shared global certificate (the table) and the
     /// per-vertex locals.
     ///
@@ -671,27 +683,15 @@ impl KernelMsoGlobalScheme {
         &self,
         instance: &Instance<'_>,
     ) -> Result<(Certificate, Assignment), ProverError> {
-        let full = self.inner.assign(instance)?;
-        let n = instance.graph().num_nodes();
-        let first = full.cert(locert_graph::NodeId(0));
-        let tbits = self.table_bits(first).ok_or_else(|| {
-            ProverError::WitnessUnavailable("honest certificate failed to re-parse".into())
-        })?;
-        let local_bits = |c: &Certificate| c.len_bits() - tbits;
-        let mut r = BitReader::new(first);
-        let _skipped_local = r.read_cert(local_bits(first));
-        let global = r.read_cert(tbits).expect("table is the suffix");
-        let locals = Assignment::new(
-            (0..n)
-                .map(|v| {
-                    let c = full.cert(locert_graph::NodeId(v));
-                    BitReader::new(c)
-                        .read_cert(local_bits(c))
-                        .expect("every local certificate ends in the table")
-                })
-                .collect::<Vec<_>>(),
-        );
-        Ok((global, locals))
+        let g = instance.graph();
+        let ids = instance.ids();
+        let shape = self.inner.shape(g)?;
+        let mut td = HonestTd::default();
+        td.fill(g, |v| ids.ident(v), &shape.model);
+        let locals = Assignment::write_each(g.num_nodes(), |v, w| {
+            self.inner.stamp_local(w, v, &shape, &td, |a| ids.ident(a));
+        });
+        Ok((shape.table, locals))
     }
 
     /// Whether every vertex accepts its local certificate (in `locals`)
@@ -801,6 +801,76 @@ pub(crate) mod reference {
         let mut w = BitWriter::new();
         parsed.table.write(&mut w, s.t, s.k);
         Some((*parsed.types.last()?, w.finish()))
+    }
+
+    /// The honest treedepth certificates as they stood: one `TdCert` per
+    /// vertex, a `subtree` and an `ancestors` list allocated per vertex.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model is not coherent (the prover must repair first).
+    pub(crate) fn honest_td_certs(instance: &Instance<'_>, model: &EliminationTree) -> Vec<TdCert> {
+        let g = instance.graph();
+        let ids = instance.ids();
+        let tree = model.tree();
+        let n = g.num_nodes();
+        let mut certs: Vec<TdCert> = (0..n)
+            .map(|v| TdCert {
+                ancestors: tree
+                    .ancestors(NodeId(v))
+                    .iter()
+                    .map(|&a| ids.ident(a))
+                    .collect(),
+                trees: vec![(Ident(0), 0); model.depth(NodeId(v))].into(),
+            })
+            .collect();
+        // For every non-root vertex v: a spanning tree of G_v rooted at the
+        // exit vertex, recorded at each member of G_v at tree index
+        // depth(v) − 1. Membership marks are epoch-stamped so the scratch
+        // arrays are allocated once, not per subtree.
+        let mut in_sub = vec![0u64; n];
+        let mut epoch = 0u64;
+        let mut dist = vec![u64::MAX; n];
+        let mut queue = std::collections::VecDeque::new();
+        for v in g.nodes() {
+            let Some(parent) = tree.parent(v) else {
+                continue;
+            };
+            let members = tree.subtree(v);
+            let exit = members
+                .iter()
+                .copied()
+                .find(|&x| g.has_edge(x, parent))
+                .expect("coherent model has an exit vertex per subtree");
+            // BFS within G_v from the exit.
+            epoch += 1;
+            for &x in &members {
+                in_sub[x.0] = epoch;
+                dist[x.0] = u64::MAX;
+            }
+            dist[exit.0] = 0;
+            queue.clear();
+            queue.push_back(exit);
+            while let Some(x) = queue.pop_front() {
+                for &y in g.neighbors(x) {
+                    if in_sub[y.0] == epoch && dist[y.0] == u64::MAX {
+                        dist[y.0] = dist[x.0] + 1;
+                        queue.push_back(y);
+                    }
+                }
+            }
+            let j = model.depth(v); // ancestor depth of v; tree index j − 1.
+            let exit_id = ids.ident(exit);
+            for &x in &members {
+                debug_assert_ne!(dist[x.0], u64::MAX, "coherent subtree is connected");
+                certs[x.0].trees[j - 1] = (exit_id, dist[x.0]);
+            }
+        }
+        // Sanity: every vertex has exactly depth(v) tree entries.
+        for v in g.nodes() {
+            debug_assert_eq!(certs[v.0].trees.len(), model.depth(v));
+        }
+        certs
     }
 
     /// The prover as it stood: one pass, no shape.
@@ -1041,6 +1111,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn honest_td_matches_the_reference_on_exact_models() {
+        // Exact models, made coherent, leave subtree roots that are not
+        // adjacent to their parent, so the exit vertex is a choice among
+        // several members: the walk order that picks it must match.
+        let mut rng = StdRng::seed_from_u64(0x19);
+        let mut off_root_exits = 0;
+        for n in 5..=11 {
+            for _ in 0..8 {
+                let g = generators::random_connected(n, n / 2, &mut rng);
+                let ids = IdAssignment::shuffled(n, &mut rng);
+                let inst = Instance::new(&g, &ids);
+                let model = model_for(&g, n, &ModelStrategy::Auto).unwrap();
+                let id_bits = id_bits_for(&inst);
+                let mut td = HonestTd::default();
+                td.fill(&g, |v| ids.ident(v), &model);
+                let expected = reference::honest_td_certs(&inst, &model);
+                for v in g.nodes() {
+                    let (mut flat, mut listed) = (BitWriter::new(), BitWriter::new());
+                    td.write(&mut flat, v, &model, |a| ids.ident(a), id_bits, n);
+                    expected[v.0].write(&mut listed, id_bits, n);
+                    assert_eq!(flat.finish(), listed.finish(), "{g:?} at {v:?}");
+                    let parent = model.tree().parent(v);
+                    off_root_exits += usize::from(parent.is_some_and(|p| !g.has_edge(v, p)));
+                }
+            }
+        }
+        assert!(off_root_exits > 0, "no exit vertex was a choice");
     }
 
     #[test]

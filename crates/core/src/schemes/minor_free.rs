@@ -26,9 +26,9 @@ use crate::framework::{
     RejectReason, Scheme,
 };
 use crate::schemes::kernel_mso::{KernelCert, KernelMsoScheme, KernelShape, ParsedTable};
-use crate::schemes::treedepth::ModelStrategy;
+use crate::schemes::treedepth::{HonestTd, ModelStrategy};
 use locert_graph::bcc::biconnected_components;
-use locert_graph::{Graph, IdAssignment, Ident, NodeId};
+use locert_graph::{Graph, Ident, NodeId};
 use locert_logic::props;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -245,9 +245,6 @@ impl Prover for CtMinorFreeScheme {
         let g = instance.graph();
         let ids = instance.ids();
         let decomposition = biconnected_components(g);
-        // Per-vertex block certificate lists.
-        let mut per_vertex: Vec<Vec<((Ident, Ident), Certificate)>> =
-            vec![Vec::new(); g.num_nodes()];
         // One dense block-local index per vertex, `usize::MAX` off the
         // current block; each block resets only the entries it set, so
         // building every block costs O(n + m) in total.
@@ -255,6 +252,15 @@ impl Prover for CtMinorFreeScheme {
         // The P_{t²} prover's shape reads the block graph alone, so blocks
         // with equal CSR arrays (every edge of a path, say) share one.
         let mut shapes: HashMap<Graph, KernelShape> = HashMap::new();
+        // Every member's P_{t²} sub-certificate, byte-aligned and back to
+        // back in `subs`, listed as (member, block id, byte offset, bits)
+        // in block order; the writer, the treedepth entries and the
+        // member ids are reused from block to block.
+        let mut subs: Vec<u8> = Vec::new();
+        let mut listed: Vec<(NodeId, (Ident, Ident), usize, usize)> = Vec::new();
+        let mut w = BitWriter::new();
+        let mut td = HonestTd::default();
+        let mut member_ids: Vec<Ident> = Vec::new();
         for bi in 0..decomposition.components.len() {
             let members = decomposition.component_vertices(bi);
             for (i, &v) in members.iter().enumerate() {
@@ -266,45 +272,67 @@ impl Prover for CtMinorFreeScheme {
             }
             // Block id: the two smallest member identifiers (unique,
             // since distinct blocks share at most one vertex).
-            let mut member_ids: Vec<Ident> = members.iter().map(|&v| ids.ident(v)).collect();
-            member_ids.sort();
-            let block_id = (member_ids[0], member_ids[1]);
-            // Run the P_{t²} scheme on the block-induced subgraph with the
+            member_ids.clear();
+            member_ids.extend(members.iter().map(|&v| ids.ident(v)));
+            let block_id = two_smallest(&member_ids);
+            // Run the P_{t²} prover on the block-induced subgraph with the
             // members' own identifiers.
             if !shapes.contains_key(&sub) {
                 let shape = self.inner.shape(&sub)?;
                 shapes.insert(sub.clone(), shape);
             }
-            let sub_ids = IdAssignment::new(members.iter().map(|&v| ids.ident(v)).collect())
-                .expect("identifiers stay distinct");
-            let sub_asg = self
-                .inner
-                .stamp(&Instance::new(&sub, &sub_ids), &shapes[&sub]);
+            let shape = &shapes[&sub];
+            td.fill(&sub, |v| member_ids[v.0], &shape.model);
             for (i, &v) in members.iter().enumerate() {
-                per_vertex[v.0].push((block_id, sub_asg.cert(NodeId(i)).clone()));
+                w.clear();
+                self.inner
+                    .stamp(&mut w, NodeId(i), shape, &td, |a| member_ids[a.0]);
+                listed.push((v, block_id, subs.len(), w.len_bits()));
+                subs.extend_from_slice(w.bytes());
             }
         }
-        let certs: Vec<_> = per_vertex
-            .into_iter()
-            .enumerate()
-            .map(|(v, blocks)| {
-                let mut w = BitWriter::new();
-                w.component("block-count");
-                w.write(blocks.len() as u64, 16);
-                for (block_id, cert) in blocks {
-                    w.component("block-id");
-                    w.write(block_id.0.value(), self.id_bits);
-                    w.write(block_id.1.value(), self.id_bits);
-                    w.component("length-header");
-                    w.write(cert.len_bits() as u64, 20);
-                    w.component("embedded");
-                    w.write_cert(&cert);
-                }
-                w.finish_for(v)
-            })
-            .collect();
-        Ok(Assignment::new(certs))
+        // Each vertex's blocks, in block order (a stable counting sort).
+        let mut start = vec![0usize; g.num_nodes() + 1];
+        for &(v, ..) in &listed {
+            start[v.0 + 1] += 1;
+        }
+        for v in 0..g.num_nodes() {
+            start[v + 1] += start[v];
+        }
+        let mut at = start.clone();
+        let mut blocks = vec![((Ident(0), Ident(0)), 0, 0); listed.len()];
+        for &(v, block_id, off, len) in &listed {
+            blocks[at[v.0]] = (block_id, off, len);
+            at[v.0] += 1;
+        }
+        Ok(Assignment::write_each(g.num_nodes(), |v, w| {
+            let mine = &blocks[start[v.0]..start[v.0 + 1]];
+            w.component("block-count");
+            w.write(mine.len() as u64, 16);
+            for &(block_id, off, len) in mine {
+                w.component("block-id");
+                w.write(block_id.0.value(), self.id_bits);
+                w.write(block_id.1.value(), self.id_bits);
+                w.component("length-header");
+                w.write(len as u64, 20);
+                w.component("embedded");
+                w.write_bits(&subs[off..off + len.div_ceil(8)], len);
+            }
+        }))
     }
+}
+
+/// The two smallest of at least two identifiers, smallest first.
+fn two_smallest(ids: &[Ident]) -> (Ident, Ident) {
+    let (mut a, mut b) = (ids[0].min(ids[1]), ids[0].max(ids[1]));
+    for &id in &ids[2..] {
+        if id < a {
+            (a, b) = (id, a);
+        } else if id < b {
+            b = id;
+        }
+    }
+    (a, b)
 }
 
 impl CtMinorFreeScheme {
@@ -416,7 +444,7 @@ mod tests {
     use crate::framework::{run_scheme, run_verification, run_verification_in};
     use crate::schemes::common::id_bits_for;
     use crate::schemes::kernel_mso::reference::{self, agrees, truncated};
-    use locert_graph::{generators, minors, GraphBuilder};
+    use locert_graph::{generators, minors, GraphBuilder, IdAssignment};
     use locert_par::Pool;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};

@@ -25,7 +25,7 @@
 //! (the paper's locally-checkable-labeling extension); unlabeled trees
 //! use input 0 everywhere.
 
-use crate::bits::{width_for, BitReader, BitWriter, Certificate};
+use crate::bits::{width_for, BitReader, Certificate};
 use crate::framework::{
     Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
     Scheme,
@@ -90,20 +90,14 @@ impl Prover for MsoTreeScheme {
             .automaton
             .accepting_run(&tree)
             .ok_or(ProverError::NotAYesInstance)?;
-        let certs: Vec<_> = g
-            .nodes()
-            .map(|v| {
-                let mut w = BitWriter::new();
-                w.component("depth-mod-3");
-                w.write((tree.tree().depth(v) % 3) as u64, 2);
-                w.component("automaton-state");
-                w.write(run[v.0] as u64, self.state_bits);
-                w.component("automaton-fingerprint");
-                w.write(self.fp, 16);
-                w.finish_for(v.0)
-            })
-            .collect();
-        Ok(Assignment::new(certs))
+        Ok(Assignment::write_each(g.num_nodes(), |v, w| {
+            w.component("depth-mod-3");
+            w.write((tree.tree().depth(v) % 3) as u64, 2);
+            w.component("automaton-state");
+            w.write(run[v.0] as u64, self.state_bits);
+            w.component("automaton-fingerprint");
+            w.write(self.fp, 16);
+        }))
     }
 }
 
@@ -190,6 +184,7 @@ pub fn checked_mso_tree(
 mod tests {
     use super::*;
     use crate::attacks;
+    use crate::bits::BitWriter;
     use crate::framework::{run_scheme, run_verification};
     use locert_automata::library;
     use locert_graph::{generators, IdAssignment};

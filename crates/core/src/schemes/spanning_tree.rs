@@ -216,16 +216,9 @@ impl Prover for SpanningTreeScheme {
         // A rooted spanning tree exists iff the instance is non-empty and
         // connected: anything else is a no-instance, not a panic.
         let fields = try_honest_tree_fields(instance, root).ok_or(ProverError::NotAYesInstance)?;
-        let certs: Vec<_> = fields
-            .iter()
-            .enumerate()
-            .map(|(v, f)| {
-                let mut w = BitWriter::new();
-                f.write(&mut w, self.id_bits);
-                w.finish_for(v)
-            })
-            .collect();
-        Ok(Assignment::new(certs))
+        Ok(Assignment::write_each(fields.len(), |v, w| {
+            fields[v.0].write(w, self.id_bits);
+        }))
     }
 }
 
@@ -405,16 +398,9 @@ impl Prover for VertexCountScheme {
         }
         let fields =
             try_honest_count_fields(instance, NodeId(0)).ok_or(ProverError::NotAYesInstance)?;
-        let certs: Vec<_> = fields
-            .iter()
-            .enumerate()
-            .map(|(v, f)| {
-                let mut w = BitWriter::new();
-                f.write(&mut w, self.id_bits);
-                w.finish_for(v)
-            })
-            .collect();
-        Ok(Assignment::new(certs))
+        Ok(Assignment::write_each(fields.len(), |v, w| {
+            fields[v.0].write(w, self.id_bits);
+        }))
     }
 }
 

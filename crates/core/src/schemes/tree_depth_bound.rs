@@ -12,7 +12,7 @@
 //!
 //! On trees the depths then measure a genuine rooting of height ≤ k.
 
-use crate::bits::{width_for, BitReader, BitWriter, Certificate};
+use crate::bits::{width_for, BitReader, Certificate};
 use crate::framework::{
     Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
     Scheme,
@@ -58,16 +58,10 @@ impl Prover for TreeDepthBoundScheme {
         if rooted.height() > self.k {
             return Err(ProverError::NotAYesInstance);
         }
-        Ok(Assignment::new(
-            g.nodes()
-                .map(|v| {
-                    let mut w = BitWriter::new();
-                    w.component("depth");
-                    w.write(rooted.depth(v) as u64, self.bits);
-                    w.finish_for(v.0)
-                })
-                .collect::<Vec<_>>(),
-        ))
+        Ok(Assignment::write_each(g.num_nodes(), |v, w| {
+            w.component("depth");
+            w.write(rooted.depth(v) as u64, self.bits);
+        }))
     }
 }
 

@@ -15,7 +15,7 @@
 //!
 //! Size: `O(log n)`.
 
-use crate::bits::{BitReader, BitWriter, Certificate};
+use crate::bits::{BitReader, Certificate};
 use crate::framework::{
     Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
     Scheme,
@@ -67,17 +67,11 @@ impl Prover for TreeDiameterScheme {
             return Err(ProverError::NotAYesInstance);
         }
         let fields = honest_tree_fields(instance, NodeId(0));
-        Ok(Assignment::new(
-            g.nodes()
-                .map(|v| {
-                    let mut w = BitWriter::new();
-                    fields[v.0].write(&mut w, self.id_bits);
-                    w.component("height");
-                    w.write(height[v.0], self.id_bits);
-                    w.finish_for(v.0)
-                })
-                .collect::<Vec<_>>(),
-        ))
+        Ok(Assignment::write_each(g.num_nodes(), |v, w| {
+            fields[v.0].write(w, self.id_bits);
+            w.component("height");
+            w.write(height[v.0], self.id_bits);
+        }))
     }
 }
 

@@ -84,19 +84,8 @@ impl TdCert {
     /// Serializes the certificate, marking the ledger components
     /// (`list-len`, `ancestor-ids`, `exit-id`, `exit-distance`).
     pub fn write(&self, w: &mut BitWriter, id_bits: u32, t: usize) {
-        let len_bits = width_for(t as u64);
-        w.component("list-len");
-        w.write(self.ancestors.len() as u64, len_bits);
-        w.component("ancestor-ids");
-        for &id in &self.ancestors {
-            write_ident(w, id, id_bits);
-        }
-        for &(exit, dist) in &self.trees {
-            w.component("exit-id");
-            write_ident(w, exit, id_bits);
-            w.component("exit-distance");
-            w.write(dist, id_bits);
-        }
+        let ancestors = self.ancestors.iter().copied();
+        write_td(w, self.ancestors.len(), ancestors, &self.trees, id_bits, t);
     }
 
     /// Parses a certificate written by [`TdCert::write`]. Enforces
@@ -117,74 +106,139 @@ impl TdCert {
     }
 }
 
-/// Computes the honest per-vertex treedepth certificates from a coherent
-/// model.
-///
-/// # Panics
-///
-/// Panics if the model is not coherent (the prover must repair first).
-pub fn honest_td_certs(instance: &Instance<'_>, model: &EliminationTree) -> Vec<TdCert> {
-    let g = instance.graph();
-    let ids = instance.ids();
-    let tree = model.tree();
-    let n = g.num_nodes();
-    let mut certs: Vec<TdCert> = (0..n)
-        .map(|v| TdCert {
-            ancestors: tree
-                .ancestors(NodeId(v))
-                .iter()
-                .map(|&a| ids.ident(a))
-                .collect(),
-            trees: vec![(Ident(0), 0); model.depth(NodeId(v))].into(),
-        })
-        .collect();
-    // For every non-root vertex v: a spanning tree of G_v rooted at the
-    // exit vertex, recorded at each member of G_v at tree index
-    // depth(v) − 1. Membership marks are epoch-stamped so the scratch
-    // arrays are allocated once, not per subtree.
-    let mut in_sub = vec![0u64; n];
-    let mut epoch = 0u64;
-    let mut dist = vec![u64::MAX; n];
-    let mut queue = std::collections::VecDeque::new();
-    for v in g.nodes() {
-        let Some(parent) = tree.parent(v) else {
-            continue;
-        };
-        let members = tree.subtree(v);
-        let exit = members
-            .iter()
-            .copied()
-            .find(|&x| g.has_edge(x, parent))
-            .expect("coherent model has an exit vertex per subtree");
-        // BFS within G_v from the exit.
-        epoch += 1;
-        for &x in &members {
-            in_sub[x.0] = epoch;
-            dist[x.0] = u64::MAX;
+/// Writes a treedepth certificate from its parts: the `len` ancestor ids
+/// from the vertex up to the root, and the `(exit id, distance)` entry
+/// per strict ancestor. The one encoder of the format [`TdCert::read`]
+/// parses.
+fn write_td(
+    w: &mut BitWriter,
+    len: usize,
+    ancestors: impl Iterator<Item = Ident>,
+    trees: &[(Ident, u64)],
+    id_bits: u32,
+    t: usize,
+) {
+    w.component("list-len");
+    w.write(len as u64, width_for(t as u64));
+    w.component("ancestor-ids");
+    for id in ancestors {
+        write_ident(w, id, id_bits);
+    }
+    for &(exit, dist) in trees {
+        w.component("exit-id");
+        write_ident(w, exit, id_bits);
+        w.component("exit-distance");
+        w.write(dist, id_bits);
+    }
+}
+
+/// The honest treedepth certificates of one coherent model, kept flat:
+/// every vertex's spanning-tree entries in one array, its ancestor ids
+/// read from the model as it is written. The scratch of the subtree
+/// walks and searches is kept too, so one value serves model after model
+/// (a `C_t` prover's blocks) without allocating again.
+#[derive(Debug, Default)]
+pub struct HonestTd {
+    /// Vertex `v`'s entries are `trees[start[v]..start[v + 1]]`, one per
+    /// strict ancestor, indexed by ancestor depth − 1.
+    start: Vec<usize>,
+    trees: Vec<(Ident, u64)>,
+    in_sub: Vec<bool>,
+    dist: Vec<u64>,
+    members: Vec<NodeId>,
+    stack: Vec<NodeId>,
+    queue: std::collections::VecDeque<NodeId>,
+}
+
+impl HonestTd {
+    /// Computes the entries of every vertex of `g` under the coherent
+    /// `model`, with `ident` naming the vertices.
+    ///
+    /// For every non-root vertex `v`, the spanning tree of `G_v` is the
+    /// breadth-first tree from its exit vertex: the first vertex of `v`'s
+    /// subtree, in [`locert_graph::RootedTree::subtree`] order, that is
+    /// adjacent to `v`'s parent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model is not coherent (the prover must repair first).
+    pub fn fill(&mut self, g: &Graph, ident: impl Fn(NodeId) -> Ident, model: &EliminationTree) {
+        let tree = model.tree();
+        let n = g.num_nodes();
+        self.start.clear();
+        self.start.push(0);
+        for v in g.nodes() {
+            self.start.push(self.start[v.0] + model.depth(v));
         }
-        dist[exit.0] = 0;
-        queue.clear();
-        queue.push_back(exit);
-        while let Some(x) = queue.pop_front() {
-            for &y in g.neighbors(x) {
-                if in_sub[y.0] == epoch && dist[y.0] == u64::MAX {
-                    dist[y.0] = dist[x.0] + 1;
-                    queue.push_back(y);
+        self.trees.clear();
+        self.trees.resize(self.start[n], (Ident(0), 0));
+        self.in_sub.clear();
+        self.in_sub.resize(n, false);
+        self.dist.clear();
+        self.dist.resize(n, u64::MAX);
+        for v in g.nodes() {
+            let Some(parent) = tree.parent(v) else {
+                continue;
+            };
+            // v's subtree, in `RootedTree::subtree` order.
+            self.members.clear();
+            self.stack.clear();
+            self.stack.push(v);
+            while let Some(u) = self.stack.pop() {
+                self.members.push(u);
+                self.stack.extend_from_slice(tree.children(u));
+            }
+            let exit = *self
+                .members
+                .iter()
+                .find(|&&x| g.has_edge(x, parent))
+                .expect("coherent model has an exit vertex per subtree");
+            // BFS within G_v from the exit.
+            for &x in &self.members {
+                self.in_sub[x.0] = true;
+            }
+            self.dist[exit.0] = 0;
+            self.queue.clear();
+            self.queue.push_back(exit);
+            while let Some(x) = self.queue.pop_front() {
+                for &y in g.neighbors(x) {
+                    if self.in_sub[y.0] && self.dist[y.0] == u64::MAX {
+                        self.dist[y.0] = self.dist[x.0] + 1;
+                        self.queue.push_back(y);
+                    }
                 }
             }
-        }
-        let j = model.depth(v); // ancestor depth of v; tree index j − 1.
-        let exit_id = ids.ident(exit);
-        for &x in &members {
-            debug_assert_ne!(dist[x.0], u64::MAX, "coherent subtree is connected");
-            certs[x.0].trees[j - 1] = (exit_id, dist[x.0]);
+            let j = model.depth(v); // ancestor depth of v; tree index j − 1.
+            let exit_id = ident(exit);
+            for &x in &self.members {
+                debug_assert_ne!(self.dist[x.0], u64::MAX, "coherent subtree is connected");
+                self.trees[self.start[x.0] + j - 1] = (exit_id, self.dist[x.0]);
+                self.in_sub[x.0] = false;
+                self.dist[x.0] = u64::MAX;
+            }
         }
     }
-    // Sanity: every vertex has exactly depth(v) tree entries.
-    for v in g.nodes() {
-        debug_assert_eq!(certs[v.0].trees.len(), model.depth(v));
+
+    /// Writes `v`'s certificate, as [`TdCert::write`] writes it, under
+    /// the model and naming of the last [`HonestTd::fill`].
+    pub fn write(
+        &self,
+        w: &mut BitWriter,
+        v: NodeId,
+        model: &EliminationTree,
+        ident: impl Fn(NodeId) -> Ident,
+        id_bits: u32,
+        t: usize,
+    ) {
+        let trees = &self.trees[self.start[v.0]..self.start[v.0 + 1]];
+        let ancestors = ancestors(model, v).map(ident);
+        write_td(w, trees.len() + 1, ancestors, trees, id_bits, t);
     }
-    certs
+}
+
+/// The ancestors of `v` in `model`, from `v` itself up to the root.
+pub(crate) fn ancestors(model: &EliminationTree, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+    std::iter::successors(Some(v), |&u| model.tree().parent(u))
 }
 
 /// The vertex-local checks of a treedepth certificate: ancestor-list
@@ -358,16 +412,15 @@ impl Prover for TreedepthScheme {
     fn assign(&self, instance: &Instance<'_>) -> Result<Assignment, ProverError> {
         let _span = locert_trace::span!("core.schemes.treedepth.prover");
         let model = model_for(instance.graph(), self.t, &self.strategy)?;
-        let certs: Vec<_> = honest_td_certs(instance, &model)
-            .iter()
-            .enumerate()
-            .map(|(v, c)| {
-                let mut w = BitWriter::new();
-                c.write(&mut w, self.id_bits, self.t);
-                w.finish_for(v)
-            })
-            .collect();
-        Ok(Assignment::new(certs))
+        let ids = instance.ids();
+        let mut td = HonestTd::default();
+        td.fill(instance.graph(), |v| ids.ident(v), &model);
+        Ok(Assignment::write_each(
+            instance.graph().num_nodes(),
+            |v, w| {
+                td.write(w, v, &model, |a| ids.ident(a), self.id_bits, self.t);
+            },
+        ))
     }
 }
 

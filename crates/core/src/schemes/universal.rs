@@ -18,7 +18,7 @@
 //! (e.g. instantiated with the fixed-point-free-automorphism property via
 //! [`crate::schemes::universal::fpf_automorphism_scheme`]).
 
-use crate::bits::{BitReader, BitWriter, Certificate};
+use crate::bits::{BitReader, Certificate};
 use crate::framework::{
     Assignment, DeclaredBound, Decode, DecodedView, Instance, Memo, Prover, ProverError,
     RejectReason, Scheme, Shared,
@@ -184,40 +184,34 @@ impl Prover for UniversalScheme {
             )));
         }
         let ids = instance.ids();
-        let certs: Vec<_> = g
-            .nodes()
-            .map(|v| {
-                let mut w = BitWriter::new();
-                w.component("size-field");
-                w.write(n as u64, INDEX_BITS);
-                w.component("id-list");
-                for u in g.nodes() {
-                    write_ident(&mut w, ids.ident(u), self.id_bits);
-                }
-                w.component("adjacency");
-                match self.encoding {
-                    MapEncoding::Matrix => {
-                        for i in 0..n {
-                            for j in (i + 1)..n {
-                                w.write_bit(g.has_edge(i.into(), j.into()));
-                            }
-                        }
-                    }
-                    MapEncoding::EdgeList => {
-                        let vb = crate::bits::width_for(n as u64 - 1);
-                        w.write(g.num_edges() as u64, EDGE_COUNT_BITS);
-                        for (a, b) in g.edges() {
-                            w.write(a.0 as u64, vb);
-                            w.write(b.0 as u64, vb);
+        Ok(Assignment::write_each(n, |v, w| {
+            w.component("size-field");
+            w.write(n as u64, INDEX_BITS);
+            w.component("id-list");
+            for u in g.nodes() {
+                write_ident(w, ids.ident(u), self.id_bits);
+            }
+            w.component("adjacency");
+            match self.encoding {
+                MapEncoding::Matrix => {
+                    for i in 0..n {
+                        for j in (i + 1)..n {
+                            w.write_bit(g.has_edge(i.into(), j.into()));
                         }
                     }
                 }
-                w.component("self-index");
-                w.write(v.0 as u64, INDEX_BITS);
-                w.finish_for(v.0)
-            })
-            .collect();
-        Ok(Assignment::new(certs))
+                MapEncoding::EdgeList => {
+                    let vb = crate::bits::width_for(n as u64 - 1);
+                    w.write(g.num_edges() as u64, EDGE_COUNT_BITS);
+                    for (a, b) in g.edges() {
+                        w.write(a.0 as u64, vb);
+                        w.write(b.0 as u64, vb);
+                    }
+                }
+            }
+            w.component("self-index");
+            w.write(v.0 as u64, INDEX_BITS);
+        }))
     }
 }
 
@@ -327,6 +321,7 @@ pub fn fpf_automorphism_scheme(id_bits: u32) -> UniversalScheme {
 mod tests {
     use super::*;
     use crate::attacks;
+    use crate::bits::BitWriter;
     use crate::framework::test_views::{view_of, LocalView};
     use crate::framework::{
         run_scheme, run_verification, run_verification_in, DecodedView, Verdict, Verifier,

@@ -11,7 +11,7 @@
 //! promise that the graph is a path (compose with
 //! [`crate::schemes::acyclicity`] + a degree check otherwise).
 
-use crate::bits::{width_for, BitReader, BitWriter, Certificate};
+use crate::bits::{width_for, BitReader, Certificate};
 use crate::framework::{
     Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
     Scheme,
@@ -140,18 +140,19 @@ impl Prover for WordPathScheme {
                 (r, rev_order)
             }
         };
-        let mut certs = vec![crate::bits::Certificate::empty(); n];
+        let mut pos_of = vec![0; n];
         for (pos, &v) in oriented.iter().enumerate() {
-            let mut w = BitWriter::new();
+            pos_of[v.0] = pos;
+        }
+        Ok(Assignment::write_each(n, |v, w| {
+            let pos = pos_of[v.0];
             w.component("pos-mod-3");
             w.write((pos % 3) as u64, 2);
             w.component("automaton-state");
             w.write(run[pos] as u64, self.state_bits);
             w.component("automaton-fingerprint");
             w.write(self.fp, 16);
-            certs[v.0] = w.finish_for(v.0);
-        }
-        Ok(Assignment::new(certs))
+        }))
     }
 }
 

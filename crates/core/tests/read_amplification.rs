@@ -5,7 +5,7 @@
 //! own: no other test runs in its process and writes to the histogram it
 //! counts.
 
-use locert_core::bits::{BitReader, BitWriter, Certificate};
+use locert_core::bits::{BitReader, Certificate};
 use locert_core::framework::{DeclaredBound, RejectReason};
 use locert_core::{
     run_verification, Assignment, Decode, DecodedView, Instance, Prover, ProverError, Scheme,
@@ -18,17 +18,11 @@ struct DegreeScheme;
 
 impl Prover for DegreeScheme {
     fn assign(&self, instance: &Instance<'_>) -> Result<Assignment, ProverError> {
-        let certs: Vec<_> = instance
-            .graph()
-            .nodes()
-            .map(|v| {
-                let mut w = BitWriter::new();
-                w.component("degree");
-                w.write(instance.graph().degree(v) as u64, 16);
-                w.finish_for(v.0)
-            })
-            .collect();
-        Ok(Assignment::new(certs))
+        let g = instance.graph();
+        Ok(Assignment::write_each(g.num_nodes(), |v, w| {
+            w.component("degree");
+            w.write(g.degree(v) as u64, 16);
+        }))
     }
 }
 

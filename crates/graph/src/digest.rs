@@ -82,13 +82,23 @@ pub fn digest(g: &Graph) -> u64 {
 /// folded in, so input-free and input-reading requests on the same
 /// graph never collide.
 pub fn digest_instance(g: &Graph, inputs: Option<&[usize]>) -> u64 {
+    digest_instance_letters(g, inputs.map(|word| word.iter().copied()))
+}
+
+/// [`digest_instance`] of a word given as any sequence of letters of a
+/// known length, such as the `u32` letters of a wire request widened one
+/// at a time, so the word need not be copied out first.
+pub fn digest_instance_letters(
+    g: &Graph,
+    inputs: Option<impl ExactSizeIterator<Item = usize>>,
+) -> u64 {
     let mut h = digest(g);
     match inputs {
         None => fold(h, &[0]),
         Some(word) => {
             h = fold(h, &[1]);
             h = fold_usize(h, word.len());
-            for &letter in word {
+            for letter in word {
                 h = fold_usize(h, letter);
             }
             h

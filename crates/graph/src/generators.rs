@@ -231,20 +231,31 @@ pub fn random_bounded_depth_tree<R: Rng + ?Sized>(
         max_depth > 0 || n == 1,
         "depth 0 only allows a single vertex"
     );
+    let (parent, depth) = bounded_depth_parents(n, max_depth, rng);
+    let edges = (1..n).map(|v| (parent[v].expect("non-root has a parent"), v));
+    let g = Graph::from_edges(n, edges).expect("tree edges are valid");
+    (g, parent, depth)
+}
+
+/// The parent and depth arrays of [`random_bounded_depth_tree`], from the
+/// same draws, without building the graph.
+fn bounded_depth_parents<R: Rng + ?Sized>(
+    n: usize,
+    max_depth: usize,
+    rng: &mut R,
+) -> (Vec<Option<usize>>, Vec<usize>) {
     let mut parent: Vec<Option<usize>> = vec![None; n];
     let mut depth = vec![0usize; n];
     let mut eligible: Vec<usize> = vec![0];
-    let mut b = GraphBuilder::new(n);
     for v in 1..n {
         let &p = eligible.choose(rng).expect("root is always eligible");
         parent[v] = Some(p);
         depth[v] = depth[p] + 1;
-        b.add_edge(p, v).expect("tree edges are valid");
         if depth[v] < max_depth {
             eligible.push(v);
         }
     }
-    (b.build(), parent, depth)
+    (parent, depth)
 }
 
 /// A random connected graph of treedepth at most `t`, built from an explicit
@@ -274,21 +285,24 @@ pub fn random_bounded_treedepth<R: Rng + ?Sized>(
         "probability must lie in [0, 1]"
     );
     // Depth here is 0-based, so "height <= t" means depth <= t - 1.
-    let (_, parent, _) = random_bounded_depth_tree(n, t - 1, rng);
-    let mut b = GraphBuilder::new(n);
+    let (parent, depth) = bounded_depth_parents(n, t - 1, rng);
+    // Room for every ancestor pair: the most edges the draws can keep, so
+    // the list never regrows.
+    let mut edges = Vec::with_capacity(depth.iter().sum());
     for v in 1..n {
         let p = parent[v].expect("non-root has a parent");
-        b.add_edge(p, v).expect("tree edges are valid");
+        edges.push((p, v));
         // Walk strict ancestors above the parent.
         let mut a = parent[p];
         while let Some(anc) = a {
             if rng.random_bool(ancestor_edge_prob) {
-                b.add_edge(anc, v).expect("ancestor edges are valid");
+                edges.push((anc, v));
             }
             a = parent[anc];
         }
     }
-    (b.build(), parent)
+    let g = Graph::from_edges(n, edges).expect("tree and ancestor edges are valid");
+    (g, parent)
 }
 
 #[cfg(test)]
@@ -453,6 +467,36 @@ mod tests {
                     "seed {seed}, n {n}"
                 );
             }
+        }
+    }
+
+    /// The bounded-treedepth generators draw and build as they always
+    /// have: pinned digests of the graph and of the parent array, so a
+    /// change to how the edges are collected cannot move the instances.
+    #[test]
+    fn bounded_treedepth_instances_are_pinned() {
+        for (seed, n, t, p, instance, tree) in [
+            (
+                1u64,
+                8192usize,
+                3usize,
+                0.3,
+                0x0aeb_1bdd_3303_e86c_u64,
+                0xd3ed_c88f_d99e_cee6_u64,
+            ),
+            (7, 500, 4, 0.5, 0x0502_d4af_57b3_cf1d, 0x6382_b3dd_42cb_6a64),
+            (11, 64, 2, 1.0, 0x6c7e_c141_ca5c_8ce6, 0x7345_c9fb_92bb_c3f8),
+            (3, 1, 1, 0.5, 0xafd8_f3fa_8833_04db, 0xb026_cb45_7020_ada6),
+        ] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (g, parent) = random_bounded_treedepth(n, t, p, &mut rng);
+            let parents = parent.iter().fold(crate::digest::digest(&g), |h, x| {
+                h.wrapping_mul(31)
+                    .wrapping_add(x.map_or(u64::MAX, |v| v as u64))
+            });
+            assert_eq!(parents, instance, "seed {seed}");
+            let (g, _, _) = random_bounded_depth_tree(n.max(2), t, &mut rng);
+            assert_eq!(crate::digest::digest(&g), tree, "seed {seed}");
         }
     }
 

@@ -7,7 +7,6 @@
 
 use crate::graph::Graph;
 use crate::node::NodeId;
-use std::collections::VecDeque;
 
 /// A rooted tree over the vertex set of a tree-shaped graph.
 ///
@@ -26,7 +25,10 @@ use std::collections::VecDeque;
 pub struct RootedTree {
     root: NodeId,
     parent: Vec<Option<NodeId>>,
-    children: Vec<Vec<NodeId>>,
+    /// The children of `v` are `children[child_start[v]..child_start[v + 1]]`:
+    /// every children list in one array, as a graph's CSR rows.
+    child_start: Vec<usize>,
+    children: Vec<NodeId>,
     depth: Vec<usize>,
 }
 
@@ -34,32 +36,45 @@ impl RootedTree {
     /// Roots the tree-shaped graph `g` at `root`.
     ///
     /// Returns `None` if `g` is not a tree or `root` is out of range.
+    /// The children of a vertex keep the order of its neighbors.
     pub fn from_tree(g: &Graph, root: NodeId) -> Option<Self> {
         if root.0 >= g.num_nodes() || !g.is_tree() {
             return None;
         }
         let n = g.num_nodes();
+        // In a tree every neighbor but the parent is a child, so the rows
+        // are the degrees less one off the root, and a breadth-first walk
+        // writes each row in neighbor order.
+        let mut child_start = Vec::with_capacity(n + 1);
+        child_start.push(0);
+        for v in g.nodes() {
+            let row = g.degree(v) - usize::from(v != root);
+            child_start.push(child_start[v.0] + row);
+        }
         let mut parent = vec![None; n];
-        let mut children = vec![Vec::new(); n];
+        let mut children = vec![NodeId(0); n - 1];
         let mut depth = vec![0usize; n];
-        let mut seen = vec![false; n];
-        let mut queue = VecDeque::new();
-        seen[root.0] = true;
-        queue.push_back(root);
-        while let Some(u) = queue.pop_front() {
+        let mut order = Vec::with_capacity(n);
+        order.push(root);
+        let mut next = 0;
+        while let Some(&u) = order.get(next) {
+            next += 1;
+            let mut at = child_start[u.0];
             for &v in g.neighbors(u) {
-                if !seen[v.0] {
-                    seen[v.0] = true;
+                if Some(v) != parent[u.0] {
                     parent[v.0] = Some(u);
-                    children[u.0].push(v);
                     depth[v.0] = depth[u.0] + 1;
-                    queue.push_back(v);
+                    order.push(v);
+                    children[at] = v;
+                    at += 1;
                 }
             }
+            debug_assert_eq!(at, child_start[u.0 + 1]);
         }
         Some(RootedTree {
             root,
             parent,
+            child_start,
             children,
             depth,
         })
@@ -69,7 +84,8 @@ impl RootedTree {
     /// None`, exactly one root).
     ///
     /// Returns `None` if the array does not describe a rooted tree (multiple
-    /// or zero roots, out-of-range parents, or cycles).
+    /// or zero roots, out-of-range parents, or cycles). The children of a
+    /// vertex are in increasing order.
     pub fn from_parent_array(parent: &[Option<usize>]) -> Option<Self> {
         let n = parent.len();
         let mut root = None;
@@ -86,32 +102,44 @@ impl RootedTree {
             }
         }
         let root = NodeId(root?);
-        let mut children = vec![Vec::new(); n];
+        // A counting sort of the vertices by parent, stable in vertex
+        // order.
+        let mut child_start = vec![0usize; n + 1];
+        for &p in parent.iter().flatten() {
+            child_start[p + 1] += 1;
+        }
+        for v in 0..n {
+            child_start[v + 1] += child_start[v];
+        }
+        let mut at = child_start.clone();
+        let mut children = vec![NodeId(0); n - 1];
         for (v, p) in parent.iter().enumerate() {
-            if let Some(p) = p {
-                children[*p].push(NodeId(v));
+            if let &Some(p) = p {
+                children[at[p]] = NodeId(v);
+                at[p] += 1;
             }
         }
         // Compute depths by BFS from the root; cycle (or disconnection)
         // detection: every vertex must be reached exactly once.
         let mut depth = vec![usize::MAX; n];
-        let mut queue = VecDeque::new();
+        let mut order = Vec::with_capacity(n);
         depth[root.0] = 0;
-        queue.push_back(root);
-        let mut reached = 0;
-        while let Some(u) = queue.pop_front() {
-            reached += 1;
-            for &c in &children[u.0] {
+        order.push(root);
+        let mut next = 0;
+        while let Some(&u) = order.get(next) {
+            next += 1;
+            for &c in &children[child_start[u.0]..child_start[u.0 + 1]] {
                 depth[c.0] = depth[u.0] + 1;
-                queue.push_back(c);
+                order.push(c);
             }
         }
-        if reached != n {
+        if order.len() != n {
             return None;
         }
         Some(RootedTree {
             root,
             parent: parent.iter().map(|p| p.map(NodeId)).collect(),
+            child_start,
             children,
             depth,
         })
@@ -138,7 +166,7 @@ impl RootedTree {
     /// Children of `v`.
     #[inline]
     pub fn children(&self, v: NodeId) -> &[NodeId] {
-        &self.children[v.0]
+        &self.children[self.child_start[v.0]..self.child_start[v.0 + 1]]
     }
 
     /// Depth of `v` (root has depth 0).
@@ -183,9 +211,7 @@ impl RootedTree {
         let mut stack = vec![v];
         while let Some(u) = stack.pop() {
             out.push(u);
-            for &c in &self.children[u.0] {
-                stack.push(c);
-            }
+            stack.extend_from_slice(self.children(u));
         }
         out
     }
@@ -200,9 +226,7 @@ impl RootedTree {
                 order.push(u);
             } else {
                 stack.push((u, true));
-                for &c in &self.children[u.0] {
-                    stack.push((c, false));
-                }
+                stack.extend(self.children(u).iter().map(|&c| (c, false)));
             }
         }
         order
@@ -213,6 +237,33 @@ impl RootedTree {
 mod tests {
     use super::*;
     use crate::generators;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    #[test]
+    fn children_rows_follow_neighbor_and_index_order() {
+        let mut rng = StdRng::seed_from_u64(25);
+        for _ in 0..50 {
+            let n = rng.random_range(1..40usize);
+            let g = generators::random_tree(n, &mut rng);
+            let root = NodeId(rng.random_range(0..n));
+            let t = RootedTree::from_tree(&g, root).unwrap();
+            let parents: Vec<Option<usize>> = g.nodes().map(|v| t.parent(v).map(|p| p.0)).collect();
+            let p = RootedTree::from_parent_array(&parents).unwrap();
+            for v in g.nodes() {
+                let expected: Vec<NodeId> = g
+                    .neighbors(v)
+                    .iter()
+                    .copied()
+                    .filter(|&w| Some(w) != t.parent(v))
+                    .collect();
+                assert_eq!(t.children(v), expected, "neighbor order of {v:?}");
+                // Neighbors are sorted, so both constructors agree.
+                assert_eq!(p.children(v), expected, "index order of {v:?}");
+                assert_eq!(p.depth(v), t.depth(v));
+            }
+        }
+    }
 
     #[test]
     fn from_tree_rejects_non_trees() {

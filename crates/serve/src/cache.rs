@@ -14,7 +14,7 @@
 //! (`serve.cache.{hit,miss,evict}`) for `/metrics`.
 
 use locert_core::bits::Certificate;
-use locert_graph::digest::digest_instance;
+use locert_graph::digest::{digest_instance, digest_instance_letters};
 use locert_graph::Graph;
 use std::collections::{BTreeMap, HashMap};
 
@@ -32,6 +32,16 @@ impl CacheKey {
     pub fn of(graph: &Graph, inputs: Option<&[usize]>, scheme: &str) -> CacheKey {
         CacheKey {
             digest: digest_instance(graph, inputs),
+            scheme: scheme.to_string(),
+        }
+    }
+
+    /// [`CacheKey::of`] an instance whose input word is still in its
+    /// wire form (`u32` letters): the same key, without copying the word.
+    pub fn of_wire(graph: &Graph, inputs: Option<&[u32]>, scheme: &str) -> CacheKey {
+        let letters = inputs.map(|word| word.iter().map(|&x| x as usize));
+        CacheKey {
+            digest: digest_instance_letters(graph, letters),
             scheme: scheme.to_string(),
         }
     }
@@ -202,6 +212,25 @@ mod tests {
             CacheKey::of(&g, Some(&w0), "word-no-11"),
             CacheKey::of(&g, Some(&w1), "word-no-11")
         );
+    }
+
+    #[test]
+    fn wire_words_key_like_their_widened_copies() {
+        let g = locert_graph::generators::path(3);
+        for word in [
+            None,
+            Some(vec![]),
+            Some(vec![0u32, 1, 0]),
+            Some(vec![u32::MAX, 7, 0]),
+        ] {
+            let widened: Option<Vec<usize>> = word
+                .as_ref()
+                .map(|w| w.iter().map(|&x| x as usize).collect());
+            assert_eq!(
+                CacheKey::of_wire(&g, word.as_deref(), "word-no-11"),
+                CacheKey::of(&g, widened.as_deref(), "word-no-11"),
+            );
+        }
     }
 
     #[test]

@@ -316,9 +316,9 @@ struct Admitted<'a> {
     /// The catalogue entry the request's scheme id resolved to.
     entry: &'static SchemeEntry,
     graph: Graph,
-    inputs: Option<Vec<usize>>,
-    /// Contiguous identifiers, built on first use (see `with_instance`).
-    ids: OnceCell<IdAssignment>,
+    /// Contiguous identifiers and the input word widened to `usize`,
+    /// built on first use (see `with_instance`).
+    instance: OnceCell<(IdAssignment, Option<Vec<usize>>)>,
     _permit: Permit,
 }
 
@@ -358,11 +358,7 @@ fn admit<'a>(shared: &Shared, request: &'a Request) -> Result<Admitted<'a>, Resp
         Ok(graph) => graph,
         Err(e) => return Err(reject(ErrorCode::BadGraph, e.to_string())),
     };
-    let inputs = request
-        .inputs
-        .as_ref()
-        .map(|word| word.iter().map(|&x| x as usize).collect::<Vec<_>>());
-    if let Some(word) = &inputs {
+    if let Some(word) = &request.inputs {
         if word.len() != n {
             return Err(reject(
                 ErrorCode::BadRequest,
@@ -399,8 +395,7 @@ fn admit<'a>(shared: &Shared, request: &'a Request) -> Result<Admitted<'a>, Resp
         request,
         entry,
         graph,
-        inputs,
-        ids: OnceCell::new(),
+        instance: OnceCell::new(),
         _permit: permit,
     })
 }
@@ -408,13 +403,19 @@ fn admit<'a>(shared: &Shared, request: &'a Request) -> Result<Admitted<'a>, Resp
 impl Admitted<'_> {
     /// Runs `f` on the request's instance under contiguous identifiers,
     /// the ids every certificate the daemon serves or checks is made for.
-    /// Only a prover or a verifier reads identifiers, so a cache hit never
-    /// builds them, and a roundtrip miss builds them once for both.
+    /// Only a prover or a verifier reads identifiers or the widened input
+    /// word, so a cache hit never builds them, and a roundtrip miss builds
+    /// them once for both.
     fn with_instance<R>(&self, f: impl FnOnce(&Instance<'_>) -> R) -> R {
-        let ids = self
-            .ids
-            .get_or_init(|| IdAssignment::contiguous(self.graph.num_nodes()));
-        let instance = match &self.inputs {
+        let (ids, inputs) = self.instance.get_or_init(|| {
+            let ids = IdAssignment::contiguous(self.graph.num_nodes());
+            let inputs = self.request.inputs.as_ref();
+            (
+                ids,
+                inputs.map(|word| word.iter().map(|&x| x as usize).collect()),
+            )
+        });
+        let instance = match inputs {
             Some(word) => Instance::with_inputs(&self.graph, ids, word),
             None => Instance::new(&self.graph, ids),
         };
@@ -436,9 +437,9 @@ fn prove_cached(
     shared: &Shared,
     admitted: &Admitted<'_>,
 ) -> Result<(Vec<Certs>, CacheDisposition), Response> {
-    let key = CacheKey::of(
+    let key = CacheKey::of_wire(
         &admitted.graph,
-        admitted.inputs.as_deref(),
+        admitted.request.inputs.as_deref(),
         admitted.entry.id,
     );
     if let Some(certs) = shared.cache.lock().expect("cache lock poisoned").get(&key) {
