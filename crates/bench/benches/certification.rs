@@ -243,6 +243,44 @@ fn bench_graph_build(c: &mut Criterion) {
     g.finish();
 }
 
+/// The broadcast path's layers on the star `broadcast-dense` times at
+/// its largest size: the sparse universal "diameter ≤ 2" prover, its
+/// verifier on the honest assignment, and the certificate-free radius-3
+/// check.
+fn bench_broadcast(c: &mut Criterion) {
+    use locert_core::framework::{run_verification, Assignment, Instance, Prover};
+    use locert_core::radius::{run_radius_verification, DiameterTwoAtRadiusThree};
+    use locert_core::schemes::common::id_bits_for;
+    use locert_core::schemes::universal::UniversalScheme;
+    use locert_graph::{generators, traversal, IdAssignment};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let n = 512;
+    let graph = generators::star(n);
+    let ids = IdAssignment::shuffled(n, &mut StdRng::seed_from_u64(7));
+    let inst = Instance::new(&graph, &ids);
+    let scheme = UniversalScheme::new(id_bits_for(&inst), "diameter<=2", |g| {
+        traversal::diameter(g).is_some_and(|d| d <= 2)
+    })
+    .sparse();
+    let asg = scheme.assign(&inst).expect("a star has diameter 2");
+    let empty = Assignment::empty(n);
+    let mut g = c.benchmark_group("broadcast");
+    g.bench_with_input(BenchmarkId::new("universal_prove/star", n), &n, |b, _| {
+        b.iter(|| black_box(scheme.assign(&inst).expect("yes-instance").len()));
+    });
+    g.bench_with_input(BenchmarkId::new("universal_verify/star", n), &n, |b, _| {
+        b.iter(|| black_box(run_verification(&scheme, &inst, &asg).accepted()));
+    });
+    g.bench_with_input(BenchmarkId::new("radius3/star", n), &n, |b, _| {
+        b.iter(|| {
+            black_box(run_radius_verification(&DiameterTwoAtRadiusThree, &inst, &empty).is_empty())
+        });
+    });
+    g.finish();
+}
+
 fn config() -> Criterion {
     // Keep the full-suite wall time bounded: 10 samples × short windows.
     Criterion::default()
@@ -256,6 +294,7 @@ criterion_group!(
     config = config();
     targets =
     bench_prover_vs_verifier,
+    bench_broadcast,
     bench_e1_mso_tree,
     bench_e2_counting,
     bench_e3_treedepth,

@@ -360,6 +360,20 @@ impl BitWriter {
         self
     }
 
+    /// Appends everything `other` holds: its bits, and its component
+    /// marks shifted to where they land, so a part encoded once can open
+    /// many certificates with the ledger it would have written in place.
+    pub fn append(&mut self, other: &BitWriter) -> &mut Self {
+        let base = self.len_bits;
+        self.marks.extend(
+            other
+                .marks
+                .iter()
+                .map(|&(name, start)| (name, base + start)),
+        );
+        self.write_bits(&other.bytes, other.len_bits)
+    }
+
     /// Current length in bits.
     pub fn len_bits(&self) -> usize {
         self.len_bits
@@ -855,6 +869,36 @@ mod tests {
         assert!(entry.fully_attributed());
         assert_eq!(entry.component_bits()["root-id"], 4);
         assert_eq!(entry.component_bits()["distance"], 6);
+    }
+
+    #[test]
+    fn append_matches_writing_in_place_marks_included() {
+        // A part appended after 0..=9 bits must yield the bytes and the
+        // ledger of the same fields written in place.
+        let part = |w: &mut BitWriter| {
+            w.component("map");
+            w.write(0x2d5, 10);
+            w.component("tail");
+            w.write(1, 3);
+        };
+        for lead in 0..10u32 {
+            let (appended, appended_ledger) = locert_trace::ledger::capture(|| {
+                let mut p = BitWriter::new();
+                part(&mut p);
+                let mut w = BitWriter::new();
+                w.component("lead").write(0, lead);
+                w.append(&p);
+                w.finish_for(0)
+            });
+            let (in_place, in_place_ledger) = locert_trace::ledger::capture(|| {
+                let mut w = BitWriter::new();
+                w.component("lead").write(0, lead);
+                part(&mut w);
+                w.finish_for(0)
+            });
+            assert_eq!(appended, in_place, "lead {lead}");
+            assert_eq!(appended_ledger, in_place_ledger, "lead {lead}");
+        }
     }
 
     #[test]

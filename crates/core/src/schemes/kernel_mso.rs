@@ -31,7 +31,7 @@ use crate::framework::{
 use crate::schemes::treedepth::{
     ancestors, check_own_td, check_td_edges, model_for, HonestTd, ModelStrategy, TdCert,
 };
-use locert_graph::{Graph, GraphBuilder, Ident, NodeId};
+use locert_graph::{Graph, Ident, NodeId};
 use locert_kernel::{k_reduce, TypeId};
 use locert_logic::depth::{is_fo, quantifier_depth};
 use locert_logic::eval::models;
@@ -183,11 +183,7 @@ impl SerTable {
                 }
             }
         }
-        let mut b = GraphBuilder::new(node_types.len());
-        for (u, v) in edges {
-            b.add_edge(u, v).ok()?;
-        }
-        Some(b.build())
+        Graph::from_edges(node_types.len(), edges).ok()
     }
 }
 

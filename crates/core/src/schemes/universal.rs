@@ -18,7 +18,7 @@
 //! (e.g. instantiated with the fixed-point-free-automorphism property via
 //! [`crate::schemes::universal::fpf_automorphism_scheme`]).
 
-use crate::bits::{BitReader, Certificate};
+use crate::bits::{BitReader, BitWriter, Certificate};
 use crate::framework::{
     Assignment, DeclaredBound, Decode, DecodedView, Instance, Memo, Prover, ProverError,
     RejectReason, Scheme, Shared,
@@ -163,6 +163,39 @@ impl UniversalScheme {
             verdict: OnceLock::new(),
         })
     }
+
+    /// The map prefix every certificate shares: size field, identifier
+    /// list and adjacency, each behind its component mark.
+    fn encode_map(&self, instance: &Instance<'_>) -> BitWriter {
+        let g = instance.graph();
+        let n = g.num_nodes();
+        let mut w = BitWriter::new();
+        w.component("size-field");
+        w.write(n as u64, INDEX_BITS);
+        w.component("id-list");
+        for u in g.nodes() {
+            write_ident(&mut w, instance.ids().ident(u), self.id_bits);
+        }
+        w.component("adjacency");
+        match self.encoding {
+            MapEncoding::Matrix => {
+                for i in 0..n {
+                    for j in (i + 1)..n {
+                        w.write_bit(g.has_edge(i.into(), j.into()));
+                    }
+                }
+            }
+            MapEncoding::EdgeList => {
+                let vb = crate::bits::width_for(n as u64 - 1);
+                w.write(g.num_edges() as u64, EDGE_COUNT_BITS);
+                for (a, b) in g.edges() {
+                    w.write(a.0 as u64, vb);
+                    w.write(b.0 as u64, vb);
+                }
+            }
+        }
+        w
+    }
 }
 
 impl Prover for UniversalScheme {
@@ -183,32 +216,11 @@ impl Prover for UniversalScheme {
                 "the universal scheme's edge lists hold fewer than 2^{EDGE_COUNT_BITS} edges"
             )));
         }
-        let ids = instance.ids();
+        // Every certificate opens with the same map, so it is encoded once,
+        // component marks included, and copied in front of each self-index.
+        let map = self.encode_map(instance);
         Ok(Assignment::write_each(n, |v, w| {
-            w.component("size-field");
-            w.write(n as u64, INDEX_BITS);
-            w.component("id-list");
-            for u in g.nodes() {
-                write_ident(w, ids.ident(u), self.id_bits);
-            }
-            w.component("adjacency");
-            match self.encoding {
-                MapEncoding::Matrix => {
-                    for i in 0..n {
-                        for j in (i + 1)..n {
-                            w.write_bit(g.has_edge(i.into(), j.into()));
-                        }
-                    }
-                }
-                MapEncoding::EdgeList => {
-                    let vb = crate::bits::width_for(n as u64 - 1);
-                    w.write(g.num_edges() as u64, EDGE_COUNT_BITS);
-                    for (a, b) in g.edges() {
-                        w.write(a.0 as u64, vb);
-                        w.write(b.0 as u64, vb);
-                    }
-                }
-            }
+            w.append(&map);
             w.component("self-index");
             w.write(v.0 as u64, INDEX_BITS);
         }))
@@ -321,7 +333,6 @@ pub fn fpf_automorphism_scheme(id_bits: u32) -> UniversalScheme {
 mod tests {
     use super::*;
     use crate::attacks;
-    use crate::bits::BitWriter;
     use crate::framework::test_views::{view_of, LocalView};
     use crate::framework::{
         run_scheme, run_verification, run_verification_in, DecodedView, Verdict, Verifier,
@@ -414,6 +425,42 @@ mod tests {
             return Err(RejectReason::PropertyViolation);
         }
         Ok(())
+    }
+
+    /// The prover's writes as they stood before the map was encoded once:
+    /// every vertex's writer encodes the whole map field by field.
+    fn assign_reference(scheme: &UniversalScheme, instance: &Instance<'_>) -> Assignment {
+        let g = instance.graph();
+        let n = g.num_nodes();
+        let ids = instance.ids();
+        Assignment::write_each(n, |v, w| {
+            w.component("size-field");
+            w.write(n as u64, INDEX_BITS);
+            w.component("id-list");
+            for u in g.nodes() {
+                write_ident(w, ids.ident(u), scheme.id_bits);
+            }
+            w.component("adjacency");
+            match scheme.encoding {
+                MapEncoding::Matrix => {
+                    for i in 0..n {
+                        for j in (i + 1)..n {
+                            w.write_bit(g.has_edge(i.into(), j.into()));
+                        }
+                    }
+                }
+                MapEncoding::EdgeList => {
+                    let vb = crate::bits::width_for(n as u64 - 1);
+                    w.write(g.num_edges() as u64, EDGE_COUNT_BITS);
+                    for (a, b) in g.edges() {
+                        w.write(a.0 as u64, vb);
+                        w.write(b.0 as u64, vb);
+                    }
+                }
+            }
+            w.component("self-index");
+            w.write(v.0 as u64, INDEX_BITS);
+        })
     }
 
     /// Checks `run_verification` on every pool and the prepared per-vertex
@@ -641,6 +688,46 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(92);
         let bits = 16 + 5 * 3 + 10 + 16;
         assert!(attacks::random_assignments(&scheme, &inst, bits, &mut rng, 200).is_none());
+    }
+
+    #[test]
+    fn prover_matches_the_per_vertex_reference_and_its_ledger() {
+        let mut rng = StdRng::seed_from_u64(0x26);
+        let graphs = [
+            generators::path(9),
+            generators::path(40),
+            generators::star(10),
+            generators::star(33),
+            generators::clique(7),
+            generators::clique(12),
+            generators::random_connected(12, 10, &mut rng),
+            generators::random_connected(30, 25, &mut rng),
+        ];
+        for g in &graphs {
+            let n = g.num_nodes();
+            let ids = IdAssignment::shuffled(n, &mut rng);
+            let inst = Instance::new(g, &ids);
+            let b = id_bits_for(&inst);
+            for scheme in [
+                UniversalScheme::new(b, "any", |_| true),
+                UniversalScheme::new(b, "any", |_| true).sparse(),
+            ] {
+                let label = format!("{:?} on {g:?}", scheme.encoding);
+                let (asg, ledger) =
+                    locert_trace::ledger::capture(|| scheme.assign(&inst).expect("honest"));
+                let (reference, reference_ledger) =
+                    locert_trace::ledger::capture(|| assign_reference(&scheme, &inst));
+                let plain = scheme.assign(&inst).expect("honest");
+                for v in g.nodes() {
+                    for got in [asg.cert(v), plain.cert(v)] {
+                        assert_eq!(got.len_bits(), reference.cert(v).len_bits(), "{label}");
+                        assert_eq!(got.as_bytes(), reference.cert(v).as_bytes(), "{label}");
+                    }
+                }
+                assert_eq!(ledger, reference_ledger, "{label}");
+                assert_eq!(ledger.certs.len(), n, "{label}");
+            }
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub fn cycle(n: usize) -> Graph {
 /// Panics if `n == 0`.
 pub fn clique(n: usize) -> Graph {
     assert!(n > 0, "clique requires at least one vertex");
-    let mut b = GraphBuilder::new(n);
+    let mut b = GraphBuilder::with_capacity(n, n * (n - 1) / 2);
     for u in 0..n {
         for v in (u + 1)..n {
             b.add_edge(u, v).expect("clique edges are valid");

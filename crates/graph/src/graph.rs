@@ -98,10 +98,7 @@ impl Graph {
         let edges = edges.into_iter();
         // The whole list fits without regrowing when the iterator knows its
         // length; otherwise start, like `GraphBuilder::new`, at a tree's worth.
-        let mut b = GraphBuilder {
-            n,
-            edges: Vec::with_capacity(edges.size_hint().0.max(n)),
-        };
+        let mut b = GraphBuilder::with_capacity(n, edges.size_hint().0.max(n));
         for (u, v) in edges {
             b.add_edge(u, v)?;
         }
@@ -292,9 +289,16 @@ impl GraphBuilder {
     /// buffer grown by doubling would leave freed copies behind in the
     /// heap on every build.
     pub fn new(n: usize) -> Self {
+        GraphBuilder::with_capacity(n, n)
+    }
+
+    /// Starts a builder for a graph on `n` vertices, with room for
+    /// `edges` edges: a builder that knows its edge count (a clique, an
+    /// exact-size edge list) adds them all without regrowing.
+    pub(crate) fn with_capacity(n: usize, edges: usize) -> Self {
         GraphBuilder {
             n,
-            edges: Vec::with_capacity(n),
+            edges: Vec::with_capacity(edges),
         }
     }
 

@@ -6,7 +6,10 @@
 //! `neighbors`, whatever the vertex count. A counting global allocator
 //! checks that the count is the same on a 64-vertex and a 4096-vertex
 //! random tree; a builder that kept a set (or any heap object) per
-//! vertex would make the larger tree allocate more.
+//! vertex would make the larger tree allocate more. The same holds for
+//! `generators::clique`, which knows its edge count up front: an edge
+//! buffer that regrew by doubling would make a larger clique allocate
+//! more.
 //!
 //! This lives in its own integration-test binary because the
 //! `#[global_allocator]` is process-wide; keeping a single `#[test]`
@@ -51,6 +54,15 @@ fn allocations_to_build_a_tree(n: usize) -> usize {
     after - before
 }
 
+/// Allocations made by `generators::clique(n)`.
+fn allocations_to_build_a_clique(n: usize) -> usize {
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let clique = generators::clique(n);
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert_eq!(clique.num_edges(), n * (n - 1) / 2);
+    after - before
+}
+
 #[test]
 fn from_edges_allocates_a_constant_number_of_times() {
     let small = allocations_to_build_a_tree(64);
@@ -64,4 +76,11 @@ fn from_edges_allocates_a_constant_number_of_times() {
         small <= 3,
         "from_edges allocated {small} times; the edge list, offsets and neighbors take 3"
     );
+    let small = allocations_to_build_a_clique(8);
+    let large = allocations_to_build_a_clique(64);
+    assert_eq!(
+        small, large,
+        "clique(64) allocated {large} times, clique(8) {small}: its edge buffer regrew"
+    );
+    assert!(small <= 3, "clique allocated {small} times");
 }

@@ -4,7 +4,7 @@
 
 use locert::cert::bits::BitWriter;
 use locert::cert::framework::{Assignment, Instance};
-use locert::cert::radius::ball_view;
+use locert::cert::radius::BallScratch;
 use locert::graph::bcc::biconnected_components;
 use locert::graph::{generators, traversal, Graph, IdAssignment, NodeId};
 use locert::logic::ast::{self, Formula, SetVar, Var};
@@ -314,22 +314,28 @@ proptest! {
                 }
             }
             let members: Vec<usize> = (0..n).filter(|&m| dist[m] <= r).collect();
-            let view = ball_view(&inst, &asg, NodeId(center), r);
-            prop_assert_eq!(members.get(view.center), Some(&center));
+            let mut scratch = BallScratch::new(n);
+            let view = scratch.view(&inst, &asg, NodeId(center), r);
+            let k = view.members().len();
             prop_assert_eq!(
-                view.ids.clone(),
+                view.members().iter().map(|m| m.0).collect::<Vec<_>>(),
+                members.clone()
+            );
+            prop_assert_eq!(members.get(view.center()), Some(&center));
+            prop_assert_eq!(
+                (0..k).map(|i| view.id(i)).collect::<Vec<_>>(),
                 members.iter().map(|&m| ids.ident(NodeId(m))).collect::<Vec<_>>()
             );
             prop_assert_eq!(
-                view.dist.clone(),
+                view.dist().to_vec(),
                 members.iter().map(|&m| dist[m]).collect::<Vec<_>>()
             );
             prop_assert_eq!(
-                view.certs.clone(),
+                (0..k).map(|i| view.cert(i).clone()).collect::<Vec<_>>(),
                 members.iter().map(|&m| asg.cert(NodeId(m)).clone()).collect::<Vec<_>>()
             );
-            prop_assert_eq!(view.inputs.clone(), vec![0; members.len()]);
-            prop_assert_eq!(rows(&view.ball), model_induced(&sets, &members));
+            prop_assert_eq!((0..k).map(|i| view.input(i)).collect::<Vec<_>>(), vec![0; members.len()]);
+            prop_assert_eq!(rows(view.ball()), model_induced(&sets, &members));
         }
     }
 }
