@@ -13,8 +13,8 @@
 //! Usage:
 //!
 //! ```text
-//! boundcheck [--baseline [PATH]] [--compare PATH] [--tolerance X]
-//!            [--threads N] [--quick] [--mutants] [--list]
+//! boundcheck [--baseline [PATH]] [--threads N] [--quick] [--mutants]
+//!            [--list]
 //! ```
 //!
 //! `--baseline` regenerates the committed baseline instead of gating;
@@ -22,21 +22,18 @@
 //! known size bugs and demanding every one is caught. Exit codes: 0 conforming, 1 violations, 2 usage or
 //! I/O error.
 
-use locert_bench::e9_bounds::{self, baseline, fit_sweep, DEFAULT_TOLERANCE};
+use locert_bench::e9_bounds::{self, baseline, fit_sweep, TOLERANCE};
 use locert_par::cli::{Cli, FINDING};
 use locert_trace::json;
 
 const DEFAULT_BASELINE: &str = "BOUNDS_baseline.json";
 
 const USAGE: &str = "\
-usage: boundcheck [--baseline [PATH]] [--compare PATH] [--tolerance X]
-                  [--threads N] [--quick] [--mutants] [--list]
+usage: boundcheck [--baseline [PATH]] [--threads N] [--quick] [--mutants]
+                  [--list]
 
   --baseline [PATH]  write the bounds baseline (default BOUNDS_baseline.json)
                      instead of gating against it
-  --compare PATH     gate against PATH instead of BOUNDS_baseline.json
-  --tolerance X      least-squares slope tolerance for the conformance
-                     fit (default 0.15)
   --threads N        worker count for the locert-par pool (default:
                      LOCERT_THREADS env, then available parallelism)
   --quick            shrink the size grids (smoke mode; skips the
@@ -49,8 +46,6 @@ usage: boundcheck [--baseline [PATH]] [--compare PATH] [--tolerance X]
 
 struct Options {
     write_baseline: Option<String>,
-    compare_path: String,
-    tolerance: f64,
     quick: bool,
     mutants: bool,
     list: bool,
@@ -59,8 +54,6 @@ struct Options {
 fn parse_args(cli: &mut Cli) -> Options {
     let mut opts = Options {
         write_baseline: None,
-        compare_path: DEFAULT_BASELINE.to_string(),
-        tolerance: DEFAULT_TOLERANCE,
         quick: false,
         mutants: false,
         list: false,
@@ -71,8 +64,6 @@ fn parse_args(cli: &mut Cli) -> Options {
                 let path = cli.optional(|a| !a.starts_with("--"));
                 opts.write_baseline = Some(path.unwrap_or_else(|| DEFAULT_BASELINE.into()));
             }
-            "--compare" => opts.compare_path = cli.value("--compare"),
-            "--tolerance" => opts.tolerance = cli.parse("--tolerance"),
             "--threads" => cli.threads(),
             "--quick" => opts.quick = true,
             "--mutants" => opts.mutants = true,
@@ -102,11 +93,7 @@ fn list_entries() {
 
 /// Gates one sweep set: attribution + fit (+ optional baseline
 /// compare). Returns violations.
-fn gate(
-    results: &[e9_bounds::SweepResult],
-    tolerance: f64,
-    committed: Option<&json::Value>,
-) -> Vec<String> {
+fn gate(results: &[e9_bounds::SweepResult], committed: Option<&json::Value>) -> Vec<String> {
     let mut violations = Vec::new();
     for r in results {
         for p in &r.points {
@@ -117,14 +104,14 @@ fn gate(
                 ));
             }
         }
-        let fit = fit_sweep(r, tolerance);
+        let fit = fit_sweep(r);
         if !fit.conforms {
             violations.push(format!(
                 "{}: measured growth exceeds declared {} (rel slope {:+.3} > {:.3})",
                 r.name,
                 r.declared.family(),
                 fit.rel_slope,
-                tolerance
+                TOLERANCE
             ));
         }
     }
@@ -134,7 +121,7 @@ fn gate(
     violations
 }
 
-fn run_mutants(tolerance: f64, committed: &json::Value) -> ! {
+fn run_mutants(committed: &json::Value) -> ! {
     let mut escaped = 0usize;
     for mutant in e9_bounds::mutants::mutants() {
         let entries = e9_bounds::mutants::apply(&mutant);
@@ -146,7 +133,7 @@ fn run_mutants(tolerance: f64, committed: &json::Value) -> ! {
         // The honest sweep verifies read amplification; the mutant sweep
         // does not, so exempt read-amp from the compare by gating the
         // poisoned case's size data only.
-        let violations: Vec<String> = gate(&results, tolerance, Some(committed))
+        let violations: Vec<String> = gate(&results, Some(committed))
             .into_iter()
             .filter(|v| v.starts_with(mutant.case) && !v.contains("read amplification"))
             .collect();
@@ -173,7 +160,9 @@ fn run_mutants(tolerance: f64, committed: &json::Value) -> ! {
     std::process::exit(0);
 }
 
-fn read_committed(cli: &Cli, path: &str) -> json::Value {
+/// The committed baseline, `BOUNDS_baseline.json`.
+fn read_committed(cli: &Cli) -> json::Value {
+    let path = DEFAULT_BASELINE;
     let raw = std::fs::read_to_string(path)
         .unwrap_or_else(|e| cli.io_error(format!("reading {path}: {e}")));
     json::parse(&raw).unwrap_or_else(|e| cli.io_error(format!("parsing {path}: {e}")))
@@ -187,8 +176,8 @@ fn main() {
         return;
     }
     if opts.mutants {
-        let committed = read_committed(&cli, &opts.compare_path);
-        run_mutants(opts.tolerance, &committed);
+        let committed = read_committed(&cli);
+        run_mutants(&committed);
     }
     let results = e9_bounds::sweep_all(opts.quick, true);
     if let Some(path) = opts.write_baseline {
@@ -206,9 +195,9 @@ fn main() {
         // Quick grids don't match the committed full-size baseline.
         None
     } else {
-        Some(read_committed(&cli, &opts.compare_path))
+        Some(read_committed(&cli))
     };
-    let violations = gate(&results, opts.tolerance, committed.as_ref());
+    let violations = gate(&results, committed.as_ref());
     for v in &violations {
         eprintln!("boundcheck: {v}");
     }
@@ -216,11 +205,11 @@ fn main() {
         println!(
             "bounds conform: {} schemes, tolerance {}, baseline {}",
             results.len(),
-            opts.tolerance,
+            TOLERANCE,
             if opts.quick {
                 "skipped (quick)"
             } else {
-                &opts.compare_path
+                DEFAULT_BASELINE
             }
         );
     } else {

@@ -27,9 +27,9 @@ use locert_core::schemes::common::id_bits_for;
 use locert_graph::IdAssignment;
 use std::collections::BTreeMap;
 
-/// Default slope tolerance for the least-squares conformance fit: the
+/// Slope tolerance for the least-squares conformance fit: the
 /// normalized ratio drift per doubling of `n` must stay below this.
-pub const DEFAULT_TOLERANCE: f64 = 0.15;
+pub const TOLERANCE: f64 = 0.15;
 
 /// The default size grid (most entries).
 const GRID: &[usize] = &[16, 32, 64, 128, 256];
@@ -164,8 +164,8 @@ pub struct Fit {
     /// mean ratio. Positive means measured growth exceeds the declared
     /// family.
     pub rel_slope: f64,
-    /// Whether the drift stays within tolerance (one-sided: shrinking
-    /// ratios always conform).
+    /// Whether the drift stays within [`TOLERANCE`] (one-sided:
+    /// shrinking ratios always conform).
     pub conforms: bool,
 }
 
@@ -178,7 +178,7 @@ pub struct Fit {
 /// family the ratios flatten and the normalized slope tends to 0; a
 /// scheme growing a family faster (linear declared logarithmic, say)
 /// drifts upward at a rate no tolerance below ~1 accepts.
-pub fn fit_points(declared: DeclaredBound, points: &[(usize, usize)], tolerance: f64) -> Fit {
+pub fn fit_points(declared: DeclaredBound, points: &[(usize, usize)]) -> Fit {
     if points.len() < 2 {
         return Fit {
             rel_slope: 0.0,
@@ -209,18 +209,18 @@ pub fn fit_points(declared: DeclaredBound, points: &[(usize, usize)], tolerance:
     };
     Fit {
         rel_slope,
-        conforms: rel_slope <= tolerance,
+        conforms: rel_slope <= TOLERANCE,
     }
 }
 
-/// Fits one sweep result with the default tolerance extraction.
-pub fn fit_sweep(result: &SweepResult, tolerance: f64) -> Fit {
+/// Fits one sweep result's `(n, max_bits)` points.
+pub fn fit_sweep(result: &SweepResult) -> Fit {
     let pts: Vec<(usize, usize)> = result
         .points
         .iter()
         .map(|p| (p.n_actual, p.max_bits))
         .collect();
-    fit_points(result.declared, &pts, tolerance)
+    fit_points(result.declared, &pts)
 }
 
 /// Emits one sweep's numbers as deterministic `ledger.*` counters (the
@@ -264,7 +264,7 @@ pub fn curves_table(results: &[SweepResult]) -> Table {
 }
 
 /// E9b: the conformance fit verdicts plus attribution/read-amp summary.
-pub fn fit_table(results: &[SweepResult], tolerance: f64) -> Table {
+pub fn fit_table(results: &[SweepResult]) -> Table {
     let mut table = Table::new(
         "E9b",
         "Bound conformance fits and read amplification",
@@ -283,7 +283,7 @@ pub fn fit_table(results: &[SweepResult], tolerance: f64) -> Table {
         ],
     );
     for r in results {
-        let fit = fit_sweep(r, tolerance);
+        let fit = fit_sweep(r);
         let attributed = r.points.iter().all(|p| p.fully_attributed);
         let amp = r
             .points
@@ -340,7 +340,7 @@ pub fn run(quick: bool) -> Vec<Table> {
     }
     vec![
         curves_table(&results),
-        fit_table(&results, DEFAULT_TOLERANCE),
+        fit_table(&results),
         components_table(&results),
     ]
 }
@@ -755,10 +755,10 @@ mod tests {
             .iter()
             .map(|&n| (n, 8 + n))
             .collect();
-        let fit = fit_points(DeclaredBound::LogN, &points, DEFAULT_TOLERANCE);
+        let fit = fit_points(DeclaredBound::LogN, &points);
         assert!(!fit.conforms, "rel slope {}", fit.rel_slope);
         // The same curve declared quadratic conforms (ratios shrink).
-        let fit2 = fit_points(DeclaredBound::QuadraticN, &points, DEFAULT_TOLERANCE);
+        let fit2 = fit_points(DeclaredBound::QuadraticN, &points);
         assert!(fit2.conforms, "rel slope {}", fit2.rel_slope);
     }
 
@@ -768,7 +768,7 @@ mod tests {
             .iter()
             .map(|&n| (n, 3 * ((n as f64).log2().ceil() as usize) + 4))
             .collect();
-        let fit = fit_points(DeclaredBound::LogN, &points, DEFAULT_TOLERANCE);
+        let fit = fit_points(DeclaredBound::LogN, &points);
         assert!(fit.conforms, "rel slope {}", fit.rel_slope);
     }
 

@@ -1,8 +1,7 @@
-//! Minimal table type with markdown and CSV rendering.
+//! Minimal table type with markdown rendering.
 //!
-//! Cell text is preserved exactly: markdown pipes are escaped (`|` →
-//! `\|`) and CSV follows RFC 4180 quoting, so [`parse_csv`] round-trips
-//! [`Table::csv`] output including commas, quotes, and newlines in cells.
+//! Markdown pipes in cells are escaped (`|` → `\|`), so a cell never
+//! splits into two columns.
 
 use std::fmt::Write as _;
 
@@ -11,68 +10,6 @@ use std::fmt::Write as _;
 /// represent) become spaces.
 fn md_cell(s: &str) -> String {
     s.replace('|', "\\|").replace(['\n', '\r'], " ")
-}
-
-/// Quotes a CSV field per RFC 4180 when it contains a comma, quote, or
-/// line break; doubles interior quotes.
-fn csv_field(s: &str) -> String {
-    if s.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
-/// Parses RFC 4180 CSV text (as produced by [`Table::csv`]) into rows of
-/// fields. Quoted fields may contain commas, doubled quotes, and line
-/// breaks. A trailing newline does not produce an empty row.
-pub fn parse_csv(text: &str) -> Vec<Vec<String>> {
-    let mut rows = Vec::new();
-    let mut row: Vec<String> = Vec::new();
-    let mut field = String::new();
-    let mut chars = text.chars().peekable();
-    let mut in_quotes = false;
-    let mut any = false;
-    while let Some(c) = chars.next() {
-        if in_quotes {
-            match c {
-                '"' if chars.peek() == Some(&'"') => {
-                    chars.next();
-                    field.push('"');
-                }
-                '"' => in_quotes = false,
-                _ => field.push(c),
-            }
-            continue;
-        }
-        match c {
-            '"' => {
-                in_quotes = true;
-                any = true;
-            }
-            ',' => {
-                row.push(std::mem::take(&mut field));
-                any = true;
-            }
-            '\r' => {}
-            '\n' => {
-                if any || !field.is_empty() || !row.is_empty() {
-                    row.push(std::mem::take(&mut field));
-                    rows.push(std::mem::take(&mut row));
-                }
-                any = false;
-            }
-            _ => {
-                field.push(c);
-                any = true;
-            }
-        }
-    }
-    if any || !field.is_empty() || !row.is_empty() {
-        row.push(field);
-        rows.push(row);
-    }
-    rows
 }
 
 /// A titled results table.
@@ -152,23 +89,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders CSV (header + rows) with RFC 4180 quoting; [`parse_csv`]
-    /// inverts it.
-    pub fn csv(&self) -> String {
-        let mut out = String::new();
-        let line = |row: &[String]| {
-            row.iter()
-                .map(|c| csv_field(c))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        let _ = writeln!(out, "{}", line(&self.columns));
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", line(row));
-        }
-        out
-    }
 }
 
 /// Formats a float with 2 decimals for table cells.
@@ -196,12 +116,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_shape() {
-        let csv = sample().csv();
-        assert_eq!(csv, "n,bits\n1,5\n2,6\n");
-    }
-
-    #[test]
     #[should_panic(expected = "row width mismatch")]
     fn width_checked() {
         let mut t = sample();
@@ -222,35 +136,5 @@ mod tests {
         // The escaped pipe must not create an extra column.
         let data_row = md.lines().last().unwrap();
         assert_eq!(data_row.matches(" | ").count(), 1);
-    }
-
-    #[test]
-    fn csv_round_trips_commas_quotes_and_newlines() {
-        let mut t = Table::new("E0", "demo", "c", "s", &["k", "v"]);
-        t.push(["comma, inside".to_string(), "quote \"here\"".to_string()]);
-        t.push(["multi\nline".to_string(), "plain".to_string()]);
-        let csv = t.csv();
-        let parsed = parse_csv(&csv);
-        assert_eq!(parsed[0], vec!["k", "v"]);
-        assert_eq!(parsed[1], vec!["comma, inside", "quote \"here\""]);
-        assert_eq!(parsed[2], vec!["multi\nline", "plain"]);
-        assert_eq!(parsed.len(), 3);
-    }
-
-    #[test]
-    fn csv_plain_cells_stay_unquoted() {
-        let csv = sample().csv();
-        assert_eq!(csv, "n,bits\n1,5\n2,6\n");
-        assert_eq!(
-            parse_csv(&csv),
-            vec![vec!["n", "bits"], vec!["1", "5"], vec!["2", "6"]]
-        );
-    }
-
-    #[test]
-    fn parse_csv_handles_empty_fields_and_no_trailing_newline() {
-        assert_eq!(parse_csv("a,,c"), vec![vec!["a", "", "c"]]);
-        assert_eq!(parse_csv(""), Vec::<Vec<String>>::new());
-        assert_eq!(parse_csv("\"\",x\n"), vec![vec!["", "x"]]);
     }
 }

@@ -198,7 +198,8 @@ impl Certificate {
     /// binary-wire inverse of [`Certificate::as_bytes`] +
     /// [`Certificate::len_bits`]. Returns `None` unless the byte count
     /// matches `len_bits` exactly and the final byte's trailing padding
-    /// bits are zero (the canonical form, as in [`Certificate::from_hex`]).
+    /// bits are zero (the canonical form, which [`Certificate::from_hex`]
+    /// also requires).
     pub fn from_bytes(bytes: Vec<u8>, len_bits: usize) -> Option<Certificate> {
         if bytes.len() != len_bits.div_ceil(8) {
             return None;
@@ -226,34 +227,24 @@ impl Certificate {
         s
     }
 
-    /// Parses the [`Certificate::to_hex`] format. Trailing bits of the
-    /// final byte must be zero.
+    /// Parses the [`Certificate::to_hex`] format; the bytes must be in
+    /// [`Certificate::from_bytes`]'s canonical form.
     pub fn from_hex(s: &str) -> Option<Certificate> {
         let (len_str, hex) = s.split_once(':')?;
         let len_bits: usize = len_str.parse().ok()?;
-        if hex.len() % 2 != 0 || hex.len() / 2 != len_bits.div_ceil(8) {
+        if hex.len() % 2 != 0 {
             return None;
         }
-        let mut bytes = Vec::with_capacity(hex.len() / 2);
-        let mut chars = hex.bytes();
-        while let (Some(a), Some(b)) = (chars.next(), chars.next()) {
-            let hi = (a as char).to_digit(16)?;
-            let lo = (b as char).to_digit(16)?;
-            bytes.push((hi * 16 + lo) as u8);
-        }
-        // Trailing padding bits must be zero (canonical form).
-        if !len_bits.is_multiple_of(8) {
-            if let Some(&last) = bytes.last() {
-                let used = len_bits % 8;
-                if last & ((1u8 << (8 - used)) - 1) != 0 {
-                    return None;
-                }
-            }
-        }
-        Some(Certificate {
-            repr: Repr::Owned(bytes),
-            len_bits,
-        })
+        let bytes = hex
+            .as_bytes()
+            .chunks(2)
+            .map(|pair| {
+                let hi = (pair[0] as char).to_digit(16)?;
+                let lo = (pair[1] as char).to_digit(16)?;
+                Some((hi * 16 + lo) as u8)
+            })
+            .collect::<Option<Vec<u8>>>()?;
+        Certificate::from_bytes(bytes, len_bits)
     }
 }
 

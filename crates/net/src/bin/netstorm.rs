@@ -1,8 +1,7 @@
 //! netstorm — the network fault-grid campaign CLI.
 //!
 //! ```text
-//! netstorm [--seed N] [--quick] [--threads N] [--runs N] [--size N]
-//!          [--out DIR] [--list]
+//! netstorm [--seed N] [--quick] [--threads N] [--out DIR] [--list]
 //! ```
 //!
 //! Drives every catalogued (scheme, yes-instance) target through the
@@ -29,8 +28,7 @@ use locert_trace::journal;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-usage: netstorm [--seed N] [--quick] [--threads N] [--runs N] [--size N]
-                [--out DIR] [--list]
+usage: netstorm [--seed N] [--quick] [--threads N] [--out DIR] [--list]
 
 Seeded, deterministic message-passing simulation of every catalogued
 certification scheme under a grid of network faults: loss, duplication,
@@ -38,18 +36,15 @@ reordering delay, in-transit and stored-certificate corruption,
 crash-restart with certificate loss, and healing partitions.
 
   --seed N     base RNG seed; every run derives its own (default 1)
-  --quick      2 runs per point on ~8-vertex instances (CI smoke mode)
+  --quick      2 runs per point on ~8-vertex instances (CI smoke mode);
+               the full grid runs 5 per point on ~12-vertex instances
   --threads N  worker threads (also honours LOCERT_THREADS; must be >= 1)
-  --runs N     seeded runs per (target, point) cell
-  --size N     approximate instance size in vertices (>= 7)
   --out DIR    write net-journal.jsonl and net-metrics.json
   --list       print the target catalogue and fault grid, then exit";
 
 struct Args {
     seed: u64,
     quick: bool,
-    runs: Option<usize>,
-    size: Option<usize>,
     out: Option<std::path::PathBuf>,
     list: bool,
 }
@@ -58,8 +53,6 @@ fn parse_args(cli: &mut Cli) -> Args {
     let mut args = Args {
         seed: 1,
         quick: false,
-        runs: None,
-        size: None,
         out: None,
         list: false,
     };
@@ -67,8 +60,6 @@ fn parse_args(cli: &mut Cli) -> Args {
         match arg.as_str() {
             "--seed" => args.seed = cli.parse("--seed"),
             "--threads" => cli.threads(),
-            "--runs" => args.runs = Some(cli.parse_at_least("--runs", 1)),
-            "--size" => args.size = Some(cli.parse_at_least("--size", 7)),
             "--out" => args.out = Some(cli.value("--out").into()),
             "--quick" => args.quick = true,
             "--list" => args.list = true,
@@ -111,7 +102,7 @@ fn main() -> ExitCode {
     let mut cli = Cli::with_pool("netstorm", USAGE);
     let args = parse_args(&mut cli);
     if args.list {
-        for target in catalogue(args.size.unwrap_or(12)) {
+        for target in catalogue(CampaignConfig::new(args.seed).target_size) {
             println!(
                 "target {:<22} {:>3} vertices",
                 target.name,
@@ -133,17 +124,11 @@ fn main() -> ExitCode {
     journal::set_capacity(journal::BATCH_CAPACITY);
     journal::enable();
     locert_trace::enable();
-    let mut cfg = if args.quick {
+    let cfg = if args.quick {
         CampaignConfig::quick(args.seed)
     } else {
         CampaignConfig::new(args.seed)
     };
-    if let Some(runs) = args.runs {
-        cfg.runs_per_point = runs;
-    }
-    if let Some(size) = args.size {
-        cfg.target_size = size;
-    }
     println!(
         "netstorm: {} targets x {} fault points x {} runs (seed {}, ~{} vertices)",
         catalogue(cfg.target_size).len(),

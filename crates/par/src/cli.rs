@@ -96,10 +96,9 @@ impl Cli {
     /// errors (a zero-worker pool would deadlock the first parallel
     /// region, and a silent fall-back hides typos).
     fn thread_count(&self, source: &str, raw: &str) -> usize {
-        match raw.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => self.usage_error(format!("{source}: thread count must be at least 1")),
-        }
+        crate::parse_threads(raw).unwrap_or_else(|| {
+            self.usage_error(format!("{source}: thread count must be at least 1"))
+        })
     }
 
     /// An argument the binary does not take.

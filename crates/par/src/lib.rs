@@ -422,19 +422,30 @@ pub fn global() -> &'static Pool {
     })
 }
 
-/// `LOCERT_THREADS` as a positive integer, if set and well-formed.
+/// `LOCERT_THREADS` as a positive integer, if set and well-formed; the
+/// pool falls back to the machine's parallelism otherwise.
 fn env_threads() -> Option<usize> {
-    let raw = std::env::var("LOCERT_THREADS").ok()?;
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => None,
-    }
+    parse_threads(&std::env::var("LOCERT_THREADS").ok()?)
+}
+
+/// A thread count: a positive integer, surrounding whitespace allowed.
+/// The one parse rule for `LOCERT_THREADS` and `--threads`.
+pub(crate) fn parse_threads(raw: &str) -> Option<usize> {
+    raw.trim().parse().ok().filter(|&n| n >= 1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    #[test]
+    fn thread_counts_are_trimmed_positive_integers() {
+        assert_eq!(parse_threads(" 3 "), Some(3));
+        for raw in ["0", "x", ""] {
+            assert_eq!(parse_threads(raw), None, "{raw:?}");
+        }
+    }
 
     #[test]
     fn map_collect_matches_sequential_at_any_width() {

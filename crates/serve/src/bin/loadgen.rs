@@ -1,15 +1,15 @@
 //! loadgen — seeded load generator for a live locert-serve daemon.
 //!
 //! ```text
-//! loadgen --addr HOST:PORT [--seed N] [--unique N] [--distinct N]
-//!         [--repeats N] [--concurrency N] [--qps N] [--schemes a,b,c]
-//!         [--inject-errors N] [--mode prove|verify|roundtrip]
-//!         [--min-hit-rate F] [--out DIR] [--shutdown]
+//! loadgen --addr HOST:PORT [--seed N] [--unique N] [--repeats N]
+//!         [--schemes a,b,c] [--inject-errors N] [--min-hit-rate F]
+//!         [--out DIR] [--shutdown]
 //! ```
 //!
 //! Replays the two-phase seeded workload (fresh instances, then a
-//! repeated pool exercising the certificate cache), cross-checks every
-//! verdict locally, and prints one summary line per phase. With
+//! repeated pool exercising the certificate cache) as roundtrip
+//! requests, in order, over one connection, cross-checks every verdict
+//! locally, and prints one summary line per phase. With
 //! `--out DIR` writes `loadgen-deterministic.txt` (the byte-comparable
 //! counter lines) and `loadgen-metrics.json` (a `locert-trace/v2`
 //! document splitting counts from wall-clock timings). Exits 0 when
@@ -19,31 +19,27 @@
 
 use locert_par::cli::{Cli, FINDING};
 use locert_serve::loadgen::{parse_mix, run_loadgen, LoadgenConfig};
-use locert_serve::Mode;
 use locert_trace::json::Value;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-usage: loadgen --addr HOST:PORT [--seed N] [--unique N] [--distinct N]
-               [--repeats N] [--concurrency N] [--qps N] [--schemes a,b,c]
-               [--inject-errors N] [--mode prove|verify|roundtrip]
-               [--min-hit-rate F] [--out DIR] [--shutdown]
+usage: loadgen --addr HOST:PORT [--seed N] [--unique N] [--repeats N]
+               [--schemes a,b,c] [--inject-errors N] [--min-hit-rate F]
+               [--out DIR] [--shutdown]
 
-Seeded two-phase workload against a live locert-serve daemon, with
-local verdict cross-checks and cache-hit accounting.
+Seeded two-phase workload of roundtrip requests, sent in order over one
+connection to a live locert-serve daemon, with local verdict
+cross-checks and cache-hit accounting.
 
   --addr HOST:PORT   daemon protocol address (required)
   --seed N           workload seed (default 1)
   --unique N         phase-1 fresh-instance requests (default 30)
-  --distinct N       phase-2 distinct instances (default 5)
-  --repeats N        phase-2 total requests (default 60)
-  --concurrency N    worker connections; 1 = deterministic (default 1)
-  --qps N            pace across workers; 0 = unpaced (default 0)
+  --repeats N        phase-2 requests, cycling 5 distinct instances
+                     (default 60)
   --schemes a,b,c    scheme mix of catalogue ids; an unknown id is a
                      usage error (default spanning-tree,acyclicity,
                      mso-perfect-matching)
   --inject-errors N  unknown-scheme probes expecting that exact code
-  --mode M           prove | verify-less roundtrip (default roundtrip)
   --min-hit-rate F   phase-2 hit-rate gate (default 0.9; 0 disables)
   --out DIR          write loadgen-deterministic.txt and
                      loadgen-metrics.json
@@ -70,22 +66,11 @@ fn parse_args(cli: &mut Cli) -> Args {
             "--addr" => args.addr = Some(cli.value("--addr")),
             "--seed" => args.config.seed = cli.parse("--seed"),
             "--unique" => args.config.unique = cli.parse("--unique"),
-            "--distinct" => args.config.distinct = cli.parse_at_least("--distinct", 1),
             "--repeats" => args.config.repeats = cli.parse("--repeats"),
-            "--concurrency" => args.config.concurrency = cli.parse_at_least("--concurrency", 1),
-            "--qps" => args.config.qps = cli.parse("--qps"),
             "--inject-errors" => args.config.inject_errors = cli.parse("--inject-errors"),
             "--schemes" => {
                 args.config.schemes =
                     parse_mix(&cli.value("--schemes")).unwrap_or_else(|e| cli.usage_error(e));
-            }
-            "--mode" => {
-                args.config.mode = match cli.value("--mode").as_str() {
-                    "prove" => Mode::Prove,
-                    "roundtrip" => Mode::Roundtrip,
-                    "verify" => cli.usage_error("verify mode needs certificates; use roundtrip"),
-                    v => cli.usage_error(format!("bad mode {v:?}")),
-                };
             }
             "--min-hit-rate" => args.min_hit_rate = cli.parse("--min-hit-rate"),
             "--out" => args.out = Some(cli.value("--out").into()),

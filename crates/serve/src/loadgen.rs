@@ -1,9 +1,9 @@
 //! Seeded load generation against a live daemon.
 //!
 //! A workload is a pure function of the seed and knobs — two same-seed
-//! runs send byte-identical request sequences, so at concurrency 1 the
-//! client-observed request/hit/miss counters replay byte-identically
-//! (the determinism gate CI byte-compares). Two phases:
+//! runs send byte-identical request sequences over one connection, in
+//! order, so the client-observed request/hit/miss counters replay
+//! byte-identically (the determinism gate CI byte-compares). Two phases:
 //!
 //! 1. **unique** — every request certifies a fresh instance (strictly
 //!    growing sizes per scheme), so every prove consults the cache and
@@ -32,8 +32,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The default scheme mix: three cheap, structurally distinct families.
 pub const DEFAULT_MIX: &str = "spanning-tree,acyclicity,mso-perfect-matching";
@@ -70,16 +69,10 @@ pub struct LoadgenConfig {
     pub distinct: usize,
     /// Phase-2 total requests (cycling the distinct instances).
     pub repeats: usize,
-    /// Worker connections. 1 (the default) is the deterministic mode.
-    pub concurrency: usize,
-    /// Target request rate across all workers; 0 = unpaced.
-    pub qps: u64,
     /// Scheme mix, cycled per request.
     pub schemes: Vec<&'static SchemeEntry>,
     /// Unknown-scheme probes appended after the phases.
     pub inject_errors: usize,
-    /// Request mode for both phases.
-    pub mode: Mode,
 }
 
 impl Default for LoadgenConfig {
@@ -90,12 +83,9 @@ impl Default for LoadgenConfig {
             unique: 30,
             distinct: 5,
             repeats: 60,
-            concurrency: 1,
-            qps: 0,
             // `DEFAULT_MIX` resolves (a unit test pins it).
             schemes: parse_mix(DEFAULT_MIX).unwrap_or_default(),
             inject_errors: 0,
-            mode: Mode::Roundtrip,
         }
     }
 }
@@ -115,9 +105,11 @@ pub struct WorkItem {
     pub entry: Option<&'static SchemeEntry>,
 }
 
-fn to_request(mode: Mode, scheme: &str, graph: &Graph, inputs: &Option<Vec<usize>>) -> Request {
+/// A roundtrip request: the daemon proves (through its cache) and
+/// verifies, and returns the certificates for the local cross-check.
+fn to_request(scheme: &str, graph: &Graph, inputs: &Option<Vec<usize>>) -> Request {
     Request {
-        mode,
+        mode: Mode::Roundtrip,
         scheme: scheme.to_string(),
         n: graph.num_nodes() as u32,
         edges: graph
@@ -148,7 +140,7 @@ pub fn build_workload(config: &LoadgenConfig) -> Vec<WorkItem> {
         let (graph, inputs) = (entry.family)(n);
         items.push(WorkItem {
             phase: 1,
-            request: to_request(config.mode, entry.id, &graph, &inputs),
+            request: to_request(entry.id, &graph, &inputs),
             graph,
             inputs,
             entry: Some(entry),
@@ -168,7 +160,7 @@ pub fn build_workload(config: &LoadgenConfig) -> Vec<WorkItem> {
         let (entry, graph, inputs) = &pool[j % pool.len()];
         items.push(WorkItem {
             phase: 2,
-            request: to_request(config.mode, entry.id, graph, inputs),
+            request: to_request(entry.id, graph, inputs),
             graph: graph.clone(),
             inputs: inputs.clone(),
             entry: Some(*entry),
@@ -178,7 +170,7 @@ pub fn build_workload(config: &LoadgenConfig) -> Vec<WorkItem> {
         let graph = locert_graph::generators::path(4);
         items.push(WorkItem {
             phase: 0,
-            request: to_request(config.mode, "no-such-scheme", &graph, &None),
+            request: to_request("no-such-scheme", &graph, &None),
             graph,
             inputs: None,
             entry: None,
@@ -187,8 +179,8 @@ pub fn build_workload(config: &LoadgenConfig) -> Vec<WorkItem> {
     items
 }
 
-/// What the run observed; counts are deterministic at concurrency 1,
-/// wall-clock fields never are.
+/// What the run observed; counts are deterministic, wall-clock fields
+/// never are.
 #[derive(Debug, Default)]
 pub struct Report {
     /// Requests sent (all phases, including injected probes).
@@ -199,7 +191,8 @@ pub struct Report {
     pub hits: u64,
     /// Cache misses across ok responses.
     pub misses: u64,
-    /// Cache bypasses across ok responses (verify mode).
+    /// Cache bypasses across ok responses. Roundtrips never bypass, so
+    /// this stays 0; the artifact's `cache.bypass=` line keeps its bytes.
     pub bypass: u64,
     /// Typed errors by code.
     pub errors: BTreeMap<String, u64>,
@@ -247,8 +240,8 @@ impl Report {
     }
 
     /// The deterministic half as stable key=value lines — two same-seed
-    /// concurrency-1 runs must produce byte-identical strings (CI
-    /// byte-compares the artifact).
+    /// runs must produce byte-identical strings (CI byte-compares the
+    /// artifact).
     pub fn deterministic_lines(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("requests={}\n", self.requests));
@@ -267,8 +260,9 @@ impl Report {
     }
 }
 
-/// Checks one roundtrip/verify response to a request for `entry`
-/// against local ground truth. Returns false on any disagreement.
+/// Checks one roundtrip response to a request for `entry` against local
+/// ground truth. Returns false on any disagreement, a response without
+/// certificates included.
 fn cross_check(
     entry: &SchemeEntry,
     item: &WorkItem,
@@ -276,9 +270,7 @@ fn cross_check(
     certs: Option<&[locert_core::Certificate]>,
 ) -> bool {
     let Some(certs) = certs else {
-        // Verify mode returns no certificates; the verdict itself is
-        // checked against the expectation that honest instances accept.
-        return accepted;
+        return false;
     };
     if certs.len() != item.graph.num_nodes() {
         return false;
@@ -337,58 +329,25 @@ fn tally(report: &mut Report, item: &WorkItem, response: &Response) {
     }
 }
 
-/// Runs the workload. Workers share the item list round-robin by index;
-/// at concurrency 1 the run is fully sequential and deterministic.
+/// Runs the workload: one connection sends the items in order, so the
+/// run is sequential and its counts are deterministic.
 ///
 /// # Errors
 ///
-/// Transport errors from any worker connection.
+/// Transport errors from the connection.
 pub fn run_loadgen(config: &LoadgenConfig) -> std::io::Result<Report> {
     let items = build_workload(config);
-    let workers = config.concurrency.max(1);
-    let pace = match (1_000_000_000 * workers as u64).checked_div(config.qps) {
-        Some(gap) => Duration::from_nanos(gap),
-        None => Duration::ZERO,
-    };
     let t0 = Instant::now();
-    let report = Mutex::new(Report::default());
-    let failure: Mutex<Option<std::io::Error>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let items = &items;
-            let report = &report;
-            let failure = &failure;
-            scope.spawn(move || {
-                let run = || -> std::io::Result<()> {
-                    let mut client = Client::connect(config.addr)?;
-                    for item in items.iter().skip(w).step_by(workers) {
-                        let sent = Instant::now();
-                        let responses = client.send_batch(std::slice::from_ref(&item.request))?;
-                        let elapsed_ns = sent.elapsed().as_nanos() as u64;
-                        locert_trace::record("loadgen.request.ns", elapsed_ns);
-                        let mut report = report.lock().expect("report lock poisoned");
-                        tally(&mut report, item, &responses[0]);
-                        report.latency_ns.push((item.phase, elapsed_ns));
-                        drop(report);
-                        if !pace.is_zero() {
-                            std::thread::sleep(pace.saturating_sub(sent.elapsed()));
-                        }
-                    }
-                    Ok(())
-                };
-                if let Err(e) = run() {
-                    failure
-                        .lock()
-                        .expect("failure lock poisoned")
-                        .get_or_insert(e);
-                }
-            });
-        }
-    });
-    if let Some(e) = failure.into_inner().expect("failure lock poisoned") {
-        return Err(e);
+    let mut report = Report::default();
+    let mut client = Client::connect(config.addr)?;
+    for item in &items {
+        let sent = Instant::now();
+        let responses = client.send_batch(std::slice::from_ref(&item.request))?;
+        let elapsed_ns = sent.elapsed().as_nanos() as u64;
+        locert_trace::record("loadgen.request.ns", elapsed_ns);
+        tally(&mut report, item, &responses[0]);
+        report.latency_ns.push((item.phase, elapsed_ns));
     }
-    let mut report = report.into_inner().expect("report lock poisoned");
     report.wall_s = t0.elapsed().as_secs_f64();
     Ok(report)
 }

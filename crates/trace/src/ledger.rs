@@ -313,9 +313,12 @@ mod tests {
 
     #[test]
     fn capture_collects_and_deactivates() {
-        assert!(!active());
+        // Per-thread: sibling tests run their own captures concurrently,
+        // so the process-wide `active()` is checked in
+        // `tests/ledger_active.rs`, a binary of its own.
+        assert!(!capturing());
         let (value, ledger) = capture(|| {
-            assert!(active());
+            assert!(capturing());
             record_cert(0, 4, &[("x", 0)]);
             record_cert(1, 2, &[("y", 0)]);
             42
@@ -324,7 +327,7 @@ mod tests {
         assert_eq!(ledger.certs.len(), 2);
         assert!(ledger.fully_attributed());
         assert_eq!(ledger.max_bits(), 4);
-        assert!(!active());
+        assert!(!capturing());
         // Records outside a capture go nowhere.
         record_cert(9, 8, &[("z", 0)]);
         let ((), empty) = capture(|| {});

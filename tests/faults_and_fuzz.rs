@@ -169,7 +169,8 @@ proptest! {
     }
 
     /// `to_hex`/`from_hex` round-trips certificates of arbitrary bit
-    /// length, including the empty certificate.
+    /// length, including the empty certificate, and rejects non-canonical
+    /// padding.
     #[test]
     fn certificate_hex_roundtrip(bits in prop::collection::vec(0u64..2, 0..75)) {
         let mut w = BitWriter::new();
@@ -180,6 +181,15 @@ proptest! {
         prop_assert_eq!(cert.len_bits(), bits.len());
         let hex = cert.to_hex();
         let back = Certificate::from_hex(&hex);
-        prop_assert_eq!(back, Some(cert));
+        prop_assert_eq!(back, Some(cert.clone()));
+        // A set padding bit past `len_bits` is non-canonical: both
+        // parsers reject it.
+        if bits.len() % 8 != 0 {
+            let mut bytes = cert.as_bytes().to_vec();
+            *bytes.last_mut().unwrap() |= 1;
+            let padded: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            prop_assert_eq!(Certificate::from_hex(&format!("{}:{padded}", bits.len())), None);
+            prop_assert_eq!(Certificate::from_bytes(bytes, bits.len()), None);
+        }
     }
 }
