@@ -217,11 +217,15 @@ pub struct TreeAutomaton {
     accepting: Vec<bool>,
 }
 
+/// The most states a [`TreeAutomaton`] has: a state set is a `u64`
+/// bitmask.
+pub const MAX_STATES: usize = 64;
+
 impl TreeAutomaton {
     /// Builds an automaton, validating dimensions and state references.
     ///
     /// Returns `None` on ragged guard tables, out-of-range states in
-    /// atoms, or more than 64 states.
+    /// atoms, or more than [`MAX_STATES`] states.
     pub fn new(
         num_states: usize,
         num_labels: usize,
@@ -229,7 +233,7 @@ impl TreeAutomaton {
         accepting: Vec<bool>,
     ) -> Option<Self> {
         if num_states == 0
-            || num_states > 64
+            || num_states > MAX_STATES
             || guards.len() != num_states
             || accepting.len() != num_states
         {

@@ -545,7 +545,7 @@ pub mod mutants {
     };
     use locert_core::schemes::common::write_ident;
     use locert_core::schemes::spanning_tree::try_honest_tree_fields;
-    use locert_core::Certificate;
+    use locert_core::BitReader;
     use locert_core::Scheme;
     use locert_graph::NodeId;
 
@@ -557,7 +557,7 @@ pub mod mutants {
                 type Decoded = ();
                 type Cache = ();
 
-                fn decode(&self, _: &Certificate, _: &()) {}
+                fn decode(&self, _: BitReader<'_>, _: &()) {}
 
                 fn decide_decoded(&self, _: &DecodedView<'_, ()>) -> Result<(), RejectReason> {
                     Ok(())

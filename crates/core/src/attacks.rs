@@ -342,6 +342,7 @@ pub fn attack_battery(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits::BitReader;
     use crate::framework::{Decode, DecodedView, RejectReason};
     use locert_graph::{generators, IdAssignment};
     use locert_par::Pool;
@@ -367,8 +368,8 @@ mod tests {
         type Decoded = bool;
         type Cache = ();
 
-        fn decode(&self, cert: &Certificate, _: &()) -> bool {
-            cert.len_bits() == 1 && cert.bit(0)
+        fn decode(&self, mut r: BitReader<'_>, _: &()) -> bool {
+            r.remaining() == 1 && r.read_bit() == Some(true)
         }
 
         fn decide_decoded(&self, view: &DecodedView<'_, bool>) -> Result<(), RejectReason> {
@@ -443,8 +444,8 @@ mod tests {
         type Decoded = bool;
         type Cache = ();
 
-        fn decode(&self, cert: &Certificate, _: &()) -> bool {
-            cert.len_bits() >= 1 && cert.bit(0)
+        fn decode(&self, mut r: BitReader<'_>, _: &()) -> bool {
+            r.read_bit() == Some(true)
         }
 
         fn decide_decoded(&self, view: &DecodedView<'_, bool>) -> Result<(), RejectReason> {
@@ -647,7 +648,7 @@ mod tests {
         type Decoded = ();
         type Cache = ();
 
-        fn decode(&self, _: &Certificate, _: &()) {}
+        fn decode(&self, _: BitReader<'_>, _: &()) {}
 
         fn decide_decoded(&self, _: &DecodedView<'_, ()>) -> Result<(), RejectReason> {
             Ok(())

@@ -15,6 +15,8 @@
 use crate::bits::{BitReader, BitWriter, Certificate};
 use locert_graph::{Graph, IdAssignment, Ident, NodeId};
 use locert_trace::LocalHistogram;
+use std::any::Any;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -506,8 +508,11 @@ pub trait Decode: Sync {
     /// what it returns.
     type Cache: Default + Sync;
 
-    /// Decodes one certificate.
-    fn decode(&self, cert: &Certificate, cache: &Self::Cache) -> Self::Decoded;
+    /// Decodes the certificate in the bits left in `window`: a whole
+    /// certificate for the framework, or a part of one that a composite
+    /// scheme split off in place ([`BitReader::take`]), so no part is
+    /// copied out before it is decoded.
+    fn decode(&self, window: BitReader<'_>, cache: &Self::Cache) -> Self::Decoded;
 
     /// The decision of one vertex given its decoded radius-1 view.
     ///
@@ -527,8 +532,9 @@ impl<S: Decode> Verifier for S {
         let n = instance.graph().num_nodes();
         let cache = S::Cache::default();
         // The decode stage: each certificate once, into the run's arena.
-        let decoded: Vec<S::Decoded> =
-            pool.par_map_collect(n, |i| self.decode(assignment.cert(NodeId(i)), &cache));
+        let decoded: Vec<S::Decoded> = pool.par_map_collect(n, |i| {
+            self.decode(BitReader::new(assignment.cert(NodeId(i))), &cache)
+        });
         let ids = instance.ids();
         let reasons = decide_timed(pool, n, &|i| {
             let v = NodeId(i);
@@ -551,7 +557,10 @@ impl<S: Decode> Verifier for S {
 
     fn prepare(&self, certs: &[Certificate]) -> Prepared<'_> {
         let cache = S::Cache::default();
-        let decoded: Vec<S::Decoded> = certs.iter().map(|c| self.decode(c, &cache)).collect();
+        let decoded: Vec<S::Decoded> = certs
+            .iter()
+            .map(|c| self.decode(BitReader::new(c), &cache))
+            .collect();
         Prepared {
             decide: Box::new(move |id, input, own, neighbors| {
                 let neighbors: Vec<(Ident, usize, &S::Decoded)> = neighbors
@@ -766,6 +775,36 @@ enum Neighbors<'a, D> {
     },
     /// Explicit entries (see [`DecodedView::listed`]).
     Listed(&'a [(Ident, usize, &'a D)]),
+    /// Another view's neighbors, each decode seen through a part of it
+    /// (see [`DecodedView::project`]).
+    Projected(&'a dyn Parts<D>),
+}
+
+/// The neighbors of a projected view: another view's neighbors, each
+/// decode mapped to a part of it.
+trait Parts<E> {
+    /// The number of neighbors.
+    fn degree(&self) -> usize;
+
+    /// The `i`-th neighbor's identifier, input and decode part.
+    fn part(&self, i: usize) -> (Ident, usize, &E);
+}
+
+/// A view and the part of each decode it projects to.
+struct Projection<'a, D, F> {
+    view: DecodedView<'a, D>,
+    part: F,
+}
+
+impl<D, E, F: Fn(&D) -> &E> Parts<E> for Projection<'_, D, F> {
+    fn degree(&self) -> usize {
+        self.view.degree()
+    }
+
+    fn part(&self, i: usize) -> (Ident, usize, &E) {
+        let (id, input, decoded) = self.view.neighbor(i);
+        (id, input, (self.part)(decoded))
+    }
 }
 
 impl<D> Clone for Neighbors<'_, D> {
@@ -802,11 +841,30 @@ impl<'a, D> DecodedView<'a, D> {
         }
     }
 
+    /// This view with each decode, its own and its neighbors', mapped
+    /// through `part`, handed to `decide`: a composite scheme gives a
+    /// part's decision the part's decodes without listing them anywhere.
+    pub fn project<E, R>(
+        &self,
+        part: impl Fn(&D) -> &E,
+        decide: impl FnOnce(&DecodedView<'_, E>) -> R,
+    ) -> R {
+        let own = part(self.own);
+        let projection = Projection { view: *self, part };
+        decide(&DecodedView {
+            id: self.id,
+            input: self.input,
+            own,
+            neighbors: Neighbors::Projected(&projection),
+        })
+    }
+
     /// The degree of the vertex.
     pub fn degree(&self) -> usize {
         match self.neighbors {
             Neighbors::Arena { adj, .. } => adj.len(),
             Neighbors::Listed(listed) => listed.len(),
+            Neighbors::Projected(parts) => parts.degree(),
         }
     }
 
@@ -827,6 +885,7 @@ impl<'a, D> DecodedView<'a, D> {
                 )
             }
             Neighbors::Listed(listed) => listed[i],
+            Neighbors::Projected(parts) => parts.part(i),
         }
     }
 
@@ -845,6 +904,7 @@ impl<'a, D> DecodedView<'a, D> {
         (0..self.degree()).map(move |i| match self.neighbors {
             Neighbors::Arena { adj, ids, .. } => ids.ident(adj[i]),
             Neighbors::Listed(listed) => listed[i].0,
+            Neighbors::Projected(parts) => parts.part(i).0,
         })
     }
 
@@ -859,6 +919,40 @@ impl<'a, D> DecodedView<'a, D> {
         let i = self.neighbor_ids().position(|nid| nid == id)?;
         Some(self.neighbor(i).2)
     }
+}
+
+thread_local! {
+    /// The buffers [`with_scratch`] lends, each a `Vec<T>` for some `T`.
+    static SCRATCH: RefCell<Vec<Box<dyn Any>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The most bytes of capacity a buffer [`with_scratch`] lends keeps once
+/// given back. An honest decision needs a few words per neighbor, far
+/// below it; a buffer an outsized certificate grew past it is freed, so a
+/// long-lived worker thread does not hold it.
+const SCRATCH_KEPT_BYTES: usize = 1 << 16;
+
+/// Runs `f` on an empty `Vec<T>` that this thread reuses from call to
+/// call: the buffer a decision needs once per vertex is allocated once
+/// per thread instead. A call made inside `f` (a nested decision's)
+/// gets a buffer of its own.
+pub fn with_scratch<T: 'static, R>(f: impl FnOnce(&mut Vec<T>) -> R) -> R {
+    let taken = SCRATCH.with(|free| {
+        let mut free = free.borrow_mut();
+        let at = free.iter().rposition(|buffer| (**buffer).is::<Vec<T>>())?;
+        Some(free.swap_remove(at))
+    });
+    let mut buffer = taken.unwrap_or_else(|| Box::new(Vec::<T>::new()));
+    let scratch = buffer
+        .downcast_mut::<Vec<T>>()
+        .expect("a buffer is taken by its type");
+    scratch.clear();
+    let out = f(scratch);
+    scratch.clear();
+    if scratch.capacity() * std::mem::size_of::<T>() <= SCRATCH_KEPT_BYTES {
+        SCRATCH.with(|free| free.borrow_mut().push(buffer));
+    }
+    out
 }
 
 /// Iterator over a [`DecodedView`]'s neighbors.
@@ -1249,8 +1343,7 @@ mod tests {
         type Decoded = Option<u64>;
         type Cache = ();
 
-        fn decode(&self, cert: &Certificate, _: &()) -> Option<u64> {
-            let mut r = BitReader::new(cert);
+        fn decode(&self, mut r: BitReader<'_>, _: &()) -> Option<u64> {
             let claimed = r.read(16)?;
             r.exhausted().then_some(claimed)
         }
@@ -1283,6 +1376,27 @@ mod tests {
         let out = run_scheme(&DegreeScheme, &inst).unwrap();
         assert!(out.accepted());
         assert_eq!(out.max_bits(), 16);
+    }
+
+    #[test]
+    fn scratch_nests_and_frees_outsized_buffers() {
+        // A nested call gets a buffer of its own; both are kept.
+        with_scratch(|outer: &mut Vec<u64>| {
+            outer.reserve(8);
+            with_scratch(|inner: &mut Vec<u64>| {
+                assert_eq!(inner.capacity(), 0);
+                inner.reserve(8);
+            });
+        });
+        with_scratch(|kept: &mut Vec<u64>| assert!(kept.capacity() >= 8));
+        // A buffer grown past the bound is freed when given back.
+        let words = SCRATCH_KEPT_BYTES / 8 + 1;
+        for _ in 0..2 {
+            with_scratch(|big: &mut Vec<u64>| {
+                assert!(big.capacity() < words);
+                big.reserve(words);
+            });
+        }
     }
 
     #[test]
@@ -1650,8 +1764,8 @@ pub(crate) mod test_views {
         type Decoded = usize;
         type Cache = ();
 
-        fn decode(&self, cert: &Certificate, _: &()) -> usize {
-            cert.len_bits()
+        fn decode(&self, window: BitReader<'_>, _: &()) -> usize {
+            window.remaining()
         }
 
         fn decide_decoded(&self, view: &DecodedView<'_, usize>) -> Result<(), RejectReason> {

@@ -9,7 +9,7 @@
 //! schemes here (MSO-on-trees first certifies tree-ness; the paper notes
 //! acyclicity requires `Ω(log n)` bits [31, 37], so this is tight).
 
-use crate::bits::{BitReader, Certificate};
+use crate::bits::BitReader;
 use crate::framework::{
     Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
     Scheme,
@@ -47,8 +47,7 @@ impl Decode for AcyclicityScheme {
     type Decoded = Option<TreeFields>;
     type Cache = ();
 
-    fn decode(&self, cert: &Certificate, _: &()) -> Option<TreeFields> {
-        let mut r = BitReader::new(cert);
+    fn decode(&self, mut r: BitReader<'_>, _: &()) -> Option<TreeFields> {
         let f = TreeFields::read(&mut r, self.id_bits)?;
         r.exhausted().then_some(f)
     }

@@ -5,7 +5,7 @@
 //! straightforward": for `∧`, concatenate certificates. The catalogue
 //! needs only conjunction (`and-acyclic-count`).
 
-use crate::bits::{BitReader, Certificate};
+use crate::bits::BitReader;
 use crate::framework::{
     Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
     Scheme,
@@ -31,13 +31,24 @@ impl<A: Scheme, B: Scheme> AndScheme<A, B> {
         }
     }
 
-    fn split(&self, cert: &Certificate) -> Option<(Certificate, Certificate)> {
-        let mut r = BitReader::new(cert);
+    /// The two parts of the certificate in `r`, split in place: `None`
+    /// when the length header does not fit.
+    fn split<'a>(&self, mut r: BitReader<'a>) -> Option<(BitReader<'a>, BitReader<'a>)> {
         let len_a = r.read(self.len_bits)? as usize;
-        let a = r.read_cert(len_a)?;
-        let b = r.read_cert(r.remaining())?;
-        Some((a, b))
+        let a = r.take(len_a)?;
+        Some((a, r))
     }
+}
+
+/// A decoded conjunction certificate: both parts' decodes, each from its
+/// window of the certificate.
+pub struct AndCert<A, B> {
+    /// Whether the length header fits; when it does not, both parts are
+    /// decoded from empty windows and the vertex rejects before either
+    /// part decides.
+    header_fits: bool,
+    first: A,
+    second: B,
 }
 
 impl<A: Scheme, B: Scheme> Prover for AndScheme<A, B> {
@@ -59,37 +70,34 @@ impl<A: Scheme, B: Scheme> Prover for AndScheme<A, B> {
 }
 
 impl<A: Scheme + Decode, B: Scheme + Decode> Decode for AndScheme<A, B> {
-    /// Both parts' decodes; `None` when the length header does not fit.
-    type Decoded = Option<(A::Decoded, B::Decoded)>;
+    type Decoded = AndCert<A::Decoded, B::Decoded>;
     type Cache = (A::Cache, B::Cache);
 
-    fn decode(&self, cert: &Certificate, cache: &Self::Cache) -> Self::Decoded {
-        let (ca, cb) = self.split(cert)?;
-        Some((
-            self.first.decode(&ca, &cache.0),
-            self.second.decode(&cb, &cache.1),
-        ))
+    fn decode(&self, mut r: BitReader<'_>, cache: &Self::Cache) -> Self::Decoded {
+        let (header_fits, (a, b)) = match self.split(r.clone()) {
+            Some(parts) => (true, parts),
+            None => {
+                let empty = r.take(0).expect("an empty window fits");
+                (false, (empty.clone(), empty))
+            }
+        };
+        AndCert {
+            header_fits,
+            first: self.first.decode(a, &cache.0),
+            second: self.second.decode(b, &cache.1),
+        }
     }
 
     fn decide_decoded(&self, view: &DecodedView<'_, Self::Decoded>) -> Result<(), RejectReason> {
-        let (own_a, own_b) = view
-            .own
-            .as_ref()
-            .ok_or(RejectReason::MalformedCertificate)?;
-        let mut nbrs_a = Vec::with_capacity(view.degree());
-        let mut nbrs_b = Vec::with_capacity(view.degree());
-        for (nid, ninput, decoded) in view.neighbors() {
-            let (na, nb) = decoded
-                .as_ref()
-                .ok_or(RejectReason::MalformedNeighborCertificate)?;
-            nbrs_a.push((nid, ninput, na));
-            nbrs_b.push((nid, ninput, nb));
+        if !view.own.header_fits {
+            return Err(RejectReason::MalformedCertificate);
+        }
+        if view.neighbors().any(|(_, _, decoded)| !decoded.header_fits) {
+            return Err(RejectReason::MalformedNeighborCertificate);
         }
         // Inner rejection reasons propagate unchanged.
-        self.first
-            .decide_decoded(&DecodedView::listed(view.id, view.input, own_a, &nbrs_a))?;
-        self.second
-            .decide_decoded(&DecodedView::listed(view.id, view.input, own_b, &nbrs_b))
+        view.project(|d| &d.first, |part| self.first.decide_decoded(part))?;
+        view.project(|d| &d.second, |part| self.second.decide_decoded(part))
     }
 }
 
@@ -109,7 +117,7 @@ impl<A: Scheme + Decode, B: Scheme + Decode> Scheme for AndScheme<A, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bits::BitWriter;
+    use crate::bits::{BitWriter, Certificate};
     use crate::framework::run_scheme;
     use crate::schemes::acyclicity::AcyclicityScheme;
     use crate::schemes::common::id_bits_for;
@@ -171,7 +179,11 @@ mod tests {
                 }
                 let cert = w.finish();
                 // Truncations included: every prefix is a shorter input.
-                assert_eq!(and.split(&cert), and_split_bitwise(len_bits, &cert));
+                let split = and.split(BitReader::new(&cert)).map(|(mut a, mut b)| {
+                    let whole = |r: &mut BitReader<'_>| r.read_cert(r.remaining()).unwrap();
+                    (whole(&mut a), whole(&mut b))
+                });
+                assert_eq!(split, and_split_bitwise(len_bits, &cert));
             }
         }
     }

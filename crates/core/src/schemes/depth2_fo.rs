@@ -22,7 +22,7 @@
 //!   (which checks degree `< n − 1`);
 //! - `Neither`: certified vertex count + everyone checks degree `< n−1`.
 
-use crate::bits::{BitReader, Certificate};
+use crate::bits::BitReader;
 use crate::framework::{
     Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
     Scheme,
@@ -195,8 +195,7 @@ impl Decode for Depth2FoScheme {
     type Decoded = Option<RegionFields>;
     type Cache = ();
 
-    fn decode(&self, cert: &Certificate, _: &()) -> Option<RegionFields> {
-        let mut r = BitReader::new(cert);
+    fn decode(&self, mut r: BitReader<'_>, _: &()) -> Option<RegionFields> {
         let region = Region::from_tag(r.read(2)?)?;
         match region {
             Region::Single => r.exhausted().then_some((region, None, None)),

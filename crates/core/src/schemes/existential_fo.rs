@@ -21,7 +21,7 @@ use crate::framework::{
 };
 use crate::schemes::common::{read_ident, write_ident};
 use crate::schemes::spanning_tree::{try_honest_tree_fields, verify_tree_position, TreeFields};
-use locert_graph::{Ident, NodeId};
+use locert_graph::{Graph, IdAssignment, Ident, NodeId};
 use locert_logic::ast::{Formula, Var};
 use locert_logic::depth::existential_prefix;
 use std::sync::Arc;
@@ -157,38 +157,33 @@ impl ExistentialFoScheme {
     fn matrix_holds(&self, witnesses: &[Ident], matrix: &[bool]) -> bool {
         self.matrix.holds(witnesses, matrix, self.arity())
     }
-}
 
-impl Prover for ExistentialFoScheme {
-    fn assign(&self, instance: &Instance<'_>) -> Result<Assignment, ProverError> {
-        let _span = locert_trace::span!("core.schemes.existential_fo.prover");
-        let g = instance.graph();
-        let ids = instance.ids();
+    /// The first witness tuple, in the order that counts the tuple up
+    /// like a number with `v₁` as its lowest digit, whose identifiers and
+    /// row-major adjacency matrix satisfy the matrix formula: the tuple,
+    /// its identifiers and its matrix. A brute-force `n^k` search
+    /// (experiment workloads keep `k` small) over buffers it fills in
+    /// place, so a step allocates nothing.
+    fn search(&self, g: &Graph, ids: &IdAssignment) -> Option<(Vec<usize>, Vec<Ident>, Vec<bool>)> {
         let k = self.arity();
         let n = g.num_nodes();
-        if n == 0 && k > 0 {
-            // ∃-sentences are false over an empty domain; the witness
-            // loop below would index vertex 0.
-            return Err(ProverError::NotAYesInstance);
-        }
-        // Brute-force witness search (n^k; experiment workloads keep k small).
         let mut choice = vec![0usize; k];
-        let found = 'search: loop {
-            let witnesses: Vec<Ident> = choice.iter().map(|&i| ids.ident(NodeId(i))).collect();
-            let matrix: Vec<bool> = (0..k)
-                .flat_map(|i| {
-                    let choice = choice.clone();
-                    (0..k).map(move |j| (i, j, choice.clone()))
-                })
-                .map(|(i, j, ch)| g.has_edge(NodeId(ch[i]), NodeId(ch[j])))
-                .collect();
+        let mut witnesses = vec![Ident(0); k];
+        let mut matrix = vec![false; k * k];
+        loop {
+            for (id, &c) in witnesses.iter_mut().zip(&choice) {
+                *id = ids.ident(NodeId(c));
+            }
+            for (cell, at) in matrix.iter_mut().zip(0..) {
+                *cell = g.has_edge(NodeId(choice[at / k]), NodeId(choice[at % k]));
+            }
             if self.matrix_holds(&witnesses, &matrix) {
-                break 'search Some(choice.clone());
+                return Some((choice, witnesses, matrix));
             }
             let mut i = 0;
             loop {
                 if i == k {
-                    break 'search None;
+                    return None;
                 }
                 choice[i] += 1;
                 if choice[i] < n {
@@ -197,16 +192,22 @@ impl Prover for ExistentialFoScheme {
                 choice[i] = 0;
                 i += 1;
             }
-        };
-        let witnesses_idx = found.ok_or(ProverError::NotAYesInstance)?;
-        let witness_ids: Vec<Ident> = witnesses_idx
-            .iter()
-            .map(|&i| ids.ident(NodeId(i)))
-            .collect();
-        let matrix: Vec<bool> = (0..k)
-            .flat_map(|i| (0..k).map(move |j| (i, j)))
-            .map(|(i, j)| g.has_edge(NodeId(witnesses_idx[i]), NodeId(witnesses_idx[j])))
-            .collect();
+        }
+    }
+}
+
+impl Prover for ExistentialFoScheme {
+    fn assign(&self, instance: &Instance<'_>) -> Result<Assignment, ProverError> {
+        let _span = locert_trace::span!("core.schemes.existential_fo.prover");
+        let g = instance.graph();
+        let ids = instance.ids();
+        if g.num_nodes() == 0 && self.arity() > 0 {
+            // ∃-sentences are false over an empty domain; the witness
+            // search would index vertex 0.
+            return Err(ProverError::NotAYesInstance);
+        }
+        let (witnesses_idx, witness_ids, matrix) =
+            self.search(g, ids).ok_or(ProverError::NotAYesInstance)?;
         // Witnesses can exist in a disconnected graph, but the witness
         // spanning trees cannot: surface the broken connected-graph
         // promise as a typed error instead of panicking.
@@ -241,19 +242,20 @@ impl Decode for ExistentialFoScheme {
     /// arena holds one copy of it.
     type Cache = Memo<WitnessClaim>;
 
-    fn decode(&self, cert: &Certificate, memo: &Memo<WitnessClaim>) -> Option<ExistentialCert> {
+    fn decode(&self, mut r: BitReader<'_>, memo: &Memo<WitnessClaim>) -> Option<ExistentialCert> {
         let k = self.arity();
-        let mut r = BitReader::new(cert);
         let claim = r.take(k * self.id_bits as usize + k * k)?;
-        let trees = (0..k)
-            .map(|_| TreeFields::read(&mut r, self.id_bits))
-            .collect::<Option<Box<[_]>>>()?;
+        // Exactly `k` entries: the one allocation of the decode.
+        let mut trees = Vec::with_capacity(k);
+        for _ in 0..k {
+            trees.push(TreeFields::read(&mut r, self.id_bits)?);
+        }
         if !r.exhausted() {
             return None;
         }
         Some(ExistentialCert {
             claim: memo.get(claim, |bits| self.parse_claim(bits)),
-            trees,
+            trees: trees.into_boxed_slice(),
         })
     }
 
@@ -347,10 +349,81 @@ mod tests {
     use crate::framework::{run_scheme, run_verification};
     use crate::schemes::common::id_bits_for;
     use crate::schemes::spanning_tree::honest_tree_fields;
-    use locert_graph::{generators, IdAssignment};
+    use locert_graph::generators;
     use locert_logic::props;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The witness search as it stood: fresh identifier and matrix
+    /// vectors, and a copy of the tuple per matrix cell, at every step.
+    fn search_reference(
+        scheme: &ExistentialFoScheme,
+        g: &Graph,
+        ids: &IdAssignment,
+    ) -> Option<Vec<usize>> {
+        let k = scheme.arity();
+        let n = g.num_nodes();
+        let mut choice = vec![0usize; k];
+        loop {
+            let witnesses: Vec<Ident> = choice.iter().map(|&i| ids.ident(NodeId(i))).collect();
+            let matrix: Vec<bool> = (0..k)
+                .flat_map(|i| {
+                    let choice = choice.clone();
+                    (0..k).map(move |j| (i, j, choice.clone()))
+                })
+                .map(|(i, j, ch)| g.has_edge(NodeId(ch[i]), NodeId(ch[j])))
+                .collect();
+            if scheme.matrix_holds(&witnesses, &matrix) {
+                return Some(choice);
+            }
+            let mut i = 0;
+            loop {
+                if i == k {
+                    return None;
+                }
+                choice[i] += 1;
+                if choice[i] < n {
+                    break;
+                }
+                choice[i] = 0;
+                i += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn search_finds_the_reference_witnesses() {
+        let sentences = [
+            props::has_clique(3),
+            props::has_independent_set(3),
+            props::has_path(4),
+            props::has_cycle_of_length(4),
+        ];
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut found = 0;
+        for round in 0..60 {
+            let n = 1 + round % 9;
+            let g = generators::random_connected(n, round % 5, &mut rng);
+            let ids = IdAssignment::random_polynomial(n, 2, &mut rng);
+            for sentence in &sentences {
+                let scheme = ExistentialFoScheme::new(8, sentence).unwrap();
+                let searched = scheme.search(&g, &ids);
+                let expected = search_reference(&scheme, &g, &ids);
+                assert_eq!(searched.as_ref().map(|s| &s.0), expected.as_ref());
+                if expected.is_none() {
+                    let refused = scheme.assign(&Instance::new(&g, &ids));
+                    assert!(matches!(refused, Err(ProverError::NotAYesInstance)));
+                }
+                if let Some((choice, witnesses, matrix)) = searched {
+                    found += 1;
+                    let named: Vec<Ident> = choice.iter().map(|&c| ids.ident(NodeId(c))).collect();
+                    assert_eq!(witnesses, named);
+                    assert!(scheme.matrix_holds(&witnesses, &matrix));
+                }
+            }
+        }
+        assert!(found > 20 && found < 200, "{found} of 240 searches succeed");
+    }
 
     #[test]
     fn rejects_non_existential_sentences() {
@@ -513,7 +586,7 @@ mod tests {
         let memo = Memo::default();
         let decoded: Vec<ExistentialCert> = g
             .nodes()
-            .map(|v| scheme.decode(asg.cert(v), &memo).unwrap())
+            .map(|v| scheme.decode(BitReader::new(asg.cert(v)), &memo).unwrap())
             .collect();
         let first = &decoded[0].claim;
         assert!(first.is_kept());

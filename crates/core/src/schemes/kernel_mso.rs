@@ -25,11 +25,12 @@
 
 use crate::bits::{width_for, BitReader, BitWriter, Certificate};
 use crate::framework::{
-    Assignment, DeclaredBound, Decode, DecodedView, Held, Instance, Memo, Prover, ProverError,
-    RejectReason, Scheme, Shared, Verifier,
+    with_scratch, Assignment, DeclaredBound, Decode, DecodedView, Held, Instance, Memo, Prover,
+    ProverError, RejectReason, Scheme, Shared, Verifier,
 };
 use crate::schemes::treedepth::{
-    ancestors, check_own_td, check_td_edges, model_for, HonestTd, ModelStrategy, TdCert,
+    ancestors, check_own_td, check_td_edges, model_for, read_len, read_words, record_words,
+    HonestTd, ModelStrategy, Td, TdCert, TdRef,
 };
 use locert_graph::{Graph, Ident, NodeId};
 use locert_kernel::{k_reduce, TypeId};
@@ -187,12 +188,11 @@ impl SerTable {
     }
 }
 
-/// Parsed kernel-MSO certificate.
+/// Parsed kernel-MSO certificate, its fields in one allocation.
 pub struct KernelCert {
+    /// The treedepth layer; its tail holds one mark per ancestor,
+    /// aligned with the ancestors ([`mark`]).
     td: TdCert,
-    /// End type and pruned flag per ancestor, aligned with
-    /// `td.ancestors`.
-    marks: Box<[(u32, bool)]>,
     /// The type table (the certificate suffix after the end types). A
     /// table is a function of `(t, φ)` and the certified graph's
     /// structure (a block's, for `C_t`) only, never of identifiers, so in
@@ -201,6 +201,73 @@ pub struct KernelCert {
     /// by `(t, k)` and the fields before it, and the parse must consume
     /// the bits exactly.
     pub(crate) table: Arc<Shared<ParsedTable>>,
+}
+
+impl KernelCert {
+    /// The certificate borrowed.
+    pub(crate) fn as_ref(&self) -> KernelRef<'_> {
+        KernelRef {
+            td: self.td.as_ref(),
+            table: &self.table,
+        }
+    }
+}
+
+/// A kernel certificate borrowed from the decode that holds it: a
+/// [`KernelCert`], or one block of a `C_t` certificate.
+#[derive(Clone, Copy)]
+pub(crate) struct KernelRef<'a> {
+    /// The treedepth layer, one mark per ancestor in its tail.
+    pub(crate) td: TdRef<'a>,
+    pub(crate) table: &'a Arc<Shared<ParsedTable>>,
+}
+
+impl<'a> KernelRef<'a> {
+    /// The certificate whose words [`KernelMsoScheme::read_into`] pushed
+    /// as `record`, with its table.
+    pub(crate) fn at(record: &'a [Ident], table: &'a Arc<Shared<ParsedTable>>) -> Self {
+        KernelRef {
+            td: Td::with_tail(record, MARK_WORDS),
+            table,
+        }
+    }
+
+    /// One word per ancestor: its end type and pruned flag ([`mark`]).
+    fn marks(&self) -> &[Ident] {
+        self.td.tail()
+    }
+}
+
+/// The words per ancestor a kernel record keeps after its treedepth
+/// words: the ancestor's mark.
+const MARK_WORDS: usize = 1;
+
+/// An ancestor's end type and pruned flag, kept as one word (the type
+/// above the flag bit) so they sit with the treedepth words.
+fn mark(word: Ident) -> (u32, bool) {
+    ((word.0 >> 1) as u32, word.0 & 1 == 1)
+}
+
+/// Reads, after a list of `len` ancestors, the pruned flags and end
+/// types onto `words`, one mark per ancestor ([`mark`]), checking each
+/// type against the table's type count, which it returns.
+fn read_marks(r: &mut BitReader<'_>, len: usize, words: &mut Vec<Ident>) -> Option<usize> {
+    let base = words.len();
+    for _ in 0..len {
+        words.push(Ident(u64::from(r.read_bit()?)));
+    }
+    // The type-id field width is set by the count, which sits in the
+    // table at the end; write the count redundantly before the types.
+    let count = r.read(12)? as usize;
+    let tb = width_for(count.max(1) as u64 - 1);
+    for word in &mut words[base..] {
+        let ty = r.read(tb)?;
+        if ty as usize >= count {
+            return None;
+        }
+        word.0 |= ty << 1;
+    }
+    Some(count)
 }
 
 /// A parsed type table and what follows from the table alone.
@@ -302,38 +369,37 @@ impl KernelMsoScheme {
     /// Parses `cert` with a memo of its own.
     #[cfg(test)]
     fn parse(&self, cert: &Certificate) -> Option<KernelCert> {
-        self.parse_in(&Memo::default(), BitReader::new(cert))
+        self.decode(BitReader::new(cert), &Memo::default())
     }
 
-    /// Parses the certificate in the bits left in `r`, taking its table
-    /// through `memo`.
-    pub(crate) fn parse_in(
+    /// Reads the certificate in `r` onto `words` as one record (the
+    /// treedepth words, then one mark per ancestor; [`KernelRef::at`]
+    /// reads it back), taking its table through `memo`, which it returns.
+    /// On `None` the certificate does not parse and `words` may hold part
+    /// of it.
+    pub(crate) fn read_into(
         &self,
         memo: &Memo<ParsedTable>,
         mut r: BitReader<'_>,
-    ) -> Option<KernelCert> {
-        let td = TdCert::read(&mut r, self.id_bits, self.t)?;
-        let mut marks = Vec::with_capacity(td.ancestors.len());
-        for _ in 0..td.ancestors.len() {
-            marks.push((0, r.read_bit()?));
-        }
-        // The type-id field width is set by the count, which sits in the
-        // table at the end; write the count redundantly before the types.
-        let count = r.read(12)? as usize;
-        let tb = width_for(count.max(1) as u64 - 1);
-        for (ty, _) in &mut marks {
-            *ty = r.read(tb)? as u32;
-            if *ty as usize >= count {
-                return None;
-            }
-        }
+        words: &mut Vec<Ident>,
+    ) -> Option<Arc<Shared<ParsedTable>>> {
+        let len = read_len(&mut r, self.t)?;
+        read_words(&mut r, self.id_bits, len, words)?;
+        let count = read_marks(&mut r, len, words)?;
+        self.read_table(memo, r, count)
+    }
+
+    /// The table in the bits left in `r`, taken through `memo`, if it
+    /// parses to `count` types.
+    fn read_table(
+        &self,
+        memo: &Memo<ParsedTable>,
+        r: BitReader<'_>,
+        count: usize,
+    ) -> Option<Arc<Shared<ParsedTable>>> {
         let table = memo.get(r, |bits| self.parse_table(bits));
         let types = self.table(&table)?.table.types.len();
-        (types == count).then(|| KernelCert {
-            td,
-            marks: marks.into_boxed_slice(),
-            table,
-        })
+        (types == count).then_some(table)
     }
 
     /// The parse of a table entry, kept or made again.
@@ -385,11 +451,7 @@ impl KernelMsoScheme {
                     SerType {
                         depth: data.ancestors.len(),
                         anc: data.ancestors.clone(),
-                        children: data
-                            .children
-                            .iter()
-                            .map(|(&TypeId(c), &m)| (c, m))
-                            .collect(),
+                        children: data.children.iter().map(|&(TypeId(c), m)| (c, m)).collect(),
                     }
                 })
                 .collect(),
@@ -483,65 +545,79 @@ impl Decode for KernelMsoScheme {
     /// vertex and neighbor.
     type Cache = Memo<ParsedTable>;
 
-    fn decode(&self, cert: &Certificate, memo: &Memo<ParsedTable>) -> Option<KernelCert> {
-        self.parse_in(memo, BitReader::new(cert))
+    fn decode(&self, r: BitReader<'_>, memo: &Memo<ParsedTable>) -> Option<KernelCert> {
+        // The list length, read ahead, sizes the record's one allocation.
+        let len = read_len(&mut r.clone(), self.t)?;
+        let mut words = Vec::with_capacity(record_words(len, MARK_WORDS));
+        let table = self.read_into(memo, r, &mut words)?;
+        let td = Td::with_tail(words.into_boxed_slice(), MARK_WORDS);
+        Some(KernelCert { td, table })
     }
 
     fn decide_decoded(
         &self,
         view: &DecodedView<'_, Option<KernelCert>>,
     ) -> Result<(), RejectReason> {
-        // 1. Treedepth layer, on the decodes the kernel-layer checks
-        //    below reuse.
-        let mine = view
-            .own
-            .as_ref()
-            .ok_or(RejectReason::MalformedCertificate)?;
-        check_own_td(view.id, &mine.td, self.t)?;
-        if view.neighbors().any(|(_, _, decoded)| decoded.is_none()) {
-            return Err(RejectReason::MalformedNeighborCertificate);
-        }
         let nbrs = view
             .neighbors()
-            .filter_map(|(_, _, decoded)| decoded.as_ref());
-        check_td_edges(view.id, &mine.td, nbrs.clone().map(|nc| &nc.td))?;
-        let td = &mine.td;
-        let m = td.depth();
-        if mine.marks.len() != m + 1 {
-            return Err(RejectReason::MalformedCertificate);
+            .map(|(nid, _, decoded)| (nid, decoded.as_ref().map(KernelCert::as_ref)));
+        self.decide_ref(view.id, view.own.as_ref().map(KernelCert::as_ref), nbrs)
+    }
+}
+
+impl KernelMsoScheme {
+    /// The decision of the vertex `id` whose certificate is `own`, given
+    /// each neighbor's identifier and certificate (`None` when it does
+    /// not parse), wherever the decodes are kept.
+    pub(crate) fn decide_ref<'a>(
+        &self,
+        id: Ident,
+        own: Option<KernelRef<'_>>,
+        nbrs: impl Iterator<Item = (Ident, Option<KernelRef<'a>>)> + Clone,
+    ) -> Result<(), RejectReason> {
+        // 1. Treedepth layer, on the decodes the kernel-layer checks
+        //    below reuse.
+        let mine = own.ok_or(RejectReason::MalformedCertificate)?;
+        check_own_td(id, mine.td, self.t)?;
+        if nbrs.clone().any(|(_, decoded)| decoded.is_none()) {
+            return Err(RejectReason::MalformedNeighborCertificate);
         }
+        let decoded = nbrs.clone().filter_map(|(_, decoded)| decoded);
+        check_td_edges(id, mine.td, decoded.clone().map(|nc| nc.td))?;
+        let td = mine.td;
+        let m = td.depth();
+        let marks = mine.marks();
         // 2. Table integrity.
         let parsed = self
-            .table(&mine.table)
+            .table(mine.table)
             .ok_or(RejectReason::MalformedCertificate)?;
         if !parsed.well_formed {
             return Err(RejectReason::MalformedCertificate);
         }
         let table = &parsed.table;
         // 3. Identical tables; shared-ancestor types and flags agree.
-        for nc in nbrs.clone() {
-            if !Arc::ptr_eq(&nc.table, &mine.table) && nc.table.bits() != mine.table.bits() {
+        for nc in decoded.clone() {
+            if !Arc::ptr_eq(nc.table, mine.table) && nc.table.bits() != mine.table.bits() {
                 return Err(RejectReason::CopyMismatch);
             }
-            let shared = mine.marks.len().min(nc.marks.len());
-            let my_off = mine.marks.len() - shared;
-            let n_off = nc.marks.len() - shared;
-            if mine.marks[my_off..] != nc.marks[n_off..] {
+            let theirs = nc.marks();
+            let shared = marks.len().min(theirs.len());
+            if marks[marks.len() - shared..] != theirs[theirs.len() - shared..] {
                 return Err(RejectReason::CopyMismatch);
             }
         }
         // 4. Each carried type sits at the right depth.
-        for (i, &(ty, _)) in mine.marks.iter().enumerate() {
+        for (i, &word) in marks.iter().enumerate() {
             let depth = m - i;
-            if table.types[ty as usize].depth != depth {
+            if table.types[mark(word).0 as usize].depth != depth {
                 return Err(RejectReason::AutomatonStateClash);
             }
         }
         // 5. My own type's ancestor vector against my real adjacency.
-        let my_type = &table.types[mine.marks[0].0 as usize];
+        let my_type = &table.types[mark(marks[0]).0 as usize];
         for j in 0..m {
-            let anc_id = mine.td.ancestors[m - j];
-            if my_type.anc[j] != view.has_neighbor(anc_id) {
+            let anc_id = td.ancestors()[m - j];
+            if my_type.anc[j] != nbrs.clone().any(|(nid, _)| nid == anc_id) {
                 return Err(RejectReason::AdjacencyMismatch);
             }
         }
@@ -551,56 +627,55 @@ impl Decode for KernelMsoScheme {
         //    after the sort, and the declared children list is already
         //    in canonical sorted order (`well_formed`), so the multiset
         //    comparison is a linear slice walk.
-        let mut children: Vec<(u64, (u32, bool))> = Vec::new();
-        for nc in nbrs.clone() {
-            let nm = nc.td.depth();
-            if nm < m + 1 {
-                continue;
+        with_scratch(|children: &mut Vec<(u64, (u32, bool))>| {
+            for nc in decoded.clone() {
+                let nm = nc.td.depth();
+                if nm < m + 1 {
+                    continue;
+                }
+                // Strict descendant iff my list is a proper suffix of
+                // theirs (already guaranteed comparable by the td layer).
+                let off = nm - m;
+                if nc.td.ancestors()[off..] != *td.ancestors() {
+                    continue;
+                }
+                let child_idx = off - 1; // their ancestor at depth m + 1.
+                let child_id = nc.td.ancestors()[child_idx].value();
+                children.push((child_id, mark(nc.marks()[child_idx])));
             }
-            // Strict descendant iff my list is a proper suffix of theirs
-            // (already guaranteed comparable by the td layer).
-            let off = nm - m;
-            if nc.td.ancestors[off..] != mine.td.ancestors[..] {
-                continue;
+            children.sort_unstable();
+            for w in children.windows(2) {
+                if w[0].0 == w[1].0 && w[0].1 != w[1].1 {
+                    return Err(RejectReason::CopyMismatch);
+                }
             }
-            let child_idx = off - 1; // their ancestor at depth m + 1.
-            let child_id = nc.td.ancestors[child_idx].value();
-            children.push((child_id, nc.marks[child_idx]));
-        }
-        children.sort_unstable();
-        for w in children.windows(2) {
-            if w[0].0 == w[1].0 && w[0].1 != w[1].1 {
-                return Err(RejectReason::CopyMismatch);
-            }
-        }
-        children.dedup();
-        // Multiset of kept-children types, as sorted (type, count) runs:
-        // kept children first, each group sorted by type.
-        children.sort_unstable_by_key(|&(_, (ty, pruned))| (pruned, ty));
-        let kept = children.partition_point(|&(_, (_, pruned))| !pruned);
-        let kept_counts = children[..kept]
-            .chunk_by(|a, b| a.1 .0 == b.1 .0)
-            .map(|run| (run[0].1 .0, run.len()));
-        if !kept_counts.eq(my_type.children.iter().copied()) {
-            return Err(RejectReason::CounterMismatch);
-        }
-        // Lemma 6.1: every pruned child type has exactly k kept siblings.
-        for &(_, (ty, _)) in &children[kept..] {
-            let declared = my_type
-                .children
-                .binary_search_by_key(&ty, |&(c, _)| c)
-                .ok()
-                .map(|i| my_type.children[i].1);
-            if declared != Some(self.k) {
+            children.dedup();
+            // Multiset of kept-children types, as sorted (type, count)
+            // runs: kept children first, each group sorted by type.
+            children.sort_unstable_by_key(|&(_, (ty, pruned))| (pruned, ty));
+            let kept = children.partition_point(|&(_, (_, pruned))| !pruned);
+            let kept_counts = children[..kept]
+                .chunk_by(|a, b| a.1 .0 == b.1 .0)
+                .map(|run| (run[0].1 .0, run.len()));
+            if !kept_counts.eq(my_type.children.iter().copied()) {
                 return Err(RejectReason::CounterMismatch);
             }
-        }
-        // 7. The kernel satisfies φ. The list is non-empty by parse
-        // (TdCert enforces 1 ≤ len), but an adversarial certificate
-        // should never be able to panic the verifier, so reject instead.
-        let Some(&(root_type, _)) = mine.marks.last() else {
-            return Err(RejectReason::MalformedCertificate);
-        };
+            // Lemma 6.1: every pruned child type has exactly k kept
+            // siblings.
+            for &(_, (ty, _)) in &children[kept..] {
+                let declared = my_type
+                    .children
+                    .binary_search_by_key(&ty, |&(c, _)| c)
+                    .ok()
+                    .map(|i| my_type.children[i].1);
+                if declared != Some(self.k) {
+                    return Err(RejectReason::CounterMismatch);
+                }
+            }
+            Ok(())
+        })?;
+        // 7. The kernel satisfies φ (the list is non-empty by parse).
+        let root_type = mark(marks[m]).0;
         let holds = parsed.phi[root_type as usize]
             .get_or_init(|| self.kernel_satisfies_phi(table, root_type));
         if *holds {
@@ -753,7 +828,7 @@ pub(crate) mod reference {
     fn parse(s: &KernelMsoScheme, cert: &Certificate) -> Option<RefCert> {
         let mut r = BitReader::new(cert);
         let td = TdCert::read(&mut r, s.id_bits, s.t)?;
-        let len = td.ancestors.len();
+        let len = td.ancestors().len();
         let mut flags = Vec::with_capacity(len);
         for _ in 0..len {
             flags.push(r.read_bit()?);
@@ -810,15 +885,8 @@ pub(crate) mod reference {
         let ids = instance.ids();
         let tree = model.tree();
         let n = g.num_nodes();
-        let mut certs: Vec<TdCert> = (0..n)
-            .map(|v| TdCert {
-                ancestors: tree
-                    .ancestors(NodeId(v))
-                    .iter()
-                    .map(|&a| ids.ident(a))
-                    .collect(),
-                trees: vec![(Ident(0), 0); model.depth(NodeId(v))].into(),
-            })
+        let mut trees: Vec<Vec<(Ident, u64)>> = (0..n)
+            .map(|v| vec![(Ident(0), 0); model.depth(NodeId(v))])
             .collect();
         // For every non-root vertex v: a spanning tree of G_v rooted at the
         // exit vertex, recorded at each member of G_v at tree index
@@ -859,14 +927,16 @@ pub(crate) mod reference {
             let exit_id = ids.ident(exit);
             for &x in &members {
                 debug_assert_ne!(dist[x.0], u64::MAX, "coherent subtree is connected");
-                certs[x.0].trees[j - 1] = (exit_id, dist[x.0]);
+                trees[x.0][j - 1] = (exit_id, dist[x.0]);
             }
         }
-        // Sanity: every vertex has exactly depth(v) tree entries.
-        for v in g.nodes() {
-            debug_assert_eq!(certs[v.0].trees.len(), model.depth(v));
-        }
-        certs
+        g.nodes()
+            .map(|v| {
+                let ancestors: Vec<Ident> =
+                    tree.ancestors(v).iter().map(|&a| ids.ident(a)).collect();
+                TdCert::new(&ancestors, &trees[v.0])
+            })
+            .collect()
     }
 
     /// The prover as it stood: one pass, no shape.
@@ -884,11 +954,7 @@ pub(crate) mod reference {
                     SerType {
                         depth: data.ancestors.len(),
                         anc: data.ancestors.clone(),
-                        children: data
-                            .children
-                            .iter()
-                            .map(|(&TypeId(c), &m)| (c, m))
-                            .collect(),
+                        children: data.children.iter().map(|&(TypeId(c), m)| (c, m)).collect(),
                     }
                 })
                 .collect(),
@@ -928,12 +994,16 @@ pub(crate) mod reference {
     /// parsed in full, tables compared parsed, φ evaluated afresh.
     pub(crate) fn decide(s: &KernelMsoScheme, view: &LocalView<'_>) -> Result<(), RejectReason> {
         let mine = parse(s, view.cert).ok_or(RejectReason::MalformedCertificate)?;
-        check_own_td(view.id, &mine.td, s.t)?;
+        check_own_td(view.id, mine.td.as_ref(), s.t)?;
         let mut nbrs = Vec::with_capacity(view.neighbors.len());
         for &(_, _, cert) in &view.neighbors {
             nbrs.push(parse(s, cert).ok_or(RejectReason::MalformedNeighborCertificate)?);
         }
-        check_td_edges(view.id, &mine.td, nbrs.iter().map(|nc| &nc.td))?;
+        check_td_edges(
+            view.id,
+            mine.td.as_ref(),
+            nbrs.iter().map(|nc| nc.td.as_ref()),
+        )?;
         let m = mine.td.depth();
         if mine.flags.len() != m + 1 || mine.types.len() != m + 1 {
             return Err(RejectReason::MalformedCertificate);
@@ -961,7 +1031,7 @@ pub(crate) mod reference {
         }
         let my_type = &mine.table.types[mine.types[0] as usize];
         for j in 0..m {
-            let anc_id = mine.td.ancestors[m - j];
+            let anc_id = mine.td.ancestors()[m - j];
             if my_type.anc[j] != view.has_neighbor(anc_id) {
                 return Err(RejectReason::AdjacencyMismatch);
             }
@@ -973,11 +1043,11 @@ pub(crate) mod reference {
                 continue;
             }
             let off = nm - m;
-            if nc.td.ancestors[off..] != mine.td.ancestors[..] {
+            if nc.td.ancestors()[off..] != *mine.td.ancestors() {
                 continue;
             }
             let child_idx = off - 1;
-            let child_id = nc.td.ancestors[child_idx].value();
+            let child_id = nc.td.ancestors()[child_idx].value();
             children.push((child_id, (nc.types[child_idx], nc.flags[child_idx])));
         }
         children.sort_unstable();
@@ -1265,7 +1335,7 @@ mod tests {
             let decided = |memo: &Memo<ParsedTable>| {
                 let decoded: Vec<Option<KernelCert>> = g
                     .nodes()
-                    .map(|v| scheme.decode(asg.cert(v), memo))
+                    .map(|v| scheme.decode(BitReader::new(asg.cert(v)), memo))
                     .collect();
                 let reasons: Vec<_> = g
                     .nodes()
@@ -1339,18 +1409,9 @@ mod tests {
         };
         let memo = Memo::default();
         for (root_type, accepted) in [(0, true), (1, false), (0, true)] {
-            let root_cert = cert(
-                TdCert {
-                    ancestors: vec![Ident(1)].into(),
-                    trees: vec![].into(),
-                },
-                &[(root_type, false)],
-            );
+            let root_cert = cert(TdCert::new(&[Ident(1)], &[]), &[(root_type, false)]);
             let leaf_cert = cert(
-                TdCert {
-                    ancestors: vec![Ident(2), Ident(1)].into(),
-                    trees: vec![(Ident(2), 0)].into(),
-                },
+                TdCert::new(&[Ident(2), Ident(1)], &[(Ident(2), 0)]),
                 &[(2, false), (root_type, false)],
             );
             let view = LocalView {
@@ -1360,8 +1421,8 @@ mod tests {
                 neighbors: vec![(Ident(1), 0, &root_cert)],
             };
             let (own, parent) = (
-                scheme.decode(&leaf_cert, &memo),
-                scheme.decode(&root_cert, &memo),
+                scheme.decode(BitReader::new(&leaf_cert), &memo),
+                scheme.decode(BitReader::new(&root_cert), &memo),
             );
             let neighbors = [(Ident(1), 0, &parent)];
             let decided =
@@ -1593,7 +1654,7 @@ mod tests {
         let scheme = KernelMsoScheme::new(id_bits_for(&inst), 2, phi).unwrap();
         let asg = scheme.assign(&inst).unwrap();
         let parsed = scheme.parse(asg.cert(NodeId(0))).unwrap();
-        let root_ty = parsed.marks.last().unwrap().0;
+        let root_ty = mark(*parsed.td.tail().last().unwrap()).0;
         let table = &scheme.table(&parsed.table).unwrap().table;
         let h = table.expand(root_ty, 100).unwrap();
         assert_eq!(h.num_nodes(), 3);

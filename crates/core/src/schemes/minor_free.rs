@@ -22,23 +22,26 @@
 
 use crate::bits::{BitReader, BitWriter, Certificate};
 use crate::framework::{
-    Assignment, DeclaredBound, Decode, DecodedView, Held, Instance, Memo, Prover, ProverError,
-    RejectReason, Scheme,
+    with_scratch, Assignment, DeclaredBound, Decode, DecodedView, Held, Instance, Memo, Prover,
+    ProverError, RejectReason, Scheme, Shared,
 };
-use crate::schemes::kernel_mso::{KernelCert, KernelMsoScheme, KernelShape, ParsedTable};
+use crate::schemes::kernel_mso::{
+    KernelCert, KernelMsoScheme, KernelRef, KernelShape, ParsedTable,
+};
 use crate::schemes::treedepth::{HonestTd, ModelStrategy};
 use locert_graph::bcc::biconnected_components;
 use locert_graph::{Graph, Ident, NodeId};
 use locert_logic::props;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Block decodes one `C_t` run keeps in its arena. An honest run lists
 /// each block once per member, at most 2n entries in all. The budget
 /// bounds memory when an adversarial assignment lists up to 2^16 blocks
 /// per certificate, each decoding to several times its bits: past it, a
 /// certificate's decode keeps only its bits, and each decision that reads
-/// it parses it again and drops the parse.
+/// it parses it again, keeps the one block it needs and drops the rest.
 const DECODED_BLOCKS: usize = 1 << 18;
 
 /// Certifies "the graph is `P_t`-minor-free" with `O(log n)` bits (fixed
@@ -87,8 +90,8 @@ impl Decode for PathMinorFreeScheme {
     type Decoded = Option<KernelCert>;
     type Cache = Memo<ParsedTable>;
 
-    fn decode(&self, cert: &Certificate, memo: &Memo<ParsedTable>) -> Option<KernelCert> {
-        self.inner.decode(cert, memo)
+    fn decode(&self, r: BitReader<'_>, memo: &Memo<ParsedTable>) -> Option<KernelCert> {
+        self.inner.decode(r, memo)
     }
 
     fn decide_decoded(
@@ -155,14 +158,89 @@ impl CtMinorFreeScheme {
     }
 }
 
-/// The blocks a `C_t` certificate lists: each block id with the decoded
-/// `P_{t²}` sub-certificate for that block.
-pub type BlockList = Box<[((Ident, Ident), Option<KernelCert>)]>;
+/// The blocks a `C_t` certificate lists, decoded into one allocation.
+/// Per block, `words` holds the header `[id₀, id₁, size, table]`, then
+/// the `size` words of the block's `P_{t²}` sub-certificate as
+/// `KernelMsoScheme::read_into` records it (`size` is 0 when it does not
+/// parse); `table` indexes the block's table among the distinct ones the
+/// certificate names.
+#[derive(Default)]
+pub struct CtBlocks {
+    words: Box<[Ident]>,
+    /// The number of blocks.
+    count: usize,
+    /// The first distinct table, kept inline: the blocks of a vertex
+    /// often share one shape (every vertex of a path, say), and then its
+    /// decode makes no allocation beyond `words`.
+    first: Option<Arc<Shared<ParsedTable>>>,
+    /// The other distinct tables, in order of first appearance.
+    rest: Vec<Arc<Shared<ParsedTable>>>,
+}
 
-/// A decoded `C_t` certificate (two words, like the block list alone).
+/// The header words of each block in a [`CtBlocks`].
+const HEADER: usize = 4;
+
+impl CtBlocks {
+    /// Each block's word offset and id, in certificate order.
+    pub(crate) fn blocks(&self) -> impl Iterator<Item = (usize, (Ident, Ident))> + Clone + '_ {
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let header = self.words.get(at..at + HEADER)?;
+            let block = (at, (header[0], header[1]));
+            at += HEADER + header[2].0 as usize;
+            Some(block)
+        })
+    }
+
+    /// The decoded sub-certificate of the block at word offset `at`;
+    /// `None` when it does not parse.
+    pub(crate) fn sub(&self, at: usize) -> Option<KernelRef<'_>> {
+        let size = self.words[at + 2].0 as usize;
+        let table = match self.words[at + 3].0 as usize {
+            0 => self.first.as_ref()?,
+            i => &self.rest[i - 1],
+        };
+        let start = at + HEADER;
+        (size > 0).then(|| KernelRef::at(&self.words[start..start + size], table))
+    }
+
+    /// The block at word offset `at` alone, copied out with its table.
+    fn only(&self, at: usize) -> CtBlocks {
+        let end = at + HEADER + self.words[at + 2].0 as usize;
+        let mut words: Box<[Ident]> = self.words[at..end].into();
+        words[3] = Ident(0);
+        CtBlocks {
+            words,
+            count: 1,
+            first: self.sub(at).map(|sub| Arc::clone(sub.table)),
+            rest: Vec::new(),
+        }
+    }
+
+    /// The index a block naming `table` stores, noting the table when it
+    /// is new.
+    fn table_index(&mut self, table: Arc<Shared<ParsedTable>>) -> usize {
+        let Some(first) = &self.first else {
+            self.first = Some(table);
+            return 0;
+        };
+        if Arc::ptr_eq(first, &table) {
+            return 0;
+        }
+        1 + match self.rest.iter().position(|t| Arc::ptr_eq(t, &table)) {
+            Some(i) => i,
+            None => {
+                self.rest.push(table);
+                self.rest.len() - 1
+            }
+        }
+    }
+}
+
+/// A decoded `C_t` certificate.
 pub enum CtCert {
     /// The blocks it lists.
-    Blocks(BlockList),
+    Blocks(CtBlocks),
     /// A certificate that does not parse or is past the run's block
     /// budget: only its bits, parsed again by each decision that reads
     /// it.
@@ -172,10 +250,12 @@ pub enum CtCert {
 impl CtCert {
     /// The block list, from the arena or parsed again; `None` when the
     /// certificate does not parse.
-    fn blocks(&self, scheme: &CtMinorFreeScheme) -> Option<Held<'_, BlockList>> {
+    fn blocks(&self, scheme: &CtMinorFreeScheme) -> Option<Held<'_, CtBlocks>> {
         match self {
             CtCert::Blocks(blocks) => Some(Held::Kept(blocks)),
-            CtCert::Bits(cert) => scheme.parse(cert, &Memo::default()).map(Held::Parsed),
+            CtCert::Bits(cert) => scheme
+                .parse(BitReader::new(cert), &Memo::default())
+                .map(Held::Parsed),
         }
     }
 }
@@ -209,28 +289,28 @@ impl CtCache {
 
 /// Whether the block ids `blocks` lists are pairwise distinct: by pairs
 /// for the few blocks a vertex usually lies in, by sorting beyond.
-fn distinct_blocks(blocks: &BlockList) -> bool {
-    if blocks.len() <= 8 {
+fn distinct_blocks(blocks: &CtBlocks) -> bool {
+    if blocks.count <= 8 {
         return blocks
-            .iter()
+            .blocks()
             .enumerate()
-            .all(|(i, (b, _))| blocks[..i].iter().all(|(c, _)| c != b));
+            .all(|(i, (_, b))| blocks.blocks().take(i).all(|(_, c)| c != b));
     }
-    let mut ids: Vec<(Ident, Ident)> = blocks.iter().map(|&(b, _)| b).collect();
+    let mut ids: Vec<(Ident, Ident)> = blocks.blocks().map(|(_, b)| b).collect();
     ids.sort_unstable();
     ids.windows(2).all(|w| w[0] != w[1])
 }
 
-/// The one block of `mine` that a neighbor's `blocks` shares: its index in
-/// `mine` and the index in `blocks` of the neighbor's sub-certificate
-/// there (the first the neighbor lists with that id); `None` unless the
-/// neighbor lists exactly one of my blocks.
-fn shared_block(blocks: &BlockList, mine: &BlockList) -> Option<(usize, usize)> {
+/// The one block of `mine` that a neighbor's `blocks` shares: its index
+/// in `mine` and the word offset in `blocks` of the neighbor's
+/// sub-certificate there (the first the neighbor lists with that id);
+/// `None` unless the neighbor lists exactly one of my blocks.
+fn shared_block(blocks: &CtBlocks, mine: &CtBlocks) -> Option<(usize, usize)> {
     let mut shared: Option<(usize, usize)> = None;
-    for (k, (block, _)) in blocks.iter().enumerate() {
-        if let Some(i) = mine.iter().position(|(b, _)| b == block) {
+    for (at, block) in blocks.blocks() {
+        if let Some(i) = mine.blocks().position(|(_, b)| b == block) {
             match shared {
-                None => shared = Some((i, k)),
+                None => shared = Some((i, at)),
                 Some((first, _)) if first != i => return None,
                 Some(_) => {}
             }
@@ -261,12 +341,15 @@ impl Prover for CtMinorFreeScheme {
         let mut w = BitWriter::new();
         let mut td = HonestTd::default();
         let mut member_ids: Vec<Ident> = Vec::new();
+        // The block's members and induced subgraph, rebuilt in place.
+        let mut members: Vec<NodeId> = Vec::new();
+        let mut sub = Graph::empty(0);
         for bi in 0..decomposition.components.len() {
-            let members = decomposition.component_vertices(bi);
+            decomposition.component_vertices(bi, &mut members);
             for (i, &v) in members.iter().enumerate() {
                 local[v.0] = i;
             }
-            let sub = g.induced_on_sorted(&members, &local);
+            g.induce_on_sorted_into(&members, &local, &mut sub);
             for &v in &members {
                 local[v.0] = usize::MAX;
             }
@@ -336,18 +419,38 @@ fn two_smallest(ids: &[Ident]) -> (Ident, Ident) {
 }
 
 impl CtMinorFreeScheme {
-    /// The blocks `cert` lists, each block's sub-certificate read in place
-    /// (nothing is copied); `None` if it does not parse.
-    fn parse(&self, cert: &Certificate, memo: &Memo<ParsedTable>) -> Option<BlockList> {
-        let mut r = BitReader::new(cert);
+    /// The blocks the certificate in `r` lists, each block's
+    /// sub-certificate decoded in place (nothing is copied); `None` if it
+    /// does not parse.
+    fn parse(&self, mut r: BitReader<'_>, memo: &Memo<ParsedTable>) -> Option<CtBlocks> {
         let count = r.read(16)? as usize;
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            let block = (Ident(r.read(self.id_bits)?), Ident(r.read(self.id_bits)?));
-            let len = r.read(20)? as usize;
-            out.push((block, self.inner.parse_in(memo, r.take(len)?)));
-        }
-        r.exhausted().then(|| out.into_boxed_slice())
+        let mut blocks = CtBlocks {
+            words: Box::default(),
+            count,
+            first: None,
+            rest: Vec::new(),
+        };
+        // The words are gathered in a reused buffer and copied once into
+        // an allocation of their exact size.
+        with_scratch(|words: &mut Vec<Ident>| {
+            for _ in 0..count {
+                let block = (Ident(r.read(self.id_bits)?), Ident(r.read(self.id_bits)?));
+                let len = r.read(20)? as usize;
+                let window = r.take(len)?;
+                let at = words.len();
+                words.extend([block.0, block.1, Ident(0), Ident(0)]);
+                match self.inner.read_into(memo, window, words) {
+                    Some(table) => {
+                        words[at + 2] = Ident((words.len() - at - HEADER) as u64);
+                        words[at + 3] = Ident(blocks.table_index(table) as u64);
+                    }
+                    None => words.truncate(at + HEADER),
+                }
+            }
+            blocks.words = words.as_slice().into();
+            Some(())
+        })?;
+        r.exhausted().then_some(blocks)
     }
 }
 
@@ -355,16 +458,20 @@ impl Decode for CtMinorFreeScheme {
     type Decoded = CtCert;
     type Cache = CtCache;
 
-    fn decode(&self, cert: &Certificate, cache: &CtCache) -> CtCert {
-        let bits = || CtCert::Bits(Box::new(cert.clone()));
-        let Some(blocks) = self.parse(cert, &cache.tables) else {
+    fn decode(&self, r: BitReader<'_>, cache: &CtCache) -> CtCert {
+        let bits = || {
+            let mut r = r.clone();
+            let cert = r.read_cert(r.remaining()).expect("a window holds its bits");
+            CtCert::Bits(Box::new(cert))
+        };
+        let Some(blocks) = self.parse(r.clone(), &cache.tables) else {
             return bits();
         };
         let charged =
             cache
                 .blocks_left
                 .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |left| {
-                    left.checked_sub(blocks.len())
+                    left.checked_sub(blocks.count)
                 });
         match charged {
             Ok(_) => CtCert::Blocks(blocks),
@@ -382,44 +489,68 @@ impl Decode for CtMinorFreeScheme {
         if !distinct_blocks(mine) {
             return Err(RejectReason::MalformedCertificate);
         }
-        // Per neighbor, the sub-certificate of the one block it shares
-        // with me; of a neighbor parsed again, only that block is kept.
-        let mut shared = Vec::with_capacity(view.degree());
-        for (nid, ninput, decoded) in view.neighbors() {
-            let blocks = decoded
-                .blocks(self)
-                .ok_or(RejectReason::MalformedNeighborCertificate)?;
-            let block = shared_block(&blocks, mine).map(|(i, k)| {
-                let sub = match blocks {
-                    Held::Kept(list) => Held::Kept(&list[k].1),
-                    Held::Parsed(list) => Held::Parsed(list.into_vec().swap_remove(k).1),
-                };
-                (i, sub)
-            });
-            shared.push((nid, ninput, block));
-        }
-        // Every edge lies in exactly one common block (the promise layer:
-        // a pair of adjacent vertices shares exactly one block).
-        if shared.iter().any(|(_, _, block)| block.is_none()) {
-            return Err(RejectReason::NonTreeEdge);
-        }
-        // Run the P_{t²} verifier inside each of my blocks, restricting
-        // the view to same-block neighbors. Inner reasons propagate.
-        let mut neighbors = Vec::with_capacity(shared.len());
-        for (i, (_, sub)) in mine.iter().enumerate() {
-            neighbors.clear();
-            neighbors.extend(
-                shared
-                    .iter()
-                    .filter_map(|(nid, ninput, block)| match block {
-                        Some((j, sub)) if *j == i => Some((*nid, *ninput, &**sub)),
+        let parsed = self.reparsed(view, mine)?;
+        // Every neighbor's identifier and block list.
+        let lists = view.neighbors().scan(0, |bits, (nid, _, decoded)| {
+            Some(match decoded {
+                CtCert::Blocks(blocks) => (nid, blocks),
+                CtCert::Bits(_) => {
+                    *bits += 1;
+                    (nid, &parsed[*bits - 1])
+                }
+            })
+        });
+        with_scratch(|shared: &mut Vec<Option<(usize, usize)>>| {
+            // Per neighbor, the one block it shares with me and where its
+            // sub-certificate there sits. Every edge lies in exactly one
+            // common block (the promise layer: a pair of adjacent
+            // vertices shares exactly one block).
+            shared.extend(lists.clone().map(|(_, blocks)| shared_block(blocks, mine)));
+            if shared.iter().any(Option::is_none) {
+                return Err(RejectReason::NonTreeEdge);
+            }
+            // Run the P_{t²} verifier inside each of my blocks,
+            // restricting the view to same-block neighbors. Inner reasons
+            // propagate.
+            for (i, (at, _)) in mine.blocks().enumerate() {
+                let nbrs = lists
+                    .clone()
+                    .zip(shared.iter())
+                    .filter_map(|((nid, blocks), block)| match *block {
+                        Some((j, theirs)) if j == i => Some((nid, blocks.sub(theirs))),
                         _ => None,
-                    }),
-            );
-            self.inner
-                .decide_decoded(&DecodedView::listed(view.id, view.input, sub, &neighbors))?;
+                    });
+                self.inner.decide_ref(view.id, mine.sub(at), nbrs)?;
+            }
+            Ok(())
+        })
+    }
+}
+
+impl CtMinorFreeScheme {
+    /// Of each neighbor whose decode kept only bits, in view order: its
+    /// certificate parsed again, reduced to the one block it shares with
+    /// `mine` (no block when it shares none or several), so a decision
+    /// holds one full parse at a time. An honest run has no such
+    /// neighbor, and this list stays empty and unallocated.
+    fn reparsed(
+        &self,
+        view: &DecodedView<'_, CtCert>,
+        mine: &CtBlocks,
+    ) -> Result<Vec<CtBlocks>, RejectReason> {
+        let mut parsed = Vec::new();
+        for (_, _, decoded) in view.neighbors() {
+            if let CtCert::Bits(cert) = decoded {
+                let blocks = self
+                    .parse(BitReader::new(cert), &Memo::default())
+                    .ok_or(RejectReason::MalformedNeighborCertificate)?;
+                parsed.push(match shared_block(&blocks, mine) {
+                    Some((_, at)) => blocks.only(at),
+                    None => CtBlocks::default(),
+                });
+            }
         }
-        Ok(())
+        Ok(parsed)
     }
 }
 
@@ -467,8 +598,9 @@ mod tests {
         let decomposition = biconnected_components(g);
         let mut per_vertex: Vec<Vec<((Ident, Ident), Certificate)>> =
             vec![Vec::new(); g.num_nodes()];
+        let mut members = Vec::new();
         for bi in 0..decomposition.components.len() {
-            let members = decomposition.component_vertices(bi);
+            decomposition.component_vertices(bi, &mut members);
             let mut member_ids: Vec<Ident> = members.iter().map(|&v| ids.ident(v)).collect();
             member_ids.sort();
             let block_id = (member_ids[0], member_ids[1]);
@@ -714,14 +846,15 @@ mod tests {
                     let cache = CtCache::with_budget(budget);
                     let decoded: Vec<CtCert> = g
                         .nodes()
-                        .map(|v| scheme.decode(asg.cert(v), &cache))
+                        .map(|v| scheme.decode(BitReader::new(asg.cert(v)), &cache))
                         .collect();
                     let mut held = 0;
                     for d in &decoded {
                         match d {
-                            CtCert::Blocks(list) => held += list.len(),
+                            CtCert::Blocks(list) => held += list.count,
                             CtCert::Bits(cert) => {
-                                refused += usize::from(scheme.parse(cert, &cache.tables).is_some())
+                                let parse = scheme.parse(BitReader::new(cert), &cache.tables);
+                                refused += usize::from(parse.is_some())
                             }
                         }
                     }
@@ -746,6 +879,61 @@ mod tests {
             }
         }
         assert!(refused > 0, "no certificate went past the budget");
+    }
+
+    #[test]
+    fn reparsed_neighbors_keep_one_block_each() {
+        // A star whose leaves each list their one honest block behind 64
+        // copies of it under ids that name no block of the center. With
+        // no budget every leaf keeps only bits, and the center's decision
+        // keeps one block of each, not each leaf's whole parse.
+        let g = generators::star(17);
+        let ids = IdAssignment::contiguous(17);
+        let inst = Instance::new(&g, &ids);
+        let scheme = CtMinorFreeScheme::new(id_bits_for(&inst), 3);
+        let mut asg = scheme.assign(&inst).expect("a star is C_3-minor-free");
+        let center = NodeId(0);
+        // The most words a leaf's one honest block decodes to.
+        let honest_words = g
+            .neighbors(center)
+            .iter()
+            .map(
+                |&leaf| match scheme.decode(BitReader::new(asg.cert(leaf)), &CtCache::default()) {
+                    CtCert::Blocks(blocks) => blocks.words.len(),
+                    CtCert::Bits(_) => unreachable!("an honest certificate parses"),
+                },
+            )
+            .max()
+            .unwrap();
+        for &leaf in g.neighbors(center) {
+            let honest = ct_parse_bitwise(scheme.id_bits, asg.cert(leaf)).expect("honest");
+            let sub = &honest[0].1;
+            let junk = (1..=64u64).map(|j| ((Ident(j % 17), Ident(j % 17)), sub.clone()));
+            let blocks: Vec<_> = junk.chain(honest.iter().cloned()).collect();
+            *asg.cert_mut(leaf) = encode(scheme.id_bits, &blocks);
+        }
+        let cache = CtCache::with_budget(0);
+        let decoded: Vec<CtCert> = g
+            .nodes()
+            .map(|v| scheme.decode(BitReader::new(asg.cert(v)), &cache))
+            .collect();
+        let nbrs: Vec<_> = g
+            .neighbors(center)
+            .iter()
+            .map(|&u| (ids.ident(u), 0, &decoded[u.0]))
+            .collect();
+        let view = DecodedView::listed(ids.ident(center), 0, &decoded[center.0], &nbrs);
+        let mine = decoded[center.0].blocks(&scheme).expect("honest");
+        let kept = scheme.reparsed(&view, &mine).expect("the leaves parse");
+        assert_eq!(kept.len(), 16);
+        for blocks in &kept {
+            assert_eq!(blocks.count, 1);
+            assert!(blocks.words.len() <= honest_words);
+            assert!(blocks.sub(0).is_some());
+        }
+        let expected = decide_reference(&scheme, &view_of(&inst, &asg, center));
+        assert_eq!(scheme.decide_decoded(&view), expected);
+        assert_eq!(expected, Ok(()));
     }
 
     /// The number of blocks vertex `v`'s honest certificate lists.
@@ -993,8 +1181,10 @@ mod tests {
                     continue;
                 }
                 let d = biconnected_components(&g);
+                let mut members = Vec::new();
                 for bi in 0..d.components.len() {
-                    let (sub, _) = g.induced_subgraph(&d.component_vertices(bi));
+                    d.component_vertices(bi, &mut members);
+                    let (sub, _) = g.induced_subgraph(&members);
                     assert!(
                         !minors::has_path_minor(&sub, t * t),
                         "C_{t}-free graph has a block with a P_{} minor: {g:?}",
@@ -1035,8 +1225,9 @@ mod tests {
         scheme: &CtMinorFreeScheme,
         cert: &Certificate,
     ) -> Option<Vec<((Ident, Ident), bool)>> {
-        let blocks = scheme.parse(cert, &Memo::default())?;
-        Some(blocks.iter().map(|(b, sub)| (*b, sub.is_some())).collect())
+        let blocks = scheme.parse(BitReader::new(cert), &Memo::default())?;
+        let shape = blocks.blocks().map(|(at, b)| (b, blocks.sub(at).is_some()));
+        Some(shape.collect())
     }
 
     /// The same from the bit-at-a-time parse, decoding each copied-out
@@ -1050,7 +1241,10 @@ mod tests {
         Some(
             blocks
                 .iter()
-                .map(|(b, sub)| (*b, scheme.inner.decode(sub, &memo).is_some()))
+                .map(|(b, sub)| {
+                    let decoded = scheme.inner.decode(BitReader::new(sub), &memo);
+                    (*b, decoded.is_some())
+                })
                 .collect(),
         )
     }

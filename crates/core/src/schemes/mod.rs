@@ -17,6 +17,7 @@ pub mod word_path;
 
 #[cfg(test)]
 mod tests {
+    use crate::bits::BitReader;
     use crate::catalogue;
     use crate::framework::{Decode, Instance, Prover};
     use crate::schemes::common::id_bits_for;
@@ -39,7 +40,7 @@ mod tests {
         let asg = scheme.assign(&inst).unwrap();
         let cache = S::Cache::default();
         g.nodes()
-            .map(|v| scheme.decode(asg.cert(v), &cache))
+            .map(|v| scheme.decode(BitReader::new(asg.cert(v)), &cache))
             .collect()
     }
 
@@ -84,7 +85,9 @@ mod tests {
         let ct = honest_decodes(&family("ct-minor-free-3"), |b| CtMinorFreeScheme::new(b, 3));
         assert!(
             ct.iter().all(|d| match d {
-                CtCert::Blocks(blocks) => blocks.iter().all(|(_, sub)| table_kept(sub)),
+                CtCert::Blocks(blocks) => blocks
+                    .blocks()
+                    .all(|(at, _)| blocks.sub(at).is_some_and(|sub| sub.table.is_kept())),
                 CtCert::Bits(_) => false,
             }),
             "ct-minor-free-3"

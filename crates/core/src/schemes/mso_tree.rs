@@ -25,12 +25,12 @@
 //! (the paper's locally-checkable-labeling extension); unlabeled trees
 //! use input 0 everywhere.
 
-use crate::bits::{width_for, BitReader, Certificate};
+use crate::bits::{width_for, BitReader};
 use crate::framework::{
     Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
     Scheme,
 };
-use locert_automata::trees::{LabeledTree, TreeAutomaton};
+use locert_automata::trees::{LabeledTree, TreeAutomaton, MAX_STATES};
 use locert_graph::{NodeId, RootedTree};
 
 /// 16-bit FNV-1a fingerprint of an automaton's debug serialization.
@@ -106,8 +106,7 @@ impl Decode for MsoTreeScheme {
     type Decoded = Option<(u64, usize)>;
     type Cache = ();
 
-    fn decode(&self, cert: &Certificate, _: &()) -> Option<(u64, usize)> {
-        let mut r = BitReader::new(cert);
+    fn decode(&self, mut r: BitReader<'_>, _: &()) -> Option<(u64, usize)> {
         let d = r.read(2)?;
         let q = r.read(self.state_bits)? as usize;
         let fp = r.read(16)?;
@@ -125,7 +124,9 @@ impl Decode for MsoTreeScheme {
         let (d, q) = view.own.ok_or(RejectReason::MalformedCertificate)?;
         // Orient edges by mod-3 counters.
         let mut parents = 0usize;
-        let mut child_counts = vec![0usize; self.automaton.num_states()];
+        // On the stack: an automaton has at most `MAX_STATES` states.
+        let mut counts = [0usize; MAX_STATES];
+        let child_counts = &mut counts[..self.automaton.num_states()];
         for (_, _, decoded) in view.neighbors() {
             let (nd, nq) = decoded.ok_or(RejectReason::MalformedNeighborCertificate)?;
             if nd == (d + 1) % 3 {
@@ -144,7 +145,7 @@ impl Decode for MsoTreeScheme {
             // Two parents cannot happen in a tree.
             _ => return Err(RejectReason::RootMismatch),
         }
-        if !self.automaton.guard(q, view.input).eval(&child_counts) {
+        if !self.automaton.guard(q, view.input).eval(child_counts) {
             return Err(RejectReason::AutomatonStateClash);
         }
         Ok(())

@@ -12,7 +12,7 @@
 //! - [`VertexCountScheme`] additionally certifies `n`, by labeling every
 //!   vertex with the claimed total and its subtree size.
 
-use crate::bits::{BitReader, BitWriter, Certificate};
+use crate::bits::{BitReader, BitWriter};
 use crate::framework::{
     Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
     Scheme,
@@ -226,8 +226,8 @@ impl Decode for SpanningTreeScheme {
     type Decoded = Option<TreeFields>;
     type Cache = ();
 
-    fn decode(&self, cert: &Certificate, _: &()) -> Option<TreeFields> {
-        TreeFields::read(&mut BitReader::new(cert), self.id_bits)
+    fn decode(&self, mut r: BitReader<'_>, _: &()) -> Option<TreeFields> {
+        TreeFields::read(&mut r, self.id_bits)
     }
 
     fn decide_decoded(
@@ -408,8 +408,8 @@ impl Decode for VertexCountScheme {
     type Decoded = Option<CountFields>;
     type Cache = ();
 
-    fn decode(&self, cert: &Certificate, _: &()) -> Option<CountFields> {
-        CountFields::read(&mut BitReader::new(cert), self.id_bits)
+    fn decode(&self, mut r: BitReader<'_>, _: &()) -> Option<CountFields> {
+        CountFields::read(&mut r, self.id_bits)
     }
 
     fn decide_decoded(

@@ -12,7 +12,7 @@
 //!
 //! On trees the depths then measure a genuine rooting of height ≤ k.
 
-use crate::bits::{width_for, BitReader, Certificate};
+use crate::bits::{width_for, BitReader};
 use crate::framework::{
     Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
     Scheme,
@@ -69,8 +69,7 @@ impl Decode for TreeDepthBoundScheme {
     type Decoded = Option<u64>;
     type Cache = ();
 
-    fn decode(&self, cert: &Certificate, _: &()) -> Option<u64> {
-        let mut r = BitReader::new(cert);
+    fn decode(&self, mut r: BitReader<'_>, _: &()) -> Option<u64> {
         let d = r.read(self.bits)?;
         (d <= self.k as u64 && r.exhausted()).then_some(d)
     }

@@ -15,7 +15,7 @@
 //!
 //! Size: `O(log n)`.
 
-use crate::bits::{BitReader, Certificate};
+use crate::bits::BitReader;
 use crate::framework::{
     Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
     Scheme,
@@ -82,8 +82,7 @@ impl Decode for TreeDiameterScheme {
     type Decoded = Option<HeightFields>;
     type Cache = ();
 
-    fn decode(&self, cert: &Certificate, _: &()) -> Option<HeightFields> {
-        let mut r = BitReader::new(cert);
+    fn decode(&self, mut r: BitReader<'_>, _: &()) -> Option<HeightFields> {
         let f = TreeFields::read(&mut r, self.id_bits)?;
         let height = r.read(self.id_bits)?;
         r.exhausted().then_some((f, height))

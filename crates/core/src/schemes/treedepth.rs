@@ -28,7 +28,7 @@
 //! genuine elimination forest of height ≤ `t` in which every edge joins
 //! comparable vertices.
 
-use crate::bits::{width_for, BitReader, BitWriter, Certificate};
+use crate::bits::{width_for, BitReader, BitWriter};
 use crate::framework::{
     Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
     Scheme,
@@ -53,21 +53,77 @@ pub enum ModelStrategy {
     Explicit(Vec<Option<usize>>),
 }
 
-/// One vertex's parsed treedepth certificate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TdCert {
-    /// Ancestor identifiers from the vertex itself (index 0) to the root
-    /// (last).
-    pub ancestors: Box<[Ident]>,
-    /// `(exit id, distance)` per strict ancestor, indexed by ancestor
-    /// depth − 1 (entry 0 belongs to the depth-1 ancestor).
-    pub trees: Box<[(Ident, u64)]>,
+/// A parsed treedepth certificate over its words `W`: owned in one
+/// allocation ([`TdCert`]), or borrowed from a larger decode ([`TdRef`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Td<W> {
+    /// The `len` ancestor identifiers from the vertex itself (index 0)
+    /// to the root (last); then `(exit id, distance)` per strict
+    /// ancestor, two words each, indexed by ancestor depth − 1; then the
+    /// words a composite scheme keeps with them ([`Td::with_tail`]).
+    words: W,
+    len: usize,
 }
 
-impl TdCert {
+/// One vertex's parsed treedepth certificate, in one allocation.
+pub type TdCert = Td<Box<[Ident]>>;
+
+/// A treedepth certificate borrowed from the decode that holds it.
+pub type TdRef<'a> = Td<&'a [Ident]>;
+
+impl<W: AsRef<[Ident]>> Td<W> {
+    /// The certificate borrowed.
+    pub fn as_ref(&self) -> TdRef<'_> {
+        Td {
+            words: self.words.as_ref(),
+            len: self.len,
+        }
+    }
+
+    /// Ancestor identifiers from the vertex itself (index 0) to the root
+    /// (last).
+    pub fn ancestors(&self) -> &[Ident] {
+        &self.words.as_ref()[..self.len]
+    }
+
+    /// The `(exit id, distance)` entry of the depth-`j + 1` ancestor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= self.depth()`.
+    pub fn tree(&self, j: usize) -> (Ident, u64) {
+        let at = self.len + 2 * j;
+        let words = self.words.as_ref();
+        (words[at], words[at + 1].0)
+    }
+
+    /// The `(exit id, distance)` entries, one per strict ancestor, by
+    /// ancestor depth.
+    pub fn trees(&self) -> impl ExactSizeIterator<Item = (Ident, u64)> + '_ {
+        (0..self.depth()).map(|j| self.tree(j))
+    }
+
+    /// The certificate whose words are `words`: the treedepth words of
+    /// some list length, then `tail_per_ancestor` words per ancestor
+    /// ([`record_words`] in all).
+    pub(crate) fn with_tail(words: W, tail_per_ancestor: usize) -> Td<W> {
+        let len = (words.as_ref().len() + 2) / (3 + tail_per_ancestor);
+        debug_assert_eq!(
+            words.as_ref().len(),
+            record_words(len, tail_per_ancestor),
+            "whole records only"
+        );
+        Td { words, len }
+    }
+
+    /// The words after the spanning-tree entries ([`Td::with_tail`]).
+    pub(crate) fn tail(&self) -> &[Ident] {
+        &self.words.as_ref()[record_words(self.len, 0)..]
+    }
+
     /// The vertex's depth `m` (list length − 1).
     pub fn depth(&self) -> usize {
-        self.ancestors.len() - 1
+        self.len - 1
     }
 
     /// The suffix of the ancestor list from the depth-`j` ancestor to the
@@ -77,33 +133,83 @@ impl TdCert {
     ///
     /// Panics if `j > self.depth()`.
     pub fn suffix_from_depth(&self, j: usize) -> &[Ident] {
-        let m = self.depth();
-        &self.ancestors[m - j..]
+        &self.ancestors()[self.depth() - j..]
     }
 
     /// Serializes the certificate, marking the ledger components
     /// (`list-len`, `ancestor-ids`, `exit-id`, `exit-distance`).
     pub fn write(&self, w: &mut BitWriter, id_bits: u32, t: usize) {
-        let ancestors = self.ancestors.iter().copied();
-        write_td(w, self.ancestors.len(), ancestors, &self.trees, id_bits, t);
+        let ancestors = self.ancestors().iter().copied();
+        write_td(w, self.len, ancestors, self.trees(), id_bits, t);
+    }
+}
+
+impl TdCert {
+    /// The certificate with `ancestors` (the vertex first, the root last)
+    /// and one `(exit id, distance)` entry per strict ancestor.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one entry fewer than there are ancestors.
+    pub fn new(ancestors: &[Ident], trees: &[(Ident, u64)]) -> TdCert {
+        assert_eq!(
+            trees.len() + 1,
+            ancestors.len(),
+            "one entry per strict ancestor"
+        );
+        let mut words = Vec::with_capacity(record_words(ancestors.len(), 0));
+        words.extend_from_slice(ancestors);
+        for &(exit, dist) in trees {
+            words.extend([exit, Ident(dist)]);
+        }
+        Td {
+            words: words.into_boxed_slice(),
+            len: ancestors.len(),
+        }
     }
 
-    /// Parses a certificate written by [`TdCert::write`]. Enforces
+    /// Parses a certificate written by [`Td::write`]. Enforces
     /// `1 ≤ list length ≤ t`.
     pub fn read(r: &mut BitReader<'_>, id_bits: u32, t: usize) -> Option<TdCert> {
-        let len_bits = width_for(t as u64);
-        let len = r.read(len_bits)? as usize;
-        if len == 0 || len > t {
-            return None;
-        }
-        let ancestors = (0..len)
-            .map(|_| read_ident(r, id_bits))
-            .collect::<Option<_>>()?;
-        let trees = (0..len - 1)
-            .map(|_| Some((read_ident(r, id_bits)?, r.read(id_bits)?)))
-            .collect::<Option<_>>()?;
-        Some(TdCert { ancestors, trees })
+        let len = read_len(r, t)?;
+        let mut words = Vec::with_capacity(record_words(len, 0));
+        read_words(r, id_bits, len, &mut words)?;
+        Some(Td {
+            words: words.into_boxed_slice(),
+            len,
+        })
     }
+}
+
+/// The words of a record with `len` ancestors: the `3·len − 2`
+/// treedepth words (ancestor ids, then two per strict ancestor), then
+/// `tail_per_ancestor` words per ancestor.
+pub(crate) fn record_words(len: usize, tail_per_ancestor: usize) -> usize {
+    (3 + tail_per_ancestor) * len - 2
+}
+
+/// Reads the list-length field of a treedepth certificate, `1..=t`.
+pub(crate) fn read_len(r: &mut BitReader<'_>, t: usize) -> Option<usize> {
+    let len = r.read(width_for(t as u64))? as usize;
+    (1..=t).contains(&len).then_some(len)
+}
+
+/// Reads the `3·len − 2` words after the list length: the ancestor ids,
+/// then `(exit id, distance)` per strict ancestor.
+pub(crate) fn read_words(
+    r: &mut BitReader<'_>,
+    id_bits: u32,
+    len: usize,
+    words: &mut Vec<Ident>,
+) -> Option<()> {
+    for _ in 0..len {
+        words.push(read_ident(r, id_bits)?);
+    }
+    for _ in 0..len - 1 {
+        words.push(read_ident(r, id_bits)?);
+        words.push(Ident(r.read(id_bits)?));
+    }
+    Some(())
 }
 
 /// Writes a treedepth certificate from its parts: the `len` ancestor ids
@@ -114,7 +220,7 @@ fn write_td(
     w: &mut BitWriter,
     len: usize,
     ancestors: impl Iterator<Item = Ident>,
-    trees: &[(Ident, u64)],
+    trees: impl Iterator<Item = (Ident, u64)>,
     id_bits: u32,
     t: usize,
 ) {
@@ -124,7 +230,7 @@ fn write_td(
     for id in ancestors {
         write_ident(w, id, id_bits);
     }
-    for &(exit, dist) in trees {
+    for (exit, dist) in trees {
         w.component("exit-id");
         write_ident(w, exit, id_bits);
         w.component("exit-distance");
@@ -219,7 +325,7 @@ impl HonestTd {
         }
     }
 
-    /// Writes `v`'s certificate, as [`TdCert::write`] writes it, under
+    /// Writes `v`'s certificate, as [`Td::write`] writes it, under
     /// the model and naming of the last [`HonestTd::fill`].
     pub fn write(
         &self,
@@ -232,7 +338,14 @@ impl HonestTd {
     ) {
         let trees = &self.trees[self.start[v.0]..self.start[v.0 + 1]];
         let ancestors = ancestors(model, v).map(ident);
-        write_td(w, trees.len() + 1, ancestors, trees, id_bits, t);
+        write_td(
+            w,
+            trees.len() + 1,
+            ancestors,
+            trees.iter().copied(),
+            id_bits,
+            t,
+        );
     }
 }
 
@@ -242,21 +355,18 @@ pub(crate) fn ancestors(model: &EliminationTree, v: NodeId) -> impl Iterator<Ite
 }
 
 /// The vertex-local checks of a treedepth certificate: ancestor-list
-/// length and head, tree-entry count. Composite schemes that embed a
-/// [`TdCert`] inside a larger certificate call this (and
-/// [`check_td_edges`]) on their own decodes.
+/// length and head (a [`TdCert`] holds one tree entry per strict
+/// ancestor by construction). Composite schemes that embed a [`TdCert`]
+/// inside a larger certificate call this (and [`check_td_edges`]) on
+/// their own decodes.
 ///
 /// # Errors
 ///
 /// [`RejectReason::AncestryViolation`] when the list is too long or
-/// mis-headed, [`RejectReason::MalformedCertificate`] when the tree
-/// entries do not match the depth.
-pub fn check_own_td(id: Ident, mine: &TdCert, t: usize) -> Result<(), RejectReason> {
-    if mine.ancestors.len() > t || mine.ancestors[0] != id {
+/// mis-headed.
+pub fn check_own_td(id: Ident, mine: TdRef<'_>, t: usize) -> Result<(), RejectReason> {
+    if mine.ancestors().len() > t || mine.ancestors()[0] != id {
         return Err(RejectReason::AncestryViolation);
-    }
-    if mine.trees.len() != mine.depth() {
-        return Err(RejectReason::MalformedCertificate);
     }
     Ok(())
 }
@@ -273,17 +383,17 @@ pub fn check_own_td(id: Ident, mine: &TdCert, t: usize) -> Result<(), RejectReas
 /// subtree's parent.
 pub fn check_td_edges<'a>(
     id: Ident,
-    mine: &TdCert,
-    nbrs: impl Iterator<Item = &'a TdCert> + Clone,
+    mine: TdRef<'_>,
+    nbrs: impl Iterator<Item = TdRef<'a>> + Clone,
 ) -> Result<(), RejectReason> {
     let m = mine.depth();
     // Every edge joins comparable vertices: one list is a suffix of the
     // other.
     for nc in nbrs.clone() {
-        let (short, long) = if nc.ancestors.len() <= mine.ancestors.len() {
-            (&nc.ancestors, &mine.ancestors)
+        let (short, long) = if nc.ancestors().len() <= mine.ancestors().len() {
+            (nc.ancestors(), mine.ancestors())
         } else {
-            (&mine.ancestors, &nc.ancestors)
+            (mine.ancestors(), nc.ancestors())
         };
         if long[long.len() - short.len()..] != short[..] {
             return Err(RejectReason::AncestryViolation);
@@ -291,7 +401,7 @@ pub fn check_td_edges<'a>(
     }
     // Spanning-tree checks per strict ancestor.
     for j in 1..=m {
-        let (exit, dist) = mine.trees[j - 1];
+        let (exit, dist) = mine.tree(j - 1);
         let my_suffix = mine.suffix_from_depth(j);
         if dist == 0 {
             // I am the exit vertex of α_j: adjacent to α_j's parent,
@@ -299,8 +409,8 @@ pub fn check_td_edges<'a>(
             if id != exit {
                 return Err(RejectReason::AncestryViolation);
             }
-            let parent_list = &mine.ancestors[mine.ancestors.len() - j..];
-            if !nbrs.clone().any(|nc| nc.ancestors[..] == *parent_list) {
+            let parent_list = mine.suffix_from_depth(j - 1);
+            if !nbrs.clone().any(|nc| nc.ancestors() == parent_list) {
                 return Err(RejectReason::MissingNeighbor);
             }
         } else {
@@ -309,7 +419,7 @@ pub fn check_td_edges<'a>(
             let found = nbrs.clone().any(|nc| {
                 nc.depth() >= j
                     && nc.suffix_from_depth(j) == my_suffix
-                    && nc.trees[j - 1] == (exit, dist - 1)
+                    && nc.tree(j - 1) == (exit, dist - 1)
             });
             if !found {
                 return Err(RejectReason::AncestryViolation);
@@ -428,8 +538,7 @@ impl Decode for TreedepthScheme {
     type Decoded = Option<TdCert>;
     type Cache = ();
 
-    fn decode(&self, cert: &Certificate, _: &()) -> Option<TdCert> {
-        let mut r = BitReader::new(cert);
+    fn decode(&self, mut r: BitReader<'_>, _: &()) -> Option<TdCert> {
         let c = TdCert::read(&mut r, self.id_bits, self.t)?;
         r.exhausted().then_some(c)
     }
@@ -439,7 +548,7 @@ impl Decode for TreedepthScheme {
             .own
             .as_ref()
             .ok_or(RejectReason::MalformedCertificate)?;
-        check_own_td(view.id, mine, self.t)?;
+        check_own_td(view.id, mine.as_ref(), self.t)?;
         // Every neighbor must parse before any edge check runs.
         for (_, _, decoded) in view.neighbors() {
             decoded
@@ -448,8 +557,8 @@ impl Decode for TreedepthScheme {
         }
         let nbrs = view
             .neighbors()
-            .filter_map(|(_, _, decoded)| decoded.as_ref());
-        check_td_edges(view.id, mine, nbrs)
+            .filter_map(|(_, _, decoded)| decoded.as_ref().map(TdCert::as_ref));
+        check_td_edges(view.id, mine.as_ref(), nbrs)
     }
 }
 
@@ -469,6 +578,7 @@ impl Scheme for TreedepthScheme {
 mod tests {
     use super::*;
     use crate::attacks;
+    use crate::bits::Certificate;
     use crate::framework::{run_scheme, run_verification};
     use crate::schemes::common::id_bits_for;
     use locert_graph::{generators, IdAssignment};
@@ -643,10 +753,7 @@ mod tests {
                             }
                             _ => {}
                         }
-                        let c = TdCert {
-                            ancestors: lists[v].clone().into(),
-                            trees: trees.into(),
-                        };
+                        let c = TdCert::new(&lists[v], &trees);
                         let mut w = BitWriter::new();
                         c.write(&mut w, id_bits_for(&inst), t);
                         w.finish()
@@ -702,50 +809,45 @@ mod tests {
 
         // (a) A list that does not start with the vertex's own id.
         let mut bad = honest.clone();
-        let parsed = scheme.decode(honest.cert(NodeId(2)), &()).unwrap();
-        let mut forged = parsed.clone();
-        forged.ancestors[0] = id(3);
-        *bad.cert_mut(NodeId(2)) = write(&forged);
+        let decode = |v: usize| {
+            let parsed = scheme.decode(BitReader::new(honest.cert(NodeId(v))), &());
+            let parsed = parsed.unwrap();
+            (
+                parsed.ancestors().to_vec(),
+                parsed.trees().collect::<Vec<_>>(),
+            )
+        };
+        let (mut ancestors, trees) = decode(2);
+        ancestors[0] = id(3);
+        *bad.cert_mut(NodeId(2)) = write(&TdCert::new(&ancestors, &trees));
         assert!(!run_verification(&scheme, &inst, &bad).accepted());
 
         // (b) Suffix-incomparable neighbor lists: vertex 1 claims root A,
         // vertex 2 claims a disjoint chain.
         let certs: Vec<Certificate> = vec![
-            write(&TdCert {
-                ancestors: vec![id(0), id(1)].into(),
-                trees: vec![(id(0), 0)].into(),
-            }),
-            write(&TdCert {
-                ancestors: vec![id(1)].into(),
-                trees: vec![].into(),
-            }),
-            write(&TdCert {
-                ancestors: vec![id(2), id(3)].into(),
-                trees: vec![(id(2), 0)].into(),
-            }),
-            write(&TdCert {
-                ancestors: vec![id(3)].into(),
-                trees: vec![].into(),
-            }),
+            write(&TdCert::new(&[id(0), id(1)], &[(id(0), 0)])),
+            write(&TdCert::new(&[id(1)], &[])),
+            write(&TdCert::new(&[id(2), id(3)], &[(id(2), 0)])),
+            write(&TdCert::new(&[id(3)], &[])),
         ];
         assert!(!run_verification(&scheme, &inst, &Assignment::new(certs)).accepted());
 
         // (c) A broken distance chain inside a subtree spanning tree:
         // take honest certs and bump one ST distance by 2.
         let mut bad2 = honest.clone();
-        let mut parsed2 = scheme.decode(honest.cert(NodeId(3)), &()).unwrap();
-        if let Some(slot) = parsed2.trees.first_mut() {
+        let (ancestors2, mut trees2) = decode(3);
+        if let Some(slot) = trees2.first_mut() {
             slot.1 += 2;
-            *bad2.cert_mut(NodeId(3)) = write(&parsed2);
+            *bad2.cert_mut(NodeId(3)) = write(&TdCert::new(&ancestors2, &trees2));
             assert!(!run_verification(&scheme, &inst, &bad2).accepted());
         }
 
         // (d) A forged exit identifier pointing at a non-neighbor.
         let mut bad3 = honest.clone();
-        let mut parsed3 = scheme.decode(honest.cert(NodeId(0)), &()).unwrap();
-        if let Some(slot) = parsed3.trees.first_mut() {
+        let (ancestors3, mut trees3) = decode(0);
+        if let Some(slot) = trees3.first_mut() {
             slot.0 = id(3);
-            *bad3.cert_mut(NodeId(0)) = write(&parsed3);
+            *bad3.cert_mut(NodeId(0)) = write(&TdCert::new(&ancestors3, &trees3));
             assert!(!run_verification(&scheme, &inst, &bad3).accepted());
         }
     }

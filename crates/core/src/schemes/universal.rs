@@ -84,12 +84,6 @@ pub struct Parsed {
     verdict: OnceLock<bool>,
 }
 
-/// The trailing self-index of `cert`, if it is long enough to carry one.
-fn self_index(cert: &Certificate) -> Option<usize> {
-    let start = cert.len_bits().checked_sub(INDEX_BITS as usize)?;
-    (start..cert.len_bits()).try_fold(0, |acc, i| Some(acc << 1 | usize::from(cert.try_bit(i)?)))
-}
-
 impl UniversalScheme {
     /// Builds the scheme for `property` (evaluated on the broadcast map;
     /// it must be isomorphism-invariant and should imply connectivity or
@@ -240,12 +234,12 @@ impl Decode for UniversalScheme {
     /// run rather than once per vertex and neighbor.
     type Cache = Memo<Parsed>;
 
-    fn decode(&self, cert: &Certificate, memo: &Memo<Parsed>) -> UniversalCert {
-        let prefix = cert.len_bits().saturating_sub(INDEX_BITS as usize);
-        let window = BitReader::new(cert).take(prefix).expect("a prefix of cert");
+    fn decode(&self, mut r: BitReader<'_>, memo: &Memo<Parsed>) -> UniversalCert {
+        let prefix = r.remaining().saturating_sub(INDEX_BITS as usize);
+        let window = r.take(prefix).expect("a prefix of the window");
         UniversalCert {
             map: memo.get(window, |bits| self.parse(bits)),
-            self_index: self_index(cert),
+            self_index: r.read(INDEX_BITS).map(|i| i as usize),
         }
     }
 
@@ -890,7 +884,7 @@ mod tests {
         let decided = |memo: &Memo<Parsed>| {
             let decoded: Vec<UniversalCert> = g
                 .nodes()
-                .map(|v| scheme.decode(asg.cert(v), memo))
+                .map(|v| scheme.decode(BitReader::new(asg.cert(v)), memo))
                 .collect();
             let reasons: Vec<_> = g
                 .nodes()

@@ -11,7 +11,7 @@
 //! promise that the graph is a path (compose with
 //! [`crate::schemes::acyclicity`] + a degree check otherwise).
 
-use crate::bits::{width_for, BitReader, Certificate};
+use crate::bits::{width_for, BitReader};
 use crate::framework::{
     Assignment, DeclaredBound, Decode, DecodedView, Instance, Prover, ProverError, RejectReason,
     Scheme,
@@ -161,8 +161,7 @@ impl Decode for WordPathScheme {
     type Decoded = Option<(u64, usize)>;
     type Cache = ();
 
-    fn decode(&self, cert: &Certificate, _: &()) -> Option<(u64, usize)> {
-        let mut r = BitReader::new(cert);
+    fn decode(&self, mut r: BitReader<'_>, _: &()) -> Option<(u64, usize)> {
         let d = r.read(2)?;
         let q = r.read(self.state_bits)? as usize;
         let fp = r.read(16)?;

@@ -168,6 +168,33 @@ fn per_vertex(scheme: &dyn Scheme, inst: &Instance<'_>, asg: &Assignment) -> Vec
         .collect()
 }
 
+/// Every vertex's verdict from the prepared per-vertex path, after
+/// checking that the run path gives the same verdicts on every pool;
+/// `what` names the case in a failure.
+fn run_paths_alike(
+    what: &str,
+    scheme: &dyn Scheme,
+    inst: &Instance<'_>,
+    asg: &Assignment,
+    pools: &[Pool],
+) -> Vec<Verdict> {
+    let expected = per_vertex(scheme, inst, asg);
+    for pool in pools {
+        let got = run_verification_in(pool, scheme, inst, asg);
+        for (v, (g, e)) in got.verdicts().iter().zip(&expected).enumerate() {
+            assert_eq!(
+                g,
+                e,
+                "{what}, n = {}, vertex {v}, {} workers",
+                inst.graph().num_nodes(),
+                pool.threads()
+            );
+        }
+        assert_eq!(got.verdicts().len(), expected.len());
+    }
+    expected
+}
+
 /// Checks the three paths on every mutation of `base` under `inst`,
 /// feeding the verdicts into `digest`; returns how many verdicts
 /// rejected.
@@ -182,20 +209,7 @@ fn check(
 ) -> usize {
     let mut rejections = 0;
     for (m, asg) in mutations(inst.graph(), base, rng).iter().enumerate() {
-        let expected = per_vertex(scheme, inst, asg);
-        for pool in pools {
-            let got = run_verification_in(pool, scheme, inst, asg);
-            for (v, (g, e)) in got.verdicts().iter().zip(&expected).enumerate() {
-                assert_eq!(
-                    g,
-                    e,
-                    "{id}: n = {}, mutation {m}, vertex {v}, {} workers",
-                    inst.graph().num_nodes(),
-                    pool.threads()
-                );
-            }
-            assert_eq!(got.verdicts().len(), expected.len());
-        }
+        let expected = run_paths_alike(&format!("{id}: mutation {m}"), scheme, inst, asg, pools);
         let faulted = run_with_faults(scheme, inst, asg, &FaultPlan::new(0));
         let rejected: Vec<(NodeId, RejectReason)> = expected
             .iter()
@@ -283,6 +297,145 @@ fn run_path_equals_per_vertex_decide_for_every_catalogue_id() {
             }
         }
         assert!(rejections > 0, "{id}: mutations never rejected");
+        if digest.0 != pinned {
+            mismatched.push(format!("(\"{id}\", {:#018x}),", digest.0));
+        }
+    }
+    assert!(
+        mismatched.is_empty(),
+        "verdict digests moved:\n{}",
+        mismatched.join("\n")
+    );
+}
+
+/// The ways [`composite_windows_decide_as_before`] breaks a certificate
+/// of `and-acyclic-count`: a 16-bit length header, then the first part,
+/// then the second.
+fn conjunction_cases(cert: &Certificate) -> Vec<(&'static str, Certificate)> {
+    let mut r = BitReader::new(cert);
+    let len_a = r.read(16).expect("an honest header") as usize;
+    let first = r.read_cert(len_a).expect("an honest first part");
+    let second = r.read_cert(r.remaining()).expect("the rest");
+    let parts = |header: u64, parts: &[&Certificate]| {
+        let mut w = BitWriter::new();
+        w.write(header, 16);
+        for part in parts {
+            w.write_cert(part);
+        }
+        w.finish()
+    };
+    let body = (len_a + second.len_bits()) as u64;
+    vec![
+        (
+            "header one past the end",
+            parts(body + 1, &[&first, &second]),
+        ),
+        ("header at its maximum", parts(0xffff, &[&first, &second])),
+        ("header cut short", truncated(cert, 10)),
+        ("zero-length first part", parts(0, &[&first, &second])),
+        ("zero-length first part alone", parts(0, &[&second])),
+        ("empty second part", parts(body, &[&first, &second])),
+        (
+            "first part one bit short",
+            parts(len_a as u64 - 1, &[&first, &second]),
+        ),
+    ]
+}
+
+/// The ways [`composite_windows_decide_as_before`] breaks a certificate
+/// of `ct-minor-free-3`: a 16-bit block count, then per block two
+/// `id_bits` block ids, a 20-bit length and that many bits of the block's
+/// sub-certificate.
+fn block_cases(cert: &Certificate, id_bits: u32) -> Vec<(&'static str, Certificate)> {
+    let mut r = BitReader::new(cert);
+    let count = r.read(16).expect("an honest count");
+    let ids = (r.read(id_bits).unwrap(), r.read(id_bits).unwrap());
+    let len = r.read(20).expect("an honest block length") as usize;
+    let sub = r.read_cert(len).expect("an honest sub-certificate");
+    let rest = r.read_cert(r.remaining()).expect("the other blocks");
+    let first_block = |count: u64, len: u64, sub: &Certificate| {
+        let mut w = BitWriter::new();
+        w.write(count, 16)
+            .write(ids.0, id_bits)
+            .write(ids.1, id_bits);
+        w.write(len, 20).write_cert(sub).write_cert(&rest);
+        w.finish()
+    };
+    let half = truncated(&sub, len / 2);
+    let past = (len + rest.len_bits() + 1) as u64;
+    vec![
+        ("block past the end", first_block(count, past, &sub)),
+        (
+            "zero-length block",
+            first_block(count, 0, &Certificate::empty()),
+        ),
+        (
+            "truncated block",
+            first_block(count, (len / 2) as u64, &half),
+        ),
+        (
+            "block one bit long",
+            first_block(count, len as u64 + 1, &sub),
+        ),
+        (
+            "count past the blocks",
+            first_block(count + 1, len as u64, &sub),
+        ),
+        (
+            "cut inside a block header",
+            truncated(cert, 16 + id_bits as usize),
+        ),
+        ("cut inside a block", truncated(cert, cert.len_bits() - 1)),
+    ]
+}
+
+/// FNV-1a digests of the verdicts of [`composite_windows_decide_as_before`],
+/// computed on the code that copied each part out of its certificate
+/// before decoding it.
+const WINDOW_DIGESTS: [(&str, u64); 2] = [
+    ("and-acyclic-count", 0x3c9b3ffb00c4fcfd),
+    ("ct-minor-free-3", 0xd9b7b77a918e694a),
+];
+
+/// The composites that decode their parts from windows of one
+/// certificate (`AndScheme`, `CtMinorFreeScheme`) reject broken headers,
+/// empty parts and truncated blocks with the verdicts, reasons included,
+/// of the code that copied each part out first; the run path and the
+/// prepared path agree on each.
+#[test]
+fn composite_windows_decide_as_before() {
+    let pools = [Pool::new(1), Pool::new(4)];
+    let mut mismatched = Vec::new();
+    for (id, pinned) in WINDOW_DIGESTS {
+        let entry = catalogue::by_id(id).expect("a catalogue id");
+        let mut digest = Fnv(0xcbf29ce484222325);
+        let mut rejections = 0;
+        for n in [4usize, 7, 12] {
+            let (g, _) = (entry.family)(n);
+            let ids = IdAssignment::contiguous(n);
+            let inst = Instance::new(&g, &ids);
+            let id_bits = id_bits_for(&inst);
+            let scheme = (entry.build)(id_bits, n);
+            let honest = scheme.assign(&inst).expect("a yes-instance");
+            for v in [0, n / 2, n - 1].map(NodeId) {
+                let cases = match id {
+                    "and-acyclic-count" => conjunction_cases(honest.cert(v)),
+                    _ => block_cases(honest.cert(v), id_bits),
+                };
+                for (case, cert) in cases {
+                    let mut asg = honest.clone();
+                    *asg.cert_mut(v) = cert;
+                    let what = format!("{id}: {case} at vertex {}", v.0);
+                    let verdicts = run_paths_alike(&what, scheme.as_ref(), &inst, &asg, &pools);
+                    assert!(verdicts.iter().any(|v| !v.accepted), "{what}: accepted");
+                    for verdict in &verdicts {
+                        digest.verdict(verdict.reason, verdict.bits_read);
+                        rejections += usize::from(!verdict.accepted);
+                    }
+                }
+            }
+        }
+        assert!(rejections > 0);
         if digest.0 != pinned {
             mismatched.push(format!("(\"{id}\", {:#018x}),", digest.0));
         }

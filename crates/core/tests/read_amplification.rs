@@ -5,7 +5,7 @@
 //! own: no other test runs in its process and writes to the histogram it
 //! counts.
 
-use locert_core::bits::{BitReader, Certificate};
+use locert_core::bits::BitReader;
 use locert_core::framework::{DeclaredBound, RejectReason};
 use locert_core::{
     run_verification, Assignment, Decode, DecodedView, Instance, Prover, ProverError, Scheme,
@@ -30,8 +30,7 @@ impl Decode for DegreeScheme {
     type Decoded = Option<u64>;
     type Cache = ();
 
-    fn decode(&self, cert: &Certificate, _: &()) -> Option<u64> {
-        let mut r = BitReader::new(cert);
+    fn decode(&self, mut r: BitReader<'_>, _: &()) -> Option<u64> {
         let claimed = r.read(16)?;
         r.exhausted().then_some(claimed)
     }

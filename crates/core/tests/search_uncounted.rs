@@ -9,7 +9,7 @@
 
 use locert_core::attacks::{exhaustive_soundness_in, SoundnessError};
 use locert_core::framework::RejectReason;
-use locert_core::{Certificate, Decode, DecodedView, Instance};
+use locert_core::{BitReader, Decode, DecodedView, Instance};
 use locert_graph::{generators, IdAssignment};
 use locert_par::Pool;
 
@@ -21,8 +21,8 @@ impl Decode for PrefixToken {
     type Decoded = bool;
     type Cache = ();
 
-    fn decode(&self, cert: &Certificate, _: &()) -> bool {
-        cert.len_bits() >= 1 && cert.bit(0)
+    fn decode(&self, mut r: BitReader<'_>, _: &()) -> bool {
+        r.read_bit() == Some(true)
     }
 
     fn decide_decoded(&self, view: &DecodedView<'_, bool>) -> Result<(), RejectReason> {

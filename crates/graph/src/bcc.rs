@@ -17,15 +17,13 @@ pub struct BccDecomposition {
 }
 
 impl BccDecomposition {
-    /// The vertex set of component `i` (sorted, deduplicated).
-    pub fn component_vertices(&self, i: usize) -> Vec<NodeId> {
-        let mut vs: Vec<NodeId> = self.components[i]
-            .iter()
-            .flat_map(|&(u, v)| [u, v])
-            .collect();
-        vs.sort();
+    /// Overwrites `vs` with the vertex set of component `i` (sorted,
+    /// deduplicated), reusing its allocation.
+    pub fn component_vertices(&self, i: usize, vs: &mut Vec<NodeId>) {
+        vs.clear();
+        vs.extend(self.components[i].iter().flat_map(|&(u, v)| [u, v]));
+        vs.sort_unstable();
         vs.dedup();
-        vs
     }
 }
 
@@ -160,8 +158,10 @@ mod tests {
         let d = biconnected_components(&g);
         assert_eq!(d.components.len(), 2);
         assert_eq!(d.cut_vertices, vec![NodeId(2)]);
+        let mut vs = Vec::new();
         for i in 0..2 {
-            assert_eq!(d.component_vertices(i).len(), 3);
+            d.component_vertices(i, &mut vs);
+            assert_eq!(vs.len(), 3);
         }
     }
 

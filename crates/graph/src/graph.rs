@@ -205,10 +205,32 @@ impl Graph {
     /// Panics if a member is out of range or `local` is shorter than
     /// [`Graph::num_nodes`].
     pub fn induced_on_sorted(&self, members: &[NodeId], local: &[usize]) -> Graph {
+        let mut induced = Graph {
+            offsets: Vec::with_capacity(members.len() + 1),
+            neighbors: Vec::new(),
+            num_edges: 0,
+        };
+        self.induce_on_sorted_into(members, local, &mut induced);
+        induced
+    }
+
+    /// Overwrites `induced` with [`Graph::induced_on_sorted`]`(members,
+    /// local)`, reusing its arrays: a caller that induces many small
+    /// subgraphs one at a time allocates only when one outgrows them.
+    ///
+    /// # Panics
+    ///
+    /// As [`Graph::induced_on_sorted`].
+    pub fn induce_on_sorted_into(&self, members: &[NodeId], local: &[usize], induced: &mut Graph) {
         debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
-        let mut offsets = Vec::with_capacity(members.len() + 1);
+        let Graph {
+            offsets,
+            neighbors,
+            num_edges,
+        } = induced;
+        offsets.clear();
         offsets.push(0);
-        let mut neighbors = Vec::new();
+        neighbors.clear();
         for &old in members {
             debug_assert_eq!(members.get(local[old.0]), Some(&old));
             neighbors.extend(self.neighbors(old).iter().filter_map(|&w| {
@@ -217,12 +239,7 @@ impl Graph {
             }));
             offsets.push(neighbors.len());
         }
-        let num_edges = neighbors.len() / 2;
-        Graph {
-            offsets,
-            neighbors,
-            num_edges,
-        }
+        *num_edges = neighbors.len() / 2;
     }
 
     /// Disjoint union of two graphs; vertices of `other` are shifted by

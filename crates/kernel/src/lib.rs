@@ -21,7 +21,7 @@
 
 use locert_graph::{Graph, NodeId};
 use locert_treedepth::EliminationTree;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Interned identifier of a vertex type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -35,8 +35,9 @@ pub struct TypeData {
     /// ancestor at depth `j` (strict ancestors only, so the length equals
     /// the vertex's depth).
     pub ancestors: Vec<bool>,
-    /// Multiset of children types (type → multiplicity).
-    pub children: BTreeMap<TypeId, usize>,
+    /// Multiset of children types: `(type, multiplicity)` in ascending
+    /// type order, one entry per type.
+    pub children: Vec<(TypeId, usize)>,
 }
 
 /// Hash-consing table for types.
@@ -52,14 +53,15 @@ impl TypeTable {
         Self::default()
     }
 
-    /// Interns `data`, returning its stable id.
-    pub fn intern(&mut self, data: TypeData) -> TypeId {
-        if let Some(&id) = self.index.get(&data) {
+    /// Interns `data`, returning its stable id: ids count up in order of
+    /// first interning, and only a type not seen before is copied.
+    pub fn intern(&mut self, data: &TypeData) -> TypeId {
+        if let Some(&id) = self.index.get(data) {
             return id;
         }
         let id = TypeId(self.data.len() as u32);
         self.data.push(data.clone());
-        self.index.insert(data, id);
+        self.index.insert(data.clone(), id);
         id
     }
 
@@ -122,16 +124,16 @@ impl Reduction {
     }
 }
 
-/// Computes the ancestor vector of `v`: adjacency of `v` to its strict
-/// ancestors, indexed by ancestor depth `0..depth(v)`.
-pub fn ancestor_vector(g: &Graph, model: &EliminationTree, v: NodeId) -> Vec<bool> {
-    let mut vec = vec![false; model.depth(v)];
+/// Overwrites `vec` with the ancestor vector of `v`: adjacency of `v` to
+/// its strict ancestors, indexed by ancestor depth `0..depth(v)`.
+fn fill_ancestor_vector(g: &Graph, model: &EliminationTree, v: NodeId, vec: &mut Vec<bool>) {
+    vec.clear();
+    vec.resize(model.depth(v), false);
     let mut anc = model.tree().parent(v);
     while let Some(a) = anc {
         vec[model.depth(a)] = g.has_edge(v, a);
         anc = model.tree().parent(a);
     }
-    vec
 }
 
 /// Performs the deepest-first `k`-reduction of `(g, model)`.
@@ -157,15 +159,21 @@ pub fn k_reduce(g: &Graph, model: &EliminationTree, k: usize) -> Reduction {
 
     // Postorder guarantees children are finalized before parents; pruning
     // at a parent of depth d happens only after all deeper pruning, which
-    // is exactly the deepest-first discipline.
+    // is exactly the deepest-first discipline. The type of each vertex is
+    // built in one reused record, so interning a type already in the
+    // table allocates nothing.
     let mut tagged: Vec<(TypeId, NodeId)> = Vec::new();
+    let mut data = TypeData {
+        ancestors: Vec::new(),
+        children: Vec::new(),
+    };
+    let mut stack: Vec<NodeId> = Vec::new();
     for v in tree.postorder() {
         // Group the *kept* children by their end types: a reused,
         // stably-sorted slice instead of a per-vertex map of per-group
         // vectors. The stable sort keeps same-type children in child
         // order, so "the k lowest-indexed are kept" is unchanged, and
-        // runs come out in ascending TypeId order exactly like the old
-        // BTreeMap iteration.
+        // runs come out in ascending TypeId order.
         tagged.clear();
         tagged.extend(
             tree.children(v)
@@ -174,31 +182,20 @@ pub fn k_reduce(g: &Graph, model: &EliminationTree, k: usize) -> Reduction {
                 .map(|&c| (end_type[c.0], c)),
         );
         tagged.sort_by_key(|&(ty, _)| ty);
-        let mut child_multiset = BTreeMap::new();
-        let mut i = 0;
-        while i < tagged.len() {
-            let ty = tagged[i].0;
-            let mut j = i;
-            while j < tagged.len() && tagged[j].0 == ty {
-                j += 1;
-            }
-            let members = &tagged[i..j];
-            if members.len() > k {
-                for &(_, drop) in &members[k..] {
-                    pruned[drop.0] = true;
-                    for u in tree.subtree(drop) {
-                        kept[u.0] = false;
-                    }
+        data.children.clear();
+        for members in tagged.chunk_by(|a, b| a.0 == b.0) {
+            for &(_, drop) in members.iter().skip(k) {
+                pruned[drop.0] = true;
+                stack.push(drop);
+                while let Some(u) = stack.pop() {
+                    kept[u.0] = false;
+                    stack.extend_from_slice(tree.children(u));
                 }
             }
-            child_multiset.insert(ty, members.len().min(k));
-            i = j;
+            data.children.push((members[0].0, members.len().min(k)));
         }
-        let data = TypeData {
-            ancestors: ancestor_vector(g, model, v),
-            children: child_multiset,
-        };
-        end_type[v.0] = types.intern(data);
+        fill_ancestor_vector(g, model, v, &mut data.ancestors);
+        end_type[v.0] = types.intern(&data);
     }
 
     // Extract the kernel.
@@ -315,16 +312,21 @@ mod tests {
         let g = generators::path(7);
         let parent = vec![Some(1), Some(3), Some(1), None, Some(5), Some(3), Some(5)];
         let model = EliminationTree::new(&g, &parent).unwrap();
+        let ancestor_vector = |v| {
+            let mut vec = vec![true; 5];
+            fill_ancestor_vector(&g, &model, v, &mut vec);
+            vec
+        };
         // Root has empty vector.
-        assert_eq!(ancestor_vector(&g, &model, NodeId(3)), Vec::<bool>::new());
+        assert_eq!(ancestor_vector(NodeId(3)), Vec::<bool>::new());
         // Vertex 1 (depth 1): not adjacent to root 3 in P_7... 1-3 is not
         // an edge; but the model only demands comparability for edges.
-        assert_eq!(ancestor_vector(&g, &model, NodeId(1)), vec![false]);
+        assert_eq!(ancestor_vector(NodeId(1)), vec![false]);
         // Vertex 2 (depth 2, parent 1, root 3): edges 2-1 and 2-3 both
         // exist.
-        assert_eq!(ancestor_vector(&g, &model, NodeId(2)), vec![true, true]);
+        assert_eq!(ancestor_vector(NodeId(2)), vec![true, true]);
         // Vertex 0 (depth 2): edge 0-1 only.
-        assert_eq!(ancestor_vector(&g, &model, NodeId(0)), vec![false, true]);
+        assert_eq!(ancestor_vector(NodeId(0)), vec![false, true]);
     }
 
     #[test]
@@ -488,19 +490,19 @@ mod tests {
     #[test]
     fn interning_is_stable() {
         let mut t = TypeTable::new();
-        let a = t.intern(TypeData {
+        let a = t.intern(&TypeData {
             ancestors: vec![true],
-            children: BTreeMap::new(),
+            children: Vec::new(),
         });
-        let b = t.intern(TypeData {
+        let b = t.intern(&TypeData {
             ancestors: vec![true],
-            children: BTreeMap::new(),
+            children: Vec::new(),
         });
         assert_eq!(a, b);
         assert_eq!(t.len(), 1);
-        let c = t.intern(TypeData {
+        let c = t.intern(&TypeData {
             ancestors: vec![false],
-            children: BTreeMap::new(),
+            children: Vec::new(),
         });
         assert_ne!(a, c);
         assert_eq!(t.get(c).ancestors, vec![false]);

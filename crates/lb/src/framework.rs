@@ -192,6 +192,7 @@ mod tests {
     use super::*;
     use crate::cc::{decides_equality, exists_accepting_certificate};
     use locert_core::framework::{Decode, DecodedView, RejectReason};
+    use locert_core::BitReader;
     use locert_graph::{GraphBuilder, Ident};
 
     /// Toy family: V_A = {a}, V_α = {α}, V_β = {β}, V_B = {b} on a path
@@ -284,8 +285,8 @@ mod tests {
         type Decoded = Option<bool>;
         type Cache = ();
 
-        fn decode(&self, cert: &Certificate, _: &()) -> Option<bool> {
-            (cert.len_bits() == 1).then(|| cert.bit(0))
+        fn decode(&self, mut r: BitReader<'_>, _: &()) -> Option<bool> {
+            r.read_bit().filter(|_| r.exhausted())
         }
 
         fn decide_decoded(&self, view: &DecodedView<'_, Option<bool>>) -> Result<(), RejectReason> {
@@ -335,7 +336,7 @@ mod tests {
         type Decoded = ();
         type Cache = ();
 
-        fn decode(&self, _: &Certificate, _: &()) {}
+        fn decode(&self, _: BitReader<'_>, _: &()) {}
 
         fn decide_decoded(&self, _: &DecodedView<'_, ()>) -> Result<(), RejectReason> {
             Ok(())

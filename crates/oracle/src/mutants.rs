@@ -14,7 +14,7 @@ use locert_core::schemes::depth2_fo::Depth2FoScheme;
 use locert_core::schemes::spanning_tree::SpanningTreeScheme;
 use locert_core::schemes::treedepth::TreedepthScheme;
 use locert_core::{
-    Assignment, BitWriter, Certificate, Decode, DecodedView, Instance, Prover, ProverError, Scheme,
+    Assignment, BitReader, BitWriter, Decode, DecodedView, Instance, Prover, ProverError, Scheme,
 };
 use locert_graph::NodeId;
 
@@ -60,8 +60,8 @@ impl<S: Decode> Decode for Mutated<S> {
     type Decoded = S::Decoded;
     type Cache = S::Cache;
 
-    fn decode(&self, cert: &Certificate, cache: &S::Cache) -> S::Decoded {
-        self.scheme.decode(cert, cache)
+    fn decode(&self, window: BitReader<'_>, cache: &S::Cache) -> S::Decoded {
+        self.scheme.decode(window, cache)
     }
 
     fn decide_decoded(&self, view: &DecodedView<'_, S::Decoded>) -> Result<(), RejectReason> {

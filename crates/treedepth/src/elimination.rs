@@ -148,15 +148,97 @@ impl EliminationTree {
     /// smaller) height, by repeatedly re-attaching a subtree whose root has
     /// no connection to its parent's subtree onto its lowest connected
     /// ancestor.
+    ///
+    /// Each round marks, in one pass over the edges, which subtrees hold a
+    /// neighbor of their root's parent, then repairs the first violating
+    /// `(parent v, child w)` in scan order (`v` by index, `w` in child
+    /// order), so the rounds re-attach the same subtrees, in the same
+    /// order, as a scan of every subtree would.
     pub fn make_coherent(&self, g: &Graph) -> EliminationTree {
-        let n = g.num_nodes();
-        let mut parent: Vec<Option<usize>> = (0..n)
-            .map(|v| self.tree.parent(NodeId(v)).map(|p| p.0))
-            .collect();
+        let mut parent = self.parent_array();
+        let mut exits = vec![false; g.num_nodes()];
+        let mut stack = Vec::new();
         loop {
             let tree = RootedTree::from_parent_array(&parent).expect("rebuild stays a tree");
-            // Find a violating (parent v, child w): no vertex of subtree(w)
-            // adjacent to v.
+            mark_exits(g, &tree, &mut exits);
+            let violation = g
+                .nodes()
+                .flat_map(|v| tree.children(v))
+                .find(|w| !exits[w.0]);
+            let Some(&w) = violation else {
+                let result = EliminationTree::new(g, &parent)
+                    .expect("re-attachment preserves the model property");
+                debug_assert!(result.height() <= self.height());
+                return result;
+            };
+            // Re-attach w to the lowest strict ancestor of its parent that
+            // is adjacent to some vertex of subtree(w). One exists because
+            // g is connected and all edges from subtree(w) go to ancestors
+            // of w, so that ancestor is the deepest neighbor of the
+            // subtree above the parent.
+            let above = tree.depth(w) - 1;
+            let mut lowest: Option<NodeId> = None;
+            stack.push(w);
+            while let Some(x) = stack.pop() {
+                for &y in g.neighbors(x) {
+                    if tree.depth(y) < above && lowest.is_none_or(|l| tree.depth(y) > tree.depth(l))
+                    {
+                        lowest = Some(y);
+                    }
+                }
+                stack.extend_from_slice(tree.children(x));
+            }
+            let a = lowest.expect("connected graph: some ancestor is adjacent to the subtree");
+            parent[w.0] = Some(a.0);
+        }
+    }
+
+    /// The parent array of the model.
+    pub fn parent_array(&self) -> Vec<Option<usize>> {
+        (0..self.tree.num_nodes())
+            .map(|v| self.tree.parent(NodeId(v)).map(|p| p.0))
+            .collect()
+    }
+}
+
+/// Sets `exits[w]`, for every vertex `w`, to whether the subtree of `w`
+/// holds a neighbor of `w`'s parent (true at the root): every edge from
+/// `x` up to its ancestor `a` marks the child of `a` on the path to `x`.
+/// One pass over the edges, `O(m·t)` on a height-`t` model.
+fn mark_exits(g: &Graph, tree: &RootedTree, exits: &mut [bool]) {
+    exits.fill(false);
+    exits[tree.root().0] = true;
+    for x in g.nodes() {
+        for &a in g.neighbors(x) {
+            let below = tree.depth(a) + 1;
+            if below > tree.depth(x) {
+                continue;
+            }
+            let mut child = x;
+            while tree.depth(child) > below {
+                child = tree
+                    .parent(child)
+                    .expect("a vertex below depth 0 has a parent");
+            }
+            exits[child.0] = true;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use locert_graph::generators;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// The repair as it stood: each round collects every child's subtree
+    /// and scans it for a neighbor of the parent.
+    fn make_coherent_reference(model: &EliminationTree, g: &Graph) -> EliminationTree {
+        let mut parent = model.parent_array();
+        loop {
+            let tree = RootedTree::from_parent_array(&parent).expect("rebuild stays a tree");
             let mut fixed = true;
             'scan: for v in g.nodes() {
                 for &w in tree.children(v) {
@@ -164,10 +246,6 @@ impl EliminationTree {
                     if sub.iter().any(|&x| g.has_edge(x, v)) {
                         continue;
                     }
-                    // Re-attach w to the lowest strict ancestor of v that is
-                    // adjacent to some vertex of subtree(w). One exists
-                    // because g is connected and all edges from subtree(w)
-                    // go to ancestors of w.
                     let mut anc = tree.parent(v);
                     while let Some(a) = anc {
                         if sub.iter().any(|&x| g.has_edge(x, a)) {
@@ -181,26 +259,67 @@ impl EliminationTree {
                 }
             }
             if fixed {
-                let result = EliminationTree::new(g, &parent)
-                    .expect("re-attachment preserves the model property");
-                debug_assert!(result.height() <= self.height());
-                return result;
+                return EliminationTree::new(g, &parent).unwrap();
             }
         }
     }
 
-    /// The parent array of the model.
-    pub fn parent_array(&self) -> Vec<Option<usize>> {
-        (0..self.tree.num_nodes())
-            .map(|v| self.tree.parent(NodeId(v)).map(|p| p.0))
-            .collect()
+    /// A random rooted tree on `n` vertices and a connected graph it is a
+    /// model of, usually an incoherent one: each vertex is joined to one
+    /// random strict ancestor (often not its parent), and to each other
+    /// strict ancestor with probability `extra`.
+    fn incoherent_model(n: usize, extra: f64, seed: u64) -> (Graph, EliminationTree) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut parent = vec![None; n];
+        let mut edges = Vec::new();
+        for v in 1..n {
+            parent[v] = Some(rng.random_range(0..v));
+            let mut ancestors = Vec::new();
+            let mut a = parent[v];
+            while let Some(x) = a {
+                ancestors.push(x);
+                a = parent[x];
+            }
+            let joined = rng.random_range(0..ancestors.len());
+            for (i, &x) in ancestors.iter().enumerate() {
+                if i == joined || rng.random_bool(extra) {
+                    edges.push((x, v));
+                }
+            }
+        }
+        let g = Graph::from_edges(n, edges).unwrap();
+        let model = EliminationTree::new(&g, &parent).unwrap();
+        (g, model)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use locert_graph::generators;
+    proptest! {
+        /// The one-pass repair builds the model the subtree scan builds.
+        #[test]
+        fn make_coherent_matches_the_subtree_scan(
+            n in 1usize..40,
+            extra_percent in 0u32..50,
+            seed in 0u64..10_000,
+        ) {
+            let (g, model) = incoherent_model(n, f64::from(extra_percent) / 100.0, seed);
+            let repaired = model.make_coherent(&g);
+            prop_assert!(repaired.is_coherent(&g));
+            prop_assert_eq!(
+                repaired.parent_array(),
+                make_coherent_reference(&model, &g).parent_array()
+            );
+        }
+    }
+
+    #[test]
+    fn random_models_are_mostly_incoherent() {
+        let incoherent = (0..100)
+            .filter(|&seed| {
+                let (g, model) = incoherent_model(30, 0.2, seed);
+                !model.is_coherent(&g)
+            })
+            .count();
+        assert!(incoherent > 50, "{incoherent} of 100 incoherent");
+    }
 
     fn p7_model() -> Vec<Option<usize>> {
         // Figure 1: path 0-1-2-3-4-5-6, eliminated as root 3,

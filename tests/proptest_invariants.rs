@@ -123,12 +123,11 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let t = 8;
         let id_bits = 10;
-        let cert = TdCert {
-            ancestors: (0..len).map(|_| Ident(rng.random_range(1..1000u64))).collect(),
-            trees: (0..len - 1)
-                .map(|_| (Ident(rng.random_range(1..1000u64)), rng.random_range(0..1000u64)))
-                .collect(),
-        };
+        let ancestors: Vec<Ident> = (0..len).map(|_| Ident(rng.random_range(1..1000u64))).collect();
+        let trees: Vec<(Ident, u64)> = (0..len - 1)
+            .map(|_| (Ident(rng.random_range(1..1000u64)), rng.random_range(0..1000u64)))
+            .collect();
+        let cert = TdCert::new(&ancestors, &trees);
         let mut w = BitWriter::new();
         cert.write(&mut w, id_bits, t);
         let bytes = w.finish();
