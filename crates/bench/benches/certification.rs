@@ -246,7 +246,8 @@ fn bench_graph_build(c: &mut Criterion) {
 /// The broadcast path's layers on the star `broadcast-dense` times at
 /// its largest size: the sparse universal "diameter ≤ 2" prover, its
 /// verifier on the honest assignment, and the certificate-free radius-3
-/// check.
+/// check; and the radius-3 check on a sparse host, a long path, whose
+/// balls are a few vertices each.
 fn bench_broadcast(c: &mut Criterion) {
     use locert_core::framework::{run_verification, Assignment, Instance, Prover};
     use locert_core::radius::{run_radius_verification, DiameterTwoAtRadiusThree};
@@ -276,6 +277,18 @@ fn bench_broadcast(c: &mut Criterion) {
     g.bench_with_input(BenchmarkId::new("radius3/star", n), &n, |b, _| {
         b.iter(|| {
             black_box(run_radius_verification(&DiameterTwoAtRadiusThree, &inst, &empty).is_empty())
+        });
+    });
+    let sparse = 16384;
+    let path = generators::path(sparse);
+    let path_ids = IdAssignment::contiguous(sparse);
+    let path_inst = Instance::new(&path, &path_ids);
+    let path_empty = Assignment::empty(sparse);
+    g.bench_with_input(BenchmarkId::new("radius3/path", sparse), &sparse, |b, _| {
+        b.iter(|| {
+            black_box(
+                run_radius_verification(&DiameterTwoAtRadiusThree, &path_inst, &path_empty).len(),
+            )
         });
     });
     g.finish();

@@ -26,7 +26,7 @@
 //!   nearest rejecting vertex (0 = the faulted vertex itself rejects).
 
 use crate::bits::{BitReader, BitWriter, Certificate};
-use crate::framework::{Assignment, Instance, RejectReason, Verifier};
+use crate::framework::{with_scratch, Assignment, Instance, RejectReason, Verifier};
 use locert_graph::{traversal, Ident, NodeId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -410,22 +410,26 @@ pub fn run_with_faults(
     let prepared = verifier.prepare(&certs);
     let mut rejecting = Vec::new();
     let mut reasons = Vec::new();
-    for v in g.nodes() {
-        if world.is_byzantine(v) {
-            continue;
+    with_scratch(|neighbors: &mut Vec<(Ident, usize, usize)>| {
+        for v in g.nodes() {
+            if world.is_byzantine(v) {
+                continue;
+            }
+            neighbors.clear();
+            neighbors.extend(
+                g.neighbors(v)
+                    .iter()
+                    .map(|&u| (world.presented_id[u.0], instance.input(u), u.0)),
+            );
+            world.apply_entry_faults(v, neighbors);
+            let decided =
+                prepared.decide(world.presented_id[v.0], instance.input(v), v.0, neighbors);
+            if let Err(reason) = decided {
+                rejecting.push(v);
+                reasons.push(reason);
+            }
         }
-        let mut neighbors: Vec<(Ident, usize, usize)> = g
-            .neighbors(v)
-            .iter()
-            .map(|&u| (world.presented_id[u.0], instance.input(u), u.0))
-            .collect();
-        world.apply_entry_faults(v, &mut neighbors);
-        let decided = prepared.decide(world.presented_id[v.0], instance.input(v), v.0, &neighbors);
-        if let Err(reason) = decided {
-            rejecting.push(v);
-            reasons.push(reason);
-        }
-    }
+    });
     // Provenance: distance from each detector to its nearest fault site
     // (one BFS per in-range site; campaign plans have exactly one).
     let sites: Vec<NodeId> = plan

@@ -461,22 +461,25 @@ impl Prepared<'_> {
         v: NodeId,
         entry: impl Fn(NodeId) -> usize,
     ) -> Result<(), RejectReason> {
-        let neighbors: Vec<(Ident, usize, usize)> = instance
-            .graph()
-            .neighbors(v)
-            .iter()
-            .map(|&u| (instance.ids().ident(u), instance.input(u), entry(u)))
-            .collect();
-        if locert_trace::enabled() {
-            locert_trace::add("core.framework.view_of.calls", 1);
-            locert_trace::record("core.framework.view.neighbors", neighbors.len() as u64);
-        }
-        self.decide(
-            instance.ids().ident(v),
-            instance.input(v),
-            entry(v),
-            &neighbors,
-        )
+        with_scratch(|neighbors: &mut Vec<(Ident, usize, usize)>| {
+            neighbors.extend(
+                instance
+                    .graph()
+                    .neighbors(v)
+                    .iter()
+                    .map(|&u| (instance.ids().ident(u), instance.input(u), entry(u))),
+            );
+            if locert_trace::enabled() {
+                locert_trace::add("core.framework.view_of.calls", 1);
+                locert_trace::record("core.framework.view.neighbors", neighbors.len() as u64);
+            }
+            self.decide(
+                instance.ids().ident(v),
+                instance.input(v),
+                entry(v),
+                neighbors,
+            )
+        })
     }
 }
 
@@ -562,12 +565,10 @@ impl<S: Decode> Verifier for S {
             .map(|c| self.decode(BitReader::new(c), &cache))
             .collect();
         Prepared {
-            decide: Box::new(move |id, input, own, neighbors| {
-                let neighbors: Vec<(Ident, usize, &S::Decoded)> = neighbors
-                    .iter()
-                    .map(|&(nid, ninput, entry)| (nid, ninput, &decoded[entry]))
-                    .collect();
-                self.decide_decoded(&DecodedView::listed(id, input, &decoded[own], &neighbors))
+            decide: Box::new(move |id, input, own, entries| {
+                DecodedView::with_entries(id, input, own, entries, &decoded, |view| {
+                    self.decide_decoded(view)
+                })
             }),
         }
     }
@@ -773,15 +774,14 @@ enum Neighbors<'a, D> {
         ids: &'a IdAssignment,
         inputs: Option<&'a [usize]>,
     },
-    /// Explicit entries (see [`DecodedView::listed`]).
-    Listed(&'a [(Ident, usize, &'a D)]),
-    /// Another view's neighbors, each decode seen through a part of it
-    /// (see [`DecodedView::project`]).
-    Projected(&'a dyn Parts<D>),
+    /// Neighbors read through [`Parts`]: a prepared list's entries (see
+    /// [`DecodedView::with_entries`]) or another view's, each decode seen
+    /// through a part of it (see [`DecodedView::project`]).
+    Indirect(&'a dyn Parts<D>),
 }
 
-/// The neighbors of a projected view: another view's neighbors, each
-/// decode mapped to a part of it.
+/// The neighbors of a view that reads them neither from the arena nor
+/// from the instance.
 trait Parts<E> {
     /// The number of neighbors.
     fn degree(&self) -> usize;
@@ -807,6 +807,25 @@ impl<D, E, F: Fn(&D) -> &E> Parts<E> for Projection<'_, D, F> {
     }
 }
 
+/// A prepared list's view of one vertex's neighbors: one `(identifier,
+/// input, entry)` per neighbor, each entry an index into the list's
+/// decodes.
+struct Entries<'a, D> {
+    entries: &'a [(Ident, usize, usize)],
+    decoded: &'a [D],
+}
+
+impl<D> Parts<D> for Entries<'_, D> {
+    fn degree(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn part(&self, i: usize) -> (Ident, usize, &D) {
+        let (id, input, entry) = self.entries[i];
+        (id, input, &self.decoded[entry])
+    }
+}
+
 impl<D> Clone for Neighbors<'_, D> {
     fn clone(&self) -> Self {
         *self
@@ -824,21 +843,25 @@ impl<D> Clone for DecodedView<'_, D> {
 impl<D> Copy for DecodedView<'_, D> {}
 
 impl<'a, D> DecodedView<'a, D> {
-    /// A view over explicitly listed neighbors: a [`Prepared`] list's
-    /// decisions list their view's decodes, and composite schemes hand a
-    /// part's decodes to the part's decision.
-    pub fn listed(
+    /// The view of a vertex whose certificate decodes to `decoded[own]`,
+    /// with one `(identifier, input, entry)` per neighbor whose
+    /// certificate decodes to `decoded[entry]`, handed to `decide`: how a
+    /// [`Prepared`] list decides, reading each neighbor's decode straight
+    /// from the list.
+    pub(crate) fn with_entries<R>(
         id: Ident,
         input: usize,
-        own: &'a D,
-        neighbors: &'a [(Ident, usize, &'a D)],
-    ) -> Self {
-        DecodedView {
+        own: usize,
+        entries: &[(Ident, usize, usize)],
+        decoded: &[D],
+        decide: impl FnOnce(&DecodedView<'_, D>) -> R,
+    ) -> R {
+        decide(&DecodedView {
             id,
             input,
-            own,
-            neighbors: Neighbors::Listed(neighbors),
-        }
+            own: &decoded[own],
+            neighbors: Neighbors::Indirect(&Entries { entries, decoded }),
+        })
     }
 
     /// This view with each decode, its own and its neighbors', mapped
@@ -855,7 +878,7 @@ impl<'a, D> DecodedView<'a, D> {
             id: self.id,
             input: self.input,
             own,
-            neighbors: Neighbors::Projected(&projection),
+            neighbors: Neighbors::Indirect(&projection),
         })
     }
 
@@ -863,8 +886,7 @@ impl<'a, D> DecodedView<'a, D> {
     pub fn degree(&self) -> usize {
         match self.neighbors {
             Neighbors::Arena { adj, .. } => adj.len(),
-            Neighbors::Listed(listed) => listed.len(),
-            Neighbors::Projected(parts) => parts.degree(),
+            Neighbors::Indirect(parts) => parts.degree(),
         }
     }
 
@@ -884,8 +906,7 @@ impl<'a, D> DecodedView<'a, D> {
                     &decoded[u.0],
                 )
             }
-            Neighbors::Listed(listed) => listed[i],
-            Neighbors::Projected(parts) => parts.part(i),
+            Neighbors::Indirect(parts) => parts.part(i),
         }
     }
 
@@ -903,8 +924,7 @@ impl<'a, D> DecodedView<'a, D> {
     pub fn neighbor_ids(&self) -> impl Iterator<Item = Ident> + Clone + '_ {
         (0..self.degree()).map(move |i| match self.neighbors {
             Neighbors::Arena { adj, ids, .. } => ids.ident(adj[i]),
-            Neighbors::Listed(listed) => listed[i].0,
-            Neighbors::Projected(parts) => parts.part(i).0,
+            Neighbors::Indirect(parts) => parts.part(i).0,
         })
     }
 

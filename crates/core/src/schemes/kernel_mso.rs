@@ -1343,10 +1343,11 @@ mod tests {
                         let nbrs: Vec<_> = g
                             .neighbors(v)
                             .iter()
-                            .map(|&u| (ids.ident(u), 0, &decoded[u.0]))
+                            .map(|&u| (ids.ident(u), 0, u.0))
                             .collect();
-                        let view = DecodedView::listed(ids.ident(v), 0, &decoded[v.0], &nbrs);
-                        scheme.decide_decoded(&view).err()
+                        DecodedView::with_entries(ids.ident(v), 0, v.0, &nbrs, &decoded, |view| {
+                            scheme.decide_decoded(view).err()
+                        })
                     })
                     .collect();
                 (decoded, reasons)
@@ -1420,13 +1421,14 @@ mod tests {
                 cert: &leaf_cert,
                 neighbors: vec![(Ident(1), 0, &root_cert)],
             };
-            let (own, parent) = (
+            let decoded = [
                 scheme.decode(BitReader::new(&leaf_cert), &memo),
                 scheme.decode(BitReader::new(&root_cert), &memo),
-            );
-            let neighbors = [(Ident(1), 0, &parent)];
-            let decided =
-                scheme.decide_decoded(&DecodedView::listed(Ident(2), 0, &own, &neighbors));
+            ];
+            let neighbors = [(Ident(1), 0, 1)];
+            let decided = DecodedView::with_entries(Ident(2), 0, 0, &neighbors, &decoded, |view| {
+                scheme.decide_decoded(view)
+            });
             assert_eq!(decided, reference::decide(&scheme, &view));
             assert_eq!(decided.is_ok(), accepted, "root type {root_type}");
         }

@@ -868,10 +868,12 @@ mod tests {
                             let nbrs: Vec<_> = g
                                 .neighbors(v)
                                 .iter()
-                                .map(|&u| (ids.ident(u), 0, &decoded[u.0]))
+                                .map(|&u| (ids.ident(u), 0, u.0))
                                 .collect();
-                            let view = DecodedView::listed(ids.ident(v), 0, &decoded[v.0], &nbrs);
-                            scheme.decide_decoded(&view).err()
+                            let id = ids.ident(v);
+                            DecodedView::with_entries(id, 0, v.0, &nbrs, &decoded, |view| {
+                                scheme.decide_decoded(view).err()
+                            })
                         })
                         .collect();
                     assert_eq!(reasons, expected, "budget {budget}");
@@ -920,20 +922,22 @@ mod tests {
         let nbrs: Vec<_> = g
             .neighbors(center)
             .iter()
-            .map(|&u| (ids.ident(u), 0, &decoded[u.0]))
+            .map(|&u| (ids.ident(u), 0, u.0))
             .collect();
-        let view = DecodedView::listed(ids.ident(center), 0, &decoded[center.0], &nbrs);
         let mine = decoded[center.0].blocks(&scheme).expect("honest");
-        let kept = scheme.reparsed(&view, &mine).expect("the leaves parse");
-        assert_eq!(kept.len(), 16);
-        for blocks in &kept {
-            assert_eq!(blocks.count, 1);
-            assert!(blocks.words.len() <= honest_words);
-            assert!(blocks.sub(0).is_some());
-        }
         let expected = decide_reference(&scheme, &view_of(&inst, &asg, center));
-        assert_eq!(scheme.decide_decoded(&view), expected);
         assert_eq!(expected, Ok(()));
+        let id = ids.ident(center);
+        DecodedView::with_entries(id, 0, center.0, &nbrs, &decoded, |view| {
+            let kept = scheme.reparsed(view, &mine).expect("the leaves parse");
+            assert_eq!(kept.len(), 16);
+            for blocks in &kept {
+                assert_eq!(blocks.count, 1);
+                assert!(blocks.words.len() <= honest_words);
+                assert!(blocks.sub(0).is_some());
+            }
+            assert_eq!(scheme.decide_decoded(view), expected);
+        });
     }
 
     /// The number of blocks vertex `v`'s honest certificate lists.

@@ -94,8 +94,9 @@ impl Decode for TreeDiameterScheme {
     ) -> Result<(), RejectReason> {
         let (mine, my_height) = view.own.ok_or(RejectReason::MalformedCertificate)?;
         verify_tree_position(view, &mine, |d| d.map(|(f, _)| f))?;
-        // Collect children (tree-ness: every edge is parent or child).
-        let mut child_heights = Vec::new();
+        // The two greatest of `h + 1` over the children's heights `h`, 0
+        // where there is none (tree-ness: every edge is parent or child).
+        let (mut top1, mut top2) = (0, 0);
         for (nid, _, decoded) in view.neighbors() {
             let (nf, nh) = decoded.ok_or(RejectReason::MalformedNeighborCertificate)?;
             if nf.root != mine.root {
@@ -104,20 +105,22 @@ impl Decode for TreeDiameterScheme {
             let is_child = nf.parent == view.id && nf.dist == mine.dist + 1;
             let is_parent = nid == mine.parent && nf.dist + 1 == mine.dist && view.id != mine.root;
             if is_child {
-                child_heights.push(nh);
+                let h = nh + 1;
+                if h > top1 {
+                    top2 = top1;
+                    top1 = h;
+                } else if h > top2 {
+                    top2 = h;
+                }
             } else if !is_parent {
                 return Err(RejectReason::NonTreeEdge);
             }
         }
         // Height consistency.
-        let expected = child_heights.iter().map(|h| h + 1).max().unwrap_or(0);
-        if my_height != expected {
+        if my_height != top1 {
             return Err(RejectReason::CounterMismatch);
         }
         // Longest path bending here.
-        child_heights.sort_unstable_by(|a, b| b.cmp(a));
-        let top1 = child_heights.first().map_or(0, |h| h + 1);
-        let top2 = child_heights.get(1).map_or(0, |h| h + 1);
         if top1 + top2 > self.diameter {
             return Err(RejectReason::PropertyViolation);
         }

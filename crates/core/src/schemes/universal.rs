@@ -892,10 +892,11 @@ mod tests {
                     let nbrs: Vec<_> = g
                         .neighbors(v)
                         .iter()
-                        .map(|&u| (ids.ident(u), 0, &decoded[u.0]))
+                        .map(|&u| (ids.ident(u), 0, u.0))
                         .collect();
-                    let view = DecodedView::listed(ids.ident(v), 0, &decoded[v.0], &nbrs);
-                    scheme.decide_decoded(&view).err()
+                    DecodedView::with_entries(ids.ident(v), 0, v.0, &nbrs, &decoded, |view| {
+                        scheme.decide_decoded(view).err()
+                    })
                 })
                 .collect();
             (decoded, reasons)

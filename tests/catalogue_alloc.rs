@@ -1,6 +1,7 @@
 //! Asserts that every compact catalogue scheme certifies with at most
 //! one heap allocation per vertex in its prover and at most one in its
-//! verifier, decode included.
+//! verifier, decode included, and that a decision through a prepared
+//! certificate list makes none.
 //!
 //! Each id runs its prover ([`Prover::assign`]) and then
 //! [`run_verification_in`] on an inline one-worker pool, on its
@@ -12,12 +13,18 @@
 //! is the per-vertex count. The universal scheme broadcasts the whole
 //! graph and is not compact, so it is left out.
 //!
+//! A prepared decision ([`Prepared::decide_at`]) lists the vertex's
+//! neighbors in a buffer its thread reuses, and reads their decodes
+//! straight from the prepared list: once every vertex has been decided,
+//! deciding them all again allocates nothing.
+//!
 //! This lives in its own integration-test binary because the
 //! `#[global_allocator]` is process-wide; keeping a single `#[test]`
 //! here means no concurrent test can allocate and pollute the count.
 
+use locert_core::bits::Certificate;
 use locert_core::catalogue::{self, SchemeEntry};
-use locert_core::framework::{run_verification_in, DeclaredBound, Instance};
+use locert_core::framework::{run_verification_in, DeclaredBound, Instance, Prepared};
 use locert_core::schemes::common::id_bits_for;
 use locert_graph::IdAssignment;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -72,6 +79,31 @@ fn allocations(entry: &SchemeEntry, pool: &locert_par::Pool, n: usize) -> (usize
     (graph.num_nodes(), proved - before, verified - proved)
 }
 
+/// Allocations made by deciding every vertex of `entry.family(n)` through
+/// its prepared honest certificates, after each vertex was decided once.
+fn prepared_allocations(entry: &SchemeEntry, n: usize) -> usize {
+    let (graph, inputs) = (entry.family)(n);
+    let ids = IdAssignment::contiguous(graph.num_nodes());
+    let instance = match &inputs {
+        Some(inputs) => Instance::with_inputs(&graph, &ids, inputs),
+        None => Instance::new(&graph, &ids),
+    };
+    let scheme = (entry.build)(id_bits_for(&instance), graph.num_nodes());
+    let assignment = scheme.assign(&instance).expect("honest prover");
+    let certs: Vec<Certificate> = graph.nodes().map(|v| assignment.cert(v).clone()).collect();
+    let prepared = scheme.prepare(&certs);
+    let decide_all = |prepared: &Prepared<'_>| {
+        for v in graph.nodes() {
+            let decided = prepared.decide_at(&instance, v, |u| u.0);
+            assert!(decided.is_ok(), "{}: honest vertex rejected", entry.id);
+        }
+    };
+    decide_all(&prepared);
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    decide_all(&prepared);
+    ALLOCATIONS.load(Ordering::SeqCst) - before
+}
+
 #[test]
 fn compact_schemes_allocate_at_most_once_per_vertex() {
     let pool = locert_par::Pool::new(1);
@@ -94,6 +126,19 @@ fn compact_schemes_allocate_at_most_once_per_vertex() {
                 "{}: {prove:.3} allocations per vertex in assign, {verify:.3} in \
                  run_verification_in ({prove_small}/{prove_large} and \
                  {verify_small}/{verify_large} at n = {n_small}/{n_large})",
+                entry.id
+            ));
+        }
+    }
+    for entry in catalogue::entries() {
+        if (entry.build)(16, 8).declared_bound() == DeclaredBound::QuadraticN {
+            continue;
+        }
+        let prepared = prepared_allocations(&entry, SMALL);
+        eprintln!("{:<24} prepared decisions {prepared}", entry.id);
+        if prepared != 0 {
+            failures.push(format!(
+                "{}: {prepared} allocations deciding {SMALL} prepared vertices",
                 entry.id
             ));
         }

@@ -277,7 +277,8 @@ proptest! {
 
     /// Radius-`r` ball views for r = 1..3 match a plain BFS over the
     /// model: members in host order with their identifiers, certificates
-    /// and distances, the center's position, and the induced ball edges.
+    /// and distances, the depth, the center's position, and the induced
+    /// ball edges.
     #[test]
     fn ball_view_matches_plain_bfs(
         n in 1usize..14,
@@ -285,57 +286,93 @@ proptest! {
         center in 0usize..14,
         seed in 0u64..1000,
     ) {
-        use rand::SeedableRng;
-        let g = graph_from_pairs(n, &pairs);
-        let sets = adjacency_sets(&g);
-        let ids = IdAssignment::shuffled(n, &mut rand::rngs::StdRng::seed_from_u64(seed));
-        let inst = Instance::new(&g, &ids);
-        // Every vertex's certificate is its own index, so a mix-up shows.
-        let asg = Assignment::new(
-            (0..n)
-                .map(|v| {
-                    let mut w = BitWriter::new();
-                    w.write(v as u64, 4);
-                    w.finish()
-                })
-                .collect::<Vec<_>>(),
-        );
-        let center = center % n;
-        for r in 1..=3 {
-            let mut dist = vec![usize::MAX; n];
-            dist[center] = 0;
-            let mut queue = std::collections::VecDeque::from([center]);
-            while let Some(u) = queue.pop_front() {
-                for &w in &sets[u] {
-                    if dist[w] == usize::MAX {
-                        dist[w] = dist[u] + 1;
-                        queue.push_back(w);
-                    }
+        check_ball_views(&graph_from_pairs(n, &pairs), center, seed)?;
+    }
+
+    /// The same on hosts of 65 to 300 vertices, where rows of degree
+    /// below ⌈n/64⌉ stay lists: random sparse edges plus up to three
+    /// hubs, each joined to a run of consecutive vertices, so levels are
+    /// expanded from lists and from hub rows.
+    #[test]
+    fn ball_view_matches_plain_bfs_on_larger_hosts(
+        n in 65usize..300,
+        pairs in prop::collection::vec((0usize..300, 0usize..300), 0..400),
+        hubs in prop::collection::vec((0usize..300, 0usize..300, 8usize..200), 0..4),
+        center in 0usize..300,
+        seed in 0u64..1000,
+    ) {
+        let mut pairs = pairs;
+        for &(hub, start, len) in &hubs {
+            pairs.extend((start..start + len).map(|k| (hub, k)));
+        }
+        check_ball_views(&graph_from_pairs(n, &pairs), center, seed)?;
+    }
+}
+
+/// Holds the view of `center % n` at r = 1..3 to a plain BFS over the
+/// adjacency-set model of `g`.
+fn check_ball_views(g: &Graph, center: usize, seed: u64) -> Result<(), String> {
+    use rand::SeedableRng;
+    let n = g.num_nodes();
+    let sets = adjacency_sets(g);
+    let ids = IdAssignment::shuffled(n, &mut rand::rngs::StdRng::seed_from_u64(seed));
+    let inst = Instance::new(g, &ids);
+    // Every vertex's certificate is its own index, so a mix-up shows.
+    let asg = Assignment::new(
+        (0..n)
+            .map(|v| {
+                let mut w = BitWriter::new();
+                w.write(v as u64, 9);
+                w.finish()
+            })
+            .collect::<Vec<_>>(),
+    );
+    let center = center % n;
+    let mut scratch = BallScratch::new(&inst, &asg);
+    for r in 1..=3 {
+        let mut dist = vec![usize::MAX; n];
+        dist[center] = 0;
+        let mut queue = std::collections::VecDeque::from([center]);
+        while let Some(u) = queue.pop_front() {
+            for &w in &sets[u] {
+                if dist[w] == usize::MAX {
+                    dist[w] = dist[u] + 1;
+                    queue.push_back(w);
                 }
             }
-            let members: Vec<usize> = (0..n).filter(|&m| dist[m] <= r).collect();
-            let mut scratch = BallScratch::new(n);
-            let view = scratch.view(&inst, &asg, NodeId(center), r);
-            let k = view.members().len();
-            prop_assert_eq!(
-                view.members().iter().map(|m| m.0).collect::<Vec<_>>(),
-                members.clone()
-            );
-            prop_assert_eq!(members.get(view.center()), Some(&center));
-            prop_assert_eq!(
-                (0..k).map(|i| view.id(i)).collect::<Vec<_>>(),
-                members.iter().map(|&m| ids.ident(NodeId(m))).collect::<Vec<_>>()
-            );
-            prop_assert_eq!(
-                view.dist().to_vec(),
-                members.iter().map(|&m| dist[m]).collect::<Vec<_>>()
-            );
-            prop_assert_eq!(
-                (0..k).map(|i| view.cert(i).clone()).collect::<Vec<_>>(),
-                members.iter().map(|&m| asg.cert(NodeId(m)).clone()).collect::<Vec<_>>()
-            );
-            prop_assert_eq!((0..k).map(|i| view.input(i)).collect::<Vec<_>>(), vec![0; members.len()]);
-            prop_assert_eq!(rows(view.ball()), model_induced(&sets, &members));
         }
+        let members: Vec<usize> = (0..n).filter(|&m| dist[m] <= r).collect();
+        let view = scratch.view(NodeId(center), r);
+        prop_assert_eq!(Some(view.depth()), members.iter().map(|&m| dist[m]).max());
+        let k = view.members().len();
+        prop_assert_eq!(
+            view.members().iter().map(|m| m.0).collect::<Vec<_>>(),
+            members.clone()
+        );
+        prop_assert_eq!(members.get(view.center()), Some(&center));
+        prop_assert_eq!(
+            (0..k).map(|i| view.id(i)).collect::<Vec<_>>(),
+            members
+                .iter()
+                .map(|&m| ids.ident(NodeId(m)))
+                .collect::<Vec<_>>()
+        );
+        prop_assert_eq!(
+            view.dist().to_vec(),
+            members.iter().map(|&m| dist[m]).collect::<Vec<_>>()
+        );
+        prop_assert_eq!(
+            (0..k).map(|i| view.cert(i).clone()).collect::<Vec<_>>(),
+            members
+                .iter()
+                .map(|&m| asg.cert(NodeId(m)).clone())
+                .collect::<Vec<_>>()
+        );
+        prop_assert_eq!(
+            (0..k).map(|i| view.input(i)).collect::<Vec<_>>(),
+            vec![0; members.len()]
+        );
+        prop_assert_eq!(rows(view.ball()), model_induced(&sets, &members));
     }
+    Ok(())
 }

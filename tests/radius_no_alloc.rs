@@ -2,11 +2,14 @@
 //! vertex.
 //!
 //! `run_radius_verification` hands each vertex a view borrowed from one
-//! scratch, and builds the induced ball only when a verifier reads it.
-//! `DiameterTwoAtRadiusThree` reads distances alone, so a run on a star
-//! of any size should make the same few allocations (the scratch's
-//! buffers); a per-vertex copy or an induced ball would make the count
-//! grow with `n`. A counting global allocator checks that.
+//! scratch, lists the ball's members and distances into the scratch's
+//! own buffers when a verifier reads them, and builds the induced ball
+//! only when a verifier reads it. `DiameterTwoAtRadiusThree` reads the
+//! ball's depth alone, and a verifier may read members and distances,
+//! so a run of either on a star of any size should make the same few
+//! allocations (the scratch's three buffers); a per-vertex copy or an
+//! induced ball would make the count grow with `n`. A counting global
+//! allocator checks that.
 //!
 //! This lives in its own integration-test binary because the
 //! `#[global_allocator]` is process-wide; keeping a single `#[test]`
@@ -38,6 +41,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Reads the members, the center and the distances, which a view lists
+/// into the scratch.
+struct ReadsTheDistances;
+
+impl RadiusVerifier for ReadsTheDistances {
+    fn radius(&self) -> usize {
+        3
+    }
+
+    fn verify(&self, view: &BallView<'_>) -> bool {
+        view.members().len() == view.dist().len() && view.dist()[view.center()] == 0
+    }
+}
+
 /// Reads the induced ball, so its runs must allocate per vertex.
 struct ReadsTheBall;
 
@@ -67,13 +84,18 @@ fn allocations_of_a_run(verifier: &dyn RadiusVerifier, n: usize) -> usize {
 
 #[test]
 fn radius_three_runs_allocate_per_run_not_per_vertex() {
-    let small = allocations_of_a_run(&DiameterTwoAtRadiusThree, 64);
-    let large = allocations_of_a_run(&DiameterTwoAtRadiusThree, 256);
-    assert_eq!(
-        small, large,
-        "star(64) made {small} allocations, star(256) {large}"
-    );
-    assert!(small <= 3, "one scratch per run, not {small} allocations");
+    for verifier in [
+        &DiameterTwoAtRadiusThree as &dyn RadiusVerifier,
+        &ReadsTheDistances,
+    ] {
+        let small = allocations_of_a_run(verifier, 64);
+        let large = allocations_of_a_run(verifier, 256);
+        assert_eq!(
+            small, large,
+            "star(64) made {small} allocations, star(256) {large}"
+        );
+        assert!(small <= 3, "one scratch per run, not {small} allocations");
+    }
 
     // Sanity: the counter sees the views' work once a verifier reads
     // the induced ball, which is built per vertex.
