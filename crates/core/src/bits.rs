@@ -265,7 +265,7 @@ impl fmt::Display for Certificate {
 ///
 /// Writers double as the prover-side attribution point of the bit
 /// ledger (`locert_trace::ledger`): [`BitWriter::component`] marks the
-/// start of a named witness component, and [`BitWriter::finish_for`]
+/// start of a named witness component, and [`BitWriter::record_for`]
 /// hands the marks to a ledger capture running on this thread. While no
 /// capture is active anywhere, both cost one relaxed atomic load.
 #[derive(Debug, Clone, Default)]
@@ -404,9 +404,10 @@ impl BitWriter {
 
     /// Finalizes into a [`Certificate`] and, when a ledger capture is
     /// active on this thread, records the component attribution for
-    /// `vertex` (a `NodeId` index). Every scheme prover finishes its
-    /// per-vertex writers through this so captured runs yield a
-    /// complete [`locert_trace::ledger::BitLedger`].
+    /// `vertex` (a `NodeId` index). Provers write through
+    /// `Assignment::write_each`, which records each vertex with
+    /// [`BitWriter::record_for`] instead; this is the per-writer form
+    /// its test holds it to.
     ///
     /// Debug builds enforce the tiling invariant at the source: inside
     /// a capture, a non-empty certificate must open with a component

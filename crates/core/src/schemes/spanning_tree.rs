@@ -6,9 +6,7 @@
 //!   connected graph: every vertex is labeled `(root id, distance to
 //!   root, parent id)`; acyclicity follows from distances strictly
 //!   decreasing along parent pointers, uniqueness of the root from
-//!   identifier uniqueness. An optional *root predicate* lets other
-//!   schemes point the tree at a vertex with a locally-checkable property
-//!   (e.g. "the root dominates the graph").
+//!   identifier uniqueness.
 //! - [`VertexCountScheme`] additionally certifies `n`, by labeling every
 //!   vertex with the claimed total and its subtree size.
 
@@ -153,69 +151,27 @@ pub fn verify_tree_position<D>(
     Ok(())
 }
 
-/// Prover-side root chooser (see
-/// [`SpanningTreeScheme::with_root_predicate`]).
-pub type RootSelector = Box<dyn Fn(&Instance<'_>) -> Option<NodeId> + Send + Sync>;
-/// Verifier-side root predicate, on the root's identifier and degree.
-pub type RootCheck = Box<dyn Fn(Ident, usize) -> bool + Send + Sync>;
-
-/// Certifies a rooted spanning tree (Proposition 3.4), with an optional
-/// locally-checked predicate on the root.
+/// Certifies a rooted spanning tree (Proposition 3.4).
+#[derive(Debug)]
 pub struct SpanningTreeScheme {
     id_bits: u32,
-    /// Prover-side root choice; `None` = vertex 0.
-    root_selector: Option<RootSelector>,
-    /// Extra verifier-side check applied at the root only.
-    root_check: Option<RootCheck>,
-}
-
-impl std::fmt::Debug for SpanningTreeScheme {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpanningTreeScheme")
-            .field("id_bits", &self.id_bits)
-            .field("has_root_selector", &self.root_selector.is_some())
-            .field("has_root_check", &self.root_check.is_some())
-            .finish()
-    }
 }
 
 impl SpanningTreeScheme {
     /// A scheme with identifier fields of `id_bits` bits, rooted at
     /// vertex 0.
     pub fn new(id_bits: u32) -> Self {
-        SpanningTreeScheme {
-            id_bits,
-            root_selector: None,
-            root_check: None,
-        }
-    }
-
-    /// Points the tree at a prover-chosen root satisfying a verifier-side
-    /// predicate. The prover fails with
-    /// [`ProverError::NotAYesInstance`] when `selector` returns `None`.
-    pub fn with_root_predicate(
-        id_bits: u32,
-        selector: impl Fn(&Instance<'_>) -> Option<NodeId> + Send + Sync + 'static,
-        check: impl Fn(Ident, usize) -> bool + Send + Sync + 'static,
-    ) -> Self {
-        SpanningTreeScheme {
-            id_bits,
-            root_selector: Some(Box::new(selector)),
-            root_check: Some(Box::new(check)),
-        }
+        SpanningTreeScheme { id_bits }
     }
 }
 
 impl Prover for SpanningTreeScheme {
     fn assign(&self, instance: &Instance<'_>) -> Result<Assignment, ProverError> {
         let _span = locert_trace::span!("core.schemes.spanning_tree.prover");
-        let root = match &self.root_selector {
-            Some(sel) => sel(instance).ok_or(ProverError::NotAYesInstance)?,
-            None => NodeId(0),
-        };
         // A rooted spanning tree exists iff the instance is non-empty and
         // connected: anything else is a no-instance, not a panic.
-        let fields = try_honest_tree_fields(instance, root).ok_or(ProverError::NotAYesInstance)?;
+        let fields =
+            try_honest_tree_fields(instance, NodeId(0)).ok_or(ProverError::NotAYesInstance)?;
         Ok(Assignment::write_each(fields.len(), |v, w| {
             fields[v.0].write(w, self.id_bits);
         }))
@@ -235,16 +191,7 @@ impl Decode for SpanningTreeScheme {
         view: &DecodedView<'_, Option<TreeFields>>,
     ) -> Result<(), RejectReason> {
         let mine = view.own.ok_or(RejectReason::MalformedCertificate)?;
-        verify_tree_fields(view, &mine, |f| *f)?;
-        if view.id == mine.root
-            && !self
-                .root_check
-                .as_ref()
-                .is_none_or(|check| check(view.id, view.degree()))
-        {
-            return Err(RejectReason::PropertyViolation);
-        }
-        Ok(())
+        verify_tree_fields(view, &mine, |f| *f)
     }
 }
 
@@ -496,36 +443,6 @@ mod tests {
         *bad.cert_mut(NodeId(3)) = c.with_bit_flipped(b + 1);
         assert!(!run_verification(&scheme, &inst, &bad).accepted());
         let _ = &mut rng;
-    }
-
-    #[test]
-    fn root_predicate_scheme() {
-        // Certify "some vertex dominates": point the tree at it, root
-        // checks its degree.
-        let make = |id_bits: u32, n: usize| {
-            SpanningTreeScheme::with_root_predicate(
-                id_bits,
-                move |inst| {
-                    inst.graph()
-                        .nodes()
-                        .find(|&v| inst.graph().degree(v) == inst.graph().num_nodes() - 1)
-                },
-                move |_, degree| degree == n - 1,
-            )
-        };
-        let g = generators::star(6);
-        let ids = IdAssignment::contiguous(6);
-        let inst = Instance::new(&g, &ids);
-        let scheme = make(id_bits_for(&inst), 6);
-        assert!(run_scheme(&scheme, &inst).unwrap().accepted());
-        // A path has no dominator: prover refuses.
-        let p = generators::path(6);
-        let inst2 = Instance::new(&p, &ids);
-        let scheme2 = make(id_bits_for(&inst2), 6);
-        assert_eq!(
-            run_scheme(&scheme2, &inst2).unwrap_err(),
-            ProverError::NotAYesInstance
-        );
     }
 
     #[test]

@@ -197,7 +197,7 @@ impl Graph {
     /// vertex to `usize::MAX`. The renumbering is then monotone, so each
     /// row of the result is the parent's sorted row filtered and mapped:
     /// the CSR arrays are written directly, with no builder and no sort.
-    /// Callers that extract many subgraphs (the radius-`r` ball views)
+    /// Callers that extract many subgraphs (the `C_t` prover's blocks)
     /// reuse one dense `local` and reset only the entries they set.
     ///
     /// # Panics

@@ -30,8 +30,8 @@ fn walk(prefix: &str, span: &SpanNode, out: &mut String) {
 
 /// Renders a span forest as folded stacks, optionally under a synthetic
 /// root frame (used to keep per-experiment sections apart). Spans with
-/// zero self time (pure wrappers, `event!` marks) emit no line of their
-/// own — their children carry the weight.
+/// zero self time (pure wrappers) emit no line of their own — their
+/// children carry the weight.
 pub fn collapse(root: Option<&str>, spans: &[SpanNode]) -> String {
     let mut out = String::new();
     let prefix = root.unwrap_or("");

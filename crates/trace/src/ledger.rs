@@ -25,7 +25,7 @@
 //!
 //! let ((), ledger) = ledger::capture(|| {
 //!     // A prover would do this through BitWriter::component /
-//!     // BitWriter::finish_for; the raw call records vertex 0 with a
+//!     // BitWriter::record_for; the raw call records vertex 0 with a
 //!     // 5-bit "root-id" span followed by a 3-bit "distance" span.
 //!     ledger::record_cert(0, 8, &[("root-id", 0), ("distance", 5)]);
 //! });
@@ -221,14 +221,14 @@ pub fn active() -> bool {
 /// disabled attribution point. `BitWriter` gates its component marks
 /// and its tiling assertion on this, not on [`active`]: another
 /// thread's capture may start or end between a writer's first mark and
-/// its `finish_for`, but this thread's cannot.
+/// its `record_for`, but this thread's cannot.
 #[inline]
 pub fn capturing() -> bool {
     active() && SINK.with(|s| s.borrow().is_some())
 }
 
 /// Records the attribution of a finalized certificate — if a capture is
-/// active *on this thread*. Called by `BitWriter::finish_for`; other
+/// active *on this thread*. Called by `BitWriter::record_for`; other
 /// threads' prover runs are ignored, so concurrent captures cannot mix.
 pub fn record_cert(vertex: usize, total_bits: usize, marks: &[(&'static str, usize)]) {
     if !active() {

@@ -6,7 +6,7 @@
 //! workspace a way to report where those resources — and the wall time
 //! spent computing them — actually go. Three pieces:
 //!
-//! - **hierarchical spans** ([`span!`]/[`event!`]): RAII guards that
+//! - **hierarchical spans** ([`span!`]): RAII guards that
 //!   aggregate wall time per call-tree path. Spans on the same path are
 //!   merged (name → calls + total ns), so per-vertex instrumentation stays
 //!   bounded in memory;
@@ -382,8 +382,7 @@ pub struct SpanNode {
     pub name: String,
     /// Number of times this path was entered.
     pub calls: u64,
-    /// Total wall time across all entries, in nanoseconds (0 for
-    /// [`event!`] marks).
+    /// Total wall time across all entries, in nanoseconds.
     pub total_ns: u64,
     /// Child spans, sorted by name.
     pub children: Vec<SpanNode>,
@@ -466,43 +465,12 @@ impl Drop for Span {
     }
 }
 
-/// Records a zero-duration mark under the current span (or at the root
-/// when no span is open). Prefer the [`event!`] macro.
-pub fn event(name: &'static str) {
-    if !enabled() {
-        return;
-    }
-    let recorded = STACK.with(|s| {
-        let mut stack = s.borrow_mut();
-        if let Some(top) = stack.last_mut() {
-            let node = top.children.entry(name).or_default();
-            node.calls += 1;
-            true
-        } else {
-            false
-        }
-    });
-    if !recorded {
-        let mut roots = registry().roots.lock().expect("span forest");
-        roots.entry(name).or_default().calls += 1;
-    }
-}
-
 /// Enters a hierarchical span: `let _guard = span!("layer.component.op");`.
 /// Compiles to one relaxed atomic load when the subscriber is disabled.
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
         $crate::span($name)
-    };
-}
-
-/// Records a zero-duration mark under the current span:
-/// `event!("layer.component.happened");`.
-#[macro_export]
-macro_rules! event {
-    ($name:expr) => {
-        $crate::event($name)
     };
 }
 
@@ -630,7 +598,6 @@ mod tests {
             let _s = span!("test.disabled.span");
             add("test.disabled.counter", 3);
             record("test.disabled.histogram", 9);
-            event!("test.disabled.event");
         }
         let snap = snapshot();
         assert!(snap.spans.iter().all(|s| s.name != "test.disabled.span"));
@@ -646,7 +613,6 @@ mod tests {
             let _outer = span!("test.outer");
             for _ in 0..3 {
                 let _inner = span!("test.inner");
-                event!("test.tick");
             }
         }
         disable();
@@ -663,13 +629,6 @@ mod tests {
             .find(|s| s.name == "test.inner")
             .expect("inner nested under outer");
         assert_eq!(inner.calls, 3);
-        let tick = inner
-            .children
-            .iter()
-            .find(|s| s.name == "test.tick")
-            .expect("event nested under inner");
-        assert_eq!(tick.calls, 3);
-        assert_eq!(tick.total_ns, 0);
         reset();
     }
 
